@@ -3,9 +3,14 @@
 The wire Green's tensor needs J_n, H_n^(1) and their derivatives for
 arguments anywhere in the closed upper half-plane: real for propagating
 radial waves, purely imaginary on the imaginary frequency axis, and general
-complex inside the lossy metal.  Evaluation is delegated to the AMOS
-routines behind scipy.special; this module adds the order ladder, the
-derivative recurrence f' = (f_{n-1} - f_{n+1})/2, negative-order reflection
+complex inside the lossy metal.  J_n comes from scipy.special.jv at every
+order.  H_n^(1) comes from scipy.special.hankel1 at orders 0 and 1 only; the
+rest of the ladder follows from the upward recurrence
+H_{n+1} = (2n/z) H_n - H_{n-1}, which is stable because H^(1) is the
+dominant solution in the increasing-order direction for Im z >= 0
+(Gautschi, SIAM Rev. 9, 1967; DLMF 10.74(iv)).  J is recessive in that
+direction, so it is never recurred.  The module also supplies the derivative
+recurrence f' = (f_{n-1} - f_{n+1})/2, negative-order reflection
 J_{-n} = (-1)^n J_n, and explicit domain/overflow guards.
 """
 
@@ -87,7 +92,11 @@ def jh_orders(nmax: int, z):
 
     orders = np.arange(nmax + 2, dtype=float)[:, None]
     j = special.jv(orders, zarr[None, :])
-    h = special.hankel1(orders, zarr[None, :])
+    h = np.empty_like(j)
+    h[:2] = special.hankel1(orders[:2], zarr[None, :])
+    two_over_z = 2.0 / zarr
+    for n in range(1, nmax + 1):
+        h[n + 1] = (n * two_over_z) * h[n] - h[n - 1]
     if not (np.all(np.isfinite(j)) and np.all(np.isfinite(h))):
         raise OverflowGuardError("Bessel evaluation overflowed the representable range")
 

@@ -60,10 +60,14 @@ class RunConfig:
             raise ConfigError("gamma_p must be nonnegative")
         if min(self.rho_1, self.rho_2) <= self.radius:
             raise ConfigError("emitters must sit outside the wire")
+        if self.rho_2 != self.rho_1:
+            raise ConfigError("emitters must share one axial line: rho_2 must equal rho_1")
         if not (s.z_min > 0):
             raise ConfigError("sweep z_min must be > 0")
         if not (s.z_max > s.z_min):
             raise ConfigError("sweep needs z_max > z_min")
+        if not isinstance(s.n_points, int) or isinstance(s.n_points, bool):
+            raise ConfigError("sweep n_points must be an integer")
         if s.n_points < 2:
             raise ConfigError("sweep needs n_points >= 2")
         for name, tol in (("tol_wire", self.tol_wire), ("tol_model", self.tol_model)):
@@ -73,6 +77,9 @@ class RunConfig:
             raise ConfigError("output format must be csv or json")
         if len(self.dipole_1) != 3 or len(self.dipole_2) != 3:
             raise ConfigError("dipole orientations must be 3-vectors")
+        for name, d in (("dipole_1", self.dipole_1), ("dipole_2", self.dipole_2)):
+            if abs(math.sqrt(sum(x * x for x in d)) - 1.0) > 1e-12:
+                raise ConfigError(f"{name} must be a unit vector to 1e-12")
         return self
 
     def drude_model(self) -> DrudeModel:

@@ -265,7 +265,6 @@ class _ImagAxisEngine:
         self.n_nodes = 0
         self._parallel = parallel
         self.panels = []
-        self.tail_bound_factor = math.exp(-kap_cut * gap)
 
         self._coincident = None
         seeds = [0.0, 2e-3, 1e-2, 0.04, 0.12, 0.25, 0.45, 0.65, 0.82, 0.93]

@@ -3,8 +3,10 @@
 Both points outside the wire.  The tensor is assembled from cylindrical
 vector waves M, N indexed by azimuthal order n and axial wavenumber kz,
 with outgoing radial functions H_n^(1)(eta rho) outside and regular J_n
-inside, joined by 2x2 hybrid-mode reflection coefficients per order from
-the 4x4 tangential-continuity system at rho = a.
+inside, joined by 2x2 hybrid-mode reflection coefficients per order.  The
+tangential-continuity conditions at rho = a are reduced in closed form: the
+E_z and H_z rows eliminate the interior amplitudes and the remaining 2x2
+system is solved by Cramer's rule in scaled log-derivative form.
 
 Normalization convention (pinned by the free-space expansion reproducing
 the closed-form vacuum tensor, see tests):
@@ -122,60 +124,61 @@ class SpectralEvaluator:
             # flat function instead of noise
             direction = np.where(np.abs(kz) <= abs(self.k1), 1.0 + 0j, 1j)
             eta1 = np.where(bad, floor * direction, eta1)
-        j1a, h1a, j1ap, h1ap = jh_orders(self.nmax, eta1 * a)
-        j2a, _, j2ap, _ = jh_orders(self.nmax, eta2 * a)
-        _, hr1, _, hr1p = jh_orders(self.nmax, eta1 * self.rho1)
-        _, hr2, _, hr2p = jh_orders(self.nmax, eta1 * self.rho2)
-        return eta1, eta2, (j1a, j1ap, h1a, h1ap, j2a, j2ap), (hr1, hr1p, hr2, hr2p)
+        # one ladder call for every argument; H(eta1 rho) once when rho1 = rho2
+        K = kz.size
+        rhos = (self.rho1,) if self.rho2 == self.rho1 else (self.rho1, self.rho2)
+        j, h, jp, hp = jh_orders(
+            self.nmax, np.concatenate([eta1 * a, eta2 * a] + [eta1 * r for r in rhos]))
+        j1a, h1a, j1ap, h1ap = j[:, :K], h[:, :K], jp[:, :K], hp[:, :K]
+        j2a, j2ap = j[:, K:2 * K], jp[:, K:2 * K]
+        hr1, hr1p = h[:, 2 * K:3 * K], hp[:, 2 * K:3 * K]
+        hr2, hr2p = (h[:, 3 * K:], hp[:, 3 * K:]) if len(rhos) == 2 else (hr1, hr1p)
+        # The wall solve takes log-derivatives and the J_n(eta1 a) pair
+        # divided by m, so no product of raw ladders can overflow (H_n(eta1 a)
+        # reaches 1e152 at the branch floor, J_n(eta2 a) 1e76 deep in the
+        # evanescent tail); it returns R H_n(eta1 a) / m.  The inverse factor
+        # goes onto the rho1-side ladder as a ratio to H_n(eta1 a) first:
+        # R and m / H_n(eta1 a) are both subnormal at high order next to the
+        # light line, where the tensor depends on the differences of R's
+        # four nearly equal components.
+        m = np.maximum(np.abs(j1a), np.abs(j1ap))
+        wall = (h1ap / h1a, j2ap / j2a, j1a / m, j1ap / m)
+        return eta1, eta2, wall, (hr1 / h1a * m, hr1p / h1a * m, hr2, hr2p)
 
     def _solve(self, kz_signed, eta1, eta2, wall):
-        """Reflection coefficients for orders 0..nmax at signed kz nodes.
+        """Scaled reflection coefficients for orders 0..nmax at signed kz.
 
-        Returns array (K, nmax+1, 2, 2): [[R_MM, R_MN], [R_NM, R_NN]].
+        Returns array (K, nmax+1, 2, 2): [[R_MM, R_MN], [R_NM, R_NN]] times
+        H_n(eta1 a) / max(|J_n(eta1 a)|, |J_n'(eta1 a)|); ``_ladders`` folds
+        the inverse factor into the rho1-side radial functions.
+
+        Rows E_z and H_z of the tangential-continuity system give the
+        interior amplitudes, which leaves a 2x2 system in the scattered
+        (M, N) amplitudes for E_phi and H_phi, solved here in closed form.
+        The sign of kz enters only through the coupling c.
         """
-        j1a, j1ap, h1a, h1ap, j2a, j2ap = wall
+        uH, uJ, q, qp = (x.T for x in wall)  # (K, n)
         a = self.geom.radius
         k1, k2 = self.k1, self.k2
         nn = np.arange(self.nmax + 1)[None, :]
-        kz = np.asarray(kz_signed)[:, None]
         e1 = np.asarray(eta1)[:, None]
         e2 = np.asarray(eta2)[:, None]
-        J1, J1p = j1a.T, j1ap.T  # (K, n)
-        H1, H1p = h1a.T, h1ap.T
-        J2, J2p = j2a.T, j2ap.T
-        K, NN = J1.shape
+        r = e1**2 / e2**2
+        c = nn * np.asarray(kz_signed)[:, None] * (r - 1.0) / a
+        c2k = c * c / k1
+        wJ = e2 * uJ * r
+        wJk = (k2**2 / k1) * wJ
+        A00 = -e1 * uH + wJ
+        A11 = -k1 * e1 * uH + wJk
+        bM0 = e1 * qp - wJ * q
+        bN1 = k1 * e1 * qp - wJk * q
+        inv_det = 1.0 / (A00 * A11 - c2k)
 
-        A = np.zeros((K, NN, 4, 4), complex)
-        B = np.zeros((K, NN, 4, 2), complex)
-        cpl = nn * kz  # coupling strength n*kz
-        # rows: E_z, H_z, E_phi, H_phi continuity; cols: (a_M, b_N, c_M, d_N)
-        A[..., 0, 1] = e1**2 / k1 * H1
-        A[..., 0, 3] = -(e2**2) / k2 * J2
-        A[..., 1, 0] = e1**2 * H1
-        A[..., 1, 2] = -(e2**2) * J2
-        A[..., 2, 0] = -e1 * H1p
-        A[..., 2, 1] = -cpl / (k1 * a) * H1
-        A[..., 2, 2] = e2 * J2p
-        A[..., 2, 3] = cpl / (k2 * a) * J2
-        A[..., 3, 0] = -cpl / a * H1
-        A[..., 3, 1] = -k1 * e1 * H1p
-        A[..., 3, 2] = cpl / a * J2
-        A[..., 3, 3] = k2 * e2 * J2p
-
-        B[..., 0, 1] = -(e1**2) / k1 * J1
-        B[..., 1, 0] = -(e1**2) * J1
-        B[..., 2, 0] = e1 * J1p
-        B[..., 2, 1] = cpl / (k1 * a) * J1
-        B[..., 3, 0] = cpl / a * J1
-        B[..., 3, 1] = k1 * e1 * J1p
-
-        X = np.linalg.solve(A, B)
-        # scattered amplitudes are the (a_M, b_N) rows
-        R = np.empty((K, NN, 2, 2), complex)
-        R[..., 0, 0] = X[..., 0, 0]   # R_MM
-        R[..., 0, 1] = X[..., 0, 1]   # R_MN
-        R[..., 1, 0] = X[..., 1, 0]   # R_NM
-        R[..., 1, 1] = X[..., 1, 1]   # R_NN
+        R = np.empty(A00.shape + (2, 2), complex)
+        R[..., 0, 0] = (bM0 * A11 + c2k * q) * inv_det            # R_MM
+        R[..., 0, 1] = -c * (q * A11 + bN1) * inv_det / k1        # R_MN
+        R[..., 1, 0] = -c * (A00 * q + bM0) * inv_det             # R_NM
+        R[..., 1, 1] = (A00 * bN1 + c2k * q) * inv_det            # R_NN
         return R
 
     def __call__(self, kz_nodes):
@@ -192,7 +195,7 @@ class SpectralEvaluator:
         refl = self._reflect[:, None]            # (-1)^n for negative odd orders
         phase = self._phase_n[:, None]
 
-        H1 = hr1[absn] * refl                    # (M, K) H_n(eta1 rho1)
+        H1 = hr1[absn] * refl                    # (M, K) H_n(eta1 rho1) m / H_n(eta1 a)
         H1p = hr1p[absn] * refl
         H2 = hr2[absn] * refl
         H2p = hr2p[absn] * refl

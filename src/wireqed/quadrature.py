@@ -105,10 +105,6 @@ class PanelSet:
     def err(self):
         return float(sum(p[3] for p in self.panels))
 
-    def fmax_in(self, x0, x1=math.inf):
-        vals = [p[4] for p in self.panels if p[0] >= x0 and p[1] <= x1]
-        return max(vals) if vals else 0.0
-
     def refine(self, target):
         """Bisect worst panels until the summed bound meets target."""
         while self.err > target:

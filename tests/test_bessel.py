@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from wireqed import DomainError, OverflowGuardError, bessel_jh
-from wireqed.bessel import jh_orders
+from wireqed.bessel import N_MAX, jh_orders, safe_min_arg
 
 from conftest import load_fixture
 
@@ -143,3 +144,20 @@ def test_order_ladder_matches_scalar():
             v = bessel_jh(n, zz)
             assert j[n, i] == pytest.approx(v.j, rel=1e-14)
             assert hp[n, i] == pytest.approx(v.h1prime, rel=1e-14)
+
+
+@pytest.mark.parametrize("z", [
+    0.5, 7.0, 44.0, 600.0,                           # real: both sides of n = |z|
+    0.05j, 3.0j, 40.0j, 300.0j,                      # imaginary axis
+    0.02 + 0.01j, 5.0 + 3.0j, 20.0 + 15.0j, -30.0 + 2.0j,  # upper half-plane
+    safe_min_arg(N_MAX + 1), 1j * safe_min_arg(N_MAX + 1),  # branch-floor clamp
+], ids=str)
+def test_hankel_recurrence_matches_direct_evaluation(z):
+    # the ladder recurs H upward from orders 0 and 1; it must agree with a
+    # direct evaluation at every order, derivatives included
+    _, h, _, hp = jh_orders(N_MAX, np.array([z]))
+    orders = np.arange(N_MAX + 2)
+    ref = special.hankel1(orders, z)
+    ref_p = np.concatenate([[-ref[1]], (ref[:-2] - ref[2:]) / 2.0])
+    assert np.max(np.abs(h[:, 0] - ref[:-1]) / np.abs(ref[:-1])) <= 1e-12
+    assert np.max(np.abs(hp[:, 0] - ref_p) / np.abs(ref_p)) <= 1e-12

@@ -76,6 +76,17 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
 
+    @pytest.mark.parametrize("overrides", [
+        {"rho_2": 0.02},
+        {"dipole_1": [1.0, 1.0, 0.0]},
+        {"sweep": {"z_min": 0.5, "z_max": 1.5, "n_points": 2.5}},
+    ], ids=["rho_2_off_axis_line", "dipole_not_unit", "n_points_not_integer"])
+    def test_invalid_config_exit_2(self, tmp_path, overrides):
+        path = write_config(tmp_path, overrides)
+        proc = run_cli(["sweep", "--config", path])
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+
     def test_validate_passes(self):
         proc = run_cli(["validate"])
         assert proc.returncode == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 
 from wireqed import (ConvergenceError, DomainError, DrudeModel, FitError, OMEGA_A,
                      SpectralPoint, WireGeometry, green_vacuum_im_coincident,
@@ -142,3 +143,76 @@ def test_report_attached(default_geom):
     assert g.converged
     assert g.report.nodes_used > 0
     assert g.report.abs_error_estimate >= 0.0
+
+
+def _reference_wall_solve(ev, kz_signed, eta1, eta2):
+    """R_n H_n(eta1 rho1) and R_n H_n'(eta1 rho1) from the full 4x4
+    tangential-continuity system, with J and H evaluated directly.
+
+    The unknowns are H_n(eta1 a) (a_M, b_N) and the interior (c_M, d_N):
+    R_n alone is subnormal at high order next to the light line.
+    """
+    a, k1, k2 = ev.geom.radius, ev.k1, ev.k2
+    n = np.arange(ev.nmax + 1, dtype=float)[None, :]
+    e1, e2 = eta1[:, None], eta2[:, None]
+    cpl = n * np.asarray(kz_signed)[:, None]
+
+    def ladder(fn, z):
+        return fn(n, z), (fn(n - 1, z) - fn(n + 1, z)) / 2.0
+
+    J1, J1p = ladder(special.jv, e1 * a)
+    H1, H1p = ladder(special.hankel1, e1 * a)
+    J2, J2p = ladder(special.jv, e2 * a)
+    Hr, Hrp = ladder(special.hankel1, e1 * ev.rho1)
+    A = np.zeros(J1.shape + (4, 4), complex)
+    B = np.zeros(J1.shape + (4, 2), complex)
+    # rows: E_z, H_z, E_phi, H_phi continuity; cols: (a_M, b_N, c_M, d_N)
+    A[..., 0, 1] = e1**2 / k1 * H1
+    A[..., 0, 3] = -(e2**2) / k2 * J2
+    A[..., 1, 0] = e1**2 * H1
+    A[..., 1, 2] = -(e2**2) * J2
+    A[..., 2, 0] = -e1 * H1p
+    A[..., 2, 1] = -cpl / (k1 * a) * H1
+    A[..., 2, 2] = e2 * J2p
+    A[..., 2, 3] = cpl / (k2 * a) * J2
+    A[..., 3, 0] = -cpl / a * H1
+    A[..., 3, 1] = -k1 * e1 * H1p
+    A[..., 3, 2] = cpl / a * J2
+    A[..., 3, 3] = k2 * e2 * J2p
+    B[..., 0, 1] = -(e1**2) / k1 * J1
+    B[..., 1, 0] = -(e1**2) * J1
+    B[..., 2, 0] = e1 * J1p
+    B[..., 2, 1] = cpl / (k1 * a) * J1
+    B[..., 3, 0] = cpl / a * J1
+    B[..., 3, 1] = k1 * e1 * J1p
+    A[..., :2] /= H1[..., None, None]
+    RH = np.linalg.solve(A, B)[..., :2, :]
+    return (RH * (Hr / H1)[..., None, None], RH * (Hrp / H1)[..., None, None])
+
+
+_KK_METAL = DrudeModel(eps_inf=1.0, omega_p=6.0 * OMEGA_A, gamma_p=0.12 * OMEGA_A)
+
+
+@pytest.mark.parametrize("model, s, kz", [
+    # H_38(eta1 a) ~ 1e152 next to the light line
+    (DrudeModel(), REAL, [6.27819]),
+    # J_n(eta2 a) ~ 1e76 and H_n(eta1 a) ~ 1e-79 deep in the evanescent tail
+    (DrudeModel(), SpectralPoint.imaginary_axis(4.18 * OMEGA_A), [17871.0]),
+    # |eta1| = 0.26, just outside the roundoff ring: R_40 is subnormal
+    *[(_KK_METAL, SpectralPoint.real_axis(w), [np.sqrt(w**2 - 0.26**2)])
+      for w in (0.91 * OMEGA_A, 1.06 * OMEGA_A, 1.28 * OMEGA_A)],
+    # lossless metal above its plasma frequency: real eta2 below k2
+    (DrudeModel(gamma_p=0.0), SpectralPoint.real_axis(8.0 * OMEGA_A), [0.5, 3.0, 20.0, 60.0]),
+], ids=["branch_floor", "evanescent_tail", "kk_0.91", "kk_1.06", "kk_1.28", "lossless"])
+def test_closed_form_wall_solve_matches_4x4(model, s, kz):
+    ev = SpectralEvaluator(WireGeometry(radius=0.01, model=model), s, 0.015, 0.015, 0.0,
+                           nmax=40)
+    kz = np.asarray(kz, float)
+    eta1, eta2, wall, (hr1, hr1p, _, _) = ev._ladders(kz)
+    for sgn in (1.0, -1.0):
+        scaled = ev._solve(sgn * kz, eta1, eta2, wall)
+        folded = (scaled * hr1.T[..., None, None], scaled * hr1p.T[..., None, None])
+        for got, ref in zip(folded, _reference_wall_solve(ev, sgn * kz, eta1, eta2)):
+            # per (node, order), relative to the largest of the four components
+            scale = np.abs(ref).max(axis=(2, 3))
+            assert np.all(np.abs(got - ref).max(axis=(2, 3)) <= 1e-10 * scale)
