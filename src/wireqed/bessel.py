@@ -9,8 +9,9 @@ rest of the ladder follows from the upward recurrence
 H_{n+1} = (2n/z) H_n - H_{n-1}, which is stable because H^(1) is the
 dominant solution in the increasing-order direction for Im z >= 0
 (Gautschi, SIAM Rev. 9, 1967; DLMF 10.74(iv)).  J is recessive in that
-direction, so it is never recurred.  The module also supplies the derivative
-recurrence f' = (f_{n-1} - f_{n+1})/2, negative-order reflection
+direction, so it is never recurred.  ``h_orders`` gives the Hankel ladder
+alone, for arguments where J is not needed.  The module also supplies the
+derivative recurrence f' = (f_{n-1} - f_{n+1})/2, negative-order reflection
 J_{-n} = (-1)^n J_n, and explicit domain/overflow guards.
 """
 
@@ -68,6 +69,46 @@ def _check_argument(z: complex) -> complex:
     return z
 
 
+def _with_derivatives(f, nmax, z):
+    """Orders 0..nmax of a ladder f holding orders 0..nmax+1, and of its
+    derivative, both shaped (nmax+1,) + shape(z)."""
+    # f'_n = (f_{n-1} - f_{n+1}) / 2 with f_{-1} = -f_1
+    fp = np.empty_like(f[: nmax + 1])
+    fp[0] = -f[1]
+    fp[1:] = (f[: nmax] - f[2: nmax + 2]) / 2.0
+    shape = (nmax + 1,) + np.shape(z)
+    return f[: nmax + 1].reshape(shape), fp.reshape(shape)
+
+
+def h_orders(nmax: int, z):
+    """H^(1) and its derivative for all orders 0..nmax at argument(s) z.
+
+    The Hankel half of ``jh_orders``, for arguments where J is not needed:
+    deep in the evanescent tail J_n(z) overflows (J_0(750i) = inf) while
+    H_n^(1)(z) underflows harmlessly to zero.
+
+    Returns
+    -------
+    h, hp : ndarray, shape (nmax+1,) + shape(z)
+    """
+    if not 0 <= nmax <= N_MAX:
+        raise DomainError(f"order ladder must satisfy 0 <= nmax <= {N_MAX}, got {nmax}")
+    zarr = np.atleast_1d(np.asarray(z, dtype=complex))
+    if np.any(zarr == 0):
+        raise DomainError("Bessel argument z = 0 is outside the domain")
+    if np.any(np.abs(zarr) >= OVERFLOW_GUARD):
+        raise OverflowGuardError("Bessel argument exceeds the overflow guard")
+
+    h = np.empty((nmax + 2, zarr.size), complex)
+    h[:2] = special.hankel1(np.arange(2.0)[:, None], zarr[None, :])
+    two_over_z = 2.0 / zarr
+    for n in range(1, nmax + 1):
+        h[n + 1] = (n * two_over_z) * h[n] - h[n - 1]
+    if not np.all(np.isfinite(h)):
+        raise OverflowGuardError("Bessel evaluation overflowed the representable range")
+    return _with_derivatives(h, nmax, z)
+
+
 def jh_orders(nmax: int, z):
     """J, H^(1) and derivatives for all orders 0..nmax at argument(s) z.
 
@@ -82,35 +123,13 @@ def jh_orders(nmax: int, z):
     -------
     j, h, jp, hp : ndarray, shape (nmax+1,) + shape(z)
     """
-    if not 0 <= nmax <= N_MAX:
-        raise DomainError(f"order ladder must satisfy 0 <= nmax <= {N_MAX}, got {nmax}")
+    h, hp = h_orders(nmax, z)
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(zarr == 0):
-        raise DomainError("Bessel argument z = 0 is outside the domain")
-    if np.any(np.abs(zarr) >= OVERFLOW_GUARD):
-        raise OverflowGuardError("Bessel argument exceeds the overflow guard")
-
-    orders = np.arange(nmax + 2, dtype=float)[:, None]
-    j = special.jv(orders, zarr[None, :])
-    h = np.empty_like(j)
-    h[:2] = special.hankel1(orders[:2], zarr[None, :])
-    two_over_z = 2.0 / zarr
-    for n in range(1, nmax + 1):
-        h[n + 1] = (n * two_over_z) * h[n] - h[n - 1]
-    if not (np.all(np.isfinite(j)) and np.all(np.isfinite(h))):
+    j = special.jv(np.arange(nmax + 2.0)[:, None], zarr[None, :])
+    if not np.all(np.isfinite(j)):
         raise OverflowGuardError("Bessel evaluation overflowed the representable range")
-
-    # f'_n = (f_{n-1} - f_{n+1}) / 2 with f_{-1} = -f_1
-    jp = np.empty_like(j[: nmax + 1])
-    hp = np.empty_like(h[: nmax + 1])
-    jp[0] = -j[1]
-    hp[0] = -h[1]
-    jp[1:] = (j[: nmax] - j[2: nmax + 2]) / 2.0
-    hp[1:] = (h[: nmax] - h[2: nmax + 2]) / 2.0
-
-    shape = (nmax + 1,) + np.shape(z)
-    return (j[: nmax + 1].reshape(shape), h[: nmax + 1].reshape(shape),
-            jp.reshape(shape), hp.reshape(shape))
+    j, jp = _with_derivatives(j, nmax, z)
+    return j, h, jp, hp
 
 
 def bessel_jh(order: int, z: complex) -> CylFunValue:

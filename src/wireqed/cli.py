@@ -212,6 +212,8 @@ def cmd_validate(args) -> int:
 
 def cmd_point(args) -> int:
     cfg = _load(args)
+    if not args.dz > 0:
+        raise ConfigError(f"point needs a separation --dz > 0, got {args.dz}")
     geom = _geometry(cfg)
     try:
         engine = PairInteraction(geom, _pair(cfg, args.dz), tol=cfg.tol_wire,

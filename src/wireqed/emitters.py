@@ -22,13 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
+from . import quadrature
 from .errors import DomainError, FitError
 from .frequencies import OMEGA_A, SpectralPoint
 from .green_vacuum import green_vacuum_cyl, green_vacuum_im_coincident
 from .green_wire import (DEFAULT_NMAX, SpectralEvaluator, WireGeometry,
                          WireSpectralTable, _auto_pole_hint, _k_window,
                          plasmon_wavenumber, settle_azimuthal_order)
-from .quadrature import _GL_X, _PROJ
+from .quadrature import _GL_X, _NPTS, _PROJ
 
 _COINCIDENT = 1e-12
 
@@ -129,6 +130,18 @@ def _same_column(p1, p2):
     return abs(p1[0] - p2[0]) < _COINCIDENT and abs(p1[1] - p2[1]) < _COINCIDENT
 
 
+def _rates(w, gmed_11, gmed_12, p1, p2, d1, d2):
+    """(gamma11, gamma12) per free-space rate: the imaginary part of the full
+    tensor, vacuum plus scattered, contracted with the dipoles."""
+    if _same_site(p1, p2):
+        gvac_im = green_vacuum_im_coincident(w) * float(d1 @ d2)
+    else:
+        gvac_im = _contract(green_vacuum_cyl(p1, p2, w).value, d1, d2).imag
+    gamma11 = 1.0 + (6.0 * math.pi / w) * _contract(gmed_11, d1, d1).imag
+    gamma12 = (6.0 * math.pi / w) * (gvac_im + _contract(gmed_12, d1, d2).imag)
+    return gamma11, gamma12
+
+
 class PairInteraction:
     """Shared spectral tables for one geometry; cheap per-separation results.
 
@@ -194,14 +207,9 @@ class PairInteraction:
         gmed_12, err12 = self.medium_tensor_resonant(dz)
         gmed_11, err11 = self.medium_tensor_resonant(0.0)
 
-        gamma11 = 1.0 + (6.0 * math.pi / w) * _contract(gmed_11, d1, d1).imag
-        if abs(dz) < _COINCIDENT:
-            gvac_im = green_vacuum_im_coincident(w) * float(d1 @ d2)
-        else:
-            p1 = (self.rho, 0.0, 0.0)
-            p2 = (self.rho, 0.0, -dz)  # tensor taken from r1 toward r2
-            gvac_im = _contract(green_vacuum_cyl(p1, p2, w).value, d1, d2).imag
-        gamma12 = (6.0 * math.pi / w) * (gvac_im + _contract(gmed_12, d1, d2).imag)
+        # vacuum tensor taken from r1 toward r2
+        gamma11, gamma12 = _rates(w, gmed_11, gmed_12, (self.rho, 0.0, 0.0),
+                                  (self.rho, 0.0, -dz), d1, d2)
 
         shift12_res = (3.0 * math.pi / w) * _contract(gmed_12, d1, d2).real
         shift11_res = (3.0 * math.pi / w) * _contract(gmed_11, d1, d1).real
@@ -243,12 +251,17 @@ def _kappa_table_job(job):
 
 
 class _ImagAxisEngine:
-    """t-substituted imaginary-axis integral with one kz table per node.
+    """t-substituted imaginary-axis integral over one flat kz-panel table.
 
     Panels live in t = kappa / (omega_a + kappa); each Gauss node carries a
-    frozen WireSpectralTable at i*kappa(t).  Refinement is driven by the
-    Legendre-coefficient decay of the weighted tensor integrand at a few
-    reference separations, which bounds the error for every separation.
+    kz table at i*kappa(t), built by ``_kappa_table_job``.  The integral is
+    linear in the tables, so every node's table is multiplied by its
+    substitution weight and all of them are held as one flat table: kz
+    half-widths and midpoints, coefficients, and the offset where each
+    node's kz panels start.  One pass over it gives every node's weighted
+    tensor at a separation.  Refinement is driven by the Legendre-coefficient
+    decay of that weighted integrand at a few reference separations, which
+    bounds the error for every separation.
     """
 
     def __init__(self, geom, rho, omega_a, *, tol, nmax, gap, dz_refs,
@@ -264,13 +277,18 @@ class _ImagAxisEngine:
         self.table_budget = table_budget
         self.n_nodes = 0
         self._parallel = parallel
-        self.panels = []
+        self.panels = []    # (a, b) per t panel, in flat-table order
+        # the flat table; node i's kz panels are rows starts[i]:starts[i+1]
+        self._halves = np.empty(0)
+        self._mids = np.empty(0)
+        self._coefs = np.empty((0, _NPTS, 2, 9))
+        self._starts = np.empty(0, int)
 
         self._coincident = None
         seeds = [0.0, 2e-3, 1e-2, 0.04, 0.12, 0.25, 0.45, 0.65, 0.82, 0.93]
         breaks = sorted({t for t in seeds if t < self.t_cut} | {self.t_cut})
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            self.panels.append(self._build_panel(a, b))
+        self._splice(None, [self._build_panel(a, b)
+                            for a, b in zip(breaks[:-1], breaks[1:])])
         self._refine(dz_refs)
 
     def _build_tables(self, kappas):
@@ -281,52 +299,101 @@ class _ImagAxisEngine:
         return [_kappa_table_job(job) for job in jobs]
 
     def _build_panel(self, a, b):
+        """The node tables of t panel [a, b] as flat-table rows:
+        ((a, b), [halves, mids, coefs, kz panels per node]).
+
+        Each table is weighted as it is copied in and then released, so no
+        more than one panel's tables are alive at a time.  The shift needs
+        only the real part of the tensor.  With m the phase moments times
+        half e^{i dz mid}, a kz panel with +kz and -kz coefficients C0, C1
+        contributes Re(m C0 + conj(m) C1) = Re m Re(C0 + C1) + Im m Im(C1 - C0),
+        so the rows hold those two real coefficient sets in place of the sides.
+        """
         half, mid = 0.5 * (b - a), 0.5 * (b + a)
         t = mid + half * _GL_X
         kap = self.w * t / (1.0 - t)
         weight = self.w**2 * t**2 / ((1.0 - t) ** 2 * (t**2 + (1.0 - t) ** 2))
         tables = self._build_tables(kap)
         self.n_nodes += len(kap)
-        return {"a": a, "b": b, "half": half, "weight": weight, "tables": tables}
+        halves = np.concatenate([tab.halves for tab in tables])
+        mids = np.concatenate([tab.mids for tab in tables])
+        sizes = np.array([len(tab.halves) for tab in tables])
+        coefs = np.empty((len(halves), _NPTS, 2, 9))
+        row = 0
+        for i, w in enumerate(weight):
+            c, tables[i] = tables[i].coefs, None
+            rows = coefs[row:row + len(c)]
+            rows[:, :, 0] = (c[:, :, 0] + c[:, :, 1]).real
+            rows[:, :, 1] = (c[:, :, 1] - c[:, :, 0]).imag
+            rows *= w
+            row += len(c)
+        return (a, b), [halves, mids, coefs, sizes]
 
-    def _tensor_values(self, panel, dz):
-        vals = np.empty((len(panel["tables"]), 9))
-        for i, tab in enumerate(panel["tables"]):
-            ten, _ = tab.integrate(dz)
-            vals[i] = panel["weight"][i] * ten.real.reshape(9)
-        return vals
+    def _splice(self, drop, built):
+        """Replace t panel ``drop`` (None: none) of the flat table by the
+        ``built`` panels (from ``_build_panel``), appended at the end.  Each
+        built panel's rows are released once copied."""
+        n = len(self._halves)
+        lo = hi = n                     # rows of the dropped panel
+        starts = self._starts
+        if drop is not None:
+            del self.panels[drop]
+            n0 = _NPTS * drop
+            lo = starts[n0]
+            hi = starts[n0 + _NPTS] if n0 + _NPTS < len(starts) else n
+            starts = np.concatenate([starts[:n0], starts[n0 + _NPTS:] - (hi - lo)])
+        row = n - (hi - lo)
+        size = row + sum(len(rows[0]) for _, rows in built)
+        flat = []
+        for old in (self._halves, self._mids, self._coefs):
+            new = np.empty((size,) + old.shape[1:])
+            new[:lo] = old[:lo]
+            new[lo:row] = old[hi:]
+            flat.append(new)
+        self._halves, self._mids, self._coefs = flat
+        starts = [starts]
+        for ab, rows in built:
+            sizes = rows.pop()
+            for new, part in zip(flat, rows):
+                new[row:row + len(part)] = part
+            rows.clear()
+            starts.append(row + np.cumsum(sizes) - sizes)
+            row += sizes.sum()
+            self.panels.append(ab)
+        self._starts = np.concatenate(starts)
 
-    def _panel_coeffs(self, panel, dz):
-        return _PROJ @ self._tensor_values(panel, dz)
-
-    def _panel_err(self, panel, dz):
-        coef = self._panel_coeffs(panel, dz)
-        return 4.0 * panel["half"] * float(np.abs(coef[-3:]).sum(axis=0).max())
+    def _pass(self, dz):
+        """(3x3 integral, per-t-panel error bounds) at separation dz."""
+        mom = quadrature.moments_for(dz * self._halves)                # (16, P)
+        m = mom * (self._halves * np.exp(1j * dz * self._mids))
+        # (P, 32) as [Re m_0, Im m_0, Re m_1, ...], matching coefs' (16, 2)
+        m = np.ascontiguousarray(m.T).view(float)
+        rows = np.einsum("pj,pjc->pc", m, self._coefs.reshape(len(m), -1, 9))
+        vals = np.add.reduceat(rows, self._starts, axis=0)        # per node
+        coef = _PROJ @ vals.reshape(-1, _NPTS, 9)                 # per t panel
+        a, b = np.asarray(self.panels).T
+        half = 0.5 * (b - a)
+        total = (2.0 * half[:, None] * coef[:, 0]).sum(axis=0)
+        errs = 4.0 * half * np.abs(coef[:, -3:]).sum(axis=1).max(axis=1)
+        return total.reshape(3, 3), errs
 
     def _refine(self, dz_refs):
         while self.n_nodes + 32 <= self.table_budget * 16:
-            errs = [max(self._panel_err(p, dz) for dz in dz_refs) for p in self.panels]
-            scale = max(1.0, max(float(np.abs(self.integral_tensor(dz)[0]).max())
-                                 for dz in dz_refs))
-            if sum(errs) <= 0.5 * self.tol * scale:
+            passes = [self._pass(dz) for dz in dz_refs]
+            errs = np.max([e for _, e in passes], axis=0)
+            scale = max(1.0, max(float(np.abs(t).max()) for t, _ in passes))
+            if errs.sum() <= 0.5 * self.tol * scale:
                 break
             i = int(np.argmax(errs))
-            p = self.panels.pop(i)
-            m = 0.5 * (p["a"] + p["b"])
-            self.panels.append(self._build_panel(p["a"], m))
-            self.panels.append(self._build_panel(m, p["b"]))
-            self._coincident = None
+            a, b = self.panels[i]
+            m = 0.5 * (a + b)
+            self._splice(i, [self._build_panel(a, m), self._build_panel(m, b)])
 
     def integral_tensor(self, dz):
         if dz == 0.0 and self._coincident is not None:
             return self._coincident
-        total = np.zeros(9)
-        err = 0.0
-        for p in self.panels:
-            coef = self._panel_coeffs(p, dz)
-            total = total + 2.0 * p["half"] * coef[0]
-            err += 4.0 * p["half"] * float(np.abs(coef[-3:]).sum(axis=0).max())
-        out = (total.reshape(3, 3), err)
+        total, errs = self._pass(dz)
+        out = (total, float(errs.sum()))
         if dz == 0.0:
             self._coincident = out
         return out
@@ -355,19 +422,13 @@ def decay_rates(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6, nmax=None):
     from .green_wire import wire_green
 
     g11 = wire_green(geom, p1, p1, point, tol=tol,
-                     nmax=nmax or DEFAULT_NMAX)
-    gamma11 = 1.0 + (6.0 * math.pi / w) * _contract(g11.value, d1, d1).imag
-
-    if _same_site(p1, p2):
-        if np.allclose(d1, d2, atol=1e-14):
-            return gamma11, gamma11
-        gvac_im = green_vacuum_im_coincident(w) * float(d1 @ d2)
-        gmed = g11.value
-    else:
-        gvac_im = _contract(green_vacuum_cyl(p1, p2, w).value, d1, d2).imag
-        gmed = wire_green(geom, p1, p2, point, tol=tol,
-                          nmax=nmax or DEFAULT_NMAX).value
-    gamma12 = (6.0 * math.pi / w) * (gvac_im + _contract(gmed, d1, d2).imag)
+                     nmax=nmax or DEFAULT_NMAX).value
+    same = _same_site(p1, p2)
+    g12 = g11 if same else wire_green(geom, p1, p2, point, tol=tol,
+                                      nmax=nmax or DEFAULT_NMAX).value
+    gamma11, gamma12 = _rates(w, g11, g12, p1, p2, d1, d2)
+    if same and np.allclose(d1, d2, atol=1e-14):
+        return gamma11, gamma11
     return gamma11, gamma12
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import N_MAX, jh_orders, safe_min_arg
+from .bessel import N_MAX, h_orders, jh_orders, safe_min_arg
 from .errors import ConvergenceError, DomainError, FitError, OverflowGuardError
 from .frequencies import SpectralPoint, as_spectral_point
 from .green_vacuum import DyadicGreen
@@ -124,15 +124,16 @@ class SpectralEvaluator:
             # flat function instead of noise
             direction = np.where(np.abs(kz) <= abs(self.k1), 1.0 + 0j, 1j)
             eta1 = np.where(bad, floor * direction, eta1)
-        # one ladder call for every argument; H(eta1 rho) once when rho1 = rho2
+        # J and H at the surface in one ladder call; H alone at eta1 rho (once
+        # when rho1 = rho2), where J would overflow first in the evanescent tail
         K = kz.size
         rhos = (self.rho1,) if self.rho2 == self.rho1 else (self.rho1, self.rho2)
-        j, h, jp, hp = jh_orders(
-            self.nmax, np.concatenate([eta1 * a, eta2 * a] + [eta1 * r for r in rhos]))
+        j, h, jp, hp = jh_orders(self.nmax, np.concatenate([eta1 * a, eta2 * a]))
         j1a, h1a, j1ap, h1ap = j[:, :K], h[:, :K], jp[:, :K], hp[:, :K]
-        j2a, j2ap = j[:, K:2 * K], jp[:, K:2 * K]
-        hr1, hr1p = h[:, 2 * K:3 * K], hp[:, 2 * K:3 * K]
-        hr2, hr2p = (h[:, 3 * K:], hp[:, 3 * K:]) if len(rhos) == 2 else (hr1, hr1p)
+        j2a, j2ap = j[:, K:], jp[:, K:]
+        hr, hrp = h_orders(self.nmax, np.concatenate([eta1 * r for r in rhos]))
+        hr1, hr1p = hr[:, :K], hrp[:, :K]
+        hr2, hr2p = (hr[:, K:], hrp[:, K:]) if len(rhos) == 2 else (hr1, hr1p)
         # The wall solve takes log-derivatives and the J_n(eta1 a) pair
         # divided by m, so no product of raw ladders can overflow (H_n(eta1 a)
         # reaches 1e152 at the branch floor, J_n(eta2 a) 1e76 deep in the
@@ -320,7 +321,7 @@ def plasmon_wavenumber(geom: WireGeometry, omega: float, *, scan_max_ratio=None)
         e1 = _radial_wavenumber(k1**2, kz)
         e2 = _radial_wavenumber(k2**2, kz)
         j2, _, j2p, _ = jh_orders(0, e2 * a)
-        _, h1, _, h1p = jh_orders(0, e1 * a)
+        h1, h1p = h_orders(0, e1 * a)
         t1 = (e1**2 / k1) * h1[0] * k2 * e2 * j2p[0]
         t2 = (e2**2 / k2) * j2[0] * k1 * e1 * h1p[0]
         return t1, t2

@@ -56,12 +56,57 @@ class QuadratureReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _jn_upward(x):
+    """j_0..j_15 at x >= 16 from sin and cos by the upward recurrence
+    j_{k+1} = (2k+1)/x j_k - j_{k-1}: every order lies below x, where j_k and
+    y_k oscillate alike and neither dominates, so errors do not grow."""
+    j = np.empty((_NPTS, x.size))
+    inv = 1.0 / x
+    j[0] = np.sin(x) * inv
+    j[1] = (j[0] - np.cos(x)) * inv
+    for k in range(1, _NPTS - 1):
+        j[k + 1] = (2 * k + 1) * inv * j[k] - j[k - 1]
+    return j
+
+
+def _jn_downward(x):
+    """j_0..j_15 at 1e-3 < x < 16: scipy supplies j_15 and j_14, lower orders
+    follow from j_{k-1} = (2k+1)/x j_k - j_{k+1}, which is stable because j_k
+    is the minimal solution as k increases (DLMF 10.51, 3.6).  Below x = 1
+    the ladder is rescaled to the exact j_0 = sin(x)/x, which removes the
+    start values' relative error (the recurrence is nearly proportional
+    there)."""
+    j = np.empty((_NPTS, x.size))
+    j[-2:] = special.spherical_jn(_KIDX[-2:, None], x[None, :])
+    inv = 1.0 / x
+    for k in range(_NPTS - 2, 0, -1):
+        j[k - 1] = (2 * k + 1) * inv * j[k] - j[k + 1]
+    low = x < 1.0
+    j[:, low] *= (np.sin(x[low]) * inv[low]) / j[0, low]
+    return j
+
+
 def moments_for(c):
-    """2 i^k j_k(c), k = 0..15, vectorized over c; handles c < 0 and c = 0."""
+    """2 i^k j_k(c), k = 0..15, vectorized over c; handles c < 0 and c = 0.
+
+    The spherical Bessel ladder comes from recurrences rather than one
+    special-function call per order: upward from sin and cos where |c| >= 16,
+    downward from scipy's top two orders down to |c| = 1e-3, and direct below
+    that, where 1/c grows large.
+    """
     c = np.atleast_1d(np.asarray(c, float))
-    out = np.zeros((_NPTS, c.size), complex)
-    jk = special.spherical_jn(_KIDX[:, None], np.abs(c)[None, :])
-    out[:] = 2.0 * _IPOW[:, None] * jk
+    x = np.abs(c)
+    up = x >= _NPTS
+    small = x <= 1e-3
+    down = ~(up | small)
+    jk = np.empty((_NPTS, c.size))
+    if up.any():
+        jk[:, up] = _jn_upward(x[up])
+    if down.any():
+        jk[:, down] = _jn_downward(x[down])
+    if small.any():
+        jk[:, small] = special.spherical_jn(_KIDX[:, None], x[None, small])
+    out = 2.0 * _IPOW[:, None] * jk
     neg = c < 0
     out[:, neg] = np.conj(out[:, neg])
     return out

@@ -87,6 +87,12 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
 
+    @pytest.mark.parametrize("dz", ["0", "-0.5"])
+    def test_point_nonpositive_dz_exit_2(self, dz):
+        proc = run_cli(["point", f"--dz={dz}"])
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+
     def test_validate_passes(self):
         proc = run_cli(["validate"])
         assert proc.returncode == 0

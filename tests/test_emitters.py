@@ -8,6 +8,7 @@ from wireqed.emitters import (EmitterPair, PairInteraction, RateShiftResult,
                               analytic_approximations, decay_rates, dicke_levels,
                               dipole_shift, fit_two_lorentzian, markov_diagnostic,
                               LorentzianFit)
+from wireqed.quadrature import _GL_X, _PROJ
 
 
 def make_result(gamma11=1.0, gamma12=0.0, s12res=0.0, s12int=0.0):
@@ -82,6 +83,42 @@ class TestPairInteraction:
         ratio_far = abs(far.shift12_integral) / abs(far.shift12_resonant)
         assert ratio_near > 0.1
         assert ratio_far < 0.02
+
+
+def test_kappa_bisection_matches_per_table_oracle(default_geom):
+    # a tight tolerance and a budget for exactly one split force _refine to
+    # bisect a t panel, which splices the flat kappa table
+    tables = {}
+
+    def recording_map(fn, jobs):
+        out = [fn(job) for job in jobs]
+        tables.update((job[2], tab) for job, tab in zip(jobs, out))
+        return out
+
+    pair = EmitterPair((0.03, 0.0, 0.0), (0.03, 0.0, 0.02))
+    engine = PairInteraction(default_geom, pair, tol=1e-8, nmax=8, kappa_budget=12,
+                             dz_refs=(0.0, 0.02, 8.0),
+                             parallel=recording_map)._kappa_engine
+    assert engine.n_nodes > 160
+    w = engine.w
+    for dz in (0.0, 0.02, 1.3, 8.0):
+        # the weighted tensor node by node, then Legendre coefficients per panel
+        total, err = np.zeros(9), 0.0
+        for a, b in engine.panels:
+            half, mid = 0.5 * (b - a), 0.5 * (b + a)
+            t = mid + half * _GL_X
+            weight = w**2 * t**2 / ((1.0 - t) ** 2 * (t**2 + (1.0 - t) ** 2))
+            vals = np.array([wt * tables[float(k)].integrate(dz)[0].real.reshape(9)
+                             for wt, k in zip(weight, w * t / (1.0 - t))])
+            coef = _PROJ @ vals
+            total += 2.0 * half * coef[0]
+            err += 4.0 * half * float(np.abs(coef[-3:]).sum(axis=0).max())
+        got, got_err = engine.integral_tensor(dz)
+        scale = np.abs(total).max()
+        assert np.abs(got.reshape(9) - total).max() <= 1e-12 * scale
+        # the bound sums tail coefficients that sit near the tensor's
+        # roundoff, so it agrees to the tensor's digits, not to its own
+        assert abs(got_err - err) <= 1e-12 * scale
 
 
 class TestAgainstAnalyticApproximation:

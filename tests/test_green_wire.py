@@ -216,3 +216,13 @@ def test_closed_form_wall_solve_matches_4x4(model, s, kz):
             # per (node, order), relative to the largest of the four components
             scale = np.abs(ref).max(axis=(2, 3))
             assert np.all(np.abs(got - ref).max(axis=(2, 3)) <= 1e-10 * scale)
+
+
+def test_evanescent_node_past_the_j_overflow(default_geom):
+    # eta1 rho2 = 750i: J_0 there is inf but only H_n(eta1 rho) is used,
+    # and H_0(750i) underflows to zero
+    kappa = 30.0 * OMEGA_A
+    ev = SpectralEvaluator(default_geom, SpectralPoint.imaginary_axis(kappa),
+                           0.015, 0.021, 0.0, nmax=15)
+    out = ev(np.array([np.sqrt((750.0 / 0.021) ** 2 - kappa**2)]))
+    assert np.all(np.isfinite(out))

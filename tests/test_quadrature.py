@@ -2,13 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from wireqed import (ConvergenceError, DomainError, OMEGA_A, imag_axis_integrate,
                      kk_check, kz_integrate, pv_shift_oracle)
+from wireqed.quadrature import moments_for
 from wireqed.validate import (EQUIVALENCE_MODELS, ResonanceModel, pv_shift,
                               rotated_shift)
 
 from conftest import load_fixture
+
+
+def test_moments_match_spherical_bessel():
+    # both recurrences and the direct range against scipy at every order,
+    # across the cutoffs at |c| = 1e-3, 1 and 16 and for both signs of c
+    grid = np.geomspace(1e-3, 1e3, 601)
+    c = np.concatenate([[0.0, 1e-12, -1e-12, 1e-4, -1e-4], grid, -grid])
+    k = np.arange(16)[:, None]
+    ref = 2.0 * 1j ** k * special.spherical_jn(k, c[None, :])
+    assert np.abs(moments_for(c) - ref).max() <= 1e-13
 
 
 class TestKzIntegrate:
