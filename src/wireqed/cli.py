@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -60,11 +61,22 @@ def _pair(cfg: RunConfig, dz: float) -> EmitterPair:
                        tuple(cfg.dipole_1), tuple(cfg.dipole_2))
 
 
-def _mapper(threads: int):
-    if threads <= 1:
-        return None
-    pool = ProcessPoolExecutor(max_workers=threads)
-    return pool, (lambda fn, xs: list(pool.map(fn, xs)))
+def _engine_and_fit(cfg: RunConfig, dz: float, dz_refs, threads: int = 1):
+    """The pair tables for ``sweep`` and ``point``, with their kappa tables
+    built in a pool of ``threads`` worker processes when threads > 1, and the
+    plasmon fit at the same azimuthal order (None without a bound plasmon)."""
+    geom = _geometry(cfg)
+    pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+    with pool:
+        parallel = (lambda fn, xs: list(pool.map(fn, xs))) if threads > 1 else None
+        engine = PairInteraction(geom, _pair(cfg, dz), tol=cfg.tol_wire,
+                                 nmax=cfg.azimuthal_order, dz_refs=dz_refs,
+                                 parallel=parallel)
+    try:
+        fit = fit_plasmon_lorentzian(geom, cfg.rho_1, OMEGA_A, nmax=engine.nmax)
+    except FitError:
+        fit = None
+    return engine, fit
 
 
 def _emit(text: str, path):
@@ -77,29 +89,11 @@ def _emit(text: str, path):
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    geom = _geometry(cfg)
     dzs = cfg.sweep_points()
-
-    pool_map = _mapper(args.threads)
-    parallel = pool_map[1] if pool_map else None
-    try:
-        engine = PairInteraction(geom, _pair(cfg, dzs[0]), tol=cfg.tol_wire,
-                                 nmax=cfg.azimuthal_order,
-                                 dz_refs=(0.0, dzs[0], 0.5 * (dzs[0] + dzs[-1]), dzs[-1]),
-                                 parallel=parallel)
-        try:
-            fit = fit_plasmon_lorentzian(geom, cfg.rho_1, OMEGA_A,
-                                         nmax=engine.nmax)
-        except FitError:
-            fit = None
-        rows = [engine.at(dz) for dz in dzs]
-    except ConvergenceError as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        print(f"diagnostics: {exc.diagnostics}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    finally:
-        if pool_map:
-            pool_map[0].shutdown()
+    engine, fit = _engine_and_fit(cfg, dzs[0],
+                                  (0.0, dzs[0], 0.5 * (dzs[0] + dzs[-1]), dzs[-1]),
+                                  args.threads)
+    rows = [engine.at(dz) for dz in dzs]
 
     header = ["dz", "gamma11_over_gamma0", "gamma12_over_gamma11",
               "shift12_total_over_gamma11", "shift12_resonant_over_gamma11",
@@ -165,17 +159,18 @@ def cmd_dispersion(args) -> int:
         return EXIT_OK
 
     geom = _geometry(cfg)
+    point = SpectralPoint.real_axis(omega)
+    # an explicit azimuthal_order is used as given, as in sweep and point
+    nmax = cfg.azimuthal_order
+    if nmax is None:
+        nmax, _ = settle_azimuthal_order(geom, point, cfg.rho_1, cfg.rho_1, 0.0)
     try:
-        fit = fit_plasmon_lorentzian(geom, cfg.rho_1, omega, nmax=cfg.azimuthal_order)
+        fit = fit_plasmon_lorentzian(geom, cfg.rho_1, omega, nmax=nmax)
     except FitError as exc:
         print(f"fit failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
 
-    nmax, _ = settle_azimuthal_order(geom, SpectralPoint.real_axis(omega),
-                                     cfg.rho_1, cfg.rho_1, 0.0,
-                                     nmax=cfg.azimuthal_order or 15)
-    ev = SpectralEvaluator(geom, SpectralPoint.real_axis(omega), cfg.rho_1,
-                           cfg.rho_1, 0.0, nmax=nmax)
+    ev = SpectralEvaluator(geom, point, cfg.rho_1, cfg.rho_1, 0.0, nmax=nmax)
     lo = 1.0001 * omega
     hi = 4.0 * fit.center_kz_pl
     kz = np.unique(np.concatenate([
@@ -214,21 +209,8 @@ def cmd_point(args) -> int:
     cfg = _load(args)
     if not args.dz > 0:
         raise ConfigError(f"point needs a separation --dz > 0, got {args.dz}")
-    geom = _geometry(cfg)
-    try:
-        engine = PairInteraction(geom, _pair(cfg, args.dz), tol=cfg.tol_wire,
-                                 nmax=cfg.azimuthal_order,
-                                 dz_refs=(0.0, args.dz))
-        result = engine.at(args.dz)
-        fit = None
-        try:
-            fit = fit_plasmon_lorentzian(geom, cfg.rho_1, OMEGA_A, nmax=engine.nmax)
-        except FitError:
-            pass
-    except ConvergenceError as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-
+    engine, fit = _engine_and_fit(cfg, args.dz, (0.0, args.dz))
+    result = engine.at(args.dz)
     levels = dicke_levels(result)
     markov = markov_diagnostic(result, args.dz, cfg.gamma0_abs)
     out = {
@@ -310,6 +292,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
+        print(f"diagnostics: {exc.diagnostics}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except WireQEDError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,7 +43,6 @@ class RunConfig:
     gamma0_abs: float = 1e-3 * OMEGA_A
     sweep: SweepSpec = field(default_factory=SweepSpec)
     tol_wire: float = 1e-6
-    tol_model: float = 1e-8
     azimuthal_order: int | None = None
     output_path: str | None = None
     output_format: str = "csv"
@@ -70,9 +69,8 @@ class RunConfig:
             raise ConfigError("sweep n_points must be an integer")
         if s.n_points < 2:
             raise ConfigError("sweep needs n_points >= 2")
-        for name, tol in (("tol_wire", self.tol_wire), ("tol_model", self.tol_model)):
-            if not (1e-12 <= tol <= 1e-3):
-                raise ConfigError(f"{name} must lie in [1e-12, 1e-3]")
+        if not (1e-12 <= self.tol_wire <= 1e-3):
+            raise ConfigError("tol_wire must lie in [1e-12, 1e-3]")
         if self.output_format not in ("csv", "json"):
             raise ConfigError("output format must be csv or json")
         if len(self.dipole_1) != 3 or len(self.dipole_2) != 3:
@@ -122,7 +120,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     sweep_raw = raw.get("sweep", {})
     known = {f for f in RunConfig.__dataclass_fields__}
     for key, val in raw.items():
-        if key in ("schema", "sweep"):
+        # tol_model: accepted from wireqed-config/1 files and ignored, it
+        # never had an effect
+        if key in ("schema", "sweep", "tol_model"):
             continue
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
@@ -136,7 +136,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         setattr(sw, key, val)
     cfg.sweep = sw
     for fld in ("radius", "eps_inf", "omega_p_over_omega_a", "gamma_p_over_omega_p",
-                "rho_1", "rho_2", "gamma0_abs", "tol_wire", "tol_model"):
+                "rho_1", "rho_2", "gamma0_abs", "tol_wire"):
         setattr(cfg, fld, float(getattr(cfg, fld)))
     if not math.isfinite(cfg.radius):
         raise ConfigError("radius must be finite")

@@ -27,8 +27,7 @@ from .errors import DomainError, FitError
 from .frequencies import OMEGA_A, SpectralPoint
 from .green_vacuum import green_vacuum_cyl, green_vacuum_im_coincident
 from .green_wire import (DEFAULT_NMAX, SpectralEvaluator, WireGeometry,
-                         WireSpectralTable, _auto_pole_hint, _k_window,
-                         plasmon_wavenumber, settle_azimuthal_order)
+                         WireSpectralTable, plasmon_wavenumber, settle_azimuthal_order)
 from .quadrature import _GL_X, _NPTS, _PROJ
 
 _COINCIDENT = 1e-12
@@ -172,20 +171,12 @@ class PairInteraction:
         if nmax is None:
             nmax, _ = settle_azimuthal_order(geom, point, rho, rho, 0.0)
         self.nmax = nmax
-        hint = _auto_pole_hint(geom, point)
-        k_start, gap, hint = _k_window(geom, point, rho, rho, hint)
-        self.pole_hint = hint
-        self.gap = gap
-
-        ev = SpectralEvaluator(geom, point, rho, rho, 0.0, nmax=nmax)
-        self.table_res = WireSpectralTable(ev, tol=tol, pole_hint=hint,
-                                           k_start=k_start, tail_scale=gap,
-                                           budget=60000, phase_ref=0.0)
-        self._real_ok = self.table_res.panels_ok and ev.tail_ratio <= 1e-10
+        self.table_res = WireSpectralTable(geom, point, rho, rho, 0.0, nmax=nmax, tol=tol)
+        self._real_ok = self.table_res.panels_ok and self.table_res.tail_ok
         self._res_coincident = None
 
         self._kappa_engine = _ImagAxisEngine(
-            geom, rho, w, tol=tol, nmax=nmax, gap=gap,
+            geom, rho, w, tol=tol, nmax=nmax,
             dz_refs=tuple(dz_refs), table_budget=kappa_budget, parallel=parallel)
 
     # -- pieces ---------------------------------------------------------
@@ -241,13 +232,9 @@ def _kappa_table_job(job):
     run it in worker processes; identical arithmetic regardless of worker
     count keeps outputs bit-reproducible.
     """
-    geom, rho, kappa, tol, nmax, gap = job
-    point = SpectralPoint.imaginary_axis(kappa)
-    ev = SpectralEvaluator(geom, point, rho, rho, 0.0, nmax=nmax)
-    k_start, _, _ = _k_window(geom, point, rho, rho, None)
-    table = WireSpectralTable(ev, tol=tol, k_start=k_start, tail_scale=gap,
-                              budget=30000, phase_ref=0.0)
-    return table.frozen()
+    geom, rho, kappa, tol, nmax = job
+    return WireSpectralTable(geom, SpectralPoint.imaginary_axis(kappa), rho, rho, 0.0,
+                             nmax=nmax, tol=tol, budget=30000).frozen()
 
 
 class _ImagAxisEngine:
@@ -264,14 +251,14 @@ class _ImagAxisEngine:
     bounds the error for every separation.
     """
 
-    def __init__(self, geom, rho, omega_a, *, tol, nmax, gap, dz_refs,
+    def __init__(self, geom, rho, omega_a, *, tol, nmax, dz_refs,
                  table_budget=420, parallel=None):
         self.geom = geom
         self.rho = rho
         self.w = omega_a
         self.tol = tol
         self.nmax = nmax
-        self.gap = gap
+        gap = 2.0 * (rho - geom.radius)   # summed emitter-to-surface distance
         kap_cut = max(6.0 * omega_a, 20.0 / max(gap, 1e-6))
         self.t_cut = kap_cut / (omega_a + kap_cut)
         self.table_budget = table_budget
@@ -292,8 +279,7 @@ class _ImagAxisEngine:
         self._refine(dz_refs)
 
     def _build_tables(self, kappas):
-        jobs = [(self.geom, self.rho, float(k), self.tol, self.nmax, self.gap)
-                for k in kappas]
+        jobs = [(self.geom, self.rho, float(k), self.tol, self.nmax) for k in kappas]
         if self._parallel is not None:
             return list(self._parallel(_kappa_table_job, jobs))
         return [_kappa_table_job(job) for job in jobs]

@@ -35,9 +35,10 @@ from .errors import ConvergenceError, DomainError, FitError, OverflowGuardError
 from .frequencies import SpectralPoint, as_spectral_point
 from .green_vacuum import DyadicGreen
 from .material import DrudeModel, permittivity
-from .quadrature import QuadratureReport, build_spectral_panels
+from .quadrature import QuadratureReport, build_spectral_panels, panel_integral
 
 DEFAULT_NMAX = 15
+TAIL_TOL = 1e-10   # largest |n| = nmax term, relative to the spectrum's scale
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,11 @@ class SpectralEvaluator:
         """
         return self._tail_abs / self._scale if self._scale > 0 else 0.0
 
+    @property
+    def tail_ok(self):
+        """The truncation test: edge term at most TAIL_TOL of the scale."""
+        return self.tail_ratio <= TAIL_TOL
+
     def _ladders(self, kz):
         a = self.geom.radius
         eta1 = _radial_wavenumber(self.k1**2, kz)
@@ -114,7 +120,9 @@ class SpectralEvaluator:
         # amplified like 1/eta1^4 in the assembled tensor.  The spectrum
         # approaches its branch limit as eta1^2 log(eta1), so clamping the
         # radial wavenumber at the floor below only perturbs the integral
-        # at the 1e-10 level while keeping every node signal-dominated.
+        # at the 1e-10 level.  The clamp bounds the amplification, it does
+        # not remove it: a clamped node at kz = k is still off by about 1e-3
+        # of its own size against a 60-digit evaluation of the same node.
         floor = max(safe_min_arg(self.nmax + 1) / a,
                     1e-3 * max(abs(self.k1), 1.0), 1e-12)
         bad = np.abs(eta1) < floor
@@ -272,30 +280,49 @@ class SpectralEvaluator:
         return ~noisy[absn]
 
 
+def _escalate(build, nmax):
+    """The one azimuthal-order search: ``build(n)`` returns (checked, value)
+    where ``checked`` (an evaluator or a table) has ``tail_ok``; n starts at
+    ``nmax`` and doubles up to N_MAX until the test passes.  The last pair is
+    returned even if it fails at N_MAX; the caller decides whether to raise."""
+    n = int(nmax)
+    while True:
+        checked, value = build(n)
+        if checked.tail_ok or n >= N_MAX:
+            return checked, value
+        n = min(2 * n, N_MAX)
+
+
+def _tail_failure(checked):
+    return ConvergenceError(
+        f"azimuthal series still has tail ratio {checked.tail_ratio:.2e} "
+        f"at n = {checked.nmax}",
+        {"nmax": checked.nmax, "tail_ratio": checked.tail_ratio})
+
+
 def wire_spectral_green(geom: WireGeometry, rho1: float, rho2: float, dphi: float,
-                        s, kz, nmax: int = DEFAULT_NMAX, tail_tol: float = 1e-10):
+                        s, kz, nmax: int = DEFAULT_NMAX):
     """Scattered spectrum G~(kz) at fixed radial/azimuthal geometry.
 
     Accepts scalar or array kz of either sign and returns the 3x3 tensor(s)
     in local cylindrical components.  The azimuthal series is extended
-    automatically (up to N_MAX) until the |n| = nmax term falls below
-    ``tail_tol`` of the partial sum; failure to converge raises.
+    automatically (up to N_MAX) until its |n| = nmax term passes the
+    TAIL_TOL test; failure to converge raises.
     """
     kz_arr = np.atleast_1d(np.asarray(kz, float))
-    n = int(nmax)
-    while True:
-        ev = SpectralEvaluator(geom, s, rho1, rho2, dphi, nmax=n)
-        vals = ev(np.abs(kz_arr))
-        side = (kz_arr < 0).astype(int)
-        out = vals[np.arange(kz_arr.size), side]
-        if ev.tail_ratio <= tail_tol:
-            break
-        if n >= N_MAX:
-            raise ConvergenceError(
-                f"azimuthal series still has tail ratio {ev.tail_ratio:.2e} at n = {n}",
-                {"nmax": n, "tail_ratio": ev.tail_ratio})
-        n = min(2 * n, N_MAX)
+    ev, vals = _escalate(_evaluations(geom, s, rho1, rho2, dphi, np.abs(kz_arr)), nmax)
+    if not ev.tail_ok:
+        raise _tail_failure(ev)
+    out = vals[np.arange(kz_arr.size), (kz_arr < 0).astype(int)]
     return out[0] if np.isscalar(kz) or np.ndim(kz) == 0 else out
+
+
+def _evaluations(geom, s, rho1, rho2, dphi, kz):
+    """``build`` for ``_escalate``: an order-n evaluator and its values at kz."""
+    def build(n):
+        ev = SpectralEvaluator(geom, s, rho1, rho2, dphi, nmax=n)
+        return ev, ev(kz)
+    return build
 
 
 def plasmon_wavenumber(geom: WireGeometry, omega: float, *, scan_max_ratio=None):
@@ -397,20 +424,15 @@ def _k_window(geom, point, rho1, rho2, pole_hint):
     return k_start, gap, pole_hint
 
 
-def settle_azimuthal_order(geom, s, rho1, rho2, dphi, nmax=DEFAULT_NMAX,
-                           tail_tol=1e-10):
-    """Smallest order ladder whose |n| = N term is negligible, by probing a
-    handful of spectrum nodes instead of building a full quadrature table."""
+def settle_azimuthal_order(geom, s, rho1, rho2, dphi, nmax=DEFAULT_NMAX):
+    """(order, tail ratio) of the smallest order ladder whose |n| = N term is
+    negligible, by probing a handful of spectrum nodes instead of building a
+    full quadrature table.  Returns N_MAX even when that fails the test."""
     point = as_spectral_point(s)
     sabs = max(abs(point.value), 1.0)
     probe = np.array([0.2, 0.7, 1.2, 2.5, 6.0]) * sabs
-    n = int(nmax)
-    while True:
-        ev = SpectralEvaluator(geom, point, rho1, rho2, dphi, nmax=n)
-        ev(probe)
-        if ev.tail_ratio <= tail_tol or n >= N_MAX:
-            return n, ev.tail_ratio
-        n = min(2 * n, N_MAX)
+    ev, _ = _escalate(_evaluations(geom, point, rho1, rho2, dphi, probe), nmax)
+    return ev.nmax, ev.tail_ratio
 
 
 def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
@@ -435,21 +457,17 @@ def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
     rho1, phi1, z1 = p1
     rho2, phi2, z2 = p2
     dz = float(z1) - float(z2)
-    hint = _auto_pole_hint(geom, point) if pole_hint == "auto" else pole_hint
-    k_start, gap, hint = _k_window(geom, point, rho1, rho2, hint)
+    dphi = phi1 - phi2
 
-    n, _ = settle_azimuthal_order(geom, point, rho1, rho2, phi1 - phi2, nmax=nmax)
-    while True:
-        ev = SpectralEvaluator(geom, point, rho1, rho2, phi1 - phi2, nmax=n)
-        table = WireSpectralTable(ev, tol=tol, pole_hint=hint, k_start=k_start,
-                                  tail_scale=gap, budget=budget, phase_ref=dz)
-        if ev.tail_ratio <= 1e-10:
-            break
-        if n >= N_MAX:
-            raise ConvergenceError(
-                f"azimuthal series tail {ev.tail_ratio:.2e} exceeds 1e-10 at n = {n}",
-                {"nmax": n})
-        n = min(2 * n, N_MAX)
+    def build(n):
+        table = WireSpectralTable(geom, point, rho1, rho2, dphi, nmax=n, tol=tol,
+                                  budget=budget, phase_ref=dz, pole_hint=pole_hint)
+        return table, table
+
+    n, _ = settle_azimuthal_order(geom, point, rho1, rho2, dphi, nmax=nmax)
+    table, _ = _escalate(build, n)
+    if not table.tail_ok:
+        raise _tail_failure(table)
 
     tensor, abs_err = table.integrate(dz)
     scale = max(1.0, float(np.abs(tensor).max()))
@@ -457,7 +475,7 @@ def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
         value=None, abs_error_estimate=abs_err, nodes_used=table.nodes_used,
         converged=bool(table.panels_ok and abs_err <= tol * scale),
         diagnostics={"n_panels": table.n_panels, "tail_bound": table.tail_bound,
-                     "nmax": ev.nmax, "k_start": k_start})
+                     "nmax": table.nmax, "k_start": table.k_start})
     if not report.converged:
         raise ConvergenceError(
             "kz quadrature for the wire tensor did not converge",
@@ -481,40 +499,45 @@ class FrozenSpectralTable:
 
     def integrate(self, dz: float):
         """(3x3 tensor, abs error) of int_{-inf}^{inf} G~(kz) e^{i kz dz} dkz."""
-        from .quadrature import moments_for
-
-        mom = moments_for(float(dz) * self.halves)  # (16, P)
-        vec = np.einsum("p,kp,pkc->c", self.halves * np.exp(1j * dz * self.mids),
-                        mom, self.coefs[:, :, 0, :])
-        vec = vec + np.einsum("p,kp,pkc->c", self.halves * np.exp(-1j * dz * self.mids),
-                              np.conj(mom), self.coefs[:, :, 1, :])
+        vec = panel_integral(self.halves, self.mids, self.coefs, float(dz))
         return vec.reshape(3, 3), self.panel_err + self.tail_bound
 
 
 class WireSpectralTable:
     """Frozen kz-panel tabulation of a scattered spectrum at one frequency.
 
+    The one table builder: pole seeding ("auto": the guided plasmon at real
+    frequencies), kz window, order-``nmax`` evaluator and panels, with the
+    tail blocks judged at separation ``phase_ref``.  The azimuthal tail is
+    recorded (``tail_ratio``, ``tail_ok``), not acted on.
+
     Build once, then ``integrate(dz)`` for any number of separations: the
     separation only enters through analytic phase moments, so each call
     costs a few matrix-vector products instead of new Bessel evaluations.
     """
 
-    def __init__(self, evaluator: SpectralEvaluator, *, tol, pole_hint=None,
-                 k_start=None, tail_scale=None, k_max=None, budget=60000,
-                 phase_ref=0.0):
-        self.evaluator = evaluator
-        point = evaluator.s
+    def __init__(self, geom: WireGeometry, point, rho1, rho2, dphi, *,
+                 nmax=DEFAULT_NMAX, tol, budget=60000, phase_ref=0.0,
+                 pole_hint="auto"):
+        point = as_spectral_point(point)
+        if pole_hint == "auto":
+            pole_hint = _auto_pole_hint(geom, point)
+        self.k_start, gap, pole_hint = _k_window(geom, point, rho1, rho2, pole_hint)
+        evaluator = SpectralEvaluator(geom, point, rho1, rho2, dphi, nmax=nmax)
         branch = None if point.is_imaginary else abs(point.omega)
         fpanel = lambda kz: evaluator(kz).reshape(len(kz), 2, 9)
         ps, tail_bound, ok = build_spectral_panels(
             fpanel, 2, 9, tol=tol, pole_hint=pole_hint, branch_point=branch,
-            tail_scale=tail_scale, k_start=k_start, k_max=k_max, budget=budget,
+            tail_scale=gap, k_start=self.k_start, budget=budget,
             phase_for_blocks=phase_ref)
         self._ps = ps
         self.tail_bound = float(tail_bound)
         self.panels_ok = bool(ok)
         self.nodes_used = ps.nodes_used
         self.n_panels = len(ps.panels)
+        self.nmax = evaluator.nmax
+        self.tail_ratio = evaluator.tail_ratio
+        self.tail_ok = evaluator.tail_ok
 
     def integrate(self, dz: float):
         """(3x3 tensor, abs error) of int_{-inf}^{inf} G~(kz) e^{i kz dz} dkz."""

@@ -187,13 +187,19 @@ class PanelSet:
 
     def integral(self, lam=0.0):
         """Sum of panel integrals for phase(s) +/- lam; shape (n_comp,)."""
-        half, mid, coef = self._freeze()
-        mom = moments_for(lam * half)  # (16, P)
-        out = np.einsum("p,kp,pkc->c", half * np.exp(1j * lam * mid), mom, coef[:, :, 0, :])
-        if self.n_sides == 2:
-            out = out + np.einsum("p,kp,pkc->c", half * np.exp(-1j * lam * mid),
-                                  np.conj(mom), coef[:, :, 1, :])
-        return out
+        return panel_integral(*self._freeze(), lam)
+
+
+def panel_integral(half, mid, coef, lam):
+    """Sum over frozen panels (half-widths, midpoints, coefficients
+    (P, 16, sides, comp)) of side 0 against exp(+i lam x) and, when there
+    is a second side, of side 1 against exp(-i lam x); shape (comp,)."""
+    mom = moments_for(lam * half)  # (16, P)
+    out = np.einsum("p,kp,pkc->c", half * np.exp(1j * lam * mid), mom, coef[:, :, 0, :])
+    if coef.shape[2] == 2:
+        out = out + np.einsum("p,kp,pkc->c", half * np.exp(-1j * lam * mid),
+                              np.conj(mom), coef[:, :, 1, :])
+    return out
 
 
 def _vectorized(f, probe):

@@ -5,9 +5,12 @@ import sys
 import numpy as np
 import pytest
 
+from wireqed import OMEGA_A, SpectralPoint, WireGeometry, fit_plasmon_lorentzian
+from wireqed import cli
 from wireqed.cli import main
 from wireqed.config import RunConfig, SCHEMA_TAG, config_from_dict, load_config
-from wireqed.errors import ConfigError
+from wireqed.errors import ConfigError, ConvergenceError
+from wireqed.green_wire import SpectralEvaluator
 
 # a geometry that converges with a short azimuthal ladder, for fast CLI runs
 FAST_CONFIG = {
@@ -63,6 +66,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"schema": SCHEMA_TAG, "tol_wire": 1e-2})
 
+    def test_tol_model_is_accepted_and_ignored(self):
+        # wireqed-config/1 files, configs/default.json among them, may set it
+        base = {"schema": SCHEMA_TAG, "radius": 0.02, "rho_1": 0.03, "rho_2": 0.03}
+        assert config_from_dict({**base, "tol_model": 1e-5}) == config_from_dict(base)
+
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "missing.json")
@@ -92,6 +100,17 @@ class TestExitCodes:
         proc = run_cli(["point", f"--dz={dz}"])
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+
+    @pytest.mark.parametrize("command", [["sweep"], ["point", "--dz", "1.0"]])
+    def test_convergence_failure_exit_3_with_diagnostics(self, command, monkeypatch,
+                                                         capsys):
+        def failing(*args, **kwargs):
+            raise ConvergenceError("kz quadrature did not converge", {"nmax": 40})
+
+        monkeypatch.setattr(cli, "PairInteraction", failing)
+        assert main(command) == 3
+        err = capsys.readouterr().err
+        assert "convergence failure" in err and "diagnostics: {'nmax': 40}" in err
 
     def test_validate_passes(self):
         proc = run_cli(["validate"])
@@ -187,6 +206,27 @@ class TestDispersion:
         meta = {l.split("=")[0].strip("# "): float(l.split("=")[1])
                 for l in text.splitlines() if l.startswith("#")}
         assert meta["fit_center_kz_pl"] > 2 * np.pi  # kz_pl above the light line
+
+    def test_explicit_azimuthal_order_is_fixed(self, tmp_path):
+        # order 4 fails the tail test here, yet both the fit and the
+        # spectrum must use it as given, with no order search
+        path = write_config(tmp_path, {"azimuthal_order": 4})
+        out = tmp_path / "d.csv"
+        assert main(["dispersion", "--config", path, "--out", str(out),
+                     "--n-points", "40"]) == 0
+        lines = out.read_text().splitlines()
+        meta = {l.split("=")[0].strip("# "): float(l.split("=")[1])
+                for l in lines if l.startswith("#")}
+        kz, vals = np.array([[float(x) for x in l.split(",")]
+                             for l in lines if l[0].isdigit()]).T
+        cfg = load_config(path)
+        geom = WireGeometry(radius=cfg.radius, model=cfg.drude_model())
+        ev = SpectralEvaluator(geom, SpectralPoint.real_axis(OMEGA_A), cfg.rho_1,
+                               cfg.rho_1, 0.0, nmax=4)
+        want = ev(kz)[:, 0, 0, 0].imag
+        assert np.abs(vals - want).max() <= 1e-12 * np.abs(want).max()
+        fit = fit_plasmon_lorentzian(geom, cfg.rho_1, OMEGA_A, nmax=4)
+        assert meta["fit_center_kz_pl"] == pytest.approx(fit.center_kz_pl, rel=1e-12)
 
 
 class TestPoint:

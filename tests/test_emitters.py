@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from wireqed import DomainError, DrudeModel, OMEGA_A, WireGeometry
+from wireqed import (DomainError, DrudeModel, OMEGA_A, SpectralPoint, WireGeometry,
+                     emitters, wire_green)
 from wireqed.emitters import (EmitterPair, PairInteraction, RateShiftResult,
                               analytic_approximations, decay_rates, dicke_levels,
-                              dipole_shift, fit_two_lorentzian, markov_diagnostic,
-                              LorentzianFit)
+                              dipole_shift, fit_plasmon_lorentzian, fit_two_lorentzian,
+                              markov_diagnostic, LorentzianFit)
+from wireqed.green_wire import SpectralEvaluator
 from wireqed.quadrature import _GL_X, _PROJ
 
 
@@ -119,6 +121,24 @@ def test_kappa_bisection_matches_per_table_oracle(default_geom):
         # the bound sums tail coefficients that sit near the tensor's
         # roundoff, so it agrees to the tensor's digits, not to its own
         assert abs(got_err - err) <= 1e-12 * scale
+
+
+def test_one_order_search_across_callers(default_geom, pair_engine, monkeypatch):
+    # wire_green, PairInteraction(nmax=None) and the plasmon fit settle the
+    # azimuthal order through one rule, so on one geometry they agree
+    coincident = (0.015, 0.0, 0.0)
+    g = wire_green(default_geom, coincident, coincident, SpectralPoint.real_axis(OMEGA_A))
+    fit_orders = []
+
+    class Recording(SpectralEvaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            fit_orders.append(self.nmax)
+
+    monkeypatch.setattr(emitters, "SpectralEvaluator", Recording)
+    fit_plasmon_lorentzian(default_geom, 0.015, OMEGA_A)
+    assert fit_orders and set(fit_orders) == {pair_engine.nmax}
+    assert g.report.diagnostics["nmax"] == pair_engine.nmax
 
 
 class TestAgainstAnalyticApproximation:

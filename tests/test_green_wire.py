@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from wireqed import (ConvergenceError, DomainError, DrudeModel, FitError, OMEGA_A,
+from wireqed import (ConvergenceError, DomainError, DrudeModel, FitError, N_MAX, OMEGA_A,
                      SpectralPoint, WireGeometry, green_vacuum_im_coincident,
                      plasmon_wavenumber, wire_green, wire_spectral_green)
 from wireqed.green_wire import SpectralEvaluator
@@ -120,6 +120,16 @@ def test_azimuthal_tail_failure_raises():
     geom = WireGeometry(radius=0.01, model=DrudeModel())
     with pytest.raises(ConvergenceError):
         wire_green(geom, (0.012, 0.0, 0.0), (0.012, 0.0, 0.1), REAL)
+
+
+def test_spectral_green_tail_failure_raises():
+    # the same near-surface emitter: one spectrum node already carries a
+    # 1e-6 tail at the n = 40 ceiling, so the order search gives up there
+    geom = WireGeometry(radius=0.01, model=DrudeModel())
+    with pytest.raises(ConvergenceError) as failure:
+        wire_spectral_green(geom, 0.012, 0.012, 0.0, REAL, 2.0 * OMEGA_A)
+    assert failure.value.diagnostics["nmax"] == N_MAX
+    assert failure.value.diagnostics["tail_ratio"] > 1e-10
 
 
 def test_purcell_enhancement_and_regression(default_geom):
