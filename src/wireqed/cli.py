@@ -144,6 +144,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_dispersion(args) -> int:
     cfg = _load(args)
+    if not args.omega_over_omega_a > 0:
+        raise ConfigError("dispersion needs --omega-over-omega-a > 0, "
+                          f"got {args.omega_over_omega_a}")
+    if args.n_points < 2:
+        raise ConfigError(f"dispersion needs --n-points >= 2, got {args.n_points}")
     omega = args.omega_over_omega_a * OMEGA_A
 
     if args.synthetic:
@@ -179,6 +184,10 @@ def cmd_dispersion(args) -> int:
     ]))
     kz = kz[(kz >= lo) & (kz <= hi)]
     vals = ev(kz)[:, 0, 0, 0].imag
+    if not ev.tail_ok:
+        # a configured order is kept as given; its truncation is reported
+        print(f"warning: azimuthal tail ratio {ev.tail_ratio:.2e} at n = {nmax} "
+              "fails the tail test on the spectrum grid", file=sys.stderr)
 
     meta = {"omega": omega, "fit_amplitude": fit.amplitude_a,
             "fit_width": fit.width_gamma, "fit_center_kz_pl": fit.center_kz_pl,
@@ -211,6 +220,9 @@ def cmd_point(args) -> int:
         raise ConfigError(f"point needs a separation --dz > 0, got {args.dz}")
     engine, fit = _engine_and_fit(cfg, args.dz, (0.0, args.dz))
     result = engine.at(args.dz)
+    if not result.converged:
+        print(f"unconverged point: dz={args.dz:g}", file=sys.stderr)
+        return EXIT_CONVERGENCE
     levels = dicke_levels(result)
     markov = markov_diagnostic(result, args.dz, cfg.gamma0_abs)
     out = {

@@ -7,6 +7,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .bessel import N_MAX
 from .errors import ConfigError
 from .frequencies import OMEGA_A
 from .material import DrudeModel
@@ -69,6 +70,10 @@ class RunConfig:
             raise ConfigError("sweep n_points must be an integer")
         if s.n_points < 2:
             raise ConfigError("sweep needs n_points >= 2")
+        n = self.azimuthal_order
+        if n is not None and (not isinstance(n, int) or isinstance(n, bool)
+                              or not 1 <= n <= N_MAX):
+            raise ConfigError(f"azimuthal_order must be null or an integer in 1..{N_MAX}")
         if not (1e-12 <= self.tol_wire <= 1e-3):
             raise ConfigError("tol_wire must lie in [1e-12, 1e-3]")
         if self.output_format not in ("csv", "json"):

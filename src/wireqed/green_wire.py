@@ -8,6 +8,16 @@ tangential-continuity conditions at rho = a are reduced in closed form: the
 E_z and H_z rows eliminate the interior amplitudes and the remaining 2x2
 system is solved by Cramer's rule in scaled log-derivative form.
 
+Two exact symmetries make each kz node one solve and one assembly over the
+orders 0..nmax.  Negating n or kz negates the M-N coupling entries of the
+reflection matrix and keeps its diagonal, and the vector-wave components
+change sign in the same pattern.  So, with B_n the order-n term without its phase
+exp(i n dphi), the order -n term is Sigma B_n Sigma with
+Sigma = diag(-1, 1, -1) in (rho, phi, z), and the -kz tensor is P T(+kz) P
+with P = diag(1, 1, -1).  The +-n pair therefore enters as the weights
+2 cos(n dphi) (n > 0) on the components even under Sigma and 2i sin(n dphi)
+on the odd ones (rho-phi, phi-z and their transposes).
+
 Normalization convention (pinned by the free-space expansion reproducing
 the closed-form vacuum tensor, see tests):
 
@@ -40,6 +50,11 @@ from .quadrature import QuadratureReport, build_spectral_panels, panel_integral
 DEFAULT_NMAX = 15
 TAIL_TOL = 1e-10   # largest |n| = nmax term, relative to the spectrum's scale
 
+# Sign patterns of Sigma B Sigma (order -n) and P T P (-kz) on the
+# (rho, phi, z) components; see the module docstring.
+_SIGMA = np.outer([-1.0, 1.0, -1.0], [-1.0, 1.0, -1.0])
+_MIRROR = np.outer([1.0, 1.0, -1.0], [1.0, 1.0, -1.0])
+
 
 @dataclass(frozen=True)
 class WireGeometry:
@@ -71,6 +86,11 @@ class SpectralEvaluator:
     integrand for both signs of kz, shape (n_nodes, 2, 3, 3), in the local
     cylindrical bases of the two points.  The exp(i kz dz) phase and the
     kz integral itself belong to the caller.
+
+    Each node is solved once, at +kz, and assembled once, over the orders
+    0..nmax; the module docstring gives the two symmetries that supply the
+    negative orders and -kz.  The (-1)^n of H_-n cancels in every bilinear
+    term, so the order -n term needs no radial functions of its own.
     """
 
     def __init__(self, geom: WireGeometry, s, rho1, rho2, dphi, nmax=DEFAULT_NMAX):
@@ -90,10 +110,11 @@ class SpectralEvaluator:
         self._tail_abs = 0.0   # largest |n| = nmax term seen anywhere
         self._scale = 0.0      # largest |tensor| seen anywhere
 
-        n_signed = np.arange(-self.nmax, self.nmax + 1)
-        self._n_signed = n_signed
-        self._reflect = np.where((np.abs(n_signed) % 2 == 1) & (n_signed < 0), -1.0, 1.0)
-        self._phase_n = np.exp(1j * n_signed * self.dphi)
+        # the +n and -n terms folded onto order n: 2 cos(n dphi) on the
+        # components even under _SIGMA, 2i sin(n dphi) on the odd ones
+        n = np.arange(self.nmax + 1)[:, None, None]
+        even = np.where(n > 0, 2.0, 1.0) * np.cos(n * self.dphi)
+        self._weights = np.where(_SIGMA > 0, even, 2j * np.sin(n * self.dphi))  # (N, 3, 3)
 
     @property
     def tail_ratio(self):
@@ -164,7 +185,8 @@ class SpectralEvaluator:
         Rows E_z and H_z of the tangential-continuity system give the
         interior amplitudes, which leaves a 2x2 system in the scattered
         (M, N) amplitudes for E_phi and H_phi, solved here in closed form.
-        The sign of kz enters only through the coupling c.
+        The sign of kz enters only through the coupling c, so R(-kz) is R(+kz)
+        with R_MN and R_NM negated, bit for bit.
         """
         uH, uJ, q, qp = (x.T for x in wall)  # (K, n)
         a = self.geom.radius
@@ -195,64 +217,39 @@ class SpectralEvaluator:
         if np.any(kz < 0.0):
             raise DomainError("evaluator nodes must be nonnegative; signs are internal")
         eta1, eta2, wall, outside = self._ladders(kz)
-        Rp = self._solve(kz, eta1, eta2, wall)    # orders 0..nmax at +kz
-        Rm = self._solve(-kz, eta1, eta2, wall)   # orders 0..nmax at -kz
+        R = self._solve(kz, eta1, eta2, wall).transpose(1, 0, 2, 3)  # (N, K, 2, 2)
+        hr1, hr1p, hr2, hr2p = outside           # (N, K), orders 0..nmax
+        n = np.arange(self.nmax + 1)[:, None]
+        kzn, e1, zero = kz[None, :], eta1[None, :], np.zeros_like(hr1)
 
-        hr1, hr1p, hr2, hr2p = outside
-        ns = self._n_signed                      # (M,) signed orders
-        absn = np.abs(ns)
-        refl = self._reflect[:, None]            # (-1)^n for negative odd orders
-        phase = self._phase_n[:, None]
+        M1 = np.stack([1j * n / self.rho1 * hr1, -e1 * hr1p, zero])      # (3, N, K)
+        N1 = np.stack([1j * kzn * e1 * hr1p / self.k1,
+                       -n * kzn * hr1 / (self.k1 * self.rho1), e1**2 * hr1 / self.k1])
+        Mt = np.stack([-1j * n / self.rho2 * hr2, -e1 * hr2p, zero])
+        Nt = np.stack([-1j * kzn * e1 * hr2p / self.k1,
+                       -n * kzn * hr2 / (self.k1 * self.rho2), e1**2 * hr2 / self.k1])
+        VM = R[..., 0, 0] * M1 + R[..., 1, 0] * N1
+        VN = R[..., 0, 1] * M1 + R[..., 1, 1] * N1
 
-        H1 = hr1[absn] * refl                    # (M, K) H_n(eta1 rho1) m / H_n(eta1 a)
-        H1p = hr1p[absn] * refl
-        H2 = hr2[absn] * refl
-        H2p = hr2p[absn] * refl
+        # B_n: the order-n term at +kz without its azimuthal phase
+        pref = (1j / (8.0 * np.pi)) / eta1**2
+        B = (np.einsum("ink,jnk->nkij", VM, Mt)
+             + np.einsum("ink,jnk->nkij", VN, Nt)) * pref[None, :, None, None]
+        B = B * self._monotone_mask(B, eta1)[:, :, None, None]
+        T = np.einsum("nkij,nij->kij", B, self._weights)
 
-        out = np.empty((kz.size, 2, 3, 3), complex)
-        for side, (sgn, Rpos) in enumerate((( +1.0, Rp), (-1.0, Rm))):
-            kzs = sgn * kz[None, :]              # signed kz, (1, K)
-            # coefficients: order n<0 at +kz equals order |n| at -kz
-            Rother = Rm if sgn > 0 else Rp
-            Rsel = np.where((ns < 0)[:, None, None, None],
-                            Rother[:, absn].transpose(1, 0, 2, 3),
-                            Rpos[:, absn].transpose(1, 0, 2, 3))  # (M, K, 2, 2)
-
-            nsk = ns[:, None]
-            M1 = np.stack([1j * nsk / self.rho1 * H1, -eta1[None, :] * H1p,
-                           np.zeros_like(H1)])                       # (3, M, K)
-            N1 = np.stack([1j * kzs * eta1[None, :] * H1p / self.k1,
-                           -nsk * kzs * H1 / (self.k1 * self.rho1),
-                           eta1[None, :] ** 2 * H1 / self.k1])
-            Mt = np.stack([-1j * nsk / self.rho2 * H2, -eta1[None, :] * H2p,
-                           np.zeros_like(H2)])
-            Nt = np.stack([-1j * kzs * eta1[None, :] * H2p / self.k1,
-                           -nsk * kzs * H2 / (self.k1 * self.rho2),
-                           eta1[None, :] ** 2 * H2 / self.k1])
-
-            VM = Rsel[None, :, :, 0, 0] * M1 + Rsel[None, :, :, 1, 0] * N1  # (3, M, K)
-            VN = Rsel[None, :, :, 0, 1] * M1 + Rsel[None, :, :, 1, 1] * N1
-
-            pref = (1j / (8.0 * np.pi)) * phase / eta1[None, :] ** 2  # (M, K)
-            Tn = (np.einsum("imk,jmk->mkij", VM, Mt)
-                  + np.einsum("imk,jmk->mkij", VN, Nt)) * pref[:, :, None, None]
-            keep = self._monotone_mask(Tn, absn, eta1)
-            Tn = Tn * keep[:, :, None, None]
-            T = Tn.sum(axis=0)
-            out[:, side] = T
-
-            edge = (absn == self.nmax)
-            self._tail_abs = max(self._tail_abs, float(np.max(np.abs(Tn[edge]))))
-            self._scale = max(self._scale, float(np.max(np.abs(T))))
+        out = np.stack([T, T * _MIRROR], axis=1)
+        self._tail_abs = max(self._tail_abs, float(np.max(np.abs(B[-1]))))
+        self._scale = max(self._scale, float(np.max(np.abs(T))))
         if not np.all(np.isfinite(out)):
             raise OverflowGuardError(
                 "spectral tensor evaluation lost finiteness; the requested "
                 "(geometry, frequency, kz) reach beyond the representable range")
         return out
 
-    def _monotone_mask(self, Tn, absn, eta1):
+    def _monotone_mask(self, B, eta1):
         """Suppress azimuthal orders past the roundoff floor near the
-        branch ring.
+        branch ring; (N, K) keep-mask over orders 0..nmax.
 
         Within a few clamp floors of eta1 = 0 the wall-solve columns span
         hundreds of decades and high orders come out as amplified roundoff;
@@ -263,21 +260,20 @@ class SpectralEvaluator:
         multipole of the surface-mode ladder), so those nodes are never
         touched -- amputating a resonance would break causality.
         """
+        nmax1 = self.nmax + 1
         ring = np.abs(eta1) < 0.03 * max(abs(self.k1), 1.0)
         if not np.any(ring):
-            return np.ones((absn.size, eta1.size), bool)
-        mags = np.abs(Tn).max(axis=(2, 3))          # (M, K)
-        nmax1 = self.nmax + 1
-        nprof = np.zeros((nmax1, mags.shape[1]))
-        np.add.at(nprof, absn, mags)
+            return np.ones((nmax1, eta1.size), bool)
+        # the profile of order |n| sums the +n and -n terms, equal in size
+        nprof = np.abs(B).max(axis=(2, 3))
+        nprof[1:] *= 2.0
         floor_prev = np.vstack([np.full((1, nprof.shape[1]), np.inf),
                                 np.minimum.accumulate(nprof, axis=0)[:-1]])
         rebound = nprof > 30.0 * floor_prev
         head = np.abs(eta1)[None, :] * max(self.rho1, self.rho2) + 4.0
         rebound &= np.arange(nmax1)[:, None] > head
         rebound &= ring[None, :]
-        noisy = np.maximum.accumulate(rebound, axis=0)
-        return ~noisy[absn]
+        return ~np.maximum.accumulate(rebound, axis=0)
 
 
 def _escalate(build, nmax):

@@ -112,6 +112,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "convergence failure" in err and "diagnostics: {'nmax': 40}" in err
 
+    @pytest.mark.parametrize("order", [0, 50, 2.5, True, "4"])
+    def test_bad_azimuthal_order_exit_2(self, tmp_path, capsys, order):
+        path = write_config(tmp_path, {"azimuthal_order": order})
+        assert main(["point", "--config", path, "--dz", "1.0"]) == 2
+        assert "azimuthal_order" in capsys.readouterr().err
+
+    def test_unconverged_point_exit_3(self, tmp_path, capsys):
+        # order 4 fails the azimuthal tail test on this geometry
+        path = write_config(tmp_path, {"azimuthal_order": 4})
+        out = tmp_path / "p.json"
+        assert main(["point", "--config", path, "--dz", "1.0", "--out", str(out)]) == 3
+        assert "unconverged point: dz=1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--omega-over-omega-a", "0"],
+                                      ["--omega-over-omega-a", "-1"],
+                                      ["--n-points", "1"], ["--n-points", "0"]])
+    def test_dispersion_bad_arguments_exit_2(self, monkeypatch, capsys, argv):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an evaluator was built")
+
+        monkeypatch.setattr(cli, "settle_azimuthal_order", unreachable)
+        monkeypatch.setattr(cli, "SpectralEvaluator", unreachable)
+        assert main(["dispersion"] + argv) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_validate_passes(self):
         proc = run_cli(["validate"])
         assert proc.returncode == 0
@@ -227,6 +253,13 @@ class TestDispersion:
         assert np.abs(vals - want).max() <= 1e-12 * np.abs(want).max()
         fit = fit_plasmon_lorentzian(geom, cfg.rho_1, OMEGA_A, nmax=4)
         assert meta["fit_center_kz_pl"] == pytest.approx(fit.center_kz_pl, rel=1e-12)
+
+
+    def test_explicit_order_tail_is_reported(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"azimuthal_order": 4})
+        assert main(["dispersion", "--config", path, "--out", str(tmp_path / "d.csv"),
+                     "--n-points", "40"]) == 0
+        assert "azimuthal tail ratio" in capsys.readouterr().err
 
 
 class TestPoint:

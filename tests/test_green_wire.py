@@ -236,3 +236,108 @@ def test_evanescent_node_past_the_j_overflow(default_geom):
                            0.015, 0.021, 0.0, nmax=15)
     out = ev(np.array([np.sqrt((750.0 / 0.021) ** 2 - kappa**2)]))
     assert np.all(np.isfinite(out))
+
+
+def _signed_order_reference(ev, kz):
+    """The evaluator's tensor and tail ratio summed the long way: a wall solve
+    at each kz sign and, for each sign, every signed order -nmax..nmax, with
+    the order profile of the ring mask summed over +-n."""
+    eta1, eta2, wall, (hr1, hr1p, hr2, hr2p) = ev._ladders(kz)
+    Rp, Rm = ev._solve(kz, eta1, eta2, wall), ev._solve(-kz, eta1, eta2, wall)
+    ns = np.arange(-ev.nmax, ev.nmax + 1)
+    absn = np.abs(ns)
+    refl = np.where((absn % 2 == 1) & (ns < 0), -1.0, 1.0)[:, None]
+    phase = np.exp(1j * ns * ev.dphi)[:, None]
+    H1, H1p, H2, H2p = (x[absn] * refl for x in (hr1, hr1p, hr2, hr2p))
+    ring = np.abs(eta1) < 0.03 * max(abs(ev.k1), 1.0)
+    out = np.empty((kz.size, 2, 3, 3), complex)
+    tail_abs = scale = 0.0
+    for side, (sgn, Rpos, Rother) in enumerate(((1.0, Rp, Rm), (-1.0, Rm, Rp))):
+        kzs = sgn * kz[None, :]
+        Rsel = np.where((ns < 0)[:, None, None, None],
+                        Rother[:, absn].transpose(1, 0, 2, 3),
+                        Rpos[:, absn].transpose(1, 0, 2, 3))
+        nsk = ns[:, None]
+        e1 = eta1[None, :]
+        M1 = np.stack([1j * nsk / ev.rho1 * H1, -e1 * H1p, np.zeros_like(H1)])
+        N1 = np.stack([1j * kzs * e1 * H1p / ev.k1, -nsk * kzs * H1 / (ev.k1 * ev.rho1),
+                       e1**2 * H1 / ev.k1])
+        Mt = np.stack([-1j * nsk / ev.rho2 * H2, -e1 * H2p, np.zeros_like(H2)])
+        Nt = np.stack([-1j * kzs * e1 * H2p / ev.k1, -nsk * kzs * H2 / (ev.k1 * ev.rho2),
+                       e1**2 * H2 / ev.k1])
+        VM = Rsel[None, :, :, 0, 0] * M1 + Rsel[None, :, :, 1, 0] * N1
+        VN = Rsel[None, :, :, 0, 1] * M1 + Rsel[None, :, :, 1, 1] * N1
+        pref = (1j / (8.0 * np.pi)) * phase / e1**2
+        Tn = (np.einsum("imk,jmk->mkij", VM, Mt)
+              + np.einsum("imk,jmk->mkij", VN, Nt)) * pref[:, :, None, None]
+        if np.any(ring):
+            nprof = np.zeros((ev.nmax + 1, kz.size))
+            np.add.at(nprof, absn, np.abs(Tn).max(axis=(2, 3)))
+            floor_prev = np.vstack([np.full((1, kz.size), np.inf),
+                                    np.minimum.accumulate(nprof, axis=0)[:-1]])
+            rebound = nprof > 30.0 * floor_prev
+            head = np.abs(eta1)[None, :] * max(ev.rho1, ev.rho2) + 4.0
+            rebound &= np.arange(ev.nmax + 1)[:, None] > head
+            rebound &= ring[None, :]
+            Tn = Tn * ~np.maximum.accumulate(rebound, axis=0)[absn][:, :, None, None]
+        out[:, side] = Tn.sum(axis=0)
+        tail_abs = max(tail_abs, float(np.abs(Tn[absn == ev.nmax]).max()))
+        scale = max(scale, float(np.abs(out[:, side]).max()))
+    return out, tail_abs / scale
+
+
+_MIRROR = np.outer([1.0, 1.0, -1.0], [1.0, 1.0, -1.0])
+_SCANS = {"real": (REAL, np.append(np.linspace(0.05, 6.0, 40), 1.0) * OMEGA_A),
+          "imag": (IMAG, np.geomspace(0.05, 60.0, 40) * OMEGA_A)}
+
+
+@pytest.mark.parametrize("axis", sorted(_SCANS))
+def test_minus_kz_is_the_mirror_of_plus_kz(default_geom, axis):
+    s, kz = _SCANS[axis]
+    out = SpectralEvaluator(default_geom, s, 0.015, 0.03, 0.7, nmax=20)(kz)
+    np.testing.assert_array_equal(out[:, 1], _MIRROR * out[:, 0])
+
+
+@pytest.mark.parametrize("nmax", [15, 40])
+@pytest.mark.parametrize("axis", sorted(_SCANS))
+@pytest.mark.parametrize("rho2, dphi", [(0.015, 0.0), (0.03, 0.7)])
+def test_folded_orders_match_signed_order_sum(default_geom, axis, nmax, rho2, dphi):
+    s, kz = _SCANS[axis]
+    ev = SpectralEvaluator(default_geom, s, 0.015, rho2, dphi, nmax=nmax)
+    got = ev(kz)
+    want, tail_ratio = _signed_order_reference(ev, kz)
+    # clamped nodes next to the branch point carry ~1e-3 roundoff of their own
+    eta1 = np.abs(np.sqrt(complex(s.value) ** 2 - kz.astype(complex) ** 2))
+    kept = eta1 >= 1e-3 * max(abs(s.value), 1.0)
+    assert np.abs(got - want)[kept].max() <= 1e-12 * np.abs(want).max()
+    assert ev.tail_ratio == pytest.approx(tail_ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("axis", sorted(_SCANS))
+def test_coplanar_points_have_no_cross_plane_components(default_geom, axis):
+    s, kz = _SCANS[axis]
+    out = SpectralEvaluator(default_geom, s, 0.015, 0.03, 0.0, nmax=20)(kz)
+    for i, j in ((0, 1), (1, 0), (1, 2), (2, 1)):
+        assert np.all(out[:, :, i, j] == 0.0)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["propagating", "evanescent"])
+def test_ring_mask_node_matches_signed_order_sum(monkeypatch, side):
+    # |eta1| = 0.5 at 4.2 omega_A on the lossier metal: inside the roundoff
+    # ring, where the order profile rebounds and the mask keeps orders 0..4
+    s = SpectralPoint.real_axis(4.2 * OMEGA_A)
+    ev = SpectralEvaluator(WireGeometry(radius=0.01, model=_KK_METAL), s, 0.015, 0.015,
+                           0.0, nmax=40)
+    kz = np.array([np.sqrt(s.omega**2 - side * 0.5**2)])
+    masks = []
+    mask = SpectralEvaluator._monotone_mask
+
+    def recorded(self, B, eta1):
+        masks.append(mask(self, B, eta1))
+        return masks[-1]
+
+    monkeypatch.setattr(SpectralEvaluator, "_monotone_mask", recorded)
+    got = ev(kz)
+    assert 0 < masks[0].sum() < ev.nmax + 1
+    want, _ = _signed_order_reference(ev, kz)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
