@@ -17,15 +17,15 @@ from .green_wire import (WireGeometry, WireSpectralTable, plasmon_wavenumber,
                          wire_green, wire_spectral_green)
 from .material import DrudeModel, permittivity
 from .quadrature import (KKReport, QuadratureReport, imag_axis_integrate,
-                         kk_check, kz_integrate, pv_shift_oracle)
+                         kk_check, pv_shift_oracle)
 
 __all__ = [
     "OMEGA_A", "SpectralPoint", "CylFunValue", "N_MAX", "bessel_jh",
     "DrudeModel", "permittivity", "DyadicGreen", "green_vacuum",
     "green_vacuum_cyl", "green_vacuum_im_coincident", "free_space_rate",
     "WireGeometry", "WireSpectralTable", "wire_green", "wire_spectral_green",
-    "plasmon_wavenumber", "QuadratureReport", "KKReport", "kz_integrate",
-    "imag_axis_integrate", "pv_shift_oracle", "kk_check",
+    "plasmon_wavenumber", "QuadratureReport", "KKReport", "imag_axis_integrate",
+    "pv_shift_oracle", "kk_check",
     "WireQEDError", "DomainError", "OverflowGuardError", "CoincidenceError",
     "ConvergenceError", "FitError", "ConfigError",
 ]

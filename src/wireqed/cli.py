@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -152,7 +153,13 @@ def cmd_dispersion(args) -> int:
     omega = args.omega_over_omega_a * OMEGA_A
 
     if args.synthetic:
-        amp, width, center = (float(x) for x in args.synthetic.split(","))
+        try:
+            amp, width, center = (float(x) for x in args.synthetic.split(","))
+        except ValueError:
+            amp = width = center = math.nan
+        if not all(0.0 < v < math.inf for v in (amp, width, center)):
+            raise ConfigError("--synthetic needs three positive numbers A,GAMMA,KZPL, "
+                              f"got {args.synthetic!r}")
         kz = np.linspace(0.2, 4.0 * center, 600)
         vals = (amp / (1 + (kz - center) ** 2 / width**2)
                 + amp / (1 + (kz + center) ** 2 / width**2))
@@ -183,7 +190,7 @@ def cmd_dispersion(args) -> int:
         fit.center_kz_pl + fit.width_gamma * np.linspace(-10, 10, args.n_points // 2),
     ]))
     kz = kz[(kz >= lo) & (kz <= hi)]
-    vals = ev(kz)[:, 0, 0, 0].imag
+    vals = ev(kz)[:, 0, 0].imag
     if not ev.tail_ok:
         # a configured order is kept as given; its truncation is reported
         print(f"warning: azimuthal tail ratio {ev.tail_ratio:.2e} at n = {nmax} "

@@ -26,9 +26,11 @@ from . import quadrature
 from .errors import DomainError, FitError
 from .frequencies import OMEGA_A, SpectralPoint
 from .green_vacuum import green_vacuum_cyl, green_vacuum_im_coincident
-from .green_wire import (DEFAULT_NMAX, SpectralEvaluator, WireGeometry,
+from .green_wire import (_MIRROR, DEFAULT_NMAX, SpectralEvaluator, WireGeometry,
                          WireSpectralTable, plasmon_wavenumber, settle_azimuthal_order)
 from .quadrature import _GL_X, _NPTS, _PROJ
+
+_P_EVEN = _MIRROR.ravel() > 0   # components the -kz mirror keeps
 
 _COINCIDENT = 1e-12
 
@@ -268,7 +270,7 @@ class _ImagAxisEngine:
         # the flat table; node i's kz panels are rows starts[i]:starts[i+1]
         self._halves = np.empty(0)
         self._mids = np.empty(0)
-        self._coefs = np.empty((0, _NPTS, 2, 9))
+        self._coefs = np.empty((0, _NPTS, 9))
         self._starts = np.empty(0, int)
 
         self._coincident = None
@@ -291,27 +293,22 @@ class _ImagAxisEngine:
         Each table is weighted as it is copied in and then released, so no
         more than one panel's tables are alive at a time.  The shift needs
         only the real part of the tensor.  With m the phase moments times
-        half e^{i dz mid}, a kz panel with +kz and -kz coefficients C0, C1
-        contributes Re(m C0 + conj(m) C1) = Re m Re(C0 + C1) + Im m Im(C1 - C0),
-        so the rows hold those two real coefficient sets in place of the sides.
+        half e^{i dz mid}, a kz panel with +kz coefficients C and mirror sign
+        P contributes Re(m C + conj(m) P C): 2 Re m Re C where P = +1 and
+        -2 Im m Im C where P = -1, so the rows hold 2 Re C and -2 Im C there.
         """
         half, mid = 0.5 * (b - a), 0.5 * (b + a)
-        t = mid + half * _GL_X
-        kap = self.w * t / (1.0 - t)
-        weight = self.w**2 * t**2 / ((1.0 - t) ** 2 * (t**2 + (1.0 - t) ** 2))
+        kap, weight = quadrature.t_substitution(mid + half * _GL_X, self.w)
         tables = self._build_tables(kap)
         self.n_nodes += len(kap)
         halves = np.concatenate([tab.halves for tab in tables])
         mids = np.concatenate([tab.mids for tab in tables])
         sizes = np.array([len(tab.halves) for tab in tables])
-        coefs = np.empty((len(halves), _NPTS, 2, 9))
+        coefs = np.empty((len(halves), _NPTS, 9))
         row = 0
         for i, w in enumerate(weight):
             c, tables[i] = tables[i].coefs, None
-            rows = coefs[row:row + len(c)]
-            rows[:, :, 0] = (c[:, :, 0] + c[:, :, 1]).real
-            rows[:, :, 1] = (c[:, :, 1] - c[:, :, 0]).imag
-            rows *= w
+            coefs[row:row + len(c)] = np.where(_P_EVEN, 2.0 * c.real, -2.0 * c.imag) * w
             row += len(c)
         return (a, b), [halves, mids, coefs, sizes]
 
@@ -352,16 +349,16 @@ class _ImagAxisEngine:
         """(3x3 integral, per-t-panel error bounds) at separation dz."""
         mom = quadrature.moments_for(dz * self._halves)                # (16, P)
         m = mom * (self._halves * np.exp(1j * dz * self._mids))
-        # (P, 32) as [Re m_0, Im m_0, Re m_1, ...], matching coefs' (16, 2)
-        m = np.ascontiguousarray(m.T).view(float)
-        rows = np.einsum("pj,pjc->pc", m, self._coefs.reshape(len(m), -1, 9))
+        # (P, 2, 16): Re m and Im m of each row, against its (16, 9) coefficients
+        m = np.ascontiguousarray(m.T).view(float).reshape(-1, _NPTS, 2).transpose(0, 2, 1)
+        both = m @ self._coefs
+        rows = np.where(_P_EVEN, both[:, 0], both[:, 1])
         vals = np.add.reduceat(rows, self._starts, axis=0)        # per node
         coef = _PROJ @ vals.reshape(-1, _NPTS, 9)                 # per t panel
         a, b = np.asarray(self.panels).T
         half = 0.5 * (b - a)
         total = (2.0 * half[:, None] * coef[:, 0]).sum(axis=0)
-        errs = 4.0 * half * np.abs(coef[:, -3:]).sum(axis=1).max(axis=1)
-        return total.reshape(3, 3), errs
+        return total.reshape(3, 3), quadrature.legendre_error(half, coef)
 
     def _refine(self, dz_refs):
         while self.n_nodes + 32 <= self.table_budget * 16:
@@ -470,7 +467,7 @@ def fit_plasmon_lorentzian(geom: WireGeometry, rho: float, omega: float, *,
     except FitError:
         # fall back to a scan with local refinement around the maximum
         scan = w * np.geomspace(1.003, 40.0, 200)
-        im_scan = ev(scan)[:, 0, 0, 0].imag
+        im_scan = ev(scan)[:, 0, 0].imag
         ipk = int(np.argmax(im_scan))
         if ipk in (0, len(scan) - 1) or im_scan[ipk] <= 0:
             raise FitError("no interior spectral maximum beyond the light line; "
@@ -480,19 +477,19 @@ def fit_plasmon_lorentzian(geom: WireGeometry, rho: float, omega: float, *,
         for _ in range(4):
             local = k_guess + width_guess * np.linspace(-2.0, 2.0, 41)
             local = local[local > w]
-            im_loc = ev(local)[:, 0, 0, 0].imag
+            im_loc = ev(local)[:, 0, 0].imag
             j = int(np.argmax(im_loc))
             k_guess = float(local[j])
             above = local[im_loc > 0.5 * im_loc[j]]
             width_guess = max(0.5 * (above[-1] - above[0]), 1e-4 * w)
-    peak = float(ev(np.asarray([k_guess]))[0, 0, 0, 0].imag)
+    peak = float(ev(np.asarray([k_guess]))[0, 0, 0].imag)
     if peak <= 0 or not k_guess > w:
         raise FitError("no bound-mode peak beyond the light line")
 
     window = np.linspace(1.0001 * w, 4.0 * k_guess, n_samples // 2)
     dense = k_guess + width_guess * np.linspace(-15, 15, n_samples // 2)
     kz = np.unique(np.concatenate([window, dense[(dense > w) & (dense < 4 * k_guess)]]))
-    vals = ev(kz)[:, 0, 0, 0].imag
+    vals = ev(kz)[:, 0, 0].imag
     fit = fit_two_lorentzian(kz, vals, (peak, width_guess, k_guess))
     if not fit.center_kz_pl > w:
         raise FitError(f"fitted center {fit.center_kz_pl} is inside the light cone")

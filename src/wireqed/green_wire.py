@@ -83,13 +83,13 @@ class SpectralEvaluator:
     """Vectorized scattered-spectrum evaluation at fixed geometry and frequency.
 
     Calling with an array of nonnegative kz nodes returns the tensor
-    integrand for both signs of kz, shape (n_nodes, 2, 3, 3), in the local
-    cylindrical bases of the two points.  The exp(i kz dz) phase and the
-    kz integral itself belong to the caller.
+    integrand at +kz, shape (n_nodes, 3, 3), in the local cylindrical bases
+    of the two points; the -kz spectrum is _MIRROR times it.  The
+    exp(i kz dz) phase and the kz integral itself belong to the caller.
 
-    Each node is solved once, at +kz, and assembled once, over the orders
-    0..nmax; the module docstring gives the two symmetries that supply the
-    negative orders and -kz.  The (-1)^n of H_-n cancels in every bilinear
+    Each node is solved once and assembled once, over the orders 0..nmax;
+    the module docstring gives the two symmetries that supply the negative
+    orders and -kz.  The (-1)^n of H_-n cancels in every bilinear
     term, so the order -n term needs no radial functions of its own.
     """
 
@@ -238,14 +238,13 @@ class SpectralEvaluator:
         B = B * self._monotone_mask(B, eta1)[:, :, None, None]
         T = np.einsum("nkij,nij->kij", B, self._weights)
 
-        out = np.stack([T, T * _MIRROR], axis=1)
         self._tail_abs = max(self._tail_abs, float(np.max(np.abs(B[-1]))))
         self._scale = max(self._scale, float(np.max(np.abs(T))))
-        if not np.all(np.isfinite(out)):
+        if not np.all(np.isfinite(T)):
             raise OverflowGuardError(
                 "spectral tensor evaluation lost finiteness; the requested "
                 "(geometry, frequency, kz) reach beyond the representable range")
-        return out
+        return T
 
     def _monotone_mask(self, B, eta1):
         """Suppress azimuthal orders past the roundoff floor near the
@@ -301,15 +300,15 @@ def wire_spectral_green(geom: WireGeometry, rho1: float, rho2: float, dphi: floa
     """Scattered spectrum G~(kz) at fixed radial/azimuthal geometry.
 
     Accepts scalar or array kz of either sign and returns the 3x3 tensor(s)
-    in local cylindrical components.  The azimuthal series is extended
-    automatically (up to N_MAX) until its |n| = nmax term passes the
-    TAIL_TOL test; failure to converge raises.
+    in local cylindrical components; a negative kz is the mirror P T(|kz|) P.
+    The azimuthal series is extended automatically (up to N_MAX) until its
+    |n| = nmax term passes the TAIL_TOL test; failure to converge raises.
     """
     kz_arr = np.atleast_1d(np.asarray(kz, float))
     ev, vals = _escalate(_evaluations(geom, s, rho1, rho2, dphi, np.abs(kz_arr)), nmax)
     if not ev.tail_ok:
         raise _tail_failure(ev)
-    out = vals[np.arange(kz_arr.size), (kz_arr < 0).astype(int)]
+    out = np.where((kz_arr < 0)[:, None, None], _MIRROR * vals, vals)
     return out[0] if np.isscalar(kz) or np.ndim(kz) == 0 else out
 
 
@@ -487,7 +486,7 @@ class FrozenSpectralTable:
 
     halves: np.ndarray        # (P,)
     mids: np.ndarray          # (P,)
-    coefs: np.ndarray         # (P, 16, 2, 9)
+    coefs: np.ndarray         # (P, 16, 9), the +kz side
     panel_err: float
     tail_bound: float
     panels_ok: bool
@@ -495,7 +494,8 @@ class FrozenSpectralTable:
 
     def integrate(self, dz: float):
         """(3x3 tensor, abs error) of int_{-inf}^{inf} G~(kz) e^{i kz dz} dkz."""
-        vec = panel_integral(self.halves, self.mids, self.coefs, float(dz))
+        vec = panel_integral(self.halves, self.mids, self.coefs, float(dz),
+                             _MIRROR.ravel())
         return vec.reshape(3, 3), self.panel_err + self.tail_bound
 
 
@@ -521,10 +521,9 @@ class WireSpectralTable:
         self.k_start, gap, pole_hint = _k_window(geom, point, rho1, rho2, pole_hint)
         evaluator = SpectralEvaluator(geom, point, rho1, rho2, dphi, nmax=nmax)
         branch = None if point.is_imaginary else abs(point.omega)
-        fpanel = lambda kz: evaluator(kz).reshape(len(kz), 2, 9)
         ps, tail_bound, ok = build_spectral_panels(
-            fpanel, 2, 9, tol=tol, pole_hint=pole_hint, branch_point=branch,
-            tail_scale=gap, k_start=self.k_start, budget=budget,
+            evaluator, tol=tol, k_start=self.k_start, mirror=_MIRROR.ravel(),
+            pole_hint=pole_hint, branch_point=branch, tail_scale=gap, budget=budget,
             phase_for_blocks=phase_ref)
         self._ps = ps
         self.tail_bound = float(tail_bound)

@@ -14,14 +14,15 @@ Gauss-Legendre quadrature.
 
 Public operations:
 
-* ``kz_integrate``        -- the wavenumber integral of the wire tensor,
-                             with optional pole refinement and phase folding
-* ``imag_axis_integrate`` -- the damped integral over imaginary frequencies
-                             entering the level-shift formula
-* ``pv_shift_oracle``     -- brute-force principal-value evaluation of the
-                             real-axis shift integral (the independent check
-                             of the contour-rotated route)
-* ``kk_check``            -- numerical Kramers-Kronig closure residual
+* ``build_spectral_panels`` -- panels of a +kz spectrum, seeded at poles and
+                               branch points and extended over its tail; a
+                               per-component mirror sign supplies the -kz side
+* ``imag_axis_integrate``   -- the damped integral over imaginary frequencies
+                               entering the level-shift formula
+* ``pv_shift_oracle``       -- brute-force principal-value evaluation of the
+                               real-axis shift integral (the independent check
+                               of the contour-rotated route)
+* ``kk_check``              -- numerical Kramers-Kronig closure residual
 """
 
 from __future__ import annotations
@@ -112,36 +113,49 @@ def moments_for(c):
     return out
 
 
-class PanelSet:
-    """Adaptive Legendre-coefficient panels for one or two phase branches.
+def legendre_error(half, coef):
+    """Error bound of panels of half-width ``half`` from the last three of
+    their Legendre coefficients (axis -2 of ``coef``), largest over the
+    components (axis -1): |int_a^b P_k((x-mid)/half) e^{i lam x} dx| <= 2*half
+    for every lam."""
+    return 4.0 * half * np.abs(coef[..., -3:, :]).sum(axis=-2).max(axis=-1)
 
-    ``f(x_array)`` must return shape (n, n_sides, n_comp); the first side is
-    integrated against exp(+i lam x), the optional second against
-    exp(-i lam x).  Panel refinement is driven purely by the decay of the
-    Legendre coefficients, so a refined set is valid for every phase at once.
+
+def t_substitution(t, omega_a):
+    """kappa = omega_a t / (1 - t) and the weight that turns
+    dkappa kappa^2 omega_a / (kappa^2 + omega_a^2) into dt."""
+    kap = omega_a * t / (1.0 - t)
+    weight = omega_a * omega_a * t * t / ((1.0 - t) ** 2 * (t * t + (1.0 - t) ** 2))
+    return kap, weight
+
+
+class PanelSet:
+    """Adaptive Legendre-coefficient panels of a spectrum held at +kz only.
+
+    ``f(x_array)`` returns shape (n, n_comp) (or (n,) for one component),
+    integrated against exp(+i lam x).  With a per-component ``mirror`` sign
+    the -kz side mirror * f(x) is integrated against exp(-i lam x) as well;
+    ``None`` makes the integral one-sided.  Panel refinement is driven purely
+    by the decay of the Legendre coefficients, so a refined set is valid for
+    every phase at once.
     """
 
-    def __init__(self, f, n_sides, n_comp, budget=20000):
+    def __init__(self, f, budget=20000, mirror=None):
         self.f = f
-        self.n_sides = n_sides
-        self.n_comp = n_comp
+        self.mirror = mirror
         self.budget = budget
         self.nodes_used = 0
-        self.panels = []  # records [a, b, coef(16, sides, comp), err, fmax]
+        self.panels = []  # records [a, b, coef(16, comp), err, fmax]
         self._frozen = None
 
     def add(self, a, b):
         half = 0.5 * (b - a)
         mid = 0.5 * (b + a)
         x = mid + half * _GL_X
-        vals = np.asarray(self.f(x), complex).reshape(_NPTS, self.n_sides, self.n_comp)
+        vals = np.asarray(self.f(x), complex).reshape(_NPTS, -1)
         self.nodes_used += _NPTS
-        coef = np.einsum("ki,isc->ksc", _PROJ, vals)
-        # |int_a^b P_k((x-mid)/half) e^{i lam x} dx| <= 2*half for every lam
-        tail = float(np.abs(coef[-3:]).sum(axis=0).max())
-        err = 4.0 * half * tail
-        fmax = float(np.abs(vals).max())
-        rec = [a, b, coef, err, fmax]
+        coef = np.einsum("ki,ic->kc", _PROJ, vals)
+        rec = [a, b, coef, float(legendre_error(half, coef)), float(np.abs(vals).max())]
         self.panels.append(rec)
         self._frozen = None
         return rec
@@ -165,40 +179,31 @@ class PanelSet:
             self.add(m, b)
         return True
 
-    def panel_value(self, rec, lam=0.0):
-        """Integral contribution of one panel record at the given phase."""
-        a, b, coef = rec[0], rec[1], rec[2]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        mom = moments_for(lam * half)[:, 0]
-        out = half * np.exp(1j * lam * mid) * (mom @ coef[:, 0, :])
-        if self.n_sides == 2:
-            out = out + half * np.exp(-1j * lam * mid) * (np.conj(mom) @ coef[:, 1, :])
-        return out
-
     def _freeze(self):
         if self._frozen is None:
             order = np.argsort([p[0] for p in self.panels])
             a = np.array([self.panels[i][0] for i in order])
             b = np.array([self.panels[i][1] for i in order])
-            coef = np.stack([self.panels[i][2] for i in order])  # (P, 16, sides, comp)
+            coef = np.stack([self.panels[i][2] for i in order])  # (P, 16, comp)
             self._frozen = (0.5 * (b - a), 0.5 * (a + b), coef)
         return self._frozen
 
     def integral(self, lam=0.0):
-        """Sum of panel integrals for phase(s) +/- lam; shape (n_comp,)."""
-        return panel_integral(*self._freeze(), lam)
+        """Sum of panel integrals at phase lam (and -lam on the mirrored
+        side); shape (n_comp,)."""
+        return panel_integral(*self._freeze(), lam, self.mirror)
 
 
-def panel_integral(half, mid, coef, lam):
-    """Sum over frozen panels (half-widths, midpoints, coefficients
-    (P, 16, sides, comp)) of side 0 against exp(+i lam x) and, when there
-    is a second side, of side 1 against exp(-i lam x); shape (comp,)."""
+def panel_integral(half, mid, coef, lam, mirror=None):
+    """Sum over frozen panels (half-widths, midpoints, +kz coefficients
+    (P, 16, comp)) against exp(+i lam x) and, with a per-component
+    ``mirror`` sign, of the mirrored -kz side against exp(-i lam x);
+    shape (comp,)."""
     mom = moments_for(lam * half)  # (16, P)
-    out = np.einsum("p,kp,pkc->c", half * np.exp(1j * lam * mid), mom, coef[:, :, 0, :])
-    if coef.shape[2] == 2:
-        out = out + np.einsum("p,kp,pkc->c", half * np.exp(-1j * lam * mid),
-                              np.conj(mom), coef[:, :, 1, :])
+    out = np.einsum("p,kp,pkc->c", half * np.exp(1j * lam * mid), mom, coef)
+    if mirror is not None:
+        out = out + mirror * np.einsum("p,kp,pkc->c", half * np.exp(-1j * lam * mid),
+                                       np.conj(mom), coef)
     return out
 
 
@@ -230,23 +235,18 @@ def _seed_breaks(k_start, pole_hint, branch_point):
     return sorted(pts)
 
 
-def build_spectral_panels(fpanel, n_sides, n_comp, *, tol, pole_hint=None,
-                          branch_point=None, tail_scale=None, k_start=None,
-                          k_max=None, budget=20000, phase_for_blocks=0.0):
+def build_spectral_panels(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
+                          branch_point=None, tail_scale=None, budget=20000,
+                          phase_for_blocks=0.0):
     """Shared driver: seed panels on [0, k_start], extend geometric tail
     blocks until they stop mattering, then refine everything.
 
+    ``fpanel`` and ``mirror`` are as for ``PanelSet``: the +kz spectrum and,
+    optionally, the sign pattern that maps it onto -kz.
     Returns (PanelSet, tail_bound, converged_flag).
     """
-    if k_start is None:
-        k_start = 2.0 * (branch_point or 0.0) + 10.0
-        if pole_hint is not None:
-            k_start = max(k_start, pole_hint[0] + 20.0 * abs(pole_hint[1]),
-                          2.0 * pole_hint[0])
-    if k_max is None:
-        k_max = k_start + (200.0 / tail_scale if tail_scale else 400.0 * k_start)
-
-    ps = PanelSet(fpanel, n_sides, n_comp, budget)
+    k_end = k_start + (200.0 / tail_scale if tail_scale else 400.0 * k_start)
+    ps = PanelSet(fpanel, budget, mirror)
     breaks = _seed_breaks(k_start, pole_hint, branch_point)
     for a, b in zip(breaks[:-1], breaks[1:]):
         ps.add(a, b)
@@ -256,15 +256,15 @@ def build_spectral_panels(fpanel, n_sides, n_comp, *, tol, pole_hint=None,
     tail_bound = math.inf
     growth = 1.6
     while True:
-        k2 = min(k * growth, k_max)
+        k2 = min(k * growth, k_end)
         if k2 <= k * 1.0000001:
             break
         rec = ps.add(k, k2)
-        fmax = rec[4]
         # phase-aware contribution; oscillatory cancellation is real and
         # must be credited or algebraic tails never terminate
-        contrib = float(np.abs(ps.panel_value(rec, phase_for_blocks)).max())
-        block_mags.append(max(contrib, 1e-300))
+        block = panel_integral(np.array([0.5 * (k2 - k)]), np.array([0.5 * (k2 + k)]),
+                               rec[2][None], phase_for_blocks, mirror)
+        block_mags.append(max(float(np.abs(block).max()), 1e-300))
         k = k2
         scale = max(1.0, float(np.abs(ps.integral(phase_for_blocks)).max()))
         if len(block_mags) >= 2:
@@ -274,10 +274,10 @@ def build_spectral_panels(fpanel, n_sides, n_comp, *, tol, pole_hint=None,
         else:
             tail_bound = block_mags[-1]
         if tail_scale is not None:
-            tail_bound = min(tail_bound, fmax / max(tail_scale, 1e-300))
+            tail_bound = min(tail_bound, rec[4] / max(tail_scale, 1e-300))
         if tail_bound < 0.25 * tol * scale and len(block_mags) >= 2:
             break
-        if k >= k_max or ps.nodes_used > 0.8 * budget:
+        if k >= k_end or ps.nodes_used > 0.8 * budget:
             break
 
     # the value scale shifts as refinement corrects coarse panels, so the
@@ -290,81 +290,6 @@ def build_spectral_panels(fpanel, n_sides, n_comp, *, tol, pole_hint=None,
         if not ok or ps.err <= 0.6 * tol * new_scale:
             break
     return ps, tail_bound, ok
-
-
-def kz_integrate(integrand, pole_hint=None, tol=1e-8, *, phase=0.0, mode="even",
-                 branch_point=None, tail_scale=None, k_start=None, k_max=None,
-                 budget=20000) -> QuadratureReport:
-    """Integrate a wavenumber spectrum over the full line (or half line).
-
-    Parameters
-    ----------
-    integrand : callable
-        For ``mode="even"`` or ``"half_line"``: maps kz >= 0 to scalar values
-        (vectorized over arrays where possible).  For ``mode="two_sided"``:
-        maps a node array (n,) to shape (n, 2, ...) holding the +kz and -kz
-        branches of the spectrum.
-    pole_hint : (kz_pole, width) or None
-        Seeds geometric panel refinement around a known resonance.
-    tol : float
-        Convergence target relative to max(1, |I|); must be >= 1e-12.
-    phase : float
-        Separation entering exp(i*phase*kz); handled analytically, so a
-        large phase does not inflate the node count.
-    mode : {"even", "half_line", "two_sided"}
-        "even":      I = int_0^inf f(k) (e^{i ph k} + e^{-i ph k}) dk
-        "half_line": I = int_0^inf f(k) e^{i ph k} dk
-        "two_sided": I = int_0^inf [f+(k) e^{i ph k} + f-(k) e^{-i ph k}] dk
-    branch_point : float, optional
-        Location of a square-root kink (kz = omega on the real axis).
-    tail_scale : float, optional
-        Exponential decay rate of the envelope at large kz, for the analytic
-        tail bound; otherwise a geometric-decay bound is inferred.
-    k_start, k_max : float, optional
-        First tail-block boundary and a hard cap on the integration range.
-    budget : int
-        Maximum number of integrand nodes; exceeding it reports
-        converged=False rather than raising.
-    """
-    if tol < 1e-12:
-        raise DomainError(f"tol must be >= 1e-12, got {tol}")
-
-    if mode == "two_sided":
-        probe = np.asarray(integrand(np.asarray([max(k_start or 1.0, 1.0) * 0.07])))
-        out_shape = probe.shape[2:]
-        n_comp = int(np.prod(out_shape)) if out_shape else 1
-        fpanel = lambda x: np.asarray(integrand(x), complex).reshape(len(x), 2, n_comp)
-        n_sides = 2
-    elif mode in ("even", "half_line"):
-        fv = _vectorized(integrand, max(k_start or 1.0, 1.0) * 0.07)
-        n_comp, out_shape = 1, ()
-        if mode == "even":
-            n_sides = 2
-            fpanel = lambda x: np.repeat(fv(x).astype(complex)[:, None, None], 2, axis=1)
-        else:
-            n_sides = 1
-            fpanel = lambda x: fv(x).astype(complex)[:, None, None]
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-
-    ps, tail_bound, ok = build_spectral_panels(
-        fpanel, n_sides, n_comp, tol=tol, pole_hint=pole_hint,
-        branch_point=branch_point, tail_scale=tail_scale, k_start=k_start,
-        k_max=k_max, budget=budget, phase_for_blocks=phase)
-
-    vec = ps.integral(phase)
-    total_err = ps.err + tail_bound
-    scale = max(1.0, float(np.abs(vec).max()))
-    converged = ok and total_err <= tol * scale
-    value = vec.reshape(out_shape) if out_shape else complex(vec[0])
-    return QuadratureReport(
-        value=value,
-        abs_error_estimate=float(total_err),
-        nodes_used=ps.nodes_used,
-        converged=bool(converged),
-        diagnostics={"tail_bound": tail_bound, "panel_error": ps.err,
-                     "n_panels": len(ps.panels)},
-    )
 
 
 def imag_axis_integrate(g, omega_a, tol=1e-8, *, decay_scale=None,
@@ -382,10 +307,8 @@ def imag_axis_integrate(g, omega_a, tol=1e-8, *, decay_scale=None,
     gv = _vectorized(g, 0.3 * wa)
 
     def integrand(t):
-        t = np.asarray(t, float)
-        kap = wa * t / (1.0 - t)
-        w = wa * wa * t * t / ((1.0 - t) ** 2 * (t * t + (1.0 - t) ** 2))
-        return (w * np.asarray(gv(kap), float)).astype(complex)[:, None, None]
+        kap, w = t_substitution(np.asarray(t, float), wa)
+        return w * np.asarray(gv(kap), float)
 
     if decay_scale is not None and decay_scale > 0:
         kap_cut = max(3.0 * wa, 45.0 / decay_scale)
@@ -398,7 +321,7 @@ def imag_axis_integrate(g, omega_a, tol=1e-8, *, decay_scale=None,
         t_cut = 1.0
         tail_bound = 0.0
 
-    ps = PanelSet(integrand, 1, 1, budget)
+    ps = PanelSet(integrand, budget)
     seeds = [0.0, 1e-3, 1e-2, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85]
     breaks = sorted({x for x in seeds if x < t_cut} | {t_cut})
     for a, b in zip(breaks[:-1], breaks[1:]):
@@ -419,7 +342,7 @@ def imag_axis_integrate(g, omega_a, tol=1e-8, *, decay_scale=None,
 
 
 def _plain(fvec, breaks, tol_abs, budget):
-    ps = PanelSet(lambda x: np.asarray(fvec(x), complex)[:, None, None], 1, 1, budget)
+    ps = PanelSet(fvec, budget)
     for a, b in zip(breaks[:-1], breaks[1:]):
         ps.add(a, b)
     ok = ps.refine(tol_abs)

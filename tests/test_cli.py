@@ -128,7 +128,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [["--omega-over-omega-a", "0"],
                                       ["--omega-over-omega-a", "-1"],
-                                      ["--n-points", "1"], ["--n-points", "0"]])
+                                      ["--n-points", "1"], ["--n-points", "0"],
+                                      ["--synthetic", "3.0,0.2"],
+                                      ["--synthetic", "3.0,-0.2,9.42"]])
     def test_dispersion_bad_arguments_exit_2(self, monkeypatch, capsys, argv):
         def unreachable(*args, **kwargs):
             raise AssertionError("an evaluator was built")
@@ -249,7 +251,7 @@ class TestDispersion:
         geom = WireGeometry(radius=cfg.radius, model=cfg.drude_model())
         ev = SpectralEvaluator(geom, SpectralPoint.real_axis(OMEGA_A), cfg.rho_1,
                                cfg.rho_1, 0.0, nmax=4)
-        want = ev(kz)[:, 0, 0, 0].imag
+        want = ev(kz)[:, 0, 0].imag
         assert np.abs(vals - want).max() <= 1e-12 * np.abs(want).max()
         fit = fit_plasmon_lorentzian(geom, cfg.rho_1, OMEGA_A, nmax=4)
         assert meta["fit_center_kz_pl"] == pytest.approx(fit.center_kz_pl, rel=1e-12)
