@@ -9,10 +9,11 @@ rest of the ladder follows from the upward recurrence
 H_{n+1} = (2n/z) H_n - H_{n-1}, which is stable because H^(1) is the
 dominant solution in the increasing-order direction for Im z >= 0
 (Gautschi, SIAM Rev. 9, 1967; DLMF 10.74(iv)).  J is recessive in that
-direction, so it is never recurred.  ``h_orders`` gives the Hankel ladder
-alone, for arguments where J is not needed.  The module also supplies the
-derivative recurrence f' = (f_{n-1} - f_{n+1})/2, negative-order reflection
-J_{-n} = (-1)^n J_n, and explicit domain/overflow guards.
+direction, so it is never recurred.  ``h_orders`` and ``j_orders`` give
+either ladder alone, for arguments where the other is not needed.  The
+module also supplies the derivative recurrence f' = (f_{n-1} - f_{n+1})/2,
+negative-order reflection J_{-n} = (-1)^n J_n, and explicit domain/overflow
+guards.
 """
 
 from __future__ import annotations
@@ -80,6 +81,18 @@ def _with_derivatives(f, nmax, z):
     return f[: nmax + 1].reshape(shape), fp.reshape(shape)
 
 
+def _ladder_arguments(nmax, z):
+    """z as a flat complex array, once the order range and z pass the guards."""
+    if not 0 <= nmax <= N_MAX:
+        raise DomainError(f"order ladder must satisfy 0 <= nmax <= {N_MAX}, got {nmax}")
+    zarr = np.atleast_1d(np.asarray(z, dtype=complex))
+    if np.any(zarr == 0):
+        raise DomainError("Bessel argument z = 0 is outside the domain")
+    if np.any(np.abs(zarr) >= OVERFLOW_GUARD):
+        raise OverflowGuardError("Bessel argument exceeds the overflow guard")
+    return zarr
+
+
 def h_orders(nmax: int, z):
     """H^(1) and its derivative for all orders 0..nmax at argument(s) z.
 
@@ -91,14 +104,7 @@ def h_orders(nmax: int, z):
     -------
     h, hp : ndarray, shape (nmax+1,) + shape(z)
     """
-    if not 0 <= nmax <= N_MAX:
-        raise DomainError(f"order ladder must satisfy 0 <= nmax <= {N_MAX}, got {nmax}")
-    zarr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(zarr == 0):
-        raise DomainError("Bessel argument z = 0 is outside the domain")
-    if np.any(np.abs(zarr) >= OVERFLOW_GUARD):
-        raise OverflowGuardError("Bessel argument exceeds the overflow guard")
-
+    zarr = _ladder_arguments(nmax, z)
     h = np.empty((nmax + 2, zarr.size), complex)
     h[:2] = special.hankel1(np.arange(2.0)[:, None], zarr[None, :])
     two_over_z = 2.0 / zarr
@@ -107,6 +113,21 @@ def h_orders(nmax: int, z):
     if not np.all(np.isfinite(h)):
         raise OverflowGuardError("Bessel evaluation overflowed the representable range")
     return _with_derivatives(h, nmax, z)
+
+
+def j_orders(nmax: int, z):
+    """J and its derivative for all orders 0..nmax at argument(s) z, for
+    arguments where H^(1) is not needed (inside the metal).
+
+    Returns
+    -------
+    j, jp : ndarray, shape (nmax+1,) + shape(z)
+    """
+    zarr = _ladder_arguments(nmax, z)
+    j = special.jv(np.arange(nmax + 2.0)[:, None], zarr[None, :])
+    if not np.all(np.isfinite(j)):
+        raise OverflowGuardError("Bessel evaluation overflowed the representable range")
+    return _with_derivatives(j, nmax, z)
 
 
 def jh_orders(nmax: int, z):
@@ -124,11 +145,7 @@ def jh_orders(nmax: int, z):
     j, h, jp, hp : ndarray, shape (nmax+1,) + shape(z)
     """
     h, hp = h_orders(nmax, z)
-    zarr = np.atleast_1d(np.asarray(z, dtype=complex))
-    j = special.jv(np.arange(nmax + 2.0)[:, None], zarr[None, :])
-    if not np.all(np.isfinite(j)):
-        raise OverflowGuardError("Bessel evaluation overflowed the representable range")
-    j, jp = _with_derivatives(j, nmax, z)
+    j, jp = j_orders(nmax, z)
     return j, h, jp, hp
 
 

@@ -27,7 +27,8 @@ from .errors import DomainError, FitError
 from .frequencies import OMEGA_A, SpectralPoint
 from .green_vacuum import green_vacuum_cyl, green_vacuum_im_coincident
 from .green_wire import (_MIRROR, DEFAULT_NMAX, SpectralEvaluator, WireGeometry,
-                         WireSpectralTable, plasmon_wavenumber, settle_azimuthal_order)
+                         WireSpectralTable, imag_axis_tables, plasmon_wavenumber,
+                         settle_azimuthal_order)
 from .quadrature import _GL_X, _NPTS, _PROJ
 
 _P_EVEN = _MIRROR.ravel() > 0   # components the -kz mirror keeps
@@ -222,35 +223,55 @@ class PairInteraction:
                 "resonant_tensor_err": err12 + err11,
                 "kappa_err": ierr,
                 "kappa_nodes": self._kappa_engine.n_nodes,
+                "kappa_tail_ratio": self._kappa_engine.tail_ratio,
                 "nmax": self.nmax,
             },
         )
 
 
-def _kappa_table_job(job):
-    """Build one frozen imaginary-frequency spectral table.
+def _kappa_panel_job(job):
+    """The kz tables of one t panel's 16 kappa nodes, built in lockstep
+    (``imag_axis_tables``) and folded into flat-table rows.
 
-    Module-level with picklable arguments and result, so sweep drivers can
-    run it in worker processes; identical arithmetic regardless of worker
-    count keeps outputs bit-reproducible.
+    The shift needs only the real part of the tensor.  With m the phase
+    moments times half e^{i dz mid}, a kz panel with +kz coefficients C and
+    mirror sign P contributes Re(m C + conj(m) P C): 2 Re m Re C where P = +1
+    and -2 Im m Im C where P = -1, so the rows hold 2 Re C and -2 Im C there,
+    times the node's substitution weight.  Returns (halves, mids, real
+    coefficients (rows, 16, 9), kz panels per node, largest azimuthal tail
+    ratio).  Module-level with picklable arguments and result, so sweep
+    drivers can run it in worker processes; the arithmetic is the same for
+    any worker count, which keeps outputs bit-reproducible.
     """
-    geom, rho, kappa, tol, nmax = job
-    return WireSpectralTable(geom, SpectralPoint.imaginary_axis(kappa), rho, rho, 0.0,
-                             nmax=nmax, tol=tol, budget=30000).frozen()
+    geom, rho, kappas, weights, tol, nmax = job
+    tables = imag_axis_tables(geom, kappas, rho, rho, 0.0, nmax=nmax, tol=tol,
+                              budget=30000)
+    coefs = np.concatenate([
+        np.where(_P_EVEN, 2.0 * tab.coefs.real, -2.0 * tab.coefs.imag) * w
+        for tab, w in zip(tables, weights)])
+    return (np.concatenate([tab.halves for tab in tables]),
+            np.concatenate([tab.mids for tab in tables]), coefs,
+            np.array([len(tab.halves) for tab in tables]),
+            max(tab.tail_ratio for tab in tables))
 
 
 class _ImagAxisEngine:
     """t-substituted imaginary-axis integral over one flat kz-panel table.
 
     Panels live in t = kappa / (omega_a + kappa); each Gauss node carries a
-    kz table at i*kappa(t), built by ``_kappa_table_job``.  The integral is
-    linear in the tables, so every node's table is multiplied by its
-    substitution weight and all of them are held as one flat table: kz
-    half-widths and midpoints, coefficients, and the offset where each
-    node's kz panels start.  One pass over it gives every node's weighted
-    tensor at a separation.  Refinement is driven by the Legendre-coefficient
-    decay of that weighted integrand at a few reference separations, which
-    bounds the error for every separation.
+    kz table at i*kappa(t).  The integral is linear in the tables, so every
+    node's table is multiplied by its substitution weight and all of them
+    are held as one flat table: kz half-widths and midpoints, coefficients,
+    and the offset where each node's kz panels start.  One pass over it
+    gives every node's weighted tensor at a separation.  Refinement is driven
+    by the Legendre-coefficient decay of that weighted integrand at a few
+    reference separations, which bounds the error for every separation.
+
+    A t panel is the unit of work: ``_kappa_panel_job`` builds its 16 node
+    tables in lockstep and returns them as flat rows, and ``parallel`` (a
+    map) spreads the panels of one build step over worker processes.
+    ``tail_ratio`` is the largest azimuthal tail ratio of the kappa tables
+    in the integral; it is recorded, not tested.
     """
 
     def __init__(self, geom, rho, omega_a, *, tol, nmax, dz_refs,
@@ -267,6 +288,7 @@ class _ImagAxisEngine:
         self.n_nodes = 0
         self._parallel = parallel
         self.panels = []    # (a, b) per t panel, in flat-table order
+        self._tails = []    # largest kappa-table tail ratio per t panel
         # the flat table; node i's kz panels are rows starts[i]:starts[i+1]
         self._halves = np.empty(0)
         self._mids = np.empty(0)
@@ -276,57 +298,42 @@ class _ImagAxisEngine:
         self._coincident = None
         seeds = [0.0, 2e-3, 1e-2, 0.04, 0.12, 0.25, 0.45, 0.65, 0.82, 0.93]
         breaks = sorted({t for t in seeds if t < self.t_cut} | {self.t_cut})
-        self._splice(None, [self._build_panel(a, b)
-                            for a, b in zip(breaks[:-1], breaks[1:])])
+        self._splice(None, self._build_panels(list(zip(breaks[:-1], breaks[1:]))))
         self._refine(dz_refs)
 
-    def _build_tables(self, kappas):
-        jobs = [(self.geom, self.rho, float(k), self.tol, self.nmax) for k in kappas]
-        if self._parallel is not None:
-            return list(self._parallel(_kappa_table_job, jobs))
-        return [_kappa_table_job(job) for job in jobs]
+    def _build_panels(self, intervals):
+        """The node tables of the t panels ``intervals`` as flat-table rows,
+        one ``_kappa_panel_job`` per panel: [((a, b), [halves, mids, coefs,
+        kz panels per node], tail ratio), ...]."""
+        jobs = []
+        for a, b in intervals:
+            half, mid = 0.5 * (b - a), 0.5 * (b + a)
+            kap, weight = quadrature.t_substitution(mid + half * _GL_X, self.w)
+            jobs.append((self.geom, self.rho, kap, weight, self.tol, self.nmax))
+        run = self._parallel or (lambda fn, xs: [fn(x) for x in xs])
+        self.n_nodes += _NPTS * len(jobs)
+        return [(ab, rows, tail)
+                for ab, (*rows, tail) in zip(intervals, run(_kappa_panel_job, jobs))]
 
-    def _build_panel(self, a, b):
-        """The node tables of t panel [a, b] as flat-table rows:
-        ((a, b), [halves, mids, coefs, kz panels per node]).
-
-        Each table is weighted as it is copied in and then released, so no
-        more than one panel's tables are alive at a time.  The shift needs
-        only the real part of the tensor.  With m the phase moments times
-        half e^{i dz mid}, a kz panel with +kz coefficients C and mirror sign
-        P contributes Re(m C + conj(m) P C): 2 Re m Re C where P = +1 and
-        -2 Im m Im C where P = -1, so the rows hold 2 Re C and -2 Im C there.
-        """
-        half, mid = 0.5 * (b - a), 0.5 * (b + a)
-        kap, weight = quadrature.t_substitution(mid + half * _GL_X, self.w)
-        tables = self._build_tables(kap)
-        self.n_nodes += len(kap)
-        halves = np.concatenate([tab.halves for tab in tables])
-        mids = np.concatenate([tab.mids for tab in tables])
-        sizes = np.array([len(tab.halves) for tab in tables])
-        coefs = np.empty((len(halves), _NPTS, 9))
-        row = 0
-        for i, w in enumerate(weight):
-            c, tables[i] = tables[i].coefs, None
-            coefs[row:row + len(c)] = np.where(_P_EVEN, 2.0 * c.real, -2.0 * c.imag) * w
-            row += len(c)
-        return (a, b), [halves, mids, coefs, sizes]
+    @property
+    def tail_ratio(self):
+        return max(self._tails)
 
     def _splice(self, drop, built):
         """Replace t panel ``drop`` (None: none) of the flat table by the
-        ``built`` panels (from ``_build_panel``), appended at the end.  Each
+        ``built`` panels (from ``_build_panels``), appended at the end.  Each
         built panel's rows are released once copied."""
         n = len(self._halves)
         lo = hi = n                     # rows of the dropped panel
         starts = self._starts
         if drop is not None:
-            del self.panels[drop]
+            del self.panels[drop], self._tails[drop]
             n0 = _NPTS * drop
             lo = starts[n0]
             hi = starts[n0 + _NPTS] if n0 + _NPTS < len(starts) else n
             starts = np.concatenate([starts[:n0], starts[n0 + _NPTS:] - (hi - lo)])
         row = n - (hi - lo)
-        size = row + sum(len(rows[0]) for _, rows in built)
+        size = row + sum(len(rows[0]) for _, rows, _ in built)
         flat = []
         for old in (self._halves, self._mids, self._coefs):
             new = np.empty((size,) + old.shape[1:])
@@ -335,7 +342,7 @@ class _ImagAxisEngine:
             flat.append(new)
         self._halves, self._mids, self._coefs = flat
         starts = [starts]
-        for ab, rows in built:
+        for ab, rows, tail in built:
             sizes = rows.pop()
             for new, part in zip(flat, rows):
                 new[row:row + len(part)] = part
@@ -343,6 +350,7 @@ class _ImagAxisEngine:
             starts.append(row + np.cumsum(sizes) - sizes)
             row += sizes.sum()
             self.panels.append(ab)
+            self._tails.append(tail)
         self._starts = np.concatenate(starts)
 
     def _pass(self, dz):
@@ -370,7 +378,7 @@ class _ImagAxisEngine:
             i = int(np.argmax(errs))
             a, b = self.panels[i]
             m = 0.5 * (a + b)
-            self._splice(i, [self._build_panel(a, m), self._build_panel(m, b)])
+            self._splice(i, self._build_panels([(a, m), (m, b)]))
 
     def integral_tensor(self, dz):
         if dz == 0.0 and self._coincident is not None:

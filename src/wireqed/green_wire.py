@@ -40,12 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import N_MAX, h_orders, jh_orders, safe_min_arg
+from .bessel import N_MAX, h_orders, j_orders, jh_orders, safe_min_arg
 from .errors import ConvergenceError, DomainError, FitError, OverflowGuardError
 from .frequencies import SpectralPoint, as_spectral_point
 from .green_vacuum import DyadicGreen
 from .material import DrudeModel, permittivity
-from .quadrature import QuadratureReport, build_spectral_panels, panel_integral
+from .quadrature import (QuadratureReport, build_spectral_panel_sets,
+                         build_spectral_panels, panel_integral)
 
 DEFAULT_NMAX = 15
 TAIL_TOL = 1e-10   # largest |n| = nmax term, relative to the spectrum's scale
@@ -80,12 +81,16 @@ def _radial_wavenumber(k2, kz):
 
 
 class SpectralEvaluator:
-    """Vectorized scattered-spectrum evaluation at fixed geometry and frequency.
+    """Vectorized scattered-spectrum evaluation at fixed geometry.
 
-    Calling with an array of nonnegative kz nodes returns the tensor
-    integrand at +kz, shape (n_nodes, 3, 3), in the local cylindrical bases
-    of the two points; the -kz spectrum is _MIRROR times it.  The
-    exp(i kz dz) phase and the kz integral itself belong to the caller.
+    ``s`` is one spectral point or a list of them.  Calling with an array of
+    nonnegative kz nodes returns the tensor integrand at +kz, shape
+    (n_nodes, 3, 3), in the local cylindrical bases of the two points; the
+    -kz spectrum is _MIRROR times it.  With several points, ``which`` gives
+    each node's point by index (default: the first), so spectra at several
+    frequencies share one call; node by node the arithmetic is that of a
+    one-point evaluator.  The exp(i kz dz) phase and the kz integral itself
+    belong to the caller.
 
     Each node is solved once and assembled once, over the orders 0..nmax;
     the module docstring gives the two symmetries that supply the negative
@@ -99,16 +104,17 @@ class SpectralEvaluator:
         if min(rho1, rho2) <= geom.radius:
             raise DomainError("both points must lie outside the wire")
         self.geom = geom
-        self.s = as_spectral_point(s)
+        points = [as_spectral_point(p) for p in (s if isinstance(s, list) else [s])]
         self.rho1 = float(rho1)
         self.rho2 = float(rho2)
         self.dphi = float(dphi)
         self.nmax = int(nmax)
-        self.eps2 = permittivity(geom.model, self.s)
-        self.k1 = self.s.value
-        self.k2 = self.s.value * np.sqrt(self.eps2 + 0j)
-        self._tail_abs = 0.0   # largest |n| = nmax term seen anywhere
-        self._scale = 0.0      # largest |tensor| seen anywhere
+        # per point: permittivity, wavenumbers outside and inside the wire
+        self.eps2 = np.array([permittivity(geom.model, p) for p in points])
+        self.k1 = np.array([p.value for p in points])
+        self.k2 = self.k1 * np.sqrt(self.eps2 + 0j)
+        self._tail_abs = np.zeros(len(points))   # largest |n| = nmax term per point
+        self._scale = np.zeros(len(points))      # largest |tensor| per point
 
         # the +n and -n terms folded onto order n: 2 cos(n dphi) on the
         # components even under _SIGMA, 2i sin(n dphi) on the odd ones
@@ -117,24 +123,32 @@ class SpectralEvaluator:
         self._weights = np.where(_SIGMA > 0, even, 2j * np.sin(n * self.dphi))  # (N, 3, 3)
 
     @property
-    def tail_ratio(self):
-        """|n| = nmax contribution relative to the spectrum's global scale.
+    def tail_ratios(self):
+        """Per point: the |n| = nmax contribution relative to that spectrum's
+        global scale.
 
         Relative-to-local-sum ratios are meaningless deep in the evanescent
         tail where the tensor underflows; what matters for the integral is
         the edge term against the dominant part of the spectrum.
         """
-        return self._tail_abs / self._scale if self._scale > 0 else 0.0
+        seen = self._scale > 0
+        return np.where(seen, self._tail_abs / np.where(seen, self._scale, 1.0), 0.0)
+
+    @property
+    def tail_ratio(self):
+        """The largest of ``tail_ratios``."""
+        return float(self.tail_ratios.max())
 
     @property
     def tail_ok(self):
         """The truncation test: edge term at most TAIL_TOL of the scale."""
         return self.tail_ratio <= TAIL_TOL
 
-    def _ladders(self, kz):
+    def _ladders(self, kz, which=0):
         a = self.geom.radius
-        eta1 = _radial_wavenumber(self.k1**2, kz)
-        eta2 = _radial_wavenumber(self.k2**2, kz)
+        k1, k2 = self.k1[which], self.k2[which]
+        eta1 = _radial_wavenumber(k1**2, kz)
+        eta2 = _radial_wavenumber(k2**2, kz)
         # Nodes too close to the branch point are poison twice over: the
         # high-order ladder overflows (H_n ~ (2/eta a)^n), and the solved
         # reflection amplitudes scale as eta1^2 so roundoff in them is
@@ -144,22 +158,23 @@ class SpectralEvaluator:
         # at the 1e-10 level.  The clamp bounds the amplification, it does
         # not remove it: a clamped node at kz = k is still off by about 1e-3
         # of its own size against a 60-digit evaluation of the same node.
-        floor = max(safe_min_arg(self.nmax + 1) / a,
-                    1e-3 * max(abs(self.k1), 1.0), 1e-12)
+        abs_k1 = np.abs(k1)
+        floor = np.maximum(np.maximum(safe_min_arg(self.nmax + 1) / a,
+                                      1e-3 * np.maximum(abs_k1, 1.0)), 1e-12)
         bad = np.abs(eta1) < floor
         if np.any(bad):
             # constant directional clamp: propagating side stays real, the
             # evanescent side stays on +i, so panels inside the window see a
             # flat function instead of noise
-            direction = np.where(np.abs(kz) <= abs(self.k1), 1.0 + 0j, 1j)
+            direction = np.where(np.abs(kz) <= abs_k1, 1.0 + 0j, 1j)
             eta1 = np.where(bad, floor * direction, eta1)
-        # J and H at the surface in one ladder call; H alone at eta1 rho (once
-        # when rho1 = rho2), where J would overflow first in the evanescent tail
+        # J and H outside the surface, J alone inside it; H alone at eta1 rho
+        # (once when rho1 = rho2), where J would overflow first in the
+        # evanescent tail
         K = kz.size
         rhos = (self.rho1,) if self.rho2 == self.rho1 else (self.rho1, self.rho2)
-        j, h, jp, hp = jh_orders(self.nmax, np.concatenate([eta1 * a, eta2 * a]))
-        j1a, h1a, j1ap, h1ap = j[:, :K], h[:, :K], jp[:, :K], hp[:, :K]
-        j2a, j2ap = j[:, K:], jp[:, K:]
+        j1a, h1a, j1ap, h1ap = jh_orders(self.nmax, eta1 * a)
+        j2a, j2ap = j_orders(self.nmax, eta2 * a)
         hr, hrp = h_orders(self.nmax, np.concatenate([eta1 * r for r in rhos]))
         hr1, hr1p = hr[:, :K], hrp[:, :K]
         hr2, hr2p = (hr[:, K:], hrp[:, K:]) if len(rhos) == 2 else (hr1, hr1p)
@@ -175,7 +190,7 @@ class SpectralEvaluator:
         wall = (h1ap / h1a, j2ap / j2a, j1a / m, j1ap / m)
         return eta1, eta2, wall, (hr1 / h1a * m, hr1p / h1a * m, hr2, hr2p)
 
-    def _solve(self, kz_signed, eta1, eta2, wall):
+    def _solve(self, kz_signed, eta1, eta2, wall, which=0):
         """Scaled reflection coefficients for orders 0..nmax at signed kz.
 
         Returns array (K, nmax+1, 2, 2): [[R_MM, R_MN], [R_NM, R_NN]] times
@@ -190,7 +205,7 @@ class SpectralEvaluator:
         """
         uH, uJ, q, qp = (x.T for x in wall)  # (K, n)
         a = self.geom.radius
-        k1, k2 = self.k1, self.k2
+        k1, k2 = self.k1[which][..., None], self.k2[which][..., None]
         nn = np.arange(self.nmax + 1)[None, :]
         e1 = np.asarray(eta1)[:, None]
         e2 = np.asarray(eta2)[:, None]
@@ -212,41 +227,46 @@ class SpectralEvaluator:
         R[..., 1, 1] = (A00 * bN1 + c2k * q) * inv_det            # R_NN
         return R
 
-    def __call__(self, kz_nodes):
+    def __call__(self, kz_nodes, which=0):
         kz = np.asarray(kz_nodes, float)
         if np.any(kz < 0.0):
             raise DomainError("evaluator nodes must be nonnegative; signs are internal")
-        eta1, eta2, wall, outside = self._ladders(kz)
-        R = self._solve(kz, eta1, eta2, wall).transpose(1, 0, 2, 3)  # (N, K, 2, 2)
+        which = np.broadcast_to(which, kz.shape)
+        eta1, eta2, wall, outside = self._ladders(kz, which)
+        R = self._solve(kz, eta1, eta2, wall, which).transpose(1, 0, 2, 3)  # (N, K, 2, 2)
         hr1, hr1p, hr2, hr2p = outside           # (N, K), orders 0..nmax
         n = np.arange(self.nmax + 1)[:, None]
         kzn, e1, zero = kz[None, :], eta1[None, :], np.zeros_like(hr1)
+        k1 = self.k1[which]
 
         M1 = np.stack([1j * n / self.rho1 * hr1, -e1 * hr1p, zero])      # (3, N, K)
-        N1 = np.stack([1j * kzn * e1 * hr1p / self.k1,
-                       -n * kzn * hr1 / (self.k1 * self.rho1), e1**2 * hr1 / self.k1])
+        N1 = np.stack([1j * kzn * e1 * hr1p / k1,
+                       -n * kzn * hr1 / (k1 * self.rho1), e1**2 * hr1 / k1])
         Mt = np.stack([-1j * n / self.rho2 * hr2, -e1 * hr2p, zero])
-        Nt = np.stack([-1j * kzn * e1 * hr2p / self.k1,
-                       -n * kzn * hr2 / (self.k1 * self.rho2), e1**2 * hr2 / self.k1])
+        Nt = np.stack([-1j * kzn * e1 * hr2p / k1,
+                       -n * kzn * hr2 / (k1 * self.rho2), e1**2 * hr2 / k1])
         VM = R[..., 0, 0] * M1 + R[..., 1, 0] * N1
         VN = R[..., 0, 1] * M1 + R[..., 1, 1] * N1
+        del M1, N1
 
-        # B_n: the order-n term at +kz without its azimuthal phase
+        # B_n: the order-n term at +kz without its azimuthal phase, built in
+        # place to hold fewer (N, K, 3, 3) arrays at once
         pref = (1j / (8.0 * np.pi)) / eta1**2
-        B = (np.einsum("ink,jnk->nkij", VM, Mt)
-             + np.einsum("ink,jnk->nkij", VN, Nt)) * pref[None, :, None, None]
-        B = B * self._monotone_mask(B, eta1)[:, :, None, None]
+        B = np.einsum("ink,jnk->nkij", VM, Mt)
+        B += np.einsum("ink,jnk->nkij", VN, Nt)
+        B *= pref[None, :, None, None]
+        B *= self._monotone_mask(B, eta1, np.abs(k1))[:, :, None, None]
         T = np.einsum("nkij,nij->kij", B, self._weights)
 
-        self._tail_abs = max(self._tail_abs, float(np.max(np.abs(B[-1]))))
-        self._scale = max(self._scale, float(np.max(np.abs(T))))
+        np.maximum.at(self._tail_abs, which, np.abs(B[-1]).max(axis=(1, 2)))
+        np.maximum.at(self._scale, which, np.abs(T).max(axis=(1, 2)))
         if not np.all(np.isfinite(T)):
             raise OverflowGuardError(
                 "spectral tensor evaluation lost finiteness; the requested "
                 "(geometry, frequency, kz) reach beyond the representable range")
         return T
 
-    def _monotone_mask(self, B, eta1):
+    def _monotone_mask(self, B, eta1, abs_k1):
         """Suppress azimuthal orders past the roundoff floor near the
         branch ring; (N, K) keep-mask over orders 0..nmax.
 
@@ -260,7 +280,7 @@ class SpectralEvaluator:
         touched -- amputating a resonance would break causality.
         """
         nmax1 = self.nmax + 1
-        ring = np.abs(eta1) < 0.03 * max(abs(self.k1), 1.0)
+        ring = np.abs(eta1) < 0.03 * np.maximum(abs_k1, 1.0)
         if not np.any(ring):
             return np.ones((nmax1, eta1.size), bool)
         # the profile of order |n| sums the +n and -n terms, equal in size
@@ -481,8 +501,7 @@ def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
 
 @dataclass
 class FrozenSpectralTable:
-    """Plain-array snapshot of a spectral table; picklable, so quadrature
-    drivers can fan table construction out to worker processes."""
+    """Plain-array spectral table, as ``imag_axis_tables`` builds them."""
 
     halves: np.ndarray        # (P,)
     mids: np.ndarray          # (P,)
@@ -491,6 +510,7 @@ class FrozenSpectralTable:
     tail_bound: float
     panels_ok: bool
     nodes_used: int
+    tail_ratio: float         # azimuthal tail, as WireSpectralTable.tail_ratio
 
     def integrate(self, dz: float):
         """(3x3 tensor, abs error) of int_{-inf}^{inf} G~(kz) e^{i kz dz} dkz."""
@@ -502,9 +522,10 @@ class FrozenSpectralTable:
 class WireSpectralTable:
     """Frozen kz-panel tabulation of a scattered spectrum at one frequency.
 
-    The one table builder: pole seeding ("auto": the guided plasmon at real
-    frequencies), kz window, order-``nmax`` evaluator and panels, with the
-    tail blocks judged at separation ``phase_ref``.  The azimuthal tail is
+    Pole seeding ("auto": the guided plasmon at real frequencies), kz
+    window, order-``nmax`` evaluator and panels, with the tail blocks judged
+    at separation ``phase_ref``; ``imag_axis_tables`` builds many tables at
+    imaginary frequencies with the same steps.  The azimuthal tail is
     recorded (``tail_ratio``, ``tail_ok``), not acted on.
 
     Build once, then ``integrate(dz)`` for any number of separations: the
@@ -539,9 +560,23 @@ class WireSpectralTable:
         vec = self._ps.integral(float(dz))
         return vec.reshape(3, 3), self._ps.err + self.tail_bound
 
-    def frozen(self) -> FrozenSpectralTable:
-        halves, mids, coefs = self._ps._freeze()
-        return FrozenSpectralTable(
-            halves=halves, mids=mids, coefs=coefs, panel_err=self._ps.err,
-            tail_bound=self.tail_bound, panels_ok=self.panels_ok,
-            nodes_used=self.nodes_used)
+
+def imag_axis_tables(geom: WireGeometry, kappas, rho1, rho2, dphi, *, nmax, tol, budget):
+    """The WireSpectralTable of every imaginary frequency i*kappa, built in
+    lockstep, as FrozenSpectralTables.
+
+    Each table takes exactly the panel steps it would take alone, and each
+    step evaluates the nodes of every table still running in one call of one
+    evaluator over all the frequencies (``build_spectral_panel_sets``), so a
+    table equals the one WireSpectralTable builds at the same arguments.
+    """
+    points = [SpectralPoint.imaginary_axis(k) for k in kappas]
+    windows = [_k_window(geom, p, rho1, rho2, None) for p in points]
+    evaluator = SpectralEvaluator(geom, points, rho1, rho2, dphi, nmax=nmax)
+    built = build_spectral_panel_sets(
+        evaluator, [(k_start, None, None) for k_start, _, _ in windows], tol=tol,
+        mirror=_MIRROR.ravel(), tail_scale=windows[0][1], budget=budget)
+    return [FrozenSpectralTable(*ps._freeze(), panel_err=ps.err, tail_bound=float(bound),
+                                panels_ok=bool(ok), nodes_used=ps.nodes_used,
+                                tail_ratio=float(ratio))
+            for (ps, bound, ok), ratio in zip(built, evaluator.tail_ratios)]

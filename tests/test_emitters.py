@@ -9,7 +9,7 @@ from wireqed.emitters import (EmitterPair, PairInteraction, RateShiftResult,
                               analytic_approximations, decay_rates, dicke_levels,
                               dipole_shift, fit_plasmon_lorentzian, fit_two_lorentzian,
                               markov_diagnostic, LorentzianFit)
-from wireqed.green_wire import SpectralEvaluator
+from wireqed.green_wire import SpectralEvaluator, WireSpectralTable
 from wireqed.quadrature import _GL_X, _PROJ
 
 
@@ -89,20 +89,25 @@ class TestPairInteraction:
 
 def test_kappa_bisection_matches_per_table_oracle(default_geom):
     # a tight tolerance and a budget for exactly one split force _refine to
-    # bisect a t panel, which splices the flat kappa table
-    tables = {}
-
-    def recording_map(fn, jobs):
-        out = [fn(job) for job in jobs]
-        tables.update((job[2], tab) for job, tab in zip(jobs, out))
-        return out
-
+    # bisect a t panel, which splices the flat kappa table; the oracle builds
+    # every node's kz table alone
     pair = EmitterPair((0.03, 0.0, 0.0), (0.03, 0.0, 0.02))
-    engine = PairInteraction(default_geom, pair, tol=1e-8, nmax=8, kappa_budget=12,
-                             dz_refs=(0.0, 0.02, 8.0),
-                             parallel=recording_map)._kappa_engine
+    interaction = PairInteraction(default_geom, pair, tol=1e-8, nmax=8, kappa_budget=12,
+                                  dz_refs=(0.0, 0.02, 8.0))
+    engine = interaction._kappa_engine
     assert engine.n_nodes > 160
     w = engine.w
+    tables = {}
+    for a, b in engine.panels:
+        t = 0.5 * (b + a) + 0.5 * (b - a) * _GL_X
+        for k in w * t / (1.0 - t):
+            tables[float(k)] = WireSpectralTable(
+                default_geom, SpectralPoint.imaginary_axis(k), 0.03, 0.03, 0.0, nmax=8,
+                tol=1e-8, budget=30000)
+    # the recorded azimuthal tail is the largest of the tables in the integral
+    tail = max(tab.tail_ratio for tab in tables.values())
+    assert engine.tail_ratio == tail > 0.0
+    assert interaction.at(0.5).diagnostics["kappa_tail_ratio"] == tail
     for dz in (0.0, 0.02, 1.3, 8.0):
         # the weighted tensor node by node, then Legendre coefficients per panel
         total, err = np.zeros(9), 0.0

@@ -339,8 +339,8 @@ def test_ring_mask_node_matches_signed_order_sum(monkeypatch, side):
     masks = []
     mask = SpectralEvaluator._monotone_mask
 
-    def recorded(self, B, eta1):
-        masks.append(mask(self, B, eta1))
+    def recorded(self, B, eta1, abs_k1):
+        masks.append(mask(self, B, eta1, abs_k1))
         return masks[-1]
 
     monkeypatch.setattr(SpectralEvaluator, "_monotone_mask", recorded)
@@ -348,3 +348,91 @@ def test_ring_mask_node_matches_signed_order_sum(monkeypatch, side):
     assert 0 < masks[0].sum() < ev.nmax + 1
     want, _ = _signed_order_reference(ev, kz)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("s, kz", [
+    (REAL, np.array([0.3, 1.0, 2.5, 20.0]) * OMEGA_A),
+    # kz = k sits on the branch point, where eta1 is clamped to the floor
+    (IMAG, np.array([0.0, 0.5, 1.0, 4.0, 60.0]) * OMEGA_A),
+    (REAL, np.array([OMEGA_A])),
+], ids=["real", "imag", "branch_floor"])
+def test_ladders_match_one_call_at_both_surface_arguments(default_geom, s, kz):
+    # the J and H ladders at eta1 a and the J ladder at eta2 a, bit for bit as
+    # the slices of one jh_orders call on the concatenated surface arguments
+    from wireqed.bessel import h_orders, jh_orders
+    ev = SpectralEvaluator(default_geom, s, 0.015, 0.03, 0.7, nmax=40)
+    eta1, eta2, wall, outside = ev._ladders(kz)
+    a, K = default_geom.radius, kz.size
+    j, h, jp, hp = jh_orders(ev.nmax, np.concatenate([eta1 * a, eta2 * a]))
+    m = np.maximum(np.abs(j[:, :K]), np.abs(jp[:, :K]))
+    want = (hp[:, :K] / h[:, :K], jp[:, K:] / j[:, K:], j[:, :K] / m, jp[:, :K] / m)
+    for got, ref in zip(wall, want):
+        np.testing.assert_array_equal(got, ref)
+    hr, hrp = h_orders(ev.nmax, np.concatenate([eta1 * 0.015, eta1 * 0.03]))
+    want = (hr[:, :K] / h[:, :K] * m, hrp[:, :K] / h[:, :K] * m, hr[:, K:], hrp[:, K:])
+    for got, ref in zip(outside, want):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_multi_frequency_evaluator_matches_one_frequency_evaluators(default_geom):
+    # one call over nodes of several imaginary frequencies, interleaved,
+    # against one evaluator per frequency on that frequency's nodes
+    kappas = [1e-3, 0.4, OMEGA_A, 40.0]
+    points = [SpectralPoint.imaginary_axis(k) for k in kappas]
+    rng = np.random.default_rng(3)
+    kz = np.concatenate([[0.0, k] for k in kappas] + [rng.uniform(0.0, 400.0, 60)])
+    which = np.concatenate([[i, i] for i in range(len(kappas))]
+                           + [rng.integers(0, len(kappas), 60)])
+    multi = SpectralEvaluator(default_geom, points, 0.015, 0.03, 0.7, nmax=40)
+    got = multi(kz, which)
+    for i, p in enumerate(points):
+        one = SpectralEvaluator(default_geom, p, 0.015, 0.03, 0.7, nmax=40)
+        want = one(kz[which == i])
+        assert np.abs(got[which == i] - want).max() <= 1e-14 * np.abs(want).max()
+        assert multi.tail_ratios[i] == one.tail_ratio
+    assert multi.tail_ratio == max(multi.tail_ratios)
+
+
+def _t_panel_kappas(a, b):
+    from wireqed.quadrature import _GL_X, t_substitution
+    return t_substitution(0.5 * (b + a) + 0.5 * (b - a) * _GL_X, OMEGA_A)[0]
+
+
+@pytest.mark.parametrize("t_panel, budget", [
+    ((0.0, 2e-3), 30000),    # small kappa: the tables stop after 16 to 27 steps
+    ((0.93, 0.99), 30000),
+    ((0.0, 2e-3), 700),      # the third table runs out of nodes
+], ids=["small_kappa", "large_kappa", "budget"])
+def test_lockstep_tables_match_tables_built_alone(default_geom, monkeypatch, t_panel,
+                                                  budget):
+    from wireqed.green_wire import WireSpectralTable, imag_axis_tables
+    from wireqed.quadrature import NODE_CAP
+    kappas = _t_panel_kappas(*t_panel)
+    calls = []
+    call = SpectralEvaluator.__call__
+
+    def recorded(self, kz, which=0):
+        calls.append(len(kz))
+        return call(self, kz, which)
+
+    monkeypatch.setattr(SpectralEvaluator, "__call__", recorded)
+    together = imag_axis_tables(default_geom, kappas, 0.015, 0.015, 0.0, nmax=8, tol=1e-6,
+                                budget=budget)
+    assert max(calls) <= NODE_CAP
+    steps, oks = [], []
+    for kappa, got in zip(kappas, together):
+        calls.clear()
+        alone = WireSpectralTable(default_geom, SpectralPoint.imaginary_axis(kappa), 0.015,
+                                  0.015, 0.0, nmax=8, tol=1e-6, budget=budget)
+        steps.append(len(calls))
+        oks.append(alone.panels_ok)
+        halves, mids, coefs = alone._ps._freeze()
+        np.testing.assert_array_equal(got.halves, halves)
+        np.testing.assert_array_equal(got.mids, mids)
+        assert np.abs(got.coefs - coefs).max() <= 1e-14 * np.abs(coefs).max()
+        assert (got.nodes_used, got.panel_err, got.tail_bound, got.panels_ok,
+                got.tail_ratio) == (alone.nodes_used, alone._ps.err, alone.tail_bound,
+                                    alone.panels_ok, alone.tail_ratio)
+    if t_panel[0] == 0.0:
+        assert len(set(steps)) > 1
+    assert oks.count(False) == (1 if budget == 700 else 0)
