@@ -176,21 +176,12 @@ class PairInteraction:
         self.nmax = nmax
         self.table_res = WireSpectralTable(geom, point, rho, rho, 0.0, nmax=nmax, tol=tol)
         self._real_ok = self.table_res.panels_ok and self.table_res.tail_ok
-        self._res_coincident = None
 
         self._kappa_engine = _ImagAxisEngine(
             geom, rho, w, tol=tol, nmax=nmax,
             dz_refs=tuple(dz_refs), table_budget=kappa_budget, parallel=parallel)
-
-    # -- pieces ---------------------------------------------------------
-
-    def medium_tensor_resonant(self, dz):
-        """G^med(r1, r2, omega_a) in cylindrical components, plus error."""
-        if dz == 0.0:
-            if self._res_coincident is None:
-                self._res_coincident = self.table_res.integrate(0.0)
-            return self._res_coincident
-        return self.table_res.integrate(dz)
+        # G^med(r1, r1, omega_a) and its error, which every row reads
+        self._res_coincident = self.table_res.integrate(0.0)
 
     def at(self, dz: float) -> RateShiftResult:
         w = self.omega_a
@@ -198,8 +189,8 @@ class PairInteraction:
         d1 = np.asarray(pair.dipole_1, float)
         d2 = np.asarray(pair.dipole_2, float)
 
-        gmed_12, err12 = self.medium_tensor_resonant(dz)
-        gmed_11, err11 = self.medium_tensor_resonant(0.0)
+        gmed_12, err12 = self.table_res.integrate(dz)
+        gmed_11, err11 = self._res_coincident
 
         # vacuum tensor taken from r1 toward r2
         gamma11, gamma12 = _rates(w, gmed_11, gmed_12, (self.rho, 0.0, 0.0),
@@ -239,9 +230,10 @@ def _kappa_panel_job(job):
     and -2 Im m Im C where P = -1, so the rows hold 2 Re C and -2 Im C there,
     times the node's substitution weight.  Returns (halves, mids, real
     coefficients (rows, 16, 9), kz panels per node, largest azimuthal tail
-    ratio).  Module-level with picklable arguments and result, so sweep
-    drivers can run it in worker processes; the arithmetic is the same for
-    any worker count, which keeps outputs bit-reproducible.
+    ratio, whether every table stayed within its node budget).  Module-level
+    with picklable arguments and result, so sweep drivers can run it in
+    worker processes; the arithmetic is the same for any worker count, which
+    keeps outputs bit-reproducible.
     """
     geom, rho, kappas, weights, tol, nmax = job
     tables = imag_axis_tables(geom, kappas, rho, rho, 0.0, nmax=nmax, tol=tol,
@@ -252,7 +244,7 @@ def _kappa_panel_job(job):
     return (np.concatenate([tab.halves for tab in tables]),
             np.concatenate([tab.mids for tab in tables]), coefs,
             np.array([len(tab.halves) for tab in tables]),
-            max(tab.tail_ratio for tab in tables))
+            max(tab.tail_ratio for tab in tables), all(tab.panels_ok for tab in tables))
 
 
 class _ImagAxisEngine:
@@ -262,7 +254,8 @@ class _ImagAxisEngine:
     kz table at i*kappa(t).  The integral is linear in the tables, so every
     node's table is multiplied by its substitution weight and all of them
     are held as one flat table: kz half-widths and midpoints, coefficients,
-    and the offset where each node's kz panels start.  One pass over it
+    and the offset where each node's kz panels start, laid end to end from
+    one block per t panel.  One pass over it
     gives every node's weighted tensor at a separation.  Refinement is driven
     by the Legendre-coefficient decay of that weighted integrand at a few
     reference separations, which bounds the error for every separation.
@@ -271,7 +264,8 @@ class _ImagAxisEngine:
     tables in lockstep and returns them as flat rows, and ``parallel`` (a
     map) spreads the panels of one build step over worker processes.
     ``tail_ratio`` is the largest azimuthal tail ratio of the kappa tables
-    in the integral; it is recorded, not tested.
+    in the integral; it is recorded, not tested.  A table out of its node
+    budget clears ``panels_ok``, which ``integrals`` reports as unconverged.
     """
 
     def __init__(self, geom, rho, omega_a, *, tol, nmax, dz_refs,
@@ -287,24 +281,17 @@ class _ImagAxisEngine:
         self.table_budget = table_budget
         self.n_nodes = 0
         self._parallel = parallel
-        self.panels = []    # (a, b) per t panel, in flat-table order
-        self._tails = []    # largest kappa-table tail ratio per t panel
-        # the flat table; node i's kz panels are rows starts[i]:starts[i+1]
-        self._halves = np.empty(0)
-        self._mids = np.empty(0)
-        self._coefs = np.empty((0, _NPTS, 9))
-        self._starts = np.empty(0, int)
-
-        self._coincident = None
         seeds = [0.0, 2e-3, 1e-2, 0.04, 0.12, 0.25, 0.45, 0.65, 0.82, 0.93]
         breaks = sorted({t for t in seeds if t < self.t_cut} | {self.t_cut})
-        self._splice(None, self._build_panels(list(zip(breaks[:-1], breaks[1:]))))
+        # ((a, b), halves, mids, coefs, kz panels per node, tail ratio,
+        # panels_ok) per t panel, in flat-table order
+        self._blocks = self._build_panels(list(zip(breaks[:-1], breaks[1:])))
+        self._flatten()
         self._refine(dz_refs)
+        self._coincident = self.integral_tensor(0.0)
 
     def _build_panels(self, intervals):
-        """The node tables of the t panels ``intervals`` as flat-table rows,
-        one ``_kappa_panel_job`` per panel: [((a, b), [halves, mids, coefs,
-        kz panels per node], tail ratio), ...]."""
+        """The blocks of the t panels ``intervals``, one job per panel."""
         jobs = []
         for a, b in intervals:
             half, mid = 0.5 * (b - a), 0.5 * (b + a)
@@ -312,46 +299,19 @@ class _ImagAxisEngine:
             jobs.append((self.geom, self.rho, kap, weight, self.tol, self.nmax))
         run = self._parallel or (lambda fn, xs: [fn(x) for x in xs])
         self.n_nodes += _NPTS * len(jobs)
-        return [(ab, rows, tail)
-                for ab, (*rows, tail) in zip(intervals, run(_kappa_panel_job, jobs))]
+        return [(ab, *out) for ab, out in zip(intervals, run(_kappa_panel_job, jobs))]
 
-    @property
-    def tail_ratio(self):
-        return max(self._tails)
-
-    def _splice(self, drop, built):
-        """Replace t panel ``drop`` (None: none) of the flat table by the
-        ``built`` panels (from ``_build_panels``), appended at the end.  Each
-        built panel's rows are released once copied."""
-        n = len(self._halves)
-        lo = hi = n                     # rows of the dropped panel
-        starts = self._starts
-        if drop is not None:
-            del self.panels[drop], self._tails[drop]
-            n0 = _NPTS * drop
-            lo = starts[n0]
-            hi = starts[n0 + _NPTS] if n0 + _NPTS < len(starts) else n
-            starts = np.concatenate([starts[:n0], starts[n0 + _NPTS:] - (hi - lo)])
-        row = n - (hi - lo)
-        size = row + sum(len(rows[0]) for _, rows, _ in built)
-        flat = []
-        for old in (self._halves, self._mids, self._coefs):
-            new = np.empty((size,) + old.shape[1:])
-            new[:lo] = old[:lo]
-            new[lo:row] = old[hi:]
-            flat.append(new)
-        self._halves, self._mids, self._coefs = flat
-        starts = [starts]
-        for ab, rows, tail in built:
-            sizes = rows.pop()
-            for new, part in zip(flat, rows):
-                new[row:row + len(part)] = part
-            rows.clear()
-            starts.append(row + np.cumsum(sizes) - sizes)
-            row += sizes.sum()
-            self.panels.append(ab)
-            self._tails.append(tail)
-        self._starts = np.concatenate(starts)
+    def _flatten(self):
+        """Lay the blocks end to end as the flat table; node i's kz panels
+        are rows _starts[i]:_starts[i+1]."""
+        self.panels, halves, mids, coefs, sizes, tails, oks = zip(*self._blocks)
+        self._halves = np.concatenate(halves)
+        self._mids = np.concatenate(mids)
+        self._coefs = np.concatenate(coefs)
+        sizes = np.concatenate(sizes)
+        self._starts = np.cumsum(sizes) - sizes
+        self.tail_ratio = max(tails)
+        self.panels_ok = all(oks)
 
     def _pass(self, dz):
         """(3x3 integral, per-t-panel error bounds) at separation dz."""
@@ -375,28 +335,23 @@ class _ImagAxisEngine:
             scale = max(1.0, max(float(np.abs(t).max()) for t, _ in passes))
             if errs.sum() <= 0.5 * self.tol * scale:
                 break
-            i = int(np.argmax(errs))
-            a, b = self.panels[i]
+            (a, b), *_ = self._blocks.pop(int(np.argmax(errs)))
             m = 0.5 * (a + b)
-            self._splice(i, self._build_panels([(a, m), (m, b)]))
+            self._blocks += self._build_panels([(a, m), (m, b)])
+            self._flatten()
 
     def integral_tensor(self, dz):
-        if dz == 0.0 and self._coincident is not None:
-            return self._coincident
         total, errs = self._pass(dz)
-        out = (total, float(errs.sum()))
-        if dz == 0.0:
-            self._coincident = out
-        return out
+        return total, float(errs.sum())
 
     def integrals(self, dz, d1, d2):
         t12, e12 = self.integral_tensor(dz)
-        t11, e11 = self.integral_tensor(0.0)
+        t11, e11 = self._coincident
         i12 = float(d1 @ t12 @ d2)
         i11 = float(d1 @ t11 @ d1)
         err = e12 + e11
         scale = max(1.0, abs(i12), abs(i11))
-        return i12, i11, err, err <= 100.0 * self.tol * scale
+        return i12, i11, err, self.panels_ok and err <= 100.0 * self.tol * scale
 
 
 def decay_rates(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6, nmax=None):
@@ -455,7 +410,7 @@ def fit_two_lorentzian(kz, values, guess) -> LorentzianFit:
 
 
 def fit_plasmon_lorentzian(geom: WireGeometry, rho: float, omega: float, *,
-                           nmax=None, n_samples=360) -> LorentzianFit:
+                           nmax=None) -> LorentzianFit:
     """Fit the symmetric two-Lorentzian model to Im G~_rr(rho, rho, omega; kz).
 
     The fit window [omega, 4 * kz_peak] excludes the radiative continuum
@@ -494,8 +449,8 @@ def fit_plasmon_lorentzian(geom: WireGeometry, rho: float, omega: float, *,
     if peak <= 0 or not k_guess > w:
         raise FitError("no bound-mode peak beyond the light line")
 
-    window = np.linspace(1.0001 * w, 4.0 * k_guess, n_samples // 2)
-    dense = k_guess + width_guess * np.linspace(-15, 15, n_samples // 2)
+    window = np.linspace(1.0001 * w, 4.0 * k_guess, 180)
+    dense = k_guess + width_guess * np.linspace(-15, 15, 180)
     kz = np.unique(np.concatenate([window, dense[(dense > w) & (dense < 4 * k_guess)]]))
     vals = ev(kz)[:, 0, 0].imag
     fit = fit_two_lorentzian(kz, vals, (peak, width_guess, k_guess))

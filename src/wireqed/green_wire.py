@@ -340,7 +340,7 @@ def _evaluations(geom, s, rho1, rho2, dphi, kz):
     return build
 
 
-def plasmon_wavenumber(geom: WireGeometry, omega: float, *, scan_max_ratio=None):
+def plasmon_wavenumber(geom: WireGeometry, omega: float):
     """Locate the fundamental (n = 0, TM) guided plasmon pole at real omega.
 
     Returns (kz_pl, width): the real part of the complex pole of the
@@ -352,17 +352,16 @@ def plasmon_wavenumber(geom: WireGeometry, omega: float, *, scan_max_ratio=None)
     eps2 = permittivity(geom.model, SpectralPoint.real_axis(w))
     k1, k2 = w, w * np.sqrt(eps2 + 0j)
     a = geom.radius
-    if scan_max_ratio is None:
-        # near the eps -> -1 accumulation the mode index diverges like
-        # kz a ~ 1/|eps + 1|; stretch the scan accordingly
-        x_est = 1.0 / max(abs(eps2 + 1.0), 1e-3) + 5.0
-        scan_max_ratio = max(60.0, 3.0 * x_est / (w * a))
+    # near the eps -> -1 accumulation the mode index diverges like
+    # kz a ~ 1/|eps + 1|; stretch the scan accordingly
+    x_est = 1.0 / max(abs(eps2 + 1.0), 1e-3) + 5.0
+    scan_max_ratio = max(60.0, 3.0 * x_est / (w * a))
 
     def terms(kz):
         kz = np.atleast_1d(np.asarray(kz, complex))
         e1 = _radial_wavenumber(k1**2, kz)
         e2 = _radial_wavenumber(k2**2, kz)
-        j2, _, j2p, _ = jh_orders(0, e2 * a)
+        j2, j2p = j_orders(0, e2 * a)
         h1, h1p = h_orders(0, e1 * a)
         t1 = (e1**2 / k1) * h1[0] * k2 * e2 * j2p[0]
         t2 = (e2**2 / k2) * j2[0] * k1 * e1 * h1p[0]
@@ -451,8 +450,7 @@ def settle_azimuthal_order(geom, s, rho1, rho2, dphi, nmax=DEFAULT_NMAX):
 
 
 def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
-               nmax: int = DEFAULT_NMAX, pole_hint="auto",
-               budget: int = 60000) -> DyadicGreen:
+               nmax: int = DEFAULT_NMAX, budget: int = 60000) -> DyadicGreen:
     """kz integral of the scattered spectrum between two cylindrical points.
 
     Parameters
@@ -460,9 +458,8 @@ def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
     p1, p2 : (rho, phi, z)
         Cylindrical coordinates, both with rho > radius.
     s : SpectralPoint or number
-        Real or imaginary frequency.
-    pole_hint : "auto", None, or (kz_pl, width)
-        Plasmon-pole panel seeding for real frequencies.
+        Real or imaginary frequency; at a real frequency the guided plasmon
+        pole, when there is one, seeds the kz panels.
 
     Returns a cylindrical-frame DyadicGreen whose ``report`` carries the
     quadrature diagnostics; an unconverged integral raises ConvergenceError
@@ -476,7 +473,7 @@ def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
 
     def build(n):
         table = WireSpectralTable(geom, point, rho1, rho2, dphi, nmax=n, tol=tol,
-                                  budget=budget, phase_ref=dz, pole_hint=pole_hint)
+                                  budget=budget, phase_ref=dz)
         return table, table
 
     n, _ = settle_azimuthal_order(geom, point, rho1, rho2, dphi, nmax=nmax)
@@ -522,7 +519,7 @@ class FrozenSpectralTable:
 class WireSpectralTable:
     """Frozen kz-panel tabulation of a scattered spectrum at one frequency.
 
-    Pole seeding ("auto": the guided plasmon at real frequencies), kz
+    Pole seeding (the guided plasmon at real frequencies), kz
     window, order-``nmax`` evaluator and panels, with the tail blocks judged
     at separation ``phase_ref``; ``imag_axis_tables`` builds many tables at
     imaginary frequencies with the same steps.  The azimuthal tail is
@@ -534,12 +531,10 @@ class WireSpectralTable:
     """
 
     def __init__(self, geom: WireGeometry, point, rho1, rho2, dphi, *,
-                 nmax=DEFAULT_NMAX, tol, budget=60000, phase_ref=0.0,
-                 pole_hint="auto"):
+                 nmax=DEFAULT_NMAX, tol, budget=60000, phase_ref=0.0):
         point = as_spectral_point(point)
-        if pole_hint == "auto":
-            pole_hint = _auto_pole_hint(geom, point)
-        self.k_start, gap, pole_hint = _k_window(geom, point, rho1, rho2, pole_hint)
+        self.k_start, gap, pole_hint = _k_window(geom, point, rho1, rho2,
+                                                 _auto_pole_hint(geom, point))
         evaluator = SpectralEvaluator(geom, point, rho1, rho2, dphi, nmax=nmax)
         branch = None if point.is_imaginary else abs(point.omega)
         ps, tail_bound, ok = build_spectral_panels(

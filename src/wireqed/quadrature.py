@@ -12,6 +12,11 @@ phase without touching the integrand again -- which is what makes dense
 distance sweeps affordable.  With lambda = 0 the panels reduce to plain
 Gauss-Legendre quadrature.
 
+Every panel set is built one way: a step generator yields the panels it
+wants added, and ``run_lockstep`` evaluates their nodes in batched calls and
+adds the values.  The kz tables, the imaginary-frequency integral and the
+validation integrals differ only in their steps.
+
 Public operations:
 
 * ``build_spectral_panels`` -- panels of a +kz spectrum, seeded at poles and
@@ -101,14 +106,17 @@ def moments_for(c):
     The spherical Bessel ladder comes from recurrences rather than one
     special-function call per order: upward from sin and cos where |c| >= 16,
     downward from scipy's top two orders down to |c| = 1e-3, and direct below
-    that, where 1/c grows large.
+    that, where 1/c grows large.  At c = 0 (every zero-phase integral) it is
+    j_k = delta_k0, as scipy gives it.
     """
     c = np.atleast_1d(np.asarray(c, float))
     x = np.abs(c)
     up = x >= _NPTS
-    small = x <= 1e-3
-    down = ~(up | small)
+    zero = x == 0.0
+    small = (x <= 1e-3) & ~zero
+    down = ~(up | small | zero)
     jk = np.empty((_NPTS, c.size))
+    jk[:, zero] = (_KIDX == 0)[:, None]
     if up.any():
         jk[:, up] = _jn_upward(x[up])
     if down.any():
@@ -182,30 +190,27 @@ def run_lockstep(f, sets, steps):
 class PanelSet:
     """Adaptive Legendre-coefficient panels of a spectrum held at +kz only.
 
-    ``f(x_array)`` returns shape (n, n_comp) (or (n,) for one component),
-    integrated against exp(+i lam x).  With a per-component ``mirror`` sign
-    the -kz side mirror * f(x) is integrated against exp(-i lam x) as well;
-    ``None`` makes the integral one-sided.  Panel refinement is driven purely
-    by the decay of the Legendre coefficients, so a refined set is valid for
-    every phase at once.  The sets of ``build_spectral_panel_sets`` have no
-    ``f``: their values arrive with each ``add``.
+    Each panel's values, shape (16, n_comp) (or (16,) for one component), at
+    its Gauss nodes arrive with ``add``, as ``run_lockstep`` evaluates them;
+    they are integrated against exp(+i lam x).  With a per-component
+    ``mirror`` sign the -kz side mirror * f(x) is integrated against
+    exp(-i lam x) as well; ``None`` makes the integral one-sided.  Panel
+    refinement is driven purely by the decay of the Legendre coefficients,
+    so a refined set is valid for every phase at once.
     """
 
-    def __init__(self, f, budget=20000, mirror=None):
-        self.f = f
+    def __init__(self, budget=20000, mirror=None):
         self.mirror = mirror
         self.budget = budget
         self.nodes_used = 0
         self.panels = []  # records [a, b, coef(16, comp), err, fmax]
         self._frozen = None
 
-    def add(self, a, b, vals=None):
-        """Add panel [a, b], evaluating ``f`` on its nodes unless their
-        values ``vals`` are given; returns its record."""
+    def add(self, a, b, vals):
+        """Add panel [a, b] with the values ``vals`` at its nodes; returns
+        its record."""
         half = 0.5 * (b - a)
         mid = 0.5 * (b + a)
-        if vals is None:
-            vals = self.f(_panel_nodes(a, b))
         vals = np.asarray(vals, complex).reshape(_NPTS, -1)
         self.nodes_used += _NPTS
         coef = np.einsum("ki,ic->kc", _PROJ, vals)
@@ -218,14 +223,10 @@ class PanelSet:
     def err(self):
         return float(sum(p[3] for p in self.panels))
 
-    def refine(self, target):
-        """Bisect worst panels until the summed bound meets target."""
-        steps = self.bisections(target)
-        return run_lockstep(lambda x, owner: self.f(x), [self], [steps])[0]
-
     def bisections(self, target):
-        """``refine`` as steps for ``run_lockstep``: each step drops the
-        worst panel and yields its two halves; returns the converged flag."""
+        """Steps for ``run_lockstep`` that bisect the worst panel until the
+        summed bound meets ``target``: each step drops that panel and yields
+        its two halves; returns the converged flag."""
         while self.err > target:
             if self.nodes_used + 2 * _NPTS > self.budget:
                 return False
@@ -318,11 +319,11 @@ def build_spectral_panel_sets(f, windows, *, tol, mirror=None, tail_scale=None,
     ``windows`` holds (k_start, pole_hint, branch_point) per spectrum, and
     f(x, owner) evaluates spectrum owner[i] at node x[i].  Each spectrum takes
     its own sequence of steps (seed panels, tail blocks with their stop
-    test, then the bisections of ``PanelSet.refine``), and ``run_lockstep``
+    test, then ``PanelSet.bisections``), and ``run_lockstep``
     evaluates the nodes of every spectrum still running in one call per step.
     Returns (PanelSet, tail_bound, converged_flag) per spectrum.
     """
-    sets = [PanelSet(None, budget, mirror) for _ in windows]
+    sets = [PanelSet(budget, mirror) for _ in windows]
     flags = run_lockstep(f, sets, [
         _spectral_steps(ps, *window, tol=tol, tail_scale=tail_scale,
                         phase_for_blocks=phase_for_blocks)
@@ -381,14 +382,27 @@ def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale,
     return tail_bound, ok
 
 
-def imag_axis_integrate(g, omega_a, tol=1e-8, *, decay_scale=None,
-                        budget=20000) -> QuadratureReport:
+def _one_sided(f, breaks, target, budget):
+    """(PanelSet, converged flag) of the one-sided integral of ``f``: the
+    panels between ``breaks``, then bisections until the summed bound meets
+    ``target(ps)``, read once those are in."""
+    ps = PanelSet(budget)
+
+    def steps():
+        yield list(zip(breaks[:-1], breaks[1:]))
+        return (yield from ps.bisections(target(ps)))
+
+    return ps, run_lockstep(lambda x, owner: f(x), [ps], [steps()])[0]
+
+
+def imag_axis_integrate(g, omega_a, tol=1e-8) -> QuadratureReport:
     """Evaluate int_0^inf dkappa kappa^2 g(kappa) omega_a / (kappa^2 + omega_a^2).
 
     Uses the substitution kappa = omega_a * t / (1 - t) mapping onto
-    t in [0, 1), with panels concentrated near the static end t -> 0 where
-    the medium response is largest, and a verified exponential tail bound
-    when ``decay_scale`` (the large-kappa decay rate of g) is supplied.
+    t in [0, 1], with panels concentrated near the static end t -> 0 where
+    the medium response is largest.  The substituted integrand is finite at
+    t = 1 whenever g decays at least as fast as 1/kappa^2, so the full
+    interval is integrable.
     """
     if tol < 1e-12:
         raise DomainError(f"tol must be >= 1e-12, got {tol}")
@@ -399,46 +413,22 @@ def imag_axis_integrate(g, omega_a, tol=1e-8, *, decay_scale=None,
         kap, w = t_substitution(np.asarray(t, float), wa)
         return w * np.asarray(gv(kap), float)
 
-    if decay_scale is not None and decay_scale > 0:
-        kap_cut = max(3.0 * wa, 45.0 / decay_scale)
-        t_cut = kap_cut / (wa + kap_cut)
-        g_cut = float(np.abs(np.asarray(gv(np.asarray([kap_cut])))).max())
-        tail_bound = g_cut * wa / decay_scale
-    else:
-        # the substituted integrand is finite at t = 1 whenever g decays at
-        # least as fast as 1/kappa^2, so the full interval is integrable
-        t_cut = 1.0
-        tail_bound = 0.0
-
-    ps = PanelSet(integrand, budget)
-    seeds = [0.0, 1e-3, 1e-2, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85]
-    breaks = sorted({x for x in seeds if x < t_cut} | {t_cut})
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        ps.add(a, b)
-
-    scale = max(1.0, float(np.abs(ps.integral()).max()))
-    ok = ps.refine(0.5 * tol * scale)
+    breaks = [0.0, 1e-3, 1e-2, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 1.0]
+    ps, ok = _one_sided(
+        integrand, breaks,
+        lambda ps: 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max())), 20000)
     val = float(np.real(ps.integral()[0]))
-    total_err = ps.err + tail_bound
-    converged = ok and total_err <= tol * max(1.0, abs(val))
-    return QuadratureReport(
-        value=val,
-        abs_error_estimate=float(total_err),
-        nodes_used=ps.nodes_used,
-        converged=bool(converged),
-        diagnostics={"t_cut": t_cut, "tail_bound": tail_bound},
-    )
+    converged = ok and ps.err <= tol * max(1.0, abs(val))
+    return QuadratureReport(value=val, abs_error_estimate=ps.err,
+                            nodes_used=ps.nodes_used, converged=bool(converged))
 
 
 def _plain(fvec, breaks, tol_abs, budget):
-    ps = PanelSet(fvec, budget)
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        ps.add(a, b)
-    ok = ps.refine(tol_abs)
+    ps, ok = _one_sided(fvec, breaks, lambda ps: tol_abs, budget)
     return float(np.real(ps.integral()[0])), ps.err, ps.nodes_used, ok
 
 
-def pv_shift_oracle(imG, omega_a, tol=1e-9, *, omega_max=None, window=None,
+def pv_shift_oracle(imG, omega_a, tol=1e-9, *, omega_max=None,
                     budget=60000) -> float:
     """Principal value of int_0^inf w^2 imG(w) / (w - omega_a) dw.
 
@@ -458,7 +448,7 @@ def pv_shift_oracle(imG, omega_a, tol=1e-9, *, omega_max=None, window=None,
     F = lambda w: np.asarray(w, float) ** 2 * np.asarray(fv(w), float)
     FA = float(F(np.asarray([wa]))[0])
 
-    h0 = window if window is not None else 0.25 * wa
+    h0 = 0.25 * wa
     nodes = 0
 
     def one_pass(h):

@@ -67,7 +67,7 @@ class TestConfig:
             config_from_dict({"schema": SCHEMA_TAG, "tol_wire": 1e-2})
 
     def test_tol_model_is_accepted_and_ignored(self):
-        # wireqed-config/1 files, configs/default.json among them, may set it
+        # wireqed-config/1 files may set it
         base = {"schema": SCHEMA_TAG, "radius": 0.02, "rho_1": 0.03, "rho_2": 0.03}
         assert config_from_dict({**base, "tol_model": 1e-5}) == config_from_dict(base)
 

@@ -146,6 +146,24 @@ def test_one_order_search_across_callers(default_geom, pair_engine, monkeypatch)
     assert g.report.diagnostics["nmax"] == pair_engine.nmax
 
 
+def test_kappa_table_out_of_budget_is_unconverged(default_geom, default_pair,
+                                                  pair_engine, monkeypatch):
+    # the shared engine's arguments, with every kappa table held to 700 nodes:
+    # at least one runs out, and its flag must reach the row
+    tables = emitters.imag_axis_tables
+
+    def short_budget(*args, **kwargs):
+        return tables(*args, **{**kwargs, "budget": 700})
+
+    monkeypatch.setattr(emitters, "imag_axis_tables", short_budget)
+    starved = PairInteraction(default_geom, default_pair, tol=1e-6,
+                              dz_refs=(0.0, 0.02, 0.5, 2.0, 4.0))
+    assert starved._kappa_engine.panels_ok is False
+    assert starved.at(0.5).converged is False
+    assert pair_engine._kappa_engine.panels_ok is True
+    assert pair_engine.at(0.5).converged is True
+
+
 class TestAgainstAnalyticApproximation:
     def test_gamma12_follows_plasmon_formula(self, pair_engine, plasmon_fit):
         # envelope-normalized deviation from exp(-g dz) cos(kpl dz)

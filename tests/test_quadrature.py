@@ -6,7 +6,8 @@ from scipy import special
 
 from wireqed import (ConvergenceError, OMEGA_A, imag_axis_integrate, kk_check,
                      pv_shift_oracle)
-from wireqed.quadrature import build_spectral_panels, moments_for
+from wireqed.quadrature import (PanelSet, _panel_nodes, _plain, _vectorized,
+                                build_spectral_panels, moments_for, t_substitution)
 from wireqed.validate import (EQUIVALENCE_MODELS, ResonanceModel, pv_shift,
                               rotated_shift)
 
@@ -21,6 +22,75 @@ def test_moments_match_spherical_bessel():
     k = np.arange(16)[:, None]
     ref = 2.0 * 1j ** k * special.spherical_jn(k, c[None, :])
     assert np.abs(moments_for(c) - ref).max() <= 1e-13
+
+
+def test_moments_at_zero_phase_call_no_special_function(monkeypatch):
+    # j_k(0) = delta_k0 exactly, as scipy returns it
+    k = np.arange(16)[:, None]
+    want = 2.0 * 1j ** k * special.spherical_jn(k, np.zeros((1, 3)))
+    assert np.array_equal(want, 2.0 * (k == 0) * np.ones(3))
+
+    def refuse(*args):
+        raise AssertionError("spherical_jn called at c = 0")
+
+    monkeypatch.setattr(special, "spherical_jn", refuse)
+    np.testing.assert_array_equal(moments_for(np.zeros(3)), want)
+
+
+def _built_by_hand(f, breaks, target, budget):
+    """(value, error, nodes, flag) of a PanelSet filled panel by panel with
+    direct calls of f: the seed panels, then each bisection's two halves."""
+    ps = PanelSet(budget)
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        ps.add(a, b, f(_panel_nodes(a, b)))
+    steps = ps.bisections(target(ps))
+    while True:
+        try:
+            halves = next(steps)
+        except StopIteration as stop:
+            ok = stop.value
+            break
+        for a, b in halves:
+            ps.add(a, b, f(_panel_nodes(a, b)))
+    return float(np.real(ps.integral()[0])), ps.err, ps.nodes_used, ok
+
+
+ONE_SIDED_CASES = {
+    # a low-lying resonance, so both integrals need bisections
+    "scalar_only": ResonanceModel((1.0,), (0.05,), (0.01,)).imag_axis,
+    "vectorized": lambda k: np.exp(-0.2 * k) * np.cos(3.0 * k) / (1.0 + k * k),
+}
+
+
+@pytest.mark.parametrize("name", ONE_SIDED_CASES)
+@pytest.mark.parametrize("budget", [60000, 64])
+def test_plain_matches_panels_built_by_hand(name, budget):
+    f = _vectorized(ONE_SIDED_CASES[name], 1.0)
+    breaks, tol_abs = [0.0, 1.0, 4.0, 10.0], 1e-12
+    got = _plain(f, breaks, tol_abs, budget)
+    assert got == _built_by_hand(f, breaks, lambda ps: tol_abs, budget)
+    # 64 nodes leave no room for a bisection after the 48 seed nodes
+    assert got[3] is (budget > 64)
+    assert got[2] == 48 if budget == 64 else got[2] > 48
+
+
+@pytest.mark.parametrize("name", ONE_SIDED_CASES)
+def test_imag_axis_integrate_matches_panels_built_by_hand(name):
+    g, wa, tol = ONE_SIDED_CASES[name], 3.3, 1e-10
+    gv = _vectorized(g, 1.0)
+
+    def integrand(t):
+        kap, w = t_substitution(t, wa)
+        return w * gv(kap)
+
+    breaks = [0.0, 1e-3, 1e-2, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 1.0]
+    value, err, nodes, ok = _built_by_hand(
+        integrand, breaks,
+        lambda ps: 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max())), 20000)
+    rep = imag_axis_integrate(g, wa, tol=tol)
+    assert nodes > 16 * (len(breaks) - 1)
+    assert (rep.value, rep.abs_error_estimate, rep.nodes_used, rep.converged) == (
+        value, err, nodes, ok and err <= tol * max(1.0, abs(value)))
 
 
 def kz_integral(f, *, tol, mirror=None, phase=0.0, **kwargs):
