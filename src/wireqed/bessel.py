@@ -61,15 +61,6 @@ def safe_min_arg(order: int) -> float:
     return 2.0 * math.exp(-(280.0 * math.log(10.0) - math.lgamma(m)) / m)
 
 
-def _check_argument(z: complex) -> complex:
-    z = complex(z)
-    if z == 0:
-        raise DomainError("Bessel argument z = 0 is outside the domain")
-    if abs(z) >= OVERFLOW_GUARD:
-        raise OverflowGuardError(f"|z| = {abs(z):.3g} exceeds the overflow guard {OVERFLOW_GUARD:g}")
-    return z
-
-
 def _with_derivatives(f, nmax, z):
     """Orders 0..nmax of a ladder f holding orders 0..nmax+1, and of its
     derivative, both shaped (nmax+1,) + shape(z)."""
@@ -89,7 +80,8 @@ def _ladder_arguments(nmax, z):
     if np.any(zarr == 0):
         raise DomainError("Bessel argument z = 0 is outside the domain")
     if np.any(np.abs(zarr) >= OVERFLOW_GUARD):
-        raise OverflowGuardError("Bessel argument exceeds the overflow guard")
+        raise OverflowGuardError(f"|z| = {np.abs(zarr).max():.3g} exceeds the overflow "
+                                 f"guard {OVERFLOW_GUARD:g}")
     return zarr
 
 
@@ -158,8 +150,7 @@ def bessel_jh(order: int, z: complex) -> CylFunValue:
     n = int(order)
     if abs(n) > N_MAX:
         raise DomainError(f"|order| = {abs(n)} exceeds N_MAX = {N_MAX}")
-    z = _check_argument(z)
-
+    z = complex(z)
     j, h, jp, hp = jh_orders(abs(n), np.array([z]))
     sign = -1.0 if (n < 0 and n % 2 != 0) else 1.0
     return CylFunValue(

@@ -26,14 +26,15 @@ from . import quadrature
 from .errors import DomainError, FitError
 from .frequencies import OMEGA_A, SpectralPoint
 from .green_vacuum import green_vacuum_cyl, green_vacuum_im_coincident
-from .green_wire import (_MIRROR, DEFAULT_NMAX, SpectralEvaluator, WireGeometry,
-                         WireSpectralTable, imag_axis_tables, plasmon_wavenumber,
-                         settle_azimuthal_order)
-from .quadrature import _GL_X, _NPTS, _PROJ
+from .green_wire import (_MIRROR, SpectralEvaluator, WireGeometry, WireSpectralTable,
+                         imag_axis_tables, plasmon_wavenumber, settle_azimuthal_order)
+from .quadrature import _GL_W, _GL_X, _NPTS, _PROJ
 
 _P_EVEN = _MIRROR.ravel() > 0   # components the -kz mirror keeps
 
 _COINCIDENT = 1e-12
+
+KAPPA_TABLE_BUDGET = 420   # most kappa tables one imaginary-axis integral holds
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,7 @@ class PairInteraction:
     """
 
     def __init__(self, geom: WireGeometry, pair: EmitterPair, *, tol=1e-6,
-                 nmax=None, kappa_budget=420, dz_refs=(0.0, 0.5, 2.0, 4.0),
-                 parallel=None):
+                 nmax=None, dz_refs=(0.0, 0.5, 2.0, 4.0), parallel=None):
         if min(pair.position_1[0], pair.position_2[0]) <= geom.radius:
             raise DomainError("emitters must sit outside the wire")
         if not _same_column(pair.position_1, pair.position_2):
@@ -177,9 +177,8 @@ class PairInteraction:
         self.table_res = WireSpectralTable(geom, point, rho, rho, 0.0, nmax=nmax, tol=tol)
         self._real_ok = self.table_res.panels_ok and self.table_res.tail_ok
 
-        self._kappa_engine = _ImagAxisEngine(
-            geom, rho, w, tol=tol, nmax=nmax,
-            dz_refs=tuple(dz_refs), table_budget=kappa_budget, parallel=parallel)
+        self._kappa_engine = _ImagAxisEngine(geom, rho, w, tol=tol, nmax=nmax,
+                                             dz_refs=tuple(dz_refs), parallel=parallel)
         # G^med(r1, r1, omega_a) and its error, which every row reads
         self._res_coincident = self.table_res.integrate(0.0)
 
@@ -229,11 +228,12 @@ def _kappa_panel_job(job):
     mirror sign P contributes Re(m C + conj(m) P C): 2 Re m Re C where P = +1
     and -2 Im m Im C where P = -1, so the rows hold 2 Re C and -2 Im C there,
     times the node's substitution weight.  Returns (halves, mids, real
-    coefficients (rows, 16, 9), kz panels per node, largest azimuthal tail
-    ratio, whether every table stayed within its node budget).  Module-level
-    with picklable arguments and result, so sweep drivers can run it in
-    worker processes; the arithmetic is the same for any worker count, which
-    keeps outputs bit-reproducible.
+    coefficients (rows, 16, 9), kz panels per node, kz error bound per node
+    times |substitution weight|, largest azimuthal tail ratio, whether every
+    table stayed within its node budget).  Module-level with picklable
+    arguments and result, so sweep drivers can run it in worker processes;
+    the arithmetic is the same for any worker count, which keeps outputs
+    bit-reproducible.
     """
     geom, rho, kappas, weights, tol, nmax = job
     tables = imag_axis_tables(geom, kappas, rho, rho, 0.0, nmax=nmax, tol=tol,
@@ -244,6 +244,7 @@ def _kappa_panel_job(job):
     return (np.concatenate([tab.halves for tab in tables]),
             np.concatenate([tab.mids for tab in tables]), coefs,
             np.array([len(tab.halves) for tab in tables]),
+            np.array([tab.panel_err + tab.tail_bound for tab in tables]) * np.abs(weights),
             max(tab.tail_ratio for tab in tables), all(tab.panels_ok for tab in tables))
 
 
@@ -266,10 +267,12 @@ class _ImagAxisEngine:
     ``tail_ratio`` is the largest azimuthal tail ratio of the kappa tables
     in the integral; it is recorded, not tested.  A table out of its node
     budget clears ``panels_ok``, which ``integrals`` reports as unconverged.
+    ``kz_err``, the tables' kz error bounds weighted as the t rule weights
+    each table, enters the error ``integrals`` reports.  Refinement stops
+    short of KAPPA_TABLE_BUDGET tables.
     """
 
-    def __init__(self, geom, rho, omega_a, *, tol, nmax, dz_refs,
-                 table_budget=420, parallel=None):
+    def __init__(self, geom, rho, omega_a, *, tol, nmax, dz_refs, parallel=None):
         self.geom = geom
         self.rho = rho
         self.w = omega_a
@@ -278,13 +281,12 @@ class _ImagAxisEngine:
         gap = 2.0 * (rho - geom.radius)   # summed emitter-to-surface distance
         kap_cut = max(6.0 * omega_a, 20.0 / max(gap, 1e-6))
         self.t_cut = kap_cut / (omega_a + kap_cut)
-        self.table_budget = table_budget
         self.n_nodes = 0
         self._parallel = parallel
         seeds = [0.0, 2e-3, 1e-2, 0.04, 0.12, 0.25, 0.45, 0.65, 0.82, 0.93]
         breaks = sorted({t for t in seeds if t < self.t_cut} | {self.t_cut})
-        # ((a, b), halves, mids, coefs, kz panels per node, tail ratio,
-        # panels_ok) per t panel, in flat-table order
+        # ((a, b), halves, mids, coefs, kz panels per node, weighted kz error
+        # per node, tail ratio, panels_ok) per t panel, in flat-table order
         self._blocks = self._build_panels(list(zip(breaks[:-1], breaks[1:])))
         self._flatten()
         self._refine(dz_refs)
@@ -304,12 +306,14 @@ class _ImagAxisEngine:
     def _flatten(self):
         """Lay the blocks end to end as the flat table; node i's kz panels
         are rows _starts[i]:_starts[i+1]."""
-        self.panels, halves, mids, coefs, sizes, tails, oks = zip(*self._blocks)
+        self.panels, halves, mids, coefs, sizes, kz_errs, tails, oks = zip(*self._blocks)
         self._halves = np.concatenate(halves)
         self._mids = np.concatenate(mids)
         self._coefs = np.concatenate(coefs)
         sizes = np.concatenate(sizes)
         self._starts = np.cumsum(sizes) - sizes
+        self.kz_err = float(sum(0.5 * (b - a) * (_GL_W @ e)
+                                for (a, b), e in zip(self.panels, kz_errs)))
         self.tail_ratio = max(tails)
         self.panels_ok = all(oks)
 
@@ -329,7 +333,7 @@ class _ImagAxisEngine:
         return total.reshape(3, 3), quadrature.legendre_error(half, coef)
 
     def _refine(self, dz_refs):
-        while self.n_nodes + 32 <= self.table_budget * 16:
+        while self.n_nodes + 32 <= KAPPA_TABLE_BUDGET * 16:
             passes = [self._pass(dz) for dz in dz_refs]
             errs = np.max([e for _, e in passes], axis=0)
             scale = max(1.0, max(float(np.abs(t).max()) for t, _ in passes))
@@ -349,12 +353,12 @@ class _ImagAxisEngine:
         t11, e11 = self._coincident
         i12 = float(d1 @ t12 @ d2)
         i11 = float(d1 @ t11 @ d1)
-        err = e12 + e11
+        err = e12 + e11 + self.kz_err
         scale = max(1.0, abs(i12), abs(i11))
         return i12, i11, err, self.panels_ok and err <= 100.0 * self.tol * scale
 
 
-def decay_rates(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6, nmax=None):
+def decay_rates(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6):
     """(gamma11, gamma12) scaled by the free-space rate.
 
     Uses the full tensor, vacuum plus scattered part, at the transition
@@ -367,24 +371,19 @@ def decay_rates(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6, nmax=None):
     point = SpectralPoint.real_axis(w)
     from .green_wire import wire_green
 
-    g11 = wire_green(geom, p1, p1, point, tol=tol,
-                     nmax=nmax or DEFAULT_NMAX).value
+    g11 = wire_green(geom, p1, p1, point, tol=tol).value
     same = _same_site(p1, p2)
-    g12 = g11 if same else wire_green(geom, p1, p2, point, tol=tol,
-                                      nmax=nmax or DEFAULT_NMAX).value
+    g12 = g11 if same else wire_green(geom, p1, p2, point, tol=tol).value
     gamma11, gamma12 = _rates(w, g11, g12, p1, p2, d1, d2)
     if same and np.allclose(d1, d2, atol=1e-14):
         return gamma11, gamma11
     return gamma11, gamma12
 
 
-def dipole_shift(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6,
-                 nmax=None, kappa_budget=420) -> RateShiftResult:
+def dipole_shift(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6) -> RateShiftResult:
     """Full decomposed result (rates, dipole-dipole shift, wire Lamb shift)
     for one emitter pair; see PairInteraction for sweeping separations."""
-    engine = PairInteraction(geom, pair, tol=tol, nmax=nmax,
-                             kappa_budget=kappa_budget,
-                             dz_refs=(0.0, max(abs(pair.dz), 0.02)))
+    engine = PairInteraction(geom, pair, tol=tol, dz_refs=(0.0, max(abs(pair.dz), 0.02)))
     return engine.at(pair.dz)
 
 

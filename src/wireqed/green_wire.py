@@ -98,7 +98,7 @@ class SpectralEvaluator:
     term, so the order -n term needs no radial functions of its own.
     """
 
-    def __init__(self, geom: WireGeometry, s, rho1, rho2, dphi, nmax=DEFAULT_NMAX):
+    def __init__(self, geom: WireGeometry, s, rho1, rho2, dphi, nmax):
         if not 1 <= nmax <= N_MAX:
             raise DomainError(f"azimuthal order must be in 1..{N_MAX}, got {nmax}")
         if min(rho1, rho2) <= geom.radius:
@@ -398,59 +398,55 @@ def plasmon_wavenumber(geom: WireGeometry, omega: float):
     return float(kz.real), float(abs(kz.imag))
 
 
-def _auto_pole_hint(geom, s):
-    point = as_spectral_point(s)
-    if point.is_imaginary:
-        return None
-    # the fundamental bound mode needs Re eps < -1; above the surface-mode
-    # accumulation there is nothing to seed
-    eps2 = permittivity(geom.model, point)
-    if eps2.real >= -1.0:
-        return None
-    try:
-        kp, width = plasmon_wavenumber(geom, point.omega)
-        return kp, max(width, 1e-4 * point.omega)
-    except (FitError, OverflowGuardError):
-        return None
+def _k_window(geom, point, rho1, rho2):
+    """((k_start, pole_hint, branch_point), gap): the kz window of the
+    spectrum at ``point``, as ``build_spectral_panel_sets`` takes it, and the
+    summed emitter-to-surface distance that scales its tail.
 
-
-def _k_window(geom, point, rho1, rho2, pole_hint):
-    """Starting tail boundary, envelope decay rate and a usable pole hint.
-
-    A guided mode whose transverse fields have already decayed to nothing at
-    the emitters (huge kz near the mode-index divergence) is dropped from
-    the seeding: it only inflates the window, and near the overflow guard
-    of the special functions it would push nodes out of range entirely.
+    On the real axis the branch point is |omega| and, where Re eps < -1 and
+    ``plasmon_wavenumber`` finds it, the guided plasmon (width floored at
+    1e-4 omega) seeds the panels; on the imaginary axis there is neither.  A
+    mode whose fields have decayed to nothing at the emitters (huge kz near
+    the mode-index divergence) is not seeded: it only inflates the window
+    and can push nodes past the overflow guard of the special functions.
     """
     from .bessel import OVERFLOW_GUARD
 
     gap = (rho1 - geom.radius) + (rho2 - geom.radius)
     sabs = abs(point.value)
-    if pole_hint is not None and (pole_hint[0] - sabs) * gap > 30.0:
-        pole_hint = None
-    k_start = 3.0 * sabs + 10.0
-    if pole_hint is not None:
-        k_start = max(k_start, 1.2 * (pole_hint[0] + 6.0 * pole_hint[1]))
     eps2 = permittivity(geom.model, point)
+    k_start = 3.0 * sabs + 10.0
+    pole_hint = branch_point = None
+    if not point.is_imaginary:
+        branch_point = abs(point.omega)
+        try:
+            if eps2.real < -1.0:
+                kp, width = plasmon_wavenumber(geom, point.omega)
+                if (kp - sabs) * gap <= 30.0:
+                    pole_hint = kp, max(width, 1e-4 * point.omega)
+                    k_start = max(k_start, 1.2 * (kp + 6.0 * pole_hint[1]))
+        except (FitError, OverflowGuardError):
+            pass
     k_start = max(k_start, 1.3 * abs(np.sqrt(eps2 + 0j)) * sabs)
     arg_scale = max(rho1, rho2, geom.radius * abs(np.sqrt(eps2 + 0j)))
     k_start = min(k_start, 0.8 * OVERFLOW_GUARD / arg_scale)
-    return k_start, gap, pole_hint
+    return (k_start, pole_hint, branch_point), gap
 
 
-def settle_azimuthal_order(geom, s, rho1, rho2, dphi, nmax=DEFAULT_NMAX):
+def settle_azimuthal_order(geom, s, rho1, rho2, dphi):
     """(order, tail ratio) of the smallest order ladder whose |n| = N term is
     negligible, by probing a handful of spectrum nodes instead of building a
-    full quadrature table.  Returns N_MAX even when that fails the test."""
+    full quadrature table, starting at DEFAULT_NMAX.  Returns N_MAX even
+    when that fails the test."""
     point = as_spectral_point(s)
     sabs = max(abs(point.value), 1.0)
     probe = np.array([0.2, 0.7, 1.2, 2.5, 6.0]) * sabs
-    ev, _ = _escalate(_evaluations(geom, point, rho1, rho2, dphi, probe), nmax)
+    ev, _ = _escalate(_evaluations(geom, point, rho1, rho2, dphi, probe), DEFAULT_NMAX)
     return ev.nmax, ev.tail_ratio
 
 
 def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
-               nmax: int = DEFAULT_NMAX, budget: int = 60000) -> DyadicGreen:
+               budget: int = 60000) -> DyadicGreen:
     """kz integral of the scattered spectrum between two cylindrical points.
 
     Parameters
@@ -476,7 +472,7 @@ def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
                                   budget=budget, phase_ref=dz)
         return table, table
 
-    n, _ = settle_azimuthal_order(geom, point, rho1, rho2, dphi, nmax=nmax)
+    n, _ = settle_azimuthal_order(geom, point, rho1, rho2, dphi)
     table, _ = _escalate(build, n)
     if not table.tail_ok:
         raise _tail_failure(table)
@@ -519,11 +515,11 @@ class FrozenSpectralTable:
 class WireSpectralTable:
     """Frozen kz-panel tabulation of a scattered spectrum at one frequency.
 
-    Pole seeding (the guided plasmon at real frequencies), kz
-    window, order-``nmax`` evaluator and panels, with the tail blocks judged
-    at separation ``phase_ref``; ``imag_axis_tables`` builds many tables at
-    imaginary frequencies with the same steps.  The azimuthal tail is
-    recorded (``tail_ratio``, ``tail_ok``), not acted on.
+    The kz window comes from ``_k_window``, the evaluator runs at order
+    ``nmax``, and the tail blocks are judged at separation ``phase_ref``;
+    ``imag_axis_tables`` builds many tables at imaginary frequencies the same
+    way.  The azimuthal tail is recorded (``tail_ratio``, ``tail_ok``), not
+    acted on.
 
     Build once, then ``integrate(dz)`` for any number of separations: the
     separation only enters through analytic phase moments, so each call
@@ -531,12 +527,10 @@ class WireSpectralTable:
     """
 
     def __init__(self, geom: WireGeometry, point, rho1, rho2, dphi, *,
-                 nmax=DEFAULT_NMAX, tol, budget=60000, phase_ref=0.0):
+                 nmax, tol, budget=60000, phase_ref=0.0):
         point = as_spectral_point(point)
-        self.k_start, gap, pole_hint = _k_window(geom, point, rho1, rho2,
-                                                 _auto_pole_hint(geom, point))
+        (self.k_start, pole_hint, branch), gap = _k_window(geom, point, rho1, rho2)
         evaluator = SpectralEvaluator(geom, point, rho1, rho2, dphi, nmax=nmax)
-        branch = None if point.is_imaginary else abs(point.omega)
         ps, tail_bound, ok = build_spectral_panels(
             evaluator, tol=tol, k_start=self.k_start, mirror=_MIRROR.ravel(),
             pole_hint=pole_hint, branch_point=branch, tail_scale=gap, budget=budget,
@@ -566,11 +560,11 @@ def imag_axis_tables(geom: WireGeometry, kappas, rho1, rho2, dphi, *, nmax, tol,
     table equals the one WireSpectralTable builds at the same arguments.
     """
     points = [SpectralPoint.imaginary_axis(k) for k in kappas]
-    windows = [_k_window(geom, p, rho1, rho2, None) for p in points]
+    windows, gaps = zip(*(_k_window(geom, p, rho1, rho2) for p in points))
     evaluator = SpectralEvaluator(geom, points, rho1, rho2, dphi, nmax=nmax)
     built = build_spectral_panel_sets(
-        evaluator, [(k_start, None, None) for k_start, _, _ in windows], tol=tol,
-        mirror=_MIRROR.ravel(), tail_scale=windows[0][1], budget=budget)
+        evaluator, windows, tol=tol, mirror=_MIRROR.ravel(), tail_scale=gaps[0],
+        budget=budget)
     return [FrozenSpectralTable(*ps._freeze(), panel_err=ps.err, tail_bound=float(bound),
                                 panels_ok=bool(ok), nodes_used=ps.nodes_used,
                                 tail_ratio=float(ratio))

@@ -10,7 +10,7 @@ from wireqed.emitters import (EmitterPair, PairInteraction, RateShiftResult,
                               dipole_shift, fit_plasmon_lorentzian, fit_two_lorentzian,
                               markov_diagnostic, LorentzianFit)
 from wireqed.green_wire import SpectralEvaluator, WireSpectralTable
-from wireqed.quadrature import _GL_X, _PROJ
+from wireqed.quadrature import _GL_W, _GL_X, _PROJ
 
 
 def make_result(gamma11=1.0, gamma12=0.0, s12res=0.0, s12int=0.0):
@@ -87,12 +87,13 @@ class TestPairInteraction:
         assert ratio_far < 0.02
 
 
-def test_kappa_bisection_matches_per_table_oracle(default_geom):
+def test_kappa_bisection_matches_per_table_oracle(default_geom, monkeypatch):
     # a tight tolerance and a budget for exactly one split force _refine to
     # bisect a t panel, which splices the flat kappa table; the oracle builds
     # every node's kz table alone
+    monkeypatch.setattr(emitters, "KAPPA_TABLE_BUDGET", 12)
     pair = EmitterPair((0.03, 0.0, 0.0), (0.03, 0.0, 0.02))
-    interaction = PairInteraction(default_geom, pair, tol=1e-8, nmax=8, kappa_budget=12,
+    interaction = PairInteraction(default_geom, pair, tol=1e-8, nmax=8,
                                   dz_refs=(0.0, 0.02, 8.0))
     engine = interaction._kappa_engine
     assert engine.n_nodes > 160
@@ -108,6 +109,20 @@ def test_kappa_bisection_matches_per_table_oracle(default_geom):
     tail = max(tab.tail_ratio for tab in tables.values())
     assert engine.tail_ratio == tail > 0.0
     assert interaction.at(0.5).diagnostics["kappa_tail_ratio"] == tail
+    # the tables' kz error, weighted as the t rule weights each table
+    kz_err = 0.0
+    for a, b in engine.panels:
+        half, t = 0.5 * (b - a), 0.5 * (b + a) + 0.5 * (b - a) * _GL_X
+        weight = w**2 * t**2 / ((1.0 - t) ** 2 * (t**2 + (1.0 - t) ** 2))
+        for gw, wt, k in zip(_GL_W, weight, w * t / (1.0 - t)):
+            tab = tables[float(k)]
+            kz_err += half * gw * abs(wt) * (tab._ps.err + tab.tail_bound)
+    assert kz_err > 0.0
+    coincident_err = engine.integral_tensor(0.0)[1]
+    for dz in (0.0, 0.5, 8.0):
+        row_err = interaction.at(dz).diagnostics["kappa_err"]
+        table_part = row_err - engine.integral_tensor(dz)[1] - coincident_err
+        assert abs(table_part - kz_err) <= 1e-12 * kz_err
     for dz in (0.0, 0.02, 1.3, 8.0):
         # the weighted tensor node by node, then Legendre coefficients per panel
         total, err = np.zeros(9), 0.0

@@ -88,6 +88,18 @@ def test_no_bound_mode_for_transparent_wire():
         plasmon_wavenumber(geom, OMEGA_A)
 
 
+def test_k_window_seeds_the_plasmon_only_below_the_accumulation(default_geom):
+    from wireqed.green_wire import _k_window
+    kp, width = plasmon_wavenumber(default_geom, OMEGA_A)
+    # 4.5 omega_A is above omega_p / sqrt(2): Re eps > -1, no bound mode to seed
+    above = SpectralPoint.real_axis(4.5 * OMEGA_A)
+    for s, seed, branch in ((REAL, (kp, max(width, 1e-4 * OMEGA_A)), OMEGA_A),
+                            (above, None, 4.5 * OMEGA_A), (IMAG, None, None)):
+        (k_start, pole, bp), gap = _k_window(default_geom, s, 0.015, 0.015)
+        assert (pole, bp) == (seed, branch) and k_start > 0.0
+        assert gap == pytest.approx(0.01)
+
+
 def test_azimuthal_convergence(default_geom):
     # compare the two order ladders on one shared quadrature grid so the
     # truncation effect is isolated from panel-placement differences
@@ -433,6 +445,10 @@ def test_lockstep_tables_match_tables_built_alone(default_geom, monkeypatch, t_p
         assert (got.nodes_used, got.panel_err, got.tail_bound, got.panels_ok,
                 got.tail_ratio) == (alone.nodes_used, alone._ps.err, alone.tail_bound,
                                     alone.panels_ok, alone.tail_ratio)
+        for dz in (0.0, 0.5):
+            (tensor, err), (ref, ref_err) = got.integrate(dz), alone.integrate(dz)
+            assert np.abs(tensor - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert err == ref_err
     if t_panel[0] == 0.0:
         assert len(set(steps)) > 1
     assert oks.count(False) == (1 if budget == 700 else 0)
