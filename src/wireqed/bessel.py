@@ -3,17 +3,20 @@
 The wire Green's tensor needs J_n, H_n^(1) and their derivatives for
 arguments anywhere in the closed upper half-plane: real for propagating
 radial waves, purely imaginary on the imaginary frequency axis, and general
-complex inside the lossy metal.  J_n comes from scipy.special.jv at every
-order.  H_n^(1) comes from scipy.special.hankel1 at orders 0 and 1 only; the
-rest of the ladder follows from the upward recurrence
-H_{n+1} = (2n/z) H_n - H_{n-1}, which is stable because H^(1) is the
-dominant solution in the increasing-order direction for Im z >= 0
-(Gautschi, SIAM Rev. 9, 1967; DLMF 10.74(iv)).  J is recessive in that
-direction, so it is never recurred.  ``h_orders`` and ``j_orders`` give
-either ladder alone, for arguments where the other is not needed.  The
-module also supplies the derivative recurrence f' = (f_{n-1} - f_{n+1})/2,
-negative-order reflection J_{-n} = (-1)^n J_n, and explicit domain/overflow
-guards.
+complex inside the lossy metal.  Both ladders come from the three-term
+recurrence f_{n-1} + f_{n+1} = (2n/z) f_n, each run in the direction in
+which its function is dominant (Gautschi, SIAM Rev. 9, 1967; DLMF
+10.74(iv)).  H_n^(1) comes from scipy.special.hankel1 at orders 0 and 1 and
+is recurred upward, since for Im z >= 0 it is the dominant solution as n
+grows.  J_n comes from scipy.special.jv at orders nmax and nmax+1 and is
+recurred downward, J_{n-1} = (2n/z) J_n - J_{n+1}, since it is the minimal
+solution as n grows and hence dominant as n falls.  Where J_{nmax+1}
+underflows (|z| below about 1e-6 at nmax = 40) the downward start holds no
+information, so those columns keep scipy.special.jv at every order.
+``h_orders`` and ``j_orders`` give either ladder alone, for arguments where
+the other is not needed.  The module also supplies the derivative
+recurrence f' = (f_{n-1} - f_{n+1})/2, negative-order reflection
+J_{-n} = (-1)^n J_n, and explicit domain/overflow guards.
 """
 
 from __future__ import annotations
@@ -108,15 +111,25 @@ def h_orders(nmax: int, z):
 
 
 def j_orders(nmax: int, z):
-    """J and its derivative for all orders 0..nmax at argument(s) z, for
-    arguments where H^(1) is not needed (inside the metal).
+    """J and its derivative for all orders 0..nmax at argument(s) z.
+
+    The J half of ``jh_orders``, and the whole ladder for arguments where
+    H^(1) is not needed (inside the metal).
 
     Returns
     -------
     j, jp : ndarray, shape (nmax+1,) + shape(z)
     """
     zarr = _ladder_arguments(nmax, z)
-    j = special.jv(np.arange(nmax + 2.0)[:, None], zarr[None, :])
+    j = np.empty((nmax + 2, zarr.size), complex)
+    j[nmax:] = special.jv(np.arange(nmax, nmax + 2.0)[:, None], zarr[None, :])
+    two_over_z = 2.0 / zarr
+    for n in range(nmax, 0, -1):
+        j[n - 1] = (n * two_over_z) * j[n] - j[n + 1]
+    # an underflowed top order carries no information down the ladder
+    lost = np.abs(j[nmax + 1]) < np.finfo(float).tiny
+    if np.any(lost):
+        j[:, lost] = special.jv(np.arange(nmax + 2.0)[:, None], zarr[None, lost])
     if not np.all(np.isfinite(j)):
         raise OverflowGuardError("Bessel evaluation overflowed the representable range")
     return _with_derivatives(j, nmax, z)

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 
 import pytest
@@ -7,10 +8,20 @@ from wireqed import (DrudeModel, OMEGA_A, WireGeometry, fit_plasmon_lorentzian)
 from wireqed.emitters import EmitterPair, PairInteraction
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def load_fixture(name):
     return json.loads((FIXTURES / name).read_text())
+
+
+def subprocess_env():
+    """The environment with the checkout's src/ first on PYTHONPATH, so a
+    child ``python -m wireqed.cli`` imports the code under test without an
+    installed package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

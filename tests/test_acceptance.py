@@ -24,6 +24,8 @@ from wireqed.config import SCHEMA_TAG
 from wireqed.emitters import analytic_approximations, fit_two_lorentzian
 from wireqed.validate import EQUIVALENCE_MODELS, pv_shift, rotated_shift
 
+from conftest import subprocess_env
+
 REAL = SpectralPoint.real_axis(OMEGA_A)
 
 
@@ -290,7 +292,7 @@ def test_criterion_7_invariant_suites(default_geom, sweep_rows, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "wireqed.cli", "sweep", "--config", str(cfg_path),
              "--out", str(out), "--threads", threads],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=subprocess_env())
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     deterministic = outs[0] == outs[1]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from wireqed import DomainError, OverflowGuardError, bessel_jh
-from wireqed.bessel import N_MAX, jh_orders, safe_min_arg
+from wireqed.bessel import N_MAX, j_orders, jh_orders, safe_min_arg
 
 from conftest import load_fixture
 
@@ -146,12 +146,15 @@ def test_order_ladder_matches_scalar():
             assert hp[n, i] == pytest.approx(v.h1prime, rel=1e-14)
 
 
-@pytest.mark.parametrize("z", [
+LADDER_ARGUMENTS = [
     0.5, 7.0, 44.0, 600.0,                           # real: both sides of n = |z|
     0.05j, 3.0j, 40.0j, 300.0j,                      # imaginary axis
     0.02 + 0.01j, 5.0 + 3.0j, 20.0 + 15.0j, -30.0 + 2.0j,  # upper half-plane
     safe_min_arg(N_MAX + 1), 1j * safe_min_arg(N_MAX + 1),  # branch-floor clamp
-], ids=str)
+]
+
+
+@pytest.mark.parametrize("z", LADDER_ARGUMENTS, ids=str)
 def test_hankel_recurrence_matches_direct_evaluation(z):
     # the ladder recurs H upward from orders 0 and 1; it must agree with a
     # direct evaluation at every order, derivatives included
@@ -161,3 +164,31 @@ def test_hankel_recurrence_matches_direct_evaluation(z):
     ref_p = np.concatenate([[-ref[1]], (ref[:-2] - ref[2:]) / 2.0])
     assert np.max(np.abs(h[:, 0] - ref[:-1]) / np.abs(ref[:-1])) <= 1e-12
     assert np.max(np.abs(hp[:, 0] - ref_p) / np.abs(ref_p)) <= 1e-12
+
+
+@pytest.mark.parametrize("z", LADDER_ARGUMENTS + [
+    700.0j,             # deep evanescent tail, just inside the overflow limit
+    1e-9, 1e-7j,        # J_{N_MAX+1} underflows: the direct ladder is kept
+], ids=str)
+def test_j_recurrence_matches_direct_evaluation(z):
+    # the ladder recurs J downward from orders N_MAX and N_MAX + 1; it must
+    # agree with a direct evaluation at every order, derivatives included
+    j, jp = j_orders(N_MAX, np.array([z]))
+    ref = special.jv(np.arange(N_MAX + 2), z)
+    ref_p = np.concatenate([[-ref[1]], (ref[:-2] - ref[2:]) / 2.0])
+    scale = np.maximum(np.abs(ref[:-1]), np.abs(ref_p))
+    assert np.all(np.abs(j[:, 0] - ref[:-1]) <= 1e-12 * scale)
+    assert np.all(np.abs(jp[:, 0] - ref_p) <= 1e-12 * scale)
+
+
+def test_j_ladder_columns_are_independent_of_the_batch():
+    # an underflowed column takes the direct ladder without touching its
+    # neighbour, and an overflowed one still raises
+    z = np.array([1e-9 + 0j, 5.0 + 3.0j])
+    j, jp = j_orders(N_MAX, z)
+    for i, zz in enumerate(z):
+        j1, jp1 = j_orders(N_MAX, np.array([zz]))
+        np.testing.assert_array_equal(j[:, i], j1[:, 0])
+        np.testing.assert_array_equal(jp[:, i], jp1[:, 0])
+    with pytest.raises(OverflowGuardError):
+        j_orders(N_MAX, np.array([720.0j]))

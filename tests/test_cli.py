@@ -12,6 +12,8 @@ from wireqed.config import RunConfig, SCHEMA_TAG, config_from_dict, load_config
 from wireqed.errors import ConfigError, ConvergenceError
 from wireqed.green_wire import SpectralEvaluator
 
+from conftest import subprocess_env
+
 # a geometry that converges with a short azimuthal ladder, for fast CLI runs
 FAST_CONFIG = {
     "schema": SCHEMA_TAG,
@@ -25,7 +27,7 @@ FAST_CONFIG = {
 
 def run_cli(args):
     proc = subprocess.run([sys.executable, "-m", "wireqed.cli"] + args,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=subprocess_env())
     return proc
 
 
