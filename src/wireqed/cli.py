@@ -22,12 +22,11 @@ from contextlib import nullcontext
 import numpy as np
 
 from .config import RunConfig, SCHEMA_TAG, load_config
-from .emitters import (EmitterPair, PairInteraction, analytic_approximations,
-                       dicke_levels, fit_plasmon_lorentzian, fit_two_lorentzian,
-                       markov_diagnostic)
+from .emitters import (PairInteraction, analytic_approximations, dicke_levels,
+                       fit_plasmon_lorentzian, fit_two_lorentzian, markov_diagnostic)
 from .errors import ConfigError, ConvergenceError, FitError, WireQEDError
 from .frequencies import OMEGA_A, SpectralPoint
-from .green_wire import SpectralEvaluator, WireGeometry, settle_azimuthal_order
+from .green_wire import SpectralEvaluator, settle_azimuthal_order
 from .validate import run_all
 
 EXIT_OK = 0
@@ -43,7 +42,7 @@ def _fmt(x) -> str:
 
 
 def _load(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig().validate()
+    cfg = load_config(args.config) if args.config else RunConfig()
     if args.tol is not None:
         cfg.tol_wire = float(args.tol)
     if getattr(args, "out", None):
@@ -53,24 +52,15 @@ def _load(args) -> RunConfig:
     return cfg.validate()
 
 
-def _geometry(cfg: RunConfig) -> WireGeometry:
-    return WireGeometry(radius=cfg.radius, model=cfg.drude_model())
-
-
-def _pair(cfg: RunConfig, dz: float) -> EmitterPair:
-    return EmitterPair((cfg.rho_1, 0.0, 0.0), (cfg.rho_2, 0.0, dz),
-                       tuple(cfg.dipole_1), tuple(cfg.dipole_2))
-
-
 def _engine_and_fit(cfg: RunConfig, dz: float, dz_refs, threads: int = 1):
     """The pair tables for ``sweep`` and ``point``, with their kappa tables
     built in a pool of ``threads`` worker processes when threads > 1, and the
     plasmon fit at the same azimuthal order (None without a bound plasmon)."""
-    geom = _geometry(cfg)
+    geom = cfg.geometry()
     pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
     with pool:
         parallel = (lambda fn, xs: list(pool.map(fn, xs))) if threads > 1 else None
-        engine = PairInteraction(geom, _pair(cfg, dz), tol=cfg.tol_wire,
+        engine = PairInteraction(geom, cfg.pair(dz), tol=cfg.tol_wire,
                                  nmax=cfg.azimuthal_order, dz_refs=dz_refs,
                                  parallel=parallel)
     try:
@@ -145,8 +135,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_dispersion(args) -> int:
     cfg = _load(args)
-    if not args.omega_over_omega_a > 0:
-        raise ConfigError("dispersion needs --omega-over-omega-a > 0, "
+    if not 0 < args.omega_over_omega_a < math.inf:
+        raise ConfigError("dispersion needs a finite --omega-over-omega-a > 0, "
                           f"got {args.omega_over_omega_a}")
     if args.n_points < 2:
         raise ConfigError(f"dispersion needs --n-points >= 2, got {args.n_points}")
@@ -170,7 +160,7 @@ def cmd_dispersion(args) -> int:
         _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", cfg.output_path)
         return EXIT_OK
 
-    geom = _geometry(cfg)
+    geom = cfg.geometry()
     point = SpectralPoint.real_axis(omega)
     # an explicit azimuthal_order is used as given, as in sweep and point
     nmax = cfg.azimuthal_order
@@ -214,8 +204,7 @@ def cmd_dispersion(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _load(args)
-    suites = run_all(flip_resonant_sign=args.inject_sign_flip,
-                     gamma_p_over_omega_p=cfg.gamma_p_over_omega_p)
+    suites = run_all(cfg.gamma_p_over_omega_p)
     for suite in suites:
         print(suite.line())
     return EXIT_OK if all(s.passed for s in suites) else EXIT_VALIDATION
@@ -223,8 +212,8 @@ def cmd_validate(args) -> int:
 
 def cmd_point(args) -> int:
     cfg = _load(args)
-    if not args.dz > 0:
-        raise ConfigError(f"point needs a separation --dz > 0, got {args.dz}")
+    if not 0 < args.dz < math.inf:
+        raise ConfigError(f"point needs a finite separation --dz > 0, got {args.dz}")
     engine, fit = _engine_and_fit(cfg, args.dz, (0.0, args.dz))
     result = engine.at(args.dz)
     if not result.converged:
@@ -291,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="run built-in validation suites")
     common(sp)
-    sp.add_argument("--inject-sign-flip", action="store_true",
-                    help=argparse.SUPPRESS)  # mutation hook for tests
     sp.set_defaults(fn=cmd_validate)
 
     sp = sub.add_parser("point", help="full report at one separation")

@@ -8,8 +8,10 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .bessel import N_MAX
-from .errors import ConfigError
+from .emitters import EmitterPair, check_pair_geometry
+from .errors import ConfigError, DomainError
 from .frequencies import OMEGA_A
+from .green_wire import WireGeometry
 from .material import DrudeModel
 
 SCHEMA_TAG = "wireqed-config/1"
@@ -49,45 +51,44 @@ class RunConfig:
     output_format: str = "csv"
 
     def validate(self):
+        """Check the run's inputs; the objects ``geometry`` and ``pair`` build
+        check the physical ones, and their DomainError becomes ConfigError."""
+        try:
+            check_pair_geometry(self.geometry(), self.pair(0.0))
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
         s = self.sweep
-        if self.radius <= 0:
-            raise ConfigError("wire radius must be positive")
-        if self.eps_inf < 1.0:
-            raise ConfigError("eps_inf must be >= 1")
-        if self.omega_p_over_omega_a <= 0:
-            raise ConfigError("omega_p must be positive")
-        if self.gamma_p_over_omega_p < 0:
-            raise ConfigError("gamma_p must be nonnegative")
-        if min(self.rho_1, self.rho_2) <= self.radius:
-            raise ConfigError("emitters must sit outside the wire")
-        if self.rho_2 != self.rho_1:
-            raise ConfigError("emitters must share one axial line: rho_2 must equal rho_1")
-        if not (s.z_min > 0):
-            raise ConfigError("sweep z_min must be > 0")
-        if not (s.z_max > s.z_min):
-            raise ConfigError("sweep needs z_max > z_min")
+        if not 0 < s.z_min < s.z_max < math.inf:
+            raise ConfigError("sweep needs 0 < z_min < z_max < inf")
         if not isinstance(s.n_points, int) or isinstance(s.n_points, bool):
             raise ConfigError("sweep n_points must be an integer")
         if s.n_points < 2:
             raise ConfigError("sweep needs n_points >= 2")
+        if not isinstance(s.log_spacing, bool):
+            raise ConfigError("sweep log_spacing must be true or false")
         n = self.azimuthal_order
         if n is not None and (not isinstance(n, int) or isinstance(n, bool)
                               or not 1 <= n <= N_MAX):
             raise ConfigError(f"azimuthal_order must be null or an integer in 1..{N_MAX}")
         if not (1e-12 <= self.tol_wire <= 1e-3):
             raise ConfigError("tol_wire must lie in [1e-12, 1e-3]")
+        if not 0 < self.gamma0_abs < math.inf:
+            raise ConfigError("gamma0_abs must be finite and > 0")
         if self.output_format not in ("csv", "json"):
             raise ConfigError("output format must be csv or json")
-        if len(self.dipole_1) != 3 or len(self.dipole_2) != 3:
-            raise ConfigError("dipole orientations must be 3-vectors")
-        for name, d in (("dipole_1", self.dipole_1), ("dipole_2", self.dipole_2)):
-            if abs(math.sqrt(sum(x * x for x in d)) - 1.0) > 1e-12:
-                raise ConfigError(f"{name} must be a unit vector to 1e-12")
+        if not (self.output_path is None or isinstance(self.output_path, str)):
+            raise ConfigError("output_path must be null or a string")
         return self
 
-    def drude_model(self) -> DrudeModel:
-        return DrudeModel.from_relative(self.eps_inf, self.omega_p_over_omega_a,
-                                        self.gamma_p_over_omega_p)
+    def geometry(self) -> WireGeometry:
+        model = DrudeModel.from_relative(self.eps_inf, self.omega_p_over_omega_a,
+                                         self.gamma_p_over_omega_p)
+        return WireGeometry(radius=self.radius, model=model)
+
+    def pair(self, dz: float) -> EmitterPair:
+        """The two emitters, both at phi = 0, the second dz above the first."""
+        return EmitterPair((self.rho_1, 0.0, 0.0), (self.rho_2, 0.0, dz),
+                           tuple(self.dipole_1), tuple(self.dipole_2))
 
     def sweep_points(self):
         s = self.sweep
@@ -123,6 +124,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"unsupported config schema {tag!r}; expected {SCHEMA_TAG!r}")
     cfg = RunConfig()
     sweep_raw = raw.get("sweep", {})
+    if not isinstance(sweep_raw, dict):
+        raise ConfigError("sweep must be an object")
     known = {f for f in RunConfig.__dataclass_fields__}
     for key, val in raw.items():
         # tol_model: accepted from wireqed-config/1 files and ignored, it
@@ -132,17 +135,28 @@ def config_from_dict(raw: dict) -> RunConfig:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
         if key in ("dipole_1", "dipole_2"):
-            val = tuple(float(x) for x in val)
+            if not isinstance(val, list):
+                raise ConfigError(f"{key} must be a list of numbers")
+            val = tuple(_number(key, x) for x in val)
         setattr(cfg, key, val)
     sw = SweepSpec()
     for key, val in sweep_raw.items():
         if key not in SweepSpec.__dataclass_fields__:
             raise ConfigError(f"unknown sweep key {key!r}")
         setattr(sw, key, val)
+    sw.z_min, sw.z_max = _number("z_min", sw.z_min), _number("z_max", sw.z_max)
     cfg.sweep = sw
     for fld in ("radius", "eps_inf", "omega_p_over_omega_a", "gamma_p_over_omega_p",
                 "rho_1", "rho_2", "gamma0_abs", "tol_wire"):
-        setattr(cfg, fld, float(getattr(cfg, fld)))
-    if not math.isfinite(cfg.radius):
-        raise ConfigError("radius must be finite")
+        setattr(cfg, fld, _number(fld, getattr(cfg, fld)))
     return cfg.validate()
+
+
+def _number(key, val) -> float:
+    """``val`` as a float; a bool or anything float() refuses is a ConfigError."""
+    if not isinstance(val, bool):
+        try:
+            return float(val)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{key} must be a number, got {val!r}")

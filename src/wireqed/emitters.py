@@ -50,12 +50,13 @@ class EmitterPair:
 
     def __post_init__(self):
         for d in (self.dipole_1, self.dipole_2):
-            if abs(np.linalg.norm(np.asarray(d, float)) - 1.0) > 1e-12:
-                raise DomainError(f"dipole orientation {d} is not unit-norm to 1e-12")
-        if self.omega_a <= 0:
-            raise DomainError("transition frequency must be positive")
-        if min(self.position_1[0], self.position_2[0]) <= 0:
-            raise DomainError("emitter radial coordinates must be positive")
+            v = np.asarray(d, float)
+            if v.shape != (3,) or not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
+                raise DomainError(f"dipole orientation {d} is not a unit 3-vector to 1e-12")
+        if not 0.0 < self.omega_a < math.inf:
+            raise DomainError("transition frequency must be finite and positive")
+        if not all(0.0 < p[0] < math.inf for p in (self.position_1, self.position_2)):
+            raise DomainError("emitter radial coordinates must be finite and positive")
 
     def with_dz(self, dz: float) -> "EmitterPair":
         r1 = self.position_1
@@ -133,6 +134,16 @@ def _same_column(p1, p2):
     return abs(p1[0] - p2[0]) < _COINCIDENT and abs(p1[1] - p2[1]) < _COINCIDENT
 
 
+def check_pair_geometry(geom: WireGeometry, pair: EmitterPair):
+    """Raise DomainError unless both emitters sit outside the wire on one
+    axial line, the geometry the pair tables cover."""
+    if not min(pair.position_1[0], pair.position_2[0]) > geom.radius:
+        raise DomainError("emitters must sit outside the wire")
+    if not _same_column(pair.position_1, pair.position_2):
+        raise DomainError("pair tables require emitters on one axial line; "
+                          "use wire_green directly for general geometry")
+
+
 def _rates(w, gmed_11, gmed_12, p1, p2, d1, d2):
     """(gamma11, gamma12) per free-space rate: the imaginary part of the full
     tensor, vacuum plus scattered, contracted with the dipoles."""
@@ -157,11 +168,7 @@ class PairInteraction:
 
     def __init__(self, geom: WireGeometry, pair: EmitterPair, *, tol=1e-6,
                  nmax=None, dz_refs=(0.0, 0.5, 2.0, 4.0), parallel=None):
-        if min(pair.position_1[0], pair.position_2[0]) <= geom.radius:
-            raise DomainError("emitters must sit outside the wire")
-        if not _same_column(pair.position_1, pair.position_2):
-            raise DomainError("pair tables require emitters on one axial line; "
-                              "use wire_green directly for general geometry")
+        check_pair_geometry(geom, pair)
         self.geom = geom
         self.pair = pair
         self.tol = float(tol)

@@ -65,8 +65,8 @@ class WireGeometry:
     model: DrudeModel
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise DomainError(f"wire radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < np.inf:
+            raise DomainError(f"wire radius must be finite and positive, got {self.radius}")
         if self.radius >= 0.5:
             warnings.warn(
                 f"radius {self.radius} is not sub-wavelength; the plasmon "
@@ -507,9 +507,13 @@ class FrozenSpectralTable:
 
     def integrate(self, dz: float):
         """(3x3 tensor, abs error) of int_{-inf}^{inf} G~(kz) e^{i kz dz} dkz."""
-        vec = panel_integral(self.halves, self.mids, self.coefs, float(dz),
-                             _MIRROR.ravel())
-        return vec.reshape(3, 3), self.panel_err + self.tail_bound
+        return _table_integral(self, dz)
+
+
+def _table_integral(table, dz):
+    """``integrate`` of either table type, from its frozen panels."""
+    vec = panel_integral(table.halves, table.mids, table.coefs, float(dz), _MIRROR.ravel())
+    return vec.reshape(3, 3), table.panel_err + table.tail_bound
 
 
 class WireSpectralTable:
@@ -519,7 +523,8 @@ class WireSpectralTable:
     ``nmax``, and the tail blocks are judged at separation ``phase_ref``;
     ``imag_axis_tables`` builds many tables at imaginary frequencies the same
     way.  The azimuthal tail is recorded (``tail_ratio``, ``tail_ok``), not
-    acted on.
+    acted on.  The panels are held frozen, in the fields of a
+    ``FrozenSpectralTable`` (``halves``, ``mids``, ``coefs``, ``panel_err``).
 
     Build once, then ``integrate(dz)`` for any number of separations: the
     separation only enters through analytic phase moments, so each call
@@ -535,7 +540,8 @@ class WireSpectralTable:
             evaluator, tol=tol, k_start=self.k_start, mirror=_MIRROR.ravel(),
             pole_hint=pole_hint, branch_point=branch, tail_scale=gap, budget=budget,
             phase_for_blocks=phase_ref)
-        self._ps = ps
+        self.halves, self.mids, self.coefs = ps._freeze()
+        self.panel_err = ps.err
         self.tail_bound = float(tail_bound)
         self.panels_ok = bool(ok)
         self.nodes_used = ps.nodes_used
@@ -546,8 +552,7 @@ class WireSpectralTable:
 
     def integrate(self, dz: float):
         """(3x3 tensor, abs error) of int_{-inf}^{inf} G~(kz) e^{i kz dz} dkz."""
-        vec = self._ps.integral(float(dz))
-        return vec.reshape(3, 3), self._ps.err + self.tail_bound
+        return _table_integral(self, dz)
 
 
 def imag_axis_tables(geom: WireGeometry, kappas, rho1, rho2, dphi, *, nmax, tol, budget):

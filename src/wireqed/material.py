@@ -8,6 +8,7 @@ positive imaginary axis, where causality makes it purely real.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -34,12 +35,12 @@ class DrudeModel:
     gamma_p: float = 0.012 * OMEGA_A  # 0.002 * omega_p for the defaults
 
     def __post_init__(self):
-        if self.eps_inf < 1.0:
-            raise DomainError(f"eps_inf must be >= 1, got {self.eps_inf}")
-        if self.omega_p <= 0.0:
-            raise DomainError(f"omega_p must be > 0, got {self.omega_p}")
-        if self.gamma_p < 0.0:
-            raise DomainError(f"gamma_p must be >= 0, got {self.gamma_p}")
+        if not 1.0 <= self.eps_inf < math.inf:
+            raise DomainError(f"eps_inf must be finite and >= 1, got {self.eps_inf}")
+        if not 0.0 < self.omega_p < math.inf:
+            raise DomainError(f"omega_p must be finite and > 0, got {self.omega_p}")
+        if not 0.0 <= self.gamma_p < math.inf:
+            raise DomainError(f"gamma_p must be finite and >= 0, got {self.gamma_p}")
 
     @classmethod
     def from_relative(cls, eps_inf: float, omega_p_over_omega_a: float,
@@ -65,15 +66,12 @@ def permittivity(model: DrudeModel, s) -> complex:
         if kappa <= 0:
             raise DomainError("imaginary-axis evaluation needs kappa > 0")
         return complex(model.eps_inf + model.omega_p**2 / (kappa * (kappa + model.gamma_p)))
-    omega = complex(v)
-    return model.eps_inf - model.omega_p**2 / (omega * omega + 1j * model.gamma_p * omega)
+    return permittivity_upper_half_plane(model, v)
 
 
 def permittivity_upper_half_plane(model: DrudeModel, omega: complex) -> complex:
-    """Analytic continuation to arbitrary points with Im(omega) >= 0.
-
-    Used by symmetry checks; production evaluations stay on the two axes.
-    """
+    """Analytic continuation to arbitrary points with Im(omega) >= 0; on the
+    real axis it is ``permittivity`` itself."""
     omega = complex(omega)
     if omega.imag < -1e-15:
         raise DomainError("model is defined on the closed upper half-plane only")

@@ -204,7 +204,6 @@ class PanelSet:
         self.budget = budget
         self.nodes_used = 0
         self.panels = []  # records [a, b, coef(16, comp), err, fmax]
-        self._frozen = None
 
     def add(self, a, b, vals):
         """Add panel [a, b] with the values ``vals`` at its nodes; returns
@@ -216,7 +215,6 @@ class PanelSet:
         coef = np.einsum("ki,ic->kc", _PROJ, vals)
         rec = [a, b, coef, float(legendre_error(half, coef)), float(np.abs(vals).max())]
         self.panels.append(rec)
-        self._frozen = None
         return rec
 
     @property
@@ -240,13 +238,13 @@ class PanelSet:
         return True
 
     def _freeze(self):
-        if self._frozen is None:
-            order = np.argsort([p[0] for p in self.panels])
-            a = np.array([self.panels[i][0] for i in order])
-            b = np.array([self.panels[i][1] for i in order])
-            coef = np.stack([self.panels[i][2] for i in order])  # (P, 16, comp)
-            self._frozen = (0.5 * (b - a), 0.5 * (a + b), coef)
-        return self._frozen
+        """(half-widths, midpoints, coefficients (P, 16, comp)) of the panels
+        in kz order, as ``panel_integral`` takes them."""
+        order = np.argsort([p[0] for p in self.panels])
+        a = np.array([self.panels[i][0] for i in order])
+        b = np.array([self.panels[i][1] for i in order])
+        coef = np.stack([self.panels[i][2] for i in order])
+        return 0.5 * (b - a), 0.5 * (a + b), coef
 
     def integral(self, lam=0.0):
         """Sum of panel integrals at phase lam (and -lam on the mirrored

@@ -256,7 +256,7 @@ def test_criterion_7_invariant_suites(default_geom, sweep_rows, tmp_path):
     semidefiniteness, and byte-identical CSV across worker counts."""
     from wireqed.validate import wronskian_suite
 
-    wronskian = wronskian_suite(tol=1e-10)[0]
+    wronskian = wronskian_suite()[0]
 
     rng = np.random.default_rng(99)
     recip_worst = 0.0

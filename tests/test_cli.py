@@ -1,12 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from wireqed import OMEGA_A, SpectralPoint, WireGeometry, fit_plasmon_lorentzian
-from wireqed import cli
+from wireqed import OMEGA_A, SpectralPoint, fit_plasmon_lorentzian
+from wireqed import cli, validate
 from wireqed.cli import main
 from wireqed.config import RunConfig, SCHEMA_TAG, config_from_dict, load_config
 from wireqed.errors import ConfigError, ConvergenceError
@@ -22,6 +23,36 @@ FAST_CONFIG = {
     "rho_2": 0.03,
     "sweep": {"z_min": 0.5, "z_max": 1.5, "n_points": 3, "log_spacing": False},
     "tol_wire": 1e-4,
+}
+
+
+_SWEEP = FAST_CONFIG["sweep"]
+NAN, INF = float("nan"), float("inf")
+# each exits 2 with "config error" and the reason before any spectrum is
+# computed: id -> (overrides, a fragment of the reason)
+INVALID_CONFIGS = {
+    "rho_2_off_axis_line": ({"rho_2": 0.02}, "one axial line"),
+    "dipole_not_unit": ({"dipole_1": [1.0, 1.0, 0.0]}, "unit"),
+    "n_points_not_integer": ({"sweep": {"z_min": 0.5, "z_max": 1.5, "n_points": 2.5}},
+                             "n_points"),
+    "eps_inf_nan": ({"eps_inf": NAN}, "eps_inf"),
+    "eps_inf_inf": ({"eps_inf": INF}, "eps_inf"),
+    "omega_p_nan": ({"omega_p_over_omega_a": NAN}, "omega_p"),
+    "omega_p_inf": ({"omega_p_over_omega_a": INF}, "omega_p"),
+    "gamma_p_nan": ({"gamma_p_over_omega_p": NAN}, "gamma_p"),
+    "rho_nan": ({"rho_1": NAN, "rho_2": NAN}, "radial coordinates"),
+    "rho_inf": ({"rho_1": INF, "rho_2": INF}, "radial coordinates"),
+    "radius_inf": ({"radius": INF}, "radius"),
+    "dipole_nan": ({"dipole_1": [NAN, 0.0, 0.0]}, "unit"),
+    "radius_not_a_number": ({"radius": "abc"}, "radius must be a number"),
+    "radius_bool": ({"radius": True}, "radius must be a number"),
+    "dipole_not_a_list": ({"dipole_1": "xyz"}, "dipole_1"),
+    # not 5: without the check, open(5, "w") would write to this process's fd 5
+    "output_path_not_a_string": ({"output_path": ["sweep.csv"]}, "output_path"),
+    "z_max_inf": ({"sweep": {**_SWEEP, "z_max": INF}}, "z_max"),
+    "log_spacing_not_bool": ({"sweep": {**_SWEEP, "log_spacing": "no"}}, "log_spacing"),
+    "gamma0_abs_nan": ({"gamma0_abs": NAN}, "gamma0_abs"),
+    "gamma0_abs_negative": ({"gamma0_abs": -1.0}, "gamma0_abs"),
 }
 
 
@@ -86,18 +117,15 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
 
-    @pytest.mark.parametrize("overrides", [
-        {"rho_2": 0.02},
-        {"dipole_1": [1.0, 1.0, 0.0]},
-        {"sweep": {"z_min": 0.5, "z_max": 1.5, "n_points": 2.5}},
-    ], ids=["rho_2_off_axis_line", "dipole_not_unit", "n_points_not_integer"])
-    def test_invalid_config_exit_2(self, tmp_path, overrides):
+    @pytest.mark.parametrize("overrides, reason", list(INVALID_CONFIGS.values()),
+                             ids=list(INVALID_CONFIGS))
+    def test_invalid_config_exit_2(self, tmp_path, capsys, overrides, reason):
         path = write_config(tmp_path, overrides)
-        proc = run_cli(["sweep", "--config", path])
-        assert proc.returncode == 2
-        assert "config error" in proc.stderr
+        assert main(["sweep", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and reason in err
 
-    @pytest.mark.parametrize("dz", ["0", "-0.5"])
+    @pytest.mark.parametrize("dz", ["0", "-0.5", "nan", "inf"])
     def test_point_nonpositive_dz_exit_2(self, dz):
         proc = run_cli(["point", f"--dz={dz}"])
         assert proc.returncode == 2
@@ -130,6 +158,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [["--omega-over-omega-a", "0"],
                                       ["--omega-over-omega-a", "-1"],
+                                      ["--omega-over-omega-a", "inf"],
                                       ["--n-points", "1"], ["--n-points", "0"],
                                       ["--synthetic", "3.0,0.2"],
                                       ["--synthetic", "3.0,-0.2,9.42"]])
@@ -148,10 +177,17 @@ class TestExitCodes:
         assert "PASS" in proc.stdout
         assert "FAIL" not in proc.stdout
 
-    def test_injected_sign_flip_fails_validation(self):
-        proc = run_cli(["validate", "--inject-sign-flip"])
-        assert proc.returncode == 4
-        assert "FAIL" in proc.stdout
+    def test_injected_sign_flip_fails_validation(self, monkeypatch, capsys):
+        rotated_shift = validate.rotated_shift
+
+        def flipped(model, omega_a):
+            # the resonant term pi w^2 Re G(w) with its sign flipped
+            res = math.pi * omega_a**2 * complex(model(omega_a)).real
+            return rotated_shift(model, omega_a) - 2.0 * res
+
+        monkeypatch.setattr(validate, "rotated_shift", flipped)
+        assert main(["validate"]) == 4
+        assert "FAIL" in capsys.readouterr().out
 
     def test_lossless_material_reported_as_documented_skip(self, tmp_path):
         path = write_config(tmp_path, {"gamma_p_over_omega_p": 0.0})
@@ -250,7 +286,7 @@ class TestDispersion:
         kz, vals = np.array([[float(x) for x in l.split(",")]
                              for l in lines if l[0].isdigit()]).T
         cfg = load_config(path)
-        geom = WireGeometry(radius=cfg.radius, model=cfg.drude_model())
+        geom = cfg.geometry()
         ev = SpectralEvaluator(geom, SpectralPoint.real_axis(OMEGA_A), cfg.rho_1,
                                cfg.rho_1, 0.0, nmax=4)
         want = ev(kz)[:, 0, 0].imag

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from wireqed import (DomainError, DrudeModel, OMEGA_A, SpectralPoint, WireGeometry,
-                     emitters, wire_green)
+from wireqed import (DomainError, DrudeModel, FitError, OMEGA_A, SpectralPoint,
+                     WireGeometry, emitters, plasmon_wavenumber, wire_green)
 from wireqed.emitters import (EmitterPair, PairInteraction, RateShiftResult,
-                              analytic_approximations, decay_rates, dicke_levels,
+                              analytic_approximations, check_pair_geometry,
+                              decay_rates, dicke_levels,
                               dipole_shift, fit_plasmon_lorentzian, fit_two_lorentzian,
                               markov_diagnostic, LorentzianFit)
 from wireqed.green_wire import SpectralEvaluator, WireSpectralTable
@@ -21,8 +22,23 @@ def make_result(gamma11=1.0, gamma12=0.0, s12res=0.0, s12int=0.0):
 
 class TestEmitterPair:
     def test_dipoles_must_be_unit(self):
-        with pytest.raises(DomainError):
-            EmitterPair((0.015, 0, 0), (0.015, 0, 1), dipole_1=(1.0, 1.0, 0.0))
+        for d in ((1.0, 1.0, 0.0), (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (1.0, 0.0)):
+            with pytest.raises(DomainError):
+                EmitterPair((0.015, 0, 0), (0.015, 0, 1), dipole_1=d)
+
+    def test_radii_and_frequency_must_be_finite_and_positive(self):
+        for rho in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                EmitterPair((rho, 0, 0), (rho, 0, 1))
+        for w in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                EmitterPair((0.015, 0, 0), (0.015, 0, 1), omega_a=w)
+
+    def test_pair_geometry_check(self, default_geom):
+        check_pair_geometry(default_geom, EmitterPair((0.015, 0, 0), (0.015, 0, 1)))
+        for p2 in ((0.005, 0, 1), (0.02, 0, 1), (0.015, 0.1, 1)):
+            with pytest.raises(DomainError):
+                check_pair_geometry(default_geom, EmitterPair((0.015, 0, 0), p2))
 
     def test_with_dz(self):
         pair = EmitterPair((0.015, 0, 0), (0.015, 0, 1))
@@ -116,7 +132,7 @@ def test_kappa_bisection_matches_per_table_oracle(default_geom, monkeypatch):
         weight = w**2 * t**2 / ((1.0 - t) ** 2 * (t**2 + (1.0 - t) ** 2))
         for gw, wt, k in zip(_GL_W, weight, w * t / (1.0 - t)):
             tab = tables[float(k)]
-            kz_err += half * gw * abs(wt) * (tab._ps.err + tab.tail_bound)
+            kz_err += half * gw * abs(wt) * (tab.panel_err + tab.tail_bound)
     assert kz_err > 0.0
     coincident_err = engine.integral_tensor(0.0)[1]
     for dz in (0.0, 0.5, 8.0):
@@ -223,6 +239,23 @@ class TestLorentzianFit:
         assert plasmon_fit.center_kz_pl > OMEGA_A
         assert plasmon_fit.fit_residual < 0.05
         assert plasmon_fit.width_gamma > 0
+
+    def test_scan_fallback_without_a_tm0_root(self):
+        # plasmon_wavenumber finds no TM0 root on either wire, so the fit
+        # scans the spectrum for its maximum instead
+        def geom(radius, wp, gp):
+            return WireGeometry(radius=radius,
+                                model=DrudeModel.from_relative(1.0, wp, gp))
+
+        broad = geom(0.1, 1.3, 0.05)
+        with pytest.raises(FitError):
+            plasmon_wavenumber(broad, OMEGA_A)
+        fit = fit_plasmon_lorentzian(broad, 0.15, OMEGA_A)
+        assert fit.center_kz_pl == pytest.approx(6.412, rel=1e-3)
+        assert fit.center_kz_pl > OMEGA_A
+        assert fit.fit_residual < 5e-3
+        with pytest.raises(FitError, match="no interior spectral maximum"):
+            fit_plasmon_lorentzian(geom(0.03, 1.05, 0.002), 0.045, OMEGA_A)
 
     def test_single_rate_approximation_close(self, pair_engine, plasmon_fit):
         # plasmon channel carries most of the near-wire decay

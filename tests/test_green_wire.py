@@ -14,8 +14,9 @@ _MIRROR = np.outer([1.0, 1.0, -1.0], [1.0, 1.0, -1.0])
 
 
 def test_geometry_validation():
-    with pytest.raises(DomainError):
-        WireGeometry(radius=0.0, model=DrudeModel())
+    for radius in (0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            WireGeometry(radius=radius, model=DrudeModel())
     with pytest.warns(UserWarning):
         WireGeometry(radius=0.6, model=DrudeModel())
     geom = WireGeometry(radius=0.01, model=DrudeModel())
@@ -438,12 +439,11 @@ def test_lockstep_tables_match_tables_built_alone(default_geom, monkeypatch, t_p
                                   0.015, 0.0, nmax=8, tol=1e-6, budget=budget)
         steps.append(len(calls))
         oks.append(alone.panels_ok)
-        halves, mids, coefs = alone._ps._freeze()
-        np.testing.assert_array_equal(got.halves, halves)
-        np.testing.assert_array_equal(got.mids, mids)
-        assert np.abs(got.coefs - coefs).max() <= 1e-14 * np.abs(coefs).max()
+        np.testing.assert_array_equal(got.halves, alone.halves)
+        np.testing.assert_array_equal(got.mids, alone.mids)
+        assert np.abs(got.coefs - alone.coefs).max() <= 1e-14 * np.abs(alone.coefs).max()
         assert (got.nodes_used, got.panel_err, got.tail_bound, got.panels_ok,
-                got.tail_ratio) == (alone.nodes_used, alone._ps.err, alone.tail_bound,
+                got.tail_ratio) == (alone.nodes_used, alone.panel_err, alone.tail_bound,
                                     alone.panels_ok, alone.tail_ratio)
         for dz in (0.0, 0.5):
             (tensor, err), (ref, ref_err) = got.integrate(dz), alone.integrate(dz)

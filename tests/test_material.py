@@ -82,3 +82,8 @@ def test_invalid_parameters_rejected():
         DrudeModel(omega_p=-1.0)
     with pytest.raises(DomainError):
         DrudeModel(gamma_p=-1e-3)
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"eps_inf": nan}, {"eps_inf": inf}, {"omega_p": nan}, {"omega_p": inf},
+                {"gamma_p": nan}, {"gamma_p": inf}):
+        with pytest.raises(DomainError):
+            DrudeModel(**bad)
