@@ -105,6 +105,10 @@ class SpectralEvaluator:
             raise DomainError("both points must lie outside the wire")
         self.geom = geom
         points = [as_spectral_point(p) for p in (s if isinstance(s, list) else [s])]
+        axes = {p.is_imaginary for p in points}
+        if len(axes) != 1:
+            raise DomainError("the spectral points of one evaluator must share one axis")
+        self.imaginary = axes.pop()
         self.rho1 = float(rho1)
         self.rho2 = float(rho2)
         self.dphi = float(dphi)
@@ -165,8 +169,10 @@ class SpectralEvaluator:
         if np.any(bad):
             # constant directional clamp: propagating side stays real, the
             # evanescent side stays on +i, so panels inside the window see a
-            # flat function instead of noise
-            direction = np.where(np.abs(kz) <= abs_k1, 1.0 + 0j, 1j)
+            # flat function instead of noise.  On the imaginary axis eta1 =
+            # i sqrt(kappa^2 + kz^2) has no propagating side.
+            propagating = (np.abs(kz) <= abs_k1) & ~self.imaginary
+            direction = np.where(propagating, 1.0 + 0j, 1j)
             eta1 = np.where(bad, floor * direction, eta1)
         # J and H outside the surface, J alone inside it; H alone at eta1 rho
         # (once when rho1 = rho2), where J would overflow first in the
