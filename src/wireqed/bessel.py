@@ -17,6 +17,17 @@ information, so those columns keep scipy.special.jv at every order.
 the other is not needed.  The module also supplies the derivative
 recurrence f' = (f_{n-1} - f_{n+1})/2, negative-order reflection
 J_{-n} = (-1)^n J_n, and explicit domain/overflow guards.
+
+On the imaginary axis, J_n(iy) = i^n I_n(y) and H_n^(1)(iy) =
+(2/pi) i^(-n-1) K_n(y) for y > 0 (DLMF 10.27.6, 10.27.8), so there the
+real ladders ``ive_orders`` and ``kve_orders`` replace them.  They hold the
+exponentially scaled e^(-y) I_n(y) and e^(y) K_n(y), which cannot overflow
+where I_n does (I_0(750) = inf), and run the recurrences
+f_{n-1} - f_{n+1} = (2n/y) f_n for I and f_{n+1} - f_{n-1} = (2n/y) f_n for K
+(DLMF 10.29.1): I downward from scipy.special.ive at orders nmax and
+nmax+1, with the same underflow fallback as J, and K upward from
+scipy.special.k0e and k1e (kve at orders 0 and 1).  Every term of both recurrences is
+positive, so neither loses digits.
 """
 
 from __future__ import annotations
@@ -64,13 +75,21 @@ def safe_min_arg(order: int) -> float:
     return 2.0 * math.exp(-(280.0 * math.log(10.0) - math.lgamma(m)) / m)
 
 
-def _with_derivatives(f, nmax, z):
+def _with_derivatives(f, nmax, z, modified=False):
     """Orders 0..nmax of a ladder f holding orders 0..nmax+1, and of its
-    derivative, both shaped (nmax+1,) + shape(z)."""
-    # f'_n = (f_{n-1} - f_{n+1}) / 2 with f_{-1} = -f_1
+    derivative, both shaped (nmax+1,) + shape(z).
+
+    The derivative is f'_n = (f_{n-1} - f_{n+1}) / 2 with f_{-1} = -f_1 for
+    J and H^(1), and f'_n = (f_{n-1} + f_{n+1}) / 2 with f_{-1} = f_1 for
+    I (``modified``); K'_n is minus the latter.
+    """
     fp = np.empty_like(f[: nmax + 1])
-    fp[0] = -f[1]
-    fp[1:] = (f[: nmax] - f[2: nmax + 2]) / 2.0
+    if modified:
+        fp[0] = f[1]
+        fp[1:] = (f[: nmax] + f[2: nmax + 2]) / 2.0
+    else:
+        fp[0] = -f[1]
+        fp[1:] = (f[: nmax] - f[2: nmax + 2]) / 2.0
     shape = (nmax + 1,) + np.shape(z)
     return f[: nmax + 1].reshape(shape), fp.reshape(shape)
 
@@ -133,6 +152,63 @@ def j_orders(nmax: int, z):
     if not np.all(np.isfinite(j)):
         raise OverflowGuardError("Bessel evaluation overflowed the representable range")
     return _with_derivatives(j, nmax, z)
+
+
+def _real_arguments(nmax, y):
+    """y as a flat float array, once the order range and y pass the guards."""
+    if not 0 <= nmax <= N_MAX:
+        raise DomainError(f"order ladder must satisfy 0 <= nmax <= {N_MAX}, got {nmax}")
+    yarr = np.atleast_1d(np.asarray(y, dtype=float))
+    if not np.all((yarr > 0.0) & (yarr < np.inf)):
+        raise DomainError("modified Bessel arguments must be finite and positive")
+    return yarr
+
+
+def ive_orders(nmax: int, y):
+    """e^(-y) I_n(y) and its derivative e^(-y) I_n'(y) for all orders
+    0..nmax at real argument(s) y > 0.
+
+    The ladder recurs downward from scipy.special.ive at orders nmax and
+    nmax+1; where the top order underflows (y below about 1e-6 at
+    nmax = 40) the column keeps scipy.special.ive at every order, as
+    ``j_orders`` does.
+
+    Returns
+    -------
+    i, ip : ndarray, shape (nmax+1,) + shape(y)
+    """
+    yarr = _real_arguments(nmax, y)
+    f = np.empty((nmax + 2, yarr.size))
+    f[nmax:] = special.ive(np.arange(nmax, nmax + 2.0)[:, None], yarr[None, :])
+    two_over_y = 2.0 / yarr
+    for n in range(nmax, 0, -1):
+        f[n - 1] = (n * two_over_y) * f[n] + f[n + 1]
+    lost = f[nmax + 1] < np.finfo(float).tiny
+    if np.any(lost):
+        f[:, lost] = special.ive(np.arange(nmax + 2.0)[:, None], yarr[None, lost])
+    return _with_derivatives(f, nmax, y, modified=True)
+
+
+def kve_orders(nmax: int, y):
+    """e^(y) K_n(y) and its derivative e^(y) K_n'(y) for all orders
+    0..nmax at real argument(s) y > 0, recurred upward from orders 0 and 1
+    (scipy.special.k0e and k1e, which are kve at those orders).
+
+    Returns
+    -------
+    k, kp : ndarray, shape (nmax+1,) + shape(y)
+    """
+    yarr = _real_arguments(nmax, y)
+    f = np.empty((nmax + 2, yarr.size))
+    f[0], f[1] = special.k0e(yarr), special.k1e(yarr)
+    two_over_y = 2.0 / yarr
+    with np.errstate(over="ignore"):
+        for n in range(1, nmax + 1):
+            f[n + 1] = (n * two_over_y) * f[n] + f[n - 1]
+    if not np.all(np.isfinite(f)):
+        raise OverflowGuardError("Bessel evaluation overflowed the representable range")
+    k, kp = _with_derivatives(f, nmax, y, modified=True)
+    return k, -kp
 
 
 def jh_orders(nmax: int, z):

@@ -31,6 +31,13 @@ Mt, Nt equal to M, N with the sign of every explicitly imaginary component
 coefficient flipped (the analytic continuation of phase conjugation).
 The radial wavenumber branch is Im(eta) >= 0 everywhere, which makes every
 field outgoing or decaying and the imaginary-axis tensor purely real.
+
+On the imaginary axis eps is real and eta is imaginary, so every radial
+function, reflection coefficient and order term there is a real number times
+a fixed power of i (J_n(iy) = i^n I_n(y), H_n(iy) = (2/pi) i^(-n-1) K_n(y);
+DLMF 10.27.6, 10.27.8).  The evaluator computes those spectra in real
+arithmetic and puts the phases back at the end: T(+kz) is real on the
+components even under P and imaginary on the odd ones.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import N_MAX, h_orders, j_orders, jh_orders, safe_min_arg
+from .bessel import (N_MAX, h_orders, ive_orders, j_orders, jh_orders, kve_orders,
+                     safe_min_arg)
 from .errors import ConvergenceError, DomainError, FitError, OverflowGuardError
 from .frequencies import SpectralPoint, as_spectral_point
 from .green_vacuum import DyadicGreen
@@ -55,6 +63,10 @@ TAIL_TOL = 1e-10   # largest |n| = nmax term, relative to the spectrum's scale
 # (rho, phi, z) components; see the module docstring.
 _SIGMA = np.outer([-1.0, 1.0, -1.0], [-1.0, 1.0, -1.0])
 _MIRROR = np.outer([1.0, 1.0, -1.0], [1.0, 1.0, -1.0])
+# The fixed phase of each component of the imaginary-axis tensor against the
+# real sum that __call__ forms there: real on the components _MIRROR keeps,
+# imaginary on the others.
+_IMAG_PHASE = np.array([[1, -1, 1j], [1, 1, 1j], [-1j, 1j, 1]])
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,13 @@ class SpectralEvaluator:
     the module docstring gives the two symmetries that supply the negative
     orders and -kz.  The (-1)^n of H_-n cancels in every bilinear
     term, so the order -n term needs no radial functions of its own.
+
+    All points share one axis, which selects the arithmetic: complex J_n and
+    H_n^(1) ladders on the real axis; on the imaginary axis exponentially
+    scaled I_n and K_n ladders, a float64 wall solve and a float64 sum
+    (``_modified_ladders``, ``_solve``).  Both assemble T as one batched
+    product over the orders, and build the per-order terms only at the nodes
+    near the branch point, where ``_monotone_mask`` can act.
     """
 
     def __init__(self, geom: WireGeometry, s, rho1, rho2, dphi, nmax):
@@ -122,9 +141,9 @@ class SpectralEvaluator:
 
         # the +n and -n terms folded onto order n: 2 cos(n dphi) on the
         # components even under _SIGMA, 2i sin(n dphi) on the odd ones
-        n = np.arange(self.nmax + 1)[:, None, None]
-        even = np.where(n > 0, 2.0, 1.0) * np.cos(n * self.dphi)
-        self._weights = np.where(_SIGMA > 0, even, 2j * np.sin(n * self.dphi))  # (N, 3, 3)
+        n = np.arange(self.nmax + 1)
+        self._cos = np.where(n > 0, 2.0, 1.0) * np.cos(n * self.dphi)
+        self._sin = 2.0 * np.sin(n * self.dphi) if self.dphi != 0.0 else None
 
     @property
     def tail_ratios(self):
@@ -174,6 +193,8 @@ class SpectralEvaluator:
             propagating = (np.abs(kz) <= abs_k1) & ~self.imaginary
             direction = np.where(propagating, 1.0 + 0j, 1j)
             eta1 = np.where(bad, floor * direction, eta1)
+        if self.imaginary:
+            return self._modified_ladders(eta1.imag, eta2.imag)
         # J and H outside the surface, J alone inside it; H alone at eta1 rho
         # (once when rho1 = rho2), where J would overflow first in the
         # evanescent tail
@@ -196,6 +217,37 @@ class SpectralEvaluator:
         wall = (h1ap / h1a, j2ap / j2a, j1a / m, j1ap / m)
         return eta1, eta2, wall, (hr1 / h1a * m, hr1p / h1a * m, hr2, hr2p)
 
+    def _modified_ladders(self, y1, y2):
+        """``_ladders`` on the imaginary axis, eta1 = i y1 and eta2 = i y2,
+        from the real, exponentially scaled I and K ladders.
+
+        With J_n(iy) = i^n I_n(y) and H_n(iy) = (2/pi) i^(-n-1) K_n(y), each
+        complex quantity is a fixed power of i times a real one, and these
+        are the real ones: eta1 and eta2 as y1 and y2; the wall inputs
+        K_n'/K_n at y1 a (the complex one is -i times it), I_n'/I_n at y2 a
+        (-i times), and I_n, I_n' at y1 a over m = max(I_n, I_n') (i^n and
+        i^(n-1) times); outside, K_n and K_n' at y1 rho1 over K_n(y1 a)
+        times m (1 and -i times), and K_n, K_n' at y1 rho2 ((2/pi) i^(-n-1)
+        and -(2/pi) i^(-n) times).  The scalings e^(y1 a) in m and over
+        K_n(y1 a) and e^(-y1 rho) in each K_n(y1 rho) leave one factor per
+        node, exp(-y1 (rho1 - a) - y1 (rho2 - a)) <= 1, which goes onto the
+        rho1 side.
+        """
+        a = self.geom.radius
+        K = y1.size
+        rhos = (self.rho1,) if self.rho2 == self.rho1 else (self.rho1, self.rho2)
+        i, ip = ive_orders(self.nmax, np.concatenate([y1 * a, y2 * a]))
+        k, kp = kve_orders(self.nmax, np.concatenate([y1 * r for r in (a,) + rhos]))
+        m = np.maximum(i[:, :K], ip[:, :K])
+        wall = (kp[:, :K] / k[:, :K], ip[:, K:] / i[:, K:], i[:, :K] / m, ip[:, :K] / m)
+        # as in ``_ladders``, the ratio to K_n(y1 a) comes before m: m over
+        # K_n(y1 a) alone underflows at high order next to the branch point
+        kr1, kr1p = k[:, K:2 * K], kp[:, K:2 * K]
+        kr2, kr2p = (k[:, 2 * K:], kp[:, 2 * K:]) if len(rhos) == 2 else (kr1, kr1p)
+        decay = np.exp(-y1 * (self.rho1 + self.rho2 - 2.0 * a))
+        return y1, y2, wall, (kr1 / k[:, :K] * m * decay, kr1p / k[:, :K] * m * decay,
+                              kr2, kr2p)
+
     def _solve(self, kz_signed, eta1, eta2, wall, which=0):
         """Scaled reflection coefficients for orders 0..nmax at signed kz.
 
@@ -208,25 +260,36 @@ class SpectralEvaluator:
         (M, N) amplitudes for E_phi and H_phi, solved here in closed form.
         The sign of kz enters only through the coupling c, so R(-kz) is R(+kz)
         with R_MN and R_NM negated, bit for bit.
+
+        Real inputs are the imaginary-axis forms of ``_modified_ladders``.
+        There k1, k2^2/k1 and c^2/k1 are i times real numbers, and the same
+        arithmetic on those reals returns, in float64, r with R_MM = i^n r_MM,
+        R_NN = i^n r_NN, R_MN = i^(n-1) r_MN and R_NM = i^(n-1) r_NM.
         """
-        uH, uJ, q, qp = (x.T for x in wall)  # (K, n)
+        # (K, n), copied so the arithmetic below runs on contiguous rows
+        uH, uJ, q, qp = (np.ascontiguousarray(x.T) for x in wall)
         a = self.geom.radius
-        k1, k2 = self.k1[which][..., None], self.k2[which][..., None]
+        k1 = self.k1[which][..., None]
+        k2k = self.k2[which][..., None] ** 2 / k1
         nn = np.arange(self.nmax + 1)[None, :]
         e1 = np.asarray(eta1)[:, None]
         e2 = np.asarray(eta2)[:, None]
         r = e1**2 / e2**2
         c = nn * np.asarray(kz_signed)[:, None] * (r - 1.0) / a
-        c2k = c * c / k1
+        if np.isrealobj(e1):
+            k1, k2k = k1.imag, k2k.imag
+            c2k = -(c * c / k1)
+        else:
+            c2k = c * c / k1
         wJ = e2 * uJ * r
-        wJk = (k2**2 / k1) * wJ
+        wJk = k2k * wJ
         A00 = -e1 * uH + wJ
         A11 = -k1 * e1 * uH + wJk
         bM0 = e1 * qp - wJ * q
         bN1 = k1 * e1 * qp - wJk * q
         inv_det = 1.0 / (A00 * A11 - c2k)
 
-        R = np.empty(A00.shape + (2, 2), complex)
+        R = np.empty(A00.shape + (2, 2), A00.dtype)
         R[..., 0, 0] = (bM0 * A11 + c2k * q) * inv_det            # R_MM
         R[..., 0, 1] = -c * (q * A11 + bN1) * inv_det / k1        # R_MN
         R[..., 1, 0] = -c * (A00 * q + bM0) * inv_det             # R_NM
@@ -239,32 +302,86 @@ class SpectralEvaluator:
             raise DomainError("evaluator nodes must be nonnegative; signs are internal")
         which = np.broadcast_to(which, kz.shape)
         eta1, eta2, wall, outside = self._ladders(kz, which)
-        R = self._solve(kz, eta1, eta2, wall, which).transpose(1, 0, 2, 3)  # (N, K, 2, 2)
-        hr1, hr1p, hr2, hr2p = outside           # (N, K), orders 0..nmax
-        n = np.arange(self.nmax + 1)[:, None]
-        kzn, e1, zero = kz[None, :], eta1[None, :], np.zeros_like(hr1)
-        k1 = self.k1[which]
+        R = self._solve(kz, eta1, eta2, wall, which)   # (K, N, 2, 2)
+        # (K, N), orders 0..nmax, as contiguous rows
+        hr1, hr1p, hr2, hr2p = (np.ascontiguousarray(f.T) for f in outside)
+        K, N = hr1.shape
+        n = np.arange(N)
+        kzn, e1 = kz[:, None], eta1[:, None]
+        r_mm, r_mn, r_nm, r_nn = R[..., 0, 0], R[..., 0, 1], R[..., 1, 0], R[..., 1, 1]
+        if self.imaginary:
+            # Real forms.  The field vectors are M = D M' and N = i D N' with
+            # D = diag(i, 1, 1), so with r from _solve VM = i^n D (r_MM M' +
+            # r_NM N') and VN = i^(n-1) D (r_MN M' - r_NN N').  The source
+            # vectors are Mt = -(2/pi) i^-n E M' and Nt = -(2/pi) i^(1-n) E N'
+            # at rho2, E = diag(1, i, i).  So every order term is the real sum
+            # times i D_i E_j / (4 pi^2 y1^2); with the i of the sin weights,
+            # that phase is -_IMAG_PHASE.
+            kap = self.k1[which].imag[:, None]
+            cf = (-e1, -kzn * e1 / kap, kzn / kap, e1**2 / kap)
 
-        M1 = np.stack([1j * n / self.rho1 * hr1, -e1 * hr1p, zero])      # (3, N, K)
-        N1 = np.stack([1j * kzn * e1 * hr1p / k1,
-                       -n * kzn * hr1 / (k1 * self.rho1), e1**2 * hr1 / k1])
-        Mt = np.stack([-1j * n / self.rho2 * hr2, -e1 * hr2p, zero])
-        Nt = np.stack([-1j * kzn * e1 * hr2p / k1,
-                       -n * kzn * hr2 / (k1 * self.rho2), e1**2 * hr2 / k1])
-        VM = R[..., 0, 0] * M1 + R[..., 1, 0] * N1
-        VN = R[..., 0, 1] * M1 + R[..., 1, 1] * N1
-        del M1, N1
+            def waves(f, fp, rho):
+                m_rho = (n / rho) * f
+                return m_rho, cf[0] * fp, cf[1] * fp, cf[2] * m_rho, cf[3] * f
 
-        # B_n: the order-n term at +kz without its azimuthal phase, built in
-        # place to hold fewer (N, K, 3, 3) arrays at once
-        pref = (1j / (8.0 * np.pi)) / eta1**2
-        B = np.einsum("ink,jnk->nkij", VM, Mt)
-        B += np.einsum("ink,jnk->nkij", VN, Nt)
-        B *= pref[None, :, None, None]
-        B *= self._monotone_mask(B, eta1, np.abs(k1))[:, :, None, None]
-        T = np.einsum("nkij,nij->kij", B, self._weights)
+            field, source = waves(hr1, hr1p, self.rho1), waves(hr2, hr2p, self.rho2)
+            r_nn = -r_nn
+            pref = -1.0 / (4.0 * np.pi**2) / eta1**2
+        else:
+            k1 = self.k1[which][:, None]
 
-        np.maximum.at(self._tail_abs, which, np.abs(B[-1]).max(axis=(1, 2)))
+            def waves(f, fp, rho, i):
+                # i is +1j for the field vectors and -1j for the source ones
+                return (i * n / rho * f, -e1 * fp, i * kzn * e1 * fp / k1,
+                        -n * kzn * f / (k1 * rho), e1**2 * f / k1)
+
+            field = waves(hr1, hr1p, self.rho1, 1j)
+            source = waves(hr2, hr2p, self.rho2, -1j)
+            pref = (1j / (8.0 * np.pi)) / eta1**2
+
+        # Each ``waves`` gives (M_rho, M_phi, N_rho, N_phi, N_z); M_z = 0.  T
+        # sums VM (x) Mt + VN (x) Nt over the orders, which is one product of
+        # [VM, VN] (K, 3, 2N), weighted per order, with [Mt, Nt] transposed.
+        mt_rho, mt_phi, nt_rho, nt_phi, nt_z = source
+        right = np.concatenate([np.stack([mt_rho, mt_phi, np.zeros_like(mt_rho)], axis=1),
+                                np.stack([nt_rho, nt_phi, nt_z], axis=1)], axis=2)
+
+        def left(w, rows=slice(None), orders=slice(None)):
+            """[VM w, VN w] on the given nodes and orders."""
+            m_rho, m_phi, n_rho, n_phi, n_z = (c[rows, orders] for c in field)
+            out = []
+            for ra, rb in ((r_mm, r_nm), (r_mn, r_nn)):
+                a, b = ra[rows, orders] * w, rb[rows, orders] * w
+                out.append(np.stack([a * m_rho + b * n_rho, a * m_phi + b * n_phi, b * n_z],
+                                    axis=1))
+            return np.concatenate(out, axis=2)
+
+        # B_n, the order-n term at +kz without its azimuthal phase, is only
+        # needed where the ring mask can act; the tail reads n = nmax alone
+        keep = np.ones((K, N))
+        abs_eta1 = np.abs(eta1)
+        ring = abs_eta1 < 0.03 * np.maximum(np.abs(self.k1[which]), 1.0)
+        if np.any(ring):
+            f, s = left(1.0, ring), right[ring]
+            B = (np.einsum("kin,kjn->nkij", f[..., :N], s[..., :N])
+                 + np.einsum("kin,kjn->nkij", f[..., N:], s[..., N:]))
+            B *= pref[ring][None, :, None, None]
+            keep[ring] = self._monotone_mask(B, abs_eta1[ring]).T
+        last = left(1.0, orders=slice(N - 1, N)) @ right[..., N - 1::N].transpose(0, 2, 1)
+        tail = np.abs(last).max(axis=(1, 2)) * np.abs(pref) * keep[:, -1]
+
+        right_t = right.transpose(0, 2, 1)
+        T = left(keep * self._cos) @ right_t
+        if self._sin is None:
+            T[:, _SIGMA < 0] = 0.0
+        else:
+            odd = left(keep * self._sin) @ right_t
+            T = np.where(_SIGMA > 0, T, odd if self.imaginary else 1j * odd)
+        T *= pref[:, None, None]
+        if self.imaginary:
+            T = T * _IMAG_PHASE
+
+        np.maximum.at(self._tail_abs, which, tail)
         np.maximum.at(self._scale, which, np.abs(T).max(axis=(1, 2)))
         if not np.all(np.isfinite(T)):
             raise OverflowGuardError(
@@ -272,9 +389,10 @@ class SpectralEvaluator:
                 "(geometry, frequency, kz) reach beyond the representable range")
         return T
 
-    def _monotone_mask(self, B, eta1, abs_k1):
-        """Suppress azimuthal orders past the roundoff floor near the
-        branch ring; (N, K) keep-mask over orders 0..nmax.
+    def _monotone_mask(self, B, abs_eta1):
+        """Suppress azimuthal orders past the roundoff floor at nodes near
+        the branch ring; (N, K) keep-mask over orders 0..nmax of the ring
+        nodes whose order terms B (N, K, 3, 3) and |eta1| it is given.
 
         Within a few clamp floors of eta1 = 0 the wall-solve columns span
         hundreds of decades and high orders come out as amplified roundoff;
@@ -282,22 +400,17 @@ class SpectralEvaluator:
         the turning point, so any rebound of the per-node order profile is
         noise and everything from the first rebound outward is zeroed.
         Away from the ring the profile may rebound legitimately (a resonant
-        multipole of the surface-mode ladder), so those nodes are never
-        touched -- amputating a resonance would break causality.
+        multipole of the surface-mode ladder), so ``__call__`` never passes
+        those nodes -- amputating a resonance would break causality.
         """
-        nmax1 = self.nmax + 1
-        ring = np.abs(eta1) < 0.03 * np.maximum(abs_k1, 1.0)
-        if not np.any(ring):
-            return np.ones((nmax1, eta1.size), bool)
         # the profile of order |n| sums the +n and -n terms, equal in size
         nprof = np.abs(B).max(axis=(2, 3))
         nprof[1:] *= 2.0
         floor_prev = np.vstack([np.full((1, nprof.shape[1]), np.inf),
                                 np.minimum.accumulate(nprof, axis=0)[:-1]])
         rebound = nprof > 30.0 * floor_prev
-        head = np.abs(eta1)[None, :] * max(self.rho1, self.rho2) + 4.0
-        rebound &= np.arange(nmax1)[:, None] > head
-        rebound &= ring[None, :]
+        head = abs_eta1[None, :] * max(self.rho1, self.rho2) + 4.0
+        rebound &= np.arange(self.nmax + 1)[:, None] > head
         return ~np.maximum.accumulate(rebound, axis=0)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from wireqed import DomainError, OverflowGuardError, bessel_jh
-from wireqed.bessel import N_MAX, j_orders, jh_orders, safe_min_arg
+from wireqed.bessel import N_MAX, ive_orders, j_orders, jh_orders, kve_orders, safe_min_arg
 
 from conftest import load_fixture
 
@@ -192,3 +192,58 @@ def test_j_ladder_columns_are_independent_of_the_batch():
         np.testing.assert_array_equal(jp[:, i], jp1[:, 0])
     with pytest.raises(OverflowGuardError):
         j_orders(N_MAX, np.array([720.0j]))
+
+
+# 1e-9 and 1e-7 take the I ladder's underflow fallback; the unscaled I_0
+# overflows above about 714
+SCALED_ARGUMENTS = [1e-9, 1e-7, 1e-5, 1e-3, 0.05, 0.5, 7.0, 44.0, 300.0, 714.0, 900.0]
+
+
+def _modified_reference(fn, y, sign):
+    ref = fn(np.arange(N_MAX + 2), y)
+    ref_p = sign * np.concatenate([[ref[1]], (ref[:-2] + ref[2:]) / 2.0])
+    return ref[:-1], ref_p
+
+
+@pytest.mark.parametrize("y", SCALED_ARGUMENTS, ids=str)
+def test_scaled_i_ladder_matches_direct_evaluation(y):
+    # e^-y I_n recurred downward from orders N_MAX and N_MAX + 1 against
+    # scipy.special.ive at every order, derivatives included
+    i, ip = ive_orders(N_MAX, np.array([y]))
+    ref, ref_p = _modified_reference(special.ive, y, 1.0)
+    scale = np.maximum(np.abs(ref), np.abs(ref_p))
+    assert np.all(np.abs(i[:, 0] - ref) <= 1e-12 * scale)
+    assert np.all(np.abs(ip[:, 0] - ref_p) <= 1e-12 * scale)
+    if special.ive(N_MAX + 1, y) < np.finfo(float).tiny:
+        # the fallback keeps the direct ladder
+        np.testing.assert_array_equal(i[:, 0], ref)
+
+
+@pytest.mark.parametrize("y", SCALED_ARGUMENTS, ids=str)
+def test_scaled_k_ladder_matches_direct_evaluation(y):
+    # e^y K_n recurred upward from orders 0 and 1 against scipy.special.kve;
+    # where K_{N_MAX+1} overflows the ladder raises instead
+    if not np.isfinite(special.kve(N_MAX + 1, y)):
+        with pytest.raises(OverflowGuardError):
+            kve_orders(N_MAX, np.array([y]))
+        return
+    k, kp = kve_orders(N_MAX, np.array([y]))
+    ref, ref_p = _modified_reference(special.kve, y, -1.0)
+    scale = np.maximum(np.abs(ref), np.abs(ref_p))
+    assert np.all(np.abs(k[:, 0] - ref) <= 1e-12 * scale)
+    assert np.all(np.abs(kp[:, 0] - ref_p) <= 1e-12 * scale)
+
+
+def test_scaled_ladder_columns_are_independent_of_the_batch():
+    # an underflowed I column takes the direct ladder without touching its
+    # neighbours; an overflowed K column still raises
+    for ladder, y in ((ive_orders, np.array([1e-9, 5.0, 900.0])),
+                      (kve_orders, np.array([1e-5, 5.0, 900.0]))):
+        batch = ladder(N_MAX, y)
+        for i, yy in enumerate(y):
+            for got, alone in zip(batch, ladder(N_MAX, np.array([yy]))):
+                np.testing.assert_array_equal(got[:, i], alone[:, 0])
+    with pytest.raises(OverflowGuardError):
+        kve_orders(N_MAX, np.array([1e-9, 5.0]))
+    with pytest.raises(DomainError):
+        ive_orders(N_MAX, np.array([0.0, 1.0]))

@@ -182,6 +182,32 @@ def test_report_attached(default_geom):
     assert g.report.abs_error_estimate >= 0.0
 
 
+def _complex_ladders(ev, kz):
+    """eta1, eta2 and the wall and outside inputs of ``_solve`` and the
+    assembly in complex arithmetic: the evaluator's own ``_ladders`` on the
+    real axis; on the imaginary axis, where the evaluator runs real I and K
+    ladders, rebuilt from jh_orders, j_orders and h_orders as the complex
+    ladders are formed (no node may lie below the clamp floor)."""
+    if not ev.imaginary:
+        return ev._ladders(kz)
+    from wireqed.bessel import h_orders, j_orders, jh_orders
+    a, K = ev.geom.radius, kz.size
+    eta1 = 1j * np.sqrt(ev.k1[0].imag ** 2 + kz**2)
+    eta2 = np.sqrt(ev.k2[0] ** 2 - kz.astype(complex) ** 2)
+    assert np.all(eta2.imag > 0.0)
+    assert np.all(np.abs(eta1) >= 1e-3 * max(abs(ev.k1[0]), 1.0))
+    j, h, jp, hp = jh_orders(ev.nmax, eta1 * a)
+    j2, j2p = j_orders(ev.nmax, eta2 * a)
+    hr, hrp = h_orders(ev.nmax, np.concatenate([eta1 * ev.rho1, eta1 * ev.rho2]))
+    m = np.maximum(np.abs(j), np.abs(jp))
+    wall = (hp / h, j2p / j2, j / m, jp / m)
+    return eta1, eta2, wall, (hr[:, :K] / h * m, hrp[:, :K] / h * m, hr[:, K:], hrp[:, K:])
+
+
+# i^n, exactly, for integer n
+_I_POW = np.array([1.0, 1j, -1.0, -1j])
+
+
 def _reference_wall_solve(ev, kz_signed, eta1, eta2):
     """R_n H_n(eta1 rho1) and R_n H_n'(eta1 rho1) from the full 4x4
     tangential-continuity system, with J and H evaluated directly.
@@ -245,14 +271,29 @@ def test_closed_form_wall_solve_matches_4x4(model, s, kz):
     ev = SpectralEvaluator(WireGeometry(radius=0.01, model=model), s, 0.015, 0.015, 0.0,
                            nmax=40)
     kz = np.asarray(kz, float)
-    eta1, eta2, wall, (hr1, hr1p, _, _) = ev._ladders(kz)
+    eta1, eta2, wall, (hr1, hr1p, _, _) = _complex_ladders(ev, kz)
     for sgn in (1.0, -1.0):
+        ref = _reference_wall_solve(ev, sgn * kz, eta1, eta2)
         scaled = ev._solve(sgn * kz, eta1, eta2, wall)
-        folded = (scaled * hr1.T[..., None, None], scaled * hr1p.T[..., None, None])
-        for got, ref in zip(folded, _reference_wall_solve(ev, sgn * kz, eta1, eta2)):
-            # per (node, order), relative to the largest of the four components
-            scale = np.abs(ref).max(axis=(2, 3))
-            assert np.all(np.abs(got - ref).max(axis=(2, 3)) <= 1e-10 * scale)
+        folded = [(scaled * hr1.T[..., None, None], scaled * hr1p.T[..., None, None])]
+        if ev.imaginary:
+            # the real path: _solve's r with its powers of i put back, and the
+            # rho1-side K ladders with their phases (1 and -i) and the scale
+            # exp(y1 rho2) that _modified_ladders leaves out
+            y1, y2, real_wall, (g1, g1p, _, _) = ev._ladders(kz)
+            n = np.arange(ev.nmax + 1)
+            phase = np.stack([np.stack([_I_POW[n % 4], _I_POW[(n - 1) % 4]], axis=-1),
+                              np.stack([_I_POW[(n - 1) % 4], _I_POW[n % 4]], axis=-1)],
+                             axis=-2)
+            R = ev._solve(sgn * kz, y1, y2, real_wall) * phase
+            unscale = np.exp(y1 * ev.rho2)[:, None, None, None]
+            folded.append((R * g1.T[..., None, None] * unscale,
+                           -1j * R * g1p.T[..., None, None] * unscale))
+        for pair in folded:
+            for got, want in zip(pair, ref):
+                # per (node, order), relative to the largest of the four components
+                scale = np.abs(want).max(axis=(2, 3))
+                assert np.all(np.abs(got - want).max(axis=(2, 3)) <= 1e-10 * scale)
 
 
 def test_evanescent_node_past_the_j_overflow(default_geom):
@@ -268,8 +309,9 @@ def test_evanescent_node_past_the_j_overflow(default_geom):
 def _signed_order_reference(ev, kz):
     """The evaluator's tensor and tail ratio summed the long way: a wall solve
     at each kz sign and, for each sign, every signed order -nmax..nmax, with
-    the order profile of the ring mask summed over +-n."""
-    eta1, eta2, wall, (hr1, hr1p, hr2, hr2p) = ev._ladders(kz)
+    the order profile of the ring mask summed over +-n.  It runs in complex
+    arithmetic on both axes (``_complex_ladders``)."""
+    eta1, eta2, wall, (hr1, hr1p, hr2, hr2p) = _complex_ladders(ev, kz)
     Rp, Rm = ev._solve(kz, eta1, eta2, wall), ev._solve(-kz, eta1, eta2, wall)
     ns = np.arange(-ev.nmax, ev.nmax + 1)
     absn = np.abs(ns)
@@ -364,8 +406,8 @@ def test_ring_mask_node_matches_signed_order_sum(monkeypatch, side):
     masks = []
     mask = SpectralEvaluator._monotone_mask
 
-    def recorded(self, B, eta1, abs_k1):
-        masks.append(mask(self, B, eta1, abs_k1))
+    def recorded(self, B, abs_eta1):
+        masks.append(mask(self, B, abs_eta1))
         return masks[-1]
 
     monkeypatch.setattr(SpectralEvaluator, "_monotone_mask", recorded)
@@ -377,26 +419,53 @@ def test_ring_mask_node_matches_signed_order_sum(monkeypatch, side):
 
 @pytest.mark.parametrize("s, kz", [
     (REAL, np.array([0.3, 1.0, 2.5, 20.0]) * OMEGA_A),
-    # kz = k sits on the branch point, where eta1 is clamped to the floor
     (IMAG, np.array([0.0, 0.5, 1.0, 4.0, 60.0]) * OMEGA_A),
+    # kz = k sits on the branch point, where eta1 is clamped to the floor
     (REAL, np.array([OMEGA_A])),
 ], ids=["real", "imag", "branch_floor"])
 def test_ladders_match_one_call_at_both_surface_arguments(default_geom, s, kz):
     # the J and H ladders at eta1 a and the J ladder at eta2 a, bit for bit as
-    # the slices of one jh_orders call on the concatenated surface arguments
-    from wireqed.bessel import h_orders, jh_orders
+    # the slices of one jh_orders call on the concatenated surface arguments;
+    # on the imaginary axis the I and K ladders, bit for bit as the slices of
+    # one ive_orders and one kve_orders call
+    from wireqed.bessel import h_orders, ive_orders, jh_orders, kve_orders
     ev = SpectralEvaluator(default_geom, s, 0.015, 0.03, 0.7, nmax=40)
     eta1, eta2, wall, outside = ev._ladders(kz)
     a, K = default_geom.radius, kz.size
-    j, h, jp, hp = jh_orders(ev.nmax, np.concatenate([eta1 * a, eta2 * a]))
-    m = np.maximum(np.abs(j[:, :K]), np.abs(jp[:, :K]))
-    want = (hp[:, :K] / h[:, :K], jp[:, K:] / j[:, K:], j[:, :K] / m, jp[:, :K] / m)
-    for got, ref in zip(wall, want):
+    if ev.imaginary:
+        i, ip = ive_orders(ev.nmax, np.concatenate([eta1 * a, eta2 * a]))
+        k, kp = kve_orders(ev.nmax, np.concatenate([eta1 * a, eta1 * 0.015, eta1 * 0.03]))
+        m = np.maximum(i[:, :K], ip[:, :K])
+        want = (kp[:, :K] / k[:, :K], ip[:, K:] / i[:, K:], i[:, :K] / m, ip[:, :K] / m)
+        decay = np.exp(-eta1 * (0.015 + 0.03 - 2.0 * a))
+        want_out = (k[:, K:2 * K] / k[:, :K] * m * decay, kp[:, K:2 * K] / k[:, :K] * m * decay,
+                    k[:, 2 * K:], kp[:, 2 * K:])
+    else:
+        j, h, jp, hp = jh_orders(ev.nmax, np.concatenate([eta1 * a, eta2 * a]))
+        m = np.maximum(np.abs(j[:, :K]), np.abs(jp[:, :K]))
+        want = (hp[:, :K] / h[:, :K], jp[:, K:] / j[:, K:], j[:, :K] / m, jp[:, :K] / m)
+        hr, hrp = h_orders(ev.nmax, np.concatenate([eta1 * 0.015, eta1 * 0.03]))
+        want_out = (hr[:, :K] / h[:, :K] * m, hrp[:, :K] / h[:, :K] * m, hr[:, K:],
+                    hrp[:, K:])
+    for got, ref in zip(wall + outside, want + want_out):
         np.testing.assert_array_equal(got, ref)
-    hr, hrp = h_orders(ev.nmax, np.concatenate([eta1 * 0.015, eta1 * 0.03]))
-    want = (hr[:, :K] / h[:, :K] * m, hrp[:, :K] / h[:, :K] * m, hr[:, K:], hrp[:, K:])
-    for got, ref in zip(outside, want):
-        np.testing.assert_array_equal(got, ref)
+
+
+def test_modified_ladders_are_the_complex_ladders_without_their_phases(default_geom):
+    # each real input of the imaginary-axis path times the power of i that
+    # _modified_ladders names (and its exponential scale) is the complex one
+    # built from jh_orders, j_orders and h_orders
+    kz = np.array([0.0, 0.5, 1.0, 4.0, 60.0]) * OMEGA_A
+    ev = SpectralEvaluator(default_geom, IMAG, 0.015, 0.03, 0.7, nmax=40)
+    y1, _, (uK, uI, p, pp), (g1, g1p, k2, k2p) = ev._ladders(kz)
+    _, _, wall, outside = _complex_ladders(ev, kz)
+    n = np.arange(ev.nmax + 1)[:, None]
+    up, down = np.exp(y1 * 0.03), np.exp(-y1 * 0.03)
+    real_forms = (-1j * uK, -1j * uI, _I_POW[n % 4] * p, _I_POW[(n - 1) % 4] * pp,
+                  g1 * up, -1j * g1p * up, 2.0 / np.pi * _I_POW[(-n - 1) % 4] * k2 * down,
+                  -2.0 / np.pi * _I_POW[-n % 4] * k2p * down)
+    for got, want in zip(real_forms, wall + outside):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_multi_frequency_evaluator_matches_one_frequency_evaluators(default_geom):
@@ -426,6 +495,22 @@ def test_evaluator_points_share_one_axis(default_geom):
 def _t_panel_kappas(a, b):
     from wireqed.quadrature import _GL_X, t_substitution
     return t_substitution(0.5 * (b + a) + 0.5 * (b - a) * _GL_X, OMEGA_A)[0]
+
+
+@pytest.mark.parametrize("rho2, dphi", [(0.015, 0.0), (0.015, 0.7), (0.03, 0.0), (0.03, 0.7)])
+def test_real_imaginary_axis_path_matches_complex_reference(default_geom, rho2, dphi):
+    # the 16 kappa of the first and the last t panel of the default shift
+    # integral; the first kz nodes lie in the branch ring of the small kappa
+    kz = np.concatenate([np.geomspace(2e-3, 0.03, 6), np.geomspace(0.05, 1e4, 30)])
+    for kappa in np.concatenate([_t_panel_kappas(0.0, 2e-3), _t_panel_kappas(0.93, 0.99)]):
+        ev = SpectralEvaluator(default_geom, SpectralPoint.imaginary_axis(kappa), 0.015,
+                               rho2, dphi, nmax=40)
+        got = ev(kz)
+        want, tail_ratio = _signed_order_reference(ev, kz)
+        assert np.abs(_both_sides(got) - want).max() <= 1e-12 * np.abs(want).max()
+        assert ev.tail_ratio == pytest.approx(tail_ratio, rel=1e-10, abs=1e-14)
+        # the real path sets the parts the imaginary axis rules out to zero
+        assert np.all(np.where(_MIRROR > 0, got.imag, got.real) == 0.0)
 
 
 @pytest.mark.parametrize("t_panel, budget", [
