@@ -203,7 +203,7 @@ class PanelSet:
         self.mirror = mirror
         self.budget = budget
         self.nodes_used = 0
-        self.panels = []  # records [a, b, coef(16, comp), err, fmax]
+        self.panels = []  # records [a, b, coef(16, comp), err, fmax, integral or None]
 
     def add(self, a, b, vals):
         """Add panel [a, b] with the values ``vals`` at its nodes; returns
@@ -213,7 +213,8 @@ class PanelSet:
         vals = np.asarray(vals, complex).reshape(_NPTS, -1)
         self.nodes_used += _NPTS
         coef = np.einsum("ki,ic->kc", _PROJ, vals)
-        rec = [a, b, coef, float(legendre_error(half, coef)), float(np.abs(vals).max())]
+        rec = [a, b, coef, float(legendre_error(half, coef)), float(np.abs(vals).max()),
+               None]
         self.panels.append(rec)
         return rec
 
@@ -251,18 +252,40 @@ class PanelSet:
         side); shape (n_comp,)."""
         return panel_integral(*self._freeze(), lam, self.mirror)
 
+    def running_integral(self, lam):
+        """``integral(lam)`` from per-panel integrals that each record keeps
+        (its last slot) once computed, so a panel is integrated once however
+        often the set's sum is asked for.  One phase per set."""
+        new = [p for p in self.panels if p[5] is None]
+        if new:
+            a, b = np.array([(p[0], p[1]) for p in new]).T
+            terms = panel_terms(0.5 * (b - a), 0.5 * (a + b), np.stack([p[2] for p in new]),
+                                lam, self.mirror)
+            for p, term in zip(new, terms):
+                p[5] = term
+        return np.sum([p[5] for p in self.panels], axis=0)
 
-def panel_integral(half, mid, coef, lam, mirror=None):
-    """Sum over frozen panels (half-widths, midpoints, +kz coefficients
-    (P, 16, comp)) against exp(+i lam x) and, with a per-component
-    ``mirror`` sign, of the mirrored -kz side against exp(-i lam x);
-    shape (comp,)."""
+
+def panel_terms(half, mid, coef, lam, mirror=None):
+    """Per-panel integrals of frozen panels (half-widths, midpoints, +kz
+    coefficients (P, 16, comp)) against exp(+i lam x) and, with a
+    per-component ``mirror`` sign, of the mirrored -kz side against
+    exp(-i lam x); shape (P, comp)."""
+    if lam == 0.0:
+        # the moments are 2 delta_k0 there, as moments_for gives them
+        out = 2.0 * half[:, None] * coef[:, 0]
+        return out if mirror is None else out + mirror * out
     mom = moments_for(lam * half)  # (16, P)
-    out = np.einsum("p,kp,pkc->c", half * np.exp(1j * lam * mid), mom, coef)
+    out = np.einsum("p,kp,pkc->pc", half * np.exp(1j * lam * mid), mom, coef)
     if mirror is not None:
-        out = out + mirror * np.einsum("p,kp,pkc->c", half * np.exp(-1j * lam * mid),
+        out = out + mirror * np.einsum("p,kp,pkc->pc", half * np.exp(-1j * lam * mid),
                                        np.conj(mom), coef)
     return out
+
+
+def panel_integral(half, mid, coef, lam, mirror=None):
+    """The sum of ``panel_terms``; shape (comp,)."""
+    return panel_terms(half, mid, coef, lam, mirror).sum(axis=0)
 
 
 def _vectorized(f, probe):
@@ -333,7 +356,7 @@ def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale,
                     phase_for_blocks):
     """The panel steps of one spectrum into ``ps``, as a generator for
     ``run_lockstep``; returns (tail_bound, converged_flag)."""
-    mirror, budget = ps.mirror, ps.budget
+    budget = ps.budget
     k_end = k_start + (200.0 / tail_scale if tail_scale else 400.0 * k_start)
     breaks = _seed_breaks(k_start, pole_hint, branch_point)
     yield list(zip(breaks[:-1], breaks[1:]))
@@ -350,11 +373,9 @@ def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale,
         rec = ps.panels[-1]
         # phase-aware contribution; oscillatory cancellation is real and
         # must be credited or algebraic tails never terminate
-        block = panel_integral(np.array([0.5 * (k2 - k)]), np.array([0.5 * (k2 + k)]),
-                               rec[2][None], phase_for_blocks, mirror)
-        block_mags.append(max(float(np.abs(block).max()), 1e-300))
+        scale = max(1.0, float(np.abs(ps.running_integral(phase_for_blocks)).max()))
+        block_mags.append(max(float(np.abs(rec[5]).max()), 1e-300))
         k = k2
-        scale = max(1.0, float(np.abs(ps.integral(phase_for_blocks)).max()))
         if len(block_mags) >= 2:
             q = block_mags[-1] / max(block_mags[-2], 1e-300)
             q = min(max(q, 0.05), 0.9)
@@ -372,9 +393,9 @@ def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale,
     # target must be re-anchored until it is self-consistent
     ok = True
     for _ in range(4):
-        scale = max(1.0, float(np.abs(ps.integral(phase_for_blocks)).max()))
+        scale = max(1.0, float(np.abs(ps.running_integral(phase_for_blocks)).max()))
         ok = yield from ps.bisections(0.5 * tol * scale)
-        new_scale = max(1.0, float(np.abs(ps.integral(phase_for_blocks)).max()))
+        new_scale = max(1.0, float(np.abs(ps.running_integral(phase_for_blocks)).max()))
         if not ok or ps.err <= 0.6 * tol * new_scale:
             break
     return tail_bound, ok
