@@ -371,9 +371,10 @@ def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale,
             break
         yield [(k, k2)]
         rec = ps.panels[-1]
-        # phase-aware contribution; oscillatory cancellation is real and
-        # must be credited or algebraic tails never terminate
         scale = max(1.0, float(np.abs(ps.running_integral(phase_for_blocks)).max()))
+        # the block's phase-aware contribution, which running_integral keeps
+        # in its record; oscillatory cancellation is real and must be
+        # credited or algebraic tails never terminate
         block_mags.append(max(float(np.abs(rec[5]).max()), 1e-300))
         k = k2
         if len(block_mags) >= 2:
