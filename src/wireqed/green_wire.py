@@ -113,8 +113,8 @@ class SpectralEvaluator:
     H_n^(1) ladders on the real axis; on the imaginary axis exponentially
     scaled I_n and K_n ladders, a float64 wall solve and a float64 sum
     (``_modified_ladders``, ``_solve``).  Both assemble T as one batched
-    product over the orders, and build the per-order terms only at the nodes
-    near the branch point, where ``_monotone_mask`` can act.
+    product over the orders, except at the nodes near the branch point,
+    where ``_monotone_mask`` needs the per-order terms and T sums them.
     """
 
     def __init__(self, geom: WireGeometry, s, rho1, rho2, dphi, nmax):
@@ -141,9 +141,16 @@ class SpectralEvaluator:
 
         # the +n and -n terms folded onto order n: 2 cos(n dphi) on the
         # components even under _SIGMA, 2i sin(n dphi) on the odd ones
+        # (the i goes into _phase), per order over [VM, VN] for the product
+        # and per component for the sums of B_n
         n = np.arange(self.nmax + 1)
-        self._cos = np.where(n > 0, 2.0, 1.0) * np.cos(n * self.dphi)
-        self._sin = 2.0 * np.sin(n * self.dphi) if self.dphi != 0.0 else None
+        cos = np.where(n > 0, 2.0, 1.0) * np.cos(n * self.dphi)
+        sin = 2.0 * np.sin(n * self.dphi)
+        self._cos, self._sin = np.tile(cos, 2), np.tile(sin, 2)
+        self._fold = np.where(_SIGMA > 0, cos[:, None, None], sin[:, None, None])
+        # the i of the sin weights, and on the imaginary axis the phases of
+        # the real arithmetic (see __call__)
+        self._phase = _IMAG_PHASE if self.imaginary else np.where(_SIGMA > 0, 1.0, 1j)
 
     @property
     def tail_ratios(self):
@@ -342,44 +349,45 @@ class SpectralEvaluator:
         # Each ``waves`` gives (M_rho, M_phi, N_rho, N_phi, N_z); M_z = 0.  T
         # sums VM (x) Mt + VN (x) Nt over the orders, which is one product of
         # [VM, VN] (K, 3, 2N), weighted per order, with [Mt, Nt] transposed.
-        mt_rho, mt_phi, nt_rho, nt_phi, nt_z = source
-        right = np.concatenate([np.stack([mt_rho, mt_phi, np.zeros_like(mt_rho)], axis=1),
-                                np.stack([nt_rho, nt_phi, nt_z], axis=1)], axis=2)
+        m_rho, m_phi, n_rho, n_phi, n_z = field
+        left = np.concatenate(
+            [np.stack([ra * m_rho + rb * n_rho, ra * m_phi + rb * n_phi, rb * n_z], axis=1)
+             for ra, rb in ((r_mm, r_nm), (r_mn, r_nn))], axis=2)
+        m_rho, m_phi, n_rho, n_phi, n_z = source
+        right = np.concatenate([np.stack([m_rho, m_phi, np.zeros_like(m_rho)], axis=1),
+                                np.stack([n_rho, n_phi, n_z], axis=1)], axis=2)
 
-        def left(w, rows=slice(None), orders=slice(None)):
-            """[VM w, VN w] on the given nodes and orders."""
-            m_rho, m_phi, n_rho, n_phi, n_z = (c[rows, orders] for c in field)
-            out = []
-            for ra, rb in ((r_mm, r_nm), (r_mn, r_nn)):
-                a, b = ra[rows, orders] * w, rb[rows, orders] * w
-                out.append(np.stack([a * m_rho + b * n_rho, a * m_phi + b * n_phi, b * n_z],
-                                    axis=1))
-            return np.concatenate(out, axis=2)
-
-        # B_n, the order-n term at +kz without its azimuthal phase, is only
-        # needed where the ring mask can act; the tail reads n = nmax alone
-        keep = np.ones((K, N))
+        # Each node's sum over orders takes the cos weights on the Sigma-even
+        # components and the sin weights on the odd ones; their phases come
+        # last (_phase).  The ring mask needs B_n, the order-n term without
+        # its azimuthal phase, so nodes in the ring next to the branch point
+        # sum their B_n; the others take the product, and their azimuthal
+        # tail reads the order-nmax term alone.
+        T = np.empty((K, 3, 3), right.dtype)
+        tail = np.empty(K)
         abs_eta1 = np.abs(eta1)
         ring = abs_eta1 < 0.03 * np.maximum(np.abs(self.k1[which]), 1.0)
+        rest = slice(None)
         if np.any(ring):
-            f, s = left(1.0, ring), right[ring]
-            B = (np.einsum("kin,kjn->nkij", f[..., :N], s[..., :N])
-                 + np.einsum("kin,kjn->nkij", f[..., N:], s[..., N:]))
+            f = left[ring].transpose(2, 0, 1)[..., :, None]    # (2N, K, 3, 1)
+            s = right[ring].transpose(2, 0, 1)[..., None, :]   # (2N, K, 1, 3)
+            B = f[:N] * s[:N] + f[N:] * s[N:]
             B *= pref[ring][None, :, None, None]
-            keep[ring] = self._monotone_mask(B, abs_eta1[ring]).T
-        last = left(1.0, orders=slice(N - 1, N)) @ right[..., N - 1::N].transpose(0, 2, 1)
-        tail = np.abs(last).max(axis=(1, 2)) * np.abs(pref) * keep[:, -1]
-
-        right_t = right.transpose(0, 2, 1)
-        T = left(keep * self._cos) @ right_t
-        if self._sin is None:
-            T[:, _SIGMA < 0] = 0.0
-        else:
-            odd = left(keep * self._sin) @ right_t
-            T = np.where(_SIGMA > 0, T, odd if self.imaginary else 1j * odd)
-        T *= pref[:, None, None]
-        if self.imaginary:
-            T = T * _IMAG_PHASE
+            B *= self._monotone_mask(B, abs_eta1[ring])[:, :, None, None]
+            T[ring] = np.einsum("nkij,nij->kij", B, self._fold)
+            tail[ring] = np.abs(B[-1]).max(axis=(1, 2))
+            rest = ~ring
+        if not np.all(ring):
+            f, s_t = left[rest], right[rest].transpose(0, 2, 1)
+            last = f[..., N - 1::N] @ s_t[:, N - 1::N]
+            tail[rest] = np.abs(last).max(axis=(1, 2)) * np.abs(pref[rest])
+            part = (f * self._cos) @ s_t
+            if self.dphi == 0.0:
+                part[:, _SIGMA < 0] = 0.0
+            else:
+                part = np.where(_SIGMA > 0, part, (f * self._sin) @ s_t)
+            T[rest] = part * pref[rest][:, None, None]
+        T = T * self._phase
 
         np.maximum.at(self._tail_abs, which, tail)
         np.maximum.at(self._scale, which, np.abs(T).max(axis=(1, 2)))
