@@ -26,8 +26,8 @@ where I_n does (I_0(750) = inf), and run the recurrences
 f_{n-1} - f_{n+1} = (2n/y) f_n for I and f_{n+1} - f_{n-1} = (2n/y) f_n for K
 (DLMF 10.29.1): I downward from scipy.special.ive at orders nmax and
 nmax+1, with the same underflow fallback as J, and K upward from
-scipy.special.k0e and k1e (kve at orders 0 and 1).  Every term of both recurrences is
-positive, so neither loses digits.
+scipy.special.k0e and k1e (kve at orders 0 and 1).  Every term of both
+recurrences is positive, so neither loses digits.
 """
 
 from __future__ import annotations
