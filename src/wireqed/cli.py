@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -54,9 +55,11 @@ def _load(args) -> RunConfig:
 
 def _engine_and_fit(cfg: RunConfig, dz: float, dz_refs, threads: int = 1):
     """The pair tables for ``sweep`` and ``point``, with their kappa tables
-    built in a pool of ``threads`` worker processes when threads > 1, and the
-    plasmon fit at the same azimuthal order (None without a bound plasmon)."""
+    built in a pool of ``threads`` worker processes, at most one per CPU, when
+    threads > 1, and the plasmon fit at the same azimuthal order (None without
+    a bound plasmon)."""
     geom = cfg.geometry()
+    threads = min(threads, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
     with pool:
         parallel = (lambda fn, xs: list(pool.map(fn, xs))) if threads > 1 else None
@@ -80,6 +83,8 @@ def _emit(text: str, path):
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
+    if args.threads < 1:
+        raise ConfigError(f"sweep needs --threads >= 1, got {args.threads}")
     dzs = cfg.sweep_points()
     engine, fit = _engine_and_fit(cfg, dzs[0],
                                   (0.0, dzs[0], 0.5 * (dzs[0] + dzs[-1]), dzs[-1]),
@@ -267,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="distance sweep of rates and shifts")
     common(sp)
     sp.add_argument("--threads", type=int, default=1,
-                    help="parallel workers for spectral-table construction")
+                    help="worker processes for spectral-table construction "
+                         "(at least 1; capped at the CPU count)")
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("dispersion", help="plasmon spectrum and Lorentzian fit")

@@ -222,6 +222,40 @@ class TestSweep:
             "shift12_integral_over_gamma11", "gamma12_appr_over_gamma11_appr",
             "shift12_appr_over_gamma11_appr", "converged"]
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_a_config_error(self, tmp_path, capsys, threads):
+        path = write_config(tmp_path)
+        assert main(["sweep", "--config", path, "--threads", threads]) == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_threads_capped_at_cpu_count(self, tmp_path, monkeypatch):
+        # a stand-in pool that records its size and maps serially, so no
+        # worker process is started for the huge count asked for
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, xs):
+                return map(fn, xs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        path = write_config(tmp_path)
+        out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+        assert main(["sweep", "--config", path, "--out", str(out1), "--threads", "1"]) == 0
+        assert main(["sweep", "--config", path, "--out", str(out2),
+                     "--threads", str(10**6)]) == 0
+        assert sizes == [3]
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_tolerance_refinement_regression(self, tmp_path):
         # rows must be stable against a tightened quadrature budget
         path = write_config(tmp_path)

@@ -179,13 +179,13 @@ def test_one_order_search_across_callers(default_geom, pair_engine, monkeypatch)
 
 def test_kappa_table_out_of_budget_is_unconverged(default_geom, default_pair,
                                                   pair_engine, monkeypatch):
-    # the shared engine's arguments, with every kappa table held to 616 nodes:
-    # the largest tables need 624 and the next 608, so at least one runs out,
-    # and its flag must reach the row
+    # the shared engine's arguments, with every kappa table held to 496 nodes:
+    # the three largest tables need 592 and the next 400, so at least one runs
+    # out, and its flag must reach the row
     tables = emitters.imag_axis_tables
 
     def short_budget(*args, **kwargs):
-        return tables(*args, **{**kwargs, "budget": 616})
+        return tables(*args, **{**kwargs, "budget": 496})
 
     monkeypatch.setattr(emitters, "imag_axis_tables", short_budget)
     starved = PairInteraction(default_geom, default_pair, tol=1e-6,
