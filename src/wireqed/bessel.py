@@ -24,10 +24,12 @@ real ladders ``ive_orders`` and ``kve_orders`` replace them.  They hold the
 exponentially scaled e^(-y) I_n(y) and e^(y) K_n(y), which cannot overflow
 where I_n does (I_0(750) = inf), and run the recurrences
 f_{n-1} - f_{n+1} = (2n/y) f_n for I and f_{n+1} - f_{n-1} = (2n/y) f_n for K
-(DLMF 10.29.1): I downward from scipy.special.ive at orders nmax and
-nmax+1, with the same underflow fallback as J, and K upward from
-scipy.special.k0e and k1e (kve at orders 0 and 1).  Every term of both
-recurrences is positive, so neither loses digits.
+(DLMF 10.29.1).  These differ from the J and H recurrences by one sign, so
+one downward routine (``_downward``) serves J and I, started from jv or ive
+at orders nmax and nmax+1 with the one underflow fallback, and one upward
+routine (``_upward``) serves H and K, started from hankel1 or from
+scipy.special.k0e and k1e (kve at orders 0 and 1).  Every term of the I and
+K recurrences is positive, so neither loses digits.
 """
 
 from __future__ import annotations
@@ -77,12 +79,14 @@ def safe_min_arg(order: int) -> float:
 
 def _with_derivatives(f, nmax, z, modified=False):
     """Orders 0..nmax of a ladder f holding orders 0..nmax+1, and of its
-    derivative, both shaped (nmax+1,) + shape(z).
+    derivative, both shaped (nmax+1,) + shape(z), once f is finite.
 
     The derivative is f'_n = (f_{n-1} - f_{n+1}) / 2 with f_{-1} = -f_1 for
     J and H^(1), and f'_n = (f_{n-1} + f_{n+1}) / 2 with f_{-1} = f_1 for
     I (``modified``); K'_n is minus the latter.
     """
+    if not np.all(np.isfinite(f)):
+        raise OverflowGuardError("Bessel evaluation overflowed the representable range")
     fp = np.empty_like(f[: nmax + 1])
     if modified:
         fp[0] = f[1]
@@ -94,17 +98,53 @@ def _with_derivatives(f, nmax, z, modified=False):
     return f[: nmax + 1].reshape(shape), fp.reshape(shape)
 
 
-def _ladder_arguments(nmax, z):
-    """z as a flat complex array, once the order range and z pass the guards."""
+def _arguments(nmax, z, dtype):
+    """z as a flat array of ``dtype`` (complex for J and H, float for the
+    scaled I and K), once the order range and z pass the guards."""
     if not 0 <= nmax <= N_MAX:
         raise DomainError(f"order ladder must satisfy 0 <= nmax <= {N_MAX}, got {nmax}")
-    zarr = np.atleast_1d(np.asarray(z, dtype=complex))
+    zarr = np.atleast_1d(np.asarray(z, dtype=dtype))
+    if dtype is float:
+        if not np.all((zarr > 0.0) & (zarr < np.inf)):
+            raise DomainError("modified Bessel arguments must be finite and positive")
+        return zarr
     if np.any(zarr == 0):
         raise DomainError("Bessel argument z = 0 is outside the domain")
     if np.any(np.abs(zarr) >= OVERFLOW_GUARD):
         raise OverflowGuardError(f"|z| = {np.abs(zarr).max():.3g} exceeds the overflow "
                                  f"guard {OVERFLOW_GUARD:g}")
     return zarr
+
+
+def _downward(nmax, z, start, combine):
+    """Orders 0..nmax+1 of the minimal solution at flat z, from
+    start(orders, z) at orders nmax and nmax+1 and
+    f_{n-1} = combine((2n/z) f_n, f_{n+1}): np.subtract for J (start jv),
+    np.add for e^(-z) I (start ive)."""
+    f = np.empty((nmax + 2, z.size), z.dtype)
+    f[nmax:] = start(np.arange(nmax, nmax + 2.0)[:, None], z[None, :])
+    two_over_z = 2.0 / z
+    for n in range(nmax, 0, -1):
+        f[n - 1] = combine((n * two_over_z) * f[n], f[n + 1])
+    # an underflowed top order carries no information down the ladder
+    lost = np.abs(f[nmax + 1]) < np.finfo(float).tiny
+    if np.any(lost):
+        f[:, lost] = start(np.arange(nmax + 2.0)[:, None], z[None, lost])
+    return f
+
+
+def _upward(nmax, z, first, combine):
+    """Orders 0..nmax+1 of the dominant solution at flat z, from its orders
+    0 and 1 (``first``) and f_{n+1} = combine((2n/z) f_n, f_{n-1}):
+    np.subtract for H^(1), np.add for e^(z) K.  A column that overflows is
+    left non-finite, for ``_with_derivatives`` to reject."""
+    f = np.empty((nmax + 2, z.size), z.dtype)
+    f[:2] = first
+    two_over_z = 2.0 / z
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, nmax + 1):
+            f[n + 1] = combine((n * two_over_z) * f[n], f[n - 1])
+    return f
 
 
 def h_orders(nmax: int, z):
@@ -118,15 +158,9 @@ def h_orders(nmax: int, z):
     -------
     h, hp : ndarray, shape (nmax+1,) + shape(z)
     """
-    zarr = _ladder_arguments(nmax, z)
-    h = np.empty((nmax + 2, zarr.size), complex)
-    h[:2] = special.hankel1(np.arange(2.0)[:, None], zarr[None, :])
-    two_over_z = 2.0 / zarr
-    for n in range(1, nmax + 1):
-        h[n + 1] = (n * two_over_z) * h[n] - h[n - 1]
-    if not np.all(np.isfinite(h)):
-        raise OverflowGuardError("Bessel evaluation overflowed the representable range")
-    return _with_derivatives(h, nmax, z)
+    zarr = _arguments(nmax, z, complex)
+    first = special.hankel1(np.arange(2.0)[:, None], zarr[None, :])
+    return _with_derivatives(_upward(nmax, zarr, first, np.subtract), nmax, z)
 
 
 def j_orders(nmax: int, z):
@@ -139,54 +173,23 @@ def j_orders(nmax: int, z):
     -------
     j, jp : ndarray, shape (nmax+1,) + shape(z)
     """
-    zarr = _ladder_arguments(nmax, z)
-    j = np.empty((nmax + 2, zarr.size), complex)
-    j[nmax:] = special.jv(np.arange(nmax, nmax + 2.0)[:, None], zarr[None, :])
-    two_over_z = 2.0 / zarr
-    for n in range(nmax, 0, -1):
-        j[n - 1] = (n * two_over_z) * j[n] - j[n + 1]
-    # an underflowed top order carries no information down the ladder
-    lost = np.abs(j[nmax + 1]) < np.finfo(float).tiny
-    if np.any(lost):
-        j[:, lost] = special.jv(np.arange(nmax + 2.0)[:, None], zarr[None, lost])
-    if not np.all(np.isfinite(j)):
-        raise OverflowGuardError("Bessel evaluation overflowed the representable range")
-    return _with_derivatives(j, nmax, z)
-
-
-def _real_arguments(nmax, y):
-    """y as a flat float array, once the order range and y pass the guards."""
-    if not 0 <= nmax <= N_MAX:
-        raise DomainError(f"order ladder must satisfy 0 <= nmax <= {N_MAX}, got {nmax}")
-    yarr = np.atleast_1d(np.asarray(y, dtype=float))
-    if not np.all((yarr > 0.0) & (yarr < np.inf)):
-        raise DomainError("modified Bessel arguments must be finite and positive")
-    return yarr
+    zarr = _arguments(nmax, z, complex)
+    return _with_derivatives(_downward(nmax, zarr, special.jv, np.subtract), nmax, z)
 
 
 def ive_orders(nmax: int, y):
     """e^(-y) I_n(y) and its derivative e^(-y) I_n'(y) for all orders
-    0..nmax at real argument(s) y > 0.
-
-    The ladder recurs downward from scipy.special.ive at orders nmax and
-    nmax+1; where the top order underflows (y below about 1e-6 at
-    nmax = 40) the column keeps scipy.special.ive at every order, as
-    ``j_orders`` does.
+    0..nmax at real argument(s) y > 0, recurred downward as ``j_orders``
+    recurs J, with the same underflow fallback (y below about 1e-6 at
+    nmax = 40).
 
     Returns
     -------
     i, ip : ndarray, shape (nmax+1,) + shape(y)
     """
-    yarr = _real_arguments(nmax, y)
-    f = np.empty((nmax + 2, yarr.size))
-    f[nmax:] = special.ive(np.arange(nmax, nmax + 2.0)[:, None], yarr[None, :])
-    two_over_y = 2.0 / yarr
-    for n in range(nmax, 0, -1):
-        f[n - 1] = (n * two_over_y) * f[n] + f[n + 1]
-    lost = f[nmax + 1] < np.finfo(float).tiny
-    if np.any(lost):
-        f[:, lost] = special.ive(np.arange(nmax + 2.0)[:, None], yarr[None, lost])
-    return _with_derivatives(f, nmax, y, modified=True)
+    yarr = _arguments(nmax, y, float)
+    return _with_derivatives(_downward(nmax, yarr, special.ive, np.add), nmax, y,
+                             modified=True)
 
 
 def kve_orders(nmax: int, y):
@@ -198,16 +201,9 @@ def kve_orders(nmax: int, y):
     -------
     k, kp : ndarray, shape (nmax+1,) + shape(y)
     """
-    yarr = _real_arguments(nmax, y)
-    f = np.empty((nmax + 2, yarr.size))
-    f[0], f[1] = special.k0e(yarr), special.k1e(yarr)
-    two_over_y = 2.0 / yarr
-    with np.errstate(over="ignore"):
-        for n in range(1, nmax + 1):
-            f[n + 1] = (n * two_over_y) * f[n] + f[n - 1]
-    if not np.all(np.isfinite(f)):
-        raise OverflowGuardError("Bessel evaluation overflowed the representable range")
-    k, kp = _with_derivatives(f, nmax, y, modified=True)
+    yarr = _arguments(nmax, y, float)
+    first = special.k0e(yarr), special.k1e(yarr)
+    k, kp = _with_derivatives(_upward(nmax, yarr, first, np.add), nmax, y, modified=True)
     return k, -kp
 
 

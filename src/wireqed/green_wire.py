@@ -54,7 +54,7 @@ from .frequencies import SpectralPoint, as_spectral_point
 from .green_vacuum import DyadicGreen
 from .material import DrudeModel, permittivity
 from .quadrature import (QuadratureReport, build_spectral_panel_sets,
-                         build_spectral_panels, panel_integral)
+                         build_spectral_panels, panel_terms)
 
 DEFAULT_NMAX = 15
 TAIL_TOL = 1e-10   # largest |n| = nmax term, relative to the spectrum's scale
@@ -112,7 +112,7 @@ class SpectralEvaluator:
     All points share one axis, which selects the arithmetic: complex J_n and
     H_n^(1) ladders on the real axis; on the imaginary axis exponentially
     scaled I_n and K_n ladders, a float64 wall solve and a float64 sum
-    (``_modified_ladders``, ``_solve``).  Every node on both axes assembles T
+    (``_ladders``, ``_solve``).  Every node on both axes assembles T
     as one batched product over the orders.  Next to the branch point the
     roundoff of the wall solve is amplified like 1/eta1^4 (see ``_ladders``):
     against a 50-digit signed-order sum a real-axis node is off by about
@@ -189,8 +189,7 @@ class SpectralEvaluator:
         # not remove it: a clamped node at kz = k is still off by about 1e-3
         # of its own size against a 60-digit evaluation of the same node.
         abs_k1 = np.abs(k1)
-        floor = np.maximum(np.maximum(safe_min_arg(self.nmax + 1) / a,
-                                      1e-3 * np.maximum(abs_k1, 1.0)), 1e-12)
+        floor = np.maximum(safe_min_arg(self.nmax + 1) / a, 1e-3 * np.maximum(abs_k1, 1.0))
         bad = np.abs(eta1) < floor
         if np.any(bad):
             # constant directional clamp: propagating side stays real, the
@@ -200,16 +199,36 @@ class SpectralEvaluator:
             propagating = (np.abs(kz) <= abs_k1) & ~self.imaginary
             direction = np.where(propagating, 1.0 + 0j, 1j)
             eta1 = np.where(bad, floor * direction, eta1)
-        if self.imaginary:
-            return self._modified_ladders(eta1.imag, eta2.imag)
         # J and H outside the surface, J alone inside it; H alone at eta1 rho
         # (once when rho1 = rho2), where J would overflow first in the
         # evanescent tail
         K = kz.size
         rhos = (self.rho1,) if self.rho2 == self.rho1 else (self.rho1, self.rho2)
-        j1a, h1a, j1ap, h1ap = jh_orders(self.nmax, eta1 * a)
-        j2a, j2ap = j_orders(self.nmax, eta2 * a)
-        hr, hrp = h_orders(self.nmax, np.concatenate([eta1 * r for r in rhos]))
+        if self.imaginary:
+            # eta1 = i y1 and eta2 = i y2.  With J_n(iy) = i^n I_n(y) and
+            # H_n(iy) = (2/pi) i^(-n-1) K_n(y), each complex quantity below is
+            # a fixed power of i times a real one, and the real ones come from
+            # the exponentially scaled I and K ladders: eta1 and eta2 as y1
+            # and y2; the wall inputs K_n'/K_n at y1 a (the complex one is -i
+            # times it), I_n'/I_n at y2 a (-i times), and I_n, I_n' at y1 a
+            # over m = max(I_n, I_n') (i^n and i^(n-1) times); outside, K_n
+            # and K_n' at y1 rho1 over K_n(y1 a) times m (1 and -i times), and
+            # K_n, K_n' at y1 rho2 ((2/pi) i^(-n-1) and -(2/pi) i^(-n) times).
+            # The scalings e^(y1 a) in m and over K_n(y1 a) and e^(-y1 rho) in
+            # each K_n(y1 rho) leave one factor per node,
+            # exp(-y1 (rho1 - a) - y1 (rho2 - a)) <= 1, which goes onto the
+            # rho1 side.
+            eta1, eta2 = eta1.imag, eta2.imag
+            i, ip = ive_orders(self.nmax, np.concatenate([eta1 * a, eta2 * a]))
+            k, kp = kve_orders(self.nmax, np.concatenate([eta1 * r for r in (a,) + rhos]))
+            j1a, j1ap, j2a, j2ap = i[:, :K], ip[:, :K], i[:, K:], ip[:, K:]
+            h1a, h1ap, hr, hrp = k[:, :K], kp[:, :K], k[:, K:], kp[:, K:]
+            decay = np.exp(-eta1 * (self.rho1 + self.rho2 - 2.0 * a))
+        else:
+            j1a, h1a, j1ap, h1ap = jh_orders(self.nmax, eta1 * a)
+            j2a, j2ap = j_orders(self.nmax, eta2 * a)
+            hr, hrp = h_orders(self.nmax, np.concatenate([eta1 * r for r in rhos]))
+            decay = 1.0
         hr1, hr1p = hr[:, :K], hrp[:, :K]
         hr2, hr2p = (hr[:, K:], hrp[:, K:]) if len(rhos) == 2 else (hr1, hr1p)
         # The wall solve takes log-derivatives and the J_n(eta1 a) pair
@@ -222,38 +241,7 @@ class SpectralEvaluator:
         # four nearly equal components.
         m = np.maximum(np.abs(j1a), np.abs(j1ap))
         wall = (h1ap / h1a, j2ap / j2a, j1a / m, j1ap / m)
-        return eta1, eta2, wall, (hr1 / h1a * m, hr1p / h1a * m, hr2, hr2p)
-
-    def _modified_ladders(self, y1, y2):
-        """``_ladders`` on the imaginary axis, eta1 = i y1 and eta2 = i y2,
-        from the real, exponentially scaled I and K ladders.
-
-        With J_n(iy) = i^n I_n(y) and H_n(iy) = (2/pi) i^(-n-1) K_n(y), each
-        complex quantity is a fixed power of i times a real one, and these
-        are the real ones: eta1 and eta2 as y1 and y2; the wall inputs
-        K_n'/K_n at y1 a (the complex one is -i times it), I_n'/I_n at y2 a
-        (-i times), and I_n, I_n' at y1 a over m = max(I_n, I_n') (i^n and
-        i^(n-1) times); outside, K_n and K_n' at y1 rho1 over K_n(y1 a)
-        times m (1 and -i times), and K_n, K_n' at y1 rho2 ((2/pi) i^(-n-1)
-        and -(2/pi) i^(-n) times).  The scalings e^(y1 a) in m and over
-        K_n(y1 a) and e^(-y1 rho) in each K_n(y1 rho) leave one factor per
-        node, exp(-y1 (rho1 - a) - y1 (rho2 - a)) <= 1, which goes onto the
-        rho1 side.
-        """
-        a = self.geom.radius
-        K = y1.size
-        rhos = (self.rho1,) if self.rho2 == self.rho1 else (self.rho1, self.rho2)
-        i, ip = ive_orders(self.nmax, np.concatenate([y1 * a, y2 * a]))
-        k, kp = kve_orders(self.nmax, np.concatenate([y1 * r for r in (a,) + rhos]))
-        m = np.maximum(i[:, :K], ip[:, :K])
-        wall = (kp[:, :K] / k[:, :K], ip[:, K:] / i[:, K:], i[:, :K] / m, ip[:, :K] / m)
-        # as in ``_ladders``, the ratio to K_n(y1 a) comes before m: m over
-        # K_n(y1 a) alone underflows at high order next to the branch point
-        kr1, kr1p = k[:, K:2 * K], kp[:, K:2 * K]
-        kr2, kr2p = (k[:, 2 * K:], kp[:, 2 * K:]) if len(rhos) == 2 else (kr1, kr1p)
-        decay = np.exp(-y1 * (self.rho1 + self.rho2 - 2.0 * a))
-        return y1, y2, wall, (kr1 / k[:, :K] * m * decay, kr1p / k[:, :K] * m * decay,
-                              kr2, kr2p)
+        return eta1, eta2, wall, (hr1 / h1a * m * decay, hr1p / h1a * m * decay, hr2, hr2p)
 
     def _solve(self, kz_signed, eta1, eta2, wall, which=0):
         """Scaled reflection coefficients for orders 0..nmax at signed kz.
@@ -268,7 +256,7 @@ class SpectralEvaluator:
         The sign of kz enters only through the coupling c, so R(-kz) is R(+kz)
         with R_MN and R_NM negated, bit for bit.
 
-        Real inputs are the imaginary-axis forms of ``_modified_ladders``.
+        Real inputs are the imaginary-axis forms of ``_ladders``.
         There k1, k2^2/k1 and c^2/k1 are i times real numbers, and the same
         arithmetic on those reals returns, in float64, r with R_MM = i^n r_MM,
         R_NN = i^n r_NN, R_MN = i^(n-1) r_MN and R_NM = i^(n-1) r_NM.
@@ -596,8 +584,8 @@ class FrozenSpectralTable:
 
 def _table_integral(table, dz):
     """``integrate`` of either table type, from its frozen panels."""
-    vec = panel_integral(table.halves, table.mids, table.coefs, float(dz), _MIRROR.ravel())
-    return vec.reshape(3, 3), table.panel_err + table.tail_bound
+    vec = panel_terms(table.halves, table.mids, table.coefs, float(dz), _MIRROR.ravel())
+    return vec.sum(axis=0).reshape(3, 3), table.panel_err + table.tail_bound
 
 
 class WireSpectralTable:

@@ -204,6 +204,7 @@ class PanelSet:
         self.budget = budget
         self.nodes_used = 0
         self.panels = []  # records [a, b, coef(16, comp), err, fmax, integral or None]
+        self._lam = 0.0   # the phase of the integrals the records keep
 
     def add(self, a, b, vals):
         """Add panel [a, b] with the values ``vals`` at its nodes; returns
@@ -240,7 +241,7 @@ class PanelSet:
 
     def _freeze(self):
         """(half-widths, midpoints, coefficients (P, 16, comp)) of the panels
-        in kz order, as ``panel_integral`` takes them."""
+        in kz order, as ``panel_terms`` takes them."""
         order = np.argsort([p[0] for p in self.panels])
         a = np.array([self.panels[i][0] for i in order])
         b = np.array([self.panels[i][1] for i in order])
@@ -249,13 +250,14 @@ class PanelSet:
 
     def integral(self, lam=0.0):
         """Sum of panel integrals at phase lam (and -lam on the mirrored
-        side); shape (n_comp,)."""
-        return panel_integral(*self._freeze(), lam, self.mirror)
-
-    def running_integral(self, lam):
-        """``integral(lam)`` from per-panel integrals that each record keeps
-        (its last slot) once computed, so a panel is integrated once however
-        often the set's sum is asked for.  One phase per set."""
+        side); shape (n_comp,).  Each record keeps its panel's integral (its
+        last slot) at the phase last asked for, so a panel is integrated once
+        however often the sum is asked for at one phase; a new phase
+        recomputes every panel's."""
+        if lam != self._lam:
+            self._lam = lam
+            for p in self.panels:
+                p[5] = None
         new = [p for p in self.panels if p[5] is None]
         if new:
             a, b = np.array([(p[0], p[1]) for p in new]).T
@@ -281,11 +283,6 @@ def panel_terms(half, mid, coef, lam, mirror=None):
         out = out + mirror * np.einsum("p,kp,pkc->pc", half * np.exp(-1j * lam * mid),
                                        np.conj(mom), coef)
     return out
-
-
-def panel_integral(half, mid, coef, lam, mirror=None):
-    """The sum of ``panel_terms``; shape (comp,)."""
-    return panel_terms(half, mid, coef, lam, mirror).sum(axis=0)
 
 
 def _vectorized(f, probe):
@@ -371,8 +368,8 @@ def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale,
             break
         yield [(k, k2)]
         rec = ps.panels[-1]
-        scale = max(1.0, float(np.abs(ps.running_integral(phase_for_blocks)).max()))
-        # the block's phase-aware contribution, which running_integral keeps
+        scale = max(1.0, float(np.abs(ps.integral(phase_for_blocks)).max()))
+        # the block's phase-aware contribution, which ``integral`` keeps
         # in its record; oscillatory cancellation is real and must be
         # credited or algebraic tails never terminate
         block_mags.append(max(float(np.abs(rec[5]).max()), 1e-300))
@@ -394,9 +391,9 @@ def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale,
     # target must be re-anchored until it is self-consistent
     ok = True
     for _ in range(4):
-        scale = max(1.0, float(np.abs(ps.running_integral(phase_for_blocks)).max()))
+        scale = max(1.0, float(np.abs(ps.integral(phase_for_blocks)).max()))
         ok = yield from ps.bisections(0.5 * tol * scale)
-        new_scale = max(1.0, float(np.abs(ps.running_integral(phase_for_blocks)).max()))
+        new_scale = max(1.0, float(np.abs(ps.integral(phase_for_blocks)).max()))
         if not ok or ps.err <= 0.6 * tol * new_scale:
             break
     return tail_bound, ok

@@ -281,7 +281,7 @@ def test_closed_form_wall_solve_matches_4x4(model, s, kz):
         if ev.imaginary:
             # the real path: _solve's r with its powers of i put back, and the
             # rho1-side K ladders with their phases (1 and -i) and the scale
-            # exp(y1 rho2) that _modified_ladders leaves out
+            # exp(y1 rho2) that _ladders leaves out on the imaginary axis
             y1, y2, real_wall, (g1, g1p, _, _) = ev._ladders(kz)
             n = np.arange(ev.nmax + 1)
             phase = np.stack([np.stack([_I_POW[n % 4], _I_POW[(n - 1) % 4]], axis=-1),
@@ -448,7 +448,7 @@ def test_ladders_match_one_call_at_both_surface_arguments(default_geom, s, kz):
 
 def test_modified_ladders_are_the_complex_ladders_without_their_phases(default_geom):
     # each real input of the imaginary-axis path times the power of i that
-    # _modified_ladders names (and its exponential scale) is the complex one
+    # _ladders names there (and its exponential scale) is the complex one
     # built from jh_orders, j_orders and h_orders
     kz = np.array([0.0, 0.5, 1.0, 4.0, 60.0]) * OMEGA_A
     ev = SpectralEvaluator(default_geom, IMAG, 0.015, 0.03, 0.7, nmax=40)

@@ -7,7 +7,8 @@ from scipy import special
 from wireqed import (ConvergenceError, OMEGA_A, imag_axis_integrate, kk_check,
                      pv_shift_oracle)
 from wireqed.quadrature import (PanelSet, _panel_nodes, _plain, _vectorized,
-                                build_spectral_panels, moments_for, t_substitution)
+                                build_spectral_panels, moments_for, panel_terms,
+                                t_substitution)
 from wireqed.validate import (EQUIVALENCE_MODELS, ResonanceModel, pv_shift,
                               rotated_shift)
 
@@ -91,6 +92,22 @@ def test_imag_axis_integrate_matches_panels_built_by_hand(name):
     assert nodes > 16 * (len(breaks) - 1)
     assert (rep.value, rep.abs_error_estimate, rep.nodes_used, rep.converged) == (
         value, err, nodes, ok and err <= tol * max(1.0, abs(value)))
+
+
+@pytest.mark.parametrize("mirror", [None, np.ones(1)], ids=["one_sided", "mirrored"])
+def test_panel_sum_never_mixes_phases(mirror):
+    # the set keeps each panel's integral at the phase last asked for; a
+    # request at another phase must not reuse them (on e^-x over (0, 3) the
+    # one-sided sum is 0.950 at phase 0 and 0.185+0.384i at phase 2)
+    ps = PanelSet(mirror=mirror)
+    for a, b in ((0.0, 1.0), (1.0, 3.0)):
+        ps.add(a, b, np.exp(-_panel_nodes(a, b)))
+    for lam in (0.0, 2.0, 0.0):
+        want = panel_terms(*ps._freeze(), lam, mirror).sum(axis=0)
+        np.testing.assert_allclose(ps.integral(lam), want, rtol=1e-15, atol=0.0)
+    if mirror is None:
+        assert ps.integral(2.0)[0] == pytest.approx((1.0 - np.exp(-3.0 + 6j)) / (1.0 - 2j),
+                                                    rel=1e-12)
 
 
 def kz_integral(f, *, tol, mirror=None, phase=0.0, **kwargs):
