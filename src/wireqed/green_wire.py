@@ -481,13 +481,16 @@ def _k_window(geom, point, rho1, rho2):
     mode whose fields have decayed to nothing at the emitters (huge kz near
     the mode-index divergence) is not seeded: it only inflates the window
     and can push nodes past the overflow guard of the special functions.
+    On the real axis k_start is also capped so that the window's arguments
+    stay inside that guard; the scaled I and K ladders of the imaginary axis
+    cannot overflow at large argument and have no such cap.
     """
     from .bessel import OVERFLOW_GUARD
 
     gap = (rho1 - geom.radius) + (rho2 - geom.radius)
     sabs = abs(point.value)
     eps2 = permittivity(geom.model, point)
-    k_start = 3.0 * sabs + 10.0
+    k_start = max(3.0 * sabs + 10.0, 1.3 * abs(np.sqrt(eps2 + 0j)) * sabs)
     pole_hint = branch_point = None
     if not point.is_imaginary:
         branch_point = abs(point.omega)
@@ -499,9 +502,8 @@ def _k_window(geom, point, rho1, rho2):
                     k_start = max(k_start, 1.2 * (kp + 6.0 * pole_hint[1]))
         except (FitError, OverflowGuardError):
             pass
-    k_start = max(k_start, 1.3 * abs(np.sqrt(eps2 + 0j)) * sabs)
-    arg_scale = max(rho1, rho2, geom.radius * abs(np.sqrt(eps2 + 0j)))
-    k_start = min(k_start, 0.8 * OVERFLOW_GUARD / arg_scale)
+        arg_scale = max(rho1, rho2, geom.radius * abs(np.sqrt(eps2 + 0j)))
+        k_start = min(k_start, 0.8 * OVERFLOW_GUARD / arg_scale)
     return (k_start, pole_hint, branch_point), gap
 
 
