@@ -203,8 +203,8 @@ class PanelSet:
         self.mirror = mirror
         self.budget = budget
         self.nodes_used = 0
-        self.panels = []  # records [a, b, coef(16, comp), err, fmax, integral or None]
-        self._lam = 0.0   # the phase of the integrals the records keep
+        # records [a, b, coef(16, comp), err, fmax, integral, its phase]
+        self.panels = []
 
     def add(self, a, b, vals):
         """Add panel [a, b] with the values ``vals`` at its nodes; returns
@@ -215,7 +215,7 @@ class PanelSet:
         self.nodes_used += _NPTS
         coef = np.einsum("ki,ic->kc", _PROJ, vals)
         rec = [a, b, coef, float(legendre_error(half, coef)), float(np.abs(vals).max()),
-               None]
+               None, None]
         self.panels.append(rec)
         return rec
 
@@ -250,21 +250,17 @@ class PanelSet:
 
     def integral(self, lam=0.0):
         """Sum of panel integrals at phase lam (and -lam on the mirrored
-        side); shape (n_comp,).  Each record keeps its panel's integral (its
-        last slot) at the phase last asked for, so a panel is integrated once
-        however often the sum is asked for at one phase; a new phase
+        side); shape (n_comp,).  Each record keeps its panel's integral and
+        that integral's phase (its last two slots), so a panel is integrated
+        once however often the sum is asked for at one phase, and a new phase
         recomputes every panel's."""
-        if lam != self._lam:
-            self._lam = lam
-            for p in self.panels:
-                p[5] = None
-        new = [p for p in self.panels if p[5] is None]
+        new = [p for p in self.panels if p[6] != lam]
         if new:
             a, b = np.array([(p[0], p[1]) for p in new]).T
             terms = panel_terms(0.5 * (b - a), 0.5 * (a + b), np.stack([p[2] for p in new]),
                                 lam, self.mirror)
             for p, term in zip(new, terms):
-                p[5] = term
+                p[5], p[6] = term, lam
         return np.sum([p[5] for p in self.panels], axis=0)
 
 
