@@ -55,8 +55,11 @@ class EmitterPair:
                 raise DomainError(f"dipole orientation {d} is not a unit 3-vector to 1e-12")
         if not 0.0 < self.omega_a < math.inf:
             raise DomainError("transition frequency must be finite and positive")
-        if not all(0.0 < p[0] < math.inf for p in (self.position_1, self.position_2)):
-            raise DomainError("emitter radial coordinates must be finite and positive")
+        for p in (self.position_1, self.position_2):
+            v = np.asarray(p, float)
+            if v.shape != (3,) or not (np.all(np.isfinite(v)) and v[0] > 0.0):
+                raise DomainError("emitter positions must be three finite numbers (rho, phi, "
+                                  f"z) with positive radial coordinates, got {p}")
 
     def with_dz(self, dz: float) -> "EmitterPair":
         r1 = self.position_1
@@ -190,6 +193,8 @@ class PairInteraction:
         self._res_coincident = self.table_res.integrate(0.0)
 
     def at(self, dz: float) -> RateShiftResult:
+        if not math.isfinite(dz):
+            raise DomainError(f"separation dz must be finite, got {dz}")
         w = self.omega_a
         pair = self.pair
         d1 = np.asarray(pair.dipole_1, float)

@@ -34,6 +34,15 @@ class TestEmitterPair:
             with pytest.raises(DomainError):
                 EmitterPair((0.015, 0, 0), (0.015, 0, 1), omega_a=w)
 
+    def test_positions_must_be_three_finite_numbers(self):
+        # a two-number position used to construct and fail later in .dz, and
+        # a NaN phi reached check_pair_geometry as "not one axial line"
+        for p2 in ((0.015, 0.0), (0.015, 0.0, 1.0, 0.0), (0.015, math.nan, 1.0),
+                   (0.015, 0.0, math.inf), (0.015, -math.inf, 1.0)):
+            for pair in ((p2, (0.015, 0.0, 0.0)), ((0.015, 0.0, 0.0), p2)):
+                with pytest.raises(DomainError, match="three finite numbers"):
+                    EmitterPair(*pair)
+
     def test_pair_geometry_check(self, default_geom):
         check_pair_geometry(default_geom, EmitterPair((0.015, 0, 0), (0.015, 0, 1)))
         for p2 in ((0.005, 0, 1), (0.02, 0, 1), (0.015, 0.1, 1)):
@@ -70,6 +79,13 @@ class TestPairInteraction:
         pair = EmitterPair((0.005, 0.0, 0.0), (0.015, 0.0, 1.0))
         with pytest.raises(DomainError):
             PairInteraction(default_geom, pair)
+
+    def test_at_rejects_non_finite_separation(self, pair_engine):
+        # nan used to return a row of NaNs and inf a row after numpy warnings,
+        # both marked unconverged
+        for dz in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="must be finite"):
+                pair_engine.at(dz)
 
     def test_decomposition_identity_exact(self, pair_engine):
         r = pair_engine.at(1.3)
