@@ -203,8 +203,7 @@ class PanelSet:
         self.mirror = mirror
         self.budget = budget
         self.nodes_used = 0
-        # records [a, b, coef(16, comp), err, fmax, integral, its phase]
-        self.panels = []
+        self.panels = []  # records [a, b, coef(16, comp), err, fmax, integral, its phase]
 
     def add(self, a, b, vals):
         """Add panel [a, b] with the values ``vals`` at its nodes; returns

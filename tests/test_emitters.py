@@ -35,8 +35,9 @@ class TestEmitterPair:
                 EmitterPair((0.015, 0, 0), (0.015, 0, 1), omega_a=w)
 
     def test_positions_must_be_three_finite_numbers(self):
-        # a two-number position used to construct and fail later in .dz, and
-        # a NaN phi reached check_pair_geometry as "not one axial line"
+        # checked at construction: a two-number position would otherwise fail
+        # only in .dz, and a NaN phi would fail check_pair_geometry as "not
+        # one axial line"
         for p2 in ((0.015, 0.0), (0.015, 0.0, 1.0, 0.0), (0.015, math.nan, 1.0),
                    (0.015, 0.0, math.inf), (0.015, -math.inf, 1.0)):
             for pair in ((p2, (0.015, 0.0, 0.0)), ((0.015, 0.0, 0.0), p2)):
@@ -81,8 +82,8 @@ class TestPairInteraction:
             PairInteraction(default_geom, pair)
 
     def test_at_rejects_non_finite_separation(self, pair_engine):
-        # nan used to return a row of NaNs and inf a row after numpy warnings,
-        # both marked unconverged
+        # otherwise nan gives a row of NaNs and inf a row after numpy
+        # warnings, both merely marked unconverged
         for dz in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="must be finite"):
                 pair_engine.at(dz)
