@@ -34,6 +34,7 @@ K recurrences is positive, so neither loses digits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,6 @@ def safe_min_arg(order: int) -> float:
     bound is vanishingly small for low orders and only bites for deep
     ladders evaluated next to a branch point.
     """
-    import math
-
     m = max(int(order), 1)
     return 2.0 * math.exp(-(280.0 * math.log(10.0) - math.lgamma(m)) / m)
 

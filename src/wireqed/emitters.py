@@ -27,8 +27,9 @@ from .errors import DomainError, FitError
 from .frequencies import OMEGA_A, SpectralPoint
 from .green_vacuum import green_vacuum_cyl, green_vacuum_im_coincident
 from .green_wire import (_MIRROR, SpectralEvaluator, WireGeometry, WireSpectralTable,
-                         imag_axis_tables, plasmon_wavenumber, settle_azimuthal_order)
-from .quadrature import _GL_W, _GL_X, _NPTS, _PROJ
+                         imag_axis_tables, plasmon_wavenumber, settle_azimuthal_order,
+                         wire_green)
+from .quadrature import _GL_W, _NPTS, _PROJ
 
 _P_EVEN = _MIRROR.ravel() > 0   # components the -kz mirror keeps
 
@@ -260,6 +261,19 @@ def _kappa_panel_job(job):
             max(tab.tail_ratio for tab in tables), all(tab.panels_ok for tab in tables))
 
 
+def _node_values(halves, mids, coefs, starts, dz):
+    """Each node's weighted 3x3 tensor at separation dz, shape (nodes, 9),
+    from flat-table rows (``_kappa_panel_job``) whose node i holds rows
+    starts[i]:starts[i+1]."""
+    mom = quadrature.moments_for(dz * halves)                     # (16, P)
+    m = mom * (halves * np.exp(1j * dz * mids))
+    # (P, 2, 16): Re m and Im m of each row, against its (16, 9) coefficients
+    m = np.ascontiguousarray(m.T).view(float).reshape(-1, _NPTS, 2).transpose(0, 2, 1)
+    both = m @ coefs
+    rows = np.where(_P_EVEN, both[:, 0], both[:, 1])
+    return np.add.reduceat(rows, starts, axis=0)
+
+
 class _ImagAxisEngine:
     """t-substituted imaginary-axis integral over one flat kz-panel table.
 
@@ -268,10 +282,11 @@ class _ImagAxisEngine:
     node's table is multiplied by its substitution weight and all of them
     are held as one flat table: kz half-widths and midpoints, coefficients,
     and the offset where each node's kz panels start, laid end to end from
-    one block per t panel.  One pass over it
-    gives every node's weighted tensor at a separation.  Refinement is driven
-    by the Legendre-coefficient decay of that weighted integrand at a few
-    reference separations, which bounds the error for every separation.
+    one block per t panel.  One pass over it gives every node's weighted
+    tensor at a separation.  The t panels are a ``quadrature`` panel set
+    (``_one_sided``) whose node values are that tensor at each of a few
+    reference separations, so the Legendre-coefficient decay that drives
+    their bisections bounds the error for every separation.
 
     A t panel is the unit of work: ``_kappa_panel_job`` builds its 16 node
     tables in lockstep and returns them as flat rows, and ``parallel`` (a
@@ -285,40 +300,40 @@ class _ImagAxisEngine:
     """
 
     def __init__(self, geom, rho, omega_a, *, tol, nmax, dz_refs, parallel=None):
-        self.geom = geom
-        self.rho = rho
         self.w = omega_a
         self.tol = tol
-        self.nmax = nmax
         gap = 2.0 * (rho - geom.radius)   # summed emitter-to-surface distance
         kap_cut = max(6.0 * omega_a, 20.0 / max(gap, 1e-6))
-        self.t_cut = kap_cut / (omega_a + kap_cut)
-        self.n_nodes = 0
-        self._parallel = parallel
+        t_cut = kap_cut / (omega_a + kap_cut)
         seeds = [0.0, 2e-3, 1e-2, 0.04, 0.12, 0.25, 0.45, 0.65, 0.82, 0.93]
-        breaks = sorted({t for t in seeds if t < self.t_cut} | {self.t_cut})
-        # ((a, b), halves, mids, coefs, kz panels per node, weighted kz error
-        # per node, tail ratio, panels_ok) per t panel, in flat-table order
-        self._blocks = self._build_panels(list(zip(breaks[:-1], breaks[1:])))
-        self._flatten()
-        self._refine(dz_refs)
-        self._coincident = self.integral_tensor(0.0)
+        breaks = sorted({t for t in seeds if t < t_cut} | {t_cut})
+        run = parallel or (lambda fn, xs: [fn(x) for x in xs])
+        # (halves, mids, coefs, kz panels per node, weighted kz error per
+        # node, tail ratio, panels_ok) per t panel, keyed by its first node
+        blocks = {}
 
-    def _build_panels(self, intervals):
-        """The blocks of the t panels ``intervals``, one job per panel."""
-        jobs = []
-        for a, b in intervals:
-            half, mid = 0.5 * (b - a), 0.5 * (b + a)
-            kap, weight = quadrature.t_substitution(mid + half * _GL_X, self.w)
-            jobs.append((self.geom, self.rho, kap, weight, self.tol, self.nmax))
-        run = self._parallel or (lambda fn, xs: [fn(x) for x in xs])
-        self.n_nodes += _NPTS * len(jobs)
-        return [(ab, *out) for ab, out in zip(intervals, run(_kappa_panel_job, jobs))]
+        def values(t):
+            t = t.reshape(-1, _NPTS)
+            jobs = [(geom, rho, *quadrature.t_substitution(nodes, omega_a), tol, nmax)
+                    for nodes in t]
+            out = []
+            for nodes, block in zip(t, run(_kappa_panel_job, jobs)):
+                blocks[nodes[0]] = block
+                sizes = block[3]
+                out.append(np.hstack([_node_values(*block[:3], np.cumsum(sizes) - sizes, dz)
+                                      for dz in dz_refs]))
+            return np.concatenate(out)
 
-    def _flatten(self):
-        """Lay the blocks end to end as the flat table; node i's kz panels
-        are rows _starts[i]:_starts[i+1]."""
-        self.panels, halves, mids, coefs, sizes, kz_errs, tails, oks = zip(*self._blocks)
+        grid, _ = quadrature._one_sided(
+            values, breaks,
+            lambda ps: 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max())),
+            KAPPA_TABLE_BUDGET * _NPTS)
+        # the flat table, in the grid's panel order; node i's kz panels are
+        # rows _starts[i]:_starts[i+1]
+        self.panels = [(p[0], p[1]) for p in grid.panels]
+        self.n_nodes = grid.nodes_used
+        halves, mids, coefs, sizes, kz_errs, tails, oks = zip(*(
+            blocks[quadrature._panel_nodes(a, b)[0]] for a, b in self.panels))
         self._halves = np.concatenate(halves)
         self._mids = np.concatenate(mids)
         self._coefs = np.concatenate(coefs)
@@ -328,33 +343,16 @@ class _ImagAxisEngine:
                                 for (a, b), e in zip(self.panels, kz_errs)))
         self.tail_ratio = max(tails)
         self.panels_ok = all(oks)
+        self._coincident = self.integral_tensor(0.0)
 
     def _pass(self, dz):
         """(3x3 integral, per-t-panel error bounds) at separation dz."""
-        mom = quadrature.moments_for(dz * self._halves)                # (16, P)
-        m = mom * (self._halves * np.exp(1j * dz * self._mids))
-        # (P, 2, 16): Re m and Im m of each row, against its (16, 9) coefficients
-        m = np.ascontiguousarray(m.T).view(float).reshape(-1, _NPTS, 2).transpose(0, 2, 1)
-        both = m @ self._coefs
-        rows = np.where(_P_EVEN, both[:, 0], both[:, 1])
-        vals = np.add.reduceat(rows, self._starts, axis=0)        # per node
+        vals = _node_values(self._halves, self._mids, self._coefs, self._starts, dz)
         coef = _PROJ @ vals.reshape(-1, _NPTS, 9)                 # per t panel
         a, b = np.asarray(self.panels).T
         half = 0.5 * (b - a)
         total = (2.0 * half[:, None] * coef[:, 0]).sum(axis=0)
         return total.reshape(3, 3), quadrature.legendre_error(half, coef)
-
-    def _refine(self, dz_refs):
-        while self.n_nodes + 32 <= KAPPA_TABLE_BUDGET * 16:
-            passes = [self._pass(dz) for dz in dz_refs]
-            errs = np.max([e for _, e in passes], axis=0)
-            scale = max(1.0, max(float(np.abs(t).max()) for t, _ in passes))
-            if errs.sum() <= 0.5 * self.tol * scale:
-                break
-            (a, b), *_ = self._blocks.pop(int(np.argmax(errs)))
-            m = 0.5 * (a + b)
-            self._blocks += self._build_panels([(a, m), (m, b)])
-            self._flatten()
 
     def integral_tensor(self, dz):
         total, errs = self._pass(dz)
@@ -381,8 +379,6 @@ def decay_rates(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6):
     d1 = np.asarray(pair.dipole_1, float)
     d2 = np.asarray(pair.dipole_2, float)
     point = SpectralPoint.real_axis(w)
-    from .green_wire import wire_green
-
     g11 = wire_green(geom, p1, p1, point, tol=tol).value
     same = _same_site(p1, p2)
     g12 = g11 if same else wire_green(geom, p1, p2, point, tol=tol).value

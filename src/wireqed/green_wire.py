@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import (N_MAX, h_orders, ive_orders, j_orders, jh_orders, kve_orders,
-                     safe_min_arg)
+from .bessel import (N_MAX, OVERFLOW_GUARD, h_orders, ive_orders, j_orders, jh_orders,
+                     kve_orders, safe_min_arg)
 from .errors import ConvergenceError, DomainError, FitError, OverflowGuardError
 from .frequencies import SpectralPoint, as_spectral_point
 from .green_vacuum import DyadicGreen
@@ -485,8 +485,6 @@ def _k_window(geom, point, rho1, rho2):
     stay inside that guard; the scaled I and K ladders of the imaginary axis
     cannot overflow at large argument and have no such cap.
     """
-    from .bessel import OVERFLOW_GUARD
-
     gap = (rho1 - geom.radius) + (rho2 - geom.radius)
     sabs = abs(point.value)
     eps2 = permittivity(geom.model, point)

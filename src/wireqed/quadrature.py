@@ -13,9 +13,10 @@ distance sweeps affordable.  With lambda = 0 the panels reduce to plain
 Gauss-Legendre quadrature.
 
 Every panel set is built one way: a step generator yields the panels it
-wants added, and ``run_lockstep`` evaluates their nodes in batched calls and
-adds the values.  The kz tables, the imaginary-frequency integral and the
-validation integrals differ only in their steps.
+wants added, and ``run_lockstep`` evaluates their nodes in one call per step
+and adds the values.  The kz tables, the t grid of the pair engine's
+imaginary-frequency integral and the validation integrals differ only in
+their steps and their node values.
 
 Public operations:
 
@@ -42,6 +43,7 @@ from scipy import special
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConvergenceError, DomainError
+from .frequencies import SpectralPoint
 
 _NPTS = 16
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_NPTS)
@@ -52,9 +54,9 @@ _PROJ = ((2 * np.arange(_NPTS) + 1) / 2.0)[:, None] * (_LEG_V.T * _GL_W[None, :]
 _KIDX = np.arange(_NPTS)
 _IPOW = 1j ** _KIDX
 
-#: Most nodes that one lockstep evaluation carries.  It bounds a spectrum
-#: evaluation's working arrays (about 3.5 MB at azimuthal order 40).  On a
-#: 2-core Xeon VM with 2 MB of L2 per core, kappa-table builds ran about 12%
+#: Most nodes that one spectrum evaluation of ``build_spectral_panel_sets``
+#: carries.  It bounds the evaluator's working arrays (about 3.5 MB at
+#: azimuthal order 40).  On a 2-core Xeon VM with 2 MB of L2 per core, kappa-table builds ran about 12%
 #: faster at 128 nodes per call than at 256, and alike at 64.
 NODE_CAP = 128
 
@@ -154,10 +156,9 @@ def run_lockstep(f, sets, steps):
 
     At each step a generator yields the (a, b) panels it wants added to its
     set.  The nodes of every panel requested at one step are evaluated
-    together, as f(x, owner) with owner[i] the index of the set that node i
-    belongs to, in calls of at most NODE_CAP nodes; each panel is then added
-    to its set in request order and every generator resumes.  Returns each
-    generator's return value.  With the evaluation pointwise in its nodes, a
+    together, in one call f(x, owner) with owner[i] the index of the set that
+    node i belongs to; each panel is then added to its set in request order
+    and every generator resumes.  Returns each generator's return value.  With the evaluation pointwise in its nodes, a
     set's panels come out as if it had been built alone.
     """
     out = [None] * len(steps)
@@ -176,10 +177,7 @@ def run_lockstep(f, sets, steps):
         todo = [(i, a, b) for i, req in live.items() for a, b in req]
         x = np.concatenate([_panel_nodes(a, b) for _, a, b in todo])
         owner = np.repeat([i for i, _, _ in todo], _NPTS)
-        vals = np.concatenate([
-            np.asarray(f(x[c:c + NODE_CAP], owner[c:c + NODE_CAP]), complex)
-            .reshape(min(NODE_CAP, len(x) - c), -1)
-            for c in range(0, len(x), NODE_CAP)])
+        vals = np.asarray(f(x, owner), complex).reshape(len(x), -1)
         for row, (i, a, b) in zip(range(0, len(x), _NPTS), todo):
             sets[i].add(a, b, vals[row:row + _NPTS])
         for i in list(live):
@@ -192,18 +190,20 @@ class PanelSet:
 
     Each panel's values, shape (16, n_comp) (or (16,) for one component), at
     its Gauss nodes arrive with ``add``, as ``run_lockstep`` evaluates them;
-    they are integrated against exp(+i lam x).  With a per-component
-    ``mirror`` sign the -kz side mirror * f(x) is integrated against
-    exp(-i lam x) as well; ``None`` makes the integral one-sided.  Panel
-    refinement is driven purely by the decay of the Legendre coefficients,
-    so a refined set is valid for every phase at once.
+    ``integral`` integrates them against exp(+i phase x).  With a
+    per-component ``mirror`` sign the -kz side mirror * f(x) is integrated
+    against exp(-i phase x) as well; ``None`` makes the integral one-sided.
+    Panel refinement is driven purely by the decay of the Legendre
+    coefficients, so the frozen panels (``_freeze``) of a refined set are
+    valid for every phase at once.
     """
 
-    def __init__(self, budget=20000, mirror=None):
+    def __init__(self, budget=20000, mirror=None, phase=0.0):
         self.mirror = mirror
         self.budget = budget
+        self.phase = phase
         self.nodes_used = 0
-        self.panels = []  # records [a, b, coef(16, comp), err, fmax, integral, its phase]
+        self.panels = []  # records [a, b, coef(16, comp), err, fmax, integral]
 
     def add(self, a, b, vals):
         """Add panel [a, b] with the values ``vals`` at its nodes; returns
@@ -213,8 +213,7 @@ class PanelSet:
         vals = np.asarray(vals, complex).reshape(_NPTS, -1)
         self.nodes_used += _NPTS
         coef = np.einsum("ki,ic->kc", _PROJ, vals)
-        rec = [a, b, coef, float(legendre_error(half, coef)), float(np.abs(vals).max()),
-               None, None]
+        rec = [a, b, coef, float(legendre_error(half, coef)), float(np.abs(vals).max()), None]
         self.panels.append(rec)
         return rec
 
@@ -247,19 +246,18 @@ class PanelSet:
         coef = np.stack([self.panels[i][2] for i in order])
         return 0.5 * (b - a), 0.5 * (a + b), coef
 
-    def integral(self, lam=0.0):
-        """Sum of panel integrals at phase lam (and -lam on the mirrored
-        side); shape (n_comp,).  Each record keeps its panel's integral and
-        that integral's phase (its last two slots), so a panel is integrated
-        once however often the sum is asked for at one phase, and a new phase
-        recomputes every panel's."""
-        new = [p for p in self.panels if p[6] != lam]
+    def integral(self):
+        """Sum of panel integrals at the set's phase (and -phase on the
+        mirrored side); shape (n_comp,).  Each record keeps its panel's
+        integral (its last slot), so a panel is integrated once however often
+        the sum is asked for."""
+        new = [p for p in self.panels if p[5] is None]
         if new:
             a, b = np.array([(p[0], p[1]) for p in new]).T
             terms = panel_terms(0.5 * (b - a), 0.5 * (a + b), np.stack([p[2] for p in new]),
-                                lam, self.mirror)
+                                self.phase, self.mirror)
             for p, term in zip(new, terms):
-                p[5], p[6] = term, lam
+                p[5] = term
         return np.sum([p[5] for p in self.panels], axis=0)
 
 
@@ -333,19 +331,23 @@ def build_spectral_panel_sets(f, windows, *, tol, mirror=None, tail_scale=None,
     f(x, owner) evaluates spectrum owner[i] at node x[i].  Each spectrum takes
     its own sequence of steps (seed panels, tail blocks with their stop
     test, then ``PanelSet.bisections``), and ``run_lockstep``
-    evaluates the nodes of every spectrum still running in one call per step.
+    evaluates the nodes of every spectrum still running at one step in calls
+    of f of at most NODE_CAP nodes.  Each set integrates at
+    ``phase_for_blocks``, the separation its tail blocks are judged at.
     Returns (PanelSet, tail_bound, converged_flag) per spectrum.
     """
-    sets = [PanelSet(budget, mirror) for _ in windows]
-    flags = run_lockstep(f, sets, [
-        _spectral_steps(ps, *window, tol=tol, tail_scale=tail_scale,
-                        phase_for_blocks=phase_for_blocks)
+    def capped(x, owner):
+        return np.concatenate([f(x[c:c + NODE_CAP], owner[c:c + NODE_CAP])
+                               for c in range(0, len(x), NODE_CAP)])
+
+    sets = [PanelSet(budget, mirror, phase_for_blocks) for _ in windows]
+    flags = run_lockstep(capped, sets, [
+        _spectral_steps(ps, *window, tol=tol, tail_scale=tail_scale)
         for ps, window in zip(sets, windows)])
     return [(ps, tail_bound, ok) for ps, (tail_bound, ok) in zip(sets, flags)]
 
 
-def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale,
-                    phase_for_blocks):
+def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale):
     """The panel steps of one spectrum into ``ps``, as a generator for
     ``run_lockstep``; returns (tail_bound, converged_flag)."""
     budget = ps.budget
@@ -363,7 +365,7 @@ def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale,
             break
         yield [(k, k2)]
         rec = ps.panels[-1]
-        scale = max(1.0, float(np.abs(ps.integral(phase_for_blocks)).max()))
+        scale = max(1.0, float(np.abs(ps.integral()).max()))
         # the block's phase-aware contribution, which ``integral`` keeps
         # in its record; oscillatory cancellation is real and must be
         # credited or algebraic tails never terminate
@@ -386,9 +388,9 @@ def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale,
     # target must be re-anchored until it is self-consistent
     ok = True
     for _ in range(4):
-        scale = max(1.0, float(np.abs(ps.integral(phase_for_blocks)).max()))
+        scale = max(1.0, float(np.abs(ps.integral()).max()))
         ok = yield from ps.bisections(0.5 * tol * scale)
-        new_scale = max(1.0, float(np.abs(ps.integral(phase_for_blocks)).max()))
+        new_scale = max(1.0, float(np.abs(ps.integral()).max()))
         if not ok or ps.err <= 0.6 * tol * new_scale:
             break
     return tail_bound, ok
@@ -531,8 +533,6 @@ def kk_check(G_component, omega_a, grid=None, *, arc_limit=0.0, tol=1e-8) -> KKR
     analytic tail.  A constant (zero-Im) input is flagged degenerate
     instead of producing a meaningless residual.
     """
-    from .frequencies import SpectralPoint
-
     wa = float(omega_a)
     lhs = wa * wa * complex(G_component(SpectralPoint.real_axis(wa))).real
 

@@ -62,7 +62,7 @@ def test_expansion_reproduces_closed_form(s, tol):
         lambda kz: free_space_spectrum(kz, s, rho1, rho2, dphi), tol=1e-9,
         k_start=4.0 * abs(s.value) + 20.0, mirror=_MIRROR.ravel(), branch_point=branch,
         tail_scale=rho1 - rho2, budget=60000, phase_for_blocks=dz)
-    value = ps.integral(dz).reshape(3, 3)
+    value = ps.integral().reshape(3, 3)
     assert ok and ps.err + tail_bound <= 1e-9 * max(1.0, np.abs(value).max())
 
     closed = green_vacuum(cyl_to_cart_point(rho1, phi1, z1),

@@ -120,14 +120,35 @@ class TestPairInteraction:
         assert ratio_far < 0.02
 
 
-def test_kappa_bisection_matches_per_table_oracle(default_geom, monkeypatch):
-    # a tight tolerance and a budget for exactly one split force _refine to
-    # bisect a t panel, which splices the flat kappa table; the oracle builds
-    # every node's kz table alone
-    monkeypatch.setattr(emitters, "KAPPA_TABLE_BUDGET", 12)
-    pair = EmitterPair((0.03, 0.0, 0.0), (0.03, 0.0, 0.02))
-    interaction = PairInteraction(default_geom, pair, tol=1e-8, nmax=8,
-                                  dz_refs=(0.0, 0.02, 8.0))
+@pytest.fixture(scope="module")
+def one_split(default_geom):
+    # a tight tolerance and a budget for exactly one split (12 t panels) force
+    # the t grid to bisect a t panel, which splices the flat kappa table; the
+    # map records how many t-panel jobs each build step hands the pool
+    jobs = []
+
+    def recording(fn, xs):
+        jobs.append(len(xs))
+        return [fn(x) for x in xs]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emitters, "KAPPA_TABLE_BUDGET", 12)
+        pair = EmitterPair((0.03, 0.0, 0.0), (0.03, 0.0, 0.02))
+        interaction = PairInteraction(default_geom, pair, tol=1e-8, nmax=8,
+                                      dz_refs=(0.0, 0.02, 8.0), parallel=recording)
+    return interaction, jobs
+
+
+def test_kappa_pool_sees_one_call_per_build_step(one_split):
+    # all 10 seed t panels in one call, then the two halves of the one split
+    interaction, jobs = one_split
+    assert jobs == [10, 2]
+    assert interaction._kappa_engine.n_nodes == 16 * 12
+
+
+def test_kappa_bisection_matches_per_table_oracle(default_geom, one_split):
+    # the oracle builds every node's kz table alone
+    interaction, _ = one_split
     engine = interaction._kappa_engine
     assert engine.n_nodes > 160
     w = engine.w

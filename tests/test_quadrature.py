@@ -96,18 +96,18 @@ def test_imag_axis_integrate_matches_panels_built_by_hand(name):
 
 @pytest.mark.parametrize("mirror", [None, np.ones(1)], ids=["one_sided", "mirrored"])
 def test_panel_sum_never_mixes_phases(mirror):
-    # the set keeps each panel's integral at the phase last asked for; a
-    # request at another phase must not reuse them (on e^-x over (0, 3) the
-    # one-sided sum is 0.950 at phase 0 and 0.185+0.384i at phase 2)
-    ps = PanelSet(mirror=mirror)
-    for a, b in ((0.0, 1.0), (1.0, 3.0)):
-        ps.add(a, b, np.exp(-_panel_nodes(a, b)))
-    for lam in (0.0, 2.0, 0.0):
-        want = panel_terms(*ps._freeze(), lam, mirror).sum(axis=0)
-        np.testing.assert_allclose(ps.integral(lam), want, rtol=1e-15, atol=0.0)
-    if mirror is None:
-        assert ps.integral(2.0)[0] == pytest.approx((1.0 - np.exp(-3.0 + 6j)) / (1.0 - 2j),
-                                                    rel=1e-12)
+    # one set per phase; a set keeps each panel's integral, so a panel added
+    # after a sum must join the next one (on e^-x over (0, 3) the one-sided
+    # sum is 0.950 at phase 0 and 0.185+0.384i at phase 2)
+    for lam in (0.0, 2.0):
+        ps = PanelSet(mirror=mirror, phase=lam)
+        for a, b in ((0.0, 1.0), (1.0, 3.0)):
+            ps.add(a, b, np.exp(-_panel_nodes(a, b)))
+            want = panel_terms(*ps._freeze(), lam, mirror).sum(axis=0)
+            np.testing.assert_allclose(ps.integral(), want, rtol=1e-15, atol=0.0)
+        if mirror is None:
+            closed = (1.0 - np.exp(-3.0 + 3j * lam)) / (1.0 - 1j * lam)
+            assert ps.integral()[0] == pytest.approx(closed, rel=1e-12)
 
 
 def kz_integral(f, *, tol, mirror=None, phase=0.0, **kwargs):
@@ -115,7 +115,7 @@ def kz_integral(f, *, tol, mirror=None, phase=0.0, **kwargs):
     given phase, with the -kz side supplied by ``mirror`` when given."""
     ps, tail_bound, ok = build_spectral_panels(f, tol=tol, mirror=mirror,
                                                phase_for_blocks=phase, **kwargs)
-    vec = ps.integral(phase)
+    vec = ps.integral()
     converged = ok and ps.err + tail_bound <= tol * max(1.0, float(np.abs(vec).max()))
     return vec, converged, ps.nodes_used
 
