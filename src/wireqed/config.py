@@ -78,6 +78,10 @@ class RunConfig:
             raise ConfigError("output format must be csv or json")
         if not (self.output_path is None or isinstance(self.output_path, str)):
             raise ConfigError("output_path must be null or a string")
+        if self.output_path and not Path(self.output_path).parent.is_dir():
+            raise ConfigError(f"output directory of {self.output_path!r} does not exist")
+        if self.output_path and Path(self.output_path).is_dir():
+            raise ConfigError(f"output path {self.output_path!r} is a directory")
         return self
 
     def geometry(self) -> WireGeometry:
@@ -113,6 +117,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file cannot be read: {exc}")
     return config_from_dict(raw)
 
 

@@ -171,6 +171,33 @@ class TestExitCodes:
         assert main(["dispersion"] + argv) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"schema": "\xff"}')
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, stage", [
+        (["dispersion", "--synthetic", "3.0,0.2,9.42"], "fit_two_lorentzian"),
+        (["point", "--dz", "1.0"], "PairInteraction"),
+    ], ids=["dispersion", "point"])
+    @pytest.mark.parametrize("out, reason", [("no/such/x.json", "does not exist"),
+                                             (".", "is a directory")],
+                             ids=["missing_directory", "directory"])
+    def test_unwritable_output_exit_2(self, tmp_path, monkeypatch, capsys, command, stage,
+                                      out, reason):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the run computed before checking --out")
+
+        monkeypatch.setattr(cli, stage, unreachable)
+        assert main(command + ["--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and reason in err
+
     def test_validate_passes(self):
         proc = run_cli(["validate"])
         assert proc.returncode == 0
