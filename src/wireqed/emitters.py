@@ -283,8 +283,9 @@ class _ImagAxisEngine:
     are held as one flat table: kz half-widths and midpoints, coefficients,
     and the offset where each node's kz panels start, laid end to end from
     one block per t panel.  One pass over it gives every node's weighted
-    tensor at a separation.  The t panels are a ``quadrature`` panel set
-    (``_one_sided``) whose node values are that tensor at each of a few
+    tensor at a separation.  The t panels follow the t rule of every
+    imaginary-axis integral (``quadrature.imag_axis_panels``), cut at the
+    kappa cutoff; their node values are that tensor at each of a few
     reference separations, so the Legendre-coefficient decay that drives
     their bisections bounds the error for every separation.
 
@@ -304,9 +305,6 @@ class _ImagAxisEngine:
         self.tol = tol
         gap = 2.0 * (rho - geom.radius)   # summed emitter-to-surface distance
         kap_cut = max(6.0 * omega_a, 20.0 / max(gap, 1e-6))
-        t_cut = kap_cut / (omega_a + kap_cut)
-        seeds = [0.0, 2e-3, 1e-2, 0.04, 0.12, 0.25, 0.45, 0.65, 0.82, 0.93]
-        breaks = sorted({t for t in seeds if t < t_cut} | {t_cut})
         run = parallel or (lambda fn, xs: [fn(x) for x in xs])
         # (halves, mids, coefs, kz panels per node, weighted kz error per
         # node, tail ratio, panels_ok) per t panel, keyed by its first node
@@ -324,10 +322,8 @@ class _ImagAxisEngine:
                                       for dz in dz_refs]))
             return np.concatenate(out)
 
-        grid, _ = quadrature._one_sided(
-            values, breaks,
-            lambda ps: 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max())),
-            KAPPA_TABLE_BUDGET * _NPTS)
+        grid, _ = quadrature.imag_axis_panels(
+            values, tol, kap_cut / (omega_a + kap_cut), KAPPA_TABLE_BUDGET * _NPTS)
         # the flat table, in the grid's panel order; node i's kz panels are
         # rows _starts[i]:_starts[i+1]
         self.panels = [(p[0], p[1]) for p in grid.panels]

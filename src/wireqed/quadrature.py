@@ -278,17 +278,6 @@ def panel_terms(half, mid, coef, lam, mirror=None):
     return out
 
 
-def _vectorized(f, probe):
-    """Return a function mapping a node array to shape (n,) values."""
-    try:
-        out = np.asarray(f(np.asarray([probe, probe * 1.0000001])))
-        if out.shape == (2,):
-            return lambda x: np.asarray(f(np.asarray(x)))
-    except Exception:
-        pass
-    return lambda x: np.asarray([f(float(xx)) for xx in np.asarray(x)])
-
-
 def _seed_breaks(k_start, pole_hint, branch_point):
     pts = {0.0, float(k_start)}
     if branch_point is not None and 0.0 < branch_point < k_start:
@@ -409,37 +398,64 @@ def _one_sided(f, breaks, target, budget):
     return ps, run_lockstep(lambda x, owner: f(x), [ps], [steps()])[0]
 
 
+#: Seed breaks of every t grid, densest near the static end t -> 0 where the
+#: medium response is largest.
+T_SEEDS = (0.0, 2e-3, 1e-2, 0.04, 0.12, 0.25, 0.45, 0.65, 0.82, 0.93)
+
+
+def imag_axis_panels(values, tol, t_cut, budget):
+    """(PanelSet, converged flag) of an imaginary-axis integral over
+    t in [0, t_cut]: the panels between the T_SEEDS below t_cut, then
+    bisections until the summed bound meets half of ``tol`` times the largest
+    component of the seed integral (at least 1).  values(t) gives the node
+    values at the t nodes."""
+    breaks = sorted({t for t in T_SEEDS if t < t_cut} | {t_cut})
+    return _one_sided(
+        values, breaks,
+        lambda ps: 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max())), budget)
+
+
 def imag_axis_integrate(g, omega_a, tol=1e-8) -> QuadratureReport:
     """Evaluate int_0^inf dkappa kappa^2 g(kappa) omega_a / (kappa^2 + omega_a^2).
 
     Uses the substitution kappa = omega_a * t / (1 - t) mapping onto
-    t in [0, 1], with panels concentrated near the static end t -> 0 where
-    the medium response is largest.  The substituted integrand is finite at
-    t = 1 whenever g decays at least as fast as 1/kappa^2, so the full
-    interval is integrable.
+    t in [0, 1], on the t rule of the pair engine (``imag_axis_panels``)
+    cut at t = 1.  The substituted integrand is finite at t = 1 whenever g
+    decays at least as fast as 1/kappa^2, so the full interval is
+    integrable.  g maps an array of kappa to an array of values.
     """
     if tol < 1e-12:
         raise DomainError(f"tol must be >= 1e-12, got {tol}")
     wa = float(omega_a)
-    gv = _vectorized(g, 0.3 * wa)
 
     def integrand(t):
-        kap, w = t_substitution(np.asarray(t, float), wa)
-        return w * np.asarray(gv(kap), float)
+        kap, w = t_substitution(t, wa)
+        return w * np.asarray(g(kap), float)
 
-    breaks = [0.0, 1e-3, 1e-2, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 1.0]
-    ps, ok = _one_sided(
-        integrand, breaks,
-        lambda ps: 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max())), 20000)
+    ps, ok = imag_axis_panels(integrand, tol, 1.0, 20000)
     val = float(np.real(ps.integral()[0]))
     converged = ok and ps.err <= tol * max(1.0, abs(val))
     return QuadratureReport(value=val, abs_error_estimate=ps.err,
                             nodes_used=ps.nodes_used, converged=bool(converged))
 
 
-def _plain(fvec, breaks, tol_abs, budget):
-    ps, ok = _one_sided(fvec, breaks, lambda ps: tol_abs, budget)
+def _plain(f, breaks, tol_abs, budget):
+    ps, ok = _one_sided(f, breaks, lambda ps: tol_abs, budget)
     return float(np.real(ps.integral()[0])), ps.err, ps.nodes_used, ok
+
+
+def _to_infinity(f, breaks, omega_max, tol_abs, budget):
+    """``_plain`` results of f on ``breaks`` and past their end: to infinity
+    through u = 1/w when ``omega_max`` is None, else on to ``omega_max``
+    when it lies beyond them.  Each piece meets ``tol_abs`` on its own."""
+    w1 = breaks[-1]
+    parts = [_plain(f, breaks, tol_abs, budget)]
+    if omega_max is None:
+        parts.append(_plain(lambda u: f(1.0 / u) / u**2,
+                            [1e-9, 0.25 / w1, 0.5 / w1, 1.0 / w1], tol_abs, budget))
+    elif omega_max > w1:
+        parts.append(_plain(f, [w1, omega_max], tol_abs, budget))
+    return parts
 
 
 def pv_shift_oracle(imG, omega_a, tol=1e-9, *, omega_max=None,
@@ -451,15 +467,15 @@ def pv_shift_oracle(imG, omega_a, tol=1e-9, *, omega_max=None,
     [F(w) - F(omega_a)] / (w - omega_a) with F(w) = w^2 imG(w), whose
     subtracted constant has a vanishing symmetric principal value.  Two
     window half-widths are evaluated and compared; disagreement beyond the
-    requested tolerance raises ConvergenceError.
+    requested tolerance raises ConvergenceError.  imG maps an array of
+    frequencies to an array of values.
 
     ``omega_max=None`` integrates the far tail exactly through the
     substitution u = 1/w, which requires imG to be evaluable at arbitrarily
     large arguments (true for all model functions used in validation).
     """
     wa = float(omega_a)
-    fv = _vectorized(imG, 1.3 * wa)
-    F = lambda w: np.asarray(w, float) ** 2 * np.asarray(fv(w), float)
+    F = lambda w: w**2 * np.asarray(imG(w), float)
     FA = float(F(np.asarray([wa]))[0])
 
     h0 = 0.25 * wa
@@ -468,28 +484,19 @@ def pv_shift_oracle(imG, omega_a, tol=1e-9, *, omega_max=None,
     def one_pass(h):
         nonlocal nodes
         tol_abs = 0.2 * tol * max(1.0, abs(FA) * wa)
-        left, e1, n1, ok1 = _plain(
-            lambda w: F(w) / (w - wa), [0.0, 0.5 * (wa - h), wa - h], tol_abs, budget)
-        win, e2, n2, ok2 = _plain(
-            lambda u: (F(wa + u) - FA) / u, [-h, -0.3 * h, 0.0, 0.3 * h, h], tol_abs, budget)
-        w1 = max(20.0 * wa, 8.0 * (wa + h))
-        right, e3, n3, ok3 = _plain(
-            lambda w: F(w) / (w - wa),
-            [wa + h, wa + 3 * h, 2 * wa + h, 6 * wa, w1], tol_abs, budget)
-        if omega_max is None:
-            tail, e4, n4, ok4 = _plain(
-                lambda u: F(1.0 / u) / ((1.0 / u) - wa) / u**2,
-                [1e-9, 0.25 / w1, 0.5 / w1, 1.0 / w1], tol_abs, budget)
-        elif omega_max > w1:
-            tail, e4, n4, ok4 = _plain(
-                lambda w: F(w) / (w - wa), [w1, omega_max], tol_abs, budget)
-        else:
-            tail, e4, n4, ok4 = 0.0, 0.0, 0, True
-        nodes += n1 + n2 + n3 + n4
-        if not (ok1 and ok2 and ok3 and ok4):
+        parts = [
+            _plain(lambda w: F(w) / (w - wa), [0.0, 0.5 * (wa - h), wa - h], tol_abs, budget),
+            _plain(lambda u: (F(wa + u) - FA) / u, [-h, -0.3 * h, 0.0, 0.3 * h, h],
+                   tol_abs, budget),
+            *_to_infinity(lambda w: F(w) / (w - wa),
+                          [wa + h, wa + 3 * h, 2 * wa + h, 6 * wa, 20.0 * wa],
+                          omega_max, tol_abs, budget)]
+        vals, errs, used, oks = zip(*parts)
+        nodes += sum(used)
+        if not all(oks):
             raise ConvergenceError("principal-value quadrature exhausted its node budget",
                                    {"nodes": nodes})
-        return left + win + right + tail, e1 + e2 + e3 + e4
+        return sum(vals), sum(errs)
 
     v1, err1 = one_pass(h0)
     v2, err2 = one_pass(0.5 * h0)
@@ -527,26 +534,30 @@ def kk_check(G_component, omega_a, grid=None, *, arc_limit=0.0, tol=1e-8) -> KKR
     zero (the retardation phase kills the large-arc contribution); rational
     few-resonance models have a nonzero plateau that the caller supplies.
 
-    With ``grid`` given, Im G is sampled on that real-frequency grid, a
-    monotone spline stands in for the function, and a truncation estimate
-    is attached; otherwise G_component is integrated directly out to the
-    analytic tail.  A constant (zero-Im) input is flagged degenerate
-    instead of producing a meaningless residual.
+    G_component takes one SpectralPoint.  With ``grid`` given, Im G is
+    sampled on that real-frequency grid, a monotone spline stands in for
+    the function, and a truncation estimate is attached; otherwise
+    G_component is integrated directly out to the analytic tail.  A
+    constant (zero-Im) input is flagged degenerate instead of producing a
+    meaningless residual.
     """
     wa = float(omega_a)
+
+    def im_g(ws):
+        return np.array([complex(G_component(SpectralPoint.real_axis(float(w)))).imag
+                         for w in ws])
+
     lhs = wa * wa * complex(G_component(SpectralPoint.real_axis(wa))).real
 
     if grid is not None:
         grid = np.asarray(grid, float)
         if grid[-1] < 20.0 * wa:
             raise DomainError("grid must span at least [0, 20*omega_a]")
-        samples = np.array([complex(G_component(SpectralPoint.real_axis(w))).imag
-                            for w in grid])
+        samples = im_g(grid)
         im_fun = PchipInterpolator(grid, samples, extrapolate=False)
         omega_max = float(grid[-1])
 
         def imG(w):
-            w = np.asarray(w, float)
             out = im_fun(np.clip(w, grid[0], omega_max))
             return np.where(w > omega_max, 0.0, out)
 
@@ -554,11 +565,9 @@ def kk_check(G_component, omega_a, grid=None, *, arc_limit=0.0, tol=1e-8) -> KKR
         ftail = abs(omega_max**3 * samples[-1] / (omega_max**2 - wa**2))
         tail_estimate = (2.0 / math.pi) * ftail * omega_max
     else:
-        probe = [abs(complex(G_component(SpectralPoint.real_axis(w))).imag)
-                 for w in (0.7 * wa, 1.9 * wa, 6.1 * wa)]
-        if max(probe) < 1e-14 * max(1.0, abs(lhs) / wa**2):
+        if np.abs(im_g([0.7 * wa, 1.9 * wa, 6.1 * wa])).max() < 1e-14 * max(1.0, abs(lhs) / wa**2):
             return KKReport(residual=math.nan, lhs=lhs, rhs=0.0, degenerate=True)
-        imG = lambda w: complex(G_component(SpectralPoint.real_axis(float(w)))).imag
+        imG = im_g
         omega_max = None
         tail_estimate = 0.0
 
@@ -568,28 +577,15 @@ def kk_check(G_component, omega_a, grid=None, *, arc_limit=0.0, tol=1e-8) -> KKR
     # interpolation fidelity would only chase them
     tol_eff = max(tol, 1e-6) if grid is not None else tol
     budget = 200000 if grid is not None else 60000
-    imG_v = _vectorized(imG, 1.7 * wa)
-    w_im = lambda w: np.asarray(w, float) * np.asarray(imG_v(w), float)
+    w_im = lambda w: w * imG(w)
     pv_part = pv_shift_oracle(w_im, wa, tol=tol_eff, omega_max=omega_max,
                               budget=budget)
     tol_abs = 0.25 * tol_eff * max(1.0, abs(lhs))
-    if omega_max is None:
-        w1 = 30.0 * wa
-        reg1, _, _, ok1 = _plain(
-            lambda w: np.asarray(w) ** 2 * w_im(w) / (np.asarray(w) + wa),
-            [0.0, wa, 3 * wa, w1], tol_abs, budget)
-        reg2, _, _, ok2 = _plain(
-            lambda u: (1.0 / np.asarray(u)) ** 2 * w_im(1.0 / np.asarray(u))
-            / ((1.0 / np.asarray(u)) + wa) / np.asarray(u) ** 2,
-            [1e-9, 0.5 / w1, 1.0 / w1], tol_abs, budget)
-        reg = reg1 + reg2
-        ok = ok1 and ok2
-    else:
-        reg, _, _, ok = _plain(
-            lambda w: np.asarray(w) ** 2 * w_im(w) / (np.asarray(w) + wa),
-            [0.0, wa, 3 * wa, min(8 * wa, omega_max), omega_max], tol_abs, budget)
-    if not ok:
+    vals, _, _, oks = zip(*_to_infinity(lambda w: w**2 * w_im(w) / (w + wa),
+                                        [0.0, wa, 3 * wa, 8 * wa], omega_max, tol_abs, budget))
+    if not all(oks):
         raise ConvergenceError("regular Kramers-Kronig integral did not converge")
+    reg = sum(vals)
 
     rhs = (pv_part - reg) / (math.pi * wa) + arc_limit
     residual = abs(lhs - rhs) / abs(lhs) if lhs != 0.0 else math.inf

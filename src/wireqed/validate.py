@@ -20,7 +20,8 @@ from .quadrature import imag_axis_integrate, kk_check, pv_shift_oracle
 
 @dataclass(frozen=True)
 class ResonanceModel:
-    """Sum of causal resonances c_j / (w_j^2 - w^2 - i g_j w).
+    """Sum of causal resonances c_j / (w_j^2 - w^2 - i g_j w), at a
+    frequency or elementwise over an array of them.
 
     Analytic in the upper half-plane, real on the imaginary axis, with
     large-frequency plateau f_inf = lim w^2 G(w) = -sum(c_j).  A vanishing
@@ -32,13 +33,13 @@ class ResonanceModel:
     centers: tuple
     widths: tuple
 
-    def __call__(self, w: complex) -> complex:
+    def __call__(self, w):
         return sum(c / (w0 * w0 - w * w - 1j * g * w)
                    for c, w0, g in zip(self.amplitudes, self.centers, self.widths))
 
-    def imag_axis(self, kappa: float) -> float:
-        return float(sum(c / (w0 * w0 + kappa * kappa + g * kappa)
-                         for c, w0, g in zip(self.amplitudes, self.centers, self.widths)))
+    def imag_axis(self, kappa):
+        return sum(c / (w0 * w0 + kappa * kappa + g * kappa)
+                   for c, w0, g in zip(self.amplitudes, self.centers, self.widths))
 
     @property
     def arc_limit(self) -> float:
@@ -63,7 +64,7 @@ def rotated_shift(model, omega_a: float) -> float:
 
 def pv_shift(model, omega_a: float) -> float:
     """The same quantity by brute force: PV int w^2 Im G/(w - w_a) dw."""
-    return pv_shift_oracle(lambda w: complex(model(w)).imag, omega_a, tol=1e-10)
+    return pv_shift_oracle(lambda w: model(w).imag, omega_a, tol=1e-10)
 
 
 @dataclass

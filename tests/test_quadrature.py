@@ -6,7 +6,7 @@ from scipy import special
 
 from wireqed import (ConvergenceError, OMEGA_A, imag_axis_integrate, kk_check,
                      pv_shift_oracle)
-from wireqed.quadrature import (PanelSet, _panel_nodes, _plain, _vectorized,
+from wireqed.quadrature import (T_SEEDS, PanelSet, _panel_nodes, _plain,
                                 build_spectral_panels, moments_for, panel_terms,
                                 t_substitution)
 from wireqed.validate import (EQUIVALENCE_MODELS, ResonanceModel, pv_shift,
@@ -58,7 +58,7 @@ def _built_by_hand(f, breaks, target, budget):
 
 ONE_SIDED_CASES = {
     # a low-lying resonance, so both integrals need bisections
-    "scalar_only": ResonanceModel((1.0,), (0.05,), (0.01,)).imag_axis,
+    "resonance": ResonanceModel((1.0,), (0.05,), (0.01,)).imag_axis,
     "vectorized": lambda k: np.exp(-0.2 * k) * np.cos(3.0 * k) / (1.0 + k * k),
 }
 
@@ -66,7 +66,7 @@ ONE_SIDED_CASES = {
 @pytest.mark.parametrize("name", ONE_SIDED_CASES)
 @pytest.mark.parametrize("budget", [60000, 64])
 def test_plain_matches_panels_built_by_hand(name, budget):
-    f = _vectorized(ONE_SIDED_CASES[name], 1.0)
+    f = ONE_SIDED_CASES[name]
     breaks, tol_abs = [0.0, 1.0, 4.0, 10.0], 1e-12
     got = _plain(f, breaks, tol_abs, budget)
     assert got == _built_by_hand(f, breaks, lambda ps: tol_abs, budget)
@@ -78,13 +78,12 @@ def test_plain_matches_panels_built_by_hand(name, budget):
 @pytest.mark.parametrize("name", ONE_SIDED_CASES)
 def test_imag_axis_integrate_matches_panels_built_by_hand(name):
     g, wa, tol = ONE_SIDED_CASES[name], 3.3, 1e-10
-    gv = _vectorized(g, 1.0)
 
     def integrand(t):
         kap, w = t_substitution(t, wa)
-        return w * gv(kap)
+        return w * g(kap)
 
-    breaks = [0.0, 1e-3, 1e-2, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 1.0]
+    breaks = [*T_SEEDS, 1.0]
     value, err, nodes, ok = _built_by_hand(
         integrand, breaks,
         lambda ps: 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max())), 20000)
@@ -92,6 +91,16 @@ def test_imag_axis_integrate_matches_panels_built_by_hand(name):
     assert nodes > 16 * (len(breaks) - 1)
     assert (rep.value, rep.abs_error_estimate, rep.nodes_used, rep.converged) == (
         value, err, nodes, ok and err <= tol * max(1.0, abs(value)))
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda f: imag_axis_integrate(f, 3.3),
+    lambda f: pv_shift_oracle(f, 3.3),
+], ids=["imag_axis", "pv"])
+def test_integrands_take_arrays(integrate):
+    # an integrand that takes one float at a time is an error, not a slow path
+    with pytest.raises(TypeError):
+        integrate(lambda x: math.exp(-float(x)))
 
 
 @pytest.mark.parametrize("mirror", [None, np.ones(1)], ids=["one_sided", "mirrored"])
