@@ -403,6 +403,11 @@ def _one_sided(f, breaks, target, budget):
 T_SEEDS = (0.0, 2e-3, 1e-2, 0.04, 0.12, 0.25, 0.45, 0.65, 0.82, 0.93)
 
 
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol >= 1e-12):
+        raise DomainError(f"tol must be finite and >= 1e-12, got {tol}")
+
+
 def imag_axis_panels(values, tol, t_cut, budget):
     """(PanelSet, converged flag) of an imaginary-axis integral over
     t in [0, t_cut]: the panels between the T_SEEDS below t_cut, then
@@ -424,8 +429,7 @@ def imag_axis_integrate(g, omega_a, tol=1e-8) -> QuadratureReport:
     decays at least as fast as 1/kappa^2, so the full interval is
     integrable.  g maps an array of kappa to an array of values.
     """
-    if tol < 1e-12:
-        raise DomainError(f"tol must be >= 1e-12, got {tol}")
+    _check_tol(tol)
     wa = float(omega_a)
 
     def integrand(t):
@@ -474,6 +478,7 @@ def pv_shift_oracle(imG, omega_a, tol=1e-9, *, omega_max=None,
     substitution u = 1/w, which requires imG to be evaluable at arbitrarily
     large arguments (true for all model functions used in validation).
     """
+    _check_tol(tol)
     wa = float(omega_a)
     F = lambda w: w**2 * np.asarray(imG(w), float)
     FA = float(F(np.asarray([wa]))[0])
@@ -537,11 +542,21 @@ def kk_check(G_component, omega_a, grid=None, *, arc_limit=0.0, tol=1e-8) -> KKR
     G_component takes one SpectralPoint.  With ``grid`` given, Im G is
     sampled on that real-frequency grid, a monotone spline stands in for
     the function, and a truncation estimate is attached; otherwise
-    G_component is integrated directly out to the analytic tail.  A
-    constant (zero-Im) input is flagged degenerate instead of producing a
-    meaningless residual.
+    G_component is integrated directly out to the analytic tail.  The grid
+    must be 1-D, finite and strictly increasing, start in
+    [0, 0.05*omega_a] (below it the spline holds its first sample) and
+    reach 20*omega_a.  A constant (zero-Im) input is flagged degenerate
+    instead of producing a meaningless residual.
     """
+    _check_tol(tol)
     wa = float(omega_a)
+    if grid is not None:
+        grid = np.asarray(grid, float)
+        if (grid.ndim != 1 or grid.size < 2 or not np.isfinite(grid).all()
+                or (np.diff(grid) <= 0.0).any() or not 0.0 <= grid[0] <= 0.05 * wa
+                or grid[-1] < 20.0 * wa):
+            raise DomainError("grid must be 1-D, finite and strictly increasing, "
+                              "from [0, 0.05*omega_a] to at least 20*omega_a")
 
     def im_g(ws):
         return np.array([complex(G_component(SpectralPoint.real_axis(float(w)))).imag
@@ -550,9 +565,6 @@ def kk_check(G_component, omega_a, grid=None, *, arc_limit=0.0, tol=1e-8) -> KKR
     lhs = wa * wa * complex(G_component(SpectralPoint.real_axis(wa))).real
 
     if grid is not None:
-        grid = np.asarray(grid, float)
-        if grid[-1] < 20.0 * wa:
-            raise DomainError("grid must span at least [0, 20*omega_a]")
         samples = im_g(grid)
         im_fun = PchipInterpolator(grid, samples, extrapolate=False)
         omega_max = float(grid[-1])

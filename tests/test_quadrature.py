@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from wireqed import (ConvergenceError, OMEGA_A, imag_axis_integrate, kk_check,
-                     pv_shift_oracle)
+from wireqed import (ConvergenceError, DomainError, OMEGA_A, imag_axis_integrate,
+                     kk_check, pv_shift_oracle)
 from wireqed.quadrature import (T_SEEDS, PanelSet, _panel_nodes, _plain,
                                 build_spectral_panels, moments_for, panel_terms,
                                 t_substitution)
@@ -101,6 +101,22 @@ def test_integrands_take_arrays(integrate):
     # an integrand that takes one float at a time is an error, not a slow path
     with pytest.raises(TypeError):
         integrate(lambda x: math.exp(-float(x)))
+
+
+def _never_called(*args):
+    raise AssertionError("integrand called before the inputs were checked")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, 1e-13, math.nan, math.inf])
+@pytest.mark.parametrize("integrate", [
+    lambda tol: imag_axis_integrate(_never_called, 3.3, tol=tol),
+    lambda tol: pv_shift_oracle(_never_called, 3.3, tol=tol),
+    lambda tol: kk_check(_never_called, 3.3, tol=tol),
+], ids=["imag_axis", "pv", "kk"])
+def test_tol_checked_before_integrating(integrate, tol):
+    # without the check, tol <= 0 spends the whole node budget first
+    with pytest.raises(DomainError):
+        integrate(tol)
 
 
 @pytest.mark.parametrize("mirror", [None, np.ones(1)], ids=["one_sided", "mirrored"])
@@ -252,6 +268,24 @@ class TestKKCheck:
         assert rep.truncation_warning
         assert rep.tail_estimate > 0.3 * true_gap
         assert rep.tail_estimate < 3.0 * true_gap
+
+    @pytest.mark.parametrize("grid", [
+        # starts above 0.05 wa: the spline would hold Im G(3.0) down to 0
+        # and return residual 2.16 where the full grid gives 6.1e-5
+        np.linspace(3.0, 40 * 1.3, 1300),
+        # shuffled: scipy would reject it only after every point is sampled
+        np.random.default_rng(5).permutation(np.linspace(1e-4, 40 * 1.3, 1300)),
+        np.linspace(1e-4, 40 * 1.3, 1300)[::-1],
+        np.array([0.0, 1.0, 1.0, 40 * 1.3]),
+        np.array([0.0, 1.0, math.nan, 40 * 1.3]),
+        np.linspace(1e-4, 40 * 1.3, 1300).reshape(2, -1),
+        np.linspace(1e-4, 19 * 1.3, 1300),
+        np.linspace(-0.1, 40 * 1.3, 1300),
+    ], ids=["starts_high", "shuffled", "decreasing", "repeated", "nan", "2d",
+            "short", "negative"])
+    def test_bad_grid_rejected_before_sampling(self, grid):
+        with pytest.raises(DomainError):
+            kk_check(_never_called, 1.3, grid=grid)
 
 
 class TestEquivalenceTheorem:
