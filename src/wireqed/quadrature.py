@@ -25,12 +25,19 @@ Public operations:
                                per-component mirror sign supplies the -kz side
 * ``build_spectral_panel_sets`` -- the same for several spectra in lockstep,
                                one evaluation per step for all of them
+* ``imag_axis_panels``      -- the t grid of every imaginary-axis integral:
+                               the pair engine's and the one below differ
+                               only in cut and budget
 * ``imag_axis_integrate``   -- the damped integral over imaginary frequencies
                                entering the level-shift formula
 * ``pv_shift_oracle``       -- brute-force principal-value evaluation of the
                                real-axis shift integral (the independent check
                                of the contour-rotated route)
 * ``kk_check``              -- numerical Kramers-Kronig closure residual
+
+The integrands of ``imag_axis_integrate`` and ``pv_shift_oracle`` are array
+functions, called once per build step on an array of nodes; ``kk_check``
+takes a tensor component of one SpectralPoint and loops it itself.
 """
 
 from __future__ import annotations
@@ -398,14 +405,14 @@ def _one_sided(f, breaks, target, budget):
     return ps, run_lockstep(lambda x, owner: f(x), [ps], [steps()])[0]
 
 
-#: Seed breaks of every t grid, densest near the static end t -> 0 where the
-#: medium response is largest.
-T_SEEDS = (0.0, 2e-3, 1e-2, 0.04, 0.12, 0.25, 0.45, 0.65, 0.82, 0.93)
-
-
 def _check_tol(tol):
     if not (math.isfinite(tol) and tol >= 1e-12):
         raise DomainError(f"tol must be finite and >= 1e-12, got {tol}")
+
+
+#: Seed breaks of every t grid, densest near the static end t -> 0 where the
+#: medium response is largest.
+T_SEEDS = (0.0, 2e-3, 1e-2, 0.04, 0.12, 0.25, 0.45, 0.65, 0.82, 0.93)
 
 
 def imag_axis_panels(values, tol, t_cut, budget):
