@@ -29,9 +29,10 @@ from .green_vacuum import green_vacuum_cyl, green_vacuum_im_coincident
 from .green_wire import (_MIRROR, SpectralEvaluator, WireGeometry, WireSpectralTable,
                          imag_axis_tables, plasmon_wavenumber, settle_azimuthal_order,
                          wire_green)
-from .quadrature import _GL_W, _NPTS, _PROJ
+from .quadrature import _GL_W, _NPTS, _PROJ, panel_terms
 
 _P_EVEN = _MIRROR.ravel() > 0   # components the -kz mirror keeps
+_EVEN_ODD = np.array([1.0, -1.0])   # mirror signs of the two folded columns
 
 _COINCIDENT = 1e-12
 
@@ -129,6 +130,19 @@ def _contract(tensor, d1, d2):
     return complex(np.asarray(d1, float) @ np.asarray(tensor, complex) @ np.asarray(d2, float))
 
 
+def _even_odd(dd):
+    """Weights (9, 2, C) that fold the 9 tensor components into C column
+    pairs: per column of dd (9, C), the weighted components the -kz mirror
+    keeps, then the ones it flips."""
+    return np.stack([np.where(_P_EVEN[:, None], dd, 0.0),
+                     np.where(_P_EVEN[:, None], 0.0, dd)], axis=1)
+
+
+def _dipole_weights(d1, d2):
+    """dd (9, 1) of the contraction d1 . T . d2."""
+    return np.outer(d1, d2).reshape(9, 1)
+
+
 def _same_site(p1, p2):
     return (abs(p1[0] - p2[0]) < _COINCIDENT and abs(p1[1] - p2[1]) < _COINCIDENT
             and abs(p1[2] - p2[2]) < _COINCIDENT)
@@ -148,15 +162,16 @@ def check_pair_geometry(geom: WireGeometry, pair: EmitterPair):
                           "use wire_green directly for general geometry")
 
 
-def _rates(w, gmed_11, gmed_12, p1, p2, d1, d2):
+def _rates(w, g11, g12, p1, p2, d1, d2):
     """(gamma11, gamma12) per free-space rate: the imaginary part of the full
-    tensor, vacuum plus scattered, contracted with the dipoles."""
+    tensor, vacuum plus the scattered parts g11 = d1 . G(p1, p1) . d1 and
+    g12 = d1 . G(p1, p2) . d2."""
     if _same_site(p1, p2):
         gvac_im = green_vacuum_im_coincident(w) * float(d1 @ d2)
     else:
         gvac_im = _contract(green_vacuum_cyl(p1, p2, w).value, d1, d2).imag
-    gamma11 = 1.0 + (6.0 * math.pi / w) * _contract(gmed_11, d1, d1).imag
-    gamma12 = (6.0 * math.pi / w) * (gvac_im + _contract(gmed_12, d1, d2).imag)
+    gamma11 = 1.0 + (6.0 * math.pi / w) * g11.imag
+    gamma12 = (6.0 * math.pi / w) * (gvac_im + g12.imag)
     return gamma11, gamma12
 
 
@@ -165,9 +180,13 @@ class PairInteraction:
 
     Building this object performs every expensive wavenumber integration:
     a real-frequency table at omega_a plus one table per imaginary-frequency
-    node.  ``at(dz)`` then produces a full RateShiftResult through analytic
-    phase moments only, which is what makes dense distance sweeps and
-    oscillation-phase measurements affordable.
+    node.  The build ends by folding the pair's dipoles into both tables, so
+    each holds one column pair of d1 . G . d2 (the components the -kz mirror
+    keeps and the ones it flips) instead of nine components, and by taking
+    the coincident d1 . G . d1 parts once.  ``at(dz)`` then produces a full
+    RateShiftResult from those columns through analytic phase moments only,
+    which is what makes dense distance sweeps and oscillation-phase
+    measurements affordable.
     """
 
     def __init__(self, geom: WireGeometry, pair: EmitterPair, *, tol=1e-6,
@@ -188,42 +207,48 @@ class PairInteraction:
         self.table_res = WireSpectralTable(geom, point, rho, rho, 0.0, nmax=nmax, tol=tol)
         self._real_ok = self.table_res.panels_ok and self.table_res.tail_ok
 
-        self._kappa_engine = _ImagAxisEngine(geom, rho, w, tol=tol, nmax=nmax,
-                                             dz_refs=tuple(dz_refs), parallel=parallel)
-        # G^med(r1, r1, omega_a) and its error, which every row reads
-        self._res_coincident = self.table_res.integrate(0.0)
+        self._d1 = np.asarray(pair.dipole_1, float)
+        self._d2 = np.asarray(pair.dipole_2, float)
+        self._kappa_engine = _ImagAxisEngine(geom, rho, w, self._d1, self._d2, tol=tol,
+                                             nmax=nmax, dz_refs=tuple(dz_refs),
+                                             parallel=parallel)
+        # d1 . G^med(r1, r1, omega_a) . d1 and the table's error, which every
+        # row reads, and the real-axis table folded into one column pair
+        gmed_11, self._res_err = self.table_res.integrate(0.0)
+        self._g11 = _contract(gmed_11, self._d1, self._d1)
+        self._res_cols = self.table_res.coefs @ _even_odd(
+            _dipole_weights(self._d1, self._d2))[:, :, 0]
 
     def at(self, dz: float) -> RateShiftResult:
         if not math.isfinite(dz):
             raise DomainError(f"separation dz must be finite, got {dz}")
         w = self.omega_a
-        pair = self.pair
-        d1 = np.asarray(pair.dipole_1, float)
-        d2 = np.asarray(pair.dipole_2, float)
-
-        gmed_12, err12 = self.table_res.integrate(dz)
-        gmed_11, err11 = self._res_coincident
+        tab = self.table_res
+        g12 = complex(panel_terms(tab.halves, tab.mids, self._res_cols, float(dz),
+                                  _EVEN_ODD).sum())
+        g11 = self._g11
+        res_err = 2.0 * self._res_err   # g12's and g11's, both from the one table
 
         # vacuum tensor taken from r1 toward r2
-        gamma11, gamma12 = _rates(w, gmed_11, gmed_12, (self.rho, 0.0, 0.0),
-                                  (self.rho, 0.0, -dz), d1, d2)
+        gamma11, gamma12 = _rates(w, g11, g12, (self.rho, 0.0, 0.0),
+                                  (self.rho, 0.0, -dz), self._d1, self._d2)
 
-        shift12_res = (3.0 * math.pi / w) * _contract(gmed_12, d1, d2).real
-        shift11_res = (3.0 * math.pi / w) * _contract(gmed_11, d1, d1).real
+        shift12_res = (3.0 * math.pi / w) * g12.real
+        shift11_res = (3.0 * math.pi / w) * g11.real
 
-        i12, i11, ierr, iconv = self._kappa_engine.integrals(dz, d1, d2)
+        i12, i11, ierr, iconv = self._kappa_engine.integrals(dz)
         shift12_int = (3.0 / w**3) * i12
         shift11_int = (3.0 / w**3) * i11
 
         scale = max(1.0, abs(gamma11) * w / (6.0 * math.pi))
-        res_ok = (err12 + err11) <= 100.0 * self.tol * scale
+        res_ok = res_err <= 100.0 * self.tol * scale
         return RateShiftResult(
             gamma11=gamma11, gamma12=gamma12,
             shift12_resonant=shift12_res, shift12_integral=shift12_int,
             shift11_resonant=shift11_res, shift11_integral=shift11_int,
             converged=bool(self._real_ok and res_ok and iconv),
             diagnostics={
-                "resonant_tensor_err": err12 + err11,
+                "resonant_tensor_err": res_err,
                 "kappa_err": ierr,
                 "kappa_nodes": self._kappa_engine.n_nodes,
                 "kappa_tail_ratio": self._kappa_engine.tail_ratio,
@@ -234,13 +259,14 @@ class PairInteraction:
 
 def _kappa_panel_job(job):
     """The kz tables of one t panel's 16 kappa nodes, built in lockstep
-    (``imag_axis_tables``) and folded into flat-table rows.
+    (``imag_axis_tables``) and laid out as flat-table rows.
 
     The shift needs only the real part of the tensor.  With m the phase
     moments times half e^{i dz mid}, a kz panel with +kz coefficients C and
     mirror sign P contributes Re(m C + conj(m) P C): 2 Re m Re C where P = +1
     and -2 Im m Im C where P = -1, so the rows hold 2 Re C and -2 Im C there,
-    times the node's substitution weight.  Returns (halves, mids, real
+    times the node's substitution weight; ``_fold`` later sums the two kinds
+    into the columns that Re m and Im m multiply.  Returns (halves, mids, real
     coefficients (rows, 16, 9), kz panels per node, kz error bound per node
     times |substitution weight|, largest azimuthal tail ratio, whether every
     table stayed within its node budget).  Module-level with picklable
@@ -261,17 +287,21 @@ def _kappa_panel_job(job):
             max(tab.tail_ratio for tab in tables), all(tab.panels_ok for tab in tables))
 
 
-def _node_values(halves, mids, coefs, starts, dz):
-    """Each node's weighted 3x3 tensor at separation dz, shape (nodes, 9),
-    from flat-table rows (``_kappa_panel_job``) whose node i holds rows
+def _fold(coefs, dd):
+    """Flat-table columns (16, 2 rows, C) of the rows' coefficients
+    (``_kappa_panel_job``, (rows, 16, 9)) weighted by dd (9, C): row r's
+    P-even sum, which Re m multiplies, at 2r and its P-odd sum, which Im m
+    multiplies, at 2r + 1, the layout of the moments viewed as reals."""
+    return np.einsum("rki,ijc->krjc", coefs, _even_odd(dd)).reshape(_NPTS, -1, dd.shape[1])
+
+
+def _node_values(halves, mids, cols, starts, dz):
+    """Each node's weighted values at separation dz, shape (nodes, ...), from
+    flat-table columns (``_fold``, (16, 2 rows, ...)) whose node i holds rows
     starts[i]:starts[i+1]."""
-    mom = quadrature.moments_for(dz * halves)                     # (16, P)
-    m = mom * (halves * np.exp(1j * dz * mids))
-    # (P, 2, 16): Re m and Im m of each row, against its (16, 9) coefficients
-    m = np.ascontiguousarray(m.T).view(float).reshape(-1, _NPTS, 2).transpose(0, 2, 1)
-    both = m @ coefs
-    rows = np.where(_P_EVEN, both[:, 0], both[:, 1])
-    return np.add.reduceat(rows, starts, axis=0)
+    m = quadrature.moments_for(dz * halves) * (halves * np.exp(1j * dz * mids))
+    rows = np.einsum("kr,kr...->r...", m.view(float), cols)
+    return np.add.reduceat(rows, 2 * starts, axis=0)
 
 
 class _ImagAxisEngine:
@@ -282,12 +312,15 @@ class _ImagAxisEngine:
     node's table is multiplied by its substitution weight and all of them
     are held as one flat table: kz half-widths and midpoints, coefficients,
     and the offset where each node's kz panels start, laid end to end from
-    one block per t panel.  One pass over it gives every node's weighted
-    tensor at a separation.  The t panels follow the t rule of every
+    one block per t panel.  The t panels follow the t rule of every
     imaginary-axis integral (``quadrature.imag_axis_panels``), cut at the
-    kappa cutoff; their node values are that tensor at each of a few
-    reference separations, so the Legendre-coefficient decay that drives
-    their bisections bounds the error for every separation.
+    kappa cutoff; their node values are every node's weighted tensor at each
+    of a few reference separations, so the Legendre-coefficient decay that
+    drives their bisections bounds the error for every separation.  When the
+    grid is done the table is folded with the dipoles d1, d2 (``_fold``) into
+    one column pair, and one pass over it gives d1 . T . d2 at a separation
+    with the Legendre bound of that contracted integrand; the coincident
+    d1 . T . d1 is folded and integrated once, at the build.
 
     A t panel is the unit of work: ``_kappa_panel_job`` builds its 16 node
     tables in lockstep and returns them as flat rows, and ``parallel`` (a
@@ -300,7 +333,7 @@ class _ImagAxisEngine:
     short of KAPPA_TABLE_BUDGET tables.
     """
 
-    def __init__(self, geom, rho, omega_a, *, tol, nmax, dz_refs, parallel=None):
+    def __init__(self, geom, rho, omega_a, d1, d2, *, tol, nmax, dz_refs, parallel=None):
         self.w = omega_a
         self.tol = tol
         gap = 2.0 * (rho - geom.radius)   # summed emitter-to-surface distance
@@ -317,9 +350,11 @@ class _ImagAxisEngine:
             out = []
             for nodes, block in zip(t, run(_kappa_panel_job, jobs)):
                 blocks[nodes[0]] = block
-                sizes = block[3]
-                out.append(np.hstack([_node_values(*block[:3], np.cumsum(sizes) - sizes, dz)
-                                      for dz in dz_refs]))
+                halves, mids, coefs, sizes = block[:4]
+                cols = _fold(coefs, np.eye(9))
+                out.append(np.hstack([
+                    _node_values(halves, mids, cols, np.cumsum(sizes) - sizes, dz)
+                    for dz in dz_refs]))
             return np.concatenate(out)
 
         grid, _ = quadrature.imag_axis_panels(
@@ -332,33 +367,30 @@ class _ImagAxisEngine:
             blocks[quadrature._panel_nodes(a, b)[0]] for a, b in self.panels))
         self._halves = np.concatenate(halves)
         self._mids = np.concatenate(mids)
-        self._coefs = np.concatenate(coefs)
+        coefs = np.concatenate(coefs)
         sizes = np.concatenate(sizes)
         self._starts = np.cumsum(sizes) - sizes
         self.kz_err = float(sum(0.5 * (b - a) * (_GL_W @ e)
                                 for (a, b), e in zip(self.panels, kz_errs)))
         self.tail_ratio = max(tails)
         self.panels_ok = all(oks)
-        self._coincident = self.integral_tensor(0.0)
-
-    def _pass(self, dz):
-        """(3x3 integral, per-t-panel error bounds) at separation dz."""
-        vals = _node_values(self._halves, self._mids, self._coefs, self._starts, dz)
-        coef = _PROJ @ vals.reshape(-1, _NPTS, 9)                 # per t panel
         a, b = np.asarray(self.panels).T
-        half = 0.5 * (b - a)
-        total = (2.0 * half[:, None] * coef[:, 0]).sum(axis=0)
-        return total.reshape(3, 3), quadrature.legendre_error(half, coef)
+        self._half = 0.5 * (b - a)
+        self._cols = _fold(coefs, _dipole_weights(d1, d2))[..., 0]
+        self._coincident = self._pass(0.0, _fold(coefs, _dipole_weights(d1, d1))[..., 0])
 
-    def integral_tensor(self, dz):
-        total, errs = self._pass(dz)
-        return total, float(errs.sum())
+    def _pass(self, dz, cols=None):
+        """(d1 . T . d2 integral, summed Legendre bound of its t panels) at
+        separation dz; ``cols`` folds another dipole pair."""
+        vals = _node_values(self._halves, self._mids, self._cols if cols is None else cols,
+                            self._starts, dz)
+        coef = _PROJ @ vals.reshape(-1, _NPTS, 1)                 # per t panel
+        total = 2.0 * self._half @ coef[:, 0, 0]
+        return float(total), float(quadrature.legendre_error(self._half, coef).sum())
 
-    def integrals(self, dz, d1, d2):
-        t12, e12 = self.integral_tensor(dz)
-        t11, e11 = self._coincident
-        i12 = float(d1 @ t12 @ d2)
-        i11 = float(d1 @ t11 @ d1)
+    def integrals(self, dz):
+        i12, e12 = self._pass(dz)
+        i11, e11 = self._coincident
         err = e12 + e11 + self.kz_err
         scale = max(1.0, abs(i12), abs(i11))
         return i12, i11, err, self.panels_ok and err <= 100.0 * self.tol * scale
@@ -378,7 +410,8 @@ def decay_rates(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6):
     g11 = wire_green(geom, p1, p1, point, tol=tol).value
     same = _same_site(p1, p2)
     g12 = g11 if same else wire_green(geom, p1, p2, point, tol=tol).value
-    gamma11, gamma12 = _rates(w, g11, g12, p1, p2, d1, d2)
+    gamma11, gamma12 = _rates(w, _contract(g11, d1, d1), _contract(g12, d1, d2),
+                              p1, p2, d1, d2)
     if same and np.allclose(d1, d2, atol=1e-14):
         return gamma11, gamma11
     return gamma11, gamma12

@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConvergenceError, DomainError
@@ -59,7 +58,7 @@ _LEG_V = np.polynomial.legendre.legvander(_GL_X, _NPTS - 1)  # [i, k]
 # coefficient projection: a_k = (2k+1)/2 * sum_i w_i f(x_i) P_k(x_i)
 _PROJ = ((2 * np.arange(_NPTS) + 1) / 2.0)[:, None] * (_LEG_V.T * _GL_W[None, :])
 _KIDX = np.arange(_NPTS)
-_IPOW = 1j ** _KIDX
+_TWO_IPOW = 2.0 * 1j ** _KIDX[:, None]
 
 #: Most nodes that one spectrum evaluation of ``build_spectral_panel_sets``
 #: carries.  It bounds the evaluator's working arrays (about 3.5 MB at
@@ -79,44 +78,67 @@ class QuadratureReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _ladder(x, top):
+    """(2k+1)/x for k = 0..top, shape (top + 1, x.size): the factor both
+    recurrences multiply by, formed once so that each of their steps is one
+    product and one difference written in place."""
+    return np.multiply.outer(2.0 * np.arange(top + 1) + 1.0, 1.0 / x)
+
+
 def _jn_upward(x):
     """j_0..j_15 at x >= 16 from sin and cos by the upward recurrence
     j_{k+1} = (2k+1)/x j_k - j_{k-1}: every order lies below x, where j_k and
     y_k oscillate alike and neither dominates, so errors do not grow."""
+    f = _ladder(x, _NPTS - 2)
     j = np.empty((_NPTS, x.size))
-    inv = 1.0 / x
-    j[0] = np.sin(x) * inv
-    j[1] = (j[0] - np.cos(x)) * inv
+    j[0] = np.sin(x) * f[0]
+    j[1] = (j[0] - np.cos(x)) * f[0]
     for k in range(1, _NPTS - 1):
-        j[k + 1] = (2 * k + 1) * inv * j[k] - j[k - 1]
+        np.multiply(f[k], j[k], out=j[k + 1])
+        j[k + 1] -= j[k - 1]
     return j
 
 
-def _jn_downward(x):
-    """j_0..j_15 at 1e-3 < x < 16: scipy supplies j_15 and j_14, lower orders
-    follow from j_{k-1} = (2k+1)/x j_k - j_{k+1}, which is stable because j_k
-    is the minimal solution as k increases (DLMF 10.51, 3.6).  Below x = 1
-    the ladder is rescaled to the exact j_0 = sin(x)/x, which removes the
-    start values' relative error (the recurrence is nearly proportional
-    there)."""
-    j = np.empty((_NPTS, x.size))
-    j[-2:] = special.spherical_jn(_KIDX[-2:, None], x[None, :])
-    inv = 1.0 / x
-    for k in range(_NPTS - 2, 0, -1):
-        j[k - 1] = (2 * k + 1) * inv * j[k] - j[k + 1]
-    low = x < 1.0
-    j[:, low] *= (np.sin(x[low]) * inv[low]) / j[0, low]
+def _jn_miller(x):
+    """j_0..j_15 at 1e-3 < x < 16 by Miller's algorithm (DLMF 10.51, 3.6):
+    j_{k-1} = (2k+1)/x j_k - j_{k+1} run downward from 1e-30 at order
+    16 + 12 + ceil(max x), where j_k is the minimal solution and the start
+    values' error dies out, then scaled to the exact j_0 = sin(x)/x or
+    j_1 = (j_0 - cos x)/x, whichever is larger (the other may sit at a zero)."""
+    top = _NPTS + 12 + math.ceil(x.max())
+    f = _ladder(x, top)
+    j = np.empty((top + 2, x.size))
+    j[top + 1] = 0.0
+    j[top] = 1e-30
+    for k in range(top, 0, -1):
+        np.multiply(f[k], j[k], out=j[k - 1])
+        j[k - 1] -= j[k + 1]
+    j = j[:_NPTS]
+    j0 = np.sin(x) * f[0]
+    j1 = (j0 - np.cos(x)) * f[0]
+    use0 = np.abs(j0) >= np.abs(j1)
+    j *= np.where(use0, j0, j1) / np.where(use0, j[0], j[1])
     return j
+
+
+def _jn_series(x):
+    """j_0..j_15 at 0 < x <= 1e-3 from three terms of the ascending series
+    x^k/(2k+1)!! (1 - x^2/(2(2k+3)) + x^4/(8(2k+3)(2k+5))) (DLMF 10.53.1);
+    the first omitted term is below 1e-19 of the kept ones there."""
+    x2 = (x * x)[None, :]
+    k = _KIDX[:, None]
+    lead = x[None, :] ** k / np.cumprod(2 * _KIDX + 1.0)[:, None]
+    return lead * (1.0 - x2 / (2 * (2 * k + 3)) + x2 * x2 / (8 * (2 * k + 3) * (2 * k + 5)))
 
 
 def moments_for(c):
     """2 i^k j_k(c), k = 0..15, vectorized over c; handles c < 0 and c = 0.
 
-    The spherical Bessel ladder comes from recurrences rather than one
-    special-function call per order: upward from sin and cos where |c| >= 16,
-    downward from scipy's top two orders down to |c| = 1e-3, and direct below
-    that, where 1/c grows large.  At c = 0 (every zero-phase integral) it is
-    j_k = delta_k0, as scipy gives it.
+    The spherical Bessel ladder comes from recurrences and no special-function
+    call: upward from sin and cos where |c| >= 16, Miller's downward
+    recurrence down to |c| = 1e-3, and the ascending series below that, where
+    1/c grows large.  At c = 0 (every zero-phase integral) it is
+    j_k = delta_k0 exactly.
     """
     c = np.atleast_1d(np.asarray(c, float))
     x = np.abs(c)
@@ -129,12 +151,13 @@ def moments_for(c):
     if up.any():
         jk[:, up] = _jn_upward(x[up])
     if down.any():
-        jk[:, down] = _jn_downward(x[down])
+        jk[:, down] = _jn_miller(x[down])
     if small.any():
-        jk[:, small] = special.spherical_jn(_KIDX[:, None], x[None, small])
-    out = 2.0 * _IPOW[:, None] * jk
+        jk[:, small] = _jn_series(x[small])
+    out = _TWO_IPOW * jk
     neg = c < 0
-    out[:, neg] = np.conj(out[:, neg])
+    if neg.any():
+        out[:, neg] = np.conj(out[:, neg])
     return out
 
 

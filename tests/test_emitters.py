@@ -10,6 +10,7 @@ from wireqed.emitters import (EmitterPair, PairInteraction, RateShiftResult,
                               decay_rates, dicke_levels,
                               dipole_shift, fit_plasmon_lorentzian, fit_two_lorentzian,
                               markov_diagnostic, LorentzianFit)
+from wireqed.green_vacuum import green_vacuum_cyl
 from wireqed.green_wire import SpectralEvaluator, WireSpectralTable
 from wireqed.quadrature import _GL_W, _GL_X, _PROJ
 
@@ -120,23 +121,73 @@ class TestPairInteraction:
         assert ratio_far < 0.02
 
 
+def _one_split_build(geom, pair, parallel=None):
+    # a tight tolerance and a budget for exactly one split (12 t panels) force
+    # the t grid to bisect a t panel, which splices the flat kappa table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emitters, "KAPPA_TABLE_BUDGET", 12)
+        return PairInteraction(geom, pair, tol=1e-8, nmax=8, dz_refs=(0.0, 0.02, 8.0),
+                               parallel=parallel)
+
+
 @pytest.fixture(scope="module")
 def one_split(default_geom):
-    # a tight tolerance and a budget for exactly one split (12 t panels) force
-    # the t grid to bisect a t panel, which splices the flat kappa table; the
-    # map records how many t-panel jobs each build step hands the pool
+    # the map records how many t-panel jobs each build step hands the pool
     jobs = []
 
     def recording(fn, xs):
         jobs.append(len(xs))
         return [fn(x) for x in xs]
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(emitters, "KAPPA_TABLE_BUDGET", 12)
-        pair = EmitterPair((0.03, 0.0, 0.0), (0.03, 0.0, 0.02))
-        interaction = PairInteraction(default_geom, pair, tol=1e-8, nmax=8,
-                                      dz_refs=(0.0, 0.02, 8.0), parallel=recording)
-    return interaction, jobs
+    pair = EmitterPair((0.03, 0.0, 0.0), (0.03, 0.0, 0.02))
+    return _one_split_build(default_geom, pair, recording), jobs
+
+
+@pytest.fixture(scope="module")
+def node_tables(default_geom, one_split):
+    # the oracle: every t node's kz table of the one-split grid, built alone
+    engine = one_split[0]._kappa_engine
+    tables = {}
+    for a, b in engine.panels:
+        t = 0.5 * (b + a) + 0.5 * (b - a) * _GL_X
+        for k in engine.w * t / (1.0 - t):
+            tables[float(k)] = WireSpectralTable(
+                default_geom, SpectralPoint.imaginary_axis(k), 0.03, 0.03, 0.0, nmax=8,
+                tol=1e-8, budget=30000)
+    return tables
+
+
+def _t_panels(engine):
+    """(half, Gauss nodes t, substitution weights, kappas) per t panel."""
+    w = engine.w
+    for a, b in engine.panels:
+        half, t = 0.5 * (b - a), 0.5 * (b + a) + 0.5 * (b - a) * _GL_X
+        weight = w**2 * t**2 / ((1.0 - t) ** 2 * (t**2 + (1.0 - t) ** 2))
+        yield half, t, weight, w * t / (1.0 - t)
+
+
+def _kappa_oracle(engine, tables, dz, dd):
+    """(integral, Legendre bound) of the weighted tensor T(dz) of the
+    per-table oracle, node by node, contracted with dd (9, C) by hand;
+    shapes (C,) and (), the bound being the largest over the C columns."""
+    total, err = 0.0, 0.0
+    for half, _, weight, kappas in _t_panels(engine):
+        vals = np.array([wt * tables[float(k)].integrate(dz)[0].real.reshape(9)
+                         for wt, k in zip(weight, kappas)]) @ dd
+        coef = _PROJ @ vals
+        total = total + 2.0 * half * coef[0]
+        err += 4.0 * half * float(np.abs(coef[-3:]).sum(axis=0).max())
+    return total, err
+
+
+def _kz_err(engine, tables):
+    """The tables' kz error, weighted as the t rule weights each table."""
+    kz_err = 0.0
+    for half, _, weight, kappas in _t_panels(engine):
+        for gw, wt, k in zip(_GL_W, weight, kappas):
+            tab = tables[float(k)]
+            kz_err += half * gw * abs(wt) * (tab.panel_err + tab.tail_bound)
+    return kz_err
 
 
 def test_kappa_pool_sees_one_call_per_build_step(one_split):
@@ -146,55 +197,105 @@ def test_kappa_pool_sees_one_call_per_build_step(one_split):
     assert interaction._kappa_engine.n_nodes == 16 * 12
 
 
-def test_kappa_bisection_matches_per_table_oracle(default_geom, one_split):
-    # the oracle builds every node's kz table alone
+def test_kappa_bisection_matches_per_table_oracle(one_split, node_tables):
     interaction, _ = one_split
     engine = interaction._kappa_engine
     assert engine.n_nodes > 160
-    w = engine.w
-    tables = {}
-    for a, b in engine.panels:
-        t = 0.5 * (b + a) + 0.5 * (b - a) * _GL_X
-        for k in w * t / (1.0 - t):
-            tables[float(k)] = WireSpectralTable(
-                default_geom, SpectralPoint.imaginary_axis(k), 0.03, 0.03, 0.0, nmax=8,
-                tol=1e-8, budget=30000)
+    tables = node_tables
     # the recorded azimuthal tail is the largest of the tables in the integral
     tail = max(tab.tail_ratio for tab in tables.values())
     assert engine.tail_ratio == tail > 0.0
     assert interaction.at(0.5).diagnostics["kappa_tail_ratio"] == tail
-    # the tables' kz error, weighted as the t rule weights each table
-    kz_err = 0.0
-    for a, b in engine.panels:
-        half, t = 0.5 * (b - a), 0.5 * (b + a) + 0.5 * (b - a) * _GL_X
-        weight = w**2 * t**2 / ((1.0 - t) ** 2 * (t**2 + (1.0 - t) ** 2))
-        for gw, wt, k in zip(_GL_W, weight, w * t / (1.0 - t)):
-            tab = tables[float(k)]
-            kz_err += half * gw * abs(wt) * (tab.panel_err + tab.tail_bound)
+    kz_err = _kz_err(engine, tables)
     assert kz_err > 0.0
-    coincident_err = engine.integral_tensor(0.0)[1]
+    # radial dipoles: the engine holds the rho-rho component of the tensor
+    dd = np.outer(interaction._d1, interaction._d2).reshape(9, 1)
+    coincident_err = engine._coincident[1]
     for dz in (0.0, 0.5, 8.0):
         row_err = interaction.at(dz).diagnostics["kappa_err"]
-        table_part = row_err - engine.integral_tensor(dz)[1] - coincident_err
+        table_part = row_err - engine._pass(dz)[1] - coincident_err
         assert abs(table_part - kz_err) <= 1e-12 * kz_err
     for dz in (0.0, 0.02, 1.3, 8.0):
-        # the weighted tensor node by node, then Legendre coefficients per panel
-        total, err = np.zeros(9), 0.0
-        for a, b in engine.panels:
-            half, mid = 0.5 * (b - a), 0.5 * (b + a)
-            t = mid + half * _GL_X
-            weight = w**2 * t**2 / ((1.0 - t) ** 2 * (t**2 + (1.0 - t) ** 2))
-            vals = np.array([wt * tables[float(k)].integrate(dz)[0].real.reshape(9)
-                             for wt, k in zip(weight, w * t / (1.0 - t))])
-            coef = _PROJ @ vals
-            total += 2.0 * half * coef[0]
-            err += 4.0 * half * float(np.abs(coef[-3:]).sum(axis=0).max())
-        got, got_err = engine.integral_tensor(dz)
-        scale = np.abs(total).max()
-        assert np.abs(got.reshape(9) - total).max() <= 1e-12 * scale
-        # the bound sums tail coefficients that sit near the tensor's
-        # roundoff, so it agrees to the tensor's digits, not to its own
+        # the contracted value node by node, then Legendre coefficients per panel
+        total, err = _kappa_oracle(engine, tables, dz, dd)
+        got, got_err = engine._pass(dz)
+        scale = abs(total[0])
+        assert abs(got - total[0]) <= 1e-12 * scale
+        # the bound sums tail coefficients that sit near the integral's
+        # roundoff, so it agrees to the integral's digits, not to its own
         assert abs(got_err - err) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dipoles", [
+    ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+    ((2**-0.5, 0.0, 2**-0.5), (2**-0.5, 0.0, 2**-0.5)),
+    ((2**-0.5, 0.0, 2**-0.5), (2**-0.5, 0.0, -2**-0.5)),
+], ids=["rho_z", "tilted", "tilted_crossed"])
+def test_rows_with_mirror_odd_components_match_full_tensor(default_geom, one_split,
+                                                           node_tables, dipoles):
+    # rho-z and z-rho flip sign under kz -> -kz, so radial dipoles never see
+    # them; these pairs read them (equal tilted dipoles read both, which
+    # cancel), and every row field must be the full tensors contracted by hand
+    d1, d2 = (np.array(d) for d in dipoles)
+    pair = EmitterPair((0.03, 0.0, 0.0), (0.03, 0.0, 0.02), dipole_1=dipoles[0],
+                       dipole_2=dipoles[1])
+    interaction = _one_split_build(default_geom, pair)
+    engine = interaction._kappa_engine
+    assert engine.panels == one_split[0]._kappa_engine.panels
+    tab = interaction.table_res
+    w = interaction.omega_a
+    dd12, dd11 = np.outer(d1, d2).reshape(9, 1), np.outer(d1, d1).reshape(9, 1)
+    # |d1| . |T| . |d2|, the size the contraction rounds at
+    size12, size11 = np.abs(dd12), np.abs(dd11)
+    ones = np.ones((9, 1))
+    kz_err = _kz_err(engine, node_tables)
+    res_err = tab.panel_err + tab.tail_bound
+    g11 = tab.integrate(0.0)[0].reshape(9)
+    i11, e11 = _kappa_oracle(engine, node_tables, 0.0, dd11)
+    _, e11_all = _kappa_oracle(engine, node_tables, 0.0, np.eye(9))
+    a11, _ = _kappa_oracle(engine, node_tables, 0.0, ones)
+    odd = ~emitters._P_EVEN
+    for dz in (0.02, 0.5, 1.3, 8.0):
+        r = interaction.at(dz)
+        g12 = tab.integrate(dz)[0].reshape(9)
+        gvac = green_vacuum_cyl((0.03, 0.0, 0.0), (0.03, 0.0, -dz), w).value.reshape(9)
+        i12, e12 = _kappa_oracle(engine, node_tables, dz, dd12)
+        _, e12_all = _kappa_oracle(engine, node_tables, dz, np.eye(9))
+        a12, _ = _kappa_oracle(engine, node_tables, dz, ones)
+        if not np.array_equal(d1, d2):
+            # the mirror-odd part of the rows is not zero here
+            i_odd = _kappa_oracle(engine, node_tables, dz, odd[:, None] * dd12)[0]
+            assert abs(i_odd[0]) > 1e-3 * abs(i12[0])
+        want = {
+            "gamma11": (1.0 + 6.0 * math.pi / w * (g11 @ dd11)[0].imag,
+                        1.0 + 6.0 * math.pi / w * (np.abs(g11) @ size11)[0]),
+            "gamma12": (6.0 * math.pi / w * ((gvac + g12) @ dd12)[0].imag,
+                        6.0 * math.pi / w * (np.abs(gvac) + np.abs(g12)) @ size12),
+            "shift12_resonant": (3.0 * math.pi / w * (g12 @ dd12)[0].real,
+                                 3.0 * math.pi / w * np.abs(g12) @ size12),
+            "shift11_resonant": (3.0 * math.pi / w * (g11 @ dd11)[0].real,
+                                 3.0 * math.pi / w * np.abs(g11) @ size11),
+            "shift12_integral": (3.0 / w**3 * i12[0], 3.0 / w**3 * np.abs(a12).max()),
+            "shift11_integral": (3.0 / w**3 * i11[0], 3.0 / w**3 * np.abs(a11).max()),
+        }
+        for name, (value, scale) in want.items():
+            assert abs(getattr(r, name) - value) <= 1e-12 * float(np.max(scale)), name
+        diag = r.diagnostics
+        assert diag["resonant_tensor_err"] == 2.0 * res_err
+        assert diag["kappa_nodes"] == engine.n_nodes == 16 * 12
+        assert diag["kappa_tail_ratio"] == max(t.tail_ratio for t in node_tables.values())
+        assert diag["nmax"] == 8
+        # the bound covers at least the contracted integrand's Legendre tail,
+        # and at most what the nine components' bound allows for these dipoles
+        l1 = np.abs(d1).sum()
+        low = kz_err + e12 + e11
+        high = kz_err + l1 * np.abs(d2).sum() * e12_all + l1 * l1 * e11_all
+        tiny = 1e-12 * 3.0 * max(np.abs(a12).max(), np.abs(a11).max())
+        assert low - tiny <= diag["kappa_err"] <= high + tiny
+        converged = (tab.panels_ok and tab.tail_ok and 2.0 * res_err <= 1e-6 * max(
+            1.0, abs(r.gamma11) * w / (6.0 * math.pi)) and engine.panels_ok
+            and diag["kappa_err"] <= 1e-6 * max(1.0, abs(i12[0]), abs(i11[0])))
+        assert r.converged is converged
 
 
 def test_one_order_search_across_callers(default_geom, pair_engine, monkeypatch):

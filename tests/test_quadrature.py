@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from wireqed import (ConvergenceError, DomainError, OMEGA_A, imag_axis_integrate,
@@ -23,6 +24,43 @@ def test_moments_match_spherical_bessel():
     k = np.arange(16)[:, None]
     ref = 2.0 * 1j ** k * special.spherical_jn(k, c[None, :])
     assert np.abs(moments_for(c) - ref).max() <= 1e-13
+
+
+def _moments_ref(c):
+    k = np.arange(16)[:, None]
+    return 2.0 * 1j ** k * special.spherical_jn(k, np.asarray(c, float)[None, :])
+
+
+@pytest.mark.parametrize("c", [
+    *(n * math.pi for n in range(1, 6)),      # zeros of j_0: the j_1 normalisation
+    1.0 - 1e-12, 1.0 + 1e-12,
+    16.0 - 1e-12, 16.0 + 1e-12,               # Miller recurrence / upward ladder
+    1e-3 - 1e-15, 1e-3 + 1e-15,               # series / Miller recurrence
+])
+def test_moments_at_ladder_switches(c):
+    c = np.array([c, -c])
+    assert np.abs(moments_for(c) - _moments_ref(c)).max() <= 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(min_value=1e-3, max_value=16.0, exclude_min=True, exclude_max=True))
+def test_moments_in_the_miller_range(c):
+    # one point at a time, so the recurrence starts at order 28 + ceil(c)
+    c = np.array([c, -c])
+    assert np.abs(moments_for(c) - _moments_ref(c)).max() <= 1e-13
+
+
+def test_moments_call_no_special_function(monkeypatch):
+    # the series, Miller and upward ladders are numpy arithmetic only
+    grid = np.geomspace(1e-300, 16.0, 2001)[:-1]
+    c = np.concatenate([grid, -grid])
+    want = _moments_ref(c)
+
+    def refuse(*args):
+        raise AssertionError("spherical_jn called")
+
+    monkeypatch.setattr(special, "spherical_jn", refuse)
+    assert np.abs(moments_for(c) - want).max() <= 1e-13
 
 
 def test_moments_at_zero_phase_call_no_special_function(monkeypatch):
