@@ -32,7 +32,10 @@ from .green_wire import (_MIRROR, SpectralEvaluator, WireGeometry, WireSpectralT
 from .quadrature import _GL_W, _NPTS, _PROJ, panel_terms
 
 _P_EVEN = _MIRROR.ravel() > 0   # components the -kz mirror keeps
-_EVEN_ODD = np.array([1.0, -1.0])   # mirror signs of the two folded columns
+# a fold sums the components the mirror keeps into one column and those it
+# flips into another: _SPLIT picks them, _EVEN_ODD is the columns' mirror sign
+_SPLIT = np.stack([_P_EVEN, ~_P_EVEN], axis=1).astype(float)   # (9, 2)
+_EVEN_ODD = np.array([1.0, -1.0])
 
 _COINCIDENT = 1e-12
 
@@ -130,19 +133,6 @@ def _contract(tensor, d1, d2):
     return complex(np.asarray(d1, float) @ np.asarray(tensor, complex) @ np.asarray(d2, float))
 
 
-def _even_odd(dd):
-    """Weights (9, 2, C) that fold the 9 tensor components into C column
-    pairs: per column of dd (9, C), the weighted components the -kz mirror
-    keeps, then the ones it flips."""
-    return np.stack([np.where(_P_EVEN[:, None], dd, 0.0),
-                     np.where(_P_EVEN[:, None], 0.0, dd)], axis=1)
-
-
-def _dipole_weights(d1, d2):
-    """dd (9, 1) of the contraction d1 . T . d2."""
-    return np.outer(d1, d2).reshape(9, 1)
-
-
 def _same_site(p1, p2):
     return (abs(p1[0] - p2[0]) < _COINCIDENT and abs(p1[1] - p2[1]) < _COINCIDENT
             and abs(p1[2] - p2[2]) < _COINCIDENT)
@@ -216,8 +206,8 @@ class PairInteraction:
         # row reads, and the real-axis table folded into one column pair
         gmed_11, self._res_err = self.table_res.integrate(0.0)
         self._g11 = _contract(gmed_11, self._d1, self._d1)
-        self._res_cols = self.table_res.coefs @ _even_odd(
-            _dipole_weights(self._d1, self._d2))[:, :, 0]
+        self._res_cols = np.einsum("pki,ij,i->pkj", self.table_res.coefs, _SPLIT,
+                                   np.outer(self._d1, self._d2).ravel())
 
     def at(self, dz: float) -> RateShiftResult:
         if not math.isfinite(dz):
@@ -292,7 +282,7 @@ def _fold(coefs, dd):
     (``_kappa_panel_job``, (rows, 16, 9)) weighted by dd (9, C): row r's
     P-even sum, which Re m multiplies, at 2r and its P-odd sum, which Im m
     multiplies, at 2r + 1, the layout of the moments viewed as reals."""
-    return np.einsum("rki,ijc->krjc", coefs, _even_odd(dd)).reshape(_NPTS, -1, dd.shape[1])
+    return np.einsum("rki,ij,ic->krjc", coefs, _SPLIT, dd).reshape(_NPTS, -1, dd.shape[1])
 
 
 def _node_values(halves, mids, cols, starts, dz):
@@ -376,8 +366,8 @@ class _ImagAxisEngine:
         self.panels_ok = all(oks)
         a, b = np.asarray(self.panels).T
         self._half = 0.5 * (b - a)
-        self._cols = _fold(coefs, _dipole_weights(d1, d2))[..., 0]
-        self._coincident = self._pass(0.0, _fold(coefs, _dipole_weights(d1, d1))[..., 0])
+        self._cols = _fold(coefs, np.outer(d1, d2).reshape(9, 1))[..., 0]
+        self._coincident = self._pass(0.0, _fold(coefs, np.outer(d1, d1).reshape(9, 1))[..., 0])
 
     def _pass(self, dz, cols=None):
         """(d1 . T . d2 integral, summed Legendre bound of its t panels) at
