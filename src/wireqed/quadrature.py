@@ -78,18 +78,13 @@ class QuadratureReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _ladder(x, top):
-    """(2k+1)/x for k = 0..top, shape (top + 1, x.size): the factor both
-    recurrences multiply by, formed once so that each of their steps is one
-    product and one difference written in place."""
-    return np.multiply.outer(2.0 * np.arange(top + 1) + 1.0, 1.0 / x)
-
-
 def _jn_upward(x):
     """j_0..j_15 at x >= 16 from sin and cos by the upward recurrence
     j_{k+1} = (2k+1)/x j_k - j_{k-1}: every order lies below x, where j_k and
     y_k oscillate alike and neither dominates, so errors do not grow."""
-    f = _ladder(x, _NPTS - 2)
+    # f[k] = (2k+1)/x, formed once: each step is one product and one
+    # difference, written in place
+    f = np.multiply.outer(2.0 * np.arange(_NPTS - 1) + 1.0, 1.0 / x)
     j = np.empty((_NPTS, x.size))
     j[0] = np.sin(x) * f[0]
     j[1] = (j[0] - np.cos(x)) * f[0]
@@ -106,7 +101,7 @@ def _jn_miller(x):
     values' error dies out, then scaled to the exact j_0 = sin(x)/x or
     j_1 = (j_0 - cos x)/x, whichever is larger (the other may sit at a zero)."""
     top = _NPTS + 12 + math.ceil(x.max())
-    f = _ladder(x, top)
+    f = np.multiply.outer(2.0 * np.arange(top + 1) + 1.0, 1.0 / x)   # (2k+1)/x
     j = np.empty((top + 2, x.size))
     j[top + 1] = 0.0
     j[top] = 1e-30
