@@ -206,8 +206,8 @@ class PairInteraction:
         # row reads, and the real-axis table folded into one column pair
         gmed_11, self._res_err = self.table_res.integrate(0.0)
         self._g11 = _contract(gmed_11, self._d1, self._d1)
-        self._res_cols = np.einsum("pki,ij,i->pkj", self.table_res.coefs, _SPLIT,
-                                   np.outer(self._d1, self._d2).ravel())
+        self._res_cols = self.table_res.coefs @ (
+            _SPLIT * np.outer(self._d1, self._d2).reshape(9, 1))
 
     def at(self, dz: float) -> RateShiftResult:
         if not math.isfinite(dz):
@@ -282,7 +282,8 @@ def _fold(coefs, dd):
     (``_kappa_panel_job``, (rows, 16, 9)) weighted by dd (9, C): row r's
     P-even sum, which Re m multiplies, at 2r and its P-odd sum, which Im m
     multiplies, at 2r + 1, the layout of the moments viewed as reals."""
-    return np.einsum("rki,ij,ic->krjc", coefs, _SPLIT, dd).reshape(_NPTS, -1, dd.shape[1])
+    weights = _SPLIT[:, :, None] * dd[:, None, :]                  # (9, 2, C)
+    return np.einsum("rki,ijc->krjc", coefs, weights).reshape(_NPTS, -1, dd.shape[1])
 
 
 def _node_values(halves, mids, cols, starts, dz):
@@ -371,7 +372,7 @@ class _ImagAxisEngine:
 
     def _pass(self, dz, cols=None):
         """(d1 . T . d2 integral, summed Legendre bound of its t panels) at
-        separation dz; ``cols`` folds another dipole pair."""
+        separation dz, or of another pair's folded columns ``cols``."""
         vals = _node_values(self._halves, self._mids, self._cols if cols is None else cols,
                             self._starts, dz)
         coef = _PROJ @ vals.reshape(-1, _NPTS, 1)                 # per t panel

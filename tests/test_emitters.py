@@ -158,12 +158,12 @@ def node_tables(default_geom, one_split):
 
 
 def _t_panels(engine):
-    """(half, Gauss nodes t, substitution weights, kappas) per t panel."""
+    """(half-width, substitution weights, kappas) of each t panel's nodes."""
     w = engine.w
     for a, b in engine.panels:
         half, t = 0.5 * (b - a), 0.5 * (b + a) + 0.5 * (b - a) * _GL_X
         weight = w**2 * t**2 / ((1.0 - t) ** 2 * (t**2 + (1.0 - t) ** 2))
-        yield half, t, weight, w * t / (1.0 - t)
+        yield half, weight, w * t / (1.0 - t)
 
 
 def _kappa_oracle(engine, tables, dz, dd):
@@ -171,7 +171,7 @@ def _kappa_oracle(engine, tables, dz, dd):
     per-table oracle, node by node, contracted with dd (9, C) by hand;
     shapes (C,) and (), the bound being the largest over the C columns."""
     total, err = 0.0, 0.0
-    for half, _, weight, kappas in _t_panels(engine):
+    for half, weight, kappas in _t_panels(engine):
         vals = np.array([wt * tables[float(k)].integrate(dz)[0].real.reshape(9)
                          for wt, k in zip(weight, kappas)]) @ dd
         coef = _PROJ @ vals
@@ -183,7 +183,7 @@ def _kappa_oracle(engine, tables, dz, dd):
 def _kz_err(engine, tables):
     """The tables' kz error, weighted as the t rule weights each table."""
     kz_err = 0.0
-    for half, _, weight, kappas in _t_panels(engine):
+    for half, weight, kappas in _t_panels(engine):
         for gw, wt, k in zip(_GL_W, weight, kappas):
             tab = tables[float(k)]
             kz_err += half * gw * abs(wt) * (tab.panel_err + tab.tail_bound)
