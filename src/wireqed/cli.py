@@ -73,6 +73,15 @@ def _engine_and_fit(cfg: RunConfig, dz: float, dz_refs, threads: int = 1):
     return engine, fit
 
 
+def _csv(meta, header, rows) -> str:
+    """CSV text: sorted ``# key = value`` meta lines, the header, the rows."""
+    lines = [f"# {k} = {v if isinstance(v, str) else _fmt(v)}"
+             for k, v in sorted(meta.items())]
+    lines.append(",".join(header))
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def _emit(text: str, path):
     if path:
         with open(path, "w", newline="") as fh:
@@ -125,12 +134,7 @@ def cmd_sweep(args) -> int:
         return EXIT_CONVERGENCE
 
     if cfg.output_format == "csv":
-        lines = [f"# {k} = {_fmt(v) if not isinstance(v, str) else v}"
-                 for k, v in sorted(meta.items())]
-        lines.append(",".join(header))
-        for row in table:
-            lines.append(",".join(_fmt(v) for v in row))
-        _emit("\n".join(lines) + "\n", cfg.output_path)
+        _emit(_csv(meta, header, table), cfg.output_path)
     else:
         payload = {"meta": meta,
                    "rows": [dict(zip(header, row)) for row in table]}
@@ -195,11 +199,7 @@ def cmd_dispersion(args) -> int:
             "fit_width": fit.width_gamma, "fit_center_kz_pl": fit.center_kz_pl,
             "fit_residual": fit.fit_residual}
     if cfg.output_format == "csv":
-        lines = [f"# {k} = {_fmt(v)}" for k, v in sorted(meta.items())]
-        lines.append("kz,im_g_rr")
-        for k, v in zip(kz, vals):
-            lines.append(f"{_fmt(k)},{_fmt(v)}")
-        _emit("\n".join(lines) + "\n", cfg.output_path)
+        _emit(_csv(meta, ["kz", "im_g_rr"], zip(kz, vals)), cfg.output_path)
     else:
         payload = {"meta": meta, "kz": [float(k) for k in kz],
                    "im_g_rr": [float(v) for v in vals]}

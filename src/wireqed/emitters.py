@@ -170,12 +170,12 @@ class PairInteraction:
 
     Building this object performs every expensive wavenumber integration:
     a real-frequency table at omega_a plus one table per imaginary-frequency
-    node.  The build ends by folding the pair's dipoles into both tables, so
-    each holds one column pair of d1 . G . d2 (the components the -kz mirror
-    keeps and the ones it flips) instead of nine components, and by taking
-    the coincident d1 . G . d1 parts once.  ``at(dz)`` then produces a full
-    RateShiftResult from those columns through analytic phase moments only,
-    which is what makes dense distance sweeps and oscillation-phase
+    node.  The pair's dipoles are folded into both tables as they are built,
+    so each holds one column pair of d1 . G . d2 (the components the -kz
+    mirror keeps and the ones it flips) instead of nine components, and the
+    coincident d1 . G . d1 parts are taken once.  ``at(dz)`` then produces
+    a full RateShiftResult from those columns through analytic phase moments
+    only, which is what makes dense distance sweeps and oscillation-phase
     measurements affordable.
     """
 
@@ -199,9 +199,9 @@ class PairInteraction:
 
         self._d1 = np.asarray(pair.dipole_1, float)
         self._d2 = np.asarray(pair.dipole_2, float)
-        self._kappa_engine = _ImagAxisEngine(geom, rho, w, self._d1, self._d2, tol=tol,
-                                             nmax=nmax, dz_refs=tuple(dz_refs),
-                                             parallel=parallel)
+        dd = np.stack([np.outer(self._d1, d).ravel() for d in (self._d2, self._d1)], axis=1)
+        self._kappa_engine = _ImagAxisEngine(geom, rho, w, dd, tol=tol, nmax=nmax,
+                                             dz_refs=tuple(dz_refs), parallel=parallel)
         # d1 . G^med(r1, r1, omega_a) . d1 and the table's error, which every
         # row reads, and the real-axis table folded into one column pair
         gmed_11, self._res_err = self.table_res.integrate(0.0)
@@ -249,39 +249,39 @@ class PairInteraction:
 
 def _kappa_panel_job(job):
     """The kz tables of one t panel's 16 kappa nodes, built in lockstep
-    (``imag_axis_tables``) and laid out as flat-table rows.
+    (``imag_axis_tables``) and folded with the dipole pairs dd (``_fold``).
 
     The shift needs only the real part of the tensor.  With m the phase
     moments times half e^{i dz mid}, a kz panel with +kz coefficients C and
     mirror sign P contributes Re(m C + conj(m) P C): 2 Re m Re C where P = +1
     and -2 Im m Im C where P = -1, so the rows hold 2 Re C and -2 Im C there,
-    times the node's substitution weight; ``_fold`` later sums the two kinds
-    into the columns that Re m and Im m multiply.  Returns (halves, mids, real
-    coefficients (rows, 16, 9), kz panels per node, kz error bound per node
+    times the node's substitution weight, and ``_fold`` sums the two kinds
+    into the columns that Re m and Im m multiply.  Returns (halves, mids,
+    columns (16, 2 rows, C), kz panels per node, kz error bound per node
     times |substitution weight|, largest azimuthal tail ratio, whether every
     table stayed within its node budget).  Module-level with picklable
     arguments and result, so sweep drivers can run it in worker processes;
     the arithmetic is the same for any worker count, which keeps outputs
     bit-reproducible.
     """
-    geom, rho, kappas, weights, tol, nmax = job
+    geom, rho, kappas, weights, tol, nmax, dd = job
     tables = imag_axis_tables(geom, kappas, rho, rho, 0.0, nmax=nmax, tol=tol,
                               budget=30000)
     coefs = np.concatenate([
         np.where(_P_EVEN, 2.0 * tab.coefs.real, -2.0 * tab.coefs.imag) * w
         for tab, w in zip(tables, weights)])
     return (np.concatenate([tab.halves for tab in tables]),
-            np.concatenate([tab.mids for tab in tables]), coefs,
+            np.concatenate([tab.mids for tab in tables]), _fold(coefs, dd),
             np.array([len(tab.halves) for tab in tables]),
             np.array([tab.panel_err + tab.tail_bound for tab in tables]) * np.abs(weights),
             max(tab.tail_ratio for tab in tables), all(tab.panels_ok for tab in tables))
 
 
 def _fold(coefs, dd):
-    """Flat-table columns (16, 2 rows, C) of the rows' coefficients
-    (``_kappa_panel_job``, (rows, 16, 9)) weighted by dd (9, C): row r's
-    P-even sum, which Re m multiplies, at 2r and its P-odd sum, which Im m
-    multiplies, at 2r + 1, the layout of the moments viewed as reals."""
+    """Flat-table columns (16, 2 rows, C) of the rows' real coefficients
+    (rows, 16, 9) weighted by dd (9, C): row r's P-even sum, which Re m
+    multiplies, at 2r and its P-odd sum, which Im m multiplies, at 2r + 1,
+    the layout of the moments viewed as reals."""
     weights = _SPLIT[:, :, None] * dd[:, None, :]                  # (9, 2, C)
     return np.einsum("rki,ijc->krjc", coefs, weights).reshape(_NPTS, -1, dd.shape[1])
 
@@ -303,18 +303,18 @@ class _ImagAxisEngine:
     node's table is multiplied by its substitution weight and all of them
     are held as one flat table: kz half-widths and midpoints, coefficients,
     and the offset where each node's kz panels start, laid end to end from
-    one block per t panel.  The t panels follow the t rule of every
+    one block per t panel, folded with the dipole pairs dd (9, 2), d1 d2 and
+    d1 d1, into one column each.  The t panels follow the t rule of every
     imaginary-axis integral (``quadrature.imag_axis_panels``), cut at the
-    kappa cutoff; their node values are every node's weighted tensor at each
-    of a few reference separations, so the Legendre-coefficient decay that
-    drives their bisections bounds the error for every separation.  When the
-    grid is done the table is folded with the dipoles d1, d2 (``_fold``) into
-    one column pair, and one pass over it gives d1 . T . d2 at a separation
-    with the Legendre bound of that contracted integrand; the coincident
-    d1 . T . d1 is folded and integrated once, at the build.
+    kappa cutoff; their node values are what ``integrals`` reports,
+    d1 . T . d2 at each of a few reference separations and d1 . T . d1 at 0,
+    so the Legendre-coefficient decay that drives their bisections is that of
+    the rows' own integrands.  One pass over the d1 d2 column gives
+    d1 . T . d2 at a separation with the Legendre bound of that integrand;
+    d1 . T . d1 is integrated once, at the build.
 
     A t panel is the unit of work: ``_kappa_panel_job`` builds its 16 node
-    tables in lockstep and returns them as flat rows, and ``parallel`` (a
+    tables in lockstep and returns them as folded columns, and ``parallel`` (a
     map) spreads the panels of one build step over worker processes.
     ``tail_ratio`` is the largest azimuthal tail ratio of the kappa tables
     in the integral; it is recorded, not tested.  A table out of its node
@@ -324,28 +324,28 @@ class _ImagAxisEngine:
     short of KAPPA_TABLE_BUDGET tables.
     """
 
-    def __init__(self, geom, rho, omega_a, d1, d2, *, tol, nmax, dz_refs, parallel=None):
+    def __init__(self, geom, rho, omega_a, dd, *, tol, nmax, dz_refs, parallel=None):
         self.w = omega_a
         self.tol = tol
         gap = 2.0 * (rho - geom.radius)   # summed emitter-to-surface distance
         kap_cut = max(6.0 * omega_a, 20.0 / max(gap, 1e-6))
         run = parallel or (lambda fn, xs: [fn(x) for x in xs])
-        # (halves, mids, coefs, kz panels per node, weighted kz error per
+        # (halves, mids, columns, kz panels per node, weighted kz error per
         # node, tail ratio, panels_ok) per t panel, keyed by its first node
         blocks = {}
 
         def values(t):
             t = t.reshape(-1, _NPTS)
-            jobs = [(geom, rho, *quadrature.t_substitution(nodes, omega_a), tol, nmax)
+            jobs = [(geom, rho, *quadrature.t_substitution(nodes, omega_a), tol, nmax, dd)
                     for nodes in t]
             out = []
             for nodes, block in zip(t, run(_kappa_panel_job, jobs)):
                 blocks[nodes[0]] = block
-                halves, mids, coefs, sizes = block[:4]
-                cols = _fold(coefs, np.eye(9))
-                out.append(np.hstack([
-                    _node_values(halves, mids, cols, np.cumsum(sizes) - sizes, dz)
-                    for dz in dz_refs]))
+                halves, mids, cols, sizes = block[:4]
+                starts = np.cumsum(sizes) - sizes
+                out.append(np.column_stack(
+                    [_node_values(halves, mids, cols[..., 0], starts, dz) for dz in dz_refs]
+                    + [_node_values(halves, mids, cols[..., 1], starts, 0.0)]))
             return np.concatenate(out)
 
         grid, _ = quadrature.imag_axis_panels(
@@ -354,11 +354,10 @@ class _ImagAxisEngine:
         # rows _starts[i]:_starts[i+1]
         self.panels = [(p[0], p[1]) for p in grid.panels]
         self.n_nodes = grid.nodes_used
-        halves, mids, coefs, sizes, kz_errs, tails, oks = zip(*(
+        halves, mids, cols, sizes, kz_errs, tails, oks = zip(*(
             blocks[quadrature._panel_nodes(a, b)[0]] for a, b in self.panels))
         self._halves = np.concatenate(halves)
         self._mids = np.concatenate(mids)
-        coefs = np.concatenate(coefs)
         sizes = np.concatenate(sizes)
         self._starts = np.cumsum(sizes) - sizes
         self.kz_err = float(sum(0.5 * (b - a) * (_GL_W @ e)
@@ -367,12 +366,13 @@ class _ImagAxisEngine:
         self.panels_ok = all(oks)
         a, b = np.asarray(self.panels).T
         self._half = 0.5 * (b - a)
-        self._cols = _fold(coefs, np.outer(d1, d2).reshape(9, 1))[..., 0]
-        self._coincident = self._pass(0.0, _fold(coefs, np.outer(d1, d1).reshape(9, 1))[..., 0])
+        # one C-contiguous array per pair: every row reads the d1 d2 one
+        self._cols, cols11 = np.concatenate(cols, axis=1).transpose(2, 0, 1).copy()
+        self._coincident = self._pass(0.0, cols11)
 
     def _pass(self, dz, cols=None):
         """(d1 . T . d2 integral, summed Legendre bound of its t panels) at
-        separation dz, or of another pair's folded columns ``cols``."""
+        separation dz, or of the d1 . T . d1 columns ``cols``."""
         vals = _node_values(self._halves, self._mids, self._cols if cols is None else cols,
                             self._starts, dz)
         coef = _PROJ @ vals.reshape(-1, _NPTS, 1)                 # per t panel

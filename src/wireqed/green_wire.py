@@ -123,6 +123,8 @@ class SpectralEvaluator:
     def __init__(self, geom: WireGeometry, s, rho1, rho2, dphi, nmax):
         if not 1 <= nmax <= N_MAX:
             raise DomainError(f"azimuthal order must be in 1..{N_MAX}, got {nmax}")
+        if not np.isfinite([rho1, rho2, dphi]).all():
+            raise DomainError(f"coordinates must be finite, got {rho1}, {rho2}, {dphi}")
         if min(rho1, rho2) <= geom.radius:
             raise DomainError("both points must lie outside the wire")
         self.geom = geom
@@ -293,8 +295,8 @@ class SpectralEvaluator:
 
     def __call__(self, kz_nodes, which=0):
         kz = np.asarray(kz_nodes, float)
-        if np.any(kz < 0.0):
-            raise DomainError("evaluator nodes must be nonnegative; signs are internal")
+        if not np.all((kz >= 0.0) & (kz < np.inf)):
+            raise DomainError("kz nodes must be finite and nonnegative; signs are internal")
         which = np.broadcast_to(which, kz.shape)
         eta1, eta2, wall, outside = self._ladders(kz, which)
         R = self._solve(kz, eta1, eta2, wall, which)   # (K, N, 2, 2)
@@ -537,6 +539,8 @@ def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
     rho1, phi1, z1 = p1
     rho2, phi2, z2 = p2
     dz = float(z1) - float(z2)
+    if not np.isfinite(dz):
+        raise DomainError(f"axial separation must be finite, got z1 - z2 = {dz}")
     dphi = phi1 - phi2
 
     def build(n):

@@ -363,7 +363,8 @@ def build_spectral_panel_sets(f, windows, *, tol, mirror=None, tail_scale=None,
 
 def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale):
     """The panel steps of one spectrum into ``ps``, as a generator for
-    ``run_lockstep``; returns (tail_bound, converged_flag)."""
+    ``run_lockstep``, bisecting toward a target read once, after the tail
+    blocks; returns (tail_bound, converged_flag)."""
     budget = ps.budget
     k_end = k_start + (200.0 / tail_scale if tail_scale else 400.0 * k_start)
     breaks = _seed_breaks(k_start, pole_hint, branch_point)
@@ -398,15 +399,8 @@ def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale):
         if k >= k_end or ps.nodes_used > 0.8 * budget:
             break
 
-    # the value scale shifts as refinement corrects coarse panels, so the
-    # target must be re-anchored until it is self-consistent
-    ok = True
-    for _ in range(4):
-        scale = max(1.0, float(np.abs(ps.integral()).max()))
-        ok = yield from ps.bisections(0.5 * tol * scale)
-        new_scale = max(1.0, float(np.abs(ps.integral()).max()))
-        if not ok or ps.err <= 0.6 * tol * new_scale:
-            break
+    scale = max(1.0, float(np.abs(ps.integral()).max()))
+    ok = yield from ps.bisections(0.5 * tol * scale)
     return tail_bound, ok
 
 

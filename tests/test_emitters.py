@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wireqed import (DomainError, DrudeModel, FitError, OMEGA_A, SpectralPoint,
-                     WireGeometry, emitters, plasmon_wavenumber, wire_green)
+                     WireGeometry, emitters, plasmon_wavenumber, quadrature, wire_green)
 from wireqed.emitters import (EmitterPair, PairInteraction, RateShiftResult,
                               analytic_approximations, check_pair_geometry,
                               decay_rates, dicke_levels,
@@ -126,7 +126,7 @@ def _one_split_build(geom, pair, parallel=None):
     # the t grid to bisect a t panel, which splices the flat kappa table
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(emitters, "KAPPA_TABLE_BUDGET", 12)
-        return PairInteraction(geom, pair, tol=1e-8, nmax=8, dz_refs=(0.0, 0.02, 8.0),
+        return PairInteraction(geom, pair, tol=3e-9, nmax=8, dz_refs=(0.0, 0.02, 8.0),
                                parallel=parallel)
 
 
@@ -153,7 +153,7 @@ def node_tables(default_geom, one_split):
         for k in engine.w * t / (1.0 - t):
             tables[float(k)] = WireSpectralTable(
                 default_geom, SpectralPoint.imaginary_axis(k), 0.03, 0.03, 0.0, nmax=8,
-                tol=1e-8, budget=30000)
+                tol=3e-9, budget=30000)
     return tables
 
 
@@ -224,6 +224,36 @@ def test_kappa_bisection_matches_per_table_oracle(one_split, node_tables):
         # the bound sums tail coefficients that sit near the integral's
         # roundoff, so it agrees to the integral's digits, not to its own
         assert abs(got_err - err) <= 1e-12 * scale
+
+
+def test_t_grid_refines_on_the_row_quantities(default_geom, one_split, node_tables,
+                                              monkeypatch):
+    # the t grid's node values are what the rows report, d1 . T . d2 at each
+    # reference separation and d1 . T . d1 at 0, so its bisections follow the
+    # Legendre decay of those integrands; crossed dipoles tell the two apart
+    grids = []
+    imag_axis_panels = quadrature.imag_axis_panels
+
+    def capture(*args):
+        grid, ok = imag_axis_panels(*args)
+        grids.append(grid)
+        return grid, ok
+
+    monkeypatch.setattr(quadrature, "imag_axis_panels", capture)
+    d1, d2 = np.array([2**-0.5, 0.0, 2**-0.5]), np.array([2**-0.5, 0.0, -2**-0.5])
+    pair = EmitterPair((0.03, 0.0, 0.0), (0.03, 0.0, 0.02), dipole_1=tuple(d1),
+                       dipole_2=tuple(d2))
+    engine = _one_split_build(default_geom, pair)._kappa_engine
+    assert engine.panels == one_split[0]._kappa_engine.panels
+    (grid,) = grids
+    dd12, dd11 = np.outer(d1, d2).reshape(9, 1), np.outer(d1, d1).reshape(9, 1)
+    want = np.array([_kappa_oracle(engine, node_tables, dz, dd12)[0][0]
+                     for dz in (0.0, 0.02, 8.0)]
+                    + [_kappa_oracle(engine, node_tables, 0.0, dd11)[0][0]])
+    got = grid.integral()
+    assert got.shape == want.shape
+    assert abs(want[0] - want[-1]) > 0.1 * abs(want[-1])
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("dipoles", [

@@ -26,6 +26,25 @@ def test_geometry_validation():
         wire_green(geom, (0.005, 0.0, 0.0), (0.015, 0.0, 0.0), REAL)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["rho2", "phi2", "z2", "kz"])
+def test_non_finite_coordinates_raise_before_any_evaluation(default_geom, monkeypatch,
+                                                           where, bad):
+    # without the checks a NaN z2 fails in the phase moments' Miller ladder, a
+    # non-finite phi2 as an overflow, an infinite z2 as unconverged, and a NaN
+    # rho or kz node gets evaluated
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a spectrum node was evaluated")
+
+    monkeypatch.setattr(SpectralEvaluator, "_ladders", evaluated)
+    with pytest.raises(DomainError, match="finite"):
+        if where == "kz":
+            wire_spectral_green(default_geom, 0.015, 0.015, 0.0, REAL, np.array([1.0, bad]))
+        else:
+            p2 = {"rho2": 0.015, "phi2": 0.0, "z2": 1.0, where: bad}
+            wire_green(default_geom, (0.015, 0.0, 0.0), tuple(p2.values()), REAL)
+
+
 def test_vanishing_scatterer_limit():
     geom = WireGeometry(radius=1e-6, model=DrudeModel())
     g = wire_green(geom, (0.05, 0.0, 0.0), (0.05, 0.0, 0.25), REAL, tol=1e-6)
