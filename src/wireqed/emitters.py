@@ -182,6 +182,8 @@ class PairInteraction:
     def __init__(self, geom: WireGeometry, pair: EmitterPair, *, tol=1e-6,
                  nmax=None, dz_refs=(0.0, 0.5, 2.0, 4.0), parallel=None):
         check_pair_geometry(geom, pair)
+        if not np.isfinite(dz_refs).all():
+            raise DomainError(f"reference separations must be finite, got {dz_refs}")
         self.geom = geom
         self.pair = pair
         self.tol = float(tol)
@@ -318,10 +320,10 @@ class _ImagAxisEngine:
     map) spreads the panels of one build step over worker processes.
     ``tail_ratio`` is the largest azimuthal tail ratio of the kappa tables
     in the integral; it is recorded, not tested.  A table out of its node
-    budget clears ``panels_ok``, which ``integrals`` reports as unconverged.
+    budget, or a t grid stopped short of its target by KAPPA_TABLE_BUDGET
+    tables, clears ``panels_ok``, which ``integrals`` reports as unconverged.
     ``kz_err``, the tables' kz error bounds weighted as the t rule weights
-    each table, enters the error ``integrals`` reports.  Refinement stops
-    short of KAPPA_TABLE_BUDGET tables.
+    each table, enters the error ``integrals`` reports.
     """
 
     def __init__(self, geom, rho, omega_a, dd, *, tol, nmax, dz_refs, parallel=None):
@@ -348,7 +350,7 @@ class _ImagAxisEngine:
                     + [_node_values(halves, mids, cols[..., 1], starts, 0.0)]))
             return np.concatenate(out)
 
-        grid, _ = quadrature.imag_axis_panels(
+        grid, grid_ok = quadrature.imag_axis_panels(
             values, tol, kap_cut / (omega_a + kap_cut), KAPPA_TABLE_BUDGET * _NPTS)
         # the flat table, in the grid's panel order; node i's kz panels are
         # rows _starts[i]:_starts[i+1]
@@ -363,7 +365,7 @@ class _ImagAxisEngine:
         self.kz_err = float(sum(0.5 * (b - a) * (_GL_W @ e)
                                 for (a, b), e in zip(self.panels, kz_errs)))
         self.tail_ratio = max(tails)
-        self.panels_ok = all(oks)
+        self.panels_ok = grid_ok and all(oks)
         a, b = np.asarray(self.panels).T
         self._half = 0.5 * (b - a)
         # one C-contiguous array per pair: every row reads the d1 d2 one

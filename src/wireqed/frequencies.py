@@ -7,6 +7,7 @@ carry the same unit as frequencies.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,8 +31,8 @@ class SpectralPoint:
 
     def __post_init__(self):
         v = complex(self.value)
-        if v != v:  # NaN
-            raise DomainError("spectral point is NaN")
+        if not cmath.isfinite(v):
+            raise DomainError(f"spectral point must be finite, got {v}")
         if abs(v.real) > _AXIS_TOL * max(1.0, abs(v)) and abs(v.imag) > _AXIS_TOL * max(1.0, abs(v)):
             raise DomainError(f"spectral point must be purely real or purely imaginary, got {v}")
         object.__setattr__(self, "value", v)

@@ -25,19 +25,24 @@ the closed-form vacuum tensor, see tests):
                 [ V_M(r1) (x) Mt(r2) + V_N(r1) (x) Nt(r2) ]
                 e^{i n (phi1 - phi2)} e^{i kz (z1 - z2)}
 
-with field vectors M = (i n Z / rho, -eta Z', 0),
-N = (i kz eta Z' / k, -n kz Z / (k rho), eta^2 Z / k) and source vectors
-Mt, Nt equal to M, N with the sign of every explicitly imaginary component
-coefficient flipped (the analytic continuation of phase conjugation).
-The radial wavenumber branch is Im(eta) >= 0 everywhere, which makes every
-field outgoing or decaying and the imaginary-axis tensor purely real.
+with field vectors M = D M', N = D N' and source vectors Mt = D* M',
+Nt = D* N', where D = diag(i, 1, 1) and the real forms are
+M' = (n Z / rho, -eta Z', 0) and N' = (kz eta Z' / k, -n kz Z / (k rho),
+eta^2 Z / k); D* flips the sign of every explicitly imaginary coefficient,
+the analytic continuation of phase conjugation.  So on both frequency axes
+each tensor component is the sum over the real forms times the fixed phase
+d_a d*_b.  The radial wavenumber branch is Im(eta) >= 0 everywhere, which
+makes every field outgoing or decaying and the imaginary-axis tensor real.
 
-On the imaginary axis eps is real and eta is imaginary, so every radial
-function, reflection coefficient and order term there is a real number times
-a fixed power of i (J_n(iy) = i^n I_n(y), H_n(iy) = (2/pi) i^(-n-1) K_n(y);
-DLMF 10.27.6, 10.27.8).  The evaluator computes those spectra in real
-arithmetic and puts the phases back at the end: T(+kz) is real on the
-components even under P and imaginary on the odd ones.
+On the imaginary axis eps is real, eta = i y and k = i kappa, and every
+radial function and reflection coefficient is a real number times a fixed
+power of i (J_n(iy) = i^n I_n(y), H_n(iy) = (2/pi) i^(-n-1) K_n(y);
+DLMF 10.27.6, 10.27.8).  There M' = c_n m and N' = i c_n P n, where
+c_n = (2/pi) i^(-n-1) and m, n are the real forms of K_n(y rho) at eta -> y
+and k -> -kappa; R_MM, R_NN are i^n and R_MN, R_NM i^(n-1) times reals.
+With R_NN's sign flipped every order term has the same constant -(2/pi) i,
+so the sum runs in float64 and P joins the phase: T(+kz) is real on the
+components even under P and imaginary on the others.
 """
 
 from __future__ import annotations
@@ -63,10 +68,9 @@ TAIL_TOL = 1e-10   # largest |n| = nmax term, relative to the spectrum's scale
 # (rho, phi, z) components; see the module docstring.
 _SIGMA = np.outer([-1.0, 1.0, -1.0], [-1.0, 1.0, -1.0])
 _MIRROR = np.outer([1.0, 1.0, -1.0], [1.0, 1.0, -1.0])
-# The fixed phase of each component of the imaginary-axis tensor against the
-# real sum that __call__ forms there: real on the components _MIRROR keeps,
-# imaginary on the others.
-_IMAG_PHASE = np.array([[1, -1, 1j], [1, 1, 1j], [-1j, 1j, 1]])
+# The phase of each component against the real-form sum of __call__: d_a d*_b
+# with d = (i, 1, 1), times the i of the sin weights where _SIGMA is odd.
+_PHASE = np.array([[1, -1, 1j], [1, 1, 1j], [-1j, 1j, 1]])
 
 
 @dataclass(frozen=True)
@@ -109,15 +113,15 @@ class SpectralEvaluator:
     orders and -kz.  The (-1)^n of H_-n cancels in every bilinear
     term, so the order -n term needs no radial functions of its own.
 
-    All points share one axis, which selects the arithmetic: complex J_n and
-    H_n^(1) ladders on the real axis; on the imaginary axis exponentially
-    scaled I_n and K_n ladders, a float64 wall solve and a float64 sum
-    (``_ladders``, ``_solve``).  Every node on both axes assembles T
-    as one batched product over the orders.  Next to the branch point the
-    roundoff of the wall solve is amplified like 1/eta1^4 (see ``_ladders``):
-    against a 50-digit signed-order sum a real-axis node is off by about
-    1e-12 to 5e-10 of its own size at |eta1| = 0.5 and 1e-6 at 0.08, and
-    the clamped imaginary-axis node of the tests by 7e-14.
+    All points share one axis, which selects the ladders: complex J_n and
+    H_n^(1) on the real axis, scaled I_n and K_n on the imaginary axis, where
+    the wall solve and the sum run in float64 (``_ladders``, ``_solve``).
+    Both axes sum the real-form waves of the module docstring in one batched
+    product over the orders.  Next to the branch point the roundoff of the
+    wall solve is amplified like 1/eta1^4 (see ``_ladders``): against a
+    50-digit signed-order sum a real-axis node is off by about 5e-13 to
+    5e-10 of its own size at |eta1| = 0.5 and up to 1.5e-6 at 0.08, and the
+    clamped imaginary-axis node of the tests by 7e-14.
     """
 
     def __init__(self, geom: WireGeometry, s, rho1, rho2, dphi, nmax):
@@ -150,9 +154,13 @@ class SpectralEvaluator:
         n = np.arange(self.nmax + 1)
         self._cos = np.tile(np.where(n > 0, 2.0, 1.0) * np.cos(n * self.dphi), 2)
         self._sin = np.tile(2.0 * np.sin(n * self.dphi), 2)
-        # the i of the sin weights, and on the imaginary axis the phases of
-        # the real arithmetic (see __call__)
-        self._phase = _IMAG_PHASE if self.imaginary else np.where(_SIGMA > 0, 1.0, 1j)
+        # per axis: the real forms' k per point, c of the prefactor
+        # c / eta1^2 and the phase put back after the sum (see __call__)
+        if self.imaginary:
+            self._k, self._pref = -self.k1.imag, -1.0 / (4.0 * np.pi**2)
+            self._phase = _PHASE * _MIRROR
+        else:
+            self._k, self._pref, self._phase = self.k1.real, 1j / (8.0 * np.pi), _PHASE
 
     @property
     def tail_ratios(self):
@@ -304,37 +312,22 @@ class SpectralEvaluator:
         hr1, hr1p, hr2, hr2p = (np.ascontiguousarray(f.T) for f in outside)
         N = self.nmax + 1
         n = np.arange(N)
-        kzn, e1 = kz[:, None], eta1[:, None]
+        # The real-form vectors of the module docstring on both axes.  On the
+        # imaginary axis eta1 is y1, k is -kappa, the ladders are real, and
+        # r_NN changes sign (_solve's r stand for R_MM, R_NN over i^n and
+        # R_MN, R_NM over i^(n-1)).
+        e1, k = eta1[:, None], self._k[which][:, None]
+        cf = (-e1, kz[:, None] * e1 / k, -kz[:, None] / k, e1**2 / k)
+
+        def waves(f, fp, rho):
+            m_rho = (n / rho) * f
+            return m_rho, cf[0] * fp, cf[1] * fp, cf[2] * m_rho, cf[3] * f
+
+        field, source = waves(hr1, hr1p, self.rho1), waves(hr2, hr2p, self.rho2)
         r_mm, r_mn, r_nm, r_nn = R[..., 0, 0], R[..., 0, 1], R[..., 1, 0], R[..., 1, 1]
         if self.imaginary:
-            # Real forms.  The field vectors are M = D M' and N = i D N' with
-            # D = diag(i, 1, 1), so with r from _solve VM = i^n D (r_MM M' +
-            # r_NM N') and VN = i^(n-1) D (r_MN M' - r_NN N').  The source
-            # vectors are Mt = -(2/pi) i^-n E M' and Nt = -(2/pi) i^(1-n) E N'
-            # at rho2, E = diag(1, i, i).  So every order term is the real sum
-            # times i D_i E_j / (4 pi^2 y1^2); with the i of the sin weights,
-            # that phase is -_IMAG_PHASE.
-            kap = self.k1[which].imag[:, None]
-            cf = (-e1, -kzn * e1 / kap, kzn / kap, e1**2 / kap)
-
-            def waves(f, fp, rho):
-                m_rho = (n / rho) * f
-                return m_rho, cf[0] * fp, cf[1] * fp, cf[2] * m_rho, cf[3] * f
-
-            field, source = waves(hr1, hr1p, self.rho1), waves(hr2, hr2p, self.rho2)
             r_nn = -r_nn
-            pref = -1.0 / (4.0 * np.pi**2) / eta1**2
-        else:
-            k1 = self.k1[which][:, None]
-
-            def waves(f, fp, rho, i):
-                # i is +1j for the field vectors and -1j for the source ones
-                return (i * n / rho * f, -e1 * fp, i * kzn * e1 * fp / k1,
-                        -n * kzn * f / (k1 * rho), e1**2 * f / k1)
-
-            field = waves(hr1, hr1p, self.rho1, 1j)
-            source = waves(hr2, hr2p, self.rho2, -1j)
-            pref = (1j / (8.0 * np.pi)) / eta1**2
+        pref = self._pref / eta1**2
 
         # Each ``waves`` gives (M_rho, M_phi, N_rho, N_phi, N_z); M_z = 0.  T
         # sums VM (x) Mt + VN (x) Nt over the orders, which is one product of

@@ -350,6 +350,8 @@ def build_spectral_panel_sets(f, windows, *, tol, mirror=None, tail_scale=None,
     ``phase_for_blocks``, the separation its tail blocks are judged at.
     Returns (PanelSet, tail_bound, converged_flag) per spectrum.
     """
+    _check_tol(tol)
+
     def capped(x, owner):
         return np.concatenate([f(x[c:c + NODE_CAP], owner[c:c + NODE_CAP])
                                for c in range(0, len(x), NODE_CAP)])

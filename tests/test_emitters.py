@@ -256,6 +256,63 @@ def test_t_grid_refines_on_the_row_quantities(default_geom, one_split, node_tabl
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+def test_t_grid_stopped_by_the_table_budget_is_unconverged(default_geom, default_pair,
+                                                          monkeypatch):
+    # at tol 1e-10 the t grid wants more than 12 t panels; stopped at 11 its
+    # error is above its own target yet under the rows' 100 tol scale bound,
+    # so only the grid's flag can mark the rows unconverged
+    grids = []
+    imag_axis_panels = quadrature.imag_axis_panels
+
+    def capture(*args):
+        grids.append(imag_axis_panels(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(quadrature, "imag_axis_panels", capture)
+    monkeypatch.setattr(emitters, "KAPPA_TABLE_BUDGET", 12)
+    tol = 1e-10
+    interaction = PairInteraction(default_geom, default_pair, tol=tol,
+                                  dz_refs=(0.0, 0.02, 2.01, 4.0))
+    ((grid, grid_ok),) = grids
+    assert not grid_ok and len(grid.panels) == 11
+    i12, i11, err, ok = interaction._kappa_engine.integrals(0.5)
+    assert err <= 100.0 * tol * max(1.0, abs(i12), abs(i11))
+    assert not ok and not interaction._kappa_engine.panels_ok
+    assert not interaction.at(0.5).converged
+
+
+def _green(tol=1e-6, s=OMEGA_A):
+    return lambda geom, pair: wire_green(geom, pair.position_1, pair.position_2, s, tol=tol)
+
+
+def _pair(**kwargs):
+    return lambda geom, pair: PairInteraction(geom, pair, nmax=8, **kwargs)
+
+
+@pytest.mark.parametrize("build, names", [
+    (_pair(tol=math.nan), "tol"), (_pair(tol=0.0), "tol"), (_pair(tol=-1.0), "tol"),
+    (_green(tol=math.nan), "tol"), (_green(tol=0.0), "tol"),
+    (_pair(dz_refs=(0.0, math.nan)), "reference separations"),
+    (_pair(dz_refs=(0.0, math.inf)), "reference separations"),
+    (_green(s=math.inf), "spectral point"), (_green(s=-math.inf), "spectral point"),
+    (_green(s=complex(0.0, math.inf)), "spectral point"),
+    (_green(s=math.nan), "spectral point"),
+], ids=["pair_tol_nan", "pair_tol_0", "pair_tol_-1", "green_tol_nan", "green_tol_0",
+        "dz_refs_nan", "dz_refs_inf", "omega_inf", "omega_-inf", "omega_i_inf", "omega_nan"])
+def test_tol_dz_refs_and_frequency_checked_before_any_kz_table(default_geom, default_pair,
+                                                               monkeypatch, build, names):
+    # without the checks a NaN tol builds every kappa table unconverged, a tol
+    # <= 0 refines until the node budget runs out, a NaN dz_refs entry fails in
+    # the phase moments' Miller ladder, and an infinite frequency fails as a
+    # kz node
+    def built(*args, **kwargs):
+        raise AssertionError("a panel set was built")
+
+    monkeypatch.setattr(quadrature.PanelSet, "__init__", built)
+    with pytest.raises(DomainError, match=f"{names} must be finite"):
+        build(default_geom, default_pair)
+
+
 @pytest.mark.parametrize("dipoles", [
     ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
     ((2**-0.5, 0.0, 2**-0.5), (2**-0.5, 0.0, 2**-0.5)),

@@ -5,6 +5,7 @@ from scipy import special
 from wireqed import (ConvergenceError, DomainError, DrudeModel, FitError, N_MAX, OMEGA_A,
                      SpectralPoint, WireGeometry, green_vacuum_im_coincident,
                      plasmon_wavenumber, wire_green, wire_spectral_green)
+from wireqed import green_wire
 from wireqed.green_wire import SpectralEvaluator
 
 from conftest import load_fixture
@@ -178,6 +179,27 @@ def test_spectral_green_tail_failure_raises():
         wire_spectral_green(geom, 0.012, 0.012, 0.0, REAL, 2.0 * OMEGA_A)
     assert failure.value.diagnostics["nmax"] == N_MAX
     assert failure.value.diagnostics["tail_ratio"] > 1e-10
+
+
+def test_wire_green_rebuilds_its_table_at_a_higher_order(default_geom, monkeypatch):
+    # started at order 15 the table's tail fails, so the order search doubles
+    # it and rebuilds at 30, where it passes; the settled call runs at 40
+    p1, p2 = (0.015, 0.0, 0.0), (0.015, 0.0, 0.5)
+    settled = wire_green(default_geom, p1, p2, REAL)
+    orders = []
+
+    class Recording(green_wire.WireSpectralTable):
+        def __init__(self, *args, nmax, **kwargs):
+            orders.append(nmax)
+            super().__init__(*args, nmax=nmax, **kwargs)
+
+    monkeypatch.setattr(green_wire, "WireSpectralTable", Recording)
+    monkeypatch.setattr(green_wire, "settle_azimuthal_order", lambda *args: (15, 1.0))
+    g = wire_green(default_geom, p1, p2, REAL)
+    assert orders == [15, 30]
+    assert g.report.diagnostics["nmax"] == 30 and g.converged
+    assert settled.report.diagnostics["nmax"] == 40
+    assert np.abs(g.value - settled.value).max() <= 1e-9 * np.abs(settled.value).max()
 
 
 def test_purcell_enhancement_and_regression(default_geom):
