@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import quadrature
 from .errors import DomainError, FitError
@@ -40,6 +39,7 @@ _EVEN_ODD = np.array([1.0, -1.0])
 _COINCIDENT = 1e-12
 
 KAPPA_TABLE_BUDGET = 420   # most kappa tables one imaginary-axis integral holds
+FIT_MAX_STEPS = 100        # Levenberg-Marquardt steps, rejected ones included
 
 
 @dataclass(frozen=True)
@@ -421,21 +421,64 @@ def dipole_shift(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6) -> RateShif
 
 
 def fit_two_lorentzian(kz, values, guess) -> LorentzianFit:
-    """Least-squares fit of A/(1+(k-kc)^2/g^2) + A/(1+(k+kc)^2/g^2)."""
+    """Least-squares fit of A/(1+(k-kc)^2/g^2) + A/(1+(k+kc)^2/g^2).
+
+    Variable projection (Golub & Pereyra 1973): for fixed (g, kc) the model
+    is A phi, so A = phi.y / phi.phi, and Levenberg-Marquardt runs on
+    (log g, kc) with Kaufman's projected Jacobian -A (I - phi phi^T/phi.phi)
+    dphi.  It stops when an accepted step no longer lowers the cost or moves
+    each parameter by at most 4 ulps.  ``guess`` is (A, g, kc); its A is not
+    used.  Raises FitError for a non-finite guess or one with g < 1e-12,
+    all-zero or non-finite data, a non-positive amplitude, or no stop within
+    FIT_MAX_STEPS.
+    """
     kz = np.asarray(kz, float)
     y = np.asarray(values, float)
+    guess = np.asarray(guess, float)
+    if not (np.isfinite(guess).all() and guess[1] >= 1e-12):
+        raise FitError(f"fit guess (A, gamma, kc) = {tuple(guess.tolist())} is not finite "
+                       "with gamma >= 1e-12")
+    if not (np.isfinite(kz).all() and np.isfinite(y).all() and y.any()):
+        raise FitError("fit data must be finite and not all zero")
 
-    def model(p):
-        amp, gam, kc = p
-        return amp / (1 + (kz - kc) ** 2 / gam**2) + amp / (1 + (kz + kc) ** 2 / gam**2)
+    def project(p):
+        """Amplitude, projected residual and Kaufman's Jacobian at p = (log g, kc)."""
+        gam = math.exp(p[0])
+        u, v = (kz - p[1]) / gam, (kz + p[1]) / gam
+        lu, lv = 1.0 / (1.0 + u * u), 1.0 / (1.0 + v * v)
+        phi = lu + lv
+        amp = (phi @ y) / (phi @ phi)
+        # d phi / d log g and d phi / d kc
+        dphi = np.stack([2.0 * (lu * (1.0 - lu) + lv * (1.0 - lv)),
+                         (2.0 / gam) * (u * lu * lu - v * lv * lv)], axis=1)
+        jac = -amp * (dphi - np.outer(phi, phi @ dphi) / (phi @ phi))
+        return amp, y - amp * phi, jac
 
-    sol = least_squares(lambda p: model(p) - y, x0=np.asarray(guess, float),
-                        bounds=([0.0, 1e-12, 0.0], [np.inf, np.inf, np.inf]),
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    resid = float(np.linalg.norm(model(sol.x) - y) / np.linalg.norm(y))
-    amp, gam, kc = (float(v) for v in sol.x)
-    return LorentzianFit(amplitude_a=amp, width_gamma=gam, center_kz_pl=kc,
-                         fit_residual=resid)
+    p = np.array([math.log(guess[1]), guess[2]])
+    amp, r, jac = project(p)
+    cost, lam = r @ r, 1e-3
+    for _ in range(FIT_MAX_STEPS):
+        jtj = jac.T @ jac
+        try:
+            step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -jac.T @ r)
+        except np.linalg.LinAlgError:
+            raise FitError("fit Jacobian is singular") from None
+        t_amp, t_r, t_jac = project(p + step)
+        t_cost = t_r @ t_r
+        if not t_cost <= cost:
+            lam *= 10.0
+            continue
+        done = t_cost == cost or (np.abs(step) <= 4.0 * np.spacing(p)).all()
+        p, amp, r, jac, cost, lam = p + step, t_amp, t_r, t_jac, t_cost, 0.1 * lam
+        if done:
+            break
+    else:
+        raise FitError(f"fit did not stop within {FIT_MAX_STEPS} steps")
+    if not amp > 0.0:
+        raise FitError(f"fitted amplitude {amp} is not positive")
+    return LorentzianFit(amplitude_a=float(amp), width_gamma=math.exp(p[0]),
+                         center_kz_pl=abs(float(p[1])),
+                         fit_residual=float(np.linalg.norm(r) / np.linalg.norm(y)))
 
 
 def fit_plasmon_lorentzian(geom: WireGeometry, rho: float, omega: float, *,

@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConvergenceError, DomainError
 from .frequencies import SpectralPoint
@@ -561,8 +560,9 @@ def kk_check(G_component, omega_a, grid=None, *, arc_limit=0.0, tol=1e-8) -> KKR
     few-resonance models have a nonzero plateau that the caller supplies.
 
     G_component takes one SpectralPoint.  With ``grid`` given, Im G is
-    sampled on that real-frequency grid, a monotone spline stands in for
-    the function, and a truncation estimate is attached; otherwise
+    sampled on that real-frequency grid, a monotone spline (SciPy's PCHIP,
+    imported on first use, so no other path loads scipy.interpolate) stands
+    in for the function, and a truncation estimate is attached; otherwise
     G_component is integrated directly out to the analytic tail.  The grid
     must be 1-D, finite and strictly increasing, start in
     [0, 0.05*omega_a] (below it the spline holds its first sample) and
@@ -586,6 +586,8 @@ def kk_check(G_component, omega_a, grid=None, *, arc_limit=0.0, tol=1e-8) -> KKR
     lhs = wa * wa * complex(G_component(SpectralPoint.real_axis(wa))).real
 
     if grid is not None:
+        from scipy.interpolate import PchipInterpolator   # only this branch needs it
+
         samples = im_g(grid)
         im_fun = PchipInterpolator(grid, samples, extrapolate=False)
         omega_max = float(grid[-1])

@@ -13,7 +13,9 @@ from wireqed.config import RunConfig, SCHEMA_TAG, config_from_dict, load_config
 from wireqed.errors import ConfigError, ConvergenceError
 from wireqed.green_wire import SpectralEvaluator
 
-from conftest import subprocess_env
+from conftest import SRC, subprocess_env
+
+DEFAULT_CONFIG = SRC.parent / "configs" / "default.json"
 
 # a geometry that converges with a short azimuthal ladder, for fast CLI runs
 FAST_CONFIG = {
@@ -230,6 +232,17 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "fit failure" in proc.stderr
 
+    def test_lossless_metal_dispersion_is_a_fit_failure(self, tmp_path):
+        # gamma_p = 0 leaves the plasmon peak a width guess of about 1e-15,
+        # which the fit rejects instead of crashing
+        cfg = json.loads(DEFAULT_CONFIG.read_text())
+        cfg["gamma_p_over_omega_p"] = 0.0
+        path = tmp_path / "lossless.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_cli(["dispersion", "--config", str(path), "--out", str(tmp_path / "d.csv")])
+        assert proc.returncode == 3
+        assert "fit failure:" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestSweep:
     def test_csv_deterministic_across_worker_counts(self, tmp_path):
@@ -384,3 +397,29 @@ def test_main_entry_point_runs_in_process(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_no_command_loads_scipy_optimize_or_interpolate(tmp_path):
+    # the plasmon fit runs on numpy and kk_check imports PCHIP only for a
+    # sampled grid, so neither a cold import nor any of these commands
+    # loads either subpackage
+    commands = [["validate"], ["point", "--dz", "1.5", "--out", str(tmp_path / "p.json")],
+                ["dispersion", "--config", str(DEFAULT_CONFIG),
+                 "--out", str(tmp_path / "d.csv")],
+                ["dispersion", "--synthetic", "3.0,0.2,9.42",
+                 "--out", str(tmp_path / "s.json")]]
+    script = f"""
+import json, sys
+import wireqed.cli as cli
+heavy = lambda: [m for m in ("scipy.optimize", "scipy.interpolate") if m in sys.modules]
+seen = {{"import": heavy(), "exits": []}}
+for argv in {commands!r}:
+    seen["exits"].append(cli.main(argv))
+seen["run"] = heavy()
+print(json.dumps(seen))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import": [], "exits": [0, 0, 0, 0], "run": []}

@@ -491,6 +491,64 @@ class TestLorentzianFit:
         assert abs(appr.gamma11_over_gamma0 - exact) <= 0.25 * exact
 
 
+def _lorentzians(kz, amp, gam, kc):
+    return amp / (1 + (kz - kc) ** 2 / gam**2) + amp / (1 + (kz + kc) ** 2 / gam**2)
+
+
+def _fit_params(fit):
+    return np.array([fit.amplitude_a, fit.width_gamma, fit.center_kz_pl])
+
+
+# the spectra fit_plasmon_lorentzian fits: the default pair's radius at the
+# settled order, and the tests/test_cli.py geometry at order 4
+@pytest.mark.parametrize("rho, nmax", [(0.015, None), (0.03, 4)], ids=["default", "order_4"])
+def test_fit_matches_least_squares_and_is_stable(default_geom, monkeypatch, rho, nmax):
+    from scipy.optimize import least_squares
+
+    seen = []
+
+    def capture(kz, values, guess):
+        seen.append((np.array(kz), np.array(values), np.array(guess, float)))
+        return fit_two_lorentzian(kz, values, guess)
+
+    monkeypatch.setattr(emitters, "fit_two_lorentzian", capture)
+    fit = _fit_params(fit_plasmon_lorentzian(default_geom, rho, OMEGA_A, nmax=nmax))
+    (kz, y, guess), = seen
+    ref = least_squares(lambda p: _lorentzians(kz, *p) - y, x0=guess,
+                        bounds=([0.0, 1e-12, 0.0], [np.inf] * 3),
+                        xtol=1e-14, ftol=1e-14, gtol=1e-14).x
+    assert np.abs(fit / ref - 1.0).max() <= 1e-9
+    rng = np.random.default_rng(20)
+    for _ in range(3):
+        noisy = y + 1e-16 * np.abs(y) * rng.standard_normal(y.size)
+        moved = _fit_params(fit_two_lorentzian(kz, noisy, guess))
+        assert np.abs(moved / fit - 1.0).max() <= 1e-12
+
+
+_KZ = np.linspace(0.2, 40.0, 400)
+_PEAK = _lorentzians(_KZ, 3.0, 0.2, 9.42)
+
+
+@pytest.mark.parametrize("values, guess, steps, match", [
+    (_PEAK, (3.0, 1.3e-15, 9.42), None, "not finite"),
+    (_PEAK, (3.0, -0.2, 9.42), None, "not finite"),
+    (_PEAK, (3.0, math.nan, 9.42), None, "not finite"),
+    (_PEAK, (math.inf, 0.2, 9.42), None, "not finite"),
+    (_PEAK, (3.0, 0.2, math.nan), None, "not finite"),
+    (_PEAK, (3.0, 0.2, 0.0), None, "singular"),
+    (_PEAK, (2.0, 0.4, 7.5), 3, "did not stop within 3 steps"),
+    (np.zeros_like(_KZ), (3.0, 0.2, 9.42), None, "not all zero"),
+    (np.where(_KZ < 30.0, _PEAK, math.nan), (3.0, 0.2, 9.42), None, "finite"),
+    (-_PEAK, (3.0, 0.2, 9.42), None, "not positive"),
+], ids=["width_below_floor", "negative_width", "nan_width", "inf_amplitude", "nan_center",
+        "zero_center", "step_cap", "all_zero", "non_finite_data", "negative_amplitude"])
+def test_unusable_fit_raises(monkeypatch, values, guess, steps, match):
+    if steps is not None:
+        monkeypatch.setattr(emitters, "FIT_MAX_STEPS", steps)
+    with pytest.raises(FitError, match=match):
+        fit_two_lorentzian(_KZ, values, guess)
+
+
 class TestApproxRates:
     def test_zero_separation(self, plasmon_fit):
         ap = analytic_approximations(plasmon_fit, 0.0)
