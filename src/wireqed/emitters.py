@@ -24,7 +24,7 @@ import numpy as np
 from . import quadrature
 from .errors import DomainError, FitError
 from .frequencies import OMEGA_A, SpectralPoint
-from .green_vacuum import green_vacuum_cyl, green_vacuum_im_coincident
+from .green_vacuum import green_vacuum_axial, green_vacuum_cyl, green_vacuum_im_coincident
 from .green_wire import (_MIRROR, SpectralEvaluator, WireGeometry, WireSpectralTable,
                          imag_axis_tables, plasmon_wavenumber, settle_azimuthal_order,
                          wire_green)
@@ -152,14 +152,10 @@ def check_pair_geometry(geom: WireGeometry, pair: EmitterPair):
                           "use wire_green directly for general geometry")
 
 
-def _rates(w, g11, g12, p1, p2, d1, d2):
+def _rates(w, g11, g12, gvac_im):
     """(gamma11, gamma12) per free-space rate: the imaginary part of the full
-    tensor, vacuum plus the scattered parts g11 = d1 . G(p1, p1) . d1 and
-    g12 = d1 . G(p1, p2) . d2."""
-    if _same_site(p1, p2):
-        gvac_im = green_vacuum_im_coincident(w) * float(d1 @ d2)
-    else:
-        gvac_im = _contract(green_vacuum_cyl(p1, p2, w).value, d1, d2).imag
+    tensor, the vacuum part gvac_im = Im d1 . G0(p1, p2) . d2 plus the
+    scattered parts g11 = d1 . G(p1, p1) . d1 and g12 = d1 . G(p1, p2) . d2."""
     gamma11 = 1.0 + (6.0 * math.pi / w) * g11.imag
     gamma12 = (6.0 * math.pi / w) * (gvac_im + g12.imag)
     return gamma11, gamma12
@@ -201,6 +197,9 @@ class PairInteraction:
 
         self._d1 = np.asarray(pair.dipole_1, float)
         self._d2 = np.asarray(pair.dipole_2, float)
+        # the dipole products of the vacuum term on the pair's axial line
+        self._d12 = float(self._d1 @ self._d2)
+        self._d12_z = float(self._d1[2] * self._d2[2])
         dd = np.stack([np.outer(self._d1, d).ravel() for d in (self._d2, self._d1)], axis=1)
         self._kappa_engine = _ImagAxisEngine(geom, rho, w, dd, tol=tol, nmax=nmax,
                                              dz_refs=tuple(dz_refs), parallel=parallel)
@@ -221,9 +220,11 @@ class PairInteraction:
         g11 = self._g11
         res_err = 2.0 * self._res_err   # g12's and g11's, both from the one table
 
-        # vacuum tensor taken from r1 toward r2
-        gamma11, gamma12 = _rates(w, g11, g12, (self.rho, 0.0, 0.0),
-                                  (self.rho, 0.0, -dz), self._d1, self._d2)
+        if abs(dz) < _COINCIDENT:
+            gvac_im = green_vacuum_im_coincident(w) * self._d12
+        else:
+            gvac_im = green_vacuum_axial(dz, w, self._d12, self._d12_z).imag
+        gamma11, gamma12 = _rates(w, g11, g12, gvac_im)
 
         shift12_res = (3.0 * math.pi / w) * g12.real
         shift11_res = (3.0 * math.pi / w) * g11.real
@@ -307,11 +308,12 @@ class _ImagAxisEngine:
     and the offset where each node's kz panels start, laid end to end from
     one block per t panel, folded with the dipole pairs dd (9, 2), d1 d2 and
     d1 d1, into one column each.  The t panels follow the t rule of every
-    imaginary-axis integral (``quadrature.imag_axis_panels``), cut at the
-    kappa cutoff; their node values are what ``integrals`` reports,
-    d1 . T . d2 at each of a few reference separations and d1 . T . d1 at 0,
-    so the Legendre-coefficient decay that drives their bisections is that of
-    the rows' own integrands.  One pass over the d1 d2 column gives
+    imaginary-axis integral (``quadrature.imag_axis_panels``: seed panels,
+    then splits of the worst panel, graded toward t = 0), cut at the kappa
+    cutoff; their node values are what ``integrals`` reports, d1 . T . d2 at
+    each of a few reference separations and d1 . T . d1 at 0, so the
+    Legendre-coefficient decay that drives their splits is that of the rows'
+    own integrands.  One pass over the d1 d2 column gives
     d1 . T . d2 at a separation with the Legendre bound of that integrand;
     d1 . T . d1 is integrated once, at the build.
 
@@ -403,8 +405,11 @@ def decay_rates(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6):
     g11 = wire_green(geom, p1, p1, point, tol=tol).value
     same = _same_site(p1, p2)
     g12 = g11 if same else wire_green(geom, p1, p2, point, tol=tol).value
-    gamma11, gamma12 = _rates(w, _contract(g11, d1, d1), _contract(g12, d1, d2),
-                              p1, p2, d1, d2)
+    if same:
+        gvac_im = green_vacuum_im_coincident(w) * float(d1 @ d2)
+    else:
+        gvac_im = _contract(green_vacuum_cyl(p1, p2, w).value, d1, d2).imag
+    gamma11, gamma12 = _rates(w, _contract(g11, d1, d1), _contract(g12, d1, d2), gvac_im)
     if same and np.allclose(d1, d2, atol=1e-14):
         return gamma11, gamma11
     return gamma11, gamma12

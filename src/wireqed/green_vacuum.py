@@ -76,13 +76,35 @@ def green_vacuum(r1, r2, s) -> DyadicGreen:
     if r < _COINCIDENCE_GUARD:
         raise CoincidenceError(f"|r1 - r2| = {r:.3g} is below the coincidence guard")
     rhat = d / r
-    k = point.value
+    pre, t_iso, t_rad = _terms(point.value, r)
+    g = pre * (t_iso * np.eye(3) + t_rad * np.outer(rhat, rhat))
+    return DyadicGreen(value=g, frame="cartesian")
+
+
+def _terms(k, r):
+    """(pre, t_iso, t_rad) of G = pre (t_iso 1 + t_rad rhat rhat) at
+    wavenumber k and distance r."""
     kr = k * r
     pre = np.exp(1j * kr) / (4.0 * np.pi * r)
     t_iso = 1.0 + 1j / kr - 1.0 / (kr * kr)
     t_rad = -1.0 - 3j / kr + 3.0 / (kr * kr)
-    g = pre * (t_iso * np.eye(3) + t_rad * np.outer(rhat, rhat))
-    return DyadicGreen(value=g, frame="cartesian")
+    return pre, t_iso, t_rad
+
+
+def green_vacuum_axial(dz, s, d12, d12_z) -> complex:
+    """d1 . G(r1, r2, s) . d2 for two distinct points dz apart on one line
+    parallel to the z axis, from d12 = d1 . d2 and d12_z = d1_z d2_z.
+
+    There rhat rhat = z z, which the local bases at a common phi leave as it
+    is, so in the cylindrical frame of ``green_vacuum_cyl`` the contraction is
+    pre (t_iso d12 + t_rad d12_z): two numbers per separation instead of a
+    tensor.  Raises CoincidenceError as ``green_vacuum`` does.
+    """
+    r = abs(float(dz))
+    if r < _COINCIDENCE_GUARD:
+        raise CoincidenceError(f"|r1 - r2| = {r:.3g} is below the coincidence guard")
+    pre, t_iso, t_rad = _terms(as_spectral_point(s).value, r)
+    return complex(pre * (t_iso * d12 + t_rad * d12_z))
 
 
 def green_vacuum_cyl(p1, p2, s) -> DyadicGreen:

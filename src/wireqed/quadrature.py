@@ -245,10 +245,11 @@ class PanelSet:
     def err(self):
         return float(sum(p[3] for p in self.panels))
 
-    def bisections(self, target):
-        """Steps for ``run_lockstep`` that bisect the worst panel until the
-        summed bound meets ``target``: each step drops that panel and yields
-        its two halves; returns the converged flag."""
+    def bisections(self, target, split=None):
+        """Steps for ``run_lockstep`` that split the worst panel until the
+        summed bound meets ``target``: each step drops that panel [a, b] and
+        yields its two parts, cut at ``split(a, b)`` (its midpoint by default);
+        returns the converged flag."""
         while self.err > target:
             if self.nodes_used + 2 * _NPTS > self.budget:
                 return False
@@ -257,7 +258,7 @@ class PanelSet:
             if b - a < 1e-14 * max(1.0, abs(a)):
                 return False
             del self.panels[worst]
-            m = 0.5 * (a + b)
+            m = 0.5 * (a + b) if split is None else split(a, b)
             yield [(a, m), (m, b)]
         return True
 
@@ -405,15 +406,16 @@ def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale):
     return tail_bound, ok
 
 
-def _one_sided(f, breaks, target, budget):
+def _one_sided(f, breaks, target, budget, split=None):
     """(PanelSet, converged flag) of the one-sided integral of ``f``: the
-    panels between ``breaks``, then bisections until the summed bound meets
-    ``target(ps)``, read once those are in."""
+    panels between ``breaks``, then splits (``PanelSet.bisections`` with
+    ``split``) until the summed bound meets ``target(ps)``, read once those
+    are in."""
     ps = PanelSet(budget)
 
     def steps():
         yield list(zip(breaks[:-1], breaks[1:]))
-        return (yield from ps.bisections(target(ps)))
+        return (yield from ps.bisections(target(ps), split))
 
     return ps, run_lockstep(lambda x, owner: f(x), [ps], [steps()])[0]
 
@@ -423,21 +425,33 @@ def _check_tol(tol):
         raise DomainError(f"tol must be finite and >= 1e-12, got {tol}")
 
 
-#: Seed breaks of every t grid, densest near the static end t -> 0 where the
-#: medium response is largest.
-T_SEEDS = (0.0, 2e-3, 1e-2, 0.04, 0.12, 0.25, 0.45, 0.65, 0.82, 0.93)
+#: Seed breaks of every t grid.  They set the panels' scale; the grading
+#: toward the static end t -> 0, where the medium response is largest, is
+#: left to the refinement (``T_GRADE``).
+T_SEEDS = (0.0, 0.04, 0.12, 0.25, 0.45, 0.65, 0.82, 0.93)
+
+#: Where a refined t panel that starts at t = 0 is cut, as a fraction of its
+#: width: a geometric mesh toward the endpoint, where bisection would spend
+#: one parent panel per level.  Every other t panel is cut at its midpoint.
+T_GRADE = 0.125
+
+
+def _t_split(a, b):
+    return a + (T_GRADE if a == 0.0 else 0.5) * (b - a)
 
 
 def imag_axis_panels(values, tol, t_cut, budget):
     """(PanelSet, converged flag) of an imaginary-axis integral over
-    t in [0, t_cut]: the panels between the T_SEEDS below t_cut, then
-    bisections until the summed bound meets half of ``tol`` times the largest
-    component of the seed integral (at least 1).  values(t) gives the node
-    values at the t nodes."""
+    t in [0, t_cut]: the panels between the T_SEEDS below t_cut, then splits
+    of the worst panel, at T_GRADE of its width if it starts at t = 0 and at
+    its midpoint otherwise, until the summed bound meets half of ``tol``
+    times the largest component of the seed integral (at least 1).
+    values(t) gives the node values at the t nodes."""
     breaks = sorted({t for t in T_SEEDS if t < t_cut} | {t_cut})
     return _one_sided(
         values, breaks,
-        lambda ps: 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max())), budget)
+        lambda ps: 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max())), budget,
+        _t_split)
 
 
 def imag_axis_integrate(g, omega_a, tol=1e-8) -> QuadratureReport:

@@ -121,9 +121,10 @@ class TestPairInteraction:
         assert ratio_far < 0.02
 
 
-def _one_split_build(geom, pair, parallel=None):
-    # a tight tolerance and a budget for exactly one split (12 t panels) force
-    # the t grid to bisect a t panel, which splices the flat kappa table
+def _split_build(geom, pair, parallel=None):
+    # a tight tolerance and a budget of 12 t panels force the t grid to split
+    # t panels, which splices the flat kappa table: it splits its t = 0 panel
+    # twice, each time at 1/8 of its width, and then meets its target
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(emitters, "KAPPA_TABLE_BUDGET", 12)
         return PairInteraction(geom, pair, tol=3e-9, nmax=8, dz_refs=(0.0, 0.02, 8.0),
@@ -131,7 +132,7 @@ def _one_split_build(geom, pair, parallel=None):
 
 
 @pytest.fixture(scope="module")
-def one_split(default_geom):
+def split_build(default_geom):
     # the map records how many t-panel jobs each build step hands the pool
     jobs = []
 
@@ -140,13 +141,13 @@ def one_split(default_geom):
         return [fn(x) for x in xs]
 
     pair = EmitterPair((0.03, 0.0, 0.0), (0.03, 0.0, 0.02))
-    return _one_split_build(default_geom, pair, recording), jobs
+    return _split_build(default_geom, pair, recording), jobs
 
 
 @pytest.fixture(scope="module")
-def node_tables(default_geom, one_split):
-    # the oracle: every t node's kz table of the one-split grid, built alone
-    engine = one_split[0]._kappa_engine
+def node_tables(default_geom, split_build):
+    # the oracle: every t node's kz table of the split grid, built alone
+    engine = split_build[0]._kappa_engine
     tables = {}
     for a, b in engine.panels:
         t = 0.5 * (b + a) + 0.5 * (b - a) * _GL_X
@@ -190,15 +191,16 @@ def _kz_err(engine, tables):
     return kz_err
 
 
-def test_kappa_pool_sees_one_call_per_build_step(one_split):
-    # all 10 seed t panels in one call, then the two halves of the one split
-    interaction, jobs = one_split
-    assert jobs == [10, 2]
+def test_kappa_pool_sees_one_call_per_build_step(split_build):
+    # all 8 seed t panels in one call, then the two parts of each split
+    interaction, jobs = split_build
+    assert jobs == [8, 2, 2]
     assert interaction._kappa_engine.n_nodes == 16 * 12
+    assert interaction._kappa_engine.panels_ok
 
 
-def test_kappa_bisection_matches_per_table_oracle(one_split, node_tables):
-    interaction, _ = one_split
+def test_kappa_bisection_matches_per_table_oracle(split_build, node_tables):
+    interaction, _ = split_build
     engine = interaction._kappa_engine
     assert engine.n_nodes > 160
     tables = node_tables
@@ -226,7 +228,7 @@ def test_kappa_bisection_matches_per_table_oracle(one_split, node_tables):
         assert abs(got_err - err) <= 1e-12 * scale
 
 
-def test_t_grid_refines_on_the_row_quantities(default_geom, one_split, node_tables,
+def test_t_grid_refines_on_the_row_quantities(default_geom, split_build, node_tables,
                                               monkeypatch):
     # the t grid's node values are what the rows report, d1 . T . d2 at each
     # reference separation and d1 . T . d1 at 0, so its bisections follow the
@@ -243,8 +245,8 @@ def test_t_grid_refines_on_the_row_quantities(default_geom, one_split, node_tabl
     d1, d2 = np.array([2**-0.5, 0.0, 2**-0.5]), np.array([2**-0.5, 0.0, -2**-0.5])
     pair = EmitterPair((0.03, 0.0, 0.0), (0.03, 0.0, 0.02), dipole_1=tuple(d1),
                        dipole_2=tuple(d2))
-    engine = _one_split_build(default_geom, pair)._kappa_engine
-    assert engine.panels == one_split[0]._kappa_engine.panels
+    engine = _split_build(default_geom, pair)._kappa_engine
+    assert engine.panels == split_build[0]._kappa_engine.panels
     (grid,) = grids
     dd12, dd11 = np.outer(d1, d2).reshape(9, 1), np.outer(d1, d1).reshape(9, 1)
     want = np.array([_kappa_oracle(engine, node_tables, dz, dd12)[0][0]
@@ -258,9 +260,11 @@ def test_t_grid_refines_on_the_row_quantities(default_geom, one_split, node_tabl
 
 def test_t_grid_stopped_by_the_table_budget_is_unconverged(default_geom, default_pair,
                                                           monkeypatch):
-    # at tol 1e-10 the t grid wants more than 12 t panels; stopped at 11 its
-    # error is above its own target yet under the rows' 100 tol scale bound,
-    # so only the grid's flag can mark the rows unconverged
+    # at tol 1e-10 the t grid wants more kz tables than the 12 t panels' worth
+    # the budget allows; stopped at 10 panels (the 8 seed panels and two
+    # splits, whose parents took the other two panels' tables) its error is
+    # above its own target yet under the rows' 100 tol scale bound, so only
+    # the grid's flag can mark the rows unconverged
     grids = []
     imag_axis_panels = quadrature.imag_axis_panels
 
@@ -274,7 +278,7 @@ def test_t_grid_stopped_by_the_table_budget_is_unconverged(default_geom, default
     interaction = PairInteraction(default_geom, default_pair, tol=tol,
                                   dz_refs=(0.0, 0.02, 2.01, 4.0))
     ((grid, grid_ok),) = grids
-    assert not grid_ok and len(grid.panels) == 11
+    assert not grid_ok and len(grid.panels) == 10
     i12, i11, err, ok = interaction._kappa_engine.integrals(0.5)
     assert err <= 100.0 * tol * max(1.0, abs(i12), abs(i11))
     assert not ok and not interaction._kappa_engine.panels_ok
@@ -318,7 +322,7 @@ def test_tol_dz_refs_and_frequency_checked_before_any_kz_table(default_geom, def
     ((2**-0.5, 0.0, 2**-0.5), (2**-0.5, 0.0, 2**-0.5)),
     ((2**-0.5, 0.0, 2**-0.5), (2**-0.5, 0.0, -2**-0.5)),
 ], ids=["rho_z", "tilted", "tilted_crossed"])
-def test_rows_with_mirror_odd_components_match_full_tensor(default_geom, one_split,
+def test_rows_with_mirror_odd_components_match_full_tensor(default_geom, split_build,
                                                            node_tables, dipoles):
     # rho-z and z-rho flip sign under kz -> -kz, so radial dipoles never see
     # them; these pairs read them (equal tilted dipoles read both, which
@@ -326,9 +330,9 @@ def test_rows_with_mirror_odd_components_match_full_tensor(default_geom, one_spl
     d1, d2 = (np.array(d) for d in dipoles)
     pair = EmitterPair((0.03, 0.0, 0.0), (0.03, 0.0, 0.02), dipole_1=dipoles[0],
                        dipole_2=dipoles[1])
-    interaction = _one_split_build(default_geom, pair)
+    interaction = _split_build(default_geom, pair)
     engine = interaction._kappa_engine
-    assert engine.panels == one_split[0]._kappa_engine.panels
+    assert engine.panels == split_build[0]._kappa_engine.panels
     tab = interaction.table_res
     w = interaction.omega_a
     dd12, dd11 = np.outer(d1, d2).reshape(9, 1), np.outer(d1, d1).reshape(9, 1)
@@ -405,13 +409,13 @@ def test_one_order_search_across_callers(default_geom, pair_engine, monkeypatch)
 
 def test_kappa_table_out_of_budget_is_unconverged(default_geom, default_pair,
                                                   pair_engine, monkeypatch):
-    # the shared engine's arguments, with every kappa table held to 496 nodes:
-    # the three largest tables need 592 and the next 400, so at least one runs
-    # out, and its flag must reach the row
+    # the shared engine's arguments, with every kappa table held to 368 nodes:
+    # the two largest tables need 400 and 384, so at least one runs out, and
+    # its flag must reach the row
     tables = emitters.imag_axis_tables
 
     def short_budget(*args, **kwargs):
-        return tables(*args, **{**kwargs, "budget": 496})
+        return tables(*args, **{**kwargs, "budget": 368})
 
     monkeypatch.setattr(emitters, "imag_axis_tables", short_budget)
     starved = PairInteraction(default_geom, default_pair, tol=1e-6,
@@ -420,6 +424,32 @@ def test_kappa_table_out_of_budget_is_unconverged(default_geom, default_pair,
     assert starved.at(0.5).converged is False
     assert pair_engine._kappa_engine.panels_ok is True
     assert pair_engine.at(0.5).converged is True
+
+
+_T_RULE_GEOMETRIES = {
+    # (radius, rho, metal, dipole)
+    "default": (0.01, 0.015, DrudeModel(), (1.0, 0.0, 0.0)),
+    "rho_0.03": (0.01, 0.03, DrudeModel(), (1.0, 0.0, 0.0)),
+    "lossy": (0.01, 0.015, DrudeModel(gamma_p=0.12 * OMEGA_A), (1.0, 0.0, 0.0)),
+    "z_dipoles": (0.02, 0.05, DrudeModel(), (0.0, 0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", _T_RULE_GEOMETRIES)
+def test_t_rule_error_bounds_a_tighter_rebuild(name):
+    # the coarse seeds and the graded t rule must keep kappa_err an honest
+    # bound: each row's shift12_integral moves, from tol 1e-6 to a 1e-8
+    # rebuild, by at most the kappa_err of the 1e-6 row
+    radius, rho, metal, d = _T_RULE_GEOMETRIES[name]
+    geom = WireGeometry(radius=radius, model=metal)
+    pair = EmitterPair((rho, 0.0, 0.0), (rho, 0.0, 0.02), dipole_1=d, dipole_2=d)
+    coarse, fine = (PairInteraction(geom, pair, tol=tol, nmax=15,
+                                    dz_refs=(0.0, 0.02, 2.01, 4.0)) for tol in (1e-6, 1e-8))
+    w = pair.omega_a
+    for dz in (0.02, 0.1, 0.5, 1.5, 3.0, 4.0):
+        r = coarse.at(dz)
+        moved = abs(r.shift12_integral - fine.at(dz).shift12_integral)
+        assert moved <= (3.0 / w**3) * r.diagnostics["kappa_err"], dz
 
 
 class TestAgainstAnalyticApproximation:

@@ -3,7 +3,8 @@ import pytest
 
 from wireqed import (CoincidenceError, OMEGA_A, SpectralPoint, free_space_rate,
                      green_vacuum, green_vacuum_cyl, green_vacuum_im_coincident)
-from wireqed.green_vacuum import (cyl_to_cart_point, cylindrical_basis,
+from wireqed.frequencies import as_spectral_point
+from wireqed.green_vacuum import (cyl_to_cart_point, cylindrical_basis, green_vacuum_axial,
                                   tensor_cart_to_cyl, tensor_cyl_to_cart)
 
 
@@ -82,6 +83,34 @@ def test_transversality_at_large_separation():
 def test_coincidence_guard():
     with pytest.raises(CoincidenceError):
         green_vacuum(np.zeros(3), np.array([0.0, 0.0, 1e-10]), OMEGA_A)
+
+
+@pytest.mark.parametrize("d1, d2", [
+    ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0)),
+    ((0.6, 0.0, 0.8), (0.0, 0.6, -0.8)),
+    ((2**-0.5, 0.0, 2**-0.5), (2**-0.5, 0.0, -2**-0.5)),
+], ids=["radial", "axial", "mixed", "crossed"])
+def test_axial_contraction_matches_the_tensor(d1, d2):
+    # two points on one axial line: the scalar form against the full tensor
+    # in the local cylindrical bases, on both axes and at either sign of dz
+    d1, d2 = np.array(d1), np.array(d2)
+    for s in (OMEGA_A, SpectralPoint.imaginary_axis(0.7 * OMEGA_A)):
+        for dz in (-2.3, 0.02, 0.5, 1.5, 8.0):
+            for rho, phi in ((0.015, 0.0), (0.3, 2.1)):
+                p1, p2 = (rho, phi, 0.0), (rho, phi, -dz)
+                want = d1 @ green_vacuum_cyl(p1, p2, s).value @ d2
+                got = green_vacuum_axial(dz, s, float(d1 @ d2), d1[2] * d2[2])
+                # |pre| <= 1 / (4 pi r) on both axes; below k r = 1 the
+                # tensor's entries grow to 1 / (k r)^2 times that
+                kr = abs(as_spectral_point(s).value) * abs(dz)
+                scale = max(1.0, kr**-2) / (4.0 * np.pi * abs(dz))
+                assert abs(got - want) <= 1e-14 * scale
+
+
+def test_axial_contraction_coincidence_guard():
+    with pytest.raises(CoincidenceError):
+        green_vacuum_axial(1e-10, OMEGA_A, 1.0, 0.0)
 
 
 def test_coincident_imaginary_part_values():

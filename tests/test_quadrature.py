@@ -8,8 +8,8 @@ from scipy import special
 from wireqed import (ConvergenceError, DomainError, OMEGA_A, imag_axis_integrate,
                      kk_check, pv_shift_oracle)
 from wireqed.quadrature import (T_SEEDS, PanelSet, _panel_nodes, _plain,
-                                build_spectral_panels, moments_for, panel_terms,
-                                t_substitution)
+                                build_spectral_panels, imag_axis_panels, moments_for,
+                                panel_terms, t_substitution)
 from wireqed.validate import (EQUIVALENCE_MODELS, ResonanceModel, pv_shift,
                               rotated_shift)
 
@@ -76,13 +76,13 @@ def test_moments_at_zero_phase_call_no_special_function(monkeypatch):
     np.testing.assert_array_equal(moments_for(np.zeros(3)), want)
 
 
-def _built_by_hand(f, breaks, target, budget):
+def _built_by_hand(f, breaks, target, budget, split=None):
     """(value, error, nodes, flag) of a PanelSet filled panel by panel with
-    direct calls of f: the seed panels, then each bisection's two halves."""
+    direct calls of f: the seed panels, then each split's two parts."""
     ps = PanelSet(budget)
     for a, b in zip(breaks[:-1], breaks[1:]):
         ps.add(a, b, f(_panel_nodes(a, b)))
-    steps = ps.bisections(target(ps))
+    steps = ps.bisections(target(ps), split)
     while True:
         try:
             halves = next(steps)
@@ -124,11 +124,41 @@ def test_imag_axis_integrate_matches_panels_built_by_hand(name):
     breaks = [*T_SEEDS, 1.0]
     value, err, nodes, ok = _built_by_hand(
         integrand, breaks,
-        lambda ps: 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max())), 20000)
+        lambda ps: 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max())), 20000,
+        lambda a, b: a + (0.125 if a == 0.0 else 0.5) * (b - a))
     rep = imag_axis_integrate(g, wa, tol=tol)
     assert nodes > 16 * (len(breaks) - 1)
     assert (rep.value, rep.abs_error_estimate, rep.nodes_used, rep.converged) == (
         value, err, nodes, ok and err <= tol * max(1.0, abs(value)))
+
+
+def test_t_rule_grades_its_static_end(monkeypatch):
+    # after the seed panels every step adds the two parts of one split: a
+    # panel from t = 0 cut at 1/8 of its width, any other at its midpoint;
+    # sqrt(t) needs the graded splits and the narrow peak at t = 0.5 plain ones
+    added = []
+    add = PanelSet.add
+
+    def record(self, a, b, vals):
+        added.append((a, b))
+        return add(self, a, b, vals)
+
+    monkeypatch.setattr(PanelSet, "add", record)
+    ps, ok = imag_axis_panels(lambda t: np.sqrt(t) + 1.0 / (1.0 + ((t - 0.5) / 0.01) ** 2),
+                              1e-10, 0.99, 20000)
+    seeds = [*T_SEEDS, 0.99]
+    assert ok and added[:len(seeds) - 1] == list(zip(seeds[:-1], seeds[1:]))
+    splits = added[len(seeds) - 1:]
+    fractions = []
+    for (a, m), (m2, b) in zip(splits[::2], splits[1::2]):
+        assert m2 == m
+        fractions.append((m - a) / (b - a))
+        assert fractions[-1] == pytest.approx(0.125 if a == 0.0 else 0.5, abs=1e-13)
+    assert {round(f, 3) for f in fractions} == {0.125, 0.5}
+    # the graded splits nest toward t = 0: [0, 0.04] -> [0, 0.005] -> ...
+    ends = [b for (a, _), (_, b) in zip(splits[::2], splits[1::2]) if a == 0.0]
+    assert ends == pytest.approx([0.04 * 0.125**k for k in range(len(ends))], rel=1e-13)
+    assert len(ends) >= 3 and ps.nodes_used == 16 * len(added)
 
 
 @pytest.mark.parametrize("integrate", [
