@@ -28,13 +28,16 @@ from .green_vacuum import green_vacuum_axial, green_vacuum_cyl, green_vacuum_im_
 from .green_wire import (_MIRROR, SpectralEvaluator, WireGeometry, WireSpectralTable,
                          imag_axis_tables, plasmon_wavenumber, settle_azimuthal_order,
                          wire_green)
-from .quadrature import _GL_W, _NPTS, _PROJ, panel_terms
+from .quadrature import _GL_W, _KIDX, _NPTS, _PROJ
 
 _P_EVEN = _MIRROR.ravel() > 0   # components the -kz mirror keeps
 # a fold sums the components the mirror keeps into one column and those it
-# flips into another: _SPLIT picks them, _EVEN_ODD is the columns' mirror sign
+# flips into another: _SPLIT picks them
 _SPLIT = np.stack([_P_EVEN, ~_P_EVEN], axis=1).astype(float)   # (9, 2)
-_EVEN_ODD = np.array([1.0, -1.0])
+# i^k e^{it} = (c cos t - s sin t) + i (s cos t + c sin t) for i^k = c + i s: _ROT
+# (cos, sin; 16; re, im) takes a moment's Re and Im multipliers to cos and sin
+_C, _S = np.real(1j ** _KIDX), np.imag(1j ** _KIDX)
+_ROT = np.array([[_C, _S], [-_S, _C]]).transpose(0, 2, 1)
 
 _COINCIDENT = 1e-12
 
@@ -167,12 +170,11 @@ class PairInteraction:
     Building this object performs every expensive wavenumber integration:
     a real-frequency table at omega_a plus one table per imaginary-frequency
     node.  The pair's dipoles are folded into both tables as they are built,
-    so each holds one column pair of d1 . G . d2 (the components the -kz
-    mirror keeps and the ones it flips) instead of nine components, and the
-    coincident d1 . G . d1 parts are taken once.  ``at(dz)`` then produces
-    a full RateShiftResult from those columns through analytic phase moments
-    only, which is what makes dense distance sweeps and oscillation-phase
-    measurements affordable.
+    so each holds one column of d1 . G . d2 instead of nine components, and
+    the coincident d1 . G . d1 parts are taken once.  ``at(dz)`` then
+    produces a full RateShiftResult from one real spherical-Bessel ladder
+    over both tables, which is what makes dense distance sweeps and
+    oscillation-phase measurements affordable.
     """
 
     def __init__(self, geom: WireGeometry, pair: EmitterPair, *, tol=1e-6,
@@ -192,8 +194,9 @@ class PairInteraction:
         if nmax is None:
             nmax, _ = settle_azimuthal_order(geom, point, rho, rho, 0.0)
         self.nmax = nmax
-        self.table_res = WireSpectralTable(geom, point, rho, rho, 0.0, nmax=nmax, tol=tol)
-        self._real_ok = self.table_res.panels_ok and self.table_res.tail_ok
+        self.table_res = tab = WireSpectralTable(geom, point, rho, rho, 0.0, nmax=nmax,
+                                                 tol=tol)
+        self._real_ok = tab.panels_ok and tab.tail_ok
 
         self._d1 = np.asarray(pair.dipole_1, float)
         self._d2 = np.asarray(pair.dipole_2, float)
@@ -204,19 +207,35 @@ class PairInteraction:
         self._kappa_engine = _ImagAxisEngine(geom, rho, w, dd, tol=tol, nmax=nmax,
                                              dz_refs=tuple(dz_refs), parallel=parallel)
         # d1 . G^med(r1, r1, omega_a) . d1 and the table's error, which every
-        # row reads, and the real-axis table folded into one column pair
-        gmed_11, self._res_err = self.table_res.integrate(0.0)
+        # row reads
+        gmed_11, self._res_err = tab.integrate(0.0)
         self._g11 = _contract(gmed_11, self._d1, self._d1)
-        self._res_cols = self.table_res.coefs @ (
-            _SPLIT * np.outer(self._d1, self._d2).reshape(9, 1))
+        # one flat table of rows in ascending half-width: the real-axis rows
+        # of C, which sum to Re g12, and of -i C, which sum to Im g12 (as in
+        # ``_fold``), then the kappa rows
+        n, kap = len(tab.halves), self._kappa_engine
+        res = _fold(np.concatenate([tab.coefs, -1j * tab.coefs]), np.tile(tab.halves, 2),
+                    dd[:, :1])[..., 0]
+        reads = np.block([[np.repeat(np.eye(2), n, axis=1), np.zeros((2, len(kap.halves)))],
+                          [np.zeros((len(kap.reads), 2 * n)), kap.reads]])
+        order = np.argsort(np.concatenate([np.tile(tab.halves, 2), kap.halves]), kind="stable")
+        self._halves, self._mids = (np.concatenate([np.tile(x, 2), y])[order] for x, y in
+                                    ((tab.halves, kap.halves), (tab.mids, kap.mids)))
+        self._cols = np.ascontiguousarray(np.concatenate([res, kap.cols], axis=2)[:, :, order])
+        self._reads = np.ascontiguousarray(reads[:, order])
+
+    def _pass(self, dz):
+        """(d1 . G^med(p1, p2) . d2, d1 . T . d2 integral, its t bound) at dz."""
+        out = self._reads @ _phase_rows(self._halves, self._mids, self._cols, dz)
+        return complex(out[0], out[1]), float(out[2]), float(np.abs(out[3:]).sum())
 
     def at(self, dz: float) -> RateShiftResult:
+        """Rates and shifts at separation dz: one ladder pass (``_pass``)
+        over the real-axis and kappa rows, then closed forms."""
         if not math.isfinite(dz):
             raise DomainError(f"separation dz must be finite, got {dz}")
         w = self.omega_a
-        tab = self.table_res
-        g12 = complex(panel_terms(tab.halves, tab.mids, self._res_cols, float(dz),
-                                  _EVEN_ODD).sum())
+        g12, i12, e12 = self._pass(float(dz))
         g11 = self._g11
         res_err = 2.0 * self._res_err   # g12's and g11's, both from the one table
 
@@ -229,7 +248,10 @@ class PairInteraction:
         shift12_res = (3.0 * math.pi / w) * g12.real
         shift11_res = (3.0 * math.pi / w) * g11.real
 
-        i12, i11, ierr, iconv = self._kappa_engine.integrals(dz)
+        kap = self._kappa_engine
+        i11, e11 = kap.coincident
+        ierr = e12 + e11 + kap.kz_err
+        iconv = kap.panels_ok and ierr <= 100.0 * self.tol * max(1.0, abs(i12), abs(i11))
         shift12_int = (3.0 / w**3) * i12
         shift11_int = (3.0 / w**3) * i11
 
@@ -243,8 +265,8 @@ class PairInteraction:
             diagnostics={
                 "resonant_tensor_err": res_err,
                 "kappa_err": ierr,
-                "kappa_nodes": self._kappa_engine.n_nodes,
-                "kappa_tail_ratio": self._kappa_engine.tail_ratio,
+                "kappa_nodes": kap.n_nodes,
+                "kappa_tail_ratio": kap.tail_ratio,
                 "nmax": self.nmax,
             },
         )
@@ -254,15 +276,11 @@ def _kappa_panel_job(job):
     """The kz tables of one t panel's 16 kappa nodes, built in lockstep
     (``imag_axis_tables``) and folded with the dipole pairs dd (``_fold``).
 
-    The shift needs only the real part of the tensor.  With m the phase
-    moments times half e^{i dz mid}, a kz panel with +kz coefficients C and
-    mirror sign P contributes Re(m C + conj(m) P C): 2 Re m Re C where P = +1
-    and -2 Im m Im C where P = -1, so the rows hold 2 Re C and -2 Im C there,
-    times the node's substitution weight, and ``_fold`` sums the two kinds
-    into the columns that Re m and Im m multiply.  Returns (halves, mids,
-    columns (16, 2 rows, C), kz panels per node, kz error bound per node
-    times |substitution weight|, largest azimuthal tail ratio, whether every
-    table stayed within its node budget).  Module-level with picklable
+    The shift needs only the real part of the tensor, which ``_fold`` takes,
+    each node's kz panels times its substitution weight.  Returns (halves,
+    mids, columns (cos, sin; 16; rows; C), kz panels per node, kz error bound
+    per node times |substitution weight|, largest azimuthal tail ratio,
+    whether every table stayed within its node budget).  Module-level with picklable
     arguments and result, so sweep drivers can run it in worker processes;
     the arithmetic is the same for any worker count, which keeps outputs
     bit-reproducible.
@@ -270,32 +288,33 @@ def _kappa_panel_job(job):
     geom, rho, kappas, weights, tol, nmax, dd = job
     tables = imag_axis_tables(geom, kappas, rho, rho, 0.0, nmax=nmax, tol=tol,
                               budget=30000)
-    coefs = np.concatenate([
-        np.where(_P_EVEN, 2.0 * tab.coefs.real, -2.0 * tab.coefs.imag) * w
-        for tab, w in zip(tables, weights)])
-    return (np.concatenate([tab.halves for tab in tables]),
-            np.concatenate([tab.mids for tab in tables]), _fold(coefs, dd),
+    halves = np.concatenate([tab.halves for tab in tables])
+    coefs = np.concatenate([tab.coefs * w for tab, w in zip(tables, weights)])
+    return (halves, np.concatenate([tab.mids for tab in tables]), _fold(coefs, halves, dd),
             np.array([len(tab.halves) for tab in tables]),
             np.array([tab.panel_err + tab.tail_bound for tab in tables]) * np.abs(weights),
             max(tab.tail_ratio for tab in tables), all(tab.panels_ok for tab in tables))
 
 
-def _fold(coefs, dd):
-    """Flat-table columns (16, 2 rows, C) of the rows' real coefficients
-    (rows, 16, 9) weighted by dd (9, C): row r's P-even sum, which Re m
-    multiplies, at 2r and its P-odd sum, which Im m multiplies, at 2r + 1,
-    the layout of the moments viewed as reals."""
-    weights = _SPLIT[:, :, None] * dd[:, None, :]                  # (9, 2, C)
-    return np.einsum("rki,ijc->krjc", coefs, weights).reshape(_NPTS, -1, dd.shape[1])
+def _fold(coefs, halves, dd):
+    """Columns (cos, sin; 16; rows; C) of the real part of kz panels with +kz
+    coefficients (rows, 16, 9) and their -kz mirror P, weighted by dd (9, C).
+
+    With m_k = 2 i^k j_k(dz half) half e^{i dz mid}, a panel contributes
+    Re(m C + conj(m) P C): 2 Re m Re C where P = +1 and -2 Im m Im C where
+    P = -1.  With the i^k signs (``_ROT``) and 2 half folded in, its value at
+    dz is sum_k j_k(dz half) (cos(dz mid) cols[0, k] + sin(dz mid) cols[1, k])."""
+    rows = np.where(_P_EVEN, 2.0 * coefs.real, -2.0 * coefs.imag)
+    weights = np.einsum("skj,ij,ic->skic", _ROT, _SPLIT, dd)       # (2, 16, 9, C)
+    return (rows.transpose(1, 0, 2) @ weights) * (2.0 * halves)[:, None]
 
 
-def _node_values(halves, mids, cols, starts, dz):
-    """Each node's weighted values at separation dz, shape (nodes, ...), from
-    flat-table columns (``_fold``, (16, 2 rows, ...)) whose node i holds rows
-    starts[i]:starts[i+1]."""
-    m = quadrature.moments_for(dz * halves) * (halves * np.exp(1j * dz * mids))
-    rows = np.einsum("kr,kr...->r...", m.view(float), cols)
-    return np.add.reduceat(rows, 2 * starts, axis=0)
+def _phase_rows(halves, mids, cols, dz):
+    """Each row's value at separation dz from its ``_fold`` columns (2, 16,
+    rows): one real ladder j_0..j_15 at dz times the half-widths, fastest
+    with the rows in ascending half-width (``quadrature.jn_ladder``)."""
+    cos_sin = np.einsum("kr,skr->sr", quadrature.jn_ladder(dz * halves), cols)
+    return np.cos(dz * mids) * cos_sin[0] + np.sin(dz * mids) * cos_sin[1]
 
 
 class _ImagAxisEngine:
@@ -304,18 +323,21 @@ class _ImagAxisEngine:
     Panels live in t = kappa / (omega_a + kappa); each Gauss node carries a
     kz table at i*kappa(t).  The integral is linear in the tables, so every
     node's table is multiplied by its substitution weight and all of them
-    are held as one flat table: kz half-widths and midpoints, coefficients,
-    and the offset where each node's kz panels start, laid end to end from
-    one block per t panel, folded with the dipole pairs dd (9, 2), d1 d2 and
-    d1 d1, into one column each.  The t panels follow the t rule of every
-    imaginary-axis integral (``quadrature.imag_axis_panels``: seed panels,
-    then splits of the worst panel, graded toward t = 0), cut at the kappa
-    cutoff; their node values are what ``integrals`` reports, d1 . T . d2 at
+    are held as one flat table of real rows (``_fold``), laid end to end
+    from one block per t panel and folded with the dipole pairs dd (9, 2),
+    d1 d2 and d1 d1, into one column each.  The t panels follow the t rule
+    of every imaginary-axis integral (``quadrature.imag_axis_panels``: seed
+    panels, then splits of the worst panel, graded toward t = 0), cut at the
+    kappa cutoff; their node values are what the rows report, d1 . T . d2 at
     each of a few reference separations and d1 . T . d1 at 0, so the
     Legendre-coefficient decay that drives their splits is that of the rows'
-    own integrands.  One pass over the d1 d2 column gives
-    d1 . T . d2 at a separation with the Legendre bound of that integrand;
-    d1 . T . d1 is integrated once, at the build.
+    own integrands.  The final grid is folded into ``reads`` (1 + 3 t
+    panels, rows): rows 0, 13, 14 and 15 of _PROJ at each kz row's node,
+    times 2 and 4 half-widths of its t panel, so ``reads`` times the rows'
+    values at dz (``_phase_rows``) gives the d1 . T . d2 integral and each t
+    panel's c_13..c_15, whose absolute sum is its Legendre bound; those
+    d1 d2 rows are ``halves``, ``mids`` and ``cols``, and ``coincident`` is
+    the d1 . T . d1 integral with its bound.
 
     A t panel is the unit of work: ``_kappa_panel_job`` builds its 16 node
     tables in lockstep and returns them as folded columns, and ``parallel`` (a
@@ -323,14 +345,13 @@ class _ImagAxisEngine:
     ``tail_ratio`` is the largest azimuthal tail ratio of the kappa tables
     in the integral; it is recorded, not tested.  A table out of its node
     budget, or a t grid stopped short of its target by KAPPA_TABLE_BUDGET
-    tables, clears ``panels_ok``, which ``integrals`` reports as unconverged.
+    tables, clears ``panels_ok``, which the rows report as unconverged.
     ``kz_err``, the tables' kz error bounds weighted as the t rule weights
-    each table, enters the error ``integrals`` reports.
+    each table, enters the error the rows report.
     """
 
     def __init__(self, geom, rho, omega_a, dd, *, tol, nmax, dz_refs, parallel=None):
         self.w = omega_a
-        self.tol = tol
         gap = 2.0 * (rho - geom.radius)   # summed emitter-to-surface distance
         kap_cut = max(6.0 * omega_a, 20.0 / max(gap, 1e-6))
         run = parallel or (lambda fn, xs: [fn(x) for x in xs])
@@ -346,49 +367,35 @@ class _ImagAxisEngine:
             for nodes, block in zip(t, run(_kappa_panel_job, jobs)):
                 blocks[nodes[0]] = block
                 halves, mids, cols, sizes = block[:4]
-                starts = np.cumsum(sizes) - sizes
-                out.append(np.column_stack(
-                    [_node_values(halves, mids, cols[..., 0], starts, dz) for dz in dz_refs]
-                    + [_node_values(halves, mids, cols[..., 1], starts, 0.0)]))
+                rows = ([_phase_rows(halves, mids, cols[..., 0], dz) for dz in dz_refs]
+                        + [_phase_rows(halves, mids, cols[..., 1], 0.0)])
+                out.append(np.add.reduceat(np.stack(rows, axis=1), np.cumsum(sizes) - sizes))
             return np.concatenate(out)
 
         grid, grid_ok = quadrature.imag_axis_panels(
             values, tol, kap_cut / (omega_a + kap_cut), KAPPA_TABLE_BUDGET * _NPTS)
-        # the flat table, in the grid's panel order; node i's kz panels are
-        # rows _starts[i]:_starts[i+1]
+        # the flat table, in the grid's panel order
         self.panels = [(p[0], p[1]) for p in grid.panels]
         self.n_nodes = grid.nodes_used
         halves, mids, cols, sizes, kz_errs, tails, oks = zip(*(
             blocks[quadrature._panel_nodes(a, b)[0]] for a, b in self.panels))
-        self._halves = np.concatenate(halves)
-        self._mids = np.concatenate(mids)
-        sizes = np.concatenate(sizes)
-        self._starts = np.cumsum(sizes) - sizes
+        self.halves = np.concatenate(halves)
+        self.mids = np.concatenate(mids)
         self.kz_err = float(sum(0.5 * (b - a) * (_GL_W @ e)
                                 for (a, b), e in zip(self.panels, kz_errs)))
         self.tail_ratio = max(tails)
         self.panels_ok = grid_ok and all(oks)
-        a, b = np.asarray(self.panels).T
-        self._half = 0.5 * (b - a)
-        # one C-contiguous array per pair: every row reads the d1 d2 one
-        self._cols, cols11 = np.concatenate(cols, axis=1).transpose(2, 0, 1).copy()
-        self._coincident = self._pass(0.0, cols11)
-
-    def _pass(self, dz, cols=None):
-        """(d1 . T . d2 integral, summed Legendre bound of its t panels) at
-        separation dz, or of the d1 . T . d1 columns ``cols``."""
-        vals = _node_values(self._halves, self._mids, self._cols if cols is None else cols,
-                            self._starts, dz)
-        coef = _PROJ @ vals.reshape(-1, _NPTS, 1)                 # per t panel
-        total = 2.0 * self._half @ coef[:, 0, 0]
-        return float(total), float(quadrature.legendre_error(self._half, coef).sum())
-
-    def integrals(self, dz):
-        i12, e12 = self._pass(dz)
-        i11, e11 = self._coincident
-        err = e12 + e11 + self.kz_err
-        scale = max(1.0, abs(i12), abs(i11))
-        return i12, i11, err, self.panels_ok and err <= 100.0 * self.tol * scale
+        # each kz row's t panel and node in it
+        tp, k = np.divmod(np.repeat(np.arange(len(self.panels) * _NPTS),
+                                    np.concatenate(sizes)), _NPTS)
+        proj = _PROJ[[0, 13, 14, 15]][:, k] * ([[1.0], [2.0], [2.0], [2.0]]
+                                               * np.diff(self.panels).ravel()[tp])
+        self.reads = np.zeros((1 + 3 * len(self.panels), k.size))
+        self.reads[0] = proj[0]
+        self.reads[1 + 3 * tp + [[0], [1], [2]], np.arange(k.size)] = proj[1:]
+        self.cols, cols11 = np.moveaxis(np.concatenate(cols, axis=2), 3, 0)
+        out = self.reads @ _phase_rows(self.halves, self.mids, cols11, 0.0)
+        self.coincident = float(out[0]), float(np.abs(out[1:]).sum())
 
 
 def decay_rates(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6):

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# jh_orders is unused here; perfbench's traced runs look it up in this module
 from .bessel import (N_MAX, OVERFLOW_GUARD, h_orders, ive_orders, j_orders, jh_orders,
                      kve_orders, safe_min_arg)
 from .errors import ConvergenceError, DomainError, FitError, OverflowGuardError
@@ -209,9 +210,9 @@ class SpectralEvaluator:
             propagating = (np.abs(kz) <= abs_k1) & ~self.imaginary
             direction = np.where(propagating, 1.0 + 0j, 1j)
             eta1 = np.where(bad, floor * direction, eta1)
-        # J and H outside the surface, J alone inside it; H alone at eta1 rho
-        # (once when rho1 = rho2), where J would overflow first in the
-        # evanescent tail
+        # one J ladder at eta1 a and eta2 a, one H ladder at eta1 a and eta1
+        # rho (once when rho1 = rho2; J would overflow first there in the
+        # evanescent tail)
         K = kz.size
         rhos = (self.rho1,) if self.rho2 == self.rho1 else (self.rho1, self.rho2)
         if self.imaginary:
@@ -229,16 +230,15 @@ class SpectralEvaluator:
             # exp(-y1 (rho1 - a) - y1 (rho2 - a)) <= 1, which goes onto the
             # rho1 side.
             eta1, eta2 = eta1.imag, eta2.imag
-            i, ip = ive_orders(self.nmax, np.concatenate([eta1 * a, eta2 * a]))
-            k, kp = kve_orders(self.nmax, np.concatenate([eta1 * r for r in (a,) + rhos]))
-            j1a, j1ap, j2a, j2ap = i[:, :K], ip[:, :K], i[:, K:], ip[:, K:]
-            h1a, h1ap, hr, hrp = k[:, :K], kp[:, :K], k[:, K:], kp[:, K:]
+            j, jp = ive_orders(self.nmax, np.concatenate([eta1 * a, eta2 * a]))
+            h, hp = kve_orders(self.nmax, np.concatenate([eta1 * r for r in (a,) + rhos]))
             decay = np.exp(-eta1 * (self.rho1 + self.rho2 - 2.0 * a))
         else:
-            j1a, h1a, j1ap, h1ap = jh_orders(self.nmax, eta1 * a)
-            j2a, j2ap = j_orders(self.nmax, eta2 * a)
-            hr, hrp = h_orders(self.nmax, np.concatenate([eta1 * r for r in rhos]))
+            j, jp = j_orders(self.nmax, np.concatenate([eta1 * a, eta2 * a]))
+            h, hp = h_orders(self.nmax, np.concatenate([eta1 * r for r in (a,) + rhos]))
             decay = 1.0
+        j1a, j1ap, j2a, j2ap = j[:, :K], jp[:, :K], j[:, K:], jp[:, K:]
+        h1a, h1ap, hr, hrp = h[:, :K], hp[:, :K], h[:, K:], hp[:, K:]
         hr1, hr1p = hr[:, :K], hrp[:, :K]
         hr2, hr2p = (hr[:, K:], hrp[:, K:]) if len(rhos) == 2 else (hr1, hr1p)
         # The wall solve takes log-derivatives and the J_n(eta1 a) pair
@@ -333,13 +333,16 @@ class SpectralEvaluator:
         # sums VM (x) Mt + VN (x) Nt over the orders, which is one product of
         # [VM, VN] (K, 3, 2N), weighted per order, with [Mt, Nt] (K, 2N, 3).
         m_rho, m_phi, n_rho, n_phi, n_z = field
-        left = np.concatenate(
-            [np.stack([ra * m_rho + rb * n_rho, ra * m_phi + rb * n_phi, rb * n_z], axis=1)
-             for ra, rb in ((r_mm, r_nm), (r_mn, r_nn))], axis=2)
+        left = np.empty((len(kz), 3, 2 * N), np.result_type(r_mm, m_rho))
+        for o, (ra, rb) in ((0, (r_mm, r_nm)), (N, (r_mn, r_nn))):
+            left[:, 0, o:o + N] = ra * m_rho + rb * n_rho
+            left[:, 1, o:o + N] = ra * m_phi + rb * n_phi
+            left[:, 2, o:o + N] = rb * n_z
         m_rho, m_phi, n_rho, n_phi, n_z = source
-        right = np.concatenate([np.stack([m_rho, m_phi, np.zeros_like(m_rho)], axis=1),
-                                np.stack([n_rho, n_phi, n_z], axis=1)],
-                               axis=2).transpose(0, 2, 1)
+        right = np.zeros((len(kz), 3, 2 * N), m_rho.dtype)
+        right[:, 0, :N], right[:, 1, :N] = m_rho, m_phi
+        right[:, 0, N:], right[:, 1, N:], right[:, 2, N:] = n_rho, n_phi, n_z
+        right = right.transpose(0, 2, 1)
 
         # Each node's sum over orders takes the cos weights on the Sigma-even
         # components and the sin weights on the odd ones; their phases come
@@ -608,7 +611,7 @@ class WireSpectralTable:
         ps, tail_bound, ok = build_spectral_panels(
             evaluator, tol=tol, k_start=self.k_start, mirror=_MIRROR.ravel(),
             pole_hint=pole_hint, branch_point=branch, tail_scale=gap, budget=budget,
-            phase_for_blocks=phase_ref)
+            phase_for_blocks=phase_ref, orders=nmax + 1)
         self.halves, self.mids, self.coefs = ps._freeze()
         self.panel_err = ps.err
         self.tail_bound = float(tail_bound)
@@ -638,7 +641,7 @@ def imag_axis_tables(geom: WireGeometry, kappas, rho1, rho2, dphi, *, nmax, tol,
     evaluator = SpectralEvaluator(geom, points, rho1, rho2, dphi, nmax=nmax)
     built = build_spectral_panel_sets(
         evaluator, windows, tol=tol, mirror=_MIRROR.ravel(), tail_scale=gaps[0],
-        budget=budget)
+        budget=budget, orders=nmax + 1)
     return [FrozenSpectralTable(*ps._freeze(), panel_err=ps.err, tail_bound=float(bound),
                                 panels_ok=bool(ok), nodes_used=ps.nodes_used,
                                 tail_ratio=float(ratio))

@@ -60,9 +60,10 @@ _KIDX = np.arange(_NPTS)
 _TWO_IPOW = 2.0 * 1j ** _KIDX[:, None]
 
 #: Most nodes that one spectrum evaluation of ``build_spectral_panel_sets``
-#: carries.  It bounds the evaluator's working arrays (about 3.5 MB at
-#: azimuthal order 40).  On a 2-core Xeon VM with 2 MB of L2 per core, kappa-table builds ran about 12%
-#: faster at 128 nodes per call than at 256, and alike at 64.
+#: carries at azimuthal order 40, NODE_CAP * 41 // (nmax + 1) at order nmax:
+#: the evaluator's working arrays stay near 3.5 MB.  On a 2-core Xeon VM with
+#: 2 MB of L2 per core, order-40 kappa-table builds ran about 12% faster at
+#: 128 nodes per call than at 256; at order 15, 328 nodes cut the calls 42%.
 NODE_CAP = 128
 
 
@@ -116,43 +117,42 @@ def _jn_miller(x):
 
 
 def _jn_series(x):
-    """j_0..j_15 at 0 < x <= 1e-3 from three terms of the ascending series
+    """j_0..j_15 at 0 <= x <= 1e-3 from three terms of the ascending series
     x^k/(2k+1)!! (1 - x^2/(2(2k+3)) + x^4/(8(2k+3)(2k+5))) (DLMF 10.53.1);
-    the first omitted term is below 1e-19 of the kept ones there."""
+    the first omitted term is below 1e-19 of the kept ones (none at x = 0)."""
     x2 = (x * x)[None, :]
     k = _KIDX[:, None]
     lead = x[None, :] ** k / np.cumprod(2 * _KIDX + 1.0)[:, None]
     return lead * (1.0 - x2 / (2 * (2 * k + 3)) + x2 * x2 / (8 * (2 * k + 3) * (2 * k + 5)))
 
 
-def moments_for(c):
-    """2 i^k j_k(c), k = 0..15, vectorized over c; handles c < 0 and c = 0.
-
-    The spherical Bessel ladder comes from recurrences and no special-function
-    call: upward from sin and cos where |c| >= 16, Miller's downward
-    recurrence down to |c| = 1e-3, and the ascending series below that, where
-    1/c grows large.  At c = 0 (every zero-phase integral) it is
-    j_k = delta_k0 exactly.
-    """
+def jn_ladder(c):
+    """j_k(c), k = 0..15, shape (16, c.size), for real c, from recurrences
+    and no special-function call: the ascending series up to |c| = 1e-3,
+    where 1/c grows large (j_k(0) = delta_k0 exactly), Miller's downward
+    recurrence up to 16, and the upward one from sin and cos beyond; then
+    j_k(-x) = (-1)^k j_k(x).  Each range is one slice of the arguments in
+    ascending |c|, sorted here unless they come that way."""
     c = np.atleast_1d(np.asarray(c, float))
     x = np.abs(c)
-    up = x >= _NPTS
-    zero = x == 0.0
-    small = (x <= 1e-3) & ~zero
-    down = ~(up | small | zero)
+    order = np.argsort(x, kind="stable") if (x[1:] < x[:-1]).any() else None
+    xs = x if order is None else x[order]
+    lo, hi = np.searchsorted(xs, 1e-3, side="right"), np.searchsorted(xs, float(_NPTS))
     jk = np.empty((_NPTS, c.size))
-    jk[:, zero] = (_KIDX == 0)[:, None]
-    if up.any():
-        jk[:, up] = _jn_upward(x[up])
-    if down.any():
-        jk[:, down] = _jn_miller(x[down])
-    if small.any():
-        jk[:, small] = _jn_series(x[small])
-    out = _TWO_IPOW * jk
-    neg = c < 0
-    if neg.any():
-        out[:, neg] = np.conj(out[:, neg])
-    return out
+    for part, ladder in ((slice(0, lo), _jn_series), (slice(lo, hi), _jn_miller),
+                         (slice(hi, None), _jn_upward)):
+        if xs[part].size:
+            jk[:, part] = ladder(xs[part])
+    if order is not None:
+        jk[:, order] = jk.copy()
+    jk[1::2, c < 0] *= -1.0
+    return jk
+
+
+def moments_for(c):
+    """2 i^k j_k(c), k = 0..15, vectorized over c: the phase moments of the
+    Legendre polynomials, from the one ladder ``jn_ladder``."""
+    return _TWO_IPOW * jn_ladder(c)
 
 
 def legendre_error(half, coef):
@@ -199,21 +199,35 @@ def run_lockstep(f, sets, steps):
         advance(i)
     while live:
         todo = [(i, a, b) for i, req in live.items() for a, b in req]
-        x = np.concatenate([_panel_nodes(a, b) for _, a, b in todo])
-        owner = np.repeat([i for i, _, _ in todo], _NPTS)
-        vals = np.asarray(f(x, owner), complex).reshape(len(x), -1)
-        for row, (i, a, b) in zip(range(0, len(x), _NPTS), todo):
-            sets[i].add(a, b, vals[row:row + _NPTS])
+        panels = [t[1:] for t in todo]
+        x = _panel_nodes(*np.array(panels, float).T[:, :, None]).ravel()
+        owner = np.repeat([t[0] for t in todo], _NPTS)
+        vals = np.reshape(f(x, owner), (len(todo), _NPTS, -1))
+        for (i, _, _), rec in zip(todo, _records(panels, vals)):
+            sets[i].append(rec)
         for i in list(live):
             advance(i)
     return out
+
+
+def _records(panels, vals):
+    """``PanelSet`` records of panels [(a, b), ...] from their node values
+    (panels, 16, n_comp), all in one pass with each panel's own numbers; the
+    projection runs on the values viewed as reals, a third of the time."""
+    a, b = np.array(panels, float).T
+    vals = np.ascontiguousarray(vals, complex)
+    coef = np.einsum("ki,pic->pkc", _PROJ, vals.view(float)).view(complex)
+    err = legendre_error(0.5 * (b - a), coef)
+    fmax = np.abs(vals).max(axis=(1, 2))
+    return [[p[0], p[1], c, float(e), float(m), None]
+            for p, c, e, m in zip(panels, coef, err, fmax)]
 
 
 class PanelSet:
     """Adaptive Legendre-coefficient panels of a spectrum held at +kz only.
 
     Each panel's values, shape (16, n_comp) (or (16,) for one component), at
-    its Gauss nodes arrive with ``add``, as ``run_lockstep`` evaluates them;
+    its Gauss nodes arrive with ``add`` (``run_lockstep`` appends records);
     ``integral`` integrates them against exp(+i phase x).  With a
     per-component ``mirror`` sign the -kz side mirror * f(x) is integrated
     against exp(-i phase x) as well; ``None`` makes the integral one-sided.
@@ -232,12 +246,10 @@ class PanelSet:
     def add(self, a, b, vals):
         """Add panel [a, b] with the values ``vals`` at its nodes; returns
         its record."""
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        vals = np.asarray(vals, complex).reshape(_NPTS, -1)
+        return self.append(_records([(a, b)], np.reshape(vals, (1, _NPTS, -1)))[0])
+
+    def append(self, rec):
         self.nodes_used += _NPTS
-        coef = np.einsum("ki,ic->kc", _PROJ, vals)
-        rec = [a, b, coef, float(legendre_error(half, coef)), float(np.abs(vals).max()), None]
         self.panels.append(rec)
         return rec
 
@@ -322,7 +334,7 @@ def _seed_breaks(k_start, pole_hint, branch_point):
 
 def build_spectral_panels(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
                           branch_point=None, tail_scale=None, budget=20000,
-                          phase_for_blocks=0.0):
+                          phase_for_blocks=0.0, orders=41):
     """Panels of one +kz spectrum: seed panels on [0, k_start], extend
     geometric tail blocks until they stop mattering, then refine everything.
 
@@ -334,11 +346,11 @@ def build_spectral_panels(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
     return build_spectral_panel_sets(
         lambda x, owner: fpanel(x), [(k_start, pole_hint, branch_point)], tol=tol,
         mirror=mirror, tail_scale=tail_scale, budget=budget,
-        phase_for_blocks=phase_for_blocks)[0]
+        phase_for_blocks=phase_for_blocks, orders=orders)[0]
 
 
 def build_spectral_panel_sets(f, windows, *, tol, mirror=None, tail_scale=None,
-                              budget=20000, phase_for_blocks=0.0):
+                              budget=20000, phase_for_blocks=0.0, orders=41):
     """Panels of several +kz spectra, built in lockstep.
 
     ``windows`` holds (k_start, pole_hint, branch_point) per spectrum, and
@@ -346,15 +358,17 @@ def build_spectral_panel_sets(f, windows, *, tol, mirror=None, tail_scale=None,
     its own sequence of steps (seed panels, tail blocks with their stop
     test, then ``PanelSet.bisections``), and ``run_lockstep``
     evaluates the nodes of every spectrum still running at one step in calls
-    of f of at most NODE_CAP nodes.  Each set integrates at
+    of f of at most NODE_CAP * 41 // orders nodes, ``orders`` being the
+    azimuthal orders 0..nmax that f sums.  Each set integrates at
     ``phase_for_blocks``, the separation its tail blocks are judged at.
     Returns (PanelSet, tail_bound, converged_flag) per spectrum.
     """
     _check_tol(tol)
+    cap = NODE_CAP * 41 // orders
 
     def capped(x, owner):
-        return np.concatenate([f(x[c:c + NODE_CAP], owner[c:c + NODE_CAP])
-                               for c in range(0, len(x), NODE_CAP)])
+        return np.concatenate([f(x[c:c + cap], owner[c:c + cap])
+                               for c in range(0, len(x), cap)])
 
     sets = [PanelSet(budget, mirror, phase_for_blocks) for _ in windows]
     flags = run_lockstep(capped, sets, [

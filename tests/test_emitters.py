@@ -211,21 +211,38 @@ def test_kappa_bisection_matches_per_table_oracle(split_build, node_tables):
     kz_err = _kz_err(engine, tables)
     assert kz_err > 0.0
     # radial dipoles: the engine holds the rho-rho component of the tensor
-    dd = np.outer(interaction._d1, interaction._d2).reshape(9, 1)
-    coincident_err = engine._coincident[1]
+    d1, d2 = interaction._d1, interaction._d2
+    dd = np.outer(d1, d2).reshape(9, 1)
+    coincident_err = engine.coincident[1]
     for dz in (0.0, 0.5, 8.0):
         row_err = interaction.at(dz).diagnostics["kappa_err"]
-        table_part = row_err - engine._pass(dz)[1] - coincident_err
+        table_part = row_err - interaction._pass(dz)[2] - coincident_err
         assert abs(table_part - kz_err) <= 1e-12 * kz_err
-    for dz in (0.0, 0.02, 1.3, 8.0):
+    # a negative separation, and two at which some row's dz * half sits
+    # exactly on a switch of the moment ladder (series / Miller at 1e-3,
+    # Miller / upward at 16)
+    at_switch = [_dz_hitting(x, interaction._halves) for x in (1e-3, 16.0)]
+    for dz in (0.0, 0.02, 1.3, 8.0, -1.3, *at_switch):
         # the contracted value node by node, then Legendre coefficients per panel
         total, err = _kappa_oracle(engine, tables, dz, dd)
-        got, got_err = engine._pass(dz)
+        g12, got, got_err = interaction._pass(dz)
         scale = abs(total[0])
         assert abs(got - total[0]) <= 1e-12 * scale
         # the bound sums tail coefficients that sit near the integral's
         # roundoff, so it agrees to the integral's digits, not to its own
         assert abs(got_err - err) <= 1e-12 * scale
+        # the real-axis rows against the full-tensor path
+        want = d1 @ interaction.table_res.integrate(dz)[0] @ d2
+        assert abs(g12 - want) <= 1e-13 * abs(want)
+
+
+def _dz_hitting(x, halves):
+    """A separation at which dz * half is exactly x for one of ``halves``."""
+    for half in halves[len(halves) // 2:]:
+        for dz in (x / half, np.nextafter(x / half, 0.0), np.nextafter(x / half, 1.0)):
+            if dz * half == x:
+                return float(dz)
+    raise AssertionError(f"no half-width reaches {x} exactly")
 
 
 def test_t_grid_refines_on_the_row_quantities(default_geom, split_build, node_tables,
@@ -279,10 +296,11 @@ def test_t_grid_stopped_by_the_table_budget_is_unconverged(default_geom, default
                                   dz_refs=(0.0, 0.02, 2.01, 4.0))
     ((grid, grid_ok),) = grids
     assert not grid_ok and len(grid.panels) == 10
-    i12, i11, err, ok = interaction._kappa_engine.integrals(0.5)
-    assert err <= 100.0 * tol * max(1.0, abs(i12), abs(i11))
-    assert not ok and not interaction._kappa_engine.panels_ok
-    assert not interaction.at(0.5).converged
+    row = interaction.at(0.5)
+    i12, i11 = interaction._pass(0.5)[1], interaction._kappa_engine.coincident[0]
+    assert row.diagnostics["kappa_err"] <= 100.0 * tol * max(1.0, abs(i12), abs(i11))
+    assert not interaction._kappa_engine.panels_ok
+    assert not row.converged
 
 
 def _green(tol=1e-6, s=OMEGA_A):
@@ -315,6 +333,30 @@ def test_tol_dz_refs_and_frequency_checked_before_any_kz_table(default_geom, def
     monkeypatch.setattr(quadrature.PanelSet, "__init__", built)
     with pytest.raises(DomainError, match=f"{names} must be finite"):
         build(default_geom, default_pair)
+
+
+@pytest.mark.parametrize("rho, dz_refs", [(0.015, (0.0, 0.02, 2.01, 4.0)),
+                                           (0.03, (0.0, 0.02, 4.01, 8.0))],
+                         ids=["sweep", "dense"])
+def test_rows_at_negative_separation_mirror_the_dipoles(default_geom, rho, dz_refs):
+    # the plane z = z1 maps p2 at -dz onto p2 at +dz and each dipole d onto
+    # M d, M = diag(1, 1, -1): the P-odd columns flip, and so do the odd
+    # moments and sin(dz mid), so the rows agree to the last bit; crossed
+    # dipoles read the P-odd columns, on both benchmark geometries
+    d1, d2 = (2**-0.5, 0.0, 2**-0.5), (2**-0.5, 0.0, -2**-0.5)
+    mirror = np.array([1.0, 1.0, -1.0])
+
+    def build(a, b):
+        pair = EmitterPair((rho, 0.0, 0.0), (rho, 0.0, 0.5), dipole_1=tuple(a),
+                           dipole_2=tuple(b))
+        return PairInteraction(default_geom, pair, tol=1e-6, dz_refs=dz_refs)
+
+    plain, mirrored = build(d1, d2), build(mirror * d1, mirror * d2)
+    for dz in (0.3, 1.7):
+        got, want = plain.at(-dz), mirrored.at(dz)
+        for name in ("gamma11", "gamma12", "shift12_resonant", "shift12_integral",
+                     "shift11_resonant", "shift11_integral", "converged"):
+            assert getattr(got, name) == getattr(want, name), name
 
 
 @pytest.mark.parametrize("dipoles", [

@@ -137,13 +137,13 @@ def test_t_rule_grades_its_static_end(monkeypatch):
     # panel from t = 0 cut at 1/8 of its width, any other at its midpoint;
     # sqrt(t) needs the graded splits and the narrow peak at t = 0.5 plain ones
     added = []
-    add = PanelSet.add
+    append = PanelSet.append
 
-    def record(self, a, b, vals):
-        added.append((a, b))
-        return add(self, a, b, vals)
+    def record(self, rec):
+        added.append((rec[0], rec[1]))
+        return append(self, rec)
 
-    monkeypatch.setattr(PanelSet, "add", record)
+    monkeypatch.setattr(PanelSet, "append", record)
     ps, ok = imag_axis_panels(lambda t: np.sqrt(t) + 1.0 / (1.0 + ((t - 0.5) / 0.01) ** 2),
                               1e-10, 0.99, 20000)
     seeds = [*T_SEEDS, 0.99]
