@@ -82,6 +82,21 @@ def _csv(meta, header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _failed_checks(results) -> str:
+    """One line naming each check that rows of ``results`` failed, with its
+    value and bound in the row it failed by most, and how many rows failed it."""
+    worst, count = {}, {}
+    for r in results:
+        for name, (value, bound) in r.diagnostics["failed_checks"].items():
+            count[name] = count.get(name, 0) + 1
+            if name not in worst or value / bound > worst[name][0] / worst[name][1]:
+                worst[name] = (value, bound)
+    parts = [f"{name} {'false' if bound is True else f'{value:.3g} > {bound:.3g}'}"
+             f" ({count[name]} of {len(results)} rows)"
+             for name, (value, bound) in worst.items()]
+    return "failed checks: " + "; ".join(parts)
+
+
 def _emit(text: str, path):
     if path:
         with open(path, "w", newline="") as fh:
@@ -131,6 +146,7 @@ def cmd_sweep(args) -> int:
     if not all(row[-1] for row in table):
         bad = [f"dz={row[0]:g}" for row in table if not row[-1]]
         print(f"unconverged sweep rows: {', '.join(bad)}", file=sys.stderr)
+        print(_failed_checks(rows), file=sys.stderr)
         return EXIT_CONVERGENCE
 
     if cfg.output_format == "csv":
@@ -223,6 +239,7 @@ def cmd_point(args) -> int:
     result = engine.at(args.dz)
     if not result.converged:
         print(f"unconverged point: dz={args.dz:g}", file=sys.stderr)
+        print(_failed_checks([result]), file=sys.stderr)
         return EXIT_CONVERGENCE
     levels = dicke_levels(result)
     markov = markov_diagnostic(result, args.dz, cfg.gamma0_abs)

@@ -25,9 +25,9 @@ from . import quadrature
 from .errors import DomainError, FitError
 from .frequencies import OMEGA_A, SpectralPoint
 from .green_vacuum import green_vacuum_axial, green_vacuum_cyl, green_vacuum_im_coincident
-from .green_wire import (_MIRROR, SpectralEvaluator, WireGeometry, WireSpectralTable,
-                         imag_axis_tables, plasmon_wavenumber, settle_azimuthal_order,
-                         wire_green)
+from .green_wire import (_MIRROR, TAIL_TOL, SpectralEvaluator, WireGeometry,
+                         WireSpectralTable, imag_axis_tables, plasmon_wavenumber,
+                         settle_azimuthal_order, wire_green)
 from .quadrature import _GL_W, _KIDX, _NPTS, _PROJ
 
 _P_EVEN = _MIRROR.ravel() > 0   # components the -kz mirror keeps
@@ -85,6 +85,8 @@ class RateShiftResult:
 
     shift*_total = shift*_resonant + shift*_integral holds exactly by
     construction; shift11_* is the wire-induced single-emitter (Lamb) part.
+    ``diagnostics["failed_checks"]`` of a ``PairInteraction`` row maps each
+    check that kept it from converging to its (value, bound).
     """
 
     gamma11: float
@@ -196,7 +198,6 @@ class PairInteraction:
         self.nmax = nmax
         self.table_res = tab = WireSpectralTable(geom, point, rho, rho, 0.0, nmax=nmax,
                                                  tol=tol)
-        self._real_ok = tab.panels_ok and tab.tail_ok
 
         self._d1 = np.asarray(pair.dipole_1, float)
         self._d2 = np.asarray(pair.dipole_2, float)
@@ -251,23 +252,35 @@ class PairInteraction:
         kap = self._kappa_engine
         i11, e11 = kap.coincident
         ierr = e12 + e11 + kap.kz_err
-        iconv = kap.panels_ok and ierr <= 100.0 * self.tol * max(1.0, abs(i12), abs(i11))
         shift12_int = (3.0 / w**3) * i12
         shift11_int = (3.0 / w**3) * i11
 
+        tab = self.table_res
         scale = max(1.0, abs(gamma11) * w / (6.0 * math.pi))
-        res_ok = res_err <= 100.0 * self.tol * scale
+        # each check's (value, bound): a flag passes when true, a number when
+        # at most its bound
+        checks = {
+            "real_panels_ok": (tab.panels_ok, True),
+            "tail_ratio": (tab.tail_ratio, TAIL_TOL),
+            "resonant_tensor_err": (res_err, 100.0 * self.tol * scale),
+            "kappa_panels_ok": (kap.panels_ok, True),
+            "kappa_err": (ierr, 100.0 * self.tol * max(1.0, abs(i12), abs(i11))),
+        }
+        failed = {name: (value, bound) for name, (value, bound) in checks.items()
+                  if not (value if bound is True else value <= bound)}
         return RateShiftResult(
             gamma11=gamma11, gamma12=gamma12,
             shift12_resonant=shift12_res, shift12_integral=shift12_int,
             shift11_resonant=shift11_res, shift11_integral=shift11_int,
-            converged=bool(self._real_ok and res_ok and iconv),
+            converged=not failed,
             diagnostics={
                 "resonant_tensor_err": res_err,
+                "tail_ratio": tab.tail_ratio,
                 "kappa_err": ierr,
                 "kappa_nodes": kap.n_nodes,
                 "kappa_tail_ratio": kap.tail_ratio,
                 "nmax": self.nmax,
+                "failed_checks": failed,
             },
         )
 
@@ -326,12 +339,14 @@ class _ImagAxisEngine:
     are held as one flat table of real rows (``_fold``), laid end to end
     from one block per t panel and folded with the dipole pairs dd (9, 2),
     d1 d2 and d1 d1, into one column each.  The t panels follow the t rule
-    of every imaginary-axis integral (``quadrature.imag_axis_panels``: seed
-    panels, then splits of the worst panel, graded toward t = 0), cut at the
-    kappa cutoff; their node values are what the rows report, d1 . T . d2 at
-    each of a few reference separations and d1 . T . d1 at 0, so the
-    Legendre-coefficient decay that drives their splits is that of the rows'
-    own integrands.  The final grid is folded into ``reads`` (1 + 3 t
+    of every imaginary-axis integral (``quadrature.imag_axis_panels``: at
+    most five coarse seed panels, with no sliver panel at the cut, then
+    splits of the worst panel, graded toward t = 0), cut at the kappa
+    cutoff; at tol 1e-6 the default sweep's five seed panels (80 kappa
+    tables) need no split.  Their node values are what the rows report,
+    d1 . T . d2 at each of a few reference separations and d1 . T . d1 at 0,
+    so the Legendre-coefficient decay that drives their splits is that of
+    the rows' own integrands.  The final grid is folded into ``reads`` (1 + 3 t
     panels, rows): rows 0, 13, 14 and 15 of _PROJ at each kz row's node,
     times 2 and 4 half-widths of its t panel, so ``reads`` times the rows'
     values at dz (``_phase_rows``) gives the d1 . T . d2 integral and each t

@@ -439,10 +439,10 @@ def _check_tol(tol):
         raise DomainError(f"tol must be finite and >= 1e-12, got {tol}")
 
 
-#: Seed breaks of every t grid.  They set the panels' scale; the grading
-#: toward the static end t -> 0, where the medium response is largest, is
-#: left to the refinement (``T_GRADE``).
-T_SEEDS = (0.0, 0.04, 0.12, 0.25, 0.45, 0.65, 0.82, 0.93)
+#: Seed breaks of every t grid: five coarse panels below a cut above 0.9.
+#: The refinement sizes the grid from them and grades it toward the static
+#: end t -> 0, where the medium response is largest (``T_GRADE``).
+T_SEEDS = (0.0, 0.1, 0.35, 0.65, 0.9)
 
 #: Where a refined t panel that starts at t = 0 is cut, as a fraction of its
 #: width: a geometric mesh toward the endpoint, where bisection would spend
@@ -456,12 +456,17 @@ def _t_split(a, b):
 
 def imag_axis_panels(values, tol, t_cut, budget):
     """(PanelSet, converged flag) of an imaginary-axis integral over
-    t in [0, t_cut]: the panels between the T_SEEDS below t_cut, then splits
-    of the worst panel, at T_GRADE of its width if it starts at t = 0 and at
+    t in [0, t_cut]: the panels between the T_SEEDS below t_cut, the last of
+    them dropped when it lies closer to t_cut than a quarter of its gap to
+    the seed before it (so no sliver panel ends the grid), then splits of
+    the worst panel, at T_GRADE of its width if it starts at t = 0 and at
     its midpoint otherwise, until the summed bound meets half of ``tol``
     times the largest component of the seed integral (at least 1).
     values(t) gives the node values at the t nodes."""
-    breaks = sorted({t for t in T_SEEDS if t < t_cut} | {t_cut})
+    seeds = [t for t in T_SEEDS if t < t_cut]
+    if len(seeds) > 1 and t_cut - seeds[-1] < 0.25 * (seeds[-1] - seeds[-2]):
+        seeds.pop()
+    breaks = [*seeds, t_cut]
     return _one_sided(
         values, breaks,
         lambda ps: 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max())), budget,

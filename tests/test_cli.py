@@ -10,6 +10,7 @@ from wireqed import OMEGA_A, SpectralPoint, fit_plasmon_lorentzian
 from wireqed import cli, validate
 from wireqed.cli import main
 from wireqed.config import RunConfig, SCHEMA_TAG, config_from_dict, load_config
+from wireqed.emitters import PairInteraction
 from wireqed.errors import ConfigError, ConvergenceError
 from wireqed.green_wire import SpectralEvaluator
 
@@ -156,6 +157,23 @@ class TestExitCodes:
         out = tmp_path / "p.json"
         assert main(["point", "--config", path, "--dz", "1.0", "--out", str(out)]) == 3
         assert "unconverged point: dz=1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, rows", [(["sweep"], 3), (["point", "--dz", "1.0"], 1)],
+                             ids=["sweep", "point"])
+    def test_unconverged_rows_name_their_failed_checks(self, tmp_path, capsys, command,
+                                                       rows):
+        # order 4 fails only the real-axis azimuthal tail test on this
+        # geometry: one stderr line names it with its value and bound
+        path = write_config(tmp_path, {"azimuthal_order": 4})
+        out = tmp_path / "out"
+        assert main(command + ["--config", path, "--out", str(out)]) == 3
+        cfg = load_config(path)
+        engine = PairInteraction(cfg.geometry(), cfg.pair(1.0), tol=cfg.tol_wire, nmax=4)
+        ratio = engine.table_res.tail_ratio
+        assert engine.at(1.0).diagnostics["failed_checks"] == {"tail_ratio": (ratio, 1e-10)}
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"failed checks: tail_ratio {ratio:.3g} > 1e-10 ({rows} of {rows} rows)"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--omega-over-omega-a", "0"],

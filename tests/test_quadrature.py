@@ -155,10 +155,30 @@ def test_t_rule_grades_its_static_end(monkeypatch):
         fractions.append((m - a) / (b - a))
         assert fractions[-1] == pytest.approx(0.125 if a == 0.0 else 0.5, abs=1e-13)
     assert {round(f, 3) for f in fractions} == {0.125, 0.5}
-    # the graded splits nest toward t = 0: [0, 0.04] -> [0, 0.005] -> ...
+    # the graded splits nest toward t = 0: [0, 0.1] -> [0, 0.0125] -> ...
     ends = [b for (a, _), (_, b) in zip(splits[::2], splits[1::2]) if a == 0.0]
-    assert ends == pytest.approx([0.04 * 0.125**k for k in range(len(ends))], rel=1e-13)
+    assert ends == pytest.approx([0.1 * 0.125**k for k in range(len(ends))], rel=1e-13)
     assert len(ends) >= 3 and ps.nodes_used == 16 * len(added)
+
+
+_FOUR = (0.0, 0.1, 0.35, 0.65)
+
+
+@pytest.mark.parametrize("t_cut, seeds", [
+    (0.88, _FOUR),                      # below the last seed
+    (0.905, _FOUR),                     # 0.9 would leave a 0.005 panel
+    (0.96, _FOUR),                      # 0.06 < 0.25 * 0.25
+    (0.97, (*_FOUR, 0.9)),              # 0.07 >= 0.25 * 0.25
+    (0.9968682460416387, (*_FOUR, 0.9)),   # the default sweep's cut
+    (1.0, (*_FOUR, 0.9)),               # imag_axis_integrate's
+])
+def test_t_rule_drops_a_seed_that_would_leave_a_sliver(t_cut, seeds):
+    # the last seed below t_cut goes when it lies closer to t_cut than a
+    # quarter of its gap to the seed before it; a constant needs no split,
+    # so the seed panels are the grid
+    assert T_SEEDS == (*_FOUR, 0.9)
+    ps, ok = imag_axis_panels(lambda t: np.ones_like(t), 1e-10, t_cut, 20000)
+    assert ok and [(p[0], p[1]) for p in ps.panels] == list(zip(seeds, [*seeds[1:], t_cut]))
 
 
 @pytest.mark.parametrize("integrate", [
