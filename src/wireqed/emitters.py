@@ -41,7 +41,7 @@ _ROT = np.array([[_C, _S], [-_S, _C]]).transpose(0, 2, 1)
 
 _COINCIDENT = 1e-12
 
-KAPPA_TABLE_BUDGET = 420   # most kappa tables one imaginary-axis integral holds
+KAPPA_TABLE_BUDGET = 420   # most t panels (16 kappa tables each) one imaginary-axis integral holds
 FIT_MAX_STEPS = 100        # Levenberg-Marquardt steps, rejected ones included
 
 
@@ -360,7 +360,7 @@ class _ImagAxisEngine:
     ``tail_ratio`` is the largest azimuthal tail ratio of the kappa tables
     in the integral; it is recorded, not tested.  A table out of its node
     budget, or a t grid stopped short of its target by KAPPA_TABLE_BUDGET
-    tables, clears ``panels_ok``, which the rows report as unconverged.
+    t panels, clears ``panels_ok``, which the rows report as unconverged.
     ``kz_err``, the tables' kz error bounds weighted as the t rule weights
     each table, enters the error the rows report.
     """

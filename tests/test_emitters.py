@@ -192,13 +192,6 @@ def _kz_err(engine, tables):
     return kz_err
 
 
-def _same_grid(engine, other):
-    """Whether two engines hold the same t panels.  Their order is the order
-    of the splits, and tilted dipoles split the last seed panel before the
-    second t = 0 split, where radial ones split it after."""
-    return sorted(engine.panels) == sorted(other.panels)
-
-
 def test_kappa_pool_sees_one_call_per_build_step(split_build):
     # all 5 seed t panels in one call, then the two parts of each split
     interaction, jobs = split_build
@@ -277,8 +270,9 @@ def test_t_grid_refines_on_the_row_quantities(default_geom, split_build, node_ta
     pair = EmitterPair((0.03, 0.0, 0.0), (0.03, 0.0, 0.02), dipole_1=tuple(d1),
                        dipole_2=tuple(d2))
     engine = _split_build(default_geom, pair)._kappa_engine
-    # the same panels, split in another order (``_same_grid``)
-    assert _same_grid(engine, split_build[0]._kappa_engine)
+    # the same panels, split in another order: tilted dipoles split the last
+    # seed panel before the second t = 0 split, radial ones after it
+    assert sorted(engine.panels) == sorted(split_build[0]._kappa_engine.panels)
     (grid,) = grids
     dd12, dd11 = np.outer(d1, d2).reshape(9, 1), np.outer(d1, d1).reshape(9, 1)
     want = np.array([_kappa_oracle(engine, node_tables, dz, dd12)[0][0]
@@ -390,7 +384,8 @@ def test_rows_with_mirror_odd_components_match_full_tensor(default_geom, split_b
                        dipole_2=dipoles[1])
     interaction = _split_build(default_geom, pair)
     engine = interaction._kappa_engine
-    assert _same_grid(engine, split_build[0]._kappa_engine)
+    # the same panels as the radial pair, in split order
+    assert sorted(engine.panels) == sorted(split_build[0]._kappa_engine.panels)
     tab = interaction.table_res
     w = interaction.omega_a
     dd12, dd11 = np.outer(d1, d2).reshape(9, 1), np.outer(d1, d1).reshape(9, 1)
@@ -441,9 +436,10 @@ def test_rows_with_mirror_odd_components_match_full_tensor(default_geom, split_b
         high = kz_err + l1 * np.abs(d2).sum() * e12_all + l1 * l1 * e11_all
         tiny = 1e-12 * 3.0 * max(np.abs(a12).max(), np.abs(a11).max())
         assert low - tiny <= diag["kappa_err"] <= high + tiny
-        converged = (tab.panels_ok and tab.tail_ok and 2.0 * res_err <= 1e-6 * max(
+        bound = 100.0 * interaction.tol
+        converged = (tab.panels_ok and tab.tail_ok and 2.0 * res_err <= bound * max(
             1.0, abs(r.gamma11) * w / (6.0 * math.pi)) and engine.panels_ok
-            and diag["kappa_err"] <= 1e-6 * max(1.0, abs(i12[0]), abs(i11[0])))
+            and diag["kappa_err"] <= bound * max(1.0, abs(i12[0]), abs(i11[0])))
         assert r.converged is converged
 
 
@@ -492,6 +488,9 @@ _T_RULE_GEOMETRIES = {
     "z_dipoles": (0.02, 0.05, DrudeModel(), (0.0, 0.0, 1.0)),
     # emitters 1.5e-3 from the surface
     "near_wall": (0.01, 0.0115, DrudeModel(), (1.0, 0.0, 0.0)),
+    # emitters 0.1 from the surface: the t cut, 0.941, lies within a quarter
+    # of a seed gap above the seed 0.9, which the t rule drops
+    "mid_gap": (0.01, 0.11, DrudeModel(), (1.0, 0.0, 0.0)),
 }
 
 
@@ -505,6 +504,8 @@ def test_t_rule_error_bounds_a_tighter_rebuild(name):
     pair = EmitterPair((rho, 0.0, 0.0), (rho, 0.0, 0.02), dipole_1=d, dipole_2=d)
     coarse, fine = (PairInteraction(geom, pair, tol=tol, nmax=15,
                                     dz_refs=(0.0, 0.02, 2.01, 4.0)) for tol in (1e-6, 1e-8))
+    breaks = {t for panel in coarse._kappa_engine.panels for t in panel}
+    assert (0.9 in breaks) is (name != "mid_gap")
     w = pair.omega_a
     margins = {}
     for dz in (0.02, 0.1, 0.5, 1.5, 3.0, 4.0, 8.0):
