@@ -1,22 +1,34 @@
 """Cylindrical Bessel and Hankel functions of integer order, complex argument.
 
-The wire Green's tensor needs J_n, H_n^(1) and their derivatives for
-arguments anywhere in the closed upper half-plane: real for propagating
-radial waves, purely imaginary on the imaginary frequency axis, and general
-complex inside the lossy metal.  Both ladders come from the three-term
-recurrence f_{n-1} + f_{n+1} = (2n/z) f_n, each run in the direction in
-which its function is dominant (Gautschi, SIAM Rev. 9, 1967; DLMF
-10.74(iv)).  H_n^(1) comes from scipy.special.hankel1 at orders 0 and 1 and
-is recurred upward, since for Im z >= 0 it is the dominant solution as n
-grows.  J_n comes from scipy.special.jv at orders nmax and nmax+1 and is
-recurred downward, J_{n-1} = (2n/z) J_n - J_{n+1}, since it is the minimal
-solution as n grows and hence dominant as n falls.  Where J_{nmax+1}
-underflows (|z| below about 1e-6 at nmax = 40) the downward start holds no
-information, so those columns keep scipy.special.jv at every order.
-``h_orders`` and ``j_orders`` give either ladder alone, for arguments where
-the other is not needed.  The module also supplies the derivative
-recurrence f' = (f_{n-1} - f_{n+1})/2, negative-order reflection
-J_{-n} = (-1)^n J_n, and explicit domain/overflow guards.
+The wire Green's tensor needs J_n, H_n^(1) and their derivatives at real
+arguments (propagating radial waves), purely imaginary ones (the imaginary
+frequency axis) and general complex ones (inside the lossy metal, and at the
+complex kz of the plasmon pole search).  Every value here comes from numpy
+arithmetic on the three-term recurrence f_{n-1} + f_{n+1} = (2n/z) f_n, run
+in the direction in which its function is dominant (Gautschi, SIAM Rev. 9,
+1967; DLMF 10.74(iv)), and no special-function library is called.
+
+J_n is the minimal solution as n grows, so it comes from Miller's algorithm:
+the recurrence runs downward from 0 and a tiny value at a start order set
+per argument from |z| (``_start_orders``), and the trial ladder is scaled
+to e^(-iz) = J_0 + 2 sum_k (-i)^k J_k (DLMF 10.35.2 at t = -i), whose terms
+do not cancel for Im z >= 0.  Below |z| = ``SERIES_MAX`` a start would
+overflow, so the ascending series gives every order there.
+
+H_n^(1) is the dominant solution as n grows, so it is recurred upward from
+orders 0 and 1, which come from H_n^(1)(z) = (2/pi) i^(-n-1) K_n(-iz)
+(DLMF 10.27.8) and one routine for e^w K_0(w) and e^w K_1(w) on Re w >= 0
+(``_k01``): Temme's series for |w| < 1 (Temme, J. Comput. Phys. 19, 1975)
+and above it the trapezoidal rule on the steepest-descent form
+e^w K_0(w) = int e^(-v^2) (2w + v^2)^(-1/2) dv over the real line, whose
+step is set per argument from the distance of its branch point to the real
+axis.  That routine takes Re w >= 0, i.e. Im z >= 0; a lower-half-plane
+argument goes through J_n(conj z) = conj J_n(z) and H_n^(1)(conj z) =
+conj(2 J_n(z) - H_n^(1)(z)).  ``h_orders`` and ``j_orders`` give either
+ladder alone, for arguments where the other is not needed.  The module also
+supplies the derivative recurrence f' = (f_{n-1} - f_{n+1})/2,
+negative-order reflection J_{-n} = (-1)^n J_n, and explicit domain/overflow
+guards.
 
 On the imaginary axis, J_n(iy) = i^n I_n(y) and H_n^(1)(iy) =
 (2/pi) i^(-n-1) K_n(y) for y > 0 (DLMF 10.27.6, 10.27.8), so there the
@@ -25,20 +37,20 @@ exponentially scaled e^(-y) I_n(y) and e^(y) K_n(y), which cannot overflow
 where I_n does (I_0(750) = inf), and run the recurrences
 f_{n-1} - f_{n+1} = (2n/y) f_n for I and f_{n+1} - f_{n-1} = (2n/y) f_n for K
 (DLMF 10.29.1).  These differ from the J and H recurrences by one sign, so
-one downward routine (``_downward``) serves J and I, started from jv or ive
-at orders nmax and nmax+1 with the one underflow fallback, and one upward
-routine (``_upward``) serves H and K, started from hankel1 or from
-scipy.special.k0e and k1e (kve at orders 0 and 1).  Every term of the I and
-K recurrences is positive, so neither loses digits.
+one downward routine (``_downward``) serves J and I, the I ladder scaled to
+e^(-y) (I_0 + 2 sum_k I_k) = 1 (DLMF 10.35.5), and one upward routine
+(``_upward``) serves H and K, started from ``_k01`` at real argument.
+Every term of the I and K recurrences and of the I scaling is positive, so
+none loses digits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, OverflowGuardError
 
@@ -47,6 +59,57 @@ N_MAX = 40
 
 #: Arguments beyond this magnitude risk overflow in the unscaled routines.
 OVERFLOW_GUARD = 1.0e3
+
+#: Below this |z| the ascending series gives every order: its third term is
+#: below 1e-21 of the first, and Miller's trial ladder would grow past the
+#: double range (by (2/|z|)^n n!) before it reached order 0.
+SERIES_MAX = 1.0e-3
+
+#: Miller's trial value at the start order.  The trial ladder grows by at
+#: most e^460 down to order 0 (|z| = SERIES_MAX at order 40) and by at least
+#: e^40 (``_NORM_DECADES``), so it stays in the normal double range.
+_MILLER_START = 1.0e-80
+
+#: Start orders, in natural-log units of the model ladder's fall: the terms
+#: left out of the scaling sum are below e^-40 of it, and the start's error,
+#: which shrinks as the square of that fall, is below e^-42 at order nmax+1.
+_NORM_DECADES, _TOP_DECADES = 40.0, 21.0
+
+#: The scaling weights of J (1 at order 0, then 2 (-i)^k) and of I (1, then
+#: 2) per order, as far as any start order reaches.
+_WEIGHTS = {modified: np.concatenate([[1.0], 2.0 * np.resize(phases, 1500)])
+            for modified, phases in ((False, (-1j, -1.0, 1j, 1.0)), (True, (1.0,)))}
+
+_EULER = 0.57721566490153286
+
+#: Temme's series for |w| < 1 as polynomials in t = w^2/4 of degree 10
+#: (the next term is below 3e-20): K_0 = f A + B and
+#: K_1 = (2/w) (A/2 - f C - D) with f = -(ln(w/2) + gamma) and, over
+#: c_k = t^k/(k!)^2 and the harmonic numbers H_k, A = sum c_k = I_0(w),
+#: B = sum H_k c_k, C = sum k c_k and D = sum k H_k c_k.
+_TEMME_TERMS = 11
+_TEMME = (lambda k, h: np.stack([np.ones_like(h), h, k, k * h], axis=1)
+          / np.array([math.factorial(i) ** 2 for i in range(_TEMME_TERMS)], float)[:, None]
+          )(np.arange(_TEMME_TERMS, dtype=float),
+            np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, _TEMME_TERMS))]))
+
+#: Trapezoid steps for e^w K(w) at |w| >= 1, smallest first.  A step h is
+#: exact to e^-42 where the branch point of (2w + v^2)^(-1/2) lies at least
+#: sigma_min(h) = pi/h - sqrt(pi^2/h^2 - 42) from the real v axis (the
+#: rule's error is about exp(sigma^2 - 2 pi sigma / h), and exp(-pi^2/h^2)
+#: from the Gaussian alone); that distance is sqrt(|w| + Re w) >= 1.  The
+#: nodes reach v = 7, where e^(-v^2) is 5e-22.
+_STEPS = (0.12, 0.153, 0.216, 0.29, 0.38, 0.45)
+_SIGMA_MIN = np.array([math.pi / h - math.sqrt((math.pi / h) ** 2 - 42.0) for h in _STEPS])
+
+
+@lru_cache(maxsize=None)
+def _trapezoid(h):
+    """Nodes v_j = j h >= 0 and the weights of the K_0 and K_1 sums over
+    them: both integrands are even, so the half line counts twice."""
+    v = h * np.arange(math.ceil(7.0 / h) + 1)
+    wt = np.where(v > 0, 2.0 * h, h) * np.exp(-v * v)
+    return v * v, np.stack([wt, wt * v * v], axis=1)
 
 
 @dataclass(frozen=True)
@@ -97,6 +160,22 @@ def _with_derivatives(f, nmax, z, modified=False):
     return f[: nmax + 1].reshape(shape), fp.reshape(shape)
 
 
+def _column_sum(a):
+    """Sum over axis 0 by adding neighbouring rows pairwise, level by level.
+    A column's value must not depend on the batch it came in: numpy's own
+    reduction changes its order with the number of columns, and here the
+    batch sets the number of rows, but zero rows below a column's last
+    nonzero one leave its sum unchanged bit for bit."""
+    while len(a) > 1:
+        half = len(a) // 2
+        b = np.empty((len(a) - half,) + a.shape[1:], a.dtype)
+        np.add(a[0: 2 * half: 2], a[1: 2 * half: 2], out=b[:half])
+        if len(a) % 2:
+            b[half] = a[-1]
+        a = b
+    return a[0]
+
+
 def _arguments(nmax, z, dtype):
     """z as a flat array of ``dtype`` (complex for J and H, float for the
     scaled I and K), once the order range and z pass the guards."""
@@ -107,6 +186,8 @@ def _arguments(nmax, z, dtype):
         if not np.all((zarr > 0.0) & (zarr < np.inf)):
             raise DomainError("modified Bessel arguments must be finite and positive")
         return zarr
+    if not np.all(np.isfinite(zarr)):
+        raise DomainError("Bessel arguments must be finite")
     if np.any(zarr == 0):
         raise DomainError("Bessel argument z = 0 is outside the domain")
     if np.any(np.abs(zarr) >= OVERFLOW_GUARD):
@@ -115,21 +196,144 @@ def _arguments(nmax, z, dtype):
     return zarr
 
 
-def _downward(nmax, z, start, combine):
-    """Orders 0..nmax+1 of the minimal solution at flat z, from
-    start(orders, z) at orders nmax and nmax+1 and
-    f_{n-1} = combine((2n/z) f_n, f_{n+1}): np.subtract for J (start jv),
-    np.add for e^(-z) I (start ive)."""
-    f = np.empty((nmax + 2, z.size), z.dtype)
-    f[nmax:] = start(np.arange(nmax, nmax + 2.0)[:, None], z[None, :])
-    two_over_z = 2.0 / z
-    for n in range(nmax, 0, -1):
-        f[n - 1] = combine((n * two_over_z) * f[n], f[n + 1])
-    # an underflowed top order carries no information down the ladder
-    lost = np.abs(f[nmax + 1]) < np.finfo(float).tiny
-    if np.any(lost):
-        f[:, lost] = start(np.arange(nmax + 2.0)[:, None], z[None, lost])
+@lru_cache(maxsize=None)
+def _fall(modified):
+    """(log t grid, D) with D[k, i] = sum_{j<k} d_j(t_i), the log-fall of a
+    model ladder from order 0 to order k at |z| = t_i.  The model's step
+    d_j = asinh((j + 1/2)/t) bounds the fall I_j/I_{j+1} from below; for J
+    the real axis falls slowest (no fall until j = |z|, DLMF 10.20), so
+    d_j = acosh(max((j + 1/2)/t, 1)) there serves every phase."""
+    t = np.geomspace(SERIES_MAX, 1e4 if modified else OVERFLOW_GUARD, 71 if modified else 61)
+    u = (np.arange(1400) + 0.5)[:, None] / t[None, :]
+    d = np.arcsinh(u) if modified else np.arccosh(np.maximum(u, 1.0))
+    return np.log(t), np.concatenate([np.zeros((1, t.size)), np.cumsum(d, axis=0)])
+
+
+@lru_cache(maxsize=None)
+def _start_table(modified, nmax):
+    """Per grid point of ``_fall``, the smallest start order M > nmax at which
+    the model ladder falls by _NORM_DECADES from order 0 and by _TOP_DECADES
+    from order nmax+1 to M+1."""
+    logt, fall = _fall(modified)
+    n0 = nmax + 1
+    norm = fall >= _NORM_DECADES
+    top = fall[1:] >= fall[n0] + _TOP_DECADES
+    assert norm[-1].all() and top[-1].all(), "start-order table too short"
+    return logt, np.maximum(np.maximum(norm.argmax(axis=0), top.argmax(axis=0)), n0)
+
+
+def _start_orders(modified, nmax, t):
+    """Miller start orders at |z| = t >= SERIES_MAX, interpolated in log t on
+    ``_start_table`` with two orders to spare; the I table's last point
+    scales as sqrt(t) beyond its end (the fall is Gaussian there)."""
+    logt, table = _start_table(modified, nmax)
+    lt = np.log(t)
+    top = np.interp(lt, logt, table)
+    if lt.max() > logt[-1]:
+        top = np.where(lt > logt[-1], table[-1] * np.exp(0.5 * (lt - logt[-1])), top)
+    return np.ceil(top).astype(np.intp) + 2
+
+
+def _series(nmax, z, modified):
+    """Orders 0..nmax+1 of J (or e^-z I, ``modified``) at flat |z| <
+    SERIES_MAX from three terms of (z/2)^n/n! sum_k (-+z^2/4)^k/(k!(n+k)!)
+    (DLMF 10.2.2, 10.25.2)."""
+    n = np.arange(nmax + 2.0)[:, None]
+    lead = np.empty((nmax + 2, z.size), z.dtype)
+    lead[0] = np.exp(-z) if modified else 1.0
+    lead[1:] = (z / 2.0)[None, :] / n[1:]
+    lead = np.cumprod(lead, axis=0)
+    q = (z * z / 4.0 if modified else -z * z / 4.0)[None, :]
+    return lead * (1.0 + q / (n + 1.0) * (1.0 + q / (2.0 * (n + 2.0))))
+
+
+def _miller(nmax, z, modified):
+    """Orders 0..nmax+1 of J (complex z, Im z >= 0) or e^-y I (real y > 0)
+    at flat |z| >= SERIES_MAX by Miller's algorithm.
+
+    f_{n-1} = (2n/z) f_n -+ f_{n+1} runs down from f_M = _MILLER_START,
+    f_{M+1} = 0 at each column's start order M.  Above nmax+1 each step adds
+    to a zero row that holds _MILLER_START where a column starts, so a column
+    stays zero above its own start; below, every column runs the plain
+    recurrence.  The trial ladder is then scaled to
+    e^(-iz) = J_0 + 2 sum (-i)^k J_k or to 1 = e^-y (I_0 + 2 sum I_k).
+    """
+    n0 = nmax + 1
+    combine = np.add if modified else np.subtract
+    tops = _start_orders(modified, nmax, np.abs(z))
+    top = int(tops.max())
+    f = np.zeros((top + 2, z.size), z.dtype)
+    f[tops, np.arange(z.size)] = _MILLER_START
+    rows = list(f)
+    step = list(np.multiply.outer(np.arange(top + 1.0), 2.0 / z))     # 2n/z
+    scratch = np.empty(z.size, z.dtype)
+    for n in range(top, n0, -1):
+        np.multiply(step[n], rows[n], out=scratch)
+        np.add(rows[n - 1], scratch, out=rows[n - 1])
+        combine(rows[n - 1], rows[n + 1], out=rows[n - 1])
+    for n in range(n0, 0, -1):
+        np.multiply(step[n], rows[n], out=rows[n - 1])
+        combine(rows[n - 1], rows[n + 1], out=rows[n - 1])
+    weights = _WEIGHTS[modified][: top + 1, None]
+    total = _column_sum(weights * f[: top + 1])
+    f = f[: n0 + 1]
+    with np.errstate(over="ignore", invalid="ignore"):    # _with_derivatives rejects it
+        f *= (1.0 / total) if modified else np.exp(-1j * z - np.log(total))
     return f
+
+
+def _downward(nmax, z, modified=False):
+    """Orders 0..nmax+1 of J (complex z, Im z >= 0) or of e^-y I (real y,
+    ``modified``) at flat z: the series below SERIES_MAX, Miller above."""
+    small = np.abs(z) < SERIES_MAX
+    if not small.any():
+        return _miller(nmax, z, modified)
+    f = np.empty((nmax + 2, z.size), z.dtype)
+    f[:, small] = _series(nmax, z[small], modified)
+    if not small.all():
+        f[:, ~small] = _miller(nmax, z[~small], modified)
+    return f
+
+
+def _k01(w):
+    """e^w K_0(w) and e^w K_1(w), shape (2, w.size), at flat w != 0 with
+    Re w >= 0 (complex) or w > 0 (real): Temme's series below |w| = 1, the
+    trapezoidal rule on e^w K_0(w) = int e^(-v^2) (2w + v^2)^(-1/2) dv and
+    e^w K_1(w) = int e^(-v^2) (1 + v^2/w) (2w + v^2)^(-1/2) dv above it,
+    one step per group of arguments (``_STEPS``)."""
+    aw = np.abs(w)
+    group = np.where(aw < 1.0, 0, np.searchsorted(_SIGMA_MIN, np.sqrt(aw + w.real),
+                                                  side="right"))
+    order = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[order], np.arange(len(_STEPS) + 2))
+    ws = w[order]
+    k = np.empty((2, w.size), w.dtype)
+    for g, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        if lo == hi:
+            continue
+        x = ws[lo:hi]
+        if g == 0:
+            # A, B, C, D of _TEMME by Horner's rule in t, side by side
+            t = x * x / 4.0
+            p = np.empty((4, x.size), x.dtype)
+            p[:] = _TEMME[-1][:, None]
+            for coef in _TEMME[-2::-1]:
+                p *= t
+                p += coef[:, None]
+            a, b, c, d = p
+            f = -(_EULER + np.log(x / 2.0))
+            e = np.exp(x)
+            k[0, lo:hi] = (f * a + b) * e
+            k[1, lo:hi] = (2.0 / x) * (a / 2.0 - f * c - d) * e
+        else:
+            v2, wts = _trapezoid(_STEPS[g - 1])
+            root = np.sqrt(np.add.outer(v2, 2.0 * x))
+            s0, s2 = _column_sum(wts[:, :, None] / root[:, None, :])
+            k[0, lo:hi] = s0
+            k[1, lo:hi] = s0 + s2 / x
+    out = np.empty_like(k)
+    out[:, order] = k
+    return out
 
 
 def _upward(nmax, z, first, combine):
@@ -139,11 +343,22 @@ def _upward(nmax, z, first, combine):
     left non-finite, for ``_with_derivatives`` to reject."""
     f = np.empty((nmax + 2, z.size), z.dtype)
     f[:2] = first
-    two_over_z = 2.0 / z
+    rows = list(f)
+    step = list(np.multiply.outer(np.arange(nmax + 1.0), 2.0 / z))    # 2n/z
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nmax + 1):
-            f[n + 1] = combine((n * two_over_z) * f[n], f[n - 1])
+            np.multiply(step[n], rows[n], out=rows[n + 1])
+            combine(rows[n + 1], rows[n - 1], out=rows[n + 1])
     return f
+
+
+def _upper(z):
+    """Flat z reflected into Im z >= 0, and the mask of reflected columns
+    (None when there are none)."""
+    lower = z.imag < 0
+    if not lower.any():
+        return z, None
+    return np.where(lower, z.conj(), z), lower
 
 
 def h_orders(nmax: int, z):
@@ -157,9 +372,16 @@ def h_orders(nmax: int, z):
     -------
     h, hp : ndarray, shape (nmax+1,) + shape(z)
     """
-    zarr = _arguments(nmax, z, complex)
-    first = special.hankel1(np.arange(2.0)[:, None], zarr[None, :])
-    return _with_derivatives(_upward(nmax, zarr, first, np.subtract), nmax, z)
+    zarr, lower = _upper(_arguments(nmax, z, complex))
+    # H_0 = (2/pi) (-i) K_0(-iz) and H_1 = -(2/pi) K_1(-iz), with
+    # K(-iz) = e^(iz) (e^w K(w)) at w = -iz
+    k0, k1 = _k01(-1j * zarr)
+    scale = (2.0 / math.pi) * np.exp(1j * zarr)
+    h = _upward(nmax, zarr, (-1j * scale * k0, -scale * k1), np.subtract)
+    if lower is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            h[:, lower] = np.conj(2.0 * _downward(nmax, zarr[lower]) - h[:, lower])
+    return _with_derivatives(h, nmax, z)
 
 
 def j_orders(nmax: int, z):
@@ -172,37 +394,37 @@ def j_orders(nmax: int, z):
     -------
     j, jp : ndarray, shape (nmax+1,) + shape(z)
     """
-    zarr = _arguments(nmax, z, complex)
-    return _with_derivatives(_downward(nmax, zarr, special.jv, np.subtract), nmax, z)
+    zarr, lower = _upper(_arguments(nmax, z, complex))
+    j = _downward(nmax, zarr)
+    if lower is not None:
+        j[:, lower] = j[:, lower].conj()
+    return _with_derivatives(j, nmax, z)
 
 
 def ive_orders(nmax: int, y):
     """e^(-y) I_n(y) and its derivative e^(-y) I_n'(y) for all orders
-    0..nmax at real argument(s) y > 0, recurred downward as ``j_orders``
-    recurs J, with the same underflow fallback (y below about 1e-6 at
-    nmax = 40).
+    0..nmax at real argument(s) y > 0, by the downward routine that gives J
+    in ``j_orders``.
 
     Returns
     -------
     i, ip : ndarray, shape (nmax+1,) + shape(y)
     """
     yarr = _arguments(nmax, y, float)
-    return _with_derivatives(_downward(nmax, yarr, special.ive, np.add), nmax, y,
-                             modified=True)
+    return _with_derivatives(_downward(nmax, yarr, modified=True), nmax, y, modified=True)
 
 
 def kve_orders(nmax: int, y):
     """e^(y) K_n(y) and its derivative e^(y) K_n'(y) for all orders
     0..nmax at real argument(s) y > 0, recurred upward from orders 0 and 1
-    (scipy.special.k0e and k1e, which are kve at those orders).
+    (``_k01``).
 
     Returns
     -------
     k, kp : ndarray, shape (nmax+1,) + shape(y)
     """
     yarr = _arguments(nmax, y, float)
-    first = special.k0e(yarr), special.k1e(yarr)
-    k, kp = _with_derivatives(_upward(nmax, yarr, first, np.add), nmax, y, modified=True)
+    k, kp = _with_derivatives(_upward(nmax, yarr, _k01(yarr), np.add), nmax, y, modified=True)
     return k, -kp
 
 

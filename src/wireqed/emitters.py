@@ -43,6 +43,7 @@ _COINCIDENT = 1e-12
 
 KAPPA_TABLE_BUDGET = 420   # most t panels (16 kappa tables each) one imaginary-axis integral holds
 FIT_MAX_STEPS = 100        # Levenberg-Marquardt steps, rejected ones included
+FIT_POLISH_STEPS = 8       # Gauss-Newton steps after them, at most
 
 
 @dataclass(frozen=True)
@@ -454,7 +455,12 @@ def fit_two_lorentzian(kz, values, guess) -> LorentzianFit:
     is A phi, so A = phi.y / phi.phi, and Levenberg-Marquardt runs on
     (log g, kc) with Kaufman's projected Jacobian -A (I - phi phi^T/phi.phi)
     dphi.  It stops when an accepted step no longer lowers the cost or moves
-    each parameter by at most 4 ulps.  ``guess`` is (A, g, kc); its A is not
+    each parameter by at most 4 ulps.  The cost is then at its roundoff floor
+    but the parameters need not be at its minimum, so Gauss-Newton steps
+    follow while each is under half the one before: they converge to the
+    zero of the gradient J^T r, which roundoff in the data moves only by
+    its condition number (Kaufman's J gives the exact gradient, since r is
+    orthogonal to phi).  ``guess`` is (A, g, kc); its A is not
     used.  Raises FitError for a non-finite guess or one with g < 1e-12,
     all-zero or non-finite data, a non-positive amplitude, or no stop within
     FIT_MAX_STEPS.
@@ -501,6 +507,14 @@ def fit_two_lorentzian(kz, values, guess) -> LorentzianFit:
             break
     else:
         raise FitError(f"fit did not stop within {FIT_MAX_STEPS} steps")
+    last = np.inf
+    for _ in range(FIT_POLISH_STEPS):
+        step = np.linalg.solve(jac.T @ jac, -jac.T @ r)
+        size = float(np.abs(step).max())
+        if not size < 0.5 * last:
+            break
+        p, last = p + step, size
+        amp, r, jac = project(p)
     if not amp > 0.0:
         raise FitError(f"fitted amplitude {amp} is not positive")
     return LorentzianFit(amplitude_a=float(amp), width_gamma=math.exp(p[0]),

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,15 +167,32 @@ def test_hankel_recurrence_matches_direct_evaluation(z):
     assert np.max(np.abs(hp[:, 0] - ref_p) / np.abs(ref_p)) <= 1e-12
 
 
+def _direct(fn, mp_fn, z):
+    """Orders 0..N_MAX+1 of ``fn`` from SciPy, or from ``mp_fn`` at 30 digits
+    where SciPy's top order underflows: there AMOS flushes values a double
+    holds (it returns J_28(1e-9) = 1.2e-290 and e^-y I_36(1e-7) = 3.9e-305
+    as 0)."""
+    ref = fn(np.arange(N_MAX + 2), z)
+    if abs(ref[-1]) >= np.finfo(float).tiny:
+        return ref
+    cast = complex if np.iscomplexobj(ref) else float
+    with mpmath.workdps(30):
+        return np.array([cast(mp_fn(n, z)) for n in range(N_MAX + 2)])
+
+
+def _mp_ive(n, y):
+    return mpmath.besseli(n, y) * mpmath.exp(-y)
+
+
 @pytest.mark.parametrize("z", LADDER_ARGUMENTS + [
     700.0j,             # deep evanescent tail, just inside the overflow limit
-    1e-9, 1e-7j,        # J_{N_MAX+1} underflows: the direct ladder is kept
+    1e-9, 1e-7j,        # below SERIES_MAX: the ascending series gives every order
 ], ids=str)
 def test_j_recurrence_matches_direct_evaluation(z):
-    # the ladder recurs J downward from orders N_MAX and N_MAX + 1; it must
-    # agree with a direct evaluation at every order, derivatives included
+    # Miller's ladder (or the series) must agree with a direct evaluation at
+    # every order, derivatives included
     j, jp = j_orders(N_MAX, np.array([z]))
-    ref = special.jv(np.arange(N_MAX + 2), z)
+    ref = _direct(special.jv, mpmath.besselj, z)
     ref_p = np.concatenate([[-ref[1]], (ref[:-2] - ref[2:]) / 2.0])
     scale = np.maximum(np.abs(ref[:-1]), np.abs(ref_p))
     assert np.all(np.abs(j[:, 0] - ref[:-1]) <= 1e-12 * scale)
@@ -194,29 +212,26 @@ def test_j_ladder_columns_are_independent_of_the_batch():
         j_orders(N_MAX, np.array([720.0j]))
 
 
-# 1e-9 and 1e-7 take the I ladder's underflow fallback; the unscaled I_0
-# overflows above about 714
+# 1e-9 and 1e-7 lie below SERIES_MAX, where the series gives every order; the
+# unscaled I_0 overflows above about 714
 SCALED_ARGUMENTS = [1e-9, 1e-7, 1e-5, 1e-3, 0.05, 0.5, 7.0, 44.0, 300.0, 714.0, 900.0]
 
 
-def _modified_reference(fn, y, sign):
-    ref = fn(np.arange(N_MAX + 2), y)
+def _modified_reference(fn, y, sign, mp_fn=None):
+    ref = fn(np.arange(N_MAX + 2), y) if mp_fn is None else _direct(fn, mp_fn, y)
     ref_p = sign * np.concatenate([[ref[1]], (ref[:-2] + ref[2:]) / 2.0])
     return ref[:-1], ref_p
 
 
 @pytest.mark.parametrize("y", SCALED_ARGUMENTS, ids=str)
 def test_scaled_i_ladder_matches_direct_evaluation(y):
-    # e^-y I_n recurred downward from orders N_MAX and N_MAX + 1 against
+    # e^-y I_n by Miller's algorithm (or the series) against
     # scipy.special.ive at every order, derivatives included
     i, ip = ive_orders(N_MAX, np.array([y]))
-    ref, ref_p = _modified_reference(special.ive, y, 1.0)
+    ref, ref_p = _modified_reference(special.ive, y, 1.0, _mp_ive)
     scale = np.maximum(np.abs(ref), np.abs(ref_p))
     assert np.all(np.abs(i[:, 0] - ref) <= 1e-12 * scale)
     assert np.all(np.abs(ip[:, 0] - ref_p) <= 1e-12 * scale)
-    if special.ive(N_MAX + 1, y) < np.finfo(float).tiny:
-        # the fallback keeps the direct ladder
-        np.testing.assert_array_equal(i[:, 0], ref)
 
 
 @pytest.mark.parametrize("y", SCALED_ARGUMENTS, ids=str)
