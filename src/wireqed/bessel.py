@@ -60,14 +60,15 @@ N_MAX = 40
 #: Arguments beyond this magnitude risk overflow in the unscaled routines.
 OVERFLOW_GUARD = 1.0e3
 
-#: Below this |z| the ascending series gives every order: its third term is
-#: below 1e-21 of the first, and Miller's trial ladder would grow past the
-#: double range (by (2/|z|)^n n!) before it reached order 0.
-SERIES_MAX = 1.0e-3
+#: Below this |z| the ascending series gives every order (its third term is
+#: below 1e-31 of the first): Miller's trial ladder grows like (2/|z|)^n n!
+#: down to order 0 and would soon leave the double range.
+SERIES_MAX = 1.0e-5
 
 #: Miller's trial value at the start order.  The trial ladder grows by at
-#: most e^460 down to order 0 (|z| = SERIES_MAX at order 40) and by at least
-#: e^40 (``_NORM_DECADES``), so it stays in the normal double range.
+#: most e^660 down to order 0 (|z| = SERIES_MAX at order 40) and by at least
+#: e^40 times e^(Im z) (``_NORM_DECADES``), so it and the scale
+#: e^(-iz)/sum, below 1e80 e^-40, stay in the double range.
 _MILLER_START = 1.0e-80
 
 #: Start orders, in natural-log units of the model ladder's fall: the terms
@@ -83,15 +84,16 @@ _WEIGHTS = {modified: np.concatenate([[1.0], 2.0 * np.resize(phases, 1500)])
 _EULER = 0.57721566490153286
 
 #: Temme's series for |w| < 1 as polynomials in t = w^2/4 of degree 10
-#: (the next term is below 3e-20): K_0 = f A + B and
-#: K_1 = (2/w) (A/2 - f C - D) with f = -(ln(w/2) + gamma) and, over
-#: c_k = t^k/(k!)^2 and the harmonic numbers H_k, A = sum c_k = I_0(w),
-#: B = sum H_k c_k, C = sum k c_k and D = sum k H_k c_k.
+#: (the next term is below 3e-20), highest degree first:
+#: K_0 = -(ln(w/2) + gamma) I_0 + sum_k H_k t^k/(k!)^2 with the harmonic
+#: numbers H_k and I_0 = sum_k t^k/(k!)^2, and K_1 from the Wronskian
+#: I_0 K_1 + I_1 K_0 = 1/w with I_1 = (w/2) sum_k t^k/(k! (k+1)!).
 _TEMME_TERMS = 11
-_TEMME = (lambda k, h: np.stack([np.ones_like(h), h, k, k * h], axis=1)
-          / np.array([math.factorial(i) ** 2 for i in range(_TEMME_TERMS)], float)[:, None]
-          )(np.arange(_TEMME_TERMS, dtype=float),
-            np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, _TEMME_TERMS))]))
+_TEMME = [column[:, None] for column in (lambda k, h, f: np.stack(
+    [1.0 / f ** 2, h / f ** 2, 1.0 / (f * f * (k + 1))], axis=1))(
+    np.arange(_TEMME_TERMS, dtype=float),
+    np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, _TEMME_TERMS))]),
+    np.array([math.factorial(i) for i in range(_TEMME_TERMS)], float))[::-1]]
 
 #: Trapezoid steps for e^w K(w) at |w| >= 1, smallest first.  A step h is
 #: exact to e^-42 where the branch point of (2w + v^2)^(-1/2) lies at least
@@ -147,33 +149,32 @@ def _with_derivatives(f, nmax, z, modified=False):
     J and H^(1), and f'_n = (f_{n-1} + f_{n+1}) / 2 with f_{-1} = f_1 for
     I (``modified``); K'_n is minus the latter.
     """
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise OverflowGuardError("Bessel evaluation overflowed the representable range")
     fp = np.empty_like(f[: nmax + 1])
     if modified:
         fp[0] = f[1]
-        fp[1:] = (f[: nmax] + f[2: nmax + 2]) / 2.0
+        np.add(f[: nmax], f[2: nmax + 2], out=fp[1:])
     else:
         fp[0] = -f[1]
-        fp[1:] = (f[: nmax] - f[2: nmax + 2]) / 2.0
+        np.subtract(f[: nmax], f[2: nmax + 2], out=fp[1:])
+    fp[1:] *= 0.5
     shape = (nmax + 1,) + np.shape(z)
     return f[: nmax + 1].reshape(shape), fp.reshape(shape)
 
 
 def _column_sum(a):
-    """Sum over axis 0 by adding neighbouring rows pairwise, level by level.
-    A column's value must not depend on the batch it came in: numpy's own
-    reduction changes its order with the number of columns, and here the
-    batch sets the number of rows, but zero rows below a column's last
-    nonzero one leave its sum unchanged bit for bit."""
-    while len(a) > 1:
-        half = len(a) // 2
-        b = np.empty((len(a) - half,) + a.shape[1:], a.dtype)
-        np.add(a[0: 2 * half: 2], a[1: 2 * half: 2], out=b[:half])
-        if len(a) % 2:
-            b[half] = a[-1]
-        a = b
-    return a[0]
+    """Sum over axis 0, adding the rows one after another in every column, so
+    that a column's value does not depend on the batch it came in, and zero
+    rows past its last term leave it unchanged bit for bit.  numpy adds
+    pairwise only along contiguous memory, which axis 0 is here only for a
+    single real column; cumsum adds that one in order too."""
+    flat = a.reshape(len(a), -1)
+    if flat.dtype.kind == "c":
+        flat = flat.view(float)
+    if flat.shape[1] == 1:
+        return np.cumsum(a, axis=0)[-1]
+    return flat.sum(axis=0).view(a.dtype).reshape(a.shape[1:])
 
 
 def _arguments(nmax, z, dtype):
@@ -183,15 +184,16 @@ def _arguments(nmax, z, dtype):
         raise DomainError(f"order ladder must satisfy 0 <= nmax <= {N_MAX}, got {nmax}")
     zarr = np.atleast_1d(np.asarray(z, dtype=dtype))
     if dtype is float:
-        if not np.all((zarr > 0.0) & (zarr < np.inf)):
+        if not ((zarr > 0.0) & (zarr < np.inf)).all():
             raise DomainError("modified Bessel arguments must be finite and positive")
         return zarr
-    if not np.all(np.isfinite(zarr)):
+    if not np.isfinite(zarr).all():
         raise DomainError("Bessel arguments must be finite")
-    if np.any(zarr == 0):
+    if (zarr == 0).any():
         raise DomainError("Bessel argument z = 0 is outside the domain")
-    if np.any(np.abs(zarr) >= OVERFLOW_GUARD):
-        raise OverflowGuardError(f"|z| = {np.abs(zarr).max():.3g} exceeds the overflow "
+    largest = np.abs(zarr).max()
+    if largest >= OVERFLOW_GUARD:
+        raise OverflowGuardError(f"|z| = {largest:.3g} exceeds the overflow "
                                  f"guard {OVERFLOW_GUARD:g}")
     return zarr
 
@@ -229,12 +231,12 @@ def _start_orders(modified, nmax, t):
     logt, table = _start_table(modified, nmax)
     lt = np.log(t)
     top = np.interp(lt, logt, table)
-    if lt.max() > logt[-1]:
+    if modified and lt.max() > logt[-1]:
         top = np.where(lt > logt[-1], table[-1] * np.exp(0.5 * (lt - logt[-1])), top)
     return np.ceil(top).astype(np.intp) + 2
 
 
-def _series(nmax, z, modified):
+def _series(nmax, z, modified, t=None):
     """Orders 0..nmax+1 of J (or e^-z I, ``modified``) at flat |z| <
     SERIES_MAX from three terms of (z/2)^n/n! sum_k (-+z^2/4)^k/(k!(n+k)!)
     (DLMF 10.2.2, 10.25.2)."""
@@ -247,93 +249,122 @@ def _series(nmax, z, modified):
     return lead * (1.0 + q / (n + 1.0) * (1.0 + q / (2.0 * (n + 2.0))))
 
 
-def _miller(nmax, z, modified):
+def _steps(count, z):
+    """Rows 2n/z, n = 0..count-1, as a list.  A ladder grows like (2/z)^n,
+    so n (2/z) would carry the rounding of 2/z into f_n n times over; real
+    rows are therefore divided out one by one.  A complex division costs
+    four multiplies, so complex rows take 2n (1/z): their n-fold rounding
+    stays below SciPy's own error at every order (tests/test_bessel.py)."""
+    twice = np.arange(0.0, 2 * count, 2)
+    if z.dtype.kind == "f":
+        return list(np.divide.outer(twice, z))
+    return list(np.multiply.outer(twice, 1.0 / z))
+
+
+def _miller(nmax, z, modified, t):
     """Orders 0..nmax+1 of J (complex z, Im z >= 0) or e^-y I (real y > 0)
-    at flat |z| >= SERIES_MAX by Miller's algorithm.
+    at flat |z| = t >= SERIES_MAX by Miller's algorithm.
 
     f_{n-1} = (2n/z) f_n -+ f_{n+1} runs down from f_M = _MILLER_START,
-    f_{M+1} = 0 at each column's start order M.  Above nmax+1 each step adds
-    to a zero row that holds _MILLER_START where a column starts, so a column
-    stays zero above its own start; below, every column runs the plain
-    recurrence.  The trial ladder is then scaled to
+    f_{M+1} = 0 at each column's start order M.  Every step runs on the
+    whole batch: a column is zero above its own start, which the recurrence
+    keeps, and takes _MILLER_START at its start.  The trial ladder is then
+    scaled to
     e^(-iz) = J_0 + 2 sum (-i)^k J_k or to 1 = e^-y (I_0 + 2 sum I_k).
     """
-    n0 = nmax + 1
     combine = np.add if modified else np.subtract
-    tops = _start_orders(modified, nmax, np.abs(z))
-    top = int(tops.max())
+    tops = _start_orders(modified, nmax, t)
+    order = np.argsort(tops, kind="stable")
+    starts, first = np.unique(tops[order], return_index=True)
+    begin = dict(zip(starts.tolist(), np.split(order, first[1:])))
+    top = int(starts[-1])
     f = np.zeros((top + 2, z.size), z.dtype)
-    f[tops, np.arange(z.size)] = _MILLER_START
+    f[top, begin[top]] = _MILLER_START
     rows = list(f)
-    step = list(np.multiply.outer(np.arange(top + 1.0), 2.0 / z))     # 2n/z
-    scratch = np.empty(z.size, z.dtype)
-    for n in range(top, n0, -1):
-        np.multiply(step[n], rows[n], out=scratch)
-        np.add(rows[n - 1], scratch, out=rows[n - 1])
-        combine(rows[n - 1], rows[n + 1], out=rows[n - 1])
-    for n in range(n0, 0, -1):
+    step = _steps(top + 1, z)
+    for n in range(top, 0, -1):
         np.multiply(step[n], rows[n], out=rows[n - 1])
         combine(rows[n - 1], rows[n + 1], out=rows[n - 1])
+        if n - 1 in begin:        # zero so far in these columns
+            rows[n - 1][begin[n - 1]] = _MILLER_START
     weights = _WEIGHTS[modified][: top + 1, None]
     total = _column_sum(weights * f[: top + 1])
-    f = f[: n0 + 1]
+    f = f[: nmax + 2]
     with np.errstate(over="ignore", invalid="ignore"):    # _with_derivatives rejects it
-        f *= (1.0 / total) if modified else np.exp(-1j * z - np.log(total))
+        f *= (1.0 if modified else np.exp(-1j * z)) / total
+    return f
+
+
+def _real_upward(nmax, z, modified, t):
+    """Orders 0..nmax+1 of J at flat real z (complex dtype) with
+    |z| >= 1.5 nmax + 12: all of them lie below |z|, where J and Y oscillate
+    alike and the upward recurrence neither gains nor loses, so it starts
+    from J_0, J_1 = Re H_0^(1), Re H_1^(1) at |z| (``_k01``) and
+    J_n(-x) = (-1)^n J_n(x) gives the negative axis.  Miller's sum would
+    gather about sqrt(|z|) ulps over its |z| + 12 |z|^(1/3) steps here."""
+    x = t
+    k0, k1 = _k01(-1j * x, scaled=False)
+    first = ((-2j / math.pi * k0).real, (-2.0 / math.pi * k1).real)
+    f = _upward(nmax, x.astype(complex), first, np.subtract)
+    f[1::2, z.real < 0] *= -1.0
     return f
 
 
 def _downward(nmax, z, modified=False):
     """Orders 0..nmax+1 of J (complex z, Im z >= 0) or of e^-y I (real y,
-    ``modified``) at flat z: the series below SERIES_MAX, Miller above."""
-    small = np.abs(z) < SERIES_MAX
-    if not small.any():
-        return _miller(nmax, z, modified)
+    ``modified``) at flat z: the series below SERIES_MAX, ``_real_upward``
+    for J at large real z, Miller elsewhere."""
+    t = np.abs(z)
+    small = t < SERIES_MAX
+    real = None if modified else (z.imag == 0) & (t >= 1.5 * nmax + 12)
+    if not small.any() and (real is None or not real.any()):
+        return _miller(nmax, z, modified, t)
+    rest = ~small if real is None else ~(small | real)
     f = np.empty((nmax + 2, z.size), z.dtype)
-    f[:, small] = _series(nmax, z[small], modified)
-    if not small.all():
-        f[:, ~small] = _miller(nmax, z[~small], modified)
+    for mask, route in ((small, _series), (real, _real_upward), (rest, _miller)):
+        if mask is not None and mask.any():
+            f[:, mask] = route(nmax, z[mask], modified, t[mask])
     return f
 
 
-def _k01(w):
-    """e^w K_0(w) and e^w K_1(w), shape (2, w.size), at flat w != 0 with
-    Re w >= 0 (complex) or w > 0 (real): Temme's series below |w| = 1, the
-    trapezoidal rule on e^w K_0(w) = int e^(-v^2) (2w + v^2)^(-1/2) dv and
+def _k01(w, scaled):
+    """K_0(w) and K_1(w), times e^w when ``scaled``, shape (2, w.size), at
+    flat w != 0 with Re w >= 0 (complex) or w > 0 (real): Temme's series
+    below |w| = 1, the trapezoidal rule on
+    e^w K_0(w) = int e^(-v^2) (2w + v^2)^(-1/2) dv and
     e^w K_1(w) = int e^(-v^2) (1 + v^2/w) (2w + v^2)^(-1/2) dv above it,
-    one step per group of arguments (``_STEPS``)."""
+    one step per group of arguments (``_STEPS``).  Each form takes its
+    exponential factor only where the caller needs it."""
     aw = np.abs(w)
     group = np.where(aw < 1.0, 0, np.searchsorted(_SIGMA_MIN, np.sqrt(aw + w.real),
                                                   side="right"))
-    order = np.argsort(group, kind="stable")
-    bounds = np.searchsorted(group[order], np.arange(len(_STEPS) + 2))
-    ws = w[order]
+    present = np.flatnonzero(np.bincount(group)).tolist()
     k = np.empty((2, w.size), w.dtype)
-    for g, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-        if lo == hi:
-            continue
-        x = ws[lo:hi]
+    for g in present:
+        sel = slice(None) if len(present) == 1 else group == g
+        x = w[sel]
         if g == 0:
-            # A, B, C, D of _TEMME by Horner's rule in t, side by side
+            # I_0, the H_k sum and 2 I_1 / w of _TEMME by Horner's rule
             t = x * x / 4.0
-            p = np.empty((4, x.size), x.dtype)
-            p[:] = _TEMME[-1][:, None]
-            for coef in _TEMME[-2::-1]:
+            p = np.empty((3, x.size), x.dtype)
+            p[:] = _TEMME[0]
+            for coef in _TEMME[1:]:
                 p *= t
-                p += coef[:, None]
-            a, b, c, d = p
-            f = -(_EULER + np.log(x / 2.0))
-            e = np.exp(x)
-            k[0, lo:hi] = (f * a + b) * e
-            k[1, lo:hi] = (2.0 / x) * (a / 2.0 - f * c - d) * e
+                p += coef
+            i0, harmonic, i1 = p
+            i1 *= x / 2.0
+            k0 = harmonic - (_EULER + np.log(x / 2.0)) * i0
+            e = np.exp(x) if scaled else 1.0
+            k[0, sel] = k0 * e
+            k[1, sel] = (1.0 / x - i1 * k0) / i0 * e
         else:
             v2, wts = _trapezoid(_STEPS[g - 1])
             root = np.sqrt(np.add.outer(v2, 2.0 * x))
             s0, s2 = _column_sum(wts[:, :, None] / root[:, None, :])
-            k[0, lo:hi] = s0
-            k[1, lo:hi] = s0 + s2 / x
-    out = np.empty_like(k)
-    out[:, order] = k
-    return out
+            e = 1.0 if scaled else np.exp(-x)
+            k[0, sel] = s0 * e
+            k[1, sel] = (s0 + s2 / x) * e
+    return k
 
 
 def _upward(nmax, z, first, combine):
@@ -344,7 +375,7 @@ def _upward(nmax, z, first, combine):
     f = np.empty((nmax + 2, z.size), z.dtype)
     f[:2] = first
     rows = list(f)
-    step = list(np.multiply.outer(np.arange(nmax + 1.0), 2.0 / z))    # 2n/z
+    step = _steps(nmax + 1, z)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nmax + 1):
             np.multiply(step[n], rows[n], out=rows[n + 1])
@@ -373,11 +404,9 @@ def h_orders(nmax: int, z):
     h, hp : ndarray, shape (nmax+1,) + shape(z)
     """
     zarr, lower = _upper(_arguments(nmax, z, complex))
-    # H_0 = (2/pi) (-i) K_0(-iz) and H_1 = -(2/pi) K_1(-iz), with
-    # K(-iz) = e^(iz) (e^w K(w)) at w = -iz
-    k0, k1 = _k01(-1j * zarr)
-    scale = (2.0 / math.pi) * np.exp(1j * zarr)
-    h = _upward(nmax, zarr, (-1j * scale * k0, -scale * k1), np.subtract)
+    # H_0 = (2/pi) (-i) K_0(-iz) and H_1 = -(2/pi) K_1(-iz)
+    k0, k1 = _k01(-1j * zarr, scaled=False)
+    h = _upward(nmax, zarr, ((-2j / math.pi) * k0, (-2.0 / math.pi) * k1), np.subtract)
     if lower is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             h[:, lower] = np.conj(2.0 * _downward(nmax, zarr[lower]) - h[:, lower])
@@ -424,7 +453,7 @@ def kve_orders(nmax: int, y):
     k, kp : ndarray, shape (nmax+1,) + shape(y)
     """
     yarr = _arguments(nmax, y, float)
-    k, kp = _with_derivatives(_upward(nmax, yarr, _k01(yarr), np.add), nmax, y, modified=True)
+    k, kp = _with_derivatives(_upward(nmax, yarr, _k01(yarr, scaled=True), np.add), nmax, y, modified=True)
     return k, -kp
 
 

@@ -1,24 +1,40 @@
 """Generate reference values for the cylindrical function tests.
 
-Primary reference: mpmath at 30 significant digits (series / asymptotic
-evaluation independent of the AMOS machinery used in production).  A
+``bessel_reference.json``: 200 random (order, argument) pairs of the upper
+half-plane.  Primary reference: mpmath at 30 significant digits (series /
+asymptotic evaluation independent of the double-precision ladders).  A
 double-precision ascending-series + Miller-backward-recurrence J oracle is
 run alongside wherever doubles can represent the result, as a second
 independent cross-check of the reference itself.
+
+``bessel_visited.json``: arguments the program itself passes to each of the
+four ladders (``j_orders``, ``h_orders``, ``ive_orders``, ``kve_orders``),
+recorded while it runs the default ``sweep``, a dense ``PairInteraction``
+(radius 0.01, rho 0.03, tol 1e-6), coincident ``wire_green`` tensors on the
+Kramers-Kronig test's wire (the benchmark's anchor frequencies and every
+tenth frequency of that test's grid, "kk") and the plasmon pole search; then a
+few edge arguments the runs do not reach: below ``SERIES_MAX`` (where SciPy's
+top order underflows), next to ``OVERFLOW_GUARD``, at the branch-floor
+clamp and in the lower half-plane.  Each argument keeps the ladder's nmax,
+and its orders 0..nmax+1 are evaluated in mpmath at 50 digits and again at
+60; the two must agree to 1e-30.
 
 Run from the repository root:
 
     python tests/oracles/generate_bessel_fixtures.py
 
-and commit the regenerated ``tests/fixtures/bessel_reference.json``.
+and commit the regenerated fixtures.
 """
 
 import json
 import math
 import pathlib
 import random
+import sys
+import tempfile
 
 import mpmath
+import numpy as np
 
 mpmath.mp.dps = 30
 
@@ -134,5 +150,145 @@ def main():
     print(f"wrote {len(rows)} points to {out}; cross-check worst {worst_cross:.2e}")
 
 
+#: Arguments kept per workload and ladder, spread over the ranks of |z|.
+PER_SOURCE = 20
+#: Arguments kept from the pole search (nmax 0, complex kz) per ladder.
+POLE_SEARCH = 8
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+LADDERS = ("j_orders", "h_orders", "ive_orders", "kve_orders")
+
+
+def record():
+    """{ladder: [(source, nmax, z)]} from runs of the program with the
+    ladders wrapped where ``green_wire`` looks them up."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from wireqed import cli, green_wire
+    from wireqed.emitters import EmitterPair, PairInteraction
+    from wireqed.frequencies import OMEGA_A, SpectralPoint
+    from wireqed.green_wire import WireGeometry
+    from wireqed.material import DrudeModel
+
+    seen = {name: [] for name in LADDERS}
+    source = ["sweep"]
+
+    def wrap(name):
+        fn = getattr(green_wire, name)
+
+        def recorded(nmax, z):
+            zs = np.atleast_1d(z).ravel()
+            tag = "pole search" if nmax == 0 and np.iscomplexobj(zs) else source[0]
+            seen[name].extend((tag, int(nmax), v) for v in zs.tolist())
+            return fn(nmax, z)
+        return fn, recorded
+
+    originals = {name: wrap(name) for name in LADDERS}
+    for name, (_, recorded) in originals.items():
+        setattr(green_wire, name, recorded)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            cli.main(["sweep", "--config", str(ROOT / "configs" / "default.json"),
+                      "--threads", "1", "--out", str(pathlib.Path(tmp) / "sweep.csv")])
+        source[0] = "dense"
+        pair = PairInteraction(WireGeometry(radius=0.01, model=DrudeModel()),
+                               EmitterPair((0.03, 0.0, 0.0), (0.03, 0.0, 0.02)), tol=1e-6,
+                               dz_refs=(0.0, 0.02, 4.01, 8.0))
+        for dz in (0.02, 0.5, 4.0, 8.0):
+            pair.at(dz)
+        geom = WireGeometry(radius=0.01, model=DrudeModel(
+            eps_inf=1.0, omega_p=6.0 * OMEGA_A, gamma_p=0.12 * OMEGA_A))
+        grid = np.unique(np.concatenate([
+            np.linspace(0.02, 3.8, 70), np.linspace(0.6, 1.5, 30),
+            np.linspace(3.8, 4.6, 260), np.linspace(4.6, 12.0, 60),
+            np.linspace(12.0, 60.0, 40), np.geomspace(60.0, 350.0, 40)]))
+        p = (0.015, 0.0, 0.0)
+        for tag, freqs in (("spectrum", (0.5, 1.0, 4.2, 8.0)), ("kk", grid[::10])):
+            source[0] = tag
+            for f in freqs:
+                green_wire.wire_green(geom, p, p, SpectralPoint.real_axis(f * OMEGA_A),
+                                      tol=1e-6, budget=160000)
+    finally:
+        for name, (fn, _) in originals.items():
+            setattr(green_wire, name, fn)
+    return seen
+
+
+def pick(calls, count):
+    """``count`` distinct (nmax, z) at evenly spaced ranks of |z|, ends included."""
+    calls = sorted(set(calls), key=lambda c: (abs(c[2]), c[1], str(c[2])))
+    if len(calls) <= count:
+        return calls
+    ranks = np.unique(np.round(np.linspace(0, len(calls) - 1, count)).astype(int))
+    return [calls[i] for i in ranks]
+
+
+def edge_arguments():
+    """Arguments the recorded runs do not reach, per ladder."""
+    from wireqed.bessel import N_MAX, safe_min_arg
+    floor = safe_min_arg(N_MAX + 1)
+    return {
+        "j_orders": [(N_MAX, z) for z in (1e-9 + 0j, 1e-7j, floor + 0j, 1j * floor, 999.0 + 0j,
+                                           700.0j, 600.0 + 700.0j, 1.0 - 2.0j, -0.5 - 0.1j)],
+        "h_orders": [(N_MAX, z) for z in (floor + 0j, 1j * floor, 999.0 + 0j, -999.0 + 1.0j,
+                                           600.0 + 300.0j, 1.0 - 2.0j, -0.5 - 0.1j)],
+        "ive_orders": [(N_MAX, y) for y in (1e-9, 1e-7, 1e-4, 714.0, 900.0, 5000.0)],
+        "kve_orders": [(N_MAX, y) for y in (1e-5, 1e-3, 0.999, 1.001, 714.0, 900.0)],
+    }
+
+
+def reference(name, n, z):
+    """Orders 0..n of one ladder at argument z in mpmath at the working precision."""
+    if name == "ive_orders":
+        y = mpmath.mpf(z)
+        return [mpmath.besseli(k, y) * mpmath.exp(-y) for k in range(n + 1)]
+    if name == "kve_orders":
+        y = mpmath.mpf(z)
+        return [mpmath.besselk(k, y) * mpmath.exp(y) for k in range(n + 1)]
+    zm = mpmath.mpc(z.real, z.imag)
+    if name == "j_orders":
+        return [mpmath.besselj(k, zm) for k in range(n + 1)]
+    if zm.imag >= 0:
+        # through K_n(-iz): J + iY cancels exp(2 Im z) digits
+        return [2 / mpmath.pi * mpmath.mpc(0, 1) ** (-k - 1) * mpmath.besselk(k, -1j * zm)
+                for k in range(n + 1)]
+    return [mpmath.hankel1(k, zm) for k in range(n + 1)]
+
+
+def visited():
+    seen = record()
+    edges = edge_arguments()
+    out = {}
+    worst_cross = 0.0
+    for name in LADDERS:
+        by_source = {}
+        for tag, nmax, z in seen[name]:
+            by_source.setdefault(tag, []).append((tag, nmax, z))
+        chosen = []
+        for tag, calls in sorted(by_source.items()):
+            chosen += pick(calls, POLE_SEARCH if tag == "pole search" else PER_SOURCE)
+        chosen += [("edge", nmax, z) for nmax, z in edges[name]]
+        rows = []
+        for tag, nmax, z in chosen:
+            with mpmath.workdps(50):
+                ref = reference(name, nmax + 1, z)
+            with mpmath.workdps(60):
+                check = reference(name, nmax + 1, z)
+            scale = max(abs(v) for v in check)
+            worst_cross = max(worst_cross, float(max(abs(a - b) for a, b in zip(ref, check))
+                                                 / scale))
+            real = name in ("ive_orders", "kve_orders")
+            rows.append({"source": tag, "nmax": nmax,
+                         "z": z if real else [z.real, z.imag],
+                         "f": [float(v) if real else [float(v.real), float(v.imag)]
+                               for v in ref]})
+        out[name] = rows
+        print(f"{name}: {len(rows)} arguments")
+    assert worst_cross < 1e-30, f"50/60-digit disagreement {worst_cross:.2e}"
+    path = ROOT / "tests" / "fixtures" / "bessel_visited.json"
+    path.write_text(json.dumps({"dps": 50, "cross_check_worst": worst_cross, "ladders": out},
+                               separators=(",", ":")) + "\n")
+    print(f"wrote {path}; 50/60-digit worst {worst_cross:.2e}")
+
+
 if __name__ == "__main__":
     main()
+    visited()

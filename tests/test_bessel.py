@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from wireqed import DomainError, OverflowGuardError, bessel_jh
-from wireqed.bessel import N_MAX, ive_orders, j_orders, jh_orders, kve_orders, safe_min_arg
+from wireqed.bessel import (N_MAX, h_orders, ive_orders, j_orders, jh_orders, kve_orders,
+                            safe_min_arg)
 
 from conftest import load_fixture
 
@@ -137,6 +139,40 @@ def test_domain_errors():
         jh_orders(3, np.array([1.0 + 0j, 1.5e3 + 0j]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bessel_jh(0, math.nan),
+    lambda: bessel_jh(2, complex(1.0, math.inf)),
+    lambda: j_orders(3, np.array([1.0, 1.0 + 1j * math.nan])),
+    lambda: h_orders(3, np.array([complex(math.nan, 0.0)])),
+    lambda: jh_orders(3, np.array([1.0 + 0j, complex(-math.inf, 1.0)])),
+    lambda: ive_orders(3, np.array([1.0, math.nan])),
+    lambda: kve_orders(3, np.array([math.nan, 1.0])),
+], ids=["bessel_jh_nan", "bessel_jh_inf", "j_orders", "h_orders", "jh_orders",
+        "ive_orders", "kve_orders"])
+def test_non_finite_arguments_raise_domain_error(call):
+    # rejected before any evaluation: no numpy warning, no overflow error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()
+
+
+@pytest.mark.parametrize("z", [1.0 - 2.0j, -0.5 - 0.1j], ids=str)
+def test_lower_half_plane_matches_scipy(z):
+    # J_n(conj z) = conj J_n(z) and H_n(conj z) = conj(2 J_n(z) - H_n(z))
+    j, h, jp, hp = jh_orders(N_MAX, np.array([z]))
+    orders = np.arange(N_MAX + 2)
+    for got, got_p, ref in ((j, jp, special.jv(orders, z)), (h, hp, special.hankel1(orders, z))):
+        ref_p = np.concatenate([[-ref[1]], (ref[:-2] - ref[2:]) / 2.0])
+        scale = np.maximum(np.abs(ref[:-1]), np.abs(ref_p))
+        assert np.all(np.abs(got[:, 0] - ref[:-1]) <= 1e-12 * scale)
+        assert np.all(np.abs(got_p[:, 0] - ref_p) <= 1e-12 * scale)
+    for n in (0, 1, 7, N_MAX):
+        val = bessel_jh(n, z)
+        target = 2j / (math.pi * z)
+        assert abs(val.wronskian() - target) <= 1e-10 * abs(target)
+
+
 def test_order_ladder_matches_scalar():
     z = np.array([0.7 + 0.2j, 5.0 + 1.0j])
     j, h, jp, hp = jh_orders(6, z)
@@ -262,3 +298,69 @@ def test_scaled_ladder_columns_are_independent_of_the_batch():
         kve_orders(N_MAX, np.array([1e-9, 5.0]))
     with pytest.raises(DomainError):
         ive_orders(N_MAX, np.array([0.0, 1.0]))
+
+
+_SCIPY = {"j_orders": special.jv, "h_orders": special.hankel1,
+          "ive_orders": special.ive, "kve_orders": special.kve}
+_LADDER = {"j_orders": j_orders, "h_orders": h_orders,
+           "ive_orders": ive_orders, "kve_orders": kve_orders}
+
+
+def _derivative(f, name):
+    # the ladders' own derivative recurrences, on orders 0..nmax+1
+    if name == "ive_orders":
+        return np.concatenate([f[1:2], (f[:-2] + f[2:]) / 2.0])
+    if name == "kve_orders":
+        return -np.concatenate([f[1:2], (f[:-2] + f[2:]) / 2.0])
+    return np.concatenate([-f[1:2], (f[:-2] - f[2:]) / 2.0])
+
+
+def _worst_by_order(name, rows, evaluate):
+    """Largest scaled deviation from the 50-digit reference, per order:
+    max(|f_n - ref_n|, |f'_n - ref'_n|) / max(|ref_n|, |ref'_n|)."""
+    worst = np.zeros(N_MAX + 1)
+    for row in rows:
+        nmax = row["nmax"]
+        ref = np.array([complex(*v) if isinstance(v, list) else v for v in row["f"]])
+        z = complex(*row["z"]) if isinstance(row["z"], list) else row["z"]
+        ref_p = _derivative(ref, name)
+        f, fp = evaluate(nmax, z)
+        scale = np.maximum(np.abs(ref[:-1]), np.abs(ref_p))
+        with np.errstate(invalid="ignore", over="ignore"):
+            dev = np.maximum(np.abs(f - ref[:-1]), np.abs(fp - ref_p)) / scale
+        dev = np.where(scale > 0, np.where(np.isnan(dev), np.inf, dev), 0.0)
+        worst[: nmax + 1] = np.maximum(worst[: nmax + 1], dev)
+    return worst
+
+
+#: Deviations below 8 ulps count as exact in the per-order comparison: both
+#: the recurrences and SciPy's direct evaluation sit there at low orders, and
+#: which one rounds luckier at one order is noise.
+_ROUNDOFF = 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", sorted(_LADDER))
+def test_ladders_no_worse_than_scipy_on_visited_arguments(name):
+    # arguments the program passes to each ladder (tests/oracles records
+    # them from sweep, dense, spectrum, the Kramers-Kronig grid and the
+    # pole search, plus edge arguments); per order, the ladder's largest
+    # scaled deviation from mpmath must not exceed SciPy's own above
+    # roundoff, and its largest over all orders must not exceed SciPy's
+    rows = load_fixture("bessel_visited.json")["ladders"][name]
+    assert len(rows) >= 40
+
+    def ladder(nmax, z):
+        f, fp = _LADDER[name](nmax, np.array([z]))
+        return f[:, 0], fp[:, 0]
+
+    def scipy_direct(nmax, z):
+        with np.errstate(all="ignore"):
+            f = _SCIPY[name](np.arange(nmax + 2), z)
+        return f[:-1], _derivative(f, name)
+
+    ours = _worst_by_order(name, rows, ladder)
+    theirs = _worst_by_order(name, rows, scipy_direct)
+    worse = ours > np.maximum(theirs, _ROUNDOFF)
+    assert not worse.any(), (f"orders {np.flatnonzero(worse).tolist()}: "
+                             f"ladder {ours[worse]} against SciPy {theirs[worse]}")
+    assert ours.max() <= theirs.max()

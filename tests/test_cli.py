@@ -417,27 +417,29 @@ def test_main_entry_point_runs_in_process(capsys):
     assert "PASS" in out
 
 
-def test_no_command_loads_scipy_optimize_or_interpolate(tmp_path):
-    # the plasmon fit runs on numpy and kk_check imports PCHIP only for a
-    # sampled grid, so neither a cold import nor any of these commands
-    # loads either subpackage
+def test_no_command_loads_scipy(tmp_path):
+    # the Bessel ladders and the plasmon fit run on numpy, and kk_check
+    # imports PCHIP only for a sampled grid, so neither a cold import nor any
+    # of these commands loads any scipy module
     commands = [["validate"], ["point", "--dz", "1.5", "--out", str(tmp_path / "p.json")],
                 ["dispersion", "--config", str(DEFAULT_CONFIG),
                  "--out", str(tmp_path / "d.csv")],
                 ["dispersion", "--synthetic", "3.0,0.2,9.42",
-                 "--out", str(tmp_path / "s.json")]]
+                 "--out", str(tmp_path / "s.json")],
+                ["sweep", "--config", str(DEFAULT_CONFIG), "--threads", "1",
+                 "--out", str(tmp_path / "sweep.csv")]]
     script = f"""
 import json, sys
 import wireqed.cli as cli
-heavy = lambda: [m for m in ("scipy.optimize", "scipy.interpolate") if m in sys.modules]
-seen = {{"import": heavy(), "exits": []}}
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+seen = {{"import": loaded(), "exits": [], "run": []}}
 for argv in {commands!r}:
     seen["exits"].append(cli.main(argv))
-seen["run"] = heavy()
+    seen["run"].append(loaded())
 print(json.dumps(seen))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"import": [], "exits": [0, 0, 0, 0], "run": []}
+    assert seen == {"import": [], "exits": [0] * len(commands), "run": [[]] * len(commands)}
