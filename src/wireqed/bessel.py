@@ -11,9 +11,11 @@ in the direction in which its function is dominant (Gautschi, SIAM Rev. 9,
 J_n is the minimal solution as n grows, so it comes from Miller's algorithm:
 the recurrence runs downward from 0 and a tiny value at a start order set
 per argument from |z| (``_start_orders``), and the trial ladder is scaled
-to e^(-iz) = J_0 + 2 sum_k (-i)^k J_k (DLMF 10.35.2 at t = -i), whose terms
+to e^(-iz) = J_0 + 2 sum_k (-i)^k J_k (DLMF 10.12.1 at t = -i), whose terms
 do not cancel for Im z >= 0.  Below |z| = ``SERIES_MAX`` a start would
-overflow, so the ascending series gives every order there.
+overflow, so the ascending series gives every order there; at real z far
+beyond nmax every order lies in the oscillating range, where the upward
+recurrence from J = Re H^(1) is as good and much shorter (``_real_upward``).
 
 H_n^(1) is the dominant solution as n grows, so it is recurred upward from
 orders 0 and 1, which come from H_n^(1)(z) = (2/pi) i^(-n-1) K_n(-iz)
@@ -38,7 +40,7 @@ where I_n does (I_0(750) = inf), and run the recurrences
 f_{n-1} - f_{n+1} = (2n/y) f_n for I and f_{n+1} - f_{n-1} = (2n/y) f_n for K
 (DLMF 10.29.1).  These differ from the J and H recurrences by one sign, so
 one downward routine (``_downward``) serves J and I, the I ladder scaled to
-e^(-y) (I_0 + 2 sum_k I_k) = 1 (DLMF 10.35.5), and one upward routine
+e^(-y) (I_0 + 2 sum_k I_k) = 1 (DLMF 10.35.1 at t = 1), and one upward routine
 (``_upward``) serves H and K, started from ``_k01`` at real argument.
 Every term of the I and K recurrences and of the I scaling is positive, so
 none loses digits.
@@ -417,7 +419,9 @@ def j_orders(nmax: int, z):
     """J and its derivative for all orders 0..nmax at argument(s) z.
 
     The J half of ``jh_orders``, and the whole ladder for arguments where
-    H^(1) is not needed (inside the metal).
+    H^(1) is not needed (inside the metal).  J_n(z) grows like e^|Im z|, and
+    beyond |Im z| = 709.78, where that overflows, the ladder raises
+    OverflowGuardError.
 
     Returns
     -------
