@@ -20,7 +20,7 @@ recurrence from J = Re H^(1) is as good and much shorter (``_real_upward``).
 H_n^(1) is the dominant solution as n grows, so it is recurred upward from
 orders 0 and 1, which come from H_n^(1)(z) = (2/pi) i^(-n-1) K_n(-iz)
 (DLMF 10.27.8) and one routine for e^w K_0(w) and e^w K_1(w) on Re w >= 0
-(``_k01``): Temme's series for |w| < 1 (Temme, J. Comput. Phys. 19, 1975)
+(``_k01``): Temme's series below |w| = ``TEMME_MAX`` (Temme, J. Comput. Phys. 19, 1975)
 and above it the trapezoidal rule on the steepest-descent form
 e^w K_0(w) = int e^(-v^2) (2w + v^2)^(-1/2) dv over the real line, whose
 step is set per argument from the distance of its branch point to the real
@@ -67,6 +67,10 @@ OVERFLOW_GUARD = 1.0e3
 #: down to order 0 and would soon leave the double range.
 SERIES_MAX = 1.0e-5
 
+#: Below this |w| Temme's series gives K_0 and K_1 (to 6e-16; it loses a
+#: digit by |w| = 2 on the real axis), above it the trapezoidal rule.
+TEMME_MAX = 1.5
+
 #: Miller's trial value at the start order.  The trial ladder grows by at
 #: most e^660 down to order 0 (|z| = SERIES_MAX at order 40) and by at least
 #: e^40 times e^(Im z) (``_NORM_DECADES``), so it and the scale
@@ -78,42 +82,53 @@ _MILLER_START = 1.0e-80
 #: which shrinks as the square of that fall, is below e^-42 at order nmax+1.
 _NORM_DECADES, _TOP_DECADES = 40.0, 21.0
 
-#: The scaling weights of J (1 at order 0, then 2 (-i)^k) and of I (1, then
-#: 2) per order, as far as any start order reaches.
-_WEIGHTS = {modified: np.concatenate([[1.0], 2.0 * np.resize(phases, 1500)])
-            for modified, phases in ((False, (-1j, -1.0, 1j, 1.0)), (True, (1.0,)))}
+#: (-i)^k for J and 1 for I by order k mod 4: the scaling weights are 1 at
+#: order 0 and twice these above it.
+_PHASES = {False: np.array([1.0, -1j, -1.0, 1j]), True: np.ones(4)}
 
 _EULER = 0.57721566490153286
 
-#: Temme's series for |w| < 1 as polynomials in t = w^2/4 of degree 10
-#: (the next term is below 3e-20), highest degree first:
-#: K_0 = -(ln(w/2) + gamma) I_0 + sum_k H_k t^k/(k!)^2 with the harmonic
-#: numbers H_k and I_0 = sum_k t^k/(k!)^2, and K_1 from the Wronskian
-#: I_0 K_1 + I_1 K_0 = 1/w with I_1 = (w/2) sum_k t^k/(k! (k+1)!).
-_TEMME_TERMS = 11
-_TEMME = [column[:, None] for column in (lambda k, h, f: np.stack(
-    [1.0 / f ** 2, h / f ** 2, 1.0 / (f * f * (k + 1))], axis=1))(
-    np.arange(_TEMME_TERMS, dtype=float),
-    np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, _TEMME_TERMS))]),
-    np.array([math.factorial(i) for i in range(_TEMME_TERMS)], float))[::-1]]
 
-#: Trapezoid steps for e^w K(w) at |w| >= 1, smallest first.  A step h is
+def _temme_coefficients(terms=11):
+    """Temme's series below TEMME_MAX as three polynomials in t = w^2/4 of
+    degree 10 (the next term is below 2e-18 of the first): I_0 = sum_k t^k/(k!)^2, the sum
+    sum_k H_k t^k/(k!)^2 over the harmonic numbers H_k, which gives
+    K_0 = -(ln(w/2) + gamma) I_0 + that sum, and 2 I_1 / w =
+    sum_k t^k/(k! (k+1)!), which gives K_1 through the Wronskian
+    I_0 K_1 + I_1 K_0 = 1/w.  Highest degree first, as (3, 1) columns for
+    Horner's rule."""
+    k = np.arange(terms, dtype=float)
+    factorial = np.cumprod(np.maximum(k, 1.0))
+    harmonic = np.cumsum(1.0 / np.maximum(k, 1.0)) - 1.0
+    coef = np.stack([np.ones(terms), harmonic, 1.0 / (k + 1.0)]) / factorial ** 2
+    return list(coef.T[::-1, :, None])
+
+
+_TEMME = _temme_coefficients()
+
+#: Trapezoid steps for e^w K(w) at |w| >= TEMME_MAX, smallest first.  A step h is
 #: exact to e^-42 where the branch point of (2w + v^2)^(-1/2) lies at least
 #: sigma_min(h) = pi/h - sqrt(pi^2/h^2 - 42) from the real v axis (the
 #: rule's error is about exp(sigma^2 - 2 pi sigma / h), and exp(-pi^2/h^2)
-#: from the Gaussian alone); that distance is sqrt(|w| + Re w) >= 1.  The
-#: nodes reach v = 7, where e^(-v^2) is 5e-22.
-_STEPS = (0.12, 0.153, 0.216, 0.29, 0.38, 0.45)
+#: from the Gaussian alone); that distance is sqrt(|w| + Re w) >= 1.22.
+#: The nodes reach v = 7, where e^(-v^2) is 5e-22.
+_STEPS = (0.153, 0.216, 0.29, 0.38, 0.45)
 _SIGMA_MIN = np.array([math.pi / h - math.sqrt((math.pi / h) ** 2 - 42.0) for h in _STEPS])
 
 
-@lru_cache(maxsize=None)
-def _trapezoid(h):
-    """Nodes v_j = j h >= 0 and the weights of the K_0 and K_1 sums over
-    them: both integrands are even, so the half line counts twice."""
-    v = h * np.arange(math.ceil(7.0 / h) + 1)
-    wt = np.where(v > 0, 2.0 * h, h) * np.exp(-v * v)
-    return v * v, np.stack([wt, wt * v * v], axis=1)
+def _trapezoid_tables():
+    """Per step of ``_STEPS``: its node count and, down the rows, the nodes'
+    v^2 and the weights of the K_0 and K_1 sums, at v_j = j h >= 0 (both
+    integrands are even, so the half line counts twice).  Steps with fewer
+    nodes are padded with zero weights, which leave a sum unchanged."""
+    counts = np.array([math.ceil(7.0 / h) + 1 for h in _STEPS])
+    v = np.arange(counts.max())[:, None] * np.array(_STEPS)[None, :]
+    wt = np.where(v > 0, 2.0, 1.0) * np.array(_STEPS) * np.exp(-v * v)
+    wt[np.arange(counts.max())[:, None] >= counts[None, :]] = 0.0
+    return counts, v * v, np.stack([wt, wt * v * v], axis=1)
+
+
+_NODES, _V2, _WEIGHTS = _trapezoid_tables()
 
 
 @dataclass(frozen=True)
@@ -238,8 +253,8 @@ def _start_orders(modified, nmax, t):
     return np.ceil(top).astype(np.intp) + 2
 
 
-def _series(nmax, z, modified, t=None):
-    """Orders 0..nmax+1 of J (or e^-z I, ``modified``) at flat |z| <
+def _series(nmax, z, modified, t):
+    """Orders 0..nmax+1 of J (or e^-z I, ``modified``) at flat |z| = t <
     SERIES_MAX from three terms of (z/2)^n/n! sum_k (-+z^2/4)^k/(k!(n+k)!)
     (DLMF 10.2.2, 10.25.2)."""
     n = np.arange(nmax + 2.0)[:, None]
@@ -271,8 +286,7 @@ def _miller(nmax, z, modified, t):
     f_{M+1} = 0 at each column's start order M.  Every step runs on the
     whole batch: a column is zero above its own start, which the recurrence
     keeps, and takes _MILLER_START at its start.  The trial ladder is then
-    scaled to
-    e^(-iz) = J_0 + 2 sum (-i)^k J_k or to 1 = e^-y (I_0 + 2 sum I_k).
+    scaled to e^(-iz) = J_0 + 2 sum (-i)^k J_k or to 1 = e^-y (I_0 + 2 sum I_k).
     """
     combine = np.add if modified else np.subtract
     tops = _start_orders(modified, nmax, t)
@@ -289,8 +303,9 @@ def _miller(nmax, z, modified, t):
         combine(rows[n - 1], rows[n + 1], out=rows[n - 1])
         if n - 1 in begin:        # zero so far in these columns
             rows[n - 1][begin[n - 1]] = _MILLER_START
-    weights = _WEIGHTS[modified][: top + 1, None]
-    total = _column_sum(weights * f[: top + 1])
+    weights = 2.0 * _PHASES[modified][np.arange(top + 1) % 4]
+    weights[0] = 1.0
+    total = _column_sum(weights[:, None] * f[: top + 1])
     f = f[: nmax + 2]
     with np.errstate(over="ignore", invalid="ignore"):    # _with_derivatives rejects it
         f *= (1.0 if modified else np.exp(-1j * z)) / total
@@ -304,10 +319,9 @@ def _real_upward(nmax, z, modified, t):
     from J_0, J_1 = Re H_0^(1), Re H_1^(1) at |z| (``_k01``) and
     J_n(-x) = (-1)^n J_n(x) gives the negative axis.  Miller's sum would
     gather about sqrt(|z|) ulps over its |z| + 12 |z|^(1/3) steps here."""
-    x = t
-    k0, k1 = _k01(-1j * x, scaled=False)
+    k0, k1 = _k01(-1j * t, scaled=False)
     first = ((-2j / math.pi * k0).real, (-2.0 / math.pi * k1).real)
-    f = _upward(nmax, x.astype(complex), first, np.subtract)
+    f = _upward(nmax, t.astype(complex), first, np.subtract)
     f[1::2, z.real < 0] *= -1.0
     return f
 
@@ -332,20 +346,20 @@ def _downward(nmax, z, modified=False):
 def _k01(w, scaled):
     """K_0(w) and K_1(w), times e^w when ``scaled``, shape (2, w.size), at
     flat w != 0 with Re w >= 0 (complex) or w > 0 (real): Temme's series
-    below |w| = 1, the trapezoidal rule on
+    below |w| = TEMME_MAX, the trapezoidal rule on
     e^w K_0(w) = int e^(-v^2) (2w + v^2)^(-1/2) dv and
     e^w K_1(w) = int e^(-v^2) (1 + v^2/w) (2w + v^2)^(-1/2) dv above it,
-    one step per group of arguments (``_STEPS``).  Each form takes its
-    exponential factor only where the caller needs it."""
-    aw = np.abs(w)
-    group = np.where(aw < 1.0, 0, np.searchsorted(_SIGMA_MIN, np.sqrt(aw + w.real),
-                                                  side="right"))
-    present = np.flatnonzero(np.bincount(group)).tolist()
+    each argument at its own step (``_STEPS``), all in one array.  Each
+    form takes its exponential factor only where the caller needs it."""
+    temme = np.abs(w) < TEMME_MAX
     k = np.empty((2, w.size), w.dtype)
-    for g in present:
-        sel = slice(None) if len(present) == 1 else group == g
+    for sel, series in ((temme, True), (~temme, False)):
+        if not sel.any():
+            continue
+        if sel.all():
+            sel = slice(None)
         x = w[sel]
-        if g == 0:
+        if series:
             # I_0, the H_k sum and 2 I_1 / w of _TEMME by Horner's rule
             t = x * x / 4.0
             p = np.empty((3, x.size), x.dtype)
@@ -360,9 +374,10 @@ def _k01(w, scaled):
             k[0, sel] = k0 * e
             k[1, sel] = (1.0 / x - i1 * k0) / i0 * e
         else:
-            v2, wts = _trapezoid(_STEPS[g - 1])
-            root = np.sqrt(np.add.outer(v2, 2.0 * x))
-            s0, s2 = _column_sum(wts[:, :, None] / root[:, None, :])
+            step = np.searchsorted(_SIGMA_MIN, np.sqrt(np.abs(x) + x.real), side="right") - 1
+            rows = _NODES[step].max()
+            root = np.sqrt(_V2[:rows, step] + 2.0 * x)
+            s0, s2 = _column_sum(_WEIGHTS[:rows, :, step] / root[:, None, :])
             e = 1.0 if scaled else np.exp(-x)
             k[0, sel] = s0 * e
             k[1, sel] = (s0 + s2 / x) * e
