@@ -201,14 +201,15 @@ def _arguments(nmax, z, dtype):
         raise DomainError(f"order ladder must satisfy 0 <= nmax <= {N_MAX}, got {nmax}")
     zarr = np.atleast_1d(np.asarray(z, dtype=dtype))
     if dtype is float:
-        if not ((zarr > 0.0) & (zarr < np.inf)).all():
+        if not (zarr.min() > 0.0 and zarr.max() < np.inf):     # False for NaN
             raise DomainError("modified Bessel arguments must be finite and positive")
         return zarr
-    if not np.isfinite(zarr).all():
+    size = np.abs(zarr)
+    largest = size.max()             # NaN if any is NaN
+    if not largest < np.inf:
         raise DomainError("Bessel arguments must be finite")
-    if (zarr == 0).any():
+    if size.min() == 0:
         raise DomainError("Bessel argument z = 0 is outside the domain")
-    largest = np.abs(zarr).max()
     if largest >= OVERFLOW_GUARD:
         raise OverflowGuardError(f"|z| = {largest:.3g} exceeds the overflow "
                                  f"guard {OVERFLOW_GUARD:g}")
@@ -285,24 +286,26 @@ def _miller(nmax, z, modified, t):
     f_{n-1} = (2n/z) f_n -+ f_{n+1} runs down from f_M = _MILLER_START,
     f_{M+1} = 0 at each column's start order M.  Every step runs on the
     whole batch: a column is zero above its own start, which the recurrence
-    keeps, and takes _MILLER_START at its start.  The trial ladder is then
+    keeps, so its values do not depend on the batch.  The trial ladder is then
     scaled to e^(-iz) = J_0 + 2 sum (-i)^k J_k or to 1 = e^-y (I_0 + 2 sum I_k).
     """
     combine = np.add if modified else np.subtract
     tops = _start_orders(modified, nmax, t)
-    order = np.argsort(tops, kind="stable")
-    starts, first = np.unique(tops[order], return_index=True)
-    begin = dict(zip(starts.tolist(), np.split(order, first[1:])))
-    top = int(starts[-1])
+    top, lowest = int(tops.max()), int(tops.min())
     f = np.zeros((top + 2, z.size), z.dtype)
-    f[top, begin[top]] = _MILLER_START
+    f[tops, np.arange(z.size)] = _MILLER_START
     rows = list(f)
     step = _steps(top + 1, z)
-    for n in range(top, 0, -1):
+    scratch = np.empty(z.size, z.dtype)
+    for n in range(top, lowest, -1):
+        # added to the row, which holds _MILLER_START where a column starts
+        # and zero elsewhere; adding zero leaves the other columns' values
+        np.multiply(step[n], rows[n], out=scratch)
+        np.add(rows[n - 1], scratch, out=rows[n - 1])
+        combine(rows[n - 1], rows[n + 1], out=rows[n - 1])
+    for n in range(lowest, 0, -1):
         np.multiply(step[n], rows[n], out=rows[n - 1])
         combine(rows[n - 1], rows[n + 1], out=rows[n - 1])
-        if n - 1 in begin:        # zero so far in these columns
-            rows[n - 1][begin[n - 1]] = _MILLER_START
     weights = 2.0 * _PHASES[modified][np.arange(top + 1) % 4]
     weights[0] = 1.0
     total = _column_sum(weights[:, None] * f[: top + 1])
@@ -331,10 +334,11 @@ def _downward(nmax, z, modified=False):
     ``modified``) at flat z: the series below SERIES_MAX, ``_real_upward``
     for J at large real z, Miller elsewhere."""
     t = np.abs(z)
-    small = t < SERIES_MAX
-    real = None if modified else (z.imag == 0) & (t >= 1.5 * nmax + 12)
-    if not small.any() and (real is None or not real.any()):
+    upward = not modified and t.max() >= 1.5 * nmax + 12
+    if t.min() >= SERIES_MAX and not upward:
         return _miller(nmax, z, modified, t)
+    small = t < SERIES_MAX
+    real = (z.imag == 0) & (t >= 1.5 * nmax + 12) if upward else None
     rest = ~small if real is None else ~(small | real)
     f = np.empty((nmax + 2, z.size), z.dtype)
     for mask, route in ((small, _series), (real, _real_upward), (rest, _miller)):
@@ -352,11 +356,12 @@ def _k01(w, scaled):
     each argument at its own step (``_STEPS``), all in one array.  Each
     form takes its exponential factor only where the caller needs it."""
     temme = np.abs(w) < TEMME_MAX
+    count = np.count_nonzero(temme)
     k = np.empty((2, w.size), w.dtype)
-    for sel, series in ((temme, True), (~temme, False)):
-        if not sel.any():
+    for sel, series, n in ((temme, True, count), (~temme, False, w.size - count)):
+        if n == 0:
             continue
-        if sel.all():
+        if n == w.size:
             sel = slice(None)
         x = w[sel]
         if series:
@@ -403,9 +408,9 @@ def _upward(nmax, z, first, combine):
 def _upper(z):
     """Flat z reflected into Im z >= 0, and the mask of reflected columns
     (None when there are none)."""
-    lower = z.imag < 0
-    if not lower.any():
+    if z.imag.min() >= 0:
         return z, None
+    lower = z.imag < 0
     return np.where(lower, z.conj(), z), lower
 
 
