@@ -12,12 +12,13 @@ four ladders (``j_orders``, ``h_orders``, ``ive_orders``, ``kve_orders``),
 recorded while it runs the default ``sweep``, a dense ``PairInteraction``
 (radius 0.01, rho 0.03, tol 1e-6), coincident ``wire_green`` tensors on the
 Kramers-Kronig test's wire (the benchmark's anchor frequencies and every
-tenth frequency of that test's grid, "kk") and the plasmon pole search; then a
-few edge arguments the runs do not reach: below ``SERIES_MAX`` (where SciPy's
-top order underflows), next to ``OVERFLOW_GUARD``, at the branch-floor
-clamp and in the lower half-plane.  Each argument keeps the ladder's nmax,
-and its orders 0..nmax+1 are evaluated in mpmath at 50 digits and again at
-60; the two must agree to 1e-30.
+tenth frequency of that test's grid, "kk") and the plasmon pole search; then
+a few edge arguments the runs do not reach: below ``SERIES_MAX`` (where
+SciPy's top order underflows), next to ``OVERFLOW_GUARD``, at the
+branch-floor clamp, just above ``TEMME_MAX`` and in the lower half-plane.
+Each argument keeps the ladder's nmax, and its orders 0..nmax+1 are
+evaluated in mpmath at 50 digits and again at 60; the two must agree to
+1e-30.
 
 Run from the repository root:
 
@@ -228,10 +229,12 @@ def edge_arguments():
     return {
         "j_orders": [(N_MAX, z) for z in (1e-9 + 0j, 1e-7j, floor + 0j, 1j * floor, 999.0 + 0j,
                                            700.0j, 600.0 + 700.0j, 1.0 - 2.0j, -0.5 - 0.1j)],
-        "h_orders": [(N_MAX, z) for z in (floor + 0j, 1j * floor, 999.0 + 0j, -999.0 + 1.0j,
-                                           600.0 + 300.0j, 1.0 - 2.0j, -0.5 - 0.1j)],
+        # just above TEMME_MAX, where each trapezoid takes its finest step
+        "h_orders": [(N_MAX, z) for z in (floor + 0j, 1j * floor, 1.6 + 0j, 1.6j, 4.0 + 0j,
+                                           999.0 + 0j, -999.0 + 1.0j, 600.0 + 300.0j,
+                                           1.0 - 2.0j, -0.5 - 0.1j)],
         "ive_orders": [(N_MAX, y) for y in (1e-9, 1e-7, 1e-4, 714.0, 900.0, 5000.0)],
-        "kve_orders": [(N_MAX, y) for y in (1e-5, 1e-3, 0.999, 1.001, 714.0, 900.0)],
+        "kve_orders": [(N_MAX, y) for y in (1e-5, 1e-3, 0.999, 1.001, 1.6, 4.0, 714.0, 900.0)],
     }
 
 
