@@ -216,30 +216,32 @@ def _arguments(nmax, z, dtype):
     return zarr
 
 
-@lru_cache(maxsize=None)
-def _fall(modified):
-    """(log t grid, D) with D[k, i] = sum_{j<k} d_j(t_i), the log-fall of a
-    model ladder from order 0 to order k at |z| = t_i.  The model's step
-    d_j = asinh((j + 1/2)/t) bounds the fall I_j/I_{j+1} from below; for J
-    the real axis falls slowest (no fall until j = |z|, DLMF 10.20), so
-    d_j = acosh(max((j + 1/2)/t, 1)) there serves every phase."""
-    t = np.geomspace(SERIES_MAX, 1e4 if modified else OVERFLOW_GUARD, 71 if modified else 61)
-    u = (np.arange(1400) + 0.5)[:, None] / t[None, :]
-    d = np.arcsinh(u) if modified else np.arccosh(np.maximum(u, 1.0))
-    return np.log(t), np.concatenate([np.zeros((1, t.size)), np.cumsum(d, axis=0)])
+def _fall(modified, u):
+    """A model ladder's log-fall from order 0 to order u |z|, over |z|: the
+    integral of its step asinh(x/|z|) for I, and of acosh(max(x/|z|, 1)) for
+    J, whose real axis falls slowest (not at all until x = |z|, DLMF 10.20)
+    and so serves every phase.  The integral and the sum of the steps at
+    half-integer orders agree to within one order of start."""
+    if modified:
+        return u * np.arcsinh(u) - np.sqrt(1.0 + u * u) + 1.0
+    u = np.maximum(u, 1.0)
+    return u * np.arccosh(u) - np.sqrt(u * u - 1.0)
 
 
 @lru_cache(maxsize=None)
 def _start_table(modified, nmax):
-    """Per grid point of ``_fall``, the smallest start order M > nmax at which
-    the model ladder falls by _NORM_DECADES from order 0 and by _TOP_DECADES
-    from order nmax+1 to M+1."""
-    logt, fall = _fall(modified)
+    """(log |z| grid, start orders): per grid point the smallest start order
+    M > nmax at which the model ladder falls by _NORM_DECADES from order 0
+    and by _TOP_DECADES from order nmax+1 to M+1, found by bisection."""
+    t = np.geomspace(SERIES_MAX, 1e4 if modified else OVERFLOW_GUARD, 71 if modified else 61)
     n0 = nmax + 1
-    norm = fall >= _NORM_DECADES
-    top = fall[1:] >= fall[n0] + _TOP_DECADES
-    assert norm[-1].all() and top[-1].all(), "start-order table too short"
-    return logt, np.maximum(np.maximum(norm.argmax(axis=0), top.argmax(axis=0)), n0)
+    lo, hi = np.full(t.size, n0), np.full(t.size, 4 * n0 + 4096)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        ok = ((t * _fall(modified, mid / t) >= _NORM_DECADES)
+              & (t * (_fall(modified, (mid + 1) / t) - _fall(modified, n0 / t)) >= _TOP_DECADES))
+        lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)
+    return np.log(t), lo
 
 
 def _start_orders(modified, nmax, t):
