@@ -73,14 +73,14 @@ TEMME_MAX = 1.5
 
 #: Miller's trial value at the start order.  The trial ladder grows by at
 #: most e^660 down to order 0 (|z| = SERIES_MAX at order 40) and by at least
-#: e^40 times e^(Im z) (``_NORM_DECADES``), so it and the scale
+#: e^40 times e^(Im z) (``_NORM_FALL``), so it and the scale
 #: e^(-iz)/sum, below 1e80 e^-40, stay in the double range.
 _MILLER_START = 1.0e-80
 
 #: Start orders, in natural-log units of the model ladder's fall: the terms
 #: left out of the scaling sum are below e^-40 of it, and the start's error,
 #: which shrinks as the square of that fall, is below e^-42 at order nmax+1.
-_NORM_DECADES, _TOP_DECADES = 40.0, 21.0
+_NORM_FALL, _TOP_FALL = 40.0, 21.0
 
 #: (-i)^k for J and 1 for I by order k mod 4: the scaling weights are 1 at
 #: order 0 and twice these above it.
@@ -91,10 +91,10 @@ _EULER = 0.57721566490153286
 
 def _temme_coefficients(terms=11):
     """Temme's series below TEMME_MAX as three polynomials in t = w^2/4 of
-    degree 10 (the next term is below 2e-18 of the first): I_0 = sum_k t^k/(k!)^2, the sum
-    sum_k H_k t^k/(k!)^2 over the harmonic numbers H_k, which gives
-    K_0 = -(ln(w/2) + gamma) I_0 + that sum, and 2 I_1 / w =
-    sum_k t^k/(k! (k+1)!), which gives K_1 through the Wronskian
+    degree 10 (the next term is below 2e-18 of the first):
+    I_0 = sum_k t^k/(k!)^2; the sum sum_k H_k t^k/(k!)^2 over the harmonic
+    numbers H_k, which gives K_0 = -(ln(w/2) + gamma) I_0 + that sum; and
+    2 I_1 / w = sum_k t^k/(k! (k+1)!), which gives K_1 through the Wronskian
     I_0 K_1 + I_1 K_0 = 1/w.  Highest degree first, as (3, 1) columns for
     Horner's rule."""
     k = np.arange(terms, dtype=float)
@@ -106,8 +106,8 @@ def _temme_coefficients(terms=11):
 
 _TEMME = _temme_coefficients()
 
-#: Trapezoid steps for e^w K(w) at |w| >= TEMME_MAX, smallest first.  A step h is
-#: exact to e^-42 where the branch point of (2w + v^2)^(-1/2) lies at least
+#: Trapezoid steps for e^w K(w) at |w| >= TEMME_MAX, smallest first.  A step
+#: h is exact to e^-42 where the branch point of (2w + v^2)^(-1/2) lies at least
 #: sigma_min(h) = pi/h - sqrt(pi^2/h^2 - 42) from the real v axis (the
 #: rule's error is about exp(sigma^2 - 2 pi sigma / h), and exp(-pi^2/h^2)
 #: from the Gaussian alone); that distance is sqrt(|w| + Re w) >= 1.22.
@@ -231,15 +231,15 @@ def _fall(modified, u):
 @lru_cache(maxsize=None)
 def _start_table(modified, nmax):
     """(log |z| grid, start orders): per grid point the smallest start order
-    M > nmax at which the model ladder falls by _NORM_DECADES from order 0
-    and by _TOP_DECADES from order nmax+1 to M+1, found by bisection."""
+    M > nmax at which the model ladder falls by _NORM_FALL from order 0
+    and by _TOP_FALL from order nmax+1 to M+1, found by bisection."""
     t = np.geomspace(SERIES_MAX, 1e4 if modified else OVERFLOW_GUARD, 71 if modified else 61)
     n0 = nmax + 1
     lo, hi = np.full(t.size, n0), np.full(t.size, 4 * n0 + 4096)
     while (lo < hi).any():
         mid = (lo + hi) // 2
-        ok = ((t * _fall(modified, mid / t) >= _NORM_DECADES)
-              & (t * (_fall(modified, (mid + 1) / t) - _fall(modified, n0 / t)) >= _TOP_DECADES))
+        ok = ((t * _fall(modified, mid / t) >= _NORM_FALL)
+              & (t * (_fall(modified, (mid + 1) / t) - _fall(modified, n0 / t)) >= _TOP_FALL))
         lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)
     return np.log(t), lo
 
@@ -479,7 +479,8 @@ def kve_orders(nmax: int, y):
     k, kp : ndarray, shape (nmax+1,) + shape(y)
     """
     yarr = _arguments(nmax, y, float)
-    k, kp = _with_derivatives(_upward(nmax, yarr, _k01(yarr, scaled=True), np.add), nmax, y, modified=True)
+    k = _upward(nmax, yarr, _k01(yarr, scaled=True), np.add)
+    k, kp = _with_derivatives(k, nmax, y, modified=True)
     return k, -kp
 
 
