@@ -352,43 +352,45 @@ def _downward(nmax, z, modified=False):
 def _k01(w, scaled):
     """K_0(w) and K_1(w), times e^w when ``scaled``, shape (2, w.size), at
     flat w != 0 with Re w >= 0 (complex) or w > 0 (real): Temme's series
-    below |w| = TEMME_MAX, the trapezoidal rule on
-    e^w K_0(w) = int e^(-v^2) (2w + v^2)^(-1/2) dv and
-    e^w K_1(w) = int e^(-v^2) (1 + v^2/w) (2w + v^2)^(-1/2) dv above it,
-    each argument at its own step (``_STEPS``), all in one array.  Each
-    form takes its exponential factor only where the caller needs it."""
+    below |w| = TEMME_MAX, the trapezoidal rule above it.  Each form takes
+    its exponential factor only where the caller needs it."""
     temme = np.abs(w) < TEMME_MAX
     count = np.count_nonzero(temme)
     k = np.empty((2, w.size), w.dtype)
-    for sel, series, n in ((temme, True, count), (~temme, False, w.size - count)):
-        if n == 0:
-            continue
-        if n == w.size:
-            sel = slice(None)
-        x = w[sel]
-        if series:
-            # I_0, the H_k sum and 2 I_1 / w of _TEMME by Horner's rule
-            t = x * x / 4.0
-            p = np.empty((3, x.size), x.dtype)
-            p[:] = _TEMME[0]
-            for coef in _TEMME[1:]:
-                p *= t
-                p += coef
-            i0, harmonic, i1 = p
-            i1 *= x / 2.0
-            k0 = harmonic - (_EULER + np.log(x / 2.0)) * i0
-            e = np.exp(x) if scaled else 1.0
-            k[0, sel] = k0 * e
-            k[1, sel] = (1.0 / x - i1 * k0) / i0 * e
-        else:
-            step = np.searchsorted(_SIGMA_MIN, np.sqrt(np.abs(x) + x.real), side="right") - 1
-            rows = _NODES[step].max()
-            root = np.sqrt(_V2[:rows, step] + 2.0 * x)
-            s0, s2 = _column_sum(_WEIGHTS[:rows, :, step] / root[:, None, :])
-            e = 1.0 if scaled else np.exp(-x)
-            k[0, sel] = s0 * e
-            k[1, sel] = (s0 + s2 / x) * e
+    for part, rows, form in ((temme, count, _k01_temme),
+                             (~temme, w.size - count, _k01_trapezoid)):
+        if rows:
+            sel = slice(None) if rows == w.size else part
+            k[:, sel] = form(w[sel], scaled)
     return k
+
+
+def _k01_temme(x, scaled):
+    """``_k01`` from I_0, the H_k sum and 2 I_1 / x of ``_TEMME``, by Horner's
+    rule in t = x^2/4."""
+    t = x * x / 4.0
+    p = np.empty((3, x.size), x.dtype)
+    p[:] = _TEMME[0]
+    for coef in _TEMME[1:]:
+        p *= t
+        p += coef
+    i0, harmonic, i1 = p
+    i1 *= x / 2.0
+    k0 = harmonic - (_EULER + np.log(x / 2.0)) * i0
+    e = np.exp(x) if scaled else 1.0
+    return k0 * e, (1.0 / x - i1 * k0) / i0 * e
+
+
+def _k01_trapezoid(x, scaled):
+    """``_k01`` from e^x K_0(x) = int e^(-v^2) (2x + v^2)^(-1/2) dv and
+    e^x K_1(x) = int e^(-v^2) (1 + v^2/x) (2x + v^2)^(-1/2) dv, each
+    argument at its own step of ``_STEPS``, all in one zero-padded array."""
+    step = np.searchsorted(_SIGMA_MIN, np.sqrt(np.abs(x) + x.real), side="right") - 1
+    rows = _NODES[step].max()
+    root = np.sqrt(_V2[:rows, step] + 2.0 * x)
+    s0, s2 = _column_sum(_WEIGHTS[:rows, :, step] / root[:, None, :])
+    e = 1.0 if scaled else np.exp(-x)
+    return s0 * e, (s0 + s2 / x) * e
 
 
 def _upward(nmax, z, first, combine):
