@@ -27,7 +27,7 @@ from .emitters import (PairInteraction, analytic_approximations, dicke_levels,
                        fit_plasmon_lorentzian, fit_two_lorentzian, markov_diagnostic)
 from .errors import ConfigError, ConvergenceError, FitError, WireQEDError
 from .frequencies import OMEGA_A, SpectralPoint
-from .green_wire import SpectralEvaluator, settle_azimuthal_order
+from .green_wire import AZIMUTHAL_SHARE, SpectralEvaluator, settle_azimuthal_order
 from .validate import run_all
 
 EXIT_OK = 0
@@ -187,10 +187,10 @@ def cmd_dispersion(args) -> int:
 
     geom = cfg.geometry()
     point = SpectralPoint.real_axis(omega)
-    # an explicit azimuthal_order is used as given, as in sweep and point
-    nmax = cfg.azimuthal_order
-    if nmax is None:
-        nmax, _ = settle_azimuthal_order(geom, point, cfg.rho_1, cfg.rho_1, 0.0)
+    # an explicit azimuthal_order is used as given, as in sweep and point;
+    # its predicted tail is still read
+    nmax, (tail,), scale = settle_azimuthal_order(geom, point, cfg.rho_1, cfg.rho_1, 0.0,
+                                                  tol=cfg.tol_wire, nmax=cfg.azimuthal_order)
     try:
         fit = fit_plasmon_lorentzian(geom, cfg.rho_1, omega, nmax=nmax)
     except FitError as exc:
@@ -206,10 +206,11 @@ def cmd_dispersion(args) -> int:
     ]))
     kz = kz[(kz >= lo) & (kz <= hi)]
     vals = ev(kz)[:, 0, 0].imag
-    if not ev.tail_ok:
+    bound = AZIMUTHAL_SHARE * cfg.tol_wire
+    if tail > bound * scale:
         # a configured order is kept as given; its truncation is reported
-        print(f"warning: azimuthal tail ratio {ev.tail_ratio:.2e} at n = {nmax} "
-              "fails the tail test on the spectrum grid", file=sys.stderr)
+        print(f"warning: azimuthal tail ratio {tail / scale:.2e} at n = {nmax} "
+              f"exceeds {bound:.3g} of the spectrum's integral", file=sys.stderr)
 
     meta = {"omega": omega, "fit_amplitude": fit.amplitude_a,
             "fit_width": fit.width_gamma, "fit_center_kz_pl": fit.center_kz_pl,
@@ -321,7 +322,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
-        print(f"diagnostics: {exc.diagnostics}", file=sys.stderr)
+        pairs = (f"{k} = {v:.3g}" if isinstance(v, float) else f"{k} = {v}"
+                 for k, v in sorted(exc.diagnostics.items()))
+        print(f"diagnostics: {', '.join(pairs)}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except WireQEDError as exc:
         print(f"error: {exc}", file=sys.stderr)

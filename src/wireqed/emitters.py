@@ -25,10 +25,10 @@ from . import quadrature
 from .errors import DomainError, FitError
 from .frequencies import OMEGA_A, SpectralPoint
 from .green_vacuum import green_vacuum_axial, green_vacuum_cyl, green_vacuum_im_coincident
-from .green_wire import (_MIRROR, TAIL_TOL, SpectralEvaluator, WireGeometry,
-                         WireSpectralTable, imag_axis_tables, plasmon_wavenumber,
-                         settle_azimuthal_order, wire_green)
-from .quadrature import _GL_W, _KIDX, _NPTS, _PROJ
+from .green_wire import (_MIRROR, SpectralEvaluator, WireGeometry, WireSpectralTable,
+                         imag_axis_tables, plasmon_wavenumber, settle_azimuthal_order,
+                         wire_green)
+from .quadrature import _GL_W, _GL_X, _KIDX, _NPTS, _PROJ
 
 _P_EVEN = _MIRROR.ravel() > 0   # components the -kz mirror keeps
 # a fold sums the components the mirror keeps into one column and those it
@@ -172,12 +172,15 @@ class PairInteraction:
 
     Building this object performs every expensive wavenumber integration:
     a real-frequency table at omega_a plus one table per imaginary-frequency
-    node.  The pair's dipoles are folded into both tables as they are built,
-    so each holds one column of d1 . G . d2 instead of nine components, and
-    the coincident d1 . G . d1 parts are taken once.  ``at(dz)`` then
-    produces a full RateShiftResult from one real spherical-Bessel ladder
-    over both tables, which is what makes dense distance sweeps and
-    oscillation-phase measurements affordable.
+    node, each built once at the azimuthal order ``nmax`` or, when that is
+    None, at the order its own prediction gives (``WireSpectralTable``, and
+    one per t panel in ``_kappa_panel_job``).  The pair's dipoles are folded
+    into both tables as they are built, so each holds one column of
+    d1 . G . d2 instead of nine components, and the coincident d1 . G . d1
+    parts are taken once.  ``at(dz)`` then produces a full RateShiftResult
+    from one real spherical-Bessel ladder over both tables, which is what
+    makes dense distance sweeps and oscillation-phase measurements
+    affordable.
     """
 
     def __init__(self, geom: WireGeometry, pair: EmitterPair, *, tol=1e-6,
@@ -194,11 +197,9 @@ class PairInteraction:
         self.rho = rho
 
         point = SpectralPoint.real_axis(w)
-        if nmax is None:
-            nmax, _ = settle_azimuthal_order(geom, point, rho, rho, 0.0)
-        self.nmax = nmax
         self.table_res = tab = WireSpectralTable(geom, point, rho, rho, 0.0, nmax=nmax,
                                                  tol=tol)
+        self.nmax = tab.nmax
 
         self._d1 = np.asarray(pair.dipole_1, float)
         self._d2 = np.asarray(pair.dipole_2, float)
@@ -208,8 +209,8 @@ class PairInteraction:
         dd = np.stack([np.outer(self._d1, d).ravel() for d in (self._d2, self._d1)], axis=1)
         self._kappa_engine = _ImagAxisEngine(geom, rho, w, dd, tol=tol, nmax=nmax,
                                              dz_refs=tuple(dz_refs), parallel=parallel)
-        # d1 . G^med(r1, r1, omega_a) . d1 and the table's error, which every
-        # row reads
+        # d1 . G^med(r1, r1, omega_a) . d1 and the table's error, azimuthal
+        # tail included, which every row reads
         gmed_11, self._res_err = tab.integrate(0.0)
         self._g11 = _contract(gmed_11, self._d1, self._d1)
         # one flat table of rows in ascending half-width: the real-axis rows
@@ -262,7 +263,6 @@ class PairInteraction:
         # at most its bound
         checks = {
             "real_panels_ok": (tab.panels_ok, True),
-            "tail_ratio": (tab.tail_ratio, TAIL_TOL),
             "resonant_tensor_err": (res_err, 100.0 * self.tol * scale),
             "kappa_panels_ok": (kap.panels_ok, True),
             "kappa_err": (ierr, 100.0 * self.tol * max(1.0, abs(i12), abs(i11))),
@@ -276,11 +276,10 @@ class PairInteraction:
             converged=not failed,
             diagnostics={
                 "resonant_tensor_err": res_err,
-                "tail_ratio": tab.tail_ratio,
                 "kappa_err": ierr,
                 "kappa_nodes": kap.n_nodes,
-                "kappa_tail_ratio": kap.tail_ratio,
                 "nmax": self.nmax,
+                "kappa_nmax": max(kap.orders),
                 "failed_checks": failed,
             },
         )
@@ -288,26 +287,32 @@ class PairInteraction:
 
 def _kappa_panel_job(job):
     """The kz tables of one t panel's 16 kappa nodes, built in lockstep
-    (``imag_axis_tables``) and folded with the dipole pairs dd (``_fold``).
+    (``imag_axis_tables``) at one azimuthal order and folded with the dipole
+    pairs dd (``_fold``).
 
-    The shift needs only the real part of the tensor, which ``_fold`` takes,
-    each node's kz panels times its substitution weight.  Returns (halves,
-    mids, columns (cos, sin; 16; rows; C), kz panels per node, kz error bound
-    per node times |substitution weight|, largest azimuthal tail ratio,
-    whether every table stayed within its node budget).  Module-level with picklable
-    arguments and result, so sweep drivers can run it in worker processes;
-    the arithmetic is the same for any worker count, which keeps outputs
+    The order is ``nmax`` or, when that is None, the one the t panel's
+    probe predicts for its part of the integral, each table weighted by its
+    substitution weight times its weight in the t rule (``half`` times the
+    Gauss weight).  The shift needs only the real part of the tensor, which
+    ``_fold`` takes, each node's kz panels times its substitution weight.
+    Returns (halves, mids, columns (cos, sin; 16; rows; C), kz panels per
+    node, error bound per node (kz and azimuthal) times |substitution
+    weight|, azimuthal order, whether every table stayed within its node
+    budget).  Module-level with picklable arguments and result, so sweep
+    drivers can run it in worker processes; the arithmetic, the order
+    included, is the same for any worker count, which keeps outputs
     bit-reproducible.
     """
-    geom, rho, kappas, weights, tol, nmax, dd = job
+    geom, rho, kappas, weights, half, tol, nmax, dd = job
     tables = imag_axis_tables(geom, kappas, rho, rho, 0.0, nmax=nmax, tol=tol,
-                              budget=30000)
+                              budget=30000, weights=half * _GL_W * weights)
     halves = np.concatenate([tab.halves for tab in tables])
     coefs = np.concatenate([tab.coefs * w for tab, w in zip(tables, weights)])
     return (halves, np.concatenate([tab.mids for tab in tables]), _fold(coefs, halves, dd),
             np.array([len(tab.halves) for tab in tables]),
-            np.array([tab.panel_err + tab.tail_bound for tab in tables]) * np.abs(weights),
-            max(tab.tail_ratio for tab in tables), all(tab.panels_ok for tab in tables))
+            np.array([tab.panel_err + tab.tail_bound + tab.azimuthal_err for tab in tables])
+            * np.abs(weights),
+            tables[0].nmax, all(tab.panels_ok for tab in tables))
 
 
 def _fold(coefs, halves, dd):
@@ -357,13 +362,14 @@ class _ImagAxisEngine:
 
     A t panel is the unit of work: ``_kappa_panel_job`` builds its 16 node
     tables in lockstep and returns them as folded columns, and ``parallel`` (a
-    map) spreads the panels of one build step over worker processes.
-    ``tail_ratio`` is the largest azimuthal tail ratio of the kappa tables
-    in the integral; it is recorded, not tested.  A table out of its node
+    map) spreads the panels of one build step over worker processes.  Each
+    job settles its t panel's azimuthal order (``orders``, one per t panel in
+    grid order) from its own arguments alone, so the orders, like the
+    tables, do not depend on the worker count.  A table out of its node
     budget, or a t grid stopped short of its target by KAPPA_TABLE_BUDGET
     t panels, clears ``panels_ok``, which the rows report as unconverged.
-    ``kz_err``, the tables' kz error bounds weighted as the t rule weights
-    each table, enters the error the rows report.
+    ``kz_err``, the tables' error bounds (kz and azimuthal) weighted as the
+    t rule weights each table, enters the error the rows report.
     """
 
     def __init__(self, geom, rho, omega_a, dd, *, tol, nmax, dz_refs, parallel=None):
@@ -371,14 +377,16 @@ class _ImagAxisEngine:
         gap = 2.0 * (rho - geom.radius)   # summed emitter-to-surface distance
         kap_cut = max(6.0 * omega_a, 20.0 / max(gap, 1e-6))
         run = parallel or (lambda fn, xs: [fn(x) for x in xs])
-        # (halves, mids, columns, kz panels per node, weighted kz error per
-        # node, tail ratio, panels_ok) per t panel, keyed by its first node
+        # (halves, mids, columns, kz panels per node, weighted error per
+        # node, azimuthal order, panels_ok) per t panel, keyed by its first node
         blocks = {}
 
         def values(t):
             t = t.reshape(-1, _NPTS)
-            jobs = [(geom, rho, *quadrature.t_substitution(nodes, omega_a), tol, nmax, dd)
-                    for nodes in t]
+            # each panel's half-width, from its outermost Gauss nodes
+            halves = (t[:, -1] - t[:, 0]) / (2.0 * _GL_X[-1])
+            jobs = [(geom, rho, *quadrature.t_substitution(nodes, omega_a), half, tol, nmax, dd)
+                    for nodes, half in zip(t, halves)]
             out = []
             for nodes, block in zip(t, run(_kappa_panel_job, jobs)):
                 blocks[nodes[0]] = block
@@ -393,13 +401,12 @@ class _ImagAxisEngine:
         # the flat table, in the grid's panel order
         self.panels = [(p[0], p[1]) for p in grid.panels]
         self.n_nodes = grid.nodes_used
-        halves, mids, cols, sizes, kz_errs, tails, oks = zip(*(
+        halves, mids, cols, sizes, kz_errs, self.orders, oks = zip(*(
             blocks[quadrature._panel_nodes(a, b)[0]] for a, b in self.panels))
         self.halves = np.concatenate(halves)
         self.mids = np.concatenate(mids)
         self.kz_err = float(sum(0.5 * (b - a) * (_GL_W @ e)
                                 for (a, b), e in zip(self.panels, kz_errs)))
-        self.tail_ratio = max(tails)
         self.panels_ok = grid_ok and all(oks)
         # each kz row's t panel and node in it
         tp, k = np.divmod(np.repeat(np.arange(len(self.panels) * _NPTS),
@@ -535,7 +542,7 @@ def fit_plasmon_lorentzian(geom: WireGeometry, rho: float, omega: float, *,
     w = float(omega)
     point = SpectralPoint.real_axis(w)
     if nmax is None:
-        nmax, _ = settle_azimuthal_order(geom, point, rho, rho, 0.0)
+        nmax = settle_azimuthal_order(geom, point, rho, rho, 0.0)[0]
     ev = SpectralEvaluator(geom, point, rho, rho, 0.0, nmax=nmax)
 
     try:

@@ -47,6 +47,8 @@ components even under P and imaginary on the others.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -59,11 +61,24 @@ from .errors import ConvergenceError, DomainError, FitError, OverflowGuardError
 from .frequencies import SpectralPoint, as_spectral_point
 from .green_vacuum import DyadicGreen
 from .material import DrudeModel, permittivity
-from .quadrature import (QuadratureReport, build_spectral_panel_sets,
-                         build_spectral_panels, panel_terms)
+from .quadrature import (QuadratureReport, _check_tol, _seed_breaks,
+                         build_spectral_panel_sets, build_spectral_panels, panel_terms,
+                         tail_end)
 
-DEFAULT_NMAX = 15
-TAIL_TOL = 1e-10   # largest |n| = nmax term, relative to the spectrum's scale
+#: Share of ``tol`` times the integral's scale that the azimuthal tail of a
+#: settled order may take.
+AZIMUTHAL_SHARE = 0.2
+#: The probe that settles the order, per spectral point: a Gauss rule of
+#: this many nodes on each seed panel of the point's kz table, and as many
+#: nodes again spaced geometrically over its tail.
+PROBE_NODES = 4
+_PROBE_X, _PROBE_W = np.polynomial.legendre.leggauss(PROBE_NODES)
+#: Factor on the probe's sums of order terms, which stand for integrals: a
+#: tail of terms of one sign moves an integral by nearly the whole of it,
+#: and the probe's few nodes may miss a part.
+PROBE_MARGIN = 2.0
+#: Highest order a prediction looks at; beyond it the order reads as inf.
+ORDER_SCAN = 1000
 
 # Sign patterns of Sigma B Sigma (order -n) and P T P (-kz) on the
 # (rho, phi, z) components; see the module docstring.
@@ -112,7 +127,10 @@ class SpectralEvaluator:
     Each node is solved once and assembled once, over the orders 0..nmax;
     the module docstring gives the two symmetries that supply the negative
     orders and -kz.  The (-1)^n of H_-n cancels in every bilinear
-    term, so the order -n term needs no radial functions of its own.
+    term, so the order -n term needs no radial functions of its own.  With
+    ``orders=True`` a call also returns each node's largest component of
+    every order's term, shape (n_nodes, nmax + 1), the +-n pair folded as in
+    the sum: ``settle_azimuthal_order`` reads the series' decay from it.
 
     All points share one axis, which selects the ladders: complex J_n and
     H_n^(1) on the real axis, scaled I_n and K_n on the imaginary axis, where
@@ -146,8 +164,6 @@ class SpectralEvaluator:
         self.eps2 = np.array([permittivity(geom.model, p) for p in points])
         self.k1 = np.array([p.value for p in points])
         self.k2 = self.k1 * np.sqrt(self.eps2 + 0j)
-        self._tail_abs = np.zeros(len(points))   # largest |n| = nmax term per point
-        self._scale = np.zeros(len(points))      # largest |tensor| per point
 
         # the +n and -n terms folded onto order n: 2 cos(n dphi) on the
         # components even under _SIGMA, 2i sin(n dphi) on the odd ones
@@ -162,28 +178,6 @@ class SpectralEvaluator:
             self._phase = _PHASE * _MIRROR
         else:
             self._k, self._pref, self._phase = self.k1.real, 1j / (8.0 * np.pi), _PHASE
-
-    @property
-    def tail_ratios(self):
-        """Per point: the |n| = nmax contribution relative to that spectrum's
-        global scale.
-
-        Relative-to-local-sum ratios are meaningless deep in the evanescent
-        tail where the tensor underflows; what matters for the integral is
-        the edge term against the dominant part of the spectrum.
-        """
-        seen = self._scale > 0
-        return np.where(seen, self._tail_abs / np.where(seen, self._scale, 1.0), 0.0)
-
-    @property
-    def tail_ratio(self):
-        """The largest of ``tail_ratios``."""
-        return float(self.tail_ratios.max())
-
-    @property
-    def tail_ok(self):
-        """The truncation test: edge term at most TAIL_TOL of the scale."""
-        return self.tail_ratio <= TAIL_TOL
 
     def _ladders(self, kz, which=0):
         a = self.geom.radius
@@ -301,7 +295,7 @@ class SpectralEvaluator:
         R[..., 1, 1] = (A00 * bN1 + c2k * q) * inv_det            # R_NN
         return R
 
-    def __call__(self, kz_nodes, which=0):
+    def __call__(self, kz_nodes, which=0, orders=False):
         kz = np.asarray(kz_nodes, float)
         if not np.all((kz >= 0.0) & (kz < np.inf)):
             raise DomainError("kz nodes must be finite and nonnegative; signs are internal")
@@ -346,68 +340,48 @@ class SpectralEvaluator:
 
         # Each node's sum over orders takes the cos weights on the Sigma-even
         # components and the sin weights on the odd ones; their phases come
-        # last (_phase).  The azimuthal tail reads the order-nmax term alone.
-        last = left[..., N - 1::N] @ right[:, N - 1::N]
-        tail = np.abs(last).max(axis=(1, 2)) * np.abs(pref)
+        # last (_phase).
         T = (left * self._cos) @ right
         if self.dphi == 0.0:
             T[:, _SIGMA < 0] = 0.0
         else:
             T = np.where(_SIGMA > 0, T, (left * self._sin) @ right)
         T = T * pref[:, None, None] * self._phase
-
-        np.maximum.at(self._tail_abs, which, tail)
-        np.maximum.at(self._scale, which, np.abs(T).max(axis=(1, 2)))
         if not np.all(np.isfinite(T)):
             raise OverflowGuardError(
                 "spectral tensor evaluation lost finiteness; the requested "
                 "(geometry, frequency, kz) reach beyond the representable range")
-        return T
-
-
-def _escalate(build, nmax):
-    """The one azimuthal-order search: ``build(n)`` returns (checked, value)
-    where ``checked`` (an evaluator or a table) has ``tail_ok``; n starts at
-    ``nmax`` and doubles up to N_MAX until the test passes.  The last pair is
-    returned even if it fails at N_MAX; the caller decides whether to raise."""
-    n = int(nmax)
-    while True:
-        checked, value = build(n)
-        if checked.tail_ok or n >= N_MAX:
-            return checked, value
-        n = min(2 * n, N_MAX)
-
-
-def _tail_failure(checked):
-    return ConvergenceError(
-        f"azimuthal series still has tail ratio {checked.tail_ratio:.2e} "
-        f"at n = {checked.nmax}",
-        {"nmax": checked.nmax, "tail_ratio": checked.tail_ratio})
+        if not orders:
+            return T
+        # order n alone, component by component: columns n and N + n of
+        # [VM, VN] and [Mt, Nt], with its weight
+        sizes = np.zeros((len(kz), N))
+        lt, rt = left.transpose(1, 0, 2), right.transpose(2, 0, 1)
+        for (a, b), even in np.ndenumerate(_SIGMA > 0):
+            term = lt[a, :, :N] * rt[b, :, :N] + lt[a, :, N:] * rt[b, :, N:]
+            term *= (self._cos if even else self._sin)[:N]
+            np.maximum(sizes, np.abs(term), out=sizes)
+        return T, sizes * np.abs(pref)[:, None]
 
 
 def wire_spectral_green(geom: WireGeometry, rho1: float, rho2: float, dphi: float,
-                        s, kz, nmax: int = DEFAULT_NMAX):
+                        s, kz, nmax=None, *, tol: float = 1e-6):
     """Scattered spectrum G~(kz) at fixed radial/azimuthal geometry.
 
     Accepts scalar or array kz of either sign and returns the 3x3 tensor(s)
     in local cylindrical components; a negative kz is the mirror P T(|kz|) P.
-    The azimuthal series is extended automatically (up to N_MAX) until its
-    |n| = nmax term passes the TAIL_TOL test; failure to converge raises.
+    The azimuthal order is ``nmax`` when given, else the one
+    ``settle_azimuthal_order`` predicts for the spectrum's kz integral at
+    ``tol``; a prediction above N_MAX raises ConvergenceError.
     """
     kz_arr = np.atleast_1d(np.asarray(kz, float))
-    ev, vals = _escalate(_evaluations(geom, s, rho1, rho2, dphi, np.abs(kz_arr)), nmax)
-    if not ev.tail_ok:
-        raise _tail_failure(ev)
+    if not np.isfinite(kz_arr).all():
+        raise DomainError(f"kz nodes must be finite, got {kz}")
+    if nmax is None:
+        nmax = settle_azimuthal_order(geom, s, rho1, rho2, dphi, tol=tol)[0]
+    vals = SpectralEvaluator(geom, s, rho1, rho2, dphi, nmax=nmax)(np.abs(kz_arr))
     out = np.where((kz_arr < 0)[:, None, None], _MIRROR * vals, vals)
     return out[0] if np.isscalar(kz) or np.ndim(kz) == 0 else out
-
-
-def _evaluations(geom, s, rho1, rho2, dphi, kz):
-    """``build`` for ``_escalate``: an order-n evaluator and its values at kz."""
-    def build(n):
-        ev = SpectralEvaluator(geom, s, rho1, rho2, dphi, nmax=n)
-        return ev, ev(kz)
-    return build
 
 
 def plasmon_wavenumber(geom: WireGeometry, omega: float):
@@ -468,6 +442,7 @@ def plasmon_wavenumber(geom: WireGeometry, omega: float):
     return float(kz.real), float(abs(kz.imag))
 
 
+@functools.lru_cache(maxsize=64)
 def _k_window(geom, point, rho1, rho2):
     """((k_start, pole_hint, branch_point), gap): the kz window of the
     spectrum at ``point``, as ``build_spectral_panel_sets`` takes it, and the
@@ -481,7 +456,8 @@ def _k_window(geom, point, rho1, rho2):
     and can push nodes past the overflow guard of the special functions.
     On the real axis k_start is also capped so that the window's arguments
     stay inside that guard; the scaled I and K ladders of the imaginary axis
-    cannot overflow at large argument and have no such cap.
+    cannot overflow at large argument and have no such cap.  Cached: the
+    order probe and the table at one point read the same window.
     """
     gap = (rho1 - geom.radius) + (rho2 - geom.radius)
     sabs = abs(point.value)
@@ -503,16 +479,82 @@ def _k_window(geom, point, rho1, rho2):
     return (k_start, pole_hint, branch_point), gap
 
 
-def settle_azimuthal_order(geom, s, rho1, rho2, dphi):
-    """(order, tail ratio) of the smallest order ladder whose |n| = N term is
-    negligible, by probing a handful of spectrum nodes instead of building a
-    full quadrature table, starting at DEFAULT_NMAX.  Returns N_MAX even
-    when that fails the test."""
-    point = as_spectral_point(s)
-    sabs = max(abs(point.value), 1.0)
-    probe = np.array([0.2, 0.7, 1.2, 2.5, 6.0]) * sabs
-    ev, _ = _escalate(_evaluations(geom, point, rho1, rho2, dphi, probe), DEFAULT_NMAX)
-    return ev.nmax, ev.tail_ratio
+def _probe_nodes(geom, point, rho1, rho2):
+    """(kz nodes, weights) of the order probe at ``point``: the Gauss rule
+    of PROBE_NODES nodes on each seed panel that its kz table starts from
+    (``quadrature._seed_breaks`` of its ``_k_window``), so a seeded pole and
+    the branch point are resolved as the table resolves them, then
+    PROBE_NODES nodes spaced geometrically from k_start out to the farthest
+    tail block (``quadrature.tail_end``), each standing for the cell between
+    the midpoints to its neighbours, the first from k_start."""
+    (k_start, pole, branch), gap = _k_window(geom, point, rho1, rho2)
+    breaks = np.array(_seed_breaks(k_start, pole, branch))
+    half, mid = 0.5 * np.diff(breaks)[:, None], 0.5 * (breaks[1:] + breaks[:-1])[:, None]
+    tail = k_start * (tail_end(k_start, gap) / k_start) ** (
+        np.arange(1, PROBE_NODES + 1) / PROBE_NODES)
+    cells = np.diff(np.concatenate([[k_start], 0.5 * (tail[1:] + tail[:-1]), tail[-1:]]))
+    return (np.concatenate([(mid + half * _PROBE_X).ravel(), tail]),
+            np.concatenate([(half * _PROBE_W).ravel(), cells]))
+
+
+def settle_azimuthal_order(geom, s, rho1, rho2, dphi, *, tol=1e-6, weights=None,
+                           nmax=None, dz=0.0):
+    """(order, tails, scale): the azimuthal order of the kz integrals of the
+    spectra at the spectral point(s) ``s``, predicted from one probe.
+
+    One evaluator call at N_MAX on every point's ``_probe_nodes`` gives each
+    order's largest term at each node.  Weighted by the nodes' weights over
+    both kz signs, and by PROBE_MARGIN, these give A_p(m), a bound on the
+    integral of point p's order-m term in magnitude, and the tensors give
+    point p's integral.  The tail beyond order n is the probed terms above n
+    plus their geometric continuation,
+    sum_{m=n+1}^{N_MAX} A_p(m) + A_p(N_MAX) q^(k+1) / (1 - q) with
+    k = max(n - N_MAX, 0) and q the decay per order over the last four
+    probed orders.  Each point counts with ``weights`` (default 1), its
+    weight in the integral that the caller forms from the tables, and the
+    order is the smallest n >= 1 whose weighted tail is at most
+    AZIMUTHAL_SHARE * tol * scale.  The scale is the largest component of
+    the weighted sum of the integrals, and at least 1; a prediction above
+    N_MAX raises ConvergenceError carrying it.  At a separation ``dz`` other
+    than 0 the phase can cancel most of the integral, where so few nodes
+    cannot follow it: the scale is then its floor 1 alone, and the order is
+    capped at N_MAX for the caller to judge the tail it reports.  A given
+    ``nmax`` is used as it is.  Returns (order, each point's tail at that
+    order, scale).
+    """
+    _check_tol(tol)
+    points = [as_spectral_point(p) for p in (s if isinstance(s, list) else [s])]
+    probe = SpectralEvaluator(geom, points, rho1, rho2, dphi, nmax=N_MAX)
+    probes = [_probe_nodes(geom, p, rho1, rho2) for p in points]
+    which = np.repeat(np.arange(len(points)), [x.size for x, _ in probes])
+    T, sizes = probe(np.concatenate([x for x, _ in probes]), which, orders=True)
+    A = np.array([2.0 * PROBE_MARGIN * (w[:, None] * sizes[which == i]).sum(axis=0)
+                  for i, (_, w) in enumerate(probes)])
+    weights = np.ones(len(points)) if weights is None else np.asarray(weights, float)
+    scale = 1.0
+    if dz == 0.0:
+        both = T + _MIRROR * T
+        total = sum(c * (w[:, None, None] * both[which == i]).sum(axis=0)
+                    for i, (c, (_, w)) in enumerate(zip(weights, probes)))
+        scale = max(scale, float(np.abs(total).max()))
+
+    n = np.arange(ORDER_SCAN + 1)
+    tails = np.zeros((len(points), n.size))
+    tails[:, :N_MAX] = np.cumsum(A[:, :0:-1], axis=1)[:, ::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.minimum(np.nan_to_num((A[:, -1] / A[:, -5]) ** 0.25), 1.0)[:, None]
+        tails += A[:, -1:] * q ** (np.maximum(n - N_MAX, 0) + 1) / (1.0 - q)
+    weighted = np.abs(weights) @ tails
+    if nmax is None:
+        met = weighted[1:] <= AZIMUTHAL_SHARE * tol * scale
+        nmax = 1 + int(np.argmax(met)) if met.any() else math.inf
+        if dz != 0.0:
+            nmax = min(nmax, N_MAX)
+        elif nmax > N_MAX:
+            raise ConvergenceError(
+                f"the azimuthal series needs order {nmax} > N_MAX = {N_MAX} at tol {tol:g}",
+                {"nmax": nmax, "tail_ratio": float(weighted[N_MAX] / scale)})
+    return nmax, tails[:, nmax], scale
 
 
 def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
@@ -527,9 +569,12 @@ def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
         Real or imaginary frequency; at a real frequency the guided plasmon
         pole, when there is one, seeds the kz panels.
 
-    Returns a cylindrical-frame DyadicGreen whose ``report`` carries the
-    quadrature diagnostics; an unconverged integral raises ConvergenceError
-    with those diagnostics attached.
+    One WireSpectralTable is built, at the azimuthal order that
+    ``settle_azimuthal_order`` predicts for it.  Returns a
+    cylindrical-frame DyadicGreen whose ``report`` carries the quadrature
+    diagnostics; its error estimate includes the azimuthal tail.  An
+    unconverged integral, or an order predicted above N_MAX, raises
+    ConvergenceError with its diagnostics attached.
     """
     point = as_spectral_point(s)
     rho1, phi1, z1 = p1
@@ -537,25 +582,16 @@ def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
     dz = float(z1) - float(z2)
     if not np.isfinite(dz):
         raise DomainError(f"axial separation must be finite, got z1 - z2 = {dz}")
-    dphi = phi1 - phi2
-
-    def build(n):
-        table = WireSpectralTable(geom, point, rho1, rho2, dphi, nmax=n, tol=tol,
-                                  budget=budget, phase_ref=dz)
-        return table, table
-
-    n, _ = settle_azimuthal_order(geom, point, rho1, rho2, dphi)
-    table, _ = _escalate(build, n)
-    if not table.tail_ok:
-        raise _tail_failure(table)
-
+    table = WireSpectralTable(geom, point, rho1, rho2, phi1 - phi2, tol=tol, budget=budget,
+                              phase_ref=dz)
     tensor, abs_err = table.integrate(dz)
     scale = max(1.0, float(np.abs(tensor).max()))
     report = QuadratureReport(
         value=None, abs_error_estimate=abs_err, nodes_used=table.nodes_used,
         converged=bool(table.panels_ok and abs_err <= tol * scale),
         diagnostics={"n_panels": table.n_panels, "tail_bound": table.tail_bound,
-                     "nmax": table.nmax, "k_start": table.k_start})
+                     "azimuthal_err": table.azimuthal_err, "nmax": table.nmax,
+                     "k_start": table.k_start})
     if not report.converged:
         raise ConvergenceError(
             "kz quadrature for the wire tensor did not converge",
@@ -575,7 +611,8 @@ class FrozenSpectralTable:
     tail_bound: float
     panels_ok: bool
     nodes_used: int
-    tail_ratio: float         # azimuthal tail, as WireSpectralTable.tail_ratio
+    nmax: int
+    azimuthal_err: float      # as WireSpectralTable.azimuthal_err
 
     def integrate(self, dz: float):
         """(3x3 tensor, abs error) of int_{-inf}^{inf} G~(kz) e^{i kz dz} dkz."""
@@ -583,20 +620,26 @@ class FrozenSpectralTable:
 
 
 def _table_integral(table, dz):
-    """``integrate`` of either table type, from its frozen panels."""
+    """``integrate`` of either table type, from its frozen panels: the error
+    is the kz panels' and tail's plus the azimuthal tail."""
     vec = panel_terms(table.halves, table.mids, table.coefs, float(dz), _MIRROR.ravel())
-    return vec.sum(axis=0).reshape(3, 3), table.panel_err + table.tail_bound
+    return (vec.sum(axis=0).reshape(3, 3),
+            table.panel_err + table.tail_bound + table.azimuthal_err)
 
 
 class WireSpectralTable:
     """Frozen kz-panel tabulation of a scattered spectrum at one frequency.
 
     The kz window comes from ``_k_window``, the evaluator runs at order
-    ``nmax``, and the tail blocks are judged at separation ``phase_ref``;
-    ``imag_axis_tables`` builds many tables at imaginary frequencies the same
-    way.  The azimuthal tail is recorded (``tail_ratio``, ``tail_ok``), not
-    acted on.  The panels are held frozen, in the fields of a
-    ``FrozenSpectralTable`` (``halves``, ``mids``, ``coefs``, ``panel_err``).
+    ``nmax`` or, when that is None, at the order ``settle_azimuthal_order``
+    predicts for this table at ``tol``, and the tail blocks are judged at
+    separation ``phase_ref``.  Away from phase_ref = 0 the phase may cancel
+    most of the integral, so there the prediction takes the scale's floor 1
+    alone.  ``azimuthal_err``, the predicted tail at the order built, joins
+    the kz error that ``integrate`` reports.  ``imag_axis_tables`` builds
+    many tables at imaginary frequencies the same way.  The panels are held
+    frozen, in the fields of a ``FrozenSpectralTable`` (``halves``, ``mids``,
+    ``coefs``, ``panel_err``).
 
     Build once, then ``integrate(dz)`` for any number of separations: the
     separation only enters through analytic phase moments, so each call
@@ -604,45 +647,52 @@ class WireSpectralTable:
     """
 
     def __init__(self, geom: WireGeometry, point, rho1, rho2, dphi, *,
-                 nmax, tol, budget=60000, phase_ref=0.0):
+                 tol, nmax=None, budget=60000, phase_ref=0.0):
         point = as_spectral_point(point)
+        self.nmax, (tail,), _ = settle_azimuthal_order(
+            geom, point, rho1, rho2, dphi, tol=tol, nmax=nmax, dz=phase_ref)
+        self.azimuthal_err = float(tail)
         (self.k_start, pole_hint, branch), gap = _k_window(geom, point, rho1, rho2)
-        evaluator = SpectralEvaluator(geom, point, rho1, rho2, dphi, nmax=nmax)
+        evaluator = SpectralEvaluator(geom, point, rho1, rho2, dphi, nmax=self.nmax)
         ps, tail_bound, ok = build_spectral_panels(
             evaluator, tol=tol, k_start=self.k_start, mirror=_MIRROR.ravel(),
             pole_hint=pole_hint, branch_point=branch, tail_scale=gap, budget=budget,
-            phase_for_blocks=phase_ref, orders=nmax + 1)
+            phase_for_blocks=phase_ref, orders=self.nmax + 1)
         self.halves, self.mids, self.coefs = ps._freeze()
         self.panel_err = ps.err
         self.tail_bound = float(tail_bound)
         self.panels_ok = bool(ok)
         self.nodes_used = ps.nodes_used
         self.n_panels = len(ps.panels)
-        self.nmax = evaluator.nmax
-        self.tail_ratio = evaluator.tail_ratio
-        self.tail_ok = evaluator.tail_ok
 
     def integrate(self, dz: float):
         """(3x3 tensor, abs error) of int_{-inf}^{inf} G~(kz) e^{i kz dz} dkz."""
         return _table_integral(self, dz)
 
 
-def imag_axis_tables(geom: WireGeometry, kappas, rho1, rho2, dphi, *, nmax, tol, budget):
+def imag_axis_tables(geom: WireGeometry, kappas, rho1, rho2, dphi, *, tol, budget,
+                     nmax=None, weights=None):
     """The WireSpectralTable of every imaginary frequency i*kappa, built in
-    lockstep, as FrozenSpectralTables.
+    lockstep at one azimuthal order, as FrozenSpectralTables.
 
-    Each table takes exactly the panel steps it would take alone, and each
-    step evaluates the nodes of every table still running in one call of one
-    evaluator over all the frequencies (``build_spectral_panel_sets``), so a
-    table equals the one WireSpectralTable builds at the same arguments.
+    The order is ``nmax`` or, when that is None, the one
+    ``settle_azimuthal_order`` predicts, from one probe over all the
+    frequencies, for the sum of the tables weighted by ``weights``.  Each
+    table takes exactly the panel steps it would take alone, and each step
+    evaluates the nodes of every table still running in one call of one
+    evaluator over all the frequencies (``build_spectral_panel_sets``), so at
+    a given ``nmax`` a table equals the one WireSpectralTable builds at the
+    same arguments.
     """
     points = [SpectralPoint.imaginary_axis(k) for k in kappas]
+    nmax, tails, _ = settle_azimuthal_order(geom, points, rho1, rho2, dphi, tol=tol,
+                                            weights=weights, nmax=nmax)
     windows, gaps = zip(*(_k_window(geom, p, rho1, rho2) for p in points))
     evaluator = SpectralEvaluator(geom, points, rho1, rho2, dphi, nmax=nmax)
     built = build_spectral_panel_sets(
         evaluator, windows, tol=tol, mirror=_MIRROR.ravel(), tail_scale=gaps[0],
         budget=budget, orders=nmax + 1)
     return [FrozenSpectralTable(*ps._freeze(), panel_err=ps.err, tail_bound=float(bound),
-                                panels_ok=bool(ok), nodes_used=ps.nodes_used,
-                                tail_ratio=float(ratio))
-            for (ps, bound, ok), ratio in zip(built, evaluator.tail_ratios)]
+                                panels_ok=bool(ok), nodes_used=ps.nodes_used, nmax=nmax,
+                                azimuthal_err=float(tail))
+            for (ps, bound, ok), tail in zip(built, tails)]

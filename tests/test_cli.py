@@ -143,7 +143,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "PairInteraction", failing)
         assert main(command) == 3
         err = capsys.readouterr().err
-        assert "convergence failure" in err and "diagnostics: {'nmax': 40}" in err
+        assert "convergence failure" in err and "diagnostics: nmax = 40" in err
 
     @pytest.mark.parametrize("order", [0, 50, 2.5, True, "4"])
     def test_bad_azimuthal_order_exit_2(self, tmp_path, capsys, order):
@@ -152,8 +152,9 @@ class TestExitCodes:
         assert "azimuthal_order" in capsys.readouterr().err
 
     def test_unconverged_point_exit_3(self, tmp_path, capsys):
-        # order 4 fails the azimuthal tail test on this geometry
-        path = write_config(tmp_path, {"azimuthal_order": 4})
+        # the azimuthal tail at order 3 takes the resonant error over its
+        # bound on this geometry
+        path = write_config(tmp_path, {"azimuthal_order": 3})
         out = tmp_path / "p.json"
         assert main(["point", "--config", path, "--dz", "1.0", "--out", str(out)]) == 3
         assert "unconverged point: dz=1" in capsys.readouterr().err
@@ -163,17 +164,23 @@ class TestExitCodes:
                              ids=["sweep", "point"])
     def test_unconverged_rows_name_their_failed_checks(self, tmp_path, capsys, command,
                                                        rows):
-        # order 4 fails only the real-axis azimuthal tail test on this
-        # geometry: one stderr line names it with its value and bound
-        path = write_config(tmp_path, {"azimuthal_order": 4})
+        # at order 3 the real-axis table's azimuthal tail alone takes the
+        # resonant error over its bound on this geometry: one stderr line
+        # names that check with its value and bound
+        path = write_config(tmp_path, {"azimuthal_order": 3})
         out = tmp_path / "out"
         assert main(command + ["--config", path, "--out", str(out)]) == 3
         cfg = load_config(path)
-        engine = PairInteraction(cfg.geometry(), cfg.pair(1.0), tol=cfg.tol_wire, nmax=4)
-        ratio = engine.table_res.tail_ratio
-        assert engine.at(1.0).diagnostics["failed_checks"] == {"tail_ratio": (ratio, 1e-10)}
+        engine = PairInteraction(cfg.geometry(), cfg.pair(1.0), tol=cfg.tol_wire, nmax=3)
+        tab = engine.table_res
+        failed = engine.at(1.0).diagnostics["failed_checks"]
+        assert list(failed) == ["resonant_tensor_err"]
+        err_, bound = failed["resonant_tensor_err"]
+        assert err_ == 2.0 * (tab.panel_err + tab.tail_bound + tab.azimuthal_err)
+        assert 2.0 * (tab.panel_err + tab.tail_bound) <= bound < 2.0 * tab.azimuthal_err
         err = capsys.readouterr().err.splitlines()
-        assert err[-1] == f"failed checks: tail_ratio {ratio:.3g} > 1e-10 ({rows} of {rows} rows)"
+        assert err[-1] == (f"failed checks: resonant_tensor_err {err_:.3g} > {bound:.3g} "
+                           f"({rows} of {rows} rows)")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--omega-over-omega-a", "0"],

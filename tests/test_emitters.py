@@ -183,12 +183,14 @@ def _kappa_oracle(engine, tables, dz, dd):
 
 
 def _kz_err(engine, tables):
-    """The tables' kz error, weighted as the t rule weights each table."""
+    """The tables' kz and azimuthal error, weighted as the t rule weights
+    each table."""
     kz_err = 0.0
     for half, weight, kappas in _t_panels(engine):
         for gw, wt, k in zip(_GL_W, weight, kappas):
             tab = tables[float(k)]
-            kz_err += half * gw * abs(wt) * (tab.panel_err + tab.tail_bound)
+            kz_err += half * gw * abs(wt) * (tab.panel_err + tab.tail_bound
+                                             + tab.azimuthal_err)
     return kz_err
 
 
@@ -211,10 +213,11 @@ def test_kappa_bisection_matches_per_table_oracle(split_build, node_tables):
     engine = interaction._kappa_engine
     assert engine.n_nodes > 160
     tables = node_tables
-    # the recorded azimuthal tail is the largest of the tables in the integral
-    tail = max(tab.tail_ratio for tab in tables.values())
-    assert engine.tail_ratio == tail > 0.0
-    assert interaction.at(0.5).diagnostics["kappa_tail_ratio"] == tail
+    # every t panel is built at the configured order, and each table's
+    # azimuthal tail at it enters kz_err
+    assert engine.orders == (8,) * len(engine.panels)
+    assert interaction.at(0.5).diagnostics["kappa_nmax"] == 8
+    assert all(tab.nmax == 8 and tab.azimuthal_err > 0.0 for tab in tables.values())
     kz_err = _kz_err(engine, tables)
     assert kz_err > 0.0
     # radial dipoles: the engine holds the rho-rho component of the tensor
@@ -393,7 +396,7 @@ def test_rows_with_mirror_odd_components_match_full_tensor(default_geom, split_b
     size12, size11 = np.abs(dd12), np.abs(dd11)
     ones = np.ones((9, 1))
     kz_err = _kz_err(engine, node_tables)
-    res_err = tab.panel_err + tab.tail_bound
+    res_err = tab.panel_err + tab.tail_bound + tab.azimuthal_err
     g11 = tab.integrate(0.0)[0].reshape(9)
     i11, e11 = _kappa_oracle(engine, node_tables, 0.0, dd11)
     _, e11_all = _kappa_oracle(engine, node_tables, 0.0, np.eye(9))
@@ -427,8 +430,7 @@ def test_rows_with_mirror_odd_components_match_full_tensor(default_geom, split_b
         diag = r.diagnostics
         assert diag["resonant_tensor_err"] == 2.0 * res_err
         assert diag["kappa_nodes"] == engine.n_nodes == 16 * 11
-        assert diag["kappa_tail_ratio"] == max(t.tail_ratio for t in node_tables.values())
-        assert diag["nmax"] == 8
+        assert diag["nmax"] == diag["kappa_nmax"] == 8
         # the bound covers at least the contracted integrand's Legendre tail,
         # and at most what the nine components' bound allows for these dipoles
         l1 = np.abs(d1).sum()
@@ -437,7 +439,7 @@ def test_rows_with_mirror_odd_components_match_full_tensor(default_geom, split_b
         tiny = 1e-12 * 3.0 * max(np.abs(a12).max(), np.abs(a11).max())
         assert low - tiny <= diag["kappa_err"] <= high + tiny
         bound = 100.0 * interaction.tol
-        converged = (tab.panels_ok and tab.tail_ok and 2.0 * res_err <= bound * max(
+        converged = bool(tab.panels_ok and 2.0 * res_err <= bound * max(
             1.0, abs(r.gamma11) * w / (6.0 * math.pi)) and engine.panels_ok
             and diag["kappa_err"] <= bound * max(1.0, abs(i12[0]), abs(i11[0])))
         assert r.converged is converged
@@ -459,6 +461,27 @@ def test_one_order_search_across_callers(default_geom, pair_engine, monkeypatch)
     fit_plasmon_lorentzian(default_geom, 0.015, OMEGA_A)
     assert fit_orders and set(fit_orders) == {pair_engine.nmax}
     assert g.report.diagnostics["nmax"] == pair_engine.nmax
+
+
+def test_near_wall_azimuthal_tail_is_loud(default_geom):
+    # emitters 1.5e-3 from the surface: for tol 1e-6 the series needs about
+    # 72 orders.  The settled build raises with that prediction, and so does
+    # a t panel of kappa tables settled alone; at a configured N_MAX both
+    # tails join the rows' errors, which then fail their bounds
+    from wireqed import ConvergenceError, N_MAX
+    from wireqed.emitters import _kappa_panel_job
+    pair = EmitterPair((0.0115, 0.0, 0.0), (0.0115, 0.0, 0.02))
+    with pytest.raises(ConvergenceError) as failure:
+        PairInteraction(default_geom, pair, tol=1e-6)
+    assert failure.value.diagnostics["nmax"] > N_MAX
+    t = 0.9 + 0.05 * (1.0 + _GL_X)
+    kappas, weights = quadrature.t_substitution(t, OMEGA_A)
+    dd = np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]).reshape(9, 1)
+    with pytest.raises(ConvergenceError) as failure:
+        _kappa_panel_job((default_geom, 0.0115, kappas, weights, 0.05, 1e-6, None, dd))
+    assert failure.value.diagnostics["nmax"] > N_MAX
+    row = PairInteraction(default_geom, pair, tol=1e-6, nmax=N_MAX).at(0.02)
+    assert set(row.diagnostics["failed_checks"]) == {"resonant_tensor_err", "kappa_err"}
 
 
 def test_kappa_table_out_of_budget_is_unconverged(default_geom, default_pair,

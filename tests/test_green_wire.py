@@ -172,34 +172,37 @@ def test_azimuthal_tail_failure_raises():
 
 
 def test_spectral_green_tail_failure_raises():
-    # the same near-surface emitter: one spectrum node already carries a
-    # 1e-6 tail at the n = 40 ceiling, so the order search gives up there
+    # the same near-surface emitter: the probe's tail still exceeds its share
+    # of tol at the n = 40 ceiling, so the predicted order lies above it and
+    # the error carries that prediction
     geom = WireGeometry(radius=0.01, model=DrudeModel())
     with pytest.raises(ConvergenceError) as failure:
         wire_spectral_green(geom, 0.012, 0.012, 0.0, REAL, 2.0 * OMEGA_A)
-    assert failure.value.diagnostics["nmax"] == N_MAX
-    assert failure.value.diagnostics["tail_ratio"] > 1e-10
+    assert failure.value.diagnostics["nmax"] > N_MAX
+    assert failure.value.diagnostics["tail_ratio"] > green_wire.AZIMUTHAL_SHARE * 1e-6
 
 
-def test_wire_green_rebuilds_its_table_at_a_higher_order(default_geom, monkeypatch):
-    # started at order 15 the table's tail fails, so the order search doubles
-    # it and rebuilds at 30, where it passes; the settled call runs at 40
-    p1, p2 = (0.015, 0.0, 0.0), (0.015, 0.0, 0.5)
-    settled = wire_green(default_geom, p1, p2, REAL)
-    orders = []
+def test_wire_green_builds_exactly_one_table(default_geom, monkeypatch):
+    # one probe call at N_MAX settles the order, and the one table is built
+    # at that order: no table is rebuilt
+    orders, probe_calls = [], []
+    call = SpectralEvaluator.__call__
+
+    def recorded(self, kz, which=0, **kwargs):
+        if self.nmax == N_MAX:
+            probe_calls.append(len(kz))
+        return call(self, kz, which, **kwargs)
 
     class Recording(green_wire.WireSpectralTable):
-        def __init__(self, *args, nmax, **kwargs):
-            orders.append(nmax)
-            super().__init__(*args, nmax=nmax, **kwargs)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            orders.append(self.nmax)
 
+    monkeypatch.setattr(SpectralEvaluator, "__call__", recorded)
     monkeypatch.setattr(green_wire, "WireSpectralTable", Recording)
-    monkeypatch.setattr(green_wire, "settle_azimuthal_order", lambda *args: (15, 1.0))
-    g = wire_green(default_geom, p1, p2, REAL)
-    assert orders == [15, 30]
-    assert g.report.diagnostics["nmax"] == 30 and g.converged
-    assert settled.report.diagnostics["nmax"] == 40
-    assert np.abs(g.value - settled.value).max() <= 1e-9 * np.abs(settled.value).max()
+    g = wire_green(default_geom, (0.015, 0.0, 0.0), (0.015, 0.0, 0.5), REAL)
+    assert g.converged and orders == [g.report.diagnostics["nmax"]]
+    assert orders[0] < N_MAX and len(probe_calls) == 1
 
 
 def test_purcell_enhancement_and_regression(default_geom):
@@ -350,9 +353,11 @@ def test_evanescent_node_past_the_j_overflow(default_geom):
 
 
 def _signed_order_reference(ev, kz):
-    """The evaluator's tensor and tail ratio summed the long way: a wall solve
-    at each kz sign and, for each sign, every signed order -nmax..nmax.  It
-    runs in complex arithmetic on both axes (``_complex_ladders``)."""
+    """The evaluator's tensor and order terms summed the long way: a wall
+    solve at each kz sign and, for each sign, every signed order
+    -nmax..nmax; the order terms are each +kz node's largest component of
+    the n and -n terms summed, per |n|.  It runs in complex arithmetic on
+    both axes (``_complex_ladders``)."""
     eta1, eta2, wall, (hr1, hr1p, hr2, hr2p) = _complex_ladders(ev, kz)
     Rp, Rm = ev._solve(kz, eta1, eta2, wall), ev._solve(-kz, eta1, eta2, wall)
     ns = np.arange(-ev.nmax, ev.nmax + 1)
@@ -361,7 +366,6 @@ def _signed_order_reference(ev, kz):
     phase = np.exp(1j * ns * ev.dphi)[:, None]
     H1, H1p, H2, H2p = (x[absn] * refl for x in (hr1, hr1p, hr2, hr2p))
     out = np.empty((kz.size, 2, 3, 3), complex)
-    tail_abs = scale = 0.0
     for side, (sgn, Rpos, Rother) in enumerate(((1.0, Rp, Rm), (-1.0, Rm, Rp))):
         kzs = sgn * kz[None, :]
         Rsel = np.where((ns < 0)[:, None, None, None],
@@ -381,9 +385,11 @@ def _signed_order_reference(ev, kz):
         Tn = (np.einsum("imk,jmk->mkij", VM, Mt)
               + np.einsum("imk,jmk->mkij", VN, Nt)) * pref[:, :, None, None]
         out[:, side] = Tn.sum(axis=0)
-        tail_abs = max(tail_abs, float(np.abs(Tn[absn == ev.nmax]).max()))
-        scale = max(scale, float(np.abs(out[:, side]).max()))
-    return out, tail_abs / scale
+        if side == 0:
+            folded = np.zeros((ev.nmax + 1,) + Tn.shape[1:], complex)
+            np.add.at(folded, absn, Tn)
+            sizes = np.abs(folded).max(axis=(2, 3)).T
+    return out, sizes
 
 
 _SCANS = {"real": (REAL, np.append(np.linspace(0.05, 6.0, 40), 1.0) * OMEGA_A),
@@ -409,13 +415,14 @@ def _both_sides(T):
 def test_folded_orders_match_signed_order_sum(default_geom, axis, nmax, rho2, dphi):
     s, kz = _SCANS[axis]
     ev = SpectralEvaluator(default_geom, s, 0.015, rho2, dphi, nmax=nmax)
-    got = _both_sides(ev(kz))
-    want, tail_ratio = _signed_order_reference(ev, kz)
+    T, sizes = ev(kz, orders=True)
+    got = _both_sides(T)
+    want, want_sizes = _signed_order_reference(ev, kz)
     # clamped nodes next to the branch point carry ~1e-3 roundoff of their own
     eta1 = np.abs(np.sqrt(complex(s.value) ** 2 - kz.astype(complex) ** 2))
     kept = eta1 >= 1e-3 * max(abs(s.value), 1.0)
     assert np.abs(got - want)[kept].max() <= 1e-12 * np.abs(want).max()
-    assert ev.tail_ratio == pytest.approx(tail_ratio, rel=1e-12)
+    np.testing.assert_allclose(sizes[kept], want_sizes[kept], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("axis", sorted(_SCANS))
@@ -514,13 +521,13 @@ def test_multi_frequency_evaluator_matches_one_frequency_evaluators(default_geom
     which = np.concatenate([[i, i] for i in range(len(kappas))]
                            + [rng.integers(0, len(kappas), 60)])
     multi = SpectralEvaluator(default_geom, points, 0.015, 0.03, 0.7, nmax=40)
-    got = multi(kz, which)
+    got, sizes = multi(kz, which, orders=True)
     for i, p in enumerate(points):
         one = SpectralEvaluator(default_geom, p, 0.015, 0.03, 0.7, nmax=40)
-        want = one(kz[which == i])
+        want, want_sizes = one(kz[which == i], orders=True)
         assert np.abs(got[which == i] - want).max() <= 1e-14 * np.abs(want).max()
-        assert multi.tail_ratios[i] == one.tail_ratio
-    assert multi.tail_ratio == max(multi.tail_ratios)
+        # the order terms never pass through a sum over nodes or orders
+        np.testing.assert_array_equal(sizes[which == i], want_sizes)
 
 
 def test_evaluator_points_share_one_axis(default_geom):
@@ -541,10 +548,11 @@ def test_real_imaginary_axis_path_matches_complex_reference(default_geom, rho2, 
     for kappa in np.concatenate([_t_panel_kappas(0.0, 2e-3), _t_panel_kappas(0.93, 0.99)]):
         ev = SpectralEvaluator(default_geom, SpectralPoint.imaginary_axis(kappa), 0.015,
                                rho2, dphi, nmax=40)
-        got = ev(kz)
-        want, tail_ratio = _signed_order_reference(ev, kz)
+        got, sizes = ev(kz, orders=True)
+        want, want_sizes = _signed_order_reference(ev, kz)
         assert np.abs(_both_sides(got) - want).max() <= 1e-12 * np.abs(want).max()
-        assert ev.tail_ratio == pytest.approx(tail_ratio, rel=1e-10, abs=1e-14)
+        np.testing.assert_allclose(sizes, want_sizes, rtol=1e-10,
+                                   atol=1e-14 * np.abs(want).max())
         # the real path sets the parts the imaginary axis rules out to zero
         assert np.all(np.where(_MIRROR > 0, got.imag, got.real) == 0.0)
 
@@ -562,9 +570,9 @@ def test_lockstep_tables_match_tables_built_alone(default_geom, monkeypatch, t_p
     calls = []
     call = SpectralEvaluator.__call__
 
-    def recorded(self, kz, which=0):
+    def recorded(self, kz, which=0, **kwargs):
         calls.append(len(kz))
-        return call(self, kz, which)
+        return call(self, kz, which, **kwargs)
 
     monkeypatch.setattr(SpectralEvaluator, "__call__", recorded)
     together = imag_axis_tables(default_geom, kappas, 0.015, 0.015, 0.0, nmax=8, tol=1e-6,
@@ -580,9 +588,9 @@ def test_lockstep_tables_match_tables_built_alone(default_geom, monkeypatch, t_p
         np.testing.assert_array_equal(got.halves, alone.halves)
         np.testing.assert_array_equal(got.mids, alone.mids)
         assert np.abs(got.coefs - alone.coefs).max() <= 1e-14 * np.abs(alone.coefs).max()
-        assert (got.nodes_used, got.panel_err, got.tail_bound, got.panels_ok,
-                got.tail_ratio) == (alone.nodes_used, alone.panel_err, alone.tail_bound,
-                                    alone.panels_ok, alone.tail_ratio)
+        assert (got.nodes_used, got.panel_err, got.tail_bound, got.panels_ok, got.nmax,
+                got.azimuthal_err) == (alone.nodes_used, alone.panel_err, alone.tail_bound,
+                                       alone.panels_ok, alone.nmax, alone.azimuthal_err)
         for dz in (0.0, 0.5):
             (tensor, err), (ref, ref_err) = got.integrate(dz), alone.integrate(dz)
             assert np.abs(tensor - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -590,3 +598,37 @@ def test_lockstep_tables_match_tables_built_alone(default_geom, monkeypatch, t_p
     if t_panel[0] == 0.0:
         assert len(set(steps)) > 1
     assert oks.count(False) == (3 if budget == 496 else 0)
+
+
+_KK_METAL = DrudeModel(eps_inf=1.0, omega_p=6.0 * OMEGA_A, gamma_p=0.12 * OMEGA_A)
+
+
+@pytest.mark.parametrize("rho, metal", [(0.015, DrudeModel()), (0.03, DrudeModel()),
+                                        (0.015, _KK_METAL)],
+                         ids=["default", "dense", "kk_metal"])
+def test_azimuthal_error_bounds_the_change_at_n_max(rho, metal):
+    # every table at its predicted order against a rebuild at N_MAX: its
+    # integral, at each separation, moves by at most the azimuthal error it
+    # reports.  Real axis: the pair's table at omega_A.  Imaginary axis: the
+    # kappa tables of the first, a middle and the last seed t panel of the
+    # pair's shift integral, each panel settled as the pair engine settles it
+    from wireqed.green_wire import WireSpectralTable, imag_axis_tables
+    from wireqed.quadrature import _GL_W, _panel_nodes, t_substitution
+    geom = WireGeometry(radius=0.01, model=metal)
+    pairs = [(WireSpectralTable(geom, REAL, rho, rho, 0.0, tol=1e-6),
+              WireSpectralTable(geom, REAL, rho, rho, 0.0, tol=1e-6, nmax=N_MAX))]
+    kap_cut = max(6.0 * OMEGA_A, 20.0 / (2.0 * (rho - 0.01)))
+    for a, b in ((0.0, 0.1), (0.35, 0.65), (0.9, kap_cut / (OMEGA_A + kap_cut))):
+        kappas, weights = t_substitution(_panel_nodes(a, b), OMEGA_A)
+        args = (geom, kappas, rho, rho, 0.0)
+        pairs += zip(imag_axis_tables(*args, tol=1e-6, budget=30000,
+                                      weights=0.5 * (b - a) * _GL_W * weights),
+                     imag_axis_tables(*args, tol=1e-6, budget=30000, nmax=N_MAX))
+    margins = []
+    for low, high in pairs:
+        assert low.nmax < N_MAX
+        for dz in (0.0, 0.5, 2.0):
+            moved = np.abs(low.integrate(dz)[0] - high.integrate(dz)[0]).max()
+            margins.append(low.azimuthal_err / max(moved, 1e-300))
+    print(f"smallest azimuthal error / change at N_MAX: {min(margins):.3g}")
+    assert min(margins) >= 1.0
