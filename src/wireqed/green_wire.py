@@ -62,23 +62,24 @@ from .frequencies import SpectralPoint, as_spectral_point
 from .green_vacuum import DyadicGreen
 from .material import DrudeModel, permittivity
 from .quadrature import (QuadratureReport, _check_tol, _seed_breaks,
-                         build_spectral_panel_sets, build_spectral_panels, panel_terms,
-                         tail_end)
+                         build_spectral_panel_sets, build_spectral_panels, panel_terms)
 
 #: Share of ``tol`` times the integral's scale that the azimuthal tail of a
 #: settled order may take.
 AZIMUTHAL_SHARE = 0.2
 #: The probe that settles the order, per spectral point: a Gauss rule of
 #: this many nodes on each seed panel of the point's kz table, and as many
-#: nodes again spaced geometrically over its tail.
+#: nodes again spaced geometrically over its tail, out to PROBE_REACH decay
+#: lengths (the summed distance of the points from the surface) past it.
 PROBE_NODES = 4
+PROBE_REACH = 30.0
 _PROBE_X, _PROBE_W = np.polynomial.legendre.leggauss(PROBE_NODES)
 #: Factor on the probe's sums of order terms, which stand for integrals: a
 #: tail of terms of one sign moves an integral by nearly the whole of it,
 #: and the probe's few nodes may miss a part.
 PROBE_MARGIN = 2.0
 #: Highest order a prediction looks at; beyond it the order reads as inf.
-ORDER_SCAN = 1000
+ORDER_SCAN = 4 * N_MAX
 
 # Sign patterns of Sigma B Sigma (order -n) and P T P (-kz) on the
 # (rho, phi, z) components; see the module docstring.
@@ -353,15 +354,13 @@ class SpectralEvaluator:
                 "(geometry, frequency, kz) reach beyond the representable range")
         if not orders:
             return T
-        # order n alone, component by component: columns n and N + n of
+        # order n alone, (3, 3, nodes, orders): columns n and N + n of
         # [VM, VN] and [Mt, Nt], with its weight
-        sizes = np.zeros((len(kz), N))
-        lt, rt = left.transpose(1, 0, 2), right.transpose(2, 0, 1)
-        for (a, b), even in np.ndenumerate(_SIGMA > 0):
-            term = lt[a, :, :N] * rt[b, :, :N] + lt[a, :, N:] * rt[b, :, N:]
-            term *= (self._cos if even else self._sin)[:N]
-            np.maximum(sizes, np.abs(term), out=sizes)
-        return T, sizes * np.abs(pref)[:, None]
+        lt, rt = left.transpose(1, 0, 2)[:, None], right.transpose(2, 0, 1)[None]
+        terms = lt[..., :N] * rt[..., :N] + lt[..., N:] * rt[..., N:]
+        terms *= np.where(_SIGMA > 0, self._cos[:N, None, None],
+                          self._sin[:N, None, None]).transpose(1, 2, 0)[:, :, None]
+        return T, np.abs(terms).max(axis=(0, 1)) * np.abs(pref)[:, None]
 
 
 def wire_spectral_green(geom: WireGeometry, rho1: float, rho2: float, dphi: float,
@@ -484,13 +483,14 @@ def _probe_nodes(geom, point, rho1, rho2):
     of PROBE_NODES nodes on each seed panel that its kz table starts from
     (``quadrature._seed_breaks`` of its ``_k_window``), so a seeded pole and
     the branch point are resolved as the table resolves them, then
-    PROBE_NODES nodes spaced geometrically from k_start out to the farthest
-    tail block (``quadrature.tail_end``), each standing for the cell between
-    the midpoints to its neighbours, the first from k_start."""
+    PROBE_NODES nodes spaced geometrically from k_start over PROBE_REACH
+    decay lengths of the evanescent fields, beyond which every order term
+    has fallen by e^-PROBE_REACH, each standing for the cell between the
+    midpoints to its neighbours, the first from k_start."""
     (k_start, pole, branch), gap = _k_window(geom, point, rho1, rho2)
     breaks = np.array(_seed_breaks(k_start, pole, branch))
     half, mid = 0.5 * np.diff(breaks)[:, None], 0.5 * (breaks[1:] + breaks[:-1])[:, None]
-    tail = k_start * (tail_end(k_start, gap) / k_start) ** (
+    tail = k_start * (1.0 + PROBE_REACH / (gap * k_start)) ** (
         np.arange(1, PROBE_NODES + 1) / PROBE_NODES)
     cells = np.diff(np.concatenate([[k_start], 0.5 * (tail[1:] + tail[:-1]), tail[-1:]]))
     return (np.concatenate([(mid + half * _PROBE_X).ravel(), tail]),
@@ -526,16 +526,18 @@ def settle_azimuthal_order(geom, s, rho1, rho2, dphi, *, tol=1e-6, weights=None,
     points = [as_spectral_point(p) for p in (s if isinstance(s, list) else [s])]
     probe = SpectralEvaluator(geom, points, rho1, rho2, dphi, nmax=N_MAX)
     probes = [_probe_nodes(geom, p, rho1, rho2) for p in points]
-    which = np.repeat(np.arange(len(points)), [x.size for x, _ in probes])
-    T, sizes = probe(np.concatenate([x for x, _ in probes]), which, orders=True)
-    A = np.array([2.0 * PROBE_MARGIN * (w[:, None] * sizes[which == i]).sum(axis=0)
-                  for i, (_, w) in enumerate(probes)])
+    sizes = [x.size for x, _ in probes]
+    T, terms = probe(np.concatenate([x for x, _ in probes]),
+                     np.repeat(np.arange(len(points)), sizes), orders=True)
+    cells = [slice(end - size, end) for end, size in zip(np.cumsum(sizes), sizes)]
+    A = np.array([2.0 * PROBE_MARGIN * (w[:, None] * terms[c]).sum(axis=0)
+                  for c, (_, w) in zip(cells, probes)])
     weights = np.ones(len(points)) if weights is None else np.asarray(weights, float)
     scale = 1.0
     if dz == 0.0:
         both = T + _MIRROR * T
-        total = sum(c * (w[:, None, None] * both[which == i]).sum(axis=0)
-                    for i, (c, (_, w)) in enumerate(zip(weights, probes)))
+        total = sum(v * (w[:, None, None] * both[c]).sum(axis=0)
+                    for v, c, (_, w) in zip(weights, cells, probes))
         scale = max(scale, float(np.abs(total).max()))
 
     n = np.arange(ORDER_SCAN + 1)

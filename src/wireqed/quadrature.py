@@ -377,18 +377,12 @@ def build_spectral_panel_sets(f, windows, *, tol, mirror=None, tail_scale=None,
     return [(ps, tail_bound, ok) for ps, (tail_bound, ok) in zip(sets, flags)]
 
 
-def tail_end(k_start, tail_scale):
-    """The farthest kz the tail blocks of a spectrum seeded on [0, k_start]
-    reach: 200 decay lengths ``tail_scale`` past k_start."""
-    return k_start + (200.0 / tail_scale if tail_scale else 400.0 * k_start)
-
-
 def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale):
     """The panel steps of one spectrum into ``ps``, as a generator for
     ``run_lockstep``, bisecting toward a target read once, after the tail
     blocks; returns (tail_bound, converged_flag)."""
     budget = ps.budget
-    k_end = tail_end(k_start, tail_scale)
+    k_end = k_start + (200.0 / tail_scale if tail_scale else 400.0 * k_start)
     breaks = _seed_breaks(k_start, pole_hint, branch_point)
     yield list(zip(breaks[:-1], breaks[1:]))
 
