@@ -526,10 +526,10 @@ def settle_azimuthal_order(geom, s, rho1, rho2, dphi, *, tol=1e-6, weights=None,
     points = [as_spectral_point(p) for p in (s if isinstance(s, list) else [s])]
     probe = SpectralEvaluator(geom, points, rho1, rho2, dphi, nmax=N_MAX)
     probes = [_probe_nodes(geom, p, rho1, rho2) for p in points]
-    sizes = [x.size for x, _ in probes]
+    counts = [x.size for x, _ in probes]
     T, terms = probe(np.concatenate([x for x, _ in probes]),
-                     np.repeat(np.arange(len(points)), sizes), orders=True)
-    cells = [slice(end - size, end) for end, size in zip(np.cumsum(sizes), sizes)]
+                     np.repeat(np.arange(len(points)), counts), orders=True)
+    cells = [slice(end - count, end) for end, count in zip(np.cumsum(counts), counts)]
     A = np.array([2.0 * PROBE_MARGIN * (w[:, None] * terms[c]).sum(axis=0)
                   for c, (_, w) in zip(cells, probes)])
     weights = np.ones(len(points)) if weights is None else np.asarray(weights, float)
@@ -556,7 +556,8 @@ def settle_azimuthal_order(geom, s, rho1, rho2, dphi, *, tol=1e-6, weights=None,
             raise ConvergenceError(
                 f"the azimuthal series needs order {nmax} > N_MAX = {N_MAX} at tol {tol:g}",
                 {"nmax": nmax, "tail_ratio": float(weighted[N_MAX] / scale)})
-    return nmax, tails[:, nmax], scale
+    # an order beyond the scan is left to the evaluator to reject
+    return nmax, tails[:, min(nmax, ORDER_SCAN)], scale
 
 
 def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
