@@ -47,7 +47,6 @@ components even under P and imaginary on the others.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -80,6 +79,9 @@ _PROBE_X, _PROBE_W = np.polynomial.legendre.leggauss(PROBE_NODES)
 PROBE_MARGIN = 2.0
 #: Highest order a prediction looks at; beyond it the order reads as inf.
 ORDER_SCAN = 4 * N_MAX
+#: The pointwise test of ``wire_spectral_green``: the largest order-nmax term
+#: at the nodes asked for, relative to the largest |G~| there.
+NODE_TAIL_TOL = 1e-10
 
 # Sign patterns of Sigma B Sigma (order -n) and P T P (-kz) on the
 # (rho, phi, z) components; see the module docstring.
@@ -364,21 +366,26 @@ class SpectralEvaluator:
 
 
 def wire_spectral_green(geom: WireGeometry, rho1: float, rho2: float, dphi: float,
-                        s, kz, nmax=None, *, tol: float = 1e-6):
+                        s, kz, nmax: int = N_MAX):
     """Scattered spectrum G~(kz) at fixed radial/azimuthal geometry.
 
     Accepts scalar or array kz of either sign and returns the 3x3 tensor(s)
     in local cylindrical components; a negative kz is the mirror P T(|kz|) P.
-    The azimuthal order is ``nmax`` when given, else the one
-    ``settle_azimuthal_order`` predicts for the spectrum's kz integral at
-    ``tol``; a prediction above N_MAX raises ConvergenceError.
+    The azimuthal series runs to order ``nmax`` in one evaluation, and raises
+    ConvergenceError when its order-nmax term at the nodes exceeds
+    NODE_TAIL_TOL of the largest |G~| there.
     """
     kz_arr = np.atleast_1d(np.asarray(kz, float))
     if not np.isfinite(kz_arr).all():
         raise DomainError(f"kz nodes must be finite, got {kz}")
-    if nmax is None:
-        nmax = settle_azimuthal_order(geom, s, rho1, rho2, dphi, tol=tol)[0]
-    vals = SpectralEvaluator(geom, s, rho1, rho2, dphi, nmax=nmax)(np.abs(kz_arr))
+    vals, terms = SpectralEvaluator(geom, s, rho1, rho2, dphi, nmax=nmax)(
+        np.abs(kz_arr), orders=True)
+    peak = float(np.abs(vals).max())
+    ratio = float(terms[:, -1].max()) / peak if peak > 0 else 0.0
+    if ratio > NODE_TAIL_TOL:
+        raise ConvergenceError(
+            f"azimuthal series still has tail ratio {ratio:.2e} at n = {nmax}",
+            {"nmax": nmax, "tail_ratio": ratio})
     out = np.where((kz_arr < 0)[:, None, None], _MIRROR * vals, vals)
     return out[0] if np.isscalar(kz) or np.ndim(kz) == 0 else out
 
@@ -441,7 +448,6 @@ def plasmon_wavenumber(geom: WireGeometry, omega: float):
     return float(kz.real), float(abs(kz.imag))
 
 
-@functools.lru_cache(maxsize=64)
 def _k_window(geom, point, rho1, rho2):
     """((k_start, pole_hint, branch_point), gap): the kz window of the
     spectrum at ``point``, as ``build_spectral_panel_sets`` takes it, and the
@@ -455,8 +461,7 @@ def _k_window(geom, point, rho1, rho2):
     and can push nodes past the overflow guard of the special functions.
     On the real axis k_start is also capped so that the window's arguments
     stay inside that guard; the scaled I and K ladders of the imaginary axis
-    cannot overflow at large argument and have no such cap.  Cached: the
-    order probe and the table at one point read the same window.
+    cannot overflow at large argument and have no such cap.
     """
     gap = (rho1 - geom.radius) + (rho2 - geom.radius)
     sabs = abs(point.value)
@@ -478,16 +483,17 @@ def _k_window(geom, point, rho1, rho2):
     return (k_start, pole_hint, branch_point), gap
 
 
-def _probe_nodes(geom, point, rho1, rho2):
-    """(kz nodes, weights) of the order probe at ``point``: the Gauss rule
-    of PROBE_NODES nodes on each seed panel that its kz table starts from
-    (``quadrature._seed_breaks`` of its ``_k_window``), so a seeded pole and
-    the branch point are resolved as the table resolves them, then
-    PROBE_NODES nodes spaced geometrically from k_start over PROBE_REACH
-    decay lengths of the evanescent fields, beyond which every order term
-    has fallen by e^-PROBE_REACH, each standing for the cell between the
-    midpoints to its neighbours, the first from k_start."""
-    (k_start, pole, branch), gap = _k_window(geom, point, rho1, rho2)
+def _probe_nodes(window):
+    """(kz nodes, weights) of the order probe of the spectrum whose
+    ``_k_window`` is ``window``: the Gauss rule of PROBE_NODES nodes on each
+    seed panel that its kz table starts from (``quadrature._seed_breaks`` of
+    the window), so a seeded pole and the branch point are resolved as the
+    table resolves them, then PROBE_NODES nodes spaced geometrically from
+    k_start over PROBE_REACH decay lengths of the evanescent fields, beyond
+    which every order term has fallen by e^-PROBE_REACH, each standing for
+    the cell between the midpoints to its neighbours, the first from
+    k_start."""
+    (k_start, pole, branch), gap = window
     breaks = np.array(_seed_breaks(k_start, pole, branch))
     half, mid = 0.5 * np.diff(breaks)[:, None], 0.5 * (breaks[1:] + breaks[:-1])[:, None]
     tail = k_start * (1.0 + PROBE_REACH / (gap * k_start)) ** (
@@ -498,7 +504,7 @@ def _probe_nodes(geom, point, rho1, rho2):
 
 
 def settle_azimuthal_order(geom, s, rho1, rho2, dphi, *, tol=1e-6, weights=None,
-                           nmax=None, dz=0.0):
+                           nmax=None, dz=0.0, windows=None):
     """(order, tails, scale): the azimuthal order of the kz integrals of the
     spectra at the spectral point(s) ``s``, predicted from one probe.
 
@@ -519,13 +525,16 @@ def settle_azimuthal_order(geom, s, rho1, rho2, dphi, *, tol=1e-6, weights=None,
     than 0 the phase can cancel most of the integral, where so few nodes
     cannot follow it: the scale is then its floor 1 alone, and the order is
     capped at N_MAX for the caller to judge the tail it reports.  A given
-    ``nmax`` is used as it is.  Returns (order, each point's tail at that
+    ``nmax`` is used as it is.  ``windows``, each point's ``_k_window``, are
+    found here when not given.  Returns (order, each point's tail at that
     order, scale).
     """
     _check_tol(tol)
     points = [as_spectral_point(p) for p in (s if isinstance(s, list) else [s])]
+    if windows is None:
+        windows = [_k_window(geom, p, rho1, rho2) for p in points]
     probe = SpectralEvaluator(geom, points, rho1, rho2, dphi, nmax=N_MAX)
-    probes = [_probe_nodes(geom, p, rho1, rho2) for p in points]
+    probes = [_probe_nodes(w) for w in windows]
     counts = [x.size for x, _ in probes]
     T, terms = probe(np.concatenate([x for x, _ in probes]),
                      np.repeat(np.arange(len(points)), counts), orders=True)
@@ -652,10 +661,12 @@ class WireSpectralTable:
     def __init__(self, geom: WireGeometry, point, rho1, rho2, dphi, *,
                  tol, nmax=None, budget=60000, phase_ref=0.0):
         point = as_spectral_point(point)
+        window = _k_window(geom, point, rho1, rho2)
         self.nmax, (tail,), _ = settle_azimuthal_order(
-            geom, point, rho1, rho2, dphi, tol=tol, nmax=nmax, dz=phase_ref)
+            geom, point, rho1, rho2, dphi, tol=tol, nmax=nmax, dz=phase_ref,
+            windows=[window])
         self.azimuthal_err = float(tail)
-        (self.k_start, pole_hint, branch), gap = _k_window(geom, point, rho1, rho2)
+        (self.k_start, pole_hint, branch), gap = window
         evaluator = SpectralEvaluator(geom, point, rho1, rho2, dphi, nmax=self.nmax)
         ps, tail_bound, ok = build_spectral_panels(
             evaluator, tol=tol, k_start=self.k_start, mirror=_MIRROR.ravel(),
@@ -688,9 +699,10 @@ def imag_axis_tables(geom: WireGeometry, kappas, rho1, rho2, dphi, *, tol, budge
     same arguments.
     """
     points = [SpectralPoint.imaginary_axis(k) for k in kappas]
+    found = [_k_window(geom, p, rho1, rho2) for p in points]
     nmax, tails, _ = settle_azimuthal_order(geom, points, rho1, rho2, dphi, tol=tol,
-                                            weights=weights, nmax=nmax)
-    windows, gaps = zip(*(_k_window(geom, p, rho1, rho2) for p in points))
+                                            weights=weights, nmax=nmax, windows=found)
+    windows, gaps = zip(*found)
     evaluator = SpectralEvaluator(geom, points, rho1, rho2, dphi, nmax=nmax)
     built = build_spectral_panel_sets(
         evaluator, windows, tol=tol, mirror=_MIRROR.ravel(), tail_scale=gaps[0],

@@ -172,14 +172,38 @@ def test_azimuthal_tail_failure_raises():
 
 
 def test_spectral_green_tail_failure_raises():
-    # the same near-surface emitter: the probe's tail still exceeds its share
-    # of tol at the n = 40 ceiling, so the predicted order lies above it and
-    # the error carries that prediction
+    # the same near-surface emitter: the order-40 term at the node is still
+    # above NODE_TAIL_TOL of the spectrum there
     geom = WireGeometry(radius=0.01, model=DrudeModel())
     with pytest.raises(ConvergenceError) as failure:
         wire_spectral_green(geom, 0.012, 0.012, 0.0, REAL, 2.0 * OMEGA_A)
-    assert failure.value.diagnostics["nmax"] > N_MAX
-    assert failure.value.diagnostics["tail_ratio"] > green_wire.AZIMUTHAL_SHARE * 1e-6
+    assert failure.value.diagnostics["nmax"] == N_MAX
+    assert failure.value.diagnostics["tail_ratio"] > green_wire.NODE_TAIL_TOL
+
+
+def test_spectral_green_checks_a_large_kz_node_against_itself(default_geom, monkeypatch):
+    # far out in kz the azimuthal series converges slowly: at kappa = omega_A
+    # the order-24 cut is 2.3e-6 of the node's own value at kz = 1000 and
+    # 1.7e-5 at kz = 1500.  A node asked for alone is evaluated once, at
+    # N_MAX, and its order-40 term is judged against its own value: 2e-11
+    # at kz = 1000 passes, 3e-10 at kz = 1500 raises
+    s = SpectralPoint.imaginary_axis(OMEGA_A)
+    reference = SpectralEvaluator(default_geom, s, 0.015, 0.015, 0.0, nmax=N_MAX)([1000.0])
+    calls = []
+    call = SpectralEvaluator.__call__
+
+    def recorded(self, kz_nodes, which=0, **kwargs):
+        calls.append((self.nmax, len(kz_nodes)))
+        return call(self, kz_nodes, which, **kwargs)
+
+    monkeypatch.setattr(SpectralEvaluator, "__call__", recorded)
+    val = wire_spectral_green(default_geom, 0.015, 0.015, 0.0, s, 1000.0)
+    assert calls == [(N_MAX, 1)]
+    np.testing.assert_allclose(val, reference[0], rtol=1e-13, atol=0.0)
+    with pytest.raises(ConvergenceError) as failure:
+        wire_spectral_green(default_geom, 0.015, 0.015, 0.0, s, 1500.0)
+    assert failure.value.diagnostics["nmax"] == N_MAX
+    assert failure.value.diagnostics["tail_ratio"] > green_wire.NODE_TAIL_TOL
 
 
 def test_wire_green_builds_exactly_one_table(default_geom, monkeypatch):
