@@ -26,7 +26,7 @@ from .errors import DomainError, FitError
 from .frequencies import OMEGA_A, SpectralPoint
 from .green_vacuum import green_vacuum_axial, green_vacuum_cyl, green_vacuum_im_coincident
 from .green_wire import (_MIRROR, SpectralEvaluator, WireGeometry, WireSpectralTable,
-                         imag_axis_tables, plasmon_wavenumber, settle_azimuthal_order,
+                         plasmon_wavenumber, settle_azimuthal_order, shared_spectral_table,
                          wire_green)
 from .quadrature import _GL_W, _GL_X, _KIDX, _NPTS, _PROJ
 
@@ -41,7 +41,7 @@ _ROT = np.array([[_C, _S], [-_S, _C]]).transpose(0, 2, 1)
 
 _COINCIDENT = 1e-12
 
-KAPPA_TABLE_BUDGET = 420   # most t panels (16 kappa tables each) one imaginary-axis integral holds
+KAPPA_TABLE_BUDGET = 420   # most t panels (one kz panel set for 16 kappa each) one integral holds
 FIT_MAX_STEPS = 100        # Levenberg-Marquardt steps, rejected ones included
 FIT_POLISH_STEPS = 8       # Gauss-Newton steps after them, at most
 
@@ -286,33 +286,30 @@ class PairInteraction:
 
 
 def _kappa_panel_job(job):
-    """The kz tables of one t panel's 16 kappa nodes, built in lockstep
-    (``imag_axis_tables``) at one azimuthal order and folded with the dipole
-    pairs dd (``_fold``).
+    """The kz panel set that one t panel's 16 kappa nodes share
+    (``shared_spectral_table``), folded with the dipole pairs dd (``_fold``).
 
-    The order is ``nmax`` or, when that is None, the one the t panel's
-    probe predicts for its part of the integral, each table weighted by its
-    substitution weight times its weight in the t rule (``half`` times the
-    Gauss weight).  The shift needs only the real part of the tensor, which
-    ``_fold`` takes, each node's kz panels times its substitution weight.
-    Returns (halves, mids, columns (cos, sin; 16; rows; C), kz panels per
-    node, error bound per node (kz and azimuthal) times |substitution
-    weight|, azimuthal order, whether every table stayed within its node
-    budget).  Module-level with picklable arguments and result, so sweep
-    drivers can run it in worker processes; the arithmetic, the order
-    included, is the same for any worker count, which keeps outputs
-    bit-reproducible.
+    Each node's spectrum enters the set times its substitution weight and
+    its weight in the t rule (``half`` times the Gauss weight), so the set
+    is refined, and its error reported, in the units of the t panel's part
+    of the integral, at the order ``nmax`` or, when that is None, the one
+    its probe predicts for that part.  The budget is 30,000 kz nodes, each
+    evaluated at all 16 frequencies.  Returns (halves, mids, columns (cos,
+    sin; 16; kz panels; nodes; C), the set's kz and azimuthal error, its
+    order, whether it stayed within its budget).  Module-level with
+    picklable arguments and result, so a sweep can run it in worker
+    processes; the arithmetic, the order included, is the same for any
+    worker count, which keeps outputs bit-reproducible.
     """
     geom, rho, kappas, weights, half, tol, nmax, dd = job
-    tables = imag_axis_tables(geom, kappas, rho, rho, 0.0, nmax=nmax, tol=tol,
-                              budget=30000, weights=half * _GL_W * weights)
-    halves = np.concatenate([tab.halves for tab in tables])
-    coefs = np.concatenate([tab.coefs * w for tab, w in zip(tables, weights)])
-    return (halves, np.concatenate([tab.mids for tab in tables]), _fold(coefs, halves, dd),
-            np.array([len(tab.halves) for tab in tables]),
-            np.array([tab.panel_err + tab.tail_bound + tab.azimuthal_err for tab in tables])
-            * np.abs(weights),
-            tables[0].nmax, all(tab.panels_ok for tab in tables))
+    tab = shared_spectral_table(geom, kappas, half * _GL_W * weights, rho, rho, 0.0,
+                                tol=tol, budget=30000, nmax=nmax)
+    n, panels = len(kappas), len(tab.halves)
+    # one row per kz panel and node, panel-major
+    coefs = tab.coefs.reshape(panels, _NPTS, n, 9).transpose(0, 2, 1, 3).reshape(-1, _NPTS, 9)
+    cols = _fold(coefs, np.repeat(tab.halves, n), dd).reshape(2, _NPTS, panels, n, -1)
+    return (tab.halves, tab.mids, cols, tab.panel_err + tab.tail_bound + tab.azimuthal_err,
+            tab.nmax, tab.panels_ok)
 
 
 def _fold(coefs, halves, dd):
@@ -337,39 +334,37 @@ def _phase_rows(halves, mids, cols, dz):
 
 
 class _ImagAxisEngine:
-    """t-substituted imaginary-axis integral over one flat kz-panel table.
+    """t-substituted imaginary-axis integral, one kz panel set per t panel.
 
-    Panels live in t = kappa / (omega_a + kappa); each Gauss node carries a
-    kz table at i*kappa(t).  The integral is linear in the tables, so every
-    node's table is multiplied by its substitution weight and all of them
-    are held as one flat table of real rows (``_fold``), laid end to end
-    from one block per t panel and folded with the dipole pairs dd (9, 2),
+    Panels live in t = kappa / (omega_a + kappa).  The integral is linear in
+    the spectra at i*kappa(t), so the 16 Gauss nodes of a t panel share one
+    kz panel set (``_kappa_panel_job``), each node's spectrum times its
+    substitution and t-rule weights, folded with the dipole pairs dd (9, 2),
     d1 d2 and d1 d1, into one column each.  The t panels follow the t rule
     of every imaginary-axis integral (``quadrature.imag_axis_panels``: at
     most five coarse seed panels, with no sliver panel at the cut, then
     splits of the worst panel, graded toward t = 0), cut at the kappa
-    cutoff; at tol 1e-6 the default sweep's five seed panels (80 kappa
-    tables) need no split.  Their node values are what the rows report,
-    d1 . T . d2 at each of a few reference separations and d1 . T . d1 at 0,
-    so the Legendre-coefficient decay that drives their splits is that of
-    the rows' own integrands.  The final grid is folded into ``reads`` (1 + 3 t
-    panels, rows): rows 0, 13, 14 and 15 of _PROJ at each kz row's node,
-    times 2 and 4 half-widths of its t panel, so ``reads`` times the rows'
-    values at dz (``_phase_rows``) gives the d1 . T . d2 integral and each t
-    panel's c_13..c_15, whose absolute sum is its Legendre bound; those
+    cutoff; at tol 1e-6 the default sweep's five seed panels need no split.
+    Their node values are what the rows report, d1 . T . d2 at each of a few
+    reference separations and d1 . T . d1 at 0, so the Legendre-coefficient
+    decay that drives their splits is that of the rows' own integrands.  As
+    each set arrives its node columns are folded with rows 0, 13, 14 and 15
+    of _PROJ, into four column sets per kz panel: the t panel's integral and
+    its c_13..c_15.  ``reads`` (1 + 3 t panels, rows) sums the first over
+    every t panel and picks out the others, so ``reads`` times the rows'
+    values at dz (``_phase_rows``) gives the d1 . T . d2 integral and each
+    t panel's c_13..c_15, whose absolute sum is its Legendre bound.  The
     d1 d2 rows are ``halves``, ``mids`` and ``cols``, and ``coincident`` is
     the d1 . T . d1 integral with its bound.
 
-    A t panel is the unit of work: ``_kappa_panel_job`` builds its 16 node
-    tables in lockstep and returns them as folded columns, and ``parallel`` (a
-    map) spreads the panels of one build step over worker processes.  Each
-    job settles its t panel's azimuthal order (``orders``, one per t panel in
-    grid order) from its own arguments alone, so the orders, like the
-    tables, do not depend on the worker count.  A table out of its node
-    budget, or a t grid stopped short of its target by KAPPA_TABLE_BUDGET
-    t panels, clears ``panels_ok``, which the rows report as unconverged.
-    ``kz_err``, the tables' error bounds (kz and azimuthal) weighted as the
-    t rule weights each table, enters the error the rows report.
+    A t panel is the unit of work, and ``parallel`` (a map) spreads the
+    panels of one build step over worker processes.  Each job settles its t
+    panel's order (``orders``, in grid order) from its own arguments alone,
+    so the orders, like the sets, do not depend on the worker count.  A set
+    out of its node budget, or a t grid stopped short of its target by
+    KAPPA_TABLE_BUDGET t panels, clears ``panels_ok``, which the rows report
+    as unconverged.  ``kz_err``, the sum of the sets' error bounds (kz and
+    azimuthal, in the integral's units), enters the error the rows report.
     """
 
     def __init__(self, geom, rho, omega_a, dd, *, tol, nmax, dz_refs, parallel=None):
@@ -377,9 +372,20 @@ class _ImagAxisEngine:
         gap = 2.0 * (rho - geom.radius)   # summed emitter-to-surface distance
         kap_cut = max(6.0 * omega_a, 20.0 / max(gap, 1e-6))
         run = parallel or (lambda fn, xs: [fn(x) for x in xs])
-        # (halves, mids, columns, kz panels per node, weighted error per
-        # node, azimuthal order, panels_ok) per t panel, keyed by its first node
+        # rows 0, 13, 14 and 15 of _PROJ times 2 and 4 t half-widths, as
+        # ``legendre_error`` counts them, over the half * _GL_W that a node's
+        # columns carry
+        fold = _PROJ[[0, 13, 14, 15]] / _GL_W * [[2.0], [4.0], [4.0], [4.0]]
+        # each t panel's job result, its columns folded (2, 16, kz panels, 4,
+        # C), keyed by its first node
         blocks = {}
+
+        def node_sums(halves, mids, cols, dz):
+            # each node's columns (2, 16, kz panels, nodes) at dz, summed
+            n = cols.shape[-1]
+            rows = _phase_rows(np.repeat(halves, n), np.repeat(mids, n),
+                               cols.reshape(2, _NPTS, -1), dz)
+            return rows.reshape(-1, n).sum(axis=0)
 
         def values(t):
             t = t.reshape(-1, _NPTS)
@@ -388,35 +394,31 @@ class _ImagAxisEngine:
             jobs = [(geom, rho, *quadrature.t_substitution(nodes, omega_a), half, tol, nmax, dd)
                     for nodes, half in zip(t, halves)]
             out = []
-            for nodes, block in zip(t, run(_kappa_panel_job, jobs)):
-                blocks[nodes[0]] = block
-                halves, mids, cols, sizes = block[:4]
-                rows = ([_phase_rows(halves, mids, cols[..., 0], dz) for dz in dz_refs]
-                        + [_phase_rows(halves, mids, cols[..., 1], 0.0)])
-                out.append(np.add.reduceat(np.stack(rows, axis=1), np.cumsum(sizes) - sizes))
+            for nodes, half, block in zip(t, halves, run(_kappa_panel_job, jobs)):
+                kz_halves, kz_mids, cols = block[:3]
+                rows = ([node_sums(kz_halves, kz_mids, cols[..., 0], dz) for dz in dz_refs]
+                        + [node_sums(kz_halves, kz_mids, cols[..., 1], 0.0)])
+                out.append(np.stack(rows, axis=1) / (half * _GL_W)[:, None])
+                blocks[nodes[0]] = (kz_halves, kz_mids,
+                                    np.einsum("skpnc,rn->skprc", cols, fold), *block[3:])
             return np.concatenate(out)
 
         grid, grid_ok = quadrature.imag_axis_panels(
             values, tol, kap_cut / (omega_a + kap_cut), KAPPA_TABLE_BUDGET * _NPTS)
-        # the flat table, in the grid's panel order
         self.panels = [(p[0], p[1]) for p in grid.panels]
         self.n_nodes = grid.nodes_used
-        halves, mids, cols, sizes, kz_errs, self.orders, oks = zip(*(
+        halves, mids, cols, kz_errs, self.orders, oks = zip(*(
             blocks[quadrature._panel_nodes(a, b)[0]] for a, b in self.panels))
-        self.halves = np.concatenate(halves)
-        self.mids = np.concatenate(mids)
-        self.kz_err = float(sum(0.5 * (b - a) * (_GL_W @ e)
-                                for (a, b), e in zip(self.panels, kz_errs)))
+        self.kz_err = float(sum(kz_errs))
         self.panels_ok = grid_ok and all(oks)
-        # each kz row's t panel and node in it
-        tp, k = np.divmod(np.repeat(np.arange(len(self.panels) * _NPTS),
-                                    np.concatenate(sizes)), _NPTS)
-        proj = _PROJ[[0, 13, 14, 15]][:, k] * ([[1.0], [2.0], [2.0], [2.0]]
-                                               * np.diff(self.panels).ravel()[tp])
-        self.reads = np.zeros((1 + 3 * len(self.panels), k.size))
-        self.reads[0] = proj[0]
-        self.reads[1 + 3 * tp + [[0], [1], [2]], np.arange(k.size)] = proj[1:]
-        self.cols, cols11 = np.moveaxis(np.concatenate(cols, axis=2), 3, 0)
+        self.halves, self.mids = (np.repeat(np.concatenate(x), 4) for x in (halves, mids))
+        self.cols, cols11 = np.moveaxis(np.concatenate(
+            [c.reshape(2, _NPTS, -1, c.shape[-1]) for c in cols], axis=2), 3, 0)
+        # each row's t panel and column set
+        tp = np.repeat(np.arange(len(self.panels)), [4 * len(h) for h in halves])
+        r = np.tile(np.arange(4), tp.size // 4)
+        self.reads = np.zeros((1 + 3 * len(self.panels), tp.size))
+        self.reads[np.where(r == 0, 0, 3 * tp + r), np.arange(tp.size)] = 1.0
         out = self.reads @ _phase_rows(self.halves, self.mids, cols11, 0.0)
         self.coincident = float(out[0]), float(np.abs(out[1:]).sum())
 

@@ -60,8 +60,8 @@ from .errors import ConvergenceError, DomainError, FitError, OverflowGuardError
 from .frequencies import SpectralPoint, as_spectral_point
 from .green_vacuum import DyadicGreen
 from .material import DrudeModel, permittivity
-from .quadrature import (QuadratureReport, _check_tol, _seed_breaks,
-                         build_spectral_panel_sets, build_spectral_panels, panel_terms)
+from .quadrature import (QuadratureReport, _check_tol, _seed_breaks, build_spectral_panels,
+                         panel_terms)
 
 #: Share of ``tol`` times the integral's scale that the azimuthal tail of a
 #: settled order may take.
@@ -450,7 +450,7 @@ def plasmon_wavenumber(geom: WireGeometry, omega: float):
 
 def _k_window(geom, point, rho1, rho2):
     """((k_start, pole_hint, branch_point), gap): the kz window of the
-    spectrum at ``point``, as ``build_spectral_panel_sets`` takes it, and the
+    spectrum at ``point``, as ``build_spectral_panels`` takes it, and the
     summed emitter-to-surface distance that scales its tail.
 
     On the real axis the branch point is |omega| and, where Re eps < -1 and
@@ -614,28 +614,37 @@ def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
 
 @dataclass
 class FrozenSpectralTable:
-    """Plain-array spectral table, as ``imag_axis_tables`` builds them."""
+    """The frozen panels of one kz panel set shared by several weighted
+    spectra at one azimuthal order, as ``shared_spectral_table`` builds it.
+
+    ``coefs`` holds spectrum s's nine components, times its weight, in
+    columns 9 s to 9 s + 8, and every error is of the weighted sum, so in
+    the units of the integral that the weights form.
+    """
 
     halves: np.ndarray        # (P,)
     mids: np.ndarray          # (P,)
-    coefs: np.ndarray         # (P, 16, 9), the +kz side
+    coefs: np.ndarray         # (P, 16, 9 * spectra), the +kz side
     panel_err: float
     tail_bound: float
     panels_ok: bool
-    nodes_used: int
+    nodes_used: int           # kz nodes, each evaluated at every spectrum
     nmax: int
-    azimuthal_err: float      # as WireSpectralTable.azimuthal_err
+    azimuthal_err: float      # the spectra's predicted tails, weighted
 
     def integrate(self, dz: float):
-        """(3x3 tensor, abs error) of int_{-inf}^{inf} G~(kz) e^{i kz dz} dkz."""
+        """(3x3 tensor, abs error) of the weighted sum over the spectra of
+        int_{-inf}^{inf} G~(kz) e^{i kz dz} dkz."""
         return _table_integral(self, dz)
 
 
 def _table_integral(table, dz):
-    """``integrate`` of either table type, from its frozen panels: the error
-    is the kz panels' and tail's plus the azimuthal tail."""
-    vec = panel_terms(table.halves, table.mids, table.coefs, float(dz), _MIRROR.ravel())
-    return (vec.sum(axis=0).reshape(3, 3),
+    """``integrate`` of either table type, from its frozen panels, summed
+    over the spectra it holds: the error is the kz panels' and tail's plus
+    the azimuthal tail."""
+    mirror = np.tile(_MIRROR.ravel(), table.coefs.shape[-1] // 9)
+    vec = panel_terms(table.halves, table.mids, table.coefs, float(dz), mirror)
+    return (vec.sum(axis=0).reshape(-1, 3, 3).sum(axis=0),
             table.panel_err + table.tail_bound + table.azimuthal_err)
 
 
@@ -648,9 +657,8 @@ class WireSpectralTable:
     separation ``phase_ref``.  Away from phase_ref = 0 the phase may cancel
     most of the integral, so there the prediction takes the scale's floor 1
     alone.  ``azimuthal_err``, the predicted tail at the order built, joins
-    the kz error that ``integrate`` reports.  ``imag_axis_tables`` builds
-    many tables at imaginary frequencies the same way.  The panels are held
-    frozen, in the fields of a ``FrozenSpectralTable`` (``halves``, ``mids``,
+    the kz error that ``integrate`` reports.  The panels are held frozen,
+    in the fields of a ``FrozenSpectralTable`` (``halves``, ``mids``,
     ``coefs``, ``panel_err``).
 
     Build once, then ``integrate(dz)`` for any number of separations: the
@@ -684,30 +692,38 @@ class WireSpectralTable:
         return _table_integral(self, dz)
 
 
-def imag_axis_tables(geom: WireGeometry, kappas, rho1, rho2, dphi, *, tol, budget,
-                     nmax=None, weights=None):
-    """The WireSpectralTable of every imaginary frequency i*kappa, built in
-    lockstep at one azimuthal order, as FrozenSpectralTables.
+def shared_spectral_table(geom: WireGeometry, kappas, weights, rho1, rho2, dphi, *,
+                          tol, budget, nmax=None):
+    """One kz panel set for the spectra at the imaginary frequencies
+    i*kappa, each times its weight in ``weights``, as a FrozenSpectralTable.
 
     The order is ``nmax`` or, when that is None, the one
     ``settle_azimuthal_order`` predicts, from one probe over all the
-    frequencies, for the sum of the tables weighted by ``weights``.  Each
-    table takes exactly the panel steps it would take alone, and each step
-    evaluates the nodes of every table still running in one call of one
-    evaluator over all the frequencies (``build_spectral_panel_sets``), so at
-    a given ``nmax`` a table equals the one WireSpectralTable builds at the
-    same arguments.
+    frequencies, for the weighted sum.  The set's components are the
+    weighted spectra side by side, so its steps (``build_spectral_panels``)
+    judge them in the units of that sum; its window starts at the largest
+    k_start of the frequencies (the imaginary axis has no pole and no branch
+    point), and its tail blocks scale with their shared gap.  Each kz node is
+    evaluated at every frequency in one evaluator call (``which``), and a
+    call carries at most as many evaluator nodes as a one-spectrum table's
+    at the same order.
     """
     points = [SpectralPoint.imaginary_axis(k) for k in kappas]
     found = [_k_window(geom, p, rho1, rho2) for p in points]
     nmax, tails, _ = settle_azimuthal_order(geom, points, rho1, rho2, dphi, tol=tol,
                                             weights=weights, nmax=nmax, windows=found)
-    windows, gaps = zip(*found)
     evaluator = SpectralEvaluator(geom, points, rho1, rho2, dphi, nmax=nmax)
-    built = build_spectral_panel_sets(
-        evaluator, windows, tol=tol, mirror=_MIRROR.ravel(), tail_scale=gaps[0],
-        budget=budget, orders=nmax + 1)
-    return [FrozenSpectralTable(*ps._freeze(), panel_err=ps.err, tail_bound=float(bound),
-                                panels_ok=bool(ok), nodes_used=ps.nodes_used, nmax=nmax,
-                                azimuthal_err=float(tail))
-            for (ps, bound, ok), tail in zip(built, tails)]
+    n = len(points)
+    spread = np.repeat(weights, 9)
+
+    def weighted(x):
+        vals = evaluator(np.repeat(x, n), np.tile(np.arange(n), x.size))
+        return vals.reshape(x.size, 9 * n) * spread
+
+    ps, tail_bound, ok = build_spectral_panels(
+        weighted, tol=tol, k_start=max(w[0][0] for w in found),
+        mirror=np.tile(_MIRROR.ravel(), n), tail_scale=found[0][1], budget=budget,
+        orders=n * (nmax + 1))
+    return FrozenSpectralTable(*ps._freeze(), panel_err=ps.err, tail_bound=float(tail_bound),
+                               panels_ok=bool(ok), nodes_used=ps.nodes_used, nmax=nmax,
+                               azimuthal_err=float(np.abs(weights) @ tails))

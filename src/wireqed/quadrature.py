@@ -13,7 +13,7 @@ distance sweeps affordable.  With lambda = 0 the panels reduce to plain
 Gauss-Legendre quadrature.
 
 Every panel set is built one way: a step generator yields the panels it
-wants added, and ``run_lockstep`` evaluates their nodes in one call per step
+wants added, and ``run_steps`` evaluates their nodes in one call per step
 and adds the values.  The kz tables, the t grid of the pair engine's
 imaginary-frequency integral and the validation integrals differ only in
 their steps and their node values.
@@ -22,9 +22,9 @@ Public operations:
 
 * ``build_spectral_panels`` -- panels of a +kz spectrum, seeded at poles and
                                branch points and extended over its tail; a
-                               per-component mirror sign supplies the -kz side
-* ``build_spectral_panel_sets`` -- the same for several spectra in lockstep,
-                               one evaluation per step for all of them
+                               per-component mirror sign supplies the -kz side,
+                               and the components may be several spectra
+                               sharing one set of panels
 * ``imag_axis_panels``      -- the t grid of every imaginary-axis integral:
                                the pair engine's and the one below differ
                                only in cut and budget
@@ -59,7 +59,7 @@ _PROJ = ((2 * np.arange(_NPTS) + 1) / 2.0)[:, None] * (_LEG_V.T * _GL_W[None, :]
 _KIDX = np.arange(_NPTS)
 _TWO_IPOW = 2.0 * 1j ** _KIDX[:, None]
 
-#: Most nodes that one spectrum evaluation of ``build_spectral_panel_sets``
+#: Most nodes that one spectrum evaluation of ``build_spectral_panels``
 #: carries at azimuthal order 40, NODE_CAP * 41 // (nmax + 1) at order nmax:
 #: the evaluator's working arrays stay near 3.5 MB.  On a 2-core Xeon VM with
 #: 2 MB of L2 per core, order-40 kappa-table builds ran about 12% faster at
@@ -175,39 +175,22 @@ def _panel_nodes(a, b):
     return 0.5 * (b + a) + 0.5 * (b - a) * _GL_X
 
 
-def run_lockstep(f, sets, steps):
-    """Run the step generators ``steps`` of the PanelSets ``sets`` together.
+def run_steps(f, ps, steps):
+    """Run the step generator ``steps`` of the PanelSet ``ps``.
 
-    At each step a generator yields the (a, b) panels it wants added to its
-    set.  The nodes of every panel requested at one step are evaluated
-    together, in one call f(x, owner) with owner[i] the index of the set that
-    node i belongs to; each panel is then added to its set in request order
-    and every generator resumes.  Returns each generator's return value.  With the evaluation pointwise in its nodes, a
-    set's panels come out as if it had been built alone.
+    At each step the generator yields the (a, b) panels it wants added.
+    Their nodes are evaluated together, in one call f(x), each panel is
+    added to ``ps`` in request order, and the generator resumes.  Returns
+    its return value.
     """
-    out = [None] * len(steps)
-    live = {}
-
-    def advance(i):
+    while True:
         try:
-            live[i] = next(steps[i])
+            req = next(steps)
         except StopIteration as stop:
-            out[i] = stop.value
-            live.pop(i, None)
-
-    for i in range(len(steps)):
-        advance(i)
-    while live:
-        todo = [(i, a, b) for i, req in live.items() for a, b in req]
-        panels = [t[1:] for t in todo]
-        x = _panel_nodes(*np.array(panels, float).T[:, :, None]).ravel()
-        owner = np.repeat([t[0] for t in todo], _NPTS)
-        vals = np.reshape(f(x, owner), (len(todo), _NPTS, -1))
-        for (i, _, _), rec in zip(todo, _records(panels, vals)):
-            sets[i].append(rec)
-        for i in list(live):
-            advance(i)
-    return out
+            return stop.value
+        x = _panel_nodes(*np.array(req, float).T[:, :, None]).ravel()
+        for rec in _records(req, np.reshape(f(x), (len(req), _NPTS, -1))):
+            ps.append(rec)
 
 
 def _records(panels, vals):
@@ -227,7 +210,7 @@ class PanelSet:
     """Adaptive Legendre-coefficient panels of a spectrum held at +kz only.
 
     Each panel's values, shape (16, n_comp) (or (16,) for one component), at
-    its Gauss nodes arrive with ``add`` (``run_lockstep`` appends records);
+    its Gauss nodes arrive with ``add`` (``run_steps`` appends records);
     ``integral`` integrates them against exp(+i phase x).  With a
     per-component ``mirror`` sign the -kz side mirror * f(x) is integrated
     against exp(-i phase x) as well; ``None`` makes the integral one-sided.
@@ -258,7 +241,7 @@ class PanelSet:
         return float(sum(p[3] for p in self.panels))
 
     def bisections(self, target, split=None):
-        """Steps for ``run_lockstep`` that split the worst panel until the
+        """Steps for ``run_steps`` that split the worst panel until the
         summed bound meets ``target``: each step drops that panel [a, b] and
         yields its two parts, cut at ``split(a, b)`` (its midpoint by default);
         returns the converged flag."""
@@ -339,48 +322,32 @@ def build_spectral_panels(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
     geometric tail blocks until they stop mattering, then refine everything.
 
     ``fpanel`` and ``mirror`` are as for ``PanelSet``: the +kz spectrum and,
-    optionally, the sign pattern that maps it onto -kz.  This is the
-    one-spectrum case of ``build_spectral_panel_sets``.
+    optionally, the sign pattern that maps it onto -kz.  The steps are those
+    of ``_spectral_steps``, and ``run_steps`` evaluates each step's nodes in
+    calls of fpanel of at most NODE_CAP * 41 // orders nodes, ``orders``
+    being the azimuthal-order terms that fpanel sums per node.  The set
+    integrates at ``phase_for_blocks``, the separation its tail blocks are
+    judged at.
     Returns (PanelSet, tail_bound, converged_flag).
-    """
-    return build_spectral_panel_sets(
-        lambda x, owner: fpanel(x), [(k_start, pole_hint, branch_point)], tol=tol,
-        mirror=mirror, tail_scale=tail_scale, budget=budget,
-        phase_for_blocks=phase_for_blocks, orders=orders)[0]
-
-
-def build_spectral_panel_sets(f, windows, *, tol, mirror=None, tail_scale=None,
-                              budget=20000, phase_for_blocks=0.0, orders=41):
-    """Panels of several +kz spectra, built in lockstep.
-
-    ``windows`` holds (k_start, pole_hint, branch_point) per spectrum, and
-    f(x, owner) evaluates spectrum owner[i] at node x[i].  Each spectrum takes
-    its own sequence of steps (seed panels, tail blocks with their stop
-    test, then ``PanelSet.bisections``), and ``run_lockstep``
-    evaluates the nodes of every spectrum still running at one step in calls
-    of f of at most NODE_CAP * 41 // orders nodes, ``orders`` being the
-    azimuthal orders 0..nmax that f sums.  Each set integrates at
-    ``phase_for_blocks``, the separation its tail blocks are judged at.
-    Returns (PanelSet, tail_bound, converged_flag) per spectrum.
     """
     _check_tol(tol)
     cap = NODE_CAP * 41 // orders
 
-    def capped(x, owner):
-        return np.concatenate([f(x[c:c + cap], owner[c:c + cap])
-                               for c in range(0, len(x), cap)])
+    def capped(x):
+        return np.concatenate([fpanel(x[c:c + cap]) for c in range(0, len(x), cap)])
 
-    sets = [PanelSet(budget, mirror, phase_for_blocks) for _ in windows]
-    flags = run_lockstep(capped, sets, [
-        _spectral_steps(ps, *window, tol=tol, tail_scale=tail_scale)
-        for ps, window in zip(sets, windows)])
-    return [(ps, tail_bound, ok) for ps, (tail_bound, ok) in zip(sets, flags)]
+    ps = PanelSet(budget, mirror, phase_for_blocks)
+    tail_bound, ok = run_steps(capped, ps, _spectral_steps(
+        ps, k_start, pole_hint, branch_point, tol=tol, tail_scale=tail_scale))
+    return ps, tail_bound, ok
 
 
 def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale):
     """The panel steps of one spectrum into ``ps``, as a generator for
-    ``run_lockstep``, bisecting toward a target read once, after the tail
-    blocks; returns (tail_bound, converged_flag)."""
+    ``run_steps``, bisecting toward a target read after the tail blocks and
+    read again after each round of bisections, until the integral no longer
+    falls below the scale the target came from; returns (tail_bound,
+    converged_flag)."""
     budget = ps.budget
     k_end = k_start + (200.0 / tail_scale if tail_scale else 400.0 * k_start)
     breaks = _seed_breaks(k_start, pole_hint, branch_point)
@@ -415,8 +382,14 @@ def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale):
         if k >= k_end or ps.nodes_used > 0.8 * budget:
             break
 
-    scale = max(1.0, float(np.abs(ps.integral()).max()))
-    ok = yield from ps.bisections(0.5 * tol * scale)
+    scale = math.inf
+    ok = True
+    while ok:
+        read = max(1.0, float(np.abs(ps.integral()).max()))
+        if read >= scale:
+            break
+        scale = read
+        ok = yield from ps.bisections(0.5 * tol * scale)
     return tail_bound, ok
 
 
@@ -431,7 +404,7 @@ def _one_sided(f, breaks, target, budget, split=None):
         yield list(zip(breaks[:-1], breaks[1:]))
         return (yield from ps.bisections(target(ps), split))
 
-    return ps, run_lockstep(lambda x, owner: f(x), [ps], [steps()])[0]
+    return ps, run_steps(f, ps, steps())
 
 
 def _check_tol(tol):

@@ -11,8 +11,8 @@ from wireqed.emitters import (EmitterPair, PairInteraction, RateShiftResult,
                               dipole_shift, fit_plasmon_lorentzian, fit_two_lorentzian,
                               markov_diagnostic, LorentzianFit)
 from wireqed.green_vacuum import green_vacuum_cyl
-from wireqed.green_wire import SpectralEvaluator, WireSpectralTable
-from wireqed.quadrature import _GL_W, _GL_X, _PROJ
+from wireqed.green_wire import _MIRROR, SpectralEvaluator, shared_spectral_table
+from wireqed.quadrature import _GL_W, _GL_X, _NPTS, _PROJ, panel_terms
 
 
 def make_result(gamma11=1.0, gamma12=0.0, s12res=0.0, s12int=0.0):
@@ -123,7 +123,7 @@ class TestPairInteraction:
 
 def _split_build(geom, pair, parallel=None):
     # a tight tolerance and a budget of 11 t panels force the t grid to split
-    # t panels, which splices the flat kappa table: it splits its t = 0 panel
+    # t panels, which splices the kappa rows: it splits its t = 0 panel
     # twice, each time at 1/8 of its width, and its last panel once at the
     # midpoint, and then meets its target
     with pytest.MonkeyPatch.context() as mp:
@@ -146,36 +146,38 @@ def split_build(default_geom):
 
 
 @pytest.fixture(scope="module")
-def node_tables(default_geom, split_build):
-    # the oracle: every t node's kz table of the split grid, built alone
+def panel_sets(default_geom, split_build):
+    # the oracle: every t panel's shared kz panel set of the split grid,
+    # built alone, with each node weighted as the engine weights it
     engine = split_build[0]._kappa_engine
     tables = {}
-    for a, b in engine.panels:
-        t = 0.5 * (b + a) + 0.5 * (b - a) * _GL_X
-        for k in engine.w * t / (1.0 - t):
-            tables[float(k)] = WireSpectralTable(
-                default_geom, SpectralPoint.imaginary_axis(k), 0.03, 0.03, 0.0, nmax=8,
-                tol=2e-8, budget=30000)
+    for (a, b), (half, weight, kappas) in zip(engine.panels, _t_panels(engine)):
+        tables[a, b] = shared_spectral_table(
+            default_geom, kappas, half * _GL_W * weight, 0.03, 0.03, 0.0, nmax=8, tol=2e-8,
+            budget=30000)
     return tables
 
 
 def _t_panels(engine):
-    """(half-width, substitution weights, kappas) of each t panel's nodes."""
-    w = engine.w
+    """(half-width, substitution weights, kappas) of each t panel's nodes,
+    the half-width as the engine reads it from the outermost nodes."""
     for a, b in engine.panels:
-        half, t = 0.5 * (b - a), 0.5 * (b + a) + 0.5 * (b - a) * _GL_X
-        weight = w**2 * t**2 / ((1.0 - t) ** 2 * (t**2 + (1.0 - t) ** 2))
-        yield half, weight, w * t / (1.0 - t)
+        t = quadrature._panel_nodes(a, b)
+        kappas, weight = quadrature.t_substitution(t, engine.w)
+        yield (t[-1] - t[0]) / (2.0 * _GL_X[-1]), weight, kappas
 
 
 def _kappa_oracle(engine, tables, dz, dd):
     """(integral, Legendre bound) of the weighted tensor T(dz) of the
-    per-table oracle, node by node, contracted with dd (9, C) by hand;
+    per-t-panel oracle, node by node, contracted with dd (9, C) by hand;
     shapes (C,) and (), the bound being the largest over the C columns."""
     total, err = 0.0, 0.0
-    for half, weight, kappas in _t_panels(engine):
-        vals = np.array([wt * tables[float(k)].integrate(dz)[0].real.reshape(9)
-                         for wt, k in zip(weight, kappas)]) @ dd
+    for (a, b), (half, _, _) in zip(engine.panels, _t_panels(engine)):
+        tab = tables[a, b]
+        # each node's weighted integral, over its t-rule weight
+        nodes = panel_terms(tab.halves, tab.mids, tab.coefs, dz,
+                            np.tile(_MIRROR.ravel(), _NPTS)).sum(axis=0).reshape(_NPTS, 9)
+        vals = (nodes.real / (half * _GL_W)[:, None]) @ dd
         coef = _PROJ @ vals
         total = total + 2.0 * half * coef[0]
         err += 4.0 * half * float(np.abs(coef[-3:]).sum(axis=0).max())
@@ -183,15 +185,9 @@ def _kappa_oracle(engine, tables, dz, dd):
 
 
 def _kz_err(engine, tables):
-    """The tables' kz and azimuthal error, weighted as the t rule weights
-    each table."""
-    kz_err = 0.0
-    for half, weight, kappas in _t_panels(engine):
-        for gw, wt, k in zip(_GL_W, weight, kappas):
-            tab = tables[float(k)]
-            kz_err += half * gw * abs(wt) * (tab.panel_err + tab.tail_bound
-                                             + tab.azimuthal_err)
-    return kz_err
+    """The sets' kz and azimuthal error, already weighted as the t rule
+    weights each node."""
+    return sum(tab.panel_err + tab.tail_bound + tab.azimuthal_err for tab in tables.values())
 
 
 def test_kappa_pool_sees_one_call_per_build_step(split_build):
@@ -208,12 +204,14 @@ def test_kappa_pool_sees_one_call_per_build_step(split_build):
                                                   rel=1e-13)
 
 
-def test_kappa_bisection_matches_per_table_oracle(split_build, node_tables):
+def test_kappa_bisection_matches_per_table_oracle(split_build, panel_sets):
     interaction, _ = split_build
     engine = interaction._kappa_engine
     assert engine.n_nodes > 160
-    tables = node_tables
-    # every t panel is built at the configured order, and each table's
+    # the oracle: each t panel's set built alone, its nodes' values
+    # contracted by hand, then projected per t panel
+    tables = panel_sets
+    # every t panel is built at the configured order, and each set's
     # azimuthal tail at it enters kz_err
     assert engine.orders == (8,) * len(engine.panels)
     assert interaction.at(0.5).diagnostics["kappa_nmax"] == 8
@@ -255,7 +253,7 @@ def _dz_hitting(x, halves):
     raise AssertionError(f"no half-width reaches {x} exactly")
 
 
-def test_t_grid_refines_on_the_row_quantities(default_geom, split_build, node_tables,
+def test_t_grid_refines_on_the_row_quantities(default_geom, split_build, panel_sets,
                                               monkeypatch):
     # the t grid's node values are what the rows report, d1 . T . d2 at each
     # reference separation and d1 . T . d1 at 0, so its bisections follow the
@@ -278,9 +276,9 @@ def test_t_grid_refines_on_the_row_quantities(default_geom, split_build, node_ta
     assert sorted(engine.panels) == sorted(split_build[0]._kappa_engine.panels)
     (grid,) = grids
     dd12, dd11 = np.outer(d1, d2).reshape(9, 1), np.outer(d1, d1).reshape(9, 1)
-    want = np.array([_kappa_oracle(engine, node_tables, dz, dd12)[0][0]
+    want = np.array([_kappa_oracle(engine, panel_sets, dz, dd12)[0][0]
                      for dz in (0.0, 0.02, 8.0)]
-                    + [_kappa_oracle(engine, node_tables, 0.0, dd11)[0][0]])
+                    + [_kappa_oracle(engine, panel_sets, 0.0, dd11)[0][0]])
     got = grid.integral()
     assert got.shape == want.shape
     assert abs(want[0] - want[-1]) > 0.1 * abs(want[-1])
@@ -289,10 +287,10 @@ def test_t_grid_refines_on_the_row_quantities(default_geom, split_build, node_ta
 
 def test_t_grid_stopped_by_the_table_budget_is_unconverged(default_geom, default_pair,
                                                           monkeypatch):
-    # at tol 1e-10 the t grid wants more kz tables than the 12 t panels' worth
-    # the budget allows; stopped at 8 panels (the 5 seed panels and three
-    # splits, whose parents took three more panels' tables, and the last
-    # panel's worth is less than a split needs) its error is
+    # at tol 1e-10 the t grid wants more t panels than the 12 the budget
+    # allows; stopped at 8 panels (the 5 seed panels and three splits, whose
+    # parents took three more, and the last panel's worth is less than a
+    # split needs) its error is
     # above its own target yet under the rows' 100 tol scale bound, so only
     # the grid's flag can mark the rows unconverged
     grids = []
@@ -378,7 +376,7 @@ def test_rows_at_negative_separation_mirror_the_dipoles(default_geom, rho, dz_re
     ((2**-0.5, 0.0, 2**-0.5), (2**-0.5, 0.0, -2**-0.5)),
 ], ids=["rho_z", "tilted", "tilted_crossed"])
 def test_rows_with_mirror_odd_components_match_full_tensor(default_geom, split_build,
-                                                           node_tables, dipoles):
+                                                           panel_sets, dipoles):
     # rho-z and z-rho flip sign under kz -> -kz, so radial dipoles never see
     # them; these pairs read them (equal tilted dipoles read both, which
     # cancel), and every row field must be the full tensors contracted by hand
@@ -395,23 +393,23 @@ def test_rows_with_mirror_odd_components_match_full_tensor(default_geom, split_b
     # |d1| . |T| . |d2|, the size the contraction rounds at
     size12, size11 = np.abs(dd12), np.abs(dd11)
     ones = np.ones((9, 1))
-    kz_err = _kz_err(engine, node_tables)
+    kz_err = _kz_err(engine, panel_sets)
     res_err = tab.panel_err + tab.tail_bound + tab.azimuthal_err
     g11 = tab.integrate(0.0)[0].reshape(9)
-    i11, e11 = _kappa_oracle(engine, node_tables, 0.0, dd11)
-    _, e11_all = _kappa_oracle(engine, node_tables, 0.0, np.eye(9))
-    a11, _ = _kappa_oracle(engine, node_tables, 0.0, ones)
+    i11, e11 = _kappa_oracle(engine, panel_sets, 0.0, dd11)
+    _, e11_all = _kappa_oracle(engine, panel_sets, 0.0, np.eye(9))
+    a11, _ = _kappa_oracle(engine, panel_sets, 0.0, ones)
     odd = ~emitters._P_EVEN
     for dz in (0.02, 0.5, 1.3, 8.0):
         r = interaction.at(dz)
         g12 = tab.integrate(dz)[0].reshape(9)
         gvac = green_vacuum_cyl((0.03, 0.0, 0.0), (0.03, 0.0, -dz), w).value.reshape(9)
-        i12, e12 = _kappa_oracle(engine, node_tables, dz, dd12)
-        _, e12_all = _kappa_oracle(engine, node_tables, dz, np.eye(9))
-        a12, _ = _kappa_oracle(engine, node_tables, dz, ones)
+        i12, e12 = _kappa_oracle(engine, panel_sets, dz, dd12)
+        _, e12_all = _kappa_oracle(engine, panel_sets, dz, np.eye(9))
+        a12, _ = _kappa_oracle(engine, panel_sets, dz, ones)
         if not np.array_equal(d1, d2):
             # the mirror-odd part of the rows is not zero here
-            i_odd = _kappa_oracle(engine, node_tables, dz, odd[:, None] * dd12)[0]
+            i_odd = _kappa_oracle(engine, panel_sets, dz, odd[:, None] * dd12)[0]
             assert abs(i_odd[0]) > 1e-3 * abs(i12[0])
         want = {
             "gamma11": (1.0 + 6.0 * math.pi / w * (g11 @ dd11)[0].imag,
@@ -466,7 +464,7 @@ def test_one_order_search_across_callers(default_geom, pair_engine, monkeypatch)
 def test_near_wall_azimuthal_tail_is_loud(default_geom):
     # emitters 1.5e-3 from the surface: for tol 1e-6 the series needs about
     # 72 orders.  The settled build raises with that prediction, and so does
-    # a t panel of kappa tables settled alone; at a configured N_MAX both
+    # a t panel's kz panel set settled alone; at a configured N_MAX both
     # tails join the rows' errors, which then fail their bounds
     from wireqed import ConvergenceError, N_MAX
     from wireqed.emitters import _kappa_panel_job
@@ -486,17 +484,21 @@ def test_near_wall_azimuthal_tail_is_loud(default_geom):
 
 def test_kappa_table_out_of_budget_is_unconverged(default_geom, default_pair,
                                                   pair_engine, monkeypatch):
-    # the shared engine's arguments, with every kappa table held to 368 nodes:
-    # the two largest tables need 400 and 384, so at least one runs out, and
-    # its flag must reach the row
-    tables = emitters.imag_axis_tables
+    # the shared engine's arguments, with every t panel's kz panel set held
+    # to 336 kz nodes instead of 30,000: the first seed panel's set needs
+    # 352 and the others at most 256, so exactly one runs out, and its flag
+    # must reach the row
+    built, sets = emitters.shared_spectral_table, []
 
     def short_budget(*args, **kwargs):
-        return tables(*args, **{**kwargs, "budget": 368})
+        assert kwargs["budget"] == 30000
+        sets.append(built(*args, **{**kwargs, "budget": 336}))
+        return sets[-1]
 
-    monkeypatch.setattr(emitters, "imag_axis_tables", short_budget)
+    monkeypatch.setattr(emitters, "shared_spectral_table", short_budget)
     starved = PairInteraction(default_geom, default_pair, tol=1e-6,
                               dz_refs=(0.0, 0.02, 0.5, 2.0, 4.0))
+    assert [tab.panels_ok for tab in sets] == [False] + [True] * 4
     assert starved._kappa_engine.panels_ok is False
     assert starved.at(0.5).converged is False
     assert pair_engine._kappa_engine.panels_ok is True
