@@ -13,10 +13,15 @@ distance sweeps affordable.  With lambda = 0 the panels reduce to plain
 Gauss-Legendre quadrature.
 
 Every panel set is built one way: a step generator yields the panels it
-wants added, and ``run_steps`` evaluates their nodes in one call per step
-and adds the values.  The kz tables, the t grid of the pair engine's
-imaginary-frequency integral and the validation integrals differ only in
-their steps and their node values.
+wants evaluated, ``run_steps`` evaluates their nodes in one call per step
+and sends back their records, and the generator keeps the ones its rule
+adds.  The kz tables, the t grid of the pair engine's imaginary-frequency
+integral and the validation integrals differ only in their steps and their
+node values.  The kz tables' steps look ahead: one step evaluates the
+panels that several steps of one panel (or one split) each would add, as
+many as one evaluator call carries, and the records that rule never asks
+for are dropped, so every table is the one that one panel per step
+builds, bit for bit.
 
 Public operations:
 
@@ -65,6 +70,13 @@ _TWO_IPOW = 2.0 * 1j ** _KIDX[:, None]
 #: 2 MB of L2 per core, order-40 kappa-table builds ran about 12% faster at
 #: 128 nodes per call than at 256; at order 15, 328 nodes cut the calls 42%.
 NODE_CAP = 128
+
+#: The look-ahead of ``_spectral_steps``: the most tail blocks one step
+#: evaluates, and the share of the worst panel's bound from which a
+#: bisection step evaluates another panel's parts along with the worst one's
+#: (``PanelSet.bisections``).
+BLOCKS_AHEAD = 3
+SPLIT_AHEAD = 0.1
 
 
 @dataclass
@@ -175,22 +187,22 @@ def _panel_nodes(a, b):
     return 0.5 * (b + a) + 0.5 * (b - a) * _GL_X
 
 
-def run_steps(f, ps, steps):
-    """Run the step generator ``steps`` of the PanelSet ``ps``.
+def run_steps(f, steps):
+    """Run the step generator ``steps``.
 
-    At each step the generator yields the (a, b) panels it wants added.
-    Their nodes are evaluated together, in one call f(x), each panel is
-    added to ``ps`` in request order, and the generator resumes.  Returns
-    its return value.
+    At each step the generator yields the (a, b) panels it wants evaluated.
+    Their nodes are evaluated together, in one call f(x), and the generator
+    resumes with their ``PanelSet`` records, in request order, to append or
+    drop.  Returns its return value.
     """
+    recs = None
     while True:
         try:
-            req = next(steps)
+            req = steps.send(recs)
         except StopIteration as stop:
             return stop.value
         x = _panel_nodes(*np.array(req, float).T[:, :, None]).ravel()
-        for rec in _records(req, np.reshape(f(x), (len(req), _NPTS, -1))):
-            ps.append(rec)
+        recs = _records(req, np.reshape(f(x), (len(req), _NPTS, -1)))
 
 
 def _records(panels, vals):
@@ -210,8 +222,8 @@ class PanelSet:
     """Adaptive Legendre-coefficient panels of a spectrum held at +kz only.
 
     Each panel's values, shape (16, n_comp) (or (16,) for one component), at
-    its Gauss nodes arrive with ``add`` (``run_steps`` appends records);
-    ``integral`` integrates them against exp(+i phase x).  With a
+    its Gauss nodes arrive with ``add`` (the steps of ``run_steps`` append
+    records); ``integral`` integrates them against exp(+i phase x).  With a
     per-component ``mirror`` sign the -kz side mirror * f(x) is integrated
     against exp(-i phase x) as well; ``None`` makes the integral one-sided.
     Panel refinement is driven purely by the decay of the Legendre
@@ -240,21 +252,47 @@ class PanelSet:
     def err(self):
         return float(sum(p[3] for p in self.panels))
 
-    def bisections(self, target, split=None):
+    def bisections(self, target, split=None, pairs=1, spare=None):
         """Steps for ``run_steps`` that split the worst panel until the
-        summed bound meets ``target``: each step drops that panel [a, b] and
-        yields its two parts, cut at ``split(a, b)`` (its midpoint by default);
-        returns the converged flag."""
+        summed bound meets ``target``: each split drops that panel [a, b] and
+        appends its two parts, cut at ``split(a, b)`` (its midpoint by
+        default); returns the converged flag.
+
+        A step evaluates the parts of up to ``pairs`` panels: the worst
+        one's and, worst first, those of other panels whose bound is at least
+        SPLIT_AHEAD times the worst, as far as the budget has room beside the
+        parts already evaluated.  ``spare``, a dict that may outlive the
+        call, keeps evaluated parts by their panel's (a, b) until a split
+        takes them, and a step comes only when the worst panel's parts are
+        not there; so the splits are those of one split per step.
+        """
+        spare = {} if spare is None else spare
         while self.err > target:
             if self.nodes_used + 2 * _NPTS > self.budget:
                 return False
             worst = max(range(len(self.panels)), key=lambda i: self.panels[i][3])
             a, b = self.panels[worst][0], self.panels[worst][1]
-            if b - a < 1e-14 * max(1.0, abs(a)):
+            if _too_narrow(a, b):
                 return False
+            if (a, b) not in spare:
+                # other splits the budget has room for beside the worst
+                # one's and those whose parts are in ``spare``
+                room = min((self.budget - self.nodes_used) // (2 * _NPTS) - len(spare),
+                           pairs) - 1
+                want = [(a, b)]
+                if room > 0:
+                    bound = SPLIT_AHEAD * self.panels[worst][3]
+                    others = sorted((p for p in self.panels if p[3] >= bound
+                                     and (p[0], p[1]) not in spare and (p[0], p[1]) != (a, b)
+                                     and not _too_narrow(p[0], p[1])), key=lambda p: -p[3])
+                    want += [(p[0], p[1]) for p in others[:room]]
+                cuts = [0.5 * (pa + pb) if split is None else split(pa, pb) for pa, pb in want]
+                recs = yield [part for (pa, pb), m in zip(want, cuts)
+                              for part in ((pa, m), (m, pb))]
+                spare.update(zip(want, zip(recs[::2], recs[1::2])))
             del self.panels[worst]
-            m = 0.5 * (a + b) if split is None else split(a, b)
-            yield [(a, m), (m, b)]
+            for rec in spare.pop((a, b)):
+                self.append(rec)
         return True
 
     def _freeze(self):
@@ -279,6 +317,11 @@ class PanelSet:
             for p, term in zip(new, terms):
                 p[5] = term
         return np.sum([p[5] for p in self.panels], axis=0)
+
+
+def _too_narrow(a, b):
+    """True when panel [a, b] is too narrow to split."""
+    return b - a < 1e-14 * max(1.0, abs(a))
 
 
 def panel_terms(half, mid, coef, lam, mirror=None):
@@ -337,59 +380,82 @@ def build_spectral_panels(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
         return np.concatenate([fpanel(x[c:c + cap]) for c in range(0, len(x), cap)])
 
     ps = PanelSet(budget, mirror, phase_for_blocks)
-    tail_bound, ok = run_steps(capped, ps, _spectral_steps(
-        ps, k_start, pole_hint, branch_point, tol=tol, tail_scale=tail_scale))
+    tail_bound, ok = run_steps(capped, _spectral_steps(
+        ps, k_start, pole_hint, branch_point, tol=tol, tail_scale=tail_scale, per_call=cap))
     return ps, tail_bound, ok
 
 
-def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale):
+def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale, per_call):
     """The panel steps of one spectrum into ``ps``, as a generator for
-    ``run_steps``, bisecting toward a target read after the tail blocks and
-    read again after each round of bisections, until the integral no longer
-    falls below the scale the target came from; returns (tail_bound,
-    converged_flag)."""
+    ``run_steps``: the seed panels, geometric tail blocks until they stop
+    mattering, then bisections toward a target read after the tail blocks
+    and read again after each round of bisections, until the integral no
+    longer falls below the scale the target came from; returns (tail_bound,
+    converged_flag).
+
+    The rule adds one tail block, or splits one panel, at a time, and is
+    replayed on the records of steps that look ahead as far as one call of
+    fpanel carries (``per_call`` nodes), since a call costs more the fewer
+    nodes it carries: a tail step evaluates the next blocks, at most
+    BLOCKS_AHEAD, which are appended and judged one by one, the rest dropped
+    once the blocks stop; a bisection step evaluates up to per_call // 32
+    splits (``PanelSet.bisections``), whose ``spare`` lasts over every
+    round.  So the panels kept, their order and every number read from them
+    are those of one panel per step.
+    """
     budget = ps.budget
     k_end = k_start + (200.0 / tail_scale if tail_scale else 400.0 * k_start)
     breaks = _seed_breaks(k_start, pole_hint, branch_point)
-    yield list(zip(breaks[:-1], breaks[1:]))
+    for rec in (yield list(zip(breaks[:-1], breaks[1:]))):
+        ps.append(rec)
 
     k = float(k_start)
     block_mags = []
     tail_bound = math.inf
     growth = 1.6
-    while True:
-        k2 = min(k * growth, k_end)
-        if k2 <= k * 1.0000001:
+    ahead = min(BLOCKS_AHEAD, max(1, per_call // _NPTS))
+    stop = False
+    while not stop:
+        blocks = []
+        while len(blocks) < ahead:
+            a = blocks[-1][1] if blocks else k
+            b = min(a * growth, k_end)
+            if b <= a * 1.0000001:
+                break
+            blocks.append((a, b))
+        if not blocks:
             break
-        yield [(k, k2)]
-        rec = ps.panels[-1]
-        scale = max(1.0, float(np.abs(ps.integral()).max()))
-        # the block's phase-aware contribution, which ``integral`` keeps
-        # in its record; oscillatory cancellation is real and must be
-        # credited or algebraic tails never terminate
-        block_mags.append(max(float(np.abs(rec[5]).max()), 1e-300))
-        k = k2
-        if len(block_mags) >= 2:
-            q = block_mags[-1] / max(block_mags[-2], 1e-300)
-            q = min(max(q, 0.05), 0.9)
-            tail_bound = block_mags[-1] * q / (1.0 - q)
-        else:
-            tail_bound = block_mags[-1]
-        if tail_scale is not None:
-            tail_bound = min(tail_bound, rec[4] / max(tail_scale, 1e-300))
-        if tail_bound < 0.25 * tol * scale and len(block_mags) >= 2:
-            break
-        if k >= k_end or ps.nodes_used > 0.8 * budget:
-            break
+        for rec in (yield blocks):
+            ps.append(rec)
+            scale = max(1.0, float(np.abs(ps.integral()).max()))
+            # the block's phase-aware contribution, which ``integral`` keeps
+            # in its record; oscillatory cancellation is real and must be
+            # credited or algebraic tails never terminate
+            block_mags.append(max(float(np.abs(rec[5]).max()), 1e-300))
+            k = rec[1]
+            if len(block_mags) >= 2:
+                q = block_mags[-1] / max(block_mags[-2], 1e-300)
+                q = min(max(q, 0.05), 0.9)
+                tail_bound = block_mags[-1] * q / (1.0 - q)
+            else:
+                tail_bound = block_mags[-1]
+            if tail_scale is not None:
+                tail_bound = min(tail_bound, rec[4] / max(tail_scale, 1e-300))
+            if ((tail_bound < 0.25 * tol * scale and len(block_mags) >= 2)
+                    or k >= k_end or ps.nodes_used > 0.8 * budget):
+                stop = True
+                break
 
     scale = math.inf
     ok = True
+    spare = {}
     while ok:
         read = max(1.0, float(np.abs(ps.integral()).max()))
         if read >= scale:
             break
         scale = read
-        ok = yield from ps.bisections(0.5 * tol * scale)
+        ok = yield from ps.bisections(0.5 * tol * scale, pairs=max(1, per_call // (2 * _NPTS)),
+                                      spare=spare)
     return tail_bound, ok
 
 
@@ -401,10 +467,11 @@ def _one_sided(f, breaks, target, budget, split=None):
     ps = PanelSet(budget)
 
     def steps():
-        yield list(zip(breaks[:-1], breaks[1:]))
+        for rec in (yield list(zip(breaks[:-1], breaks[1:]))):
+            ps.append(rec)
         return (yield from ps.bisections(target(ps), split))
 
-    return ps, run_steps(f, ps, steps())
+    return ps, run_steps(f, steps())
 
 
 def _check_tol(tol):

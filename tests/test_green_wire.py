@@ -628,9 +628,12 @@ def test_shared_set_matches_tables_built_alone(monkeypatch, rho, metal):
     # set's order, weighted the same way: the alone tables are built at tol
     # 1e-9, so the weighted sum moves by the set's own kz error, which must
     # bound it.  Each evaluator call of the set carries every node's 16
-    # frequencies and at most as many nodes as a one-spectrum call
+    # frequencies and at most as many nodes as a one-spectrum call.  The
+    # steps evaluate ahead and drop what the set does not keep: at most the
+    # BLOCKS_AHEAD - 1 tail blocks past the last one kept, and the two parts
+    # of panels never split, each of which is still in the set
     from wireqed.green_wire import WireSpectralTable, shared_spectral_table
-    from wireqed.quadrature import NODE_CAP
+    from wireqed.quadrature import BLOCKS_AHEAD, NODE_CAP
     geom = WireGeometry(radius=0.01, model=metal)
     calls = []
     call = SpectralEvaluator.__call__
@@ -646,7 +649,8 @@ def test_shared_set_matches_tables_built_alone(monkeypatch, rho, metal):
         shared = shared_spectral_table(geom, kappas, weights, rho, rho, 0.0, tol=1e-6,
                                        budget=30000)
         built = [size for size, probe in calls if not probe]
-        assert sum(built) == 16 * shared.nodes_used
+        dropped = 16 * (BLOCKS_AHEAD - 1) + 32 * len(shared.halves)
+        assert 16 * shared.nodes_used <= sum(built) <= 16 * (shared.nodes_used + dropped)
         assert max(built) <= NODE_CAP * 41 // (shared.nmax + 1)
         assert shared.panels_ok and shared.coefs.shape[1:] == (16, 16 * 9)
         alone = [WireSpectralTable(geom, SpectralPoint.imaginary_axis(k), rho, rho, 0.0,
@@ -685,3 +689,149 @@ def test_azimuthal_error_bounds_the_change_at_n_max(rho, metal):
             margins.append(low.azimuthal_err / max(moved, 1e-300))
     print(f"smallest azimuthal error / change at N_MAX: {min(margins):.3g}")
     assert min(margins) >= 1.0
+
+
+def _one_panel_per_step(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
+                        branch_point=None, tail_scale=None, budget=20000,
+                        phase_for_blocks=0.0, orders=41):
+    """``build_spectral_panels`` by the rule of one panel per step, every
+    panel evaluated by a direct call of fpanel on its own nodes: the seed
+    panels, one tail block at a time until the blocks stop, then one split
+    of the worst panel at a time, toward half of tol times the integral,
+    read again after each round until it no longer falls."""
+    import math
+    from wireqed.quadrature import PanelSet, _panel_nodes, _seed_breaks
+    ps = PanelSet(budget, mirror, phase_for_blocks)
+
+    def add(a, b):
+        return ps.add(a, b, fpanel(_panel_nodes(a, b)))
+
+    breaks = _seed_breaks(k_start, pole_hint, branch_point)
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        add(a, b)
+    k_end = k_start + (200.0 / tail_scale if tail_scale else 400.0 * k_start)
+    k, mags, tail_bound = float(k_start), [], math.inf
+    while min(1.6 * k, k_end) > k * 1.0000001:
+        k2 = min(1.6 * k, k_end)
+        rec = add(k, k2)
+        scale = max(1.0, float(np.abs(ps.integral()).max()))
+        mags.append(max(float(np.abs(rec[5]).max()), 1e-300))
+        k = k2
+        tail_bound = mags[-1]
+        if len(mags) >= 2:
+            q = min(max(mags[-1] / max(mags[-2], 1e-300), 0.05), 0.9)
+            tail_bound = mags[-1] * q / (1.0 - q)
+        if tail_scale is not None:
+            tail_bound = min(tail_bound, rec[4] / max(tail_scale, 1e-300))
+        if ((tail_bound < 0.25 * tol * scale and len(mags) >= 2)
+                or k >= k_end or ps.nodes_used > 0.8 * budget):
+            break
+    scale, ok = math.inf, True
+    while ok:
+        read = max(1.0, float(np.abs(ps.integral()).max()))
+        if read >= scale:
+            break
+        scale = read
+        while ok and ps.err > 0.5 * tol * scale:
+            worst = max(range(len(ps.panels)), key=lambda i: ps.panels[i][3])
+            a, b = ps.panels[worst][0], ps.panels[worst][1]
+            ok = ps.nodes_used + 32 <= budget and b - a >= 1e-14 * max(1.0, abs(a))
+            if ok:
+                del ps.panels[worst]
+                add(a, 0.5 * (a + b))
+                add(0.5 * (a + b), b)
+    return ps, tail_bound, ok
+
+
+def _kk_table(f, tol, **kwargs):
+    geom = WireGeometry(radius=0.01, model=_KK_METAL)
+    return green_wire.WireSpectralTable(geom, SpectralPoint.real_axis(f * OMEGA_A), 0.015,
+                                        0.015, 0.0, tol=tol, **kwargs)
+
+
+def _shared_set():
+    kappas, weights = list(_seed_t_panels(0.015))[1]
+    return green_wire.shared_spectral_table(WireGeometry(radius=0.01, model=DrudeModel()),
+                                            kappas, weights, 0.015, 0.015, 0.0, tol=1e-6,
+                                            budget=30000)
+
+
+_LOOK_AHEAD_CASES = {
+    **{f"kk_{f}_{tol:g}": (lambda f=f, tol=tol: _kk_table(f, tol, budget=160000))
+       for f in (0.5, 4.2, 8.0, 60.0) for tol in (1e-6, 1e-8)},
+    "default_4.035_phase_ref_1.5": lambda: green_wire.WireSpectralTable(
+        WireGeometry(radius=0.01, model=DrudeModel()),
+        SpectralPoint.real_axis(4.035 * OMEGA_A), 0.015, 0.015, 0.0, tol=1e-6,
+        phase_ref=1.5),
+    "shared_kappa_set": _shared_set,
+    "out_of_budget": lambda: _kk_table(4.2, 1e-8, budget=1000),
+}
+
+
+@pytest.mark.parametrize("case", list(_LOOK_AHEAD_CASES))
+def test_look_ahead_tables_match_one_panel_per_step(monkeypatch, case):
+    # the steps evaluate panels ahead and keep only those that one panel per
+    # step adds, so every frozen field of the table is the same, bit for bit
+    got = _LOOK_AHEAD_CASES[case]()
+    monkeypatch.setattr(green_wire, "build_spectral_panels", _one_panel_per_step)
+    want = _LOOK_AHEAD_CASES[case]()
+    assert want.panels_ok == (case != "out_of_budget")
+    for name in ("halves", "mids", "coefs", "panel_err", "tail_bound", "panels_ok",
+                 "nodes_used"):
+        g, w = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("s", [0.5, 4.2, 50.0, "imaginary"])
+def test_nodes_and_panels_take_the_same_bits_in_any_batch(default_geom, s):
+    # the look-ahead rests on this: a node's tensor and a panel's record do
+    # not depend on the call that carries them.  96 nodes on six panels
+    # around the branch point, in one call, in calls of 16 and one by one;
+    # on the imaginary axis every node at three frequencies (``which``)
+    from wireqed.quadrature import _panel_nodes, _records
+    breaks = np.array([0.0, 0.5, 0.95, 1.05, 2.0, 8.0, 40.0])
+    if s == "imaginary":
+        points = [SpectralPoint.imaginary_axis(k * OMEGA_A) for k in (0.3, 1.0, 5.0)]
+        ev = SpectralEvaluator(default_geom, points, 0.015, 0.015, 0.0, nmax=24)
+        scale = OMEGA_A
+    else:
+        geom = WireGeometry(radius=0.01, model=_KK_METAL)
+        ev = SpectralEvaluator(geom, SpectralPoint.real_axis(s * OMEGA_A), 0.015, 0.015,
+                               0.0, nmax=24)
+        scale = s * OMEGA_A
+    panels = list(zip(scale * breaks[:-1], scale * breaks[1:]))
+    kz = np.concatenate([_panel_nodes(a, b) for a, b in panels])
+    which = np.arange(kz.size) % len(ev.k1)
+    whole = ev(kz, which)
+    for size in (16, 1):
+        parts = np.concatenate([ev(kz[c:c + size], which[c:c + size])
+                                for c in range(0, kz.size, size)])
+        assert parts.tobytes() == whole.tobytes(), size
+    vals = whole.reshape(len(panels), 16, 9)
+    together = _records(panels, vals)
+    for i, panel in enumerate(panels):
+        (alone,) = _records([panel], vals[i:i + 1])
+        for g, w in zip(together[i][2:5], alone[2:5]):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_spectrum_anchors_take_few_evaluator_calls(monkeypatch):
+    # one step evaluates the panels that several steps of one panel would
+    # add: the four anchors of the benchmark's spectrum take 41 evaluator
+    # calls, probes included, and took 82 with one tail block or one split
+    # per step
+    geom = WireGeometry(radius=0.01, model=_KK_METAL)
+    calls = []
+    call = SpectralEvaluator.__call__
+
+    def counted(self, kz, which=0, **kwargs):
+        calls.append(len(kz))
+        return call(self, kz, which, **kwargs)
+
+    monkeypatch.setattr(SpectralEvaluator, "__call__", counted)
+    p = (0.015, 0.0, 0.0)
+    for f in (0.5, 1.0, 4.2, 8.0):
+        assert wire_green(geom, p, p, SpectralPoint.real_axis(f * OMEGA_A), tol=1e-6,
+                          budget=160000).converged
+    print(f"evaluator calls at the four anchors: {len(calls)}, nodes {sum(calls)}")
+    assert len(calls) <= 45

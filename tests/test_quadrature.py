@@ -7,7 +7,7 @@ from scipy import special
 
 from wireqed import (ConvergenceError, DomainError, OMEGA_A, imag_axis_integrate,
                      kk_check, pv_shift_oracle)
-from wireqed.quadrature import (T_SEEDS, PanelSet, _panel_nodes, _plain,
+from wireqed.quadrature import (T_SEEDS, PanelSet, _panel_nodes, _plain, _records,
                                 build_spectral_panels, imag_axis_panels, moments_for,
                                 panel_terms, t_substitution)
 from wireqed.validate import (EQUIVALENCE_MODELS, ResonanceModel, pv_shift,
@@ -78,19 +78,21 @@ def test_moments_at_zero_phase_call_no_special_function(monkeypatch):
 
 def _built_by_hand(f, breaks, target, budget, split=None):
     """(value, error, nodes, flag) of a PanelSet filled panel by panel with
-    direct calls of f: the seed panels, then each split's two parts."""
+    direct calls of f: the seed panels, then each split's two parts, whose
+    records the bisections append."""
     ps = PanelSet(budget)
     for a, b in zip(breaks[:-1], breaks[1:]):
         ps.add(a, b, f(_panel_nodes(a, b)))
     steps = ps.bisections(target(ps), split)
+    recs = None
     while True:
         try:
-            halves = next(steps)
+            halves = steps.send(recs)
         except StopIteration as stop:
             ok = stop.value
             break
-        for a, b in halves:
-            ps.add(a, b, f(_panel_nodes(a, b)))
+        recs = [_records([(a, b)], np.reshape(f(_panel_nodes(a, b)), (1, 16, -1)))[0]
+                for a, b in halves]
     return float(np.real(ps.integral()[0])), ps.err, ps.nodes_used, ok
 
 
