@@ -171,13 +171,13 @@ class PairInteraction:
     """Shared spectral tables for one geometry; cheap per-separation results.
 
     Building this object performs every expensive wavenumber integration:
-    a real-frequency table at omega_a plus one table per imaginary-frequency
-    node, each built once at the azimuthal order ``nmax`` or, when that is
-    None, at the order its own prediction gives (``WireSpectralTable``, and
-    one per t panel in ``_kappa_panel_job``).  The pair's dipoles are folded
-    into both tables as they are built, so each holds one column of
-    d1 . G . d2 instead of nine components, and the coincident d1 . G . d1
-    parts are taken once.  ``at(dz)`` then produces a full RateShiftResult
+    a real-frequency table at omega_a plus one kz panel set per imaginary
+    t panel (``WireSpectralTable`` and ``_kappa_panel_job``, both from the
+    one kz-table builder), each built once at the azimuthal order ``nmax``
+    or, when that is None, at the order its own prediction gives.  The
+    pair's dipoles are folded into both tables as they are built, so each
+    holds one column of d1 . G . d2 instead of nine components, and the
+    coincident d1 . G . d1 parts are taken once.  ``at(dz)`` then produces a full RateShiftResult
     from one real spherical-Bessel ladder over both tables, which is what
     makes dense distance sweeps and oscillation-phase measurements
     affordable.
@@ -295,11 +295,11 @@ def _kappa_panel_job(job):
     of the integral, at the order ``nmax`` or, when that is None, the one
     its probe predicts for that part.  The budget is 30,000 kz nodes, each
     evaluated at all 16 frequencies.  Returns (halves, mids, columns (cos,
-    sin; 16; kz panels; nodes; C), the set's kz and azimuthal error, its
-    order, whether it stayed within its budget).  Module-level with
-    picklable arguments and result, so a sweep can run it in worker
-    processes; the arithmetic, the order included, is the same for any
-    worker count, which keeps outputs bit-reproducible.
+    sin; 16; kz panels; nodes; C), the set's whole error ``err`` (kz and
+    azimuthal), its order, whether it stayed within its budget).
+    Module-level with picklable arguments and result, so a sweep can run it
+    in worker processes; the arithmetic, the order included, is the same for
+    any worker count, which keeps outputs bit-reproducible.
     """
     geom, rho, kappas, weights, half, tol, nmax, dd = job
     tab = shared_spectral_table(geom, kappas, half * _GL_W * weights, rho, rho, 0.0,
@@ -308,8 +308,7 @@ def _kappa_panel_job(job):
     # one row per kz panel and node, panel-major
     coefs = tab.coefs.reshape(panels, _NPTS, n, 9).transpose(0, 2, 1, 3).reshape(-1, _NPTS, 9)
     cols = _fold(coefs, np.repeat(tab.halves, n), dd).reshape(2, _NPTS, panels, n, -1)
-    return (tab.halves, tab.mids, cols, tab.panel_err + tab.tail_bound + tab.azimuthal_err,
-            tab.nmax, tab.panels_ok)
+    return tab.halves, tab.mids, cols, tab.err, tab.nmax, tab.panels_ok
 
 
 def _fold(coefs, halves, dd):

@@ -581,8 +581,9 @@ def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
         Real or imaginary frequency; at a real frequency the guided plasmon
         pole, when there is one, seeds the kz panels.
 
-    One WireSpectralTable is built, at the azimuthal order that
-    ``settle_azimuthal_order`` predicts for it.  Returns a
+    One WireSpectralTable is built, the one-point case of the kz-table
+    builder, at the azimuthal order that ``settle_azimuthal_order`` predicts
+    for it, its tail blocks judged at the points' separation.  Returns a
     cylindrical-frame DyadicGreen whose ``report`` carries the quadrature
     diagnostics; its error estimate includes the azimuthal tail.  An
     unconverged integral, or an order predicted above N_MAX, raises
@@ -601,7 +602,7 @@ def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
     report = QuadratureReport(
         value=None, abs_error_estimate=abs_err, nodes_used=table.nodes_used,
         converged=bool(table.panels_ok and abs_err <= tol * scale),
-        diagnostics={"n_panels": table.n_panels, "tail_bound": table.tail_bound,
+        diagnostics={"n_panels": len(table.halves), "tail_bound": table.tail_bound,
                      "azimuthal_err": table.azimuthal_err, "nmax": table.nmax,
                      "k_start": table.k_start})
     if not report.converged:
@@ -615,11 +616,13 @@ def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
 @dataclass
 class FrozenSpectralTable:
     """The frozen panels of one kz panel set shared by several weighted
-    spectra at one azimuthal order, as ``shared_spectral_table`` builds it.
+    spectra at one azimuthal order, as ``_build_table`` builds it; a
+    one-frequency table (``WireSpectralTable``) is its one-spectrum case.
 
     ``coefs`` holds spectrum s's nine components, times its weight, in
     columns 9 s to 9 s + 8, and every error is of the weighted sum, so in
-    the units of the integral that the weights form.
+    the units of the integral that the weights form.  ``err`` is the whole
+    error: the kz panels' and tail's plus the azimuthal tail.
     """
 
     halves: np.ndarray        # (P,)
@@ -631,35 +634,66 @@ class FrozenSpectralTable:
     nodes_used: int           # kz nodes, each evaluated at every spectrum
     nmax: int
     azimuthal_err: float      # the spectra's predicted tails, weighted
+    k_start: float            # where the geometric tail blocks begin
+
+    @property
+    def err(self):
+        return self.panel_err + self.tail_bound + self.azimuthal_err
 
     def integrate(self, dz: float):
-        """(3x3 tensor, abs error) of the weighted sum over the spectra of
-        int_{-inf}^{inf} G~(kz) e^{i kz dz} dkz."""
-        return _table_integral(self, dz)
+        """(3x3 tensor, abs error ``err``) of the weighted sum over the
+        spectra of int_{-inf}^{inf} G~(kz) e^{i kz dz} dkz."""
+        mirror = np.tile(_MIRROR.ravel(), self.coefs.shape[-1] // 9)
+        vec = panel_terms(self.halves, self.mids, self.coefs, float(dz), mirror)
+        return vec.sum(axis=0).reshape(-1, 3, 3).sum(axis=0), self.err
 
 
-def _table_integral(table, dz):
-    """``integrate`` of either table type, from its frozen panels, summed
-    over the spectra it holds: the error is the kz panels' and tail's plus
-    the azimuthal tail."""
-    mirror = np.tile(_MIRROR.ravel(), table.coefs.shape[-1] // 9)
-    vec = panel_terms(table.halves, table.mids, table.coefs, float(dz), mirror)
-    return (vec.sum(axis=0).reshape(-1, 3, 3).sum(axis=0),
-            table.panel_err + table.tail_bound + table.azimuthal_err)
+def _build_table(geom, points, weights, rho1, rho2, dphi, *, tol, budget, nmax, phase_ref):
+    """The one kz-table builder: a FrozenSpectralTable of the spectra at the
+    spectral points ``points`` (one axis), each times its weight in
+    ``weights``, at the order ``nmax`` or, when that is None, the one
+    ``settle_azimuthal_order`` predicts from one probe for the weighted sum
+    at separation ``phase_ref``.  Its components are the weighted spectra
+    side by side, so its steps (``build_spectral_panels``) judge them in the
+    units of that sum.  Its window starts at the largest k_start of the
+    points, the first point's pole and branch point seed it, and its tail
+    blocks scale with the points' shared gap and are judged at
+    ``phase_ref``.  Each kz node is evaluated at every point in one
+    evaluator call (``which``).  With one point of weight 1 every value
+    keeps its bits.
+    """
+    found = [_k_window(geom, p, rho1, rho2) for p in points]
+    nmax, tails, _ = settle_azimuthal_order(geom, points, rho1, rho2, dphi, tol=tol,
+                                            weights=weights, nmax=nmax, dz=phase_ref,
+                                            windows=found)
+    evaluator = SpectralEvaluator(geom, points, rho1, rho2, dphi, nmax=nmax)
+    n = len(points)
+    # on the real and imaginary parts apart: a complex product would turn
+    # some signed zeros, and with weights of 1 the values must keep their bits
+    spread = np.repeat(weights, 18)
+
+    def weighted(x):
+        vals = evaluator(np.repeat(x, n), np.arange(n * x.size) % n)
+        return (vals.reshape(x.size, 9 * n).view(float) * spread).view(complex)
+
+    (_, pole_hint, branch), gap = found[0]
+    k_start = max(w[0][0] for w in found)
+    ps, tail_bound, ok = build_spectral_panels(
+        weighted, tol=tol, k_start=k_start, mirror=np.tile(_MIRROR.ravel(), n),
+        pole_hint=pole_hint, branch_point=branch, tail_scale=gap, budget=budget,
+        phase_for_blocks=phase_ref, orders=n * (nmax + 1))
+    return FrozenSpectralTable(*ps._freeze(), panel_err=ps.err, tail_bound=float(tail_bound),
+                               panels_ok=bool(ok), nodes_used=ps.nodes_used, nmax=nmax,
+                               azimuthal_err=float(np.abs(weights) @ tails), k_start=k_start)
 
 
-class WireSpectralTable:
-    """Frozen kz-panel tabulation of a scattered spectrum at one frequency.
-
-    The kz window comes from ``_k_window``, the evaluator runs at order
-    ``nmax`` or, when that is None, at the order ``settle_azimuthal_order``
-    predicts for this table at ``tol``, and the tail blocks are judged at
-    separation ``phase_ref``.  Away from phase_ref = 0 the phase may cancel
-    most of the integral, so there the prediction takes the scale's floor 1
-    alone.  ``azimuthal_err``, the predicted tail at the order built, joins
-    the kz error that ``integrate`` reports.  The panels are held frozen,
-    in the fields of a ``FrozenSpectralTable`` (``halves``, ``mids``,
-    ``coefs``, ``panel_err``).
+class WireSpectralTable(FrozenSpectralTable):
+    """Frozen kz-panel tabulation of a scattered spectrum at one frequency,
+    the one-point, weight-1 case of ``_build_table``: its order is ``nmax``
+    or the one predicted for it at ``tol``, and its tail blocks are judged
+    at separation ``phase_ref``.  Away from phase_ref = 0 the phase may
+    cancel most of the integral, so there the prediction takes the scale's
+    floor 1 alone.
 
     Build once, then ``integrate(dz)`` for any number of separations: the
     separation only enters through analytic phase moments, so each call
@@ -668,62 +702,20 @@ class WireSpectralTable:
 
     def __init__(self, geom: WireGeometry, point, rho1, rho2, dphi, *,
                  tol, nmax=None, budget=60000, phase_ref=0.0):
-        point = as_spectral_point(point)
-        window = _k_window(geom, point, rho1, rho2)
-        self.nmax, (tail,), _ = settle_azimuthal_order(
-            geom, point, rho1, rho2, dphi, tol=tol, nmax=nmax, dz=phase_ref,
-            windows=[window])
-        self.azimuthal_err = float(tail)
-        (self.k_start, pole_hint, branch), gap = window
-        evaluator = SpectralEvaluator(geom, point, rho1, rho2, dphi, nmax=self.nmax)
-        ps, tail_bound, ok = build_spectral_panels(
-            evaluator, tol=tol, k_start=self.k_start, mirror=_MIRROR.ravel(),
-            pole_hint=pole_hint, branch_point=branch, tail_scale=gap, budget=budget,
-            phase_for_blocks=phase_ref, orders=self.nmax + 1)
-        self.halves, self.mids, self.coefs = ps._freeze()
-        self.panel_err = ps.err
-        self.tail_bound = float(tail_bound)
-        self.panels_ok = bool(ok)
-        self.nodes_used = ps.nodes_used
-        self.n_panels = len(ps.panels)
+        super().__init__(**vars(_build_table(
+            geom, [as_spectral_point(point)], np.ones(1), rho1, rho2, dphi, tol=tol,
+            budget=budget, nmax=nmax, phase_ref=phase_ref)))
 
-    def integrate(self, dz: float):
-        """(3x3 tensor, abs error) of int_{-inf}^{inf} G~(kz) e^{i kz dz} dkz."""
-        return _table_integral(self, dz)
+    # its own attribute, so that the traced benchmark's hook on this class
+    # (perfbench/spans.py) wraps the calls of one-frequency tables once
+    integrate = FrozenSpectralTable.integrate
 
 
 def shared_spectral_table(geom: WireGeometry, kappas, weights, rho1, rho2, dphi, *,
                           tol, budget, nmax=None):
     """One kz panel set for the spectra at the imaginary frequencies
-    i*kappa, each times its weight in ``weights``, as a FrozenSpectralTable.
-
-    The order is ``nmax`` or, when that is None, the one
-    ``settle_azimuthal_order`` predicts, from one probe over all the
-    frequencies, for the weighted sum.  The set's components are the
-    weighted spectra side by side, so its steps (``build_spectral_panels``)
-    judge them in the units of that sum; its window starts at the largest
-    k_start of the frequencies (the imaginary axis has no pole and no branch
-    point), and its tail blocks scale with their shared gap.  Each kz node is
-    evaluated at every frequency in one evaluator call (``which``), and a
-    call carries at most as many evaluator nodes as a one-spectrum table's
-    at the same order.
-    """
+    i*kappa, each times its weight in ``weights``, as a FrozenSpectralTable:
+    ``_build_table`` on the imaginary axis at separation 0."""
     points = [SpectralPoint.imaginary_axis(k) for k in kappas]
-    found = [_k_window(geom, p, rho1, rho2) for p in points]
-    nmax, tails, _ = settle_azimuthal_order(geom, points, rho1, rho2, dphi, tol=tol,
-                                            weights=weights, nmax=nmax, windows=found)
-    evaluator = SpectralEvaluator(geom, points, rho1, rho2, dphi, nmax=nmax)
-    n = len(points)
-    spread = np.repeat(weights, 9)
-
-    def weighted(x):
-        vals = evaluator(np.repeat(x, n), np.tile(np.arange(n), x.size))
-        return vals.reshape(x.size, 9 * n) * spread
-
-    ps, tail_bound, ok = build_spectral_panels(
-        weighted, tol=tol, k_start=max(w[0][0] for w in found),
-        mirror=np.tile(_MIRROR.ravel(), n), tail_scale=found[0][1], budget=budget,
-        orders=n * (nmax + 1))
-    return FrozenSpectralTable(*ps._freeze(), panel_err=ps.err, tail_bound=float(tail_bound),
-                               panels_ok=bool(ok), nodes_used=ps.nodes_used, nmax=nmax,
-                               azimuthal_err=float(np.abs(weights) @ tails))
+    return _build_table(geom, points, weights, rho1, rho2, dphi, tol=tol, budget=budget,
+                        nmax=nmax, phase_ref=0.0)

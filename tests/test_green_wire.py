@@ -782,22 +782,43 @@ def test_look_ahead_tables_match_one_panel_per_step(monkeypatch, case):
         assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
 
 
+class _Captured(Exception):
+    """Carries the panel function that a table build hands its builder."""
+
+
+def _captured_panel_function(monkeypatch, geom, point, **kwargs):
+    """The function of kz nodes that ``WireSpectralTable`` hands
+    ``build_spectral_panels``, captured before any panel is built."""
+    def capture(fpanel, **_):
+        raise _Captured(fpanel)
+
+    monkeypatch.setattr(green_wire, "build_spectral_panels", capture)
+    with pytest.raises(_Captured) as got:
+        green_wire.WireSpectralTable(geom, point, 0.015, 0.015, 0.0, tol=1e-6, **kwargs)
+    monkeypatch.undo()
+    return got.value.args[0]
+
+
 @pytest.mark.parametrize("s", [0.5, 4.2, 50.0, "imaginary"])
-def test_nodes_and_panels_take_the_same_bits_in_any_batch(default_geom, s):
+def test_nodes_and_panels_take_the_same_bits_in_any_batch(default_geom, monkeypatch, s):
     # the look-ahead rests on this: a node's tensor and a panel's record do
     # not depend on the call that carries them.  96 nodes on six panels
     # around the branch point, in one call, in calls of 16 and one by one;
-    # on the imaginary axis every node at three frequencies (``which``)
+    # on the imaginary axis every node at three frequencies (``which``).  A
+    # one-frequency table rests on it too: its nodes go through the weighted
+    # path of a shared set (``which`` as an array, each value times its
+    # weight 1.0), which must give a direct call's bits
     from wireqed.quadrature import _panel_nodes, _records
     breaks = np.array([0.0, 0.5, 0.95, 1.05, 2.0, 8.0, 40.0])
     if s == "imaginary":
+        geom, point = default_geom, SpectralPoint.imaginary_axis(OMEGA_A)
         points = [SpectralPoint.imaginary_axis(k * OMEGA_A) for k in (0.3, 1.0, 5.0)]
-        ev = SpectralEvaluator(default_geom, points, 0.015, 0.015, 0.0, nmax=24)
+        ev = SpectralEvaluator(geom, points, 0.015, 0.015, 0.0, nmax=24)
         scale = OMEGA_A
     else:
-        geom = WireGeometry(radius=0.01, model=_KK_METAL)
-        ev = SpectralEvaluator(geom, SpectralPoint.real_axis(s * OMEGA_A), 0.015, 0.015,
-                               0.0, nmax=24)
+        geom, point = WireGeometry(radius=0.01, model=_KK_METAL), SpectralPoint.real_axis(
+            s * OMEGA_A)
+        ev = SpectralEvaluator(geom, point, 0.015, 0.015, 0.0, nmax=24)
         scale = s * OMEGA_A
     panels = list(zip(scale * breaks[:-1], scale * breaks[1:]))
     kz = np.concatenate([_panel_nodes(a, b) for a, b in panels])
@@ -807,6 +828,9 @@ def test_nodes_and_panels_take_the_same_bits_in_any_batch(default_geom, s):
         parts = np.concatenate([ev(kz[c:c + size], which[c:c + size])
                                 for c in range(0, kz.size, size)])
         assert parts.tobytes() == whole.tobytes(), size
+    weighted = _captured_panel_function(monkeypatch, geom, point, nmax=24)
+    direct = SpectralEvaluator(geom, point, 0.015, 0.015, 0.0, nmax=24)(kz)
+    assert weighted(kz).tobytes() == direct.tobytes()
     vals = whole.reshape(len(panels), 16, 9)
     together = _records(panels, vals)
     for i, panel in enumerate(panels):
@@ -835,3 +859,53 @@ def test_spectrum_anchors_take_few_evaluator_calls(monkeypatch):
                           budget=160000).converged
     print(f"evaluator calls at the four anchors: {len(calls)}, nodes {sum(calls)}")
     assert len(calls) <= 45
+
+
+def _direct_table(geom, point, rho1, rho2, dphi, *, tol, nmax=None, budget=60000,
+                  phase_ref=0.0):
+    """The frozen fields of a one-frequency table built directly on its
+    evaluator, with no weights and no ``which``: the reference that the
+    one-point case of ``_build_table`` must match."""
+    window = green_wire._k_window(geom, point, rho1, rho2)
+    nmax, (tail,), _ = green_wire.settle_azimuthal_order(
+        geom, point, rho1, rho2, dphi, tol=tol, nmax=nmax, dz=phase_ref, windows=[window])
+    (k_start, pole_hint, branch), gap = window
+    evaluator = SpectralEvaluator(geom, point, rho1, rho2, dphi, nmax=nmax)
+    ps, tail_bound, ok = green_wire.build_spectral_panels(
+        evaluator, tol=tol, k_start=k_start, mirror=_MIRROR.ravel(), pole_hint=pole_hint,
+        branch_point=branch, tail_scale=gap, budget=budget, phase_for_blocks=phase_ref,
+        orders=nmax + 1)
+    halves, mids, coefs = ps._freeze()
+    return {"halves": halves, "mids": mids, "coefs": coefs, "panel_err": ps.err,
+            "tail_bound": float(tail_bound), "panels_ok": bool(ok),
+            "nodes_used": ps.nodes_used, "nmax": nmax, "azimuthal_err": float(tail),
+            "k_start": k_start}
+
+
+_ONE_POINT_CASES = {
+    "default_1.0_1e-6": (DrudeModel(), REAL, {"tol": 1e-6}),
+    "default_1.0_1e-8": (DrudeModel(), REAL, {"tol": 1e-8}),
+    "default_4.035_phase_ref_1.5": (DrudeModel(), SpectralPoint.real_axis(4.035 * OMEGA_A),
+                                    {"tol": 1e-6, "phase_ref": 1.5}),
+    "kk_0.5": (_KK_METAL, SpectralPoint.real_axis(0.5 * OMEGA_A),
+               {"tol": 1e-6, "budget": 160000}),
+    "kk_4.2": (_KK_METAL, SpectralPoint.real_axis(4.2 * OMEGA_A),
+               {"tol": 1e-6, "budget": 160000}),
+    "imaginary_1.0": (DrudeModel(), IMAG, {"tol": 1e-6}),
+}
+
+
+@pytest.mark.parametrize("case", list(_ONE_POINT_CASES))
+def test_one_point_table_matches_a_direct_build(case):
+    # a one-frequency table is the one-point, weight-1 case of the shared
+    # sets' builder; every frozen field is that of a table built directly on
+    # its evaluator, bit for bit
+    metal, point, kwargs = _ONE_POINT_CASES[case]
+    geom = WireGeometry(radius=0.01, model=metal)
+    got = green_wire.WireSpectralTable(geom, point, 0.015, 0.015, 0.0, **kwargs)
+    want = _direct_table(geom, point, 0.015, 0.015, 0.0, **kwargs)
+    assert isinstance(got, green_wire.FrozenSpectralTable)
+    for name, w in want.items():
+        g, w = np.asarray(getattr(got, name)), np.asarray(w)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+    assert got.integrate(0.7)[1] == got.panel_err + got.tail_bound + got.azimuthal_err
