@@ -44,7 +44,7 @@ def _fmt(x) -> str:
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    if args.tol is not None:
+    if getattr(args, "tol", None) is not None:
         cfg.tol_wire = float(args.tol)
     if getattr(args, "out", None):
         cfg.output_path = args.out
@@ -281,21 +281,25 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, *options):
+        # each subcommand takes only the options it reads
         sp.add_argument("--config", help=f"JSON config file (schema {SCHEMA_TAG})")
-        sp.add_argument("--out", help="output file (default: stdout)")
-        sp.add_argument("--format", choices=["csv", "json"], help="output format")
-        sp.add_argument("--tol", type=float, help="wire quadrature tolerance")
+        if "out" in options:
+            sp.add_argument("--out", help="output file (default: stdout)")
+        if "format" in options:
+            sp.add_argument("--format", choices=["csv", "json"], help="output format")
+        if "tol" in options:
+            sp.add_argument("--tol", type=float, help="wire quadrature tolerance")
 
     sp = sub.add_parser("sweep", help="distance sweep of rates and shifts")
-    common(sp)
+    common(sp, "out", "format", "tol")
     sp.add_argument("--threads", type=int, default=1,
                     help="worker processes for spectral-table construction "
                          "(at least 1; capped at the CPU count)")
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("dispersion", help="plasmon spectrum and Lorentzian fit")
-    common(sp)
+    common(sp, "out", "format", "tol")
     sp.add_argument("--omega-over-omega-a", type=float, default=1.0)
     sp.add_argument("--n-points", type=int, default=300)
     sp.add_argument("--synthetic", metavar="A,GAMMA,KZPL",
@@ -306,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=cmd_validate)
 
-    sp = sub.add_parser("point", help="full report at one separation")
-    common(sp)
+    sp = sub.add_parser("point", help="full report at one separation (JSON)")
+    common(sp, "out", "tol")
     sp.add_argument("--dz", type=float, required=True)
     sp.set_defaults(fn=cmd_point)
     return p

@@ -16,12 +16,14 @@ Every panel set is built one way: a step generator yields the panels it
 wants evaluated, ``run_steps`` evaluates their nodes in one call per step
 and sends back their records, and the generator keeps the ones its rule
 adds.  The kz tables, the t grid of the pair engine's imaginary-frequency
-integral and the validation integrals differ only in their steps and their
-node values.  The kz tables' steps look ahead: one step evaluates the
-panels that several steps of one panel (or one split) each would add, as
-many as one evaluator call carries, and the records that rule never asks
-for are dropped, so every table is the one that one panel per step
-builds, bit for bit.
+integral and the validation integrals differ only in their seed steps and
+their node values: every set ends in ``PanelSet.refine``, one rule that
+splits the worst panel until the summed bound meets a target read again
+after each round of splits while it falls.  The kz tables' steps look
+ahead: one step evaluates the panels that several steps of one panel (or
+one split) each would add, as many as one evaluator call carries, and the
+records that rule never asks for are dropped, so every table is the one
+that one panel per step builds, bit for bit.
 
 Public operations:
 
@@ -74,7 +76,7 @@ NODE_CAP = 128
 #: The look-ahead of ``_spectral_steps``: the most tail blocks one step
 #: evaluates, and the share of the worst panel's bound from which a
 #: bisection step evaluates another panel's parts along with the worst one's
-#: (``PanelSet.bisections``).
+#: (``PanelSet.refine``).
 BLOCKS_AHEAD = 3
 SPLIT_AHEAD = 0.1
 
@@ -221,9 +223,10 @@ def _records(panels, vals):
 class PanelSet:
     """Adaptive Legendre-coefficient panels of a spectrum held at +kz only.
 
-    Each panel's values, shape (16, n_comp) (or (16,) for one component), at
-    its Gauss nodes arrive with ``add`` (the steps of ``run_steps`` append
-    records); ``integral`` integrates them against exp(+i phase x).  With a
+    Each panel's record holds the Legendre coefficients, shape (16, n_comp),
+    of its values at its Gauss nodes; the steps of ``run_steps`` append the
+    records (``_records`` makes them) and ``refine`` splits them.
+    ``integral`` integrates them against exp(+i phase x).  With a
     per-component ``mirror`` sign the -kz side mirror * f(x) is integrated
     against exp(-i phase x) as well; ``None`` makes the integral one-sided.
     Panel refinement is driven purely by the decay of the Legendre
@@ -238,11 +241,6 @@ class PanelSet:
         self.nodes_used = 0
         self.panels = []  # records [a, b, coef(16, comp), err, fmax, integral]
 
-    def add(self, a, b, vals):
-        """Add panel [a, b] with the values ``vals`` at its nodes; returns
-        its record."""
-        return self.append(_records([(a, b)], np.reshape(vals, (1, _NPTS, -1)))[0])
-
     def append(self, rec):
         self.nodes_used += _NPTS
         self.panels.append(rec)
@@ -252,22 +250,28 @@ class PanelSet:
     def err(self):
         return float(sum(p[3] for p in self.panels))
 
-    def bisections(self, target, split=None, pairs=1, spare=None):
+    def refine(self, target, split=None, pairs=1):
         """Steps for ``run_steps`` that split the worst panel until the
-        summed bound meets ``target``: each split drops that panel [a, b] and
-        appends its two parts, cut at ``split(a, b)`` (its midpoint by
-        default); returns the converged flag.
+        summed bound meets ``target(self)``, read again after each round of
+        splits and met again while it falls: each split drops that panel
+        [a, b] and appends its two parts, cut at ``split(a, b)`` (its
+        midpoint by default).  Returns the converged flag, False once the
+        budget or a panel's width leaves no split.
 
         A step evaluates the parts of up to ``pairs`` panels: the worst
         one's and, worst first, those of other panels whose bound is at least
         SPLIT_AHEAD times the worst, as far as the budget has room beside the
-        parts already evaluated.  ``spare``, a dict that may outlive the
-        call, keeps evaluated parts by their panel's (a, b) until a split
-        takes them, and a step comes only when the worst panel's parts are
-        not there; so the splits are those of one split per step.
+        parts already evaluated.  Evaluated parts are kept by their panel's
+        (a, b), over every round, until a split takes them, and a step comes
+        only when the worst panel's parts are not there; so the splits are
+        those of one split per step.
         """
-        spare = {} if spare is None else spare
-        while self.err > target:
+        spare = {}
+        met, goal = math.inf, target(self)
+        while goal < met:
+            if self.err <= goal:
+                met, goal = goal, target(self)
+                continue
             if self.nodes_used + 2 * _NPTS > self.budget:
                 return False
             worst = max(range(len(self.panels)), key=lambda i: self.panels[i][3])
@@ -388,10 +392,8 @@ def build_spectral_panels(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
 def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale, per_call):
     """The panel steps of one spectrum into ``ps``, as a generator for
     ``run_steps``: the seed panels, geometric tail blocks until they stop
-    mattering, then bisections toward a target read after the tail blocks
-    and read again after each round of bisections, until the integral no
-    longer falls below the scale the target came from; returns (tail_bound,
-    converged_flag).
+    mattering, then ``ps.refine`` toward the relative target
+    (``_relative_target``); returns (tail_bound, converged_flag).
 
     The rule adds one tail block, or splits one panel, at a time, and is
     replayed on the records of steps that look ahead as far as one call of
@@ -399,77 +401,62 @@ def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale, pe
     nodes it carries: a tail step evaluates the next blocks, at most
     BLOCKS_AHEAD, which are appended and judged one by one, the rest dropped
     once the blocks stop; a bisection step evaluates up to per_call // 32
-    splits (``PanelSet.bisections``), whose ``spare`` lasts over every
-    round.  So the panels kept, their order and every number read from them
+    splits.  So the panels kept, their order and every number read from them
     are those of one panel per step.
     """
-    budget = ps.budget
     k_end = k_start + (200.0 / tail_scale if tail_scale else 400.0 * k_start)
     breaks = _seed_breaks(k_start, pole_hint, branch_point)
     for rec in (yield list(zip(breaks[:-1], breaks[1:]))):
         ps.append(rec)
 
-    k = float(k_start)
+    # the tail blocks, each 1.6 times as far out as the one before, to k_end
+    ends = [float(k_start)]
+    while (b := min(ends[-1] * 1.6, k_end)) > ends[-1] * 1.0000001:
+        ends.append(b)
+    blocks = list(zip(ends[:-1], ends[1:]))
+    ahead = min(BLOCKS_AHEAD, max(1, per_call // _NPTS))
     block_mags = []
     tail_bound = math.inf
-    growth = 1.6
-    ahead = min(BLOCKS_AHEAD, max(1, per_call // _NPTS))
-    stop = False
-    while not stop:
-        blocks = []
-        while len(blocks) < ahead:
-            a = blocks[-1][1] if blocks else k
-            b = min(a * growth, k_end)
-            if b <= a * 1.0000001:
-                break
-            blocks.append((a, b))
-        if not blocks:
+    recs = []
+    for i in range(len(blocks)):
+        if not recs:
+            recs = yield blocks[i:i + ahead]
+        rec = ps.append(recs.pop(0))
+        scale = max(1.0, float(np.abs(ps.integral()).max()))
+        # the block's phase-aware contribution, which ``integral`` keeps in
+        # its record; oscillatory cancellation is real and must be credited
+        # or algebraic tails never terminate
+        block_mags.append(max(float(np.abs(rec[5]).max()), 1e-300))
+        tail_bound = block_mags[-1]
+        if len(block_mags) >= 2:
+            q = min(max(block_mags[-1] / max(block_mags[-2], 1e-300), 0.05), 0.9)
+            tail_bound = block_mags[-1] * q / (1.0 - q)
+        if tail_scale is not None:
+            tail_bound = min(tail_bound, rec[4] / max(tail_scale, 1e-300))
+        if ((tail_bound < 0.25 * tol * scale and len(block_mags) >= 2)
+                or ps.nodes_used > 0.8 * ps.budget):
             break
-        for rec in (yield blocks):
-            ps.append(rec)
-            scale = max(1.0, float(np.abs(ps.integral()).max()))
-            # the block's phase-aware contribution, which ``integral`` keeps
-            # in its record; oscillatory cancellation is real and must be
-            # credited or algebraic tails never terminate
-            block_mags.append(max(float(np.abs(rec[5]).max()), 1e-300))
-            k = rec[1]
-            if len(block_mags) >= 2:
-                q = block_mags[-1] / max(block_mags[-2], 1e-300)
-                q = min(max(q, 0.05), 0.9)
-                tail_bound = block_mags[-1] * q / (1.0 - q)
-            else:
-                tail_bound = block_mags[-1]
-            if tail_scale is not None:
-                tail_bound = min(tail_bound, rec[4] / max(tail_scale, 1e-300))
-            if ((tail_bound < 0.25 * tol * scale and len(block_mags) >= 2)
-                    or k >= k_end or ps.nodes_used > 0.8 * budget):
-                stop = True
-                break
-
-    scale = math.inf
-    ok = True
-    spare = {}
-    while ok:
-        read = max(1.0, float(np.abs(ps.integral()).max()))
-        if read >= scale:
-            break
-        scale = read
-        ok = yield from ps.bisections(0.5 * tol * scale, pairs=max(1, per_call // (2 * _NPTS)),
-                                      spare=spare)
+    ok = yield from ps.refine(_relative_target(tol),
+                              pairs=max(1, per_call // (2 * _NPTS)))
     return tail_bound, ok
+
+
+def _relative_target(tol):
+    """The target of a set refined to a relative ``tol``: half of tol times
+    the largest component of its integral, at least 1."""
+    return lambda ps: 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max()))
 
 
 def _one_sided(f, breaks, target, budget, split=None):
     """(PanelSet, converged flag) of the one-sided integral of ``f``: the
-    panels between ``breaks``, then splits (``PanelSet.bisections`` with
-    ``split``) until the summed bound meets ``target(ps)``, read once those
-    are in."""
+    panels between ``breaks``, then ``PanelSet.refine`` with ``split``
+    toward ``target``."""
     ps = PanelSet(budget)
 
     def steps():
         for rec in (yield list(zip(breaks[:-1], breaks[1:]))):
             ps.append(rec)
-        return (yield from ps.bisections(target(ps), split))
+        return (yield from ps.refine(target, split))
 
     return ps, run_steps(f, steps())
 
@@ -500,17 +487,15 @@ def imag_axis_panels(values, tol, t_cut, budget):
     them dropped when it lies closer to t_cut than a quarter of its gap to
     the seed before it (so no sliver panel ends the grid), then splits of
     the worst panel, at T_GRADE of its width if it starts at t = 0 and at
-    its midpoint otherwise, until the summed bound meets half of ``tol``
-    times the largest component of the seed integral (at least 1).
+    its midpoint otherwise (``PanelSet.refine``), until the summed bound
+    meets half of ``tol`` times the largest component of the integral (at
+    least 1), read again after each round of splits while it falls.
     values(t) gives the node values at the t nodes."""
     seeds = [t for t in T_SEEDS if t < t_cut]
     if len(seeds) > 1 and t_cut - seeds[-1] < 0.25 * (seeds[-1] - seeds[-2]):
         seeds.pop()
     breaks = [*seeds, t_cut]
-    return _one_sided(
-        values, breaks,
-        lambda ps: 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max())), budget,
-        _t_split)
+    return _one_sided(values, breaks, _relative_target(tol), budget, _t_split)
 
 
 def imag_axis_integrate(g, omega_a, tol=1e-8) -> QuadratureReport:

@@ -78,6 +78,11 @@ class TestConfig:
     def test_defaults_validate(self):
         RunConfig().validate()
 
+    def test_default_config_file_lists_every_key(self):
+        # README points to configs/default.json for every key: a field added
+        # to RunConfig must land there too, at its default
+        assert DEFAULT_CONFIG.read_text() == RunConfig().to_json() + "\n"
+
     def test_round_trip(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(RunConfig().to_json())
@@ -230,6 +235,22 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
         assert "FAIL" not in proc.stdout
+
+    @pytest.mark.parametrize("command", [
+        ["validate", "--out", "v.txt"],
+        ["validate", "--tol", "1e-8"],
+        ["point", "--dz", "1.5", "--format", "csv"],
+    ], ids=["validate_out", "validate_tol", "point_format"])
+    def test_option_without_effect_exit_2(self, tmp_path, command):
+        # validate prints its suites at their own tolerances, and point
+        # writes JSON: an option that would change neither is rejected
+        # before anything runs, and no file is written
+        proc = subprocess.run([sys.executable, "-m", "wireqed.cli", *command],
+                              capture_output=True, text=True, env=subprocess_env(),
+                              cwd=tmp_path, timeout=60)
+        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr
+        assert proc.stdout == "" and list(tmp_path.iterdir()) == []
 
     def test_injected_sign_flip_fails_validation(self, monkeypatch, capsys):
         rotated_shift = validate.rotated_shift

@@ -698,13 +698,17 @@ def _one_panel_per_step(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
     panel evaluated by a direct call of fpanel on its own nodes: the seed
     panels, one tail block at a time until the blocks stop, then one split
     of the worst panel at a time, toward half of tol times the integral,
-    read again after each round until it no longer falls."""
+    read again after each round of splits while it falls."""
     import math
-    from wireqed.quadrature import PanelSet, _panel_nodes, _seed_breaks
+    from wireqed.quadrature import PanelSet, _panel_nodes, _records, _seed_breaks
     ps = PanelSet(budget, mirror, phase_for_blocks)
 
     def add(a, b):
-        return ps.add(a, b, fpanel(_panel_nodes(a, b)))
+        vals = np.reshape(fpanel(_panel_nodes(a, b)), (1, 16, -1))
+        return ps.append(_records([(a, b)], vals)[0])
+
+    def target():
+        return 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max()))
 
     breaks = _seed_breaks(k_start, pole_hint, branch_point)
     for a, b in zip(breaks[:-1], breaks[1:]):
@@ -726,20 +730,18 @@ def _one_panel_per_step(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
         if ((tail_bound < 0.25 * tol * scale and len(mags) >= 2)
                 or k >= k_end or ps.nodes_used > 0.8 * budget):
             break
-    scale, ok = math.inf, True
-    while ok:
-        read = max(1.0, float(np.abs(ps.integral()).max()))
-        if read >= scale:
-            break
-        scale = read
-        while ok and ps.err > 0.5 * tol * scale:
-            worst = max(range(len(ps.panels)), key=lambda i: ps.panels[i][3])
-            a, b = ps.panels[worst][0], ps.panels[worst][1]
-            ok = ps.nodes_used + 32 <= budget and b - a >= 1e-14 * max(1.0, abs(a))
-            if ok:
-                del ps.panels[worst]
-                add(a, 0.5 * (a + b))
-                add(0.5 * (a + b), b)
+    met, goal, ok = math.inf, target(), True
+    while ok and goal < met:
+        if ps.err <= goal:
+            met, goal = goal, target()
+            continue
+        worst = max(range(len(ps.panels)), key=lambda i: ps.panels[i][3])
+        a, b = ps.panels[worst][0], ps.panels[worst][1]
+        ok = ps.nodes_used + 32 <= budget and b - a >= 1e-14 * max(1.0, abs(a))
+        if ok:
+            del ps.panels[worst]
+            add(a, 0.5 * (a + b))
+            add(0.5 * (a + b), b)
     return ps, tail_bound, ok
 
 

@@ -76,23 +76,34 @@ def test_moments_at_zero_phase_call_no_special_function(monkeypatch):
     np.testing.assert_array_equal(moments_for(np.zeros(3)), want)
 
 
+def _record(f, a, b):
+    """The PanelSet record of panel [a, b] from a direct call of f on its
+    own nodes."""
+    return _records([(a, b)], np.reshape(f(_panel_nodes(a, b)), (1, 16, -1)))[0]
+
+
 def _built_by_hand(f, breaks, target, budget, split=None):
     """(value, error, nodes, flag) of a PanelSet filled panel by panel with
-    direct calls of f: the seed panels, then each split's two parts, whose
-    records the bisections append."""
+    direct calls of f: the seed panels, then one split of the worst panel at
+    a time toward ``target``, read again after each round of splits while
+    it falls."""
     ps = PanelSet(budget)
     for a, b in zip(breaks[:-1], breaks[1:]):
-        ps.add(a, b, f(_panel_nodes(a, b)))
-    steps = ps.bisections(target(ps), split)
-    recs = None
-    while True:
-        try:
-            halves = steps.send(recs)
-        except StopIteration as stop:
-            ok = stop.value
-            break
-        recs = [_records([(a, b)], np.reshape(f(_panel_nodes(a, b)), (1, 16, -1)))[0]
-                for a, b in halves]
+        ps.append(_record(f, a, b))
+    split = split or (lambda a, b: 0.5 * (a + b))
+    met, goal, ok = math.inf, target(ps), True
+    while ok and goal < met:
+        if ps.err <= goal:
+            met, goal = goal, target(ps)
+            continue
+        worst = max(range(len(ps.panels)), key=lambda i: ps.panels[i][3])
+        a, b = ps.panels[worst][0], ps.panels[worst][1]
+        ok = ps.nodes_used + 32 <= budget and b - a >= 1e-14 * max(1.0, abs(a))
+        if ok:
+            del ps.panels[worst]
+            m = split(a, b)
+            ps.append(_record(f, a, m))
+            ps.append(_record(f, m, b))
     return float(np.real(ps.integral()[0])), ps.err, ps.nodes_used, ok
 
 
@@ -183,6 +194,22 @@ def test_t_rule_drops_a_seed_that_would_leave_a_sliver(t_cut, seeds):
     assert ok and [(p[0], p[1]) for p in ps.panels] == list(zip(seeds, [*seeds[1:], t_cut]))
 
 
+def test_t_rule_reads_its_target_again():
+    # a spike of width 1e-5 on a constant 10, centred on a Gauss node of the
+    # seed panel [0.35, 0.65]: the seed integral (about 210) overstates the
+    # refined one (10.31) twentyfold, so a target read once after the seed
+    # panels stopped the grid 13 times above half of tol times the refined
+    # integral.  Read again after each round, the target follows it down
+    x0 = _panel_nodes(0.35, 0.65)[8]
+    tol = 1e-6
+    ps, ok = imag_axis_panels(lambda t: 10.0 + 1e4 / (1.0 + ((t - x0) / 1e-5) ** 2),
+                              tol, 1.0, 20000)
+    value = float(np.real(ps.integral()[0]))
+    exact = 10.0 + 1e4 * 1e-5 * (math.atan((1.0 - x0) / 1e-5) + math.atan(x0 / 1e-5))
+    assert ok and value == pytest.approx(exact, rel=1e-12)
+    assert ps.err <= 0.5 * tol * value
+
+
 @pytest.mark.parametrize("integrate", [
     lambda f: imag_axis_integrate(f, 3.3),
     lambda f: pv_shift_oracle(f, 3.3),
@@ -217,7 +244,7 @@ def test_panel_sum_never_mixes_phases(mirror):
     for lam in (0.0, 2.0):
         ps = PanelSet(mirror=mirror, phase=lam)
         for a, b in ((0.0, 1.0), (1.0, 3.0)):
-            ps.add(a, b, np.exp(-_panel_nodes(a, b)))
+            ps.append(_record(lambda x: np.exp(-x), a, b))
             want = panel_terms(*ps._freeze(), lam, mirror).sum(axis=0)
             np.testing.assert_allclose(ps.integral(), want, rtol=1e-15, atol=0.0)
         if mirror is None:
