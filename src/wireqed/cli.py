@@ -225,7 +225,12 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _load(args)
+    # the suites read gamma_p_over_omega_p alone, so no other value of the
+    # config can be at fault here
+    cfg = load_config(args.config, check=False) if args.config else RunConfig()
+    if not 0.0 <= cfg.gamma_p_over_omega_p < math.inf:
+        raise ConfigError("gamma_p_over_omega_p must be finite and >= 0, "
+                          f"got {cfg.gamma_p_over_omega_p}")
     suites = run_all(cfg.gamma_p_over_omega_p)
     for suite in suites:
         print(suite.line())

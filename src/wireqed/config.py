@@ -110,7 +110,7 @@ class RunConfig:
         return json.dumps(d, indent=2, sort_keys=True)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, *, check=True) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -119,10 +119,12 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file cannot be read: {exc}")
-    return config_from_dict(raw)
+    return config_from_dict(raw, check=check)
 
 
-def config_from_dict(raw: dict) -> RunConfig:
+def config_from_dict(raw: dict, *, check=True) -> RunConfig:
+    """The RunConfig of a parsed file: its schema tag, keys and number types
+    checked, and, unless ``check`` is false, its values (``validate``)."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     tag = raw.get("schema")
@@ -155,7 +157,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     for fld in ("radius", "eps_inf", "omega_p_over_omega_a", "gamma_p_over_omega_p",
                 "rho_1", "rho_2", "gamma0_abs", "tol_wire"):
         setattr(cfg, fld, _number(fld, getattr(cfg, fld)))
-    return cfg.validate()
+    return cfg.validate() if check else cfg
 
 
 def _number(key, val) -> float:

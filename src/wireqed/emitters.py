@@ -38,6 +38,10 @@ _SPLIT = np.stack([_P_EVEN, ~_P_EVEN], axis=1).astype(float)   # (9, 2)
 # (cos, sin; 16; re, im) takes a moment's Re and Im multipliers to cos and sin
 _C, _S = np.real(1j ** _KIDX), np.imag(1j ** _KIDX)
 _ROT = np.array([[_C, _S], [-_S, _C]]).transpose(0, 2, 1)
+# a t panel's fold: rows 0, 13, 14 and 15 of _PROJ times 2 and 4 t
+# half-widths, as ``legendre_error`` counts them, over the half * _GL_W that
+# a node's columns carry
+_T_FOLD = _PROJ[[0, 13, 14, 15]] / _GL_W * [[2.0], [4.0], [4.0], [4.0]]
 
 _COINCIDENT = 1e-12
 
@@ -69,11 +73,6 @@ class EmitterPair:
             if v.shape != (3,) or not (np.all(np.isfinite(v)) and v[0] > 0.0):
                 raise DomainError("emitter positions must be three finite numbers (rho, phi, "
                                   f"z) with positive radial coordinates, got {p}")
-
-    def with_dz(self, dz: float) -> "EmitterPair":
-        r1 = self.position_1
-        r2 = (self.position_2[0], self.position_2[1], r1[2] + float(dz))
-        return EmitterPair(r1, r2, self.dipole_1, self.dipole_2, self.omega_a)
 
     @property
     def dz(self) -> float:
@@ -181,6 +180,22 @@ class PairInteraction:
     from one real spherical-Bessel ladder over both tables, which is what
     makes dense distance sweeps and oscillation-phase measurements
     affordable.
+
+    The t panels' sets (``_kappa_sets``) come back folded over their t
+    panel: four column sets per kz panel, the t panel's integral and its
+    c_13..c_15.  Building lays every row out here, in one flat table in
+    ascending half-width, each row with one read: Re g12, Im g12, the
+    d1 . T . d2 integral, or one t panel's c_13, c_14 or c_15.  ``reads``
+    (3 + 3 t panels, rows) is that index as a 0/1 matrix, so ``reads``
+    times the rows' values at dz (``_phase_rows``) gives g12, the integral
+    and each t panel's c_13..c_15, whose absolute sum is its Legendre bound.
+    ``kappa_coincident`` is the d1 . T . d1 integral with its bound.  A set
+    out of its node budget, or a t grid stopped short of its target by
+    KAPPA_TABLE_BUDGET t panels, clears ``kappa_ok``, which the rows report
+    as unconverged.  ``kz_err``, the sum of the sets' error bounds (kz and
+    azimuthal, in the integral's units), enters the error the rows report.
+    ``kappa_panels``, ``kappa_nodes`` and ``kappa_orders`` are the t panels,
+    their node count and each set's azimuthal order, in grid order.
     """
 
     def __init__(self, geom: WireGeometry, pair: EmitterPair, *, tol=1e-6,
@@ -188,13 +203,9 @@ class PairInteraction:
         check_pair_geometry(geom, pair)
         if not np.isfinite(dz_refs).all():
             raise DomainError(f"reference separations must be finite, got {dz_refs}")
-        self.geom = geom
-        self.pair = pair
         self.tol = float(tol)
-        w = pair.omega_a
-        self.omega_a = w
+        self.omega_a = w = pair.omega_a
         rho = pair.position_1[0]
-        self.rho = rho
 
         point = SpectralPoint.real_axis(w)
         self.table_res = tab = WireSpectralTable(geom, point, rho, rho, 0.0, nmax=nmax,
@@ -207,24 +218,35 @@ class PairInteraction:
         self._d12 = float(self._d1 @ self._d2)
         self._d12_z = float(self._d1[2] * self._d2[2])
         dd = np.stack([np.outer(self._d1, d).ravel() for d in (self._d2, self._d1)], axis=1)
-        self._kappa_engine = _ImagAxisEngine(geom, rho, w, dd, tol=tol, nmax=nmax,
-                                             dz_refs=tuple(dz_refs), parallel=parallel)
+        self.kappa_panels, self.kappa_nodes, grid_ok, sets = _kappa_sets(
+            geom, rho, w, dd, tol=tol, nmax=nmax, dz_refs=tuple(dz_refs), parallel=parallel)
+        kz_halves, kz_mids, kz_cols, _, kz_errs, self.kappa_orders, oks = zip(*sets)
+        self.kz_err = float(sum(kz_errs))
+        self.kappa_ok = grid_ok and all(oks)
         # d1 . G^med(r1, r1, omega_a) . d1 and the table's error, azimuthal
         # tail included, which every row reads
         gmed_11, self._res_err = tab.integrate(0.0)
         self._g11 = _contract(gmed_11, self._d1, self._d1)
-        # one flat table of rows in ascending half-width: the real-axis rows
-        # of C, which sum to Re g12, and of -i C, which sum to Im g12 (as in
-        # ``_fold``), then the kappa rows
-        n, kap = len(tab.halves), self._kappa_engine
+        # the rows: the real-axis rows of C, which sum to Re g12 (read 0), and
+        # of -i C, which sum to Im g12 (1, as in ``_fold``), then four per kz
+        # panel of t panel p: its integral (2) and c_13..c_15 (3p + 3 .. 5)
+        n = len(tab.halves)
         res = _fold(np.concatenate([tab.coefs, -1j * tab.coefs]), np.tile(tab.halves, 2),
                     dd[:, :1])[..., 0]
-        reads = np.block([[np.repeat(np.eye(2), n, axis=1), np.zeros((2, len(kap.halves)))],
-                          [np.zeros((len(kap.reads), 2 * n)), kap.reads]])
-        order = np.argsort(np.concatenate([np.tile(tab.halves, 2), kap.halves]), kind="stable")
-        self._halves, self._mids = (np.concatenate([np.tile(x, 2), y])[order] for x, y in
-                                    ((tab.halves, kap.halves), (tab.mids, kap.mids)))
-        self._cols = np.ascontiguousarray(np.concatenate([res, kap.cols], axis=2)[:, :, order])
+        cols12, cols11 = np.moveaxis(np.concatenate(
+            [c.reshape(2, _NPTS, -1, c.shape[-1]) for c in kz_cols], axis=2), 3, 0)
+        read = np.concatenate([np.repeat([0, 1], n)] + [
+            np.tile([2, 3 * p + 3, 3 * p + 4, 3 * p + 5], len(h)) for p, h in enumerate(kz_halves)])
+        reads = (read == np.arange(3 + 3 * len(sets))[:, None]).astype(float)
+        halves, mids = (np.concatenate([np.tile(x, 2), np.repeat(np.concatenate(y), 4)])
+                        for x, y in ((tab.halves, kz_halves), (tab.mids, kz_mids)))
+        # the kappa rows' reads times their values at dz = 0, each row's j_0
+        # cos column (``_phase_rows``)
+        out = reads[2:, 2 * n:] @ cols11[0, 0]
+        self.kappa_coincident = float(out[0]), float(np.abs(out[1:]).sum())
+        order = np.argsort(halves, kind="stable")
+        self._halves, self._mids = halves[order], mids[order]
+        self._cols = np.ascontiguousarray(np.concatenate([res, cols12], axis=2)[:, :, order])
         self._reads = np.ascontiguousarray(reads[:, order])
 
     def _pass(self, dz):
@@ -251,9 +273,8 @@ class PairInteraction:
         shift12_res = (3.0 * math.pi / w) * g12.real
         shift11_res = (3.0 * math.pi / w) * g11.real
 
-        kap = self._kappa_engine
-        i11, e11 = kap.coincident
-        ierr = e12 + e11 + kap.kz_err
+        i11, e11 = self.kappa_coincident
+        ierr = e12 + e11 + self.kz_err
         shift12_int = (3.0 / w**3) * i12
         shift11_int = (3.0 / w**3) * i11
 
@@ -264,7 +285,7 @@ class PairInteraction:
         checks = {
             "real_panels_ok": (tab.panels_ok, True),
             "resonant_tensor_err": (res_err, 100.0 * self.tol * scale),
-            "kappa_panels_ok": (kap.panels_ok, True),
+            "kappa_panels_ok": (self.kappa_ok, True),
             "kappa_err": (ierr, 100.0 * self.tol * max(1.0, abs(i12), abs(i11))),
         }
         failed = {name: (value, bound) for name, (value, bound) in checks.items()
@@ -277,38 +298,94 @@ class PairInteraction:
             diagnostics={
                 "resonant_tensor_err": res_err,
                 "kappa_err": ierr,
-                "kappa_nodes": kap.n_nodes,
+                "kappa_nodes": self.kappa_nodes,
                 "nmax": self.nmax,
-                "kappa_nmax": max(kap.orders),
+                "kappa_nmax": max(self.kappa_orders),
                 "failed_checks": failed,
             },
         )
 
 
+def _kappa_sets(geom, rho, omega_a, dd, *, tol, nmax, dz_refs, parallel):
+    """t-substituted imaginary-axis integral, one kz panel set per t panel.
+
+    Panels live in t = kappa / (omega_a + kappa).  The integral is linear in
+    the spectra at i*kappa(t), so the 16 Gauss nodes of a t panel share one
+    kz panel set (``_kappa_panel_job``), each node's spectrum times its
+    substitution and t-rule weights, folded with the dipole pairs dd (9, 2),
+    d1 d2 and d1 d1, into one column each.  The t panels follow the t rule
+    of every imaginary-axis integral (``quadrature.imag_axis_panels``: at
+    most five coarse seed panels, with no sliver panel at the cut, then
+    splits of the worst panel, graded toward t = 0), cut at the kappa
+    cutoff; at tol 1e-6 the default sweep's five seed panels need no split.
+    Their node values, which each job returns, are what the rows report,
+    d1 . T . d2 at each of the reference separations ``dz_refs`` and
+    d1 . T . d1 at 0, so the Legendre-coefficient decay that drives their
+    splits is that of the rows' own integrands.
+
+    A t panel is the unit of work, and ``parallel`` (a map) spreads the
+    panels of one build step over worker processes.  Each job settles its t
+    panel's order from its own arguments alone, so the orders, like the
+    sets, do not depend on the worker count.  At most KAPPA_TABLE_BUDGET t
+    panels are built.  Returns the t panels, their node count, the grid's
+    converged flag and each t panel's job result, in grid order.
+    """
+    gap = 2.0 * (rho - geom.radius)   # summed emitter-to-surface distance
+    kap_cut = max(6.0 * omega_a, 20.0 / max(gap, 1e-6))
+    run = parallel or (lambda fn, xs: [fn(x) for x in xs])
+    # each t panel's job result, keyed by its first node
+    sets = {}
+
+    def values(t):
+        t = t.reshape(-1, _NPTS)
+        # each panel's half-width, from its outermost Gauss nodes
+        halves = (t[:, -1] - t[:, 0]) / (2.0 * _GL_X[-1])
+        jobs = [(geom, rho, *quadrature.t_substitution(nodes, omega_a), half, tol, nmax, dd,
+                 dz_refs) for nodes, half in zip(t, halves)]
+        sets.update(zip(t[:, 0], run(_kappa_panel_job, jobs)))
+        return np.concatenate([sets[a][3] for a in t[:, 0]])
+
+    grid, grid_ok = quadrature.imag_axis_panels(
+        values, tol, kap_cut / (omega_a + kap_cut), KAPPA_TABLE_BUDGET * _NPTS)
+    panels = [(p[0], p[1]) for p in grid.panels]
+    return (panels, grid.nodes_used, grid_ok,
+            [sets[quadrature._panel_nodes(a, b)[0]] for a, b in panels])
+
+
 def _kappa_panel_job(job):
     """The kz panel set that one t panel's 16 kappa nodes share
-    (``shared_spectral_table``), folded with the dipole pairs dd (``_fold``).
+    (``shared_spectral_table``), folded with the dipole pairs dd (``_fold``)
+    and over the t panel (``_T_FOLD``), and the nodes' values.
 
     Each node's spectrum enters the set times its substitution weight and
     its weight in the t rule (``half`` times the Gauss weight), so the set
     is refined, and its error reported, in the units of the t panel's part
     of the integral, at the order ``nmax`` or, when that is None, the one
     its probe predicts for that part.  The budget is 30,000 kz nodes, each
-    evaluated at all 16 frequencies.  Returns (halves, mids, columns (cos,
-    sin; 16; kz panels; nodes; C), the set's whole error ``err`` (kz and
-    azimuthal), its order, whether it stayed within its budget).
+    evaluated at all 16 frequencies.  The nodes' values (16, len(dz_refs) +
+    1) are d1 . T . d2 at each of ``dz_refs`` and d1 . T . d1 at 0, over
+    the t-rule weight half * _GL_W.  Returns (halves, mids, columns (cos,
+    sin; 16; kz panels; 4; C): the t panel's integral and its c_13..c_15,
+    the node values, the set's whole error ``err`` (kz and azimuthal), its
+    order, whether it stayed within its budget).
     Module-level with picklable arguments and result, so a sweep can run it
     in worker processes; the arithmetic, the order included, is the same for
     any worker count, which keeps outputs bit-reproducible.
     """
-    geom, rho, kappas, weights, half, tol, nmax, dd = job
+    geom, rho, kappas, weights, half, tol, nmax, dd, dz_refs = job
     tab = shared_spectral_table(geom, kappas, half * _GL_W * weights, rho, rho, 0.0,
                                 tol=tol, budget=30000, nmax=nmax)
     n, panels = len(kappas), len(tab.halves)
     # one row per kz panel and node, panel-major
     coefs = tab.coefs.reshape(panels, _NPTS, n, 9).transpose(0, 2, 1, 3).reshape(-1, _NPTS, 9)
     cols = _fold(coefs, np.repeat(tab.halves, n), dd).reshape(2, _NPTS, panels, n, -1)
-    return tab.halves, tab.mids, cols, tab.err, tab.nmax, tab.panels_ok
+    halves, mids = np.repeat(tab.halves, n), np.repeat(tab.mids, n)
+    # each node's value, summed over the kz panels: d1 . T . d2 (column 0) at
+    # each reference separation, then d1 . T . d1 (column 1) at 0
+    vals = [_phase_rows(halves, mids, cols[..., c].reshape(2, _NPTS, -1), dz)
+            .reshape(-1, n).sum(axis=0) for dz, c in [(dz, 0) for dz in dz_refs] + [(0.0, 1)]]
+    return (tab.halves, tab.mids, np.einsum("skpnc,rn->skprc", cols, _T_FOLD),
+            np.stack(vals, axis=1) / (half * _GL_W)[:, None], tab.err, tab.nmax, tab.panels_ok)
 
 
 def _fold(coefs, halves, dd):
@@ -330,96 +407,6 @@ def _phase_rows(halves, mids, cols, dz):
     with the rows in ascending half-width (``quadrature.jn_ladder``)."""
     cos_sin = np.einsum("kr,skr->sr", quadrature.jn_ladder(dz * halves), cols)
     return np.cos(dz * mids) * cos_sin[0] + np.sin(dz * mids) * cos_sin[1]
-
-
-class _ImagAxisEngine:
-    """t-substituted imaginary-axis integral, one kz panel set per t panel.
-
-    Panels live in t = kappa / (omega_a + kappa).  The integral is linear in
-    the spectra at i*kappa(t), so the 16 Gauss nodes of a t panel share one
-    kz panel set (``_kappa_panel_job``), each node's spectrum times its
-    substitution and t-rule weights, folded with the dipole pairs dd (9, 2),
-    d1 d2 and d1 d1, into one column each.  The t panels follow the t rule
-    of every imaginary-axis integral (``quadrature.imag_axis_panels``: at
-    most five coarse seed panels, with no sliver panel at the cut, then
-    splits of the worst panel, graded toward t = 0), cut at the kappa
-    cutoff; at tol 1e-6 the default sweep's five seed panels need no split.
-    Their node values are what the rows report, d1 . T . d2 at each of a few
-    reference separations and d1 . T . d1 at 0, so the Legendre-coefficient
-    decay that drives their splits is that of the rows' own integrands.  As
-    each set arrives its node columns are folded with rows 0, 13, 14 and 15
-    of _PROJ, into four column sets per kz panel: the t panel's integral and
-    its c_13..c_15.  ``reads`` (1 + 3 t panels, rows) sums the first over
-    every t panel and picks out the others, so ``reads`` times the rows'
-    values at dz (``_phase_rows``) gives the d1 . T . d2 integral and each
-    t panel's c_13..c_15, whose absolute sum is its Legendre bound.  The
-    d1 d2 rows are ``halves``, ``mids`` and ``cols``, and ``coincident`` is
-    the d1 . T . d1 integral with its bound.
-
-    A t panel is the unit of work, and ``parallel`` (a map) spreads the
-    panels of one build step over worker processes.  Each job settles its t
-    panel's order (``orders``, in grid order) from its own arguments alone,
-    so the orders, like the sets, do not depend on the worker count.  A set
-    out of its node budget, or a t grid stopped short of its target by
-    KAPPA_TABLE_BUDGET t panels, clears ``panels_ok``, which the rows report
-    as unconverged.  ``kz_err``, the sum of the sets' error bounds (kz and
-    azimuthal, in the integral's units), enters the error the rows report.
-    """
-
-    def __init__(self, geom, rho, omega_a, dd, *, tol, nmax, dz_refs, parallel=None):
-        self.w = omega_a
-        gap = 2.0 * (rho - geom.radius)   # summed emitter-to-surface distance
-        kap_cut = max(6.0 * omega_a, 20.0 / max(gap, 1e-6))
-        run = parallel or (lambda fn, xs: [fn(x) for x in xs])
-        # rows 0, 13, 14 and 15 of _PROJ times 2 and 4 t half-widths, as
-        # ``legendre_error`` counts them, over the half * _GL_W that a node's
-        # columns carry
-        fold = _PROJ[[0, 13, 14, 15]] / _GL_W * [[2.0], [4.0], [4.0], [4.0]]
-        # each t panel's job result, its columns folded (2, 16, kz panels, 4,
-        # C), keyed by its first node
-        blocks = {}
-
-        def node_sums(halves, mids, cols, dz):
-            # each node's columns (2, 16, kz panels, nodes) at dz, summed
-            n = cols.shape[-1]
-            rows = _phase_rows(np.repeat(halves, n), np.repeat(mids, n),
-                               cols.reshape(2, _NPTS, -1), dz)
-            return rows.reshape(-1, n).sum(axis=0)
-
-        def values(t):
-            t = t.reshape(-1, _NPTS)
-            # each panel's half-width, from its outermost Gauss nodes
-            halves = (t[:, -1] - t[:, 0]) / (2.0 * _GL_X[-1])
-            jobs = [(geom, rho, *quadrature.t_substitution(nodes, omega_a), half, tol, nmax, dd)
-                    for nodes, half in zip(t, halves)]
-            out = []
-            for nodes, half, block in zip(t, halves, run(_kappa_panel_job, jobs)):
-                kz_halves, kz_mids, cols = block[:3]
-                rows = ([node_sums(kz_halves, kz_mids, cols[..., 0], dz) for dz in dz_refs]
-                        + [node_sums(kz_halves, kz_mids, cols[..., 1], 0.0)])
-                out.append(np.stack(rows, axis=1) / (half * _GL_W)[:, None])
-                blocks[nodes[0]] = (kz_halves, kz_mids,
-                                    np.einsum("skpnc,rn->skprc", cols, fold), *block[3:])
-            return np.concatenate(out)
-
-        grid, grid_ok = quadrature.imag_axis_panels(
-            values, tol, kap_cut / (omega_a + kap_cut), KAPPA_TABLE_BUDGET * _NPTS)
-        self.panels = [(p[0], p[1]) for p in grid.panels]
-        self.n_nodes = grid.nodes_used
-        halves, mids, cols, kz_errs, self.orders, oks = zip(*(
-            blocks[quadrature._panel_nodes(a, b)[0]] for a, b in self.panels))
-        self.kz_err = float(sum(kz_errs))
-        self.panels_ok = grid_ok and all(oks)
-        self.halves, self.mids = (np.repeat(np.concatenate(x), 4) for x in (halves, mids))
-        self.cols, cols11 = np.moveaxis(np.concatenate(
-            [c.reshape(2, _NPTS, -1, c.shape[-1]) for c in cols], axis=2), 3, 0)
-        # each row's t panel and column set
-        tp = np.repeat(np.arange(len(self.panels)), [4 * len(h) for h in halves])
-        r = np.tile(np.arange(4), tp.size // 4)
-        self.reads = np.zeros((1 + 3 * len(self.panels), tp.size))
-        self.reads[np.where(r == 0, 0, 3 * tp + r), np.arange(tp.size)] = 1.0
-        out = self.reads @ _phase_rows(self.halves, self.mids, cols11, 0.0)
-        self.coincident = float(out[0]), float(np.abs(out[1:]).sum())
 
 
 def decay_rates(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6):

@@ -264,6 +264,27 @@ class TestExitCodes:
         assert main(["validate"]) == 4
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("config, code", [
+        ({"output_path": "no/such/v.txt"}, 0),
+        ({"tol_wire": 1.0}, 0),
+        ({"schema": "wireqed-config/0"}, 2),
+        ({"gamma_p_over_omega_p": -0.5}, 2),
+    ], ids=["output_path_missing_directory", "tol_wire_out_of_range", "schema",
+            "gamma_p_negative"])
+    def test_validate_checks_only_what_it_reads(self, tmp_path, monkeypatch, capsys,
+                                                config, code):
+        # the suites read gamma_p_over_omega_p and nothing else from a config,
+        # so a fault in any other value leaves them to run
+        seen = []
+        monkeypatch.setattr(cli, "run_all", lambda gamma: seen.append(gamma) or [])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema": SCHEMA_TAG, **config}))
+        assert main(["validate", "--config", str(path)]) == code
+        if code == 0:
+            assert seen == [RunConfig().gamma_p_over_omega_p]
+        else:
+            assert seen == [] and "config error" in capsys.readouterr().err
+
     def test_lossless_material_reported_as_documented_skip(self, tmp_path):
         path = write_config(tmp_path, {"gamma_p_over_omega_p": 0.0})
         proc = run_cli(["validate", "--config", path])

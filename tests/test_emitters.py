@@ -51,10 +51,6 @@ class TestEmitterPair:
             with pytest.raises(DomainError):
                 check_pair_geometry(default_geom, EmitterPair((0.015, 0, 0), p2))
 
-    def test_with_dz(self):
-        pair = EmitterPair((0.015, 0, 0), (0.015, 0, 1))
-        assert pair.with_dz(2.5).dz == 2.5
-
 
 class TestDecayRates:
     def test_coincident_pair_has_equal_rates(self, default_geom):
@@ -148,31 +144,32 @@ def split_build(default_geom):
 @pytest.fixture(scope="module")
 def panel_sets(default_geom, split_build):
     # the oracle: every t panel's shared kz panel set of the split grid,
-    # built alone, with each node weighted as the engine weights it
-    engine = split_build[0]._kappa_engine
+    # built alone, with each node weighted as the build weights it
+    interaction = split_build[0]
     tables = {}
-    for (a, b), (half, weight, kappas) in zip(engine.panels, _t_panels(engine)):
+    for (a, b), (half, weight, kappas) in zip(interaction.kappa_panels,
+                                              _t_panels(interaction)):
         tables[a, b] = shared_spectral_table(
             default_geom, kappas, half * _GL_W * weight, 0.03, 0.03, 0.0, nmax=8, tol=2e-8,
             budget=30000)
     return tables
 
 
-def _t_panels(engine):
+def _t_panels(interaction):
     """(half-width, substitution weights, kappas) of each t panel's nodes,
-    the half-width as the engine reads it from the outermost nodes."""
-    for a, b in engine.panels:
+    the half-width as the build reads it from the outermost nodes."""
+    for a, b in interaction.kappa_panels:
         t = quadrature._panel_nodes(a, b)
-        kappas, weight = quadrature.t_substitution(t, engine.w)
+        kappas, weight = quadrature.t_substitution(t, interaction.omega_a)
         yield (t[-1] - t[0]) / (2.0 * _GL_X[-1]), weight, kappas
 
 
-def _kappa_oracle(engine, tables, dz, dd):
+def _kappa_oracle(interaction, tables, dz, dd):
     """(integral, Legendre bound) of the weighted tensor T(dz) of the
     per-t-panel oracle, node by node, contracted with dd (9, C) by hand;
     shapes (C,) and (), the bound being the largest over the C columns."""
     total, err = 0.0, 0.0
-    for (a, b), (half, _, _) in zip(engine.panels, _t_panels(engine)):
+    for (a, b), (half, _, _) in zip(interaction.kappa_panels, _t_panels(interaction)):
         tab = tables[a, b]
         # each node's weighted integral, over its t-rule weight
         nodes = panel_terms(tab.halves, tab.mids, tab.coefs, dz,
@@ -184,7 +181,7 @@ def _kappa_oracle(engine, tables, dz, dd):
     return total, err
 
 
-def _kz_err(engine, tables):
+def _kz_err(tables):
     """The sets' kz and azimuthal error, already weighted as the t rule
     weights each node."""
     return sum(tab.panel_err + tab.tail_bound + tab.azimuthal_err for tab in tables.values())
@@ -193,35 +190,33 @@ def _kz_err(engine, tables):
 def test_kappa_pool_sees_one_call_per_build_step(split_build):
     # all 5 seed t panels in one call, then the two parts of each split
     interaction, jobs = split_build
-    engine = interaction._kappa_engine
     assert jobs == [5, 2, 2, 2]
-    assert engine.n_nodes == 16 * 11
-    assert engine.panels_ok
+    assert interaction.kappa_nodes == 16 * 11
+    assert interaction.kappa_ok
     # [0, 0.1] cut at 1/8 twice, [0.9, t_cut] at its midpoint
-    t_cut = engine.panels[-1][1]
+    t_cut = interaction.kappa_panels[-1][1]
     breaks = [0.0, 0.1 / 64, 0.1 / 8, 0.1, 0.35, 0.65, 0.9, 0.5 * (0.9 + t_cut), t_cut]
-    assert sorted(engine.panels) == pytest.approx(list(zip(breaks[:-1], breaks[1:])),
+    assert sorted(interaction.kappa_panels) == pytest.approx(list(zip(breaks[:-1], breaks[1:])),
                                                   rel=1e-13)
 
 
 def test_kappa_bisection_matches_per_table_oracle(split_build, panel_sets):
     interaction, _ = split_build
-    engine = interaction._kappa_engine
-    assert engine.n_nodes > 160
+    assert interaction.kappa_nodes > 160
     # the oracle: each t panel's set built alone, its nodes' values
     # contracted by hand, then projected per t panel
     tables = panel_sets
     # every t panel is built at the configured order, and each set's
     # azimuthal tail at it enters kz_err
-    assert engine.orders == (8,) * len(engine.panels)
+    assert interaction.kappa_orders == (8,) * len(interaction.kappa_panels)
     assert interaction.at(0.5).diagnostics["kappa_nmax"] == 8
     assert all(tab.nmax == 8 and tab.azimuthal_err > 0.0 for tab in tables.values())
-    kz_err = _kz_err(engine, tables)
+    kz_err = _kz_err(tables)
     assert kz_err > 0.0
-    # radial dipoles: the engine holds the rho-rho component of the tensor
+    # radial dipoles: the build holds the rho-rho component of the tensor
     d1, d2 = interaction._d1, interaction._d2
     dd = np.outer(d1, d2).reshape(9, 1)
-    coincident_err = engine.coincident[1]
+    coincident_err = interaction.kappa_coincident[1]
     for dz in (0.0, 0.5, 8.0):
         row_err = interaction.at(dz).diagnostics["kappa_err"]
         table_part = row_err - interaction._pass(dz)[2] - coincident_err
@@ -232,7 +227,7 @@ def test_kappa_bisection_matches_per_table_oracle(split_build, panel_sets):
     at_switch = [_dz_hitting(x, interaction._halves) for x in (1e-3, 16.0)]
     for dz in (0.0, 0.02, 1.3, 8.0, -1.3, *at_switch):
         # the contracted value node by node, then Legendre coefficients per panel
-        total, err = _kappa_oracle(engine, tables, dz, dd)
+        total, err = _kappa_oracle(interaction, tables, dz, dd)
         g12, got, got_err = interaction._pass(dz)
         scale = abs(total[0])
         assert abs(got - total[0]) <= 1e-12 * scale
@@ -270,19 +265,49 @@ def test_t_grid_refines_on_the_row_quantities(default_geom, split_build, panel_s
     d1, d2 = np.array([2**-0.5, 0.0, 2**-0.5]), np.array([2**-0.5, 0.0, -2**-0.5])
     pair = EmitterPair((0.03, 0.0, 0.0), (0.03, 0.0, 0.02), dipole_1=tuple(d1),
                        dipole_2=tuple(d2))
-    engine = _split_build(default_geom, pair)._kappa_engine
+    interaction = _split_build(default_geom, pair)
     # the same panels, split in another order: tilted dipoles split the last
     # seed panel before the second t = 0 split, radial ones after it
-    assert sorted(engine.panels) == sorted(split_build[0]._kappa_engine.panels)
+    assert sorted(interaction.kappa_panels) == sorted(split_build[0].kappa_panels)
     (grid,) = grids
     dd12, dd11 = np.outer(d1, d2).reshape(9, 1), np.outer(d1, d1).reshape(9, 1)
-    want = np.array([_kappa_oracle(engine, panel_sets, dz, dd12)[0][0]
+    want = np.array([_kappa_oracle(interaction, panel_sets, dz, dd12)[0][0]
                      for dz in (0.0, 0.02, 8.0)]
-                    + [_kappa_oracle(engine, panel_sets, 0.0, dd11)[0][0]])
+                    + [_kappa_oracle(interaction, panel_sets, 0.0, dd11)[0][0]])
     got = grid.integral()
     assert got.shape == want.shape
     assert abs(want[0] - want[-1]) > 0.1 * abs(want[-1])
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_kappa_job_node_values_are_what_its_rows_read(default_geom, default_pair,
+                                                      pair_engine):
+    # a t panel's job returns its set folded over the t panel, which the rows
+    # read, and its nodes' values, on which the t grid refines; on the
+    # default pair's first t panel the nodes' weighted sum is the set-0 rows
+    # at each reference separation, and the c_13..c_15 sets are 4 half times
+    # the Legendre coefficients of the node values
+    t = quadrature._panel_nodes(*pair_engine.kappa_panels[0])
+    half = (t[-1] - t[0]) / (2.0 * _GL_X[-1])
+    d1, d2 = np.asarray(default_pair.dipole_1), np.asarray(default_pair.dipole_2)
+    dd = np.stack([np.outer(d1, d2).ravel(), np.outer(d1, d1).ravel()], axis=1)
+    dz_refs = (0.0, 0.02, 0.5, 2.0, 4.0)
+    kappas, weights = quadrature.t_substitution(t, OMEGA_A)
+    halves, mids, cols, vals, *_ = emitters._kappa_panel_job(
+        (default_geom, 0.015, kappas, weights, half, 1e-6, None, dd, dz_refs))
+    assert cols.shape == (2, _NPTS, len(halves), 4, 2)
+    assert vals.shape == (_NPTS, len(dz_refs) + 1)
+    coefs = 4.0 * half * (_PROJ[-3:] @ vals)
+    # the coefficients cancel most of their terms, so they agree to the
+    # terms' digits
+    sizes = 4.0 * half * (np.abs(_PROJ[-3:]) @ np.abs(vals))
+    # d1 . T . d2 at each reference separation, then d1 . T . d1 at 0
+    for j, (dz, c) in enumerate([(dz, 0) for dz in dz_refs] + [(0.0, 1)]):
+        rows = np.array([emitters._phase_rows(halves, mids, cols[:, :, :, r, c], dz).sum()
+                         for r in range(4)])
+        total = (vals[:, j] * half * _GL_W).sum()
+        assert abs(rows[0] - total) <= 1e-13 * abs(total)
+        assert (np.abs(rows[1:] - coefs[:, j]) <= 1e-13 * sizes[:, j]).all()
 
 
 def test_t_grid_stopped_by_the_table_budget_is_unconverged(default_geom, default_pair,
@@ -308,9 +333,9 @@ def test_t_grid_stopped_by_the_table_budget_is_unconverged(default_geom, default
     ((grid, grid_ok),) = grids
     assert not grid_ok and len(grid.panels) == 8
     row = interaction.at(0.5)
-    i12, i11 = interaction._pass(0.5)[1], interaction._kappa_engine.coincident[0]
+    i12, i11 = interaction._pass(0.5)[1], interaction.kappa_coincident[0]
     assert row.diagnostics["kappa_err"] <= 100.0 * tol * max(1.0, abs(i12), abs(i11))
-    assert not interaction._kappa_engine.panels_ok
+    assert not interaction.kappa_ok
     assert not row.converged
 
 
@@ -384,32 +409,31 @@ def test_rows_with_mirror_odd_components_match_full_tensor(default_geom, split_b
     pair = EmitterPair((0.03, 0.0, 0.0), (0.03, 0.0, 0.02), dipole_1=dipoles[0],
                        dipole_2=dipoles[1])
     interaction = _split_build(default_geom, pair)
-    engine = interaction._kappa_engine
     # the same panels as the radial pair, in split order
-    assert sorted(engine.panels) == sorted(split_build[0]._kappa_engine.panels)
+    assert sorted(interaction.kappa_panels) == sorted(split_build[0].kappa_panels)
     tab = interaction.table_res
     w = interaction.omega_a
     dd12, dd11 = np.outer(d1, d2).reshape(9, 1), np.outer(d1, d1).reshape(9, 1)
     # |d1| . |T| . |d2|, the size the contraction rounds at
     size12, size11 = np.abs(dd12), np.abs(dd11)
     ones = np.ones((9, 1))
-    kz_err = _kz_err(engine, panel_sets)
+    kz_err = _kz_err(panel_sets)
     res_err = tab.panel_err + tab.tail_bound + tab.azimuthal_err
     g11 = tab.integrate(0.0)[0].reshape(9)
-    i11, e11 = _kappa_oracle(engine, panel_sets, 0.0, dd11)
-    _, e11_all = _kappa_oracle(engine, panel_sets, 0.0, np.eye(9))
-    a11, _ = _kappa_oracle(engine, panel_sets, 0.0, ones)
+    i11, e11 = _kappa_oracle(interaction, panel_sets, 0.0, dd11)
+    _, e11_all = _kappa_oracle(interaction, panel_sets, 0.0, np.eye(9))
+    a11, _ = _kappa_oracle(interaction, panel_sets, 0.0, ones)
     odd = ~emitters._P_EVEN
     for dz in (0.02, 0.5, 1.3, 8.0):
         r = interaction.at(dz)
         g12 = tab.integrate(dz)[0].reshape(9)
         gvac = green_vacuum_cyl((0.03, 0.0, 0.0), (0.03, 0.0, -dz), w).value.reshape(9)
-        i12, e12 = _kappa_oracle(engine, panel_sets, dz, dd12)
-        _, e12_all = _kappa_oracle(engine, panel_sets, dz, np.eye(9))
-        a12, _ = _kappa_oracle(engine, panel_sets, dz, ones)
+        i12, e12 = _kappa_oracle(interaction, panel_sets, dz, dd12)
+        _, e12_all = _kappa_oracle(interaction, panel_sets, dz, np.eye(9))
+        a12, _ = _kappa_oracle(interaction, panel_sets, dz, ones)
         if not np.array_equal(d1, d2):
             # the mirror-odd part of the rows is not zero here
-            i_odd = _kappa_oracle(engine, panel_sets, dz, odd[:, None] * dd12)[0]
+            i_odd = _kappa_oracle(interaction, panel_sets, dz, odd[:, None] * dd12)[0]
             assert abs(i_odd[0]) > 1e-3 * abs(i12[0])
         want = {
             "gamma11": (1.0 + 6.0 * math.pi / w * (g11 @ dd11)[0].imag,
@@ -427,7 +451,7 @@ def test_rows_with_mirror_odd_components_match_full_tensor(default_geom, split_b
             assert abs(getattr(r, name) - value) <= 1e-12 * float(np.max(scale)), name
         diag = r.diagnostics
         assert diag["resonant_tensor_err"] == 2.0 * res_err
-        assert diag["kappa_nodes"] == engine.n_nodes == 16 * 11
+        assert diag["kappa_nodes"] == interaction.kappa_nodes == 16 * 11
         assert diag["nmax"] == diag["kappa_nmax"] == 8
         # the bound covers at least the contracted integrand's Legendre tail,
         # and at most what the nine components' bound allows for these dipoles
@@ -438,7 +462,7 @@ def test_rows_with_mirror_odd_components_match_full_tensor(default_geom, split_b
         assert low - tiny <= diag["kappa_err"] <= high + tiny
         bound = 100.0 * interaction.tol
         converged = bool(tab.panels_ok and 2.0 * res_err <= bound * max(
-            1.0, abs(r.gamma11) * w / (6.0 * math.pi)) and engine.panels_ok
+            1.0, abs(r.gamma11) * w / (6.0 * math.pi)) and interaction.kappa_ok
             and diag["kappa_err"] <= bound * max(1.0, abs(i12[0]), abs(i11[0])))
         assert r.converged is converged
 
@@ -476,7 +500,8 @@ def test_near_wall_azimuthal_tail_is_loud(default_geom):
     kappas, weights = quadrature.t_substitution(t, OMEGA_A)
     dd = np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]).reshape(9, 1)
     with pytest.raises(ConvergenceError) as failure:
-        _kappa_panel_job((default_geom, 0.0115, kappas, weights, 0.05, 1e-6, None, dd))
+        _kappa_panel_job((default_geom, 0.0115, kappas, weights, 0.05, 1e-6, None, dd,
+                          (0.0, 0.02)))
     assert failure.value.diagnostics["nmax"] > N_MAX
     row = PairInteraction(default_geom, pair, tol=1e-6, nmax=N_MAX).at(0.02)
     assert set(row.diagnostics["failed_checks"]) == {"resonant_tensor_err", "kappa_err"}
@@ -499,9 +524,9 @@ def test_kappa_table_out_of_budget_is_unconverged(default_geom, default_pair,
     starved = PairInteraction(default_geom, default_pair, tol=1e-6,
                               dz_refs=(0.0, 0.02, 0.5, 2.0, 4.0))
     assert [tab.panels_ok for tab in sets] == [False] + [True] * 4
-    assert starved._kappa_engine.panels_ok is False
+    assert starved.kappa_ok is False
     assert starved.at(0.5).converged is False
-    assert pair_engine._kappa_engine.panels_ok is True
+    assert pair_engine.kappa_ok is True
     assert pair_engine.at(0.5).converged is True
 
 
@@ -529,7 +554,7 @@ def test_t_rule_error_bounds_a_tighter_rebuild(name):
     pair = EmitterPair((rho, 0.0, 0.0), (rho, 0.0, 0.02), dipole_1=d, dipole_2=d)
     coarse, fine = (PairInteraction(geom, pair, tol=tol, nmax=15,
                                     dz_refs=(0.0, 0.02, 2.01, 4.0)) for tol in (1e-6, 1e-8))
-    breaks = {t for panel in coarse._kappa_engine.panels for t in panel}
+    breaks = {t for panel in coarse.kappa_panels for t in panel}
     assert (0.9 in breaks) is (name != "mid_gap")
     w = pair.omega_a
     margins = {}
