@@ -12,18 +12,16 @@ phase without touching the integrand again -- which is what makes dense
 distance sweeps affordable.  With lambda = 0 the panels reduce to plain
 Gauss-Legendre quadrature.
 
-Every panel set is built one way: a step generator yields the panels it
-wants evaluated, ``run_steps`` evaluates their nodes in one call per step
-and sends back their records, and the generator keeps the ones its rule
-adds.  The kz tables, the t grid of the pair engine's imaginary-frequency
-integral and the validation integrals differ only in their seed steps and
-their node values: every set ends in ``PanelSet.refine``, one rule that
-splits the worst panel until the summed bound meets a target read again
-after each round of splits while it falls.  The kz tables' steps look
-ahead: one step evaluates the panels that several steps of one panel (or
-one split) each would add, as many as one evaluator call carries, and the
-records that rule never asks for are dropped, so every table is the one
-that one panel per step builds, bit for bit.
+Every panel set is built one way: its seed panels, then ``PanelSet.refine``,
+one rule that splits the worst panel until the summed bound meets a target
+read again after each round of splits while it falls.  Each step of a build
+calls the integrand once, on the nodes of every panel the step adds
+(``_evaluate``).  The kz tables, the t grid of the pair engine's
+imaginary-frequency integral and the validation integrals differ only in
+their seed panels and their node values, and the kz tables add geometric
+tail blocks between their seeds and the refinement.  The kz tables' steps
+look ahead (``build_spectral_panels``), so every table is the one that one
+panel per step builds, bit for bit.
 
 Public operations:
 
@@ -73,7 +71,7 @@ _TWO_IPOW = 2.0 * 1j ** _KIDX[:, None]
 #: 128 nodes per call than at 256; at order 15, 328 nodes cut the calls 42%.
 NODE_CAP = 128
 
-#: The look-ahead of ``_spectral_steps``: the most tail blocks one step
+#: The look-ahead of ``build_spectral_panels``: the most tail blocks one step
 #: evaluates, and the share of the worst panel's bound from which a
 #: bisection step evaluates another panel's parts along with the worst one's
 #: (``PanelSet.refine``).
@@ -189,22 +187,11 @@ def _panel_nodes(a, b):
     return 0.5 * (b + a) + 0.5 * (b - a) * _GL_X
 
 
-def run_steps(f, steps):
-    """Run the step generator ``steps``.
-
-    At each step the generator yields the (a, b) panels it wants evaluated.
-    Their nodes are evaluated together, in one call f(x), and the generator
-    resumes with their ``PanelSet`` records, in request order, to append or
-    drop.  Returns its return value.
-    """
-    recs = None
-    while True:
-        try:
-            req = steps.send(recs)
-        except StopIteration as stop:
-            return stop.value
-        x = _panel_nodes(*np.array(req, float).T[:, :, None]).ravel()
-        recs = _records(req, np.reshape(f(x), (len(req), _NPTS, -1)))
+def _evaluate(f, panels):
+    """``PanelSet`` records of the (a, b) ``panels``, in their order, from
+    one call f(x) on all their nodes."""
+    x = _panel_nodes(*np.array(panels, float).T[:, :, None]).ravel()
+    return _records(panels, np.reshape(f(x), (len(panels), _NPTS, -1)))
 
 
 def _records(panels, vals):
@@ -224,8 +211,8 @@ class PanelSet:
     """Adaptive Legendre-coefficient panels of a spectrum held at +kz only.
 
     Each panel's record holds the Legendre coefficients, shape (16, n_comp),
-    of its values at its Gauss nodes; the steps of ``run_steps`` append the
-    records (``_records`` makes them) and ``refine`` splits them.
+    of its values at its Gauss nodes; the builders append the records
+    (``_evaluate`` makes them) and ``refine`` splits them.
     ``integral`` integrates them against exp(+i phase x).  With a
     per-component ``mirror`` sign the -kz side mirror * f(x) is integrated
     against exp(-i phase x) as well; ``None`` makes the integral one-sided.
@@ -250,21 +237,21 @@ class PanelSet:
     def err(self):
         return float(sum(p[3] for p in self.panels))
 
-    def refine(self, target, split=None, pairs=1):
-        """Steps for ``run_steps`` that split the worst panel until the
-        summed bound meets ``target(self)``, read again after each round of
-        splits and met again while it falls: each split drops that panel
-        [a, b] and appends its two parts, cut at ``split(a, b)`` (its
-        midpoint by default).  Returns the converged flag, False once the
-        budget or a panel's width leaves no split.
+    def refine(self, f, target, split=None, pairs=1):
+        """Split the worst panel until the summed bound meets
+        ``target(self)``, read again after each round of splits and met again
+        while it falls: each split drops that panel [a, b] and appends its two
+        parts, cut at ``split(a, b)`` (its midpoint by default), whose nodes
+        f evaluates.  Returns the converged flag, False once the budget or a
+        panel's width leaves no split.
 
-        A step evaluates the parts of up to ``pairs`` panels: the worst
-        one's and, worst first, those of other panels whose bound is at least
-        SPLIT_AHEAD times the worst, as far as the budget has room beside the
-        parts already evaluated.  Evaluated parts are kept by their panel's
-        (a, b), over every round, until a split takes them, and a step comes
-        only when the worst panel's parts are not there; so the splits are
-        those of one split per step.
+        A step evaluates the parts of up to ``pairs`` panels in one call of
+        f: the worst one's and, worst first, those of other panels whose
+        bound is at least SPLIT_AHEAD times the worst, as far as the budget
+        has room beside the parts already evaluated.  Evaluated parts are
+        kept by their panel's (a, b), over every round, until a split takes
+        them, and a step comes only when the worst panel's parts are not
+        there; so the splits are those of one split per step.
         """
         spare = {}
         met, goal = math.inf, target(self)
@@ -291,8 +278,8 @@ class PanelSet:
                                      and not _too_narrow(p[0], p[1])), key=lambda p: -p[3])
                     want += [(p[0], p[1]) for p in others[:room]]
                 cuts = [0.5 * (pa + pb) if split is None else split(pa, pb) for pa, pb in want]
-                recs = yield [part for (pa, pb), m in zip(want, cuts)
-                              for part in ((pa, m), (m, pb))]
+                recs = _evaluate(f, [part for (pa, pb), m in zip(want, cuts)
+                                     for part in ((pa, m), (m, pb))])
                 spare.update(zip(want, zip(recs[::2], recs[1::2])))
             del self.panels[worst]
             for rec in spare.pop((a, b)):
@@ -365,51 +352,41 @@ def _seed_breaks(k_start, pole_hint, branch_point):
 def build_spectral_panels(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
                           branch_point=None, tail_scale=None, budget=20000,
                           phase_for_blocks=0.0, orders=41):
-    """Panels of one +kz spectrum: seed panels on [0, k_start], extend
-    geometric tail blocks until they stop mattering, then refine everything.
+    """Panels of one +kz spectrum: seed panels on [0, k_start] at its
+    branch point and pole (``_seed_breaks``), geometric tail blocks until
+    they stop mattering, then ``PanelSet.refine`` toward the relative target
+    (``_relative_target``).
 
     ``fpanel`` and ``mirror`` are as for ``PanelSet``: the +kz spectrum and,
-    optionally, the sign pattern that maps it onto -kz.  The steps are those
-    of ``_spectral_steps``, and ``run_steps`` evaluates each step's nodes in
-    calls of fpanel of at most NODE_CAP * 41 // orders nodes, ``orders``
-    being the azimuthal-order terms that fpanel sums per node.  The set
-    integrates at ``phase_for_blocks``, the separation its tail blocks are
-    judged at.
-    Returns (PanelSet, tail_bound, converged_flag).
-    """
-    _check_tol(tol)
-    cap = NODE_CAP * 41 // orders
-
-    def capped(x):
-        return np.concatenate([fpanel(x[c:c + cap]) for c in range(0, len(x), cap)])
-
-    ps = PanelSet(budget, mirror, phase_for_blocks)
-    tail_bound, ok = run_steps(capped, _spectral_steps(
-        ps, k_start, pole_hint, branch_point, tol=tol, tail_scale=tail_scale, per_call=cap))
-    return ps, tail_bound, ok
-
-
-def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale, per_call):
-    """The panel steps of one spectrum into ``ps``, as a generator for
-    ``run_steps``: the seed panels, geometric tail blocks until they stop
-    mattering, then ``ps.refine`` toward the relative target
-    (``_relative_target``); returns (tail_bound, converged_flag).
+    optionally, the sign pattern that maps it onto -kz.  Each step's nodes
+    are evaluated in calls of fpanel of at most per_call = NODE_CAP * 41 //
+    orders nodes, ``orders`` being the azimuthal-order terms that fpanel
+    sums per node.  The set integrates at ``phase_for_blocks``, the
+    separation its tail blocks are judged at.
 
     The rule adds one tail block, or splits one panel, at a time, and is
     replayed on the records of steps that look ahead as far as one call of
-    fpanel carries (``per_call`` nodes), since a call costs more the fewer
-    nodes it carries: a tail step evaluates the next blocks, at most
+    fpanel carries, since a call costs more the fewer nodes it carries: a
+    tail step evaluates the next blocks, at most
     BLOCKS_AHEAD, which are appended and judged one by one, the rest dropped
-    once the blocks stop; a bisection step evaluates up to per_call // 32
-    splits.  So the panels kept, their order and every number read from them
-    are those of one panel per step.
+    once the blocks stop; a bisection step evaluates the parts of up to
+    per_call // 32 panels.  So the panels kept, their order and every number
+    read from them are those of one panel per step.
+    Returns (PanelSet, tail_bound, converged_flag).
     """
-    k_end = k_start + (200.0 / tail_scale if tail_scale else 400.0 * k_start)
+    _check_tol(tol)
+    per_call = NODE_CAP * 41 // orders
+
+    def f(x):
+        return np.concatenate([fpanel(x[c:c + per_call]) for c in range(0, len(x), per_call)])
+
+    ps = PanelSet(budget, mirror, phase_for_blocks)
     breaks = _seed_breaks(k_start, pole_hint, branch_point)
-    for rec in (yield list(zip(breaks[:-1], breaks[1:]))):
+    for rec in _evaluate(f, list(zip(breaks[:-1], breaks[1:]))):
         ps.append(rec)
 
     # the tail blocks, each 1.6 times as far out as the one before, to k_end
+    k_end = k_start + (200.0 / tail_scale if tail_scale else 400.0 * k_start)
     ends = [float(k_start)]
     while (b := min(ends[-1] * 1.6, k_end)) > ends[-1] * 1.0000001:
         ends.append(b)
@@ -420,7 +397,7 @@ def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale, pe
     recs = []
     for i in range(len(blocks)):
         if not recs:
-            recs = yield blocks[i:i + ahead]
+            recs = _evaluate(f, blocks[i:i + ahead])
         rec = ps.append(recs.pop(0))
         scale = max(1.0, float(np.abs(ps.integral()).max()))
         # the block's phase-aware contribution, which ``integral`` keeps in
@@ -436,9 +413,8 @@ def _spectral_steps(ps, k_start, pole_hint, branch_point, *, tol, tail_scale, pe
         if ((tail_bound < 0.25 * tol * scale and len(block_mags) >= 2)
                 or ps.nodes_used > 0.8 * ps.budget):
             break
-    ok = yield from ps.refine(_relative_target(tol),
-                              pairs=max(1, per_call // (2 * _NPTS)))
-    return tail_bound, ok
+    ok = ps.refine(f, _relative_target(tol), pairs=max(1, per_call // (2 * _NPTS)))
+    return ps, tail_bound, ok
 
 
 def _relative_target(tol):
@@ -449,16 +425,12 @@ def _relative_target(tol):
 
 def _one_sided(f, breaks, target, budget, split=None):
     """(PanelSet, converged flag) of the one-sided integral of ``f``: the
-    panels between ``breaks``, then ``PanelSet.refine`` with ``split``
-    toward ``target``."""
+    panels between ``breaks``, evaluated in one call of f, then
+    ``PanelSet.refine`` with ``split`` toward ``target``."""
     ps = PanelSet(budget)
-
-    def steps():
-        for rec in (yield list(zip(breaks[:-1], breaks[1:]))):
-            ps.append(rec)
-        return (yield from ps.refine(target, split))
-
-    return ps, run_steps(f, steps())
+    for rec in _evaluate(f, list(zip(breaks[:-1], breaks[1:]))):
+        ps.append(rec)
+    return ps, ps.refine(f, target, split)
 
 
 def _check_tol(tol):
@@ -490,7 +462,8 @@ def imag_axis_panels(values, tol, t_cut, budget):
     its midpoint otherwise (``PanelSet.refine``), until the summed bound
     meets half of ``tol`` times the largest component of the integral (at
     least 1), read again after each round of splits while it falls.
-    values(t) gives the node values at the t nodes."""
+    values(t) gives the node values at the t nodes, 16 per panel: it is
+    called once for the seed panels and once per step of the refinement."""
     seeds = [t for t in T_SEEDS if t < t_cut]
     if len(seeds) > 1 and t_cut - seeds[-1] < 0.25 * (seeds[-1] - seeds[-2]):
         seeds.pop()

@@ -310,6 +310,31 @@ def test_kappa_job_node_values_are_what_its_rows_read(default_geom, default_pair
         assert (np.abs(rows[1:] - coefs[:, j]) <= 1e-13 * sizes[:, j]).all()
 
 
+@pytest.mark.parametrize("rho", [0.015, 0.02, 0.03, 0.1])
+def test_kappa_cutoff_leaves_nothing_the_rows_can_see(default_geom, rho):
+    # the t grid stops at the kappa cutoff of ``_kappa_sets``; one more t
+    # panel from there to 1 - 1e-4 must add to d1 . T . d2 at dz 0.02 and to
+    # d1 . T . d1 at most 1e-8 of the rows' target, tol max(1, |i12|, |i11|)
+    tol, dz = 1e-6, 0.02
+    pair = EmitterPair((rho, 0.0, 0.0), (rho, 0.0, dz))
+    interaction = PairInteraction(default_geom, pair, tol=tol, dz_refs=(0.0, dz))
+    w = pair.omega_a
+    kap_cut = max(6.0 * w, 20.0 / (2.0 * (rho - default_geom.radius)))
+    a, b = kap_cut / (w + kap_cut), 1.0 - 1e-4
+    half = 0.5 * (b - a)
+    kappas, weights = quadrature.t_substitution(quadrature._panel_nodes(a, b), w)
+    d = np.asarray(pair.dipole_1)
+    dd = np.stack([np.outer(d, np.asarray(pair.dipole_2)).ravel(), np.outer(d, d).ravel()],
+                  axis=1)
+    vals = emitters._kappa_panel_job(
+        (default_geom, rho, kappas, weights, half, tol, None, dd, (dz,)))[3]
+    tails = (vals * (half * _GL_W)[:, None]).sum(axis=0)
+    i12, i11 = interaction._pass(dz)[1], interaction.kappa_coincident[0]
+    margins = tails / (tol * max(1.0, abs(i12), abs(i11)))
+    print(f"rho {rho}: cutoff tails over the target {margins}")
+    assert (np.abs(margins) <= 1e-8).all()
+
+
 def test_t_grid_stopped_by_the_table_budget_is_unconverged(default_geom, default_pair,
                                                           monkeypatch):
     # at tol 1e-10 the t grid wants more t panels than the 12 the budget

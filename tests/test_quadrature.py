@@ -145,6 +145,38 @@ def test_imag_axis_integrate_matches_panels_built_by_hand(name):
         value, err, nodes, ok and err <= tol * max(1.0, abs(value)))
 
 
+@pytest.mark.parametrize("integrate", ["plain", "imag_axis"])
+def test_one_sided_sets_call_f_once_per_step(integrate, monkeypatch):
+    # one call of f on the seed panels' nodes, then one per split on its two
+    # parts' nodes, 16 per panel: a build that evaluated panel by panel would
+    # keep every value and multiply the calls
+    added, calls = [], []
+    append = PanelSet.append
+
+    def record(self, rec):
+        added.append((rec[0], rec[1]))
+        return append(self, rec)
+
+    def counted(x):
+        calls.append(np.array(x))
+        return ONE_SIDED_CASES["resonance"](x)
+
+    monkeypatch.setattr(PanelSet, "append", record)
+    if integrate == "plain":
+        breaks, to_x = [0.0, 1.0, 4.0, 10.0], lambda t: t
+        _plain(counted, breaks, 1e-12, 60000)
+    else:
+        breaks, to_x = [*T_SEEDS, 1.0], lambda t: t_substitution(t, 3.3)[0]
+        imag_axis_integrate(counted, 3.3, tol=1e-10)
+    steps = [len(breaks) - 1] + [2] * ((len(added) - len(breaks) + 1) // 2)
+    assert len(steps) > 1 and sum(steps) == len(added)
+    assert [x.size for x in calls] == [16 * n for n in steps]
+    ends = np.cumsum([0, *steps])
+    for x, lo, hi in zip(calls, ends[:-1], ends[1:]):
+        assert np.array_equal(x, to_x(np.concatenate([_panel_nodes(a, b)
+                                                      for a, b in added[lo:hi]])))
+
+
 def test_t_rule_grades_its_static_end(monkeypatch):
     # after the seed panels every step adds the two parts of one split: a
     # panel from t = 0 cut at 1/8 of its width, any other at its midpoint;
