@@ -195,7 +195,9 @@ class PairInteraction:
     as unconverged.  ``kz_err``, the sum of the sets' error bounds (kz and
     azimuthal, in the integral's units), enters the error the rows report.
     ``kappa_panels``, ``kappa_nodes`` and ``kappa_orders`` are the t panels,
-    their node count and each set's azimuthal order, in grid order.
+    their node count and each set's azimuthal order, in grid order;
+    ``kappa_kz_nodes`` counts the kz nodes of every set built, those of
+    split t panels included, as ``kappa_nodes`` counts their t nodes.
     """
 
     def __init__(self, geom: WireGeometry, pair: EmitterPair, *, tol=1e-6,
@@ -218,9 +220,9 @@ class PairInteraction:
         self._d12 = float(self._d1 @ self._d2)
         self._d12_z = float(self._d1[2] * self._d2[2])
         dd = np.stack([np.outer(self._d1, d).ravel() for d in (self._d2, self._d1)], axis=1)
-        self.kappa_panels, self.kappa_nodes, grid_ok, sets = _kappa_sets(
+        self.kappa_panels, self.kappa_nodes, self.kappa_kz_nodes, grid_ok, sets = _kappa_sets(
             geom, rho, w, dd, tol=tol, nmax=nmax, dz_refs=tuple(dz_refs), parallel=parallel)
-        kz_halves, kz_mids, kz_cols, _, kz_errs, self.kappa_orders, oks = zip(*sets)
+        kz_halves, kz_mids, kz_cols, _, kz_errs, self.kappa_orders, oks, _ = zip(*sets)
         self.kz_err = float(sum(kz_errs))
         self.kappa_ok = grid_ok and all(oks)
         # d1 . G^med(r1, r1, omega_a) . d1 and the table's error, azimuthal
@@ -299,6 +301,7 @@ class PairInteraction:
                 "resonant_tensor_err": res_err,
                 "kappa_err": ierr,
                 "kappa_nodes": self.kappa_nodes,
+                "kappa_kz_nodes": self.kappa_kz_nodes,
                 "nmax": self.nmax,
                 "kappa_nmax": max(self.kappa_orders),
                 "failed_checks": failed,
@@ -327,8 +330,9 @@ def _kappa_sets(geom, rho, omega_a, dd, *, tol, nmax, dz_refs, parallel):
     panels of one build step over worker processes.  Each job settles its t
     panel's order from its own arguments alone, so the orders, like the
     sets, do not depend on the worker count.  At most KAPPA_TABLE_BUDGET t
-    panels are built.  Returns the t panels, their node count, the grid's
-    converged flag and each t panel's job result, in grid order.
+    panels are built.  Returns the t panels, their node count, the kz nodes
+    of every job run, the grid's converged flag and each t panel's job
+    result, in grid order.
     """
     gap = 2.0 * (rho - geom.radius)   # summed emitter-to-surface distance
     kap_cut = max(6.0 * omega_a, 20.0 / max(gap, 1e-6))
@@ -348,7 +352,7 @@ def _kappa_sets(geom, rho, omega_a, dd, *, tol, nmax, dz_refs, parallel):
     grid, grid_ok = quadrature.imag_axis_panels(
         values, tol, kap_cut / (omega_a + kap_cut), KAPPA_TABLE_BUDGET * _NPTS)
     panels = [(p[0], p[1]) for p in grid.panels]
-    return (panels, grid.nodes_used, grid_ok,
+    return (panels, grid.nodes_used, sum(job[-1] for job in sets.values()), grid_ok,
             [sets[quadrature._panel_nodes(a, b)[0]] for a, b in panels])
 
 
@@ -367,7 +371,7 @@ def _kappa_panel_job(job):
     the t-rule weight half * _GL_W.  Returns (halves, mids, columns (cos,
     sin; 16; kz panels; 4; C): the t panel's integral and its c_13..c_15,
     the node values, the set's whole error ``err`` (kz and azimuthal), its
-    order, whether it stayed within its budget).
+    order, whether it stayed within its budget, its kz nodes).
     Module-level with picklable arguments and result, so a sweep can run it
     in worker processes; the arithmetic, the order included, is the same for
     any worker count, which keeps outputs bit-reproducible.
@@ -385,7 +389,8 @@ def _kappa_panel_job(job):
     vals = [_phase_rows(halves, mids, cols[..., c].reshape(2, _NPTS, -1), dz)
             .reshape(-1, n).sum(axis=0) for dz, c in [(dz, 0) for dz in dz_refs] + [(0.0, 1)]]
     return (tab.halves, tab.mids, np.einsum("skpnc,rn->skprc", cols, _T_FOLD),
-            np.stack(vals, axis=1) / (half * _GL_W)[:, None], tab.err, tab.nmax, tab.panels_ok)
+            np.stack(vals, axis=1) / (half * _GL_W)[:, None], tab.err, tab.nmax, tab.panels_ok,
+            tab.nodes_used)
 
 
 def _fold(coefs, halves, dd):

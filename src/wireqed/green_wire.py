@@ -60,8 +60,8 @@ from .errors import ConvergenceError, DomainError, FitError, OverflowGuardError
 from .frequencies import SpectralPoint, as_spectral_point
 from .green_vacuum import DyadicGreen
 from .material import DrudeModel, permittivity
-from .quadrature import (QuadratureReport, _check_tol, _seed_breaks, build_spectral_panels,
-                         panel_terms)
+from .quadrature import (QuadratureReport, _check_tol, _graded_split, _seed_breaks,
+                         build_spectral_panels, panel_terms)
 
 #: Share of ``tol`` times the integral's scale that the azimuthal tail of a
 #: settled order may take.
@@ -82,6 +82,9 @@ ORDER_SCAN = 4 * N_MAX
 #: The pointwise test of ``wire_spectral_green``: the largest order-nmax term
 #: at the nodes asked for, relative to the largest |G~| there.
 NODE_TAIL_TOL = 1e-10
+#: Where an imaginary-axis kz panel that starts at kz = 0 is cut, as a
+#: fraction of its width: the branch points sit straight above kz = 0 there.
+KZ_GRADE = 0.25
 
 # Sign patterns of Sigma B Sigma (order -n) and P T P (-kz) on the
 # (rho, phi, z) components; see the module docstring.
@@ -658,9 +661,12 @@ def _build_table(geom, points, weights, rho1, rho2, dphi, *, tol, budget, nmax, 
     units of that sum.  Its window starts at the largest k_start of the
     points, the first point's pole and branch point seed it, and its tail
     blocks scale with the points' shared gap and are judged at
-    ``phase_ref``.  Each kz node is evaluated at every point in one
-    evaluator call (``which``).  With one point of weight 1 every value
-    keeps its bits.
+    ``phase_ref``.  On the imaginary axis, whose branch points lie at
+    kz = i kappa and i kappa sqrt(eps) and whose tail decays as e^(-gap kz),
+    a split of a panel from kz = 0 cuts it at KZ_GRADE of its width and the
+    tail blocks are at least 2 / gap wide.  Each kz node is evaluated at
+    every point in one evaluator call (``which``).  With one point of weight
+    1 every value keeps its bits.
     """
     found = [_k_window(geom, p, rho1, rho2) for p in points]
     nmax, tails, _ = settle_azimuthal_order(geom, points, rho1, rho2, dphi, tol=tol,
@@ -678,10 +684,12 @@ def _build_table(geom, points, weights, rho1, rho2, dphi, *, tol, budget, nmax, 
 
     (_, pole_hint, branch), gap = found[0]
     k_start = max(w[0][0] for w in found)
+    imag = evaluator.imaginary
     ps, tail_bound, ok = build_spectral_panels(
         weighted, tol=tol, k_start=k_start, mirror=np.tile(_MIRROR.ravel(), n),
         pole_hint=pole_hint, branch_point=branch, tail_scale=gap, budget=budget,
-        phase_for_blocks=phase_ref, orders=n * (nmax + 1))
+        phase_for_blocks=phase_ref, orders=n * (nmax + 1),
+        split=_graded_split(KZ_GRADE) if imag else None, min_block=2.0 / gap if imag else 0.0)
     return FrozenSpectralTable(*ps._freeze(), panel_err=ps.err, tail_bound=float(tail_bound),
                                panels_ok=bool(ok), nodes_used=ps.nodes_used, nmax=nmax,
                                azimuthal_err=float(np.abs(weights) @ tails), k_start=k_start)

@@ -351,11 +351,12 @@ def _seed_breaks(k_start, pole_hint, branch_point):
 
 def build_spectral_panels(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
                           branch_point=None, tail_scale=None, budget=20000,
-                          phase_for_blocks=0.0, orders=41):
+                          phase_for_blocks=0.0, orders=41, split=None, min_block=0.0):
     """Panels of one +kz spectrum: seed panels on [0, k_start] at its
     branch point and pole (``_seed_breaks``), geometric tail blocks until
-    they stop mattering, then ``PanelSet.refine`` toward the relative target
-    (``_relative_target``).
+    they stop mattering, then ``PanelSet.refine`` with ``split`` toward the
+    relative target (``_relative_target``).  The tail block after k ends at
+    max(1.6 k, k + min_block), capped at the tail's end.
 
     ``fpanel`` and ``mirror`` are as for ``PanelSet``: the +kz spectrum and,
     optionally, the sign pattern that maps it onto -kz.  Each step's nodes
@@ -385,10 +386,11 @@ def build_spectral_panels(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
     for rec in _evaluate(f, list(zip(breaks[:-1], breaks[1:]))):
         ps.append(rec)
 
-    # the tail blocks, each 1.6 times as far out as the one before, to k_end
+    # the tail blocks, each 1.6 times as far out as the one before and at
+    # least min_block wide, to k_end
     k_end = k_start + (200.0 / tail_scale if tail_scale else 400.0 * k_start)
     ends = [float(k_start)]
-    while (b := min(ends[-1] * 1.6, k_end)) > ends[-1] * 1.0000001:
+    while (b := min(max(ends[-1] * 1.6, ends[-1] + min_block), k_end)) > ends[-1] * 1.0000001:
         ends.append(b)
     blocks = list(zip(ends[:-1], ends[1:]))
     ahead = min(BLOCKS_AHEAD, max(1, per_call // _NPTS))
@@ -413,7 +415,7 @@ def build_spectral_panels(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
         if ((tail_bound < 0.25 * tol * scale and len(block_mags) >= 2)
                 or ps.nodes_used > 0.8 * ps.budget):
             break
-    ok = ps.refine(f, _relative_target(tol), pairs=max(1, per_call // (2 * _NPTS)))
+    ok = ps.refine(f, _relative_target(tol), split, pairs=max(1, per_call // (2 * _NPTS)))
     return ps, tail_bound, ok
 
 
@@ -444,13 +446,16 @@ def _check_tol(tol):
 T_SEEDS = (0.0, 0.1, 0.35, 0.65, 0.9)
 
 #: Where a refined t panel that starts at t = 0 is cut, as a fraction of its
-#: width: a geometric mesh toward the endpoint, where bisection would spend
-#: one parent panel per level.  Every other t panel is cut at its midpoint.
+#: width (``_graded_split``).
 T_GRADE = 0.125
 
 
-def _t_split(a, b):
-    return a + (T_GRADE if a == 0.0 else 0.5) * (b - a)
+def _graded_split(grade):
+    """The cut of a panel [a, b] at ``grade`` of its width when it starts
+    at 0 and at its midpoint otherwise: a geometric mesh toward an endpoint
+    0 near which the integrand varies fastest, where bisection would spend
+    one parent panel per level (Trefethen, ATAP, ch. 8)."""
+    return lambda a, b: a + (grade if a == 0.0 else 0.5) * (b - a)
 
 
 def imag_axis_panels(values, tol, t_cut, budget):
@@ -468,7 +473,7 @@ def imag_axis_panels(values, tol, t_cut, budget):
     if len(seeds) > 1 and t_cut - seeds[-1] < 0.25 * (seeds[-1] - seeds[-2]):
         seeds.pop()
     breaks = [*seeds, t_cut]
-    return _one_sided(values, breaks, _relative_target(tol), budget, _t_split)
+    return _one_sided(values, breaks, _relative_target(tol), budget, _graded_split(T_GRADE))
 
 
 def imag_axis_integrate(g, omega_a, tol=1e-8) -> QuadratureReport:

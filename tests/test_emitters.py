@@ -532,23 +532,65 @@ def test_near_wall_azimuthal_tail_is_loud(default_geom):
     assert set(row.diagnostics["failed_checks"]) == {"resonant_tensor_err", "kappa_err"}
 
 
+def test_kappa_kz_nodes_count_every_set(pair_engine):
+    # the kz nodes of the default pair's five shared kappa sets at tol 1e-6,
+    # whose splits from kz = 0 cut at a quarter of the panel and whose tail
+    # blocks are at least two decay lengths wide: 880
+    nodes = pair_engine.kappa_kz_nodes
+    print(f"kappa kz nodes of the default pair at tol 1e-6: {nodes}")
+    assert pair_engine.at(0.5).diagnostics["kappa_kz_nodes"] == nodes
+    assert 0 < nodes <= 900
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+@pytest.mark.parametrize("rho", [0.015, 0.03, 0.1])
+def test_kappa_set_errors_bound_a_tighter_rebuild(default_geom, monkeypatch, rho, tol):
+    # each shared kappa set that a build reads, rebuilt at its own order and
+    # tol 1e-3 tol, moves d1 . T . d2 at dz 0, 0.5 and 4 and d1 . T . d1 at 0
+    # by at most its reported kz error (panels and tail), and so by at most
+    # its whole error; away from dz = 0 the rows see the panels' Legendre
+    # tails, which Gauss exactness hides at dz = 0
+    built, sets = emitters.shared_spectral_table, []
+
+    def capture(*args, **kwargs):
+        sets.append((args, kwargs, built(*args, **kwargs)))
+        return sets[-1][2]
+
+    monkeypatch.setattr(emitters, "shared_spectral_table", capture)
+    pair = EmitterPair((rho, 0.0, 0.0), (rho, 0.0, 0.02))
+    interaction = PairInteraction(default_geom, pair, tol=tol, dz_refs=(0.0, 0.02, 2.01, 4.0))
+    assert interaction.kappa_ok
+    assert interaction.kappa_kz_nodes == sum(tab.nodes_used for _, _, tab in sets)
+    d1, d2 = np.asarray(pair.dipole_1), np.asarray(pair.dipole_2)
+    margins = []
+    for args, kwargs, tab in sets:
+        fine = built(*args, **{**kwargs, "tol": 1e-3 * tol, "nmax": tab.nmax})
+        moved = max([abs(d1 @ (tab.integrate(dz)[0] - fine.integrate(dz)[0]) @ d2)
+                     for dz in (0.0, 0.5, 4.0)]
+                    + [abs(d1 @ (tab.integrate(0.0)[0] - fine.integrate(0.0)[0]) @ d1)])
+        margins.append((tab.panel_err + tab.tail_bound) / max(moved, 1e-300))
+    print(f"rho {rho}, tol {tol:g}: smallest kz error / change of {len(sets)} sets "
+          f"{min(margins):.3g}")
+    assert min(margins) >= 1.0
+
+
 def test_kappa_table_out_of_budget_is_unconverged(default_geom, default_pair,
                                                   pair_engine, monkeypatch):
     # the shared engine's arguments, with every t panel's kz panel set held
-    # to 336 kz nodes instead of 30,000: the first seed panel's set needs
-    # 352 and the others at most 256, so exactly one runs out, and its flag
-    # must reach the row
+    # to 192 kz nodes instead of 30,000: the first and last seed panels'
+    # sets need 208 and the others at most 176, so those two run out, and
+    # their flags must reach the row
     built, sets = emitters.shared_spectral_table, []
 
     def short_budget(*args, **kwargs):
         assert kwargs["budget"] == 30000
-        sets.append(built(*args, **{**kwargs, "budget": 336}))
+        sets.append(built(*args, **{**kwargs, "budget": 192}))
         return sets[-1]
 
     monkeypatch.setattr(emitters, "shared_spectral_table", short_budget)
     starved = PairInteraction(default_geom, default_pair, tol=1e-6,
                               dz_refs=(0.0, 0.02, 0.5, 2.0, 4.0))
-    assert [tab.panels_ok for tab in sets] == [False] + [True] * 4
+    assert [tab.panels_ok for tab in sets] == [False, True, True, True, False]
     assert starved.kappa_ok is False
     assert starved.at(0.5).converged is False
     assert pair_engine.kappa_ok is True

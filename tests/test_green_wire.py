@@ -693,11 +693,12 @@ def test_azimuthal_error_bounds_the_change_at_n_max(rho, metal):
 
 def _one_panel_per_step(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
                         branch_point=None, tail_scale=None, budget=20000,
-                        phase_for_blocks=0.0, orders=41):
+                        phase_for_blocks=0.0, orders=41, split=None, min_block=0.0):
     """``build_spectral_panels`` by the rule of one panel per step, every
     panel evaluated by a direct call of fpanel on its own nodes: the seed
-    panels, one tail block at a time until the blocks stop, then one split
-    of the worst panel at a time, toward half of tol times the integral,
+    panels, one tail block at a time, each to max(1.6 k, k + min_block),
+    until the blocks stop, then one split of the worst panel at a time, at
+    ``split(a, b)`` or the midpoint, toward half of tol times the integral,
     read again after each round of splits while it falls."""
     import math
     from wireqed.quadrature import PanelSet, _panel_nodes, _records, _seed_breaks
@@ -715,8 +716,8 @@ def _one_panel_per_step(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
         add(a, b)
     k_end = k_start + (200.0 / tail_scale if tail_scale else 400.0 * k_start)
     k, mags, tail_bound = float(k_start), [], math.inf
-    while min(1.6 * k, k_end) > k * 1.0000001:
-        k2 = min(1.6 * k, k_end)
+    while min(max(1.6 * k, k + min_block), k_end) > k * 1.0000001:
+        k2 = min(max(1.6 * k, k + min_block), k_end)
         rec = add(k, k2)
         scale = max(1.0, float(np.abs(ps.integral()).max()))
         mags.append(max(float(np.abs(rec[5]).max()), 1e-300))
@@ -740,8 +741,9 @@ def _one_panel_per_step(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
         ok = ps.nodes_used + 32 <= budget and b - a >= 1e-14 * max(1.0, abs(a))
         if ok:
             del ps.panels[worst]
-            add(a, 0.5 * (a + b))
-            add(0.5 * (a + b), b)
+            m = 0.5 * (a + b) if split is None else split(a, b)
+            add(a, m)
+            add(m, b)
     return ps, tail_bound, ok
 
 
@@ -867,7 +869,9 @@ def _direct_table(geom, point, rho1, rho2, dphi, *, tol, nmax=None, budget=60000
                   phase_ref=0.0):
     """The frozen fields of a one-frequency table built directly on its
     evaluator, with no weights and no ``which``: the reference that the
-    one-point case of ``_build_table`` must match."""
+    one-point case of ``_build_table`` must match.  On the imaginary axis
+    its splits from kz = 0 are cut at a quarter of the panel and its tail
+    blocks are at least two decay lengths wide."""
     window = green_wire._k_window(geom, point, rho1, rho2)
     nmax, (tail,), _ = green_wire.settle_azimuthal_order(
         geom, point, rho1, rho2, dphi, tol=tol, nmax=nmax, dz=phase_ref, windows=[window])
@@ -876,7 +880,8 @@ def _direct_table(geom, point, rho1, rho2, dphi, *, tol, nmax=None, budget=60000
     ps, tail_bound, ok = green_wire.build_spectral_panels(
         evaluator, tol=tol, k_start=k_start, mirror=_MIRROR.ravel(), pole_hint=pole_hint,
         branch_point=branch, tail_scale=gap, budget=budget, phase_for_blocks=phase_ref,
-        orders=nmax + 1)
+        orders=nmax + 1, **({"split": lambda a, b: a + (0.25 if a == 0.0 else 0.5) * (b - a),
+                             "min_block": 2.0 / gap} if point.is_imaginary else {}))
     halves, mids, coefs = ps._freeze()
     return {"halves": halves, "mids": mids, "coefs": coefs, "panel_err": ps.err,
             "tail_bound": float(tail_bound), "panels_ok": bool(ok),
