@@ -590,8 +590,8 @@ def analytic_approximations(fit: LorentzianFit, dz: float,
     shift12/gamma11 = -(1/2) exp(-gamma dz) sin(kpl dz), lagging the decay
     coupling by a quarter period.
     """
-    if dz < 0:
-        raise DomainError("separation must be nonnegative")
+    if not (0.0 <= dz < math.inf and 0.0 < omega_a < math.inf):
+        raise DomainError(f"need finite dz >= 0 and omega_a > 0, got {dz}, {omega_a}")
     a, gam, kpl = fit.amplitude_a, fit.width_gamma, fit.center_kz_pl
     envelope = math.exp(-gam * dz)
     return ApproxRates(

@@ -60,8 +60,8 @@ from .errors import ConvergenceError, DomainError, FitError, OverflowGuardError
 from .frequencies import SpectralPoint, as_spectral_point
 from .green_vacuum import DyadicGreen
 from .material import DrudeModel, permittivity
-from .quadrature import (QuadratureReport, _check_tol, _graded_split, _seed_breaks,
-                         build_spectral_panels, panel_terms)
+from .quadrature import (QuadratureReport, _check_tol, _seed_breaks, build_spectral_panels,
+                         panel_terms)
 
 #: Share of ``tol`` times the integral's scale that the azimuthal tail of a
 #: settled order may take.
@@ -82,9 +82,6 @@ ORDER_SCAN = 4 * N_MAX
 #: The pointwise test of ``wire_spectral_green``: the largest order-nmax term
 #: at the nodes asked for, relative to the largest |G~| there.
 NODE_TAIL_TOL = 1e-10
-#: Where an imaginary-axis kz panel that starts at kz = 0 is cut, as a
-#: fraction of its width: the branch points sit straight above kz = 0 there.
-KZ_GRADE = 0.25
 
 # Sign patterns of Sigma B Sigma (order -n) and P T P (-kz) on the
 # (rho, phi, z) components; see the module docstring.
@@ -452,8 +449,8 @@ def plasmon_wavenumber(geom: WireGeometry, omega: float):
 
 
 def _k_window(geom, point, rho1, rho2):
-    """((k_start, pole_hint, branch_point), gap): the kz window of the
-    spectrum at ``point``, as ``build_spectral_panels`` takes it, and the
+    """(k_start, pole_hint, branch_point, gap): the kz window of the
+    spectrum at ``point``, as ``build_spectral_panels`` takes it; gap is the
     summed emitter-to-surface distance that scales its tail.
 
     On the real axis the branch point is |omega| and, where Re eps < -1 and
@@ -483,7 +480,7 @@ def _k_window(geom, point, rho1, rho2):
             pass
         arg_scale = max(rho1, rho2, geom.radius * abs(np.sqrt(eps2 + 0j)))
         k_start = min(k_start, 0.8 * OVERFLOW_GUARD / arg_scale)
-    return (k_start, pole_hint, branch_point), gap
+    return k_start, pole_hint, branch_point, gap
 
 
 def _probe_nodes(window):
@@ -496,8 +493,8 @@ def _probe_nodes(window):
     which every order term has fallen by e^-PROBE_REACH, each standing for
     the cell between the midpoints to its neighbours, the first from
     k_start."""
-    (k_start, pole, branch), gap = window
-    breaks = np.array(_seed_breaks(k_start, pole, branch))
+    k_start, _, _, gap = window
+    breaks = np.array(_seed_breaks(window))
     half, mid = 0.5 * np.diff(breaks)[:, None], 0.5 * (breaks[1:] + breaks[:-1])[:, None]
     tail = k_start * (1.0 + PROBE_REACH / (gap * k_start)) ** (
         np.arange(1, PROBE_NODES + 1) / PROBE_NODES)
@@ -658,15 +655,11 @@ def _build_table(geom, points, weights, rho1, rho2, dphi, *, tol, budget, nmax, 
     ``settle_azimuthal_order`` predicts from one probe for the weighted sum
     at separation ``phase_ref``.  Its components are the weighted spectra
     side by side, so its steps (``build_spectral_panels``) judge them in the
-    units of that sum.  Its window starts at the largest k_start of the
-    points, the first point's pole and branch point seed it, and its tail
-    blocks scale with the points' shared gap and are judged at
-    ``phase_ref``.  On the imaginary axis, whose branch points lie at
-    kz = i kappa and i kappa sqrt(eps) and whose tail decays as e^(-gap kz),
-    a split of a panel from kz = 0 cuts it at KZ_GRADE of its width and the
-    tail blocks are at least 2 / gap wide.  Each kz node is evaluated at
-    every point in one evaluator call (``which``).  With one point of weight
-    1 every value keeps its bits.
+    units of that sum.  Its window, which shapes it, starts at the largest
+    k_start of the points and takes the first point's pole, branch point
+    and gap; its tail blocks are judged at ``phase_ref``.  Each kz node is
+    evaluated at every point in one evaluator call (``which``).  With one
+    point of weight 1 every value keeps its bits.
     """
     found = [_k_window(geom, p, rho1, rho2) for p in points]
     nmax, tails, _ = settle_azimuthal_order(geom, points, rho1, rho2, dphi, tol=tol,
@@ -682,14 +675,10 @@ def _build_table(geom, points, weights, rho1, rho2, dphi, *, tol, budget, nmax, 
         vals = evaluator(np.repeat(x, n), np.arange(n * x.size) % n)
         return (vals.reshape(x.size, 9 * n).view(float) * spread).view(complex)
 
-    (_, pole_hint, branch), gap = found[0]
-    k_start = max(w[0][0] for w in found)
-    imag = evaluator.imaginary
+    k_start = max(w[0] for w in found)
     ps, tail_bound, ok = build_spectral_panels(
-        weighted, tol=tol, k_start=k_start, mirror=np.tile(_MIRROR.ravel(), n),
-        pole_hint=pole_hint, branch_point=branch, tail_scale=gap, budget=budget,
-        phase_for_blocks=phase_ref, orders=n * (nmax + 1),
-        split=_graded_split(KZ_GRADE) if imag else None, min_block=2.0 / gap if imag else 0.0)
+        weighted, (k_start, *found[0][1:]), tol=tol, mirror=np.tile(_MIRROR.ravel(), n),
+        budget=budget, phase=phase_ref, orders=n * (nmax + 1))
     return FrozenSpectralTable(*ps._freeze(), panel_err=ps.err, tail_bound=float(tail_bound),
                                panels_ok=bool(ok), nodes_used=ps.nodes_used, nmax=nmax,
                                azimuthal_err=float(np.abs(weights) @ tails), k_start=k_start)

@@ -19,17 +19,16 @@ calls the integrand once, on the nodes of every panel the step adds
 (``_evaluate``).  The kz tables, the t grid of the pair engine's
 imaginary-frequency integral and the validation integrals differ only in
 their seed panels and their node values, and the kz tables add geometric
-tail blocks between their seeds and the refinement.  The kz tables' steps
-look ahead (``build_spectral_panels``), so every table is the one that one
-panel per step builds, bit for bit.
+tail blocks between their seeds and the refinement, placed with the cuts
+by one kz window.  Their steps look ahead (``build_spectral_panels``), so
+every table is the one that one panel per step builds, bit for bit.
 
 Public operations:
 
-* ``build_spectral_panels`` -- panels of a +kz spectrum, seeded at poles and
-                               branch points and extended over its tail; a
-                               per-component mirror sign supplies the -kz side,
-                               and the components may be several spectra
-                               sharing one set of panels
+* ``build_spectral_panels`` -- panels of a +kz spectrum, shaped by its kz
+                               window; a per-component mirror sign supplies
+                               the -kz side, and the components may be
+                               several spectra sharing one set of panels
 * ``imag_axis_panels``      -- the t grid of every imaginary-axis integral:
                                the pair engine's and the one below differ
                                only in cut and budget
@@ -332,7 +331,8 @@ def panel_terms(half, mid, coef, lam, mirror=None):
     return out
 
 
-def _seed_breaks(k_start, pole_hint, branch_point):
+def _seed_breaks(window):
+    k_start, pole_hint, branch_point, _ = window
     pts = {0.0, float(k_start)}
     if branch_point is not None and 0.0 < branch_point < k_start:
         bp = float(branch_point)
@@ -349,48 +349,53 @@ def _seed_breaks(k_start, pole_hint, branch_point):
     return sorted(pts)
 
 
-def build_spectral_panels(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
-                          branch_point=None, tail_scale=None, budget=20000,
-                          phase_for_blocks=0.0, orders=41, split=None, min_block=0.0):
-    """Panels of one +kz spectrum: seed panels on [0, k_start] at its
-    branch point and pole (``_seed_breaks``), geometric tail blocks until
-    they stop mattering, then ``PanelSet.refine`` with ``split`` toward the
-    relative target (``_relative_target``).  The tail block after k ends at
-    max(1.6 k, k + min_block), capped at the tail's end.
+def build_spectral_panels(fpanel, window, *, tol, mirror=None, budget=20000, phase=0.0,
+                          orders=41):
+    """Panels of one +kz spectrum, shaped by its kz ``window`` =
+    (k_start, pole_hint, branch_point, gap): seed panels on [0, k_start] at
+    the branch point and the pole (kz_pole, width), either of them None
+    (``_seed_breaks``); tail blocks to k_start + 200 / gap until they stop
+    mattering, each bounded by its largest value over gap (the tail decays
+    like e^(-gap kz)); then ``PanelSet.refine`` toward ``_relative_target``.
+    With a branch point on the real kz axis, splits bisect and a block from
+    k ends at 1.6 k; without one (the imaginary axis, whose branch points
+    sit above kz = 0), a split of a panel from 0 cuts it at KZ_GRADE of its
+    width and a block from k ends at max(1.6 k, k + 2 / gap).
 
     ``fpanel`` and ``mirror`` are as for ``PanelSet``: the +kz spectrum and,
     optionally, the sign pattern that maps it onto -kz.  Each step's nodes
     are evaluated in calls of fpanel of at most per_call = NODE_CAP * 41 //
     orders nodes, ``orders`` being the azimuthal-order terms that fpanel
-    sums per node.  The set integrates at ``phase_for_blocks``, the
-    separation its tail blocks are judged at.
+    sums per node.  The set integrates at ``phase``, the separation its
+    tail blocks are judged at.
 
     The rule adds one tail block, or splits one panel, at a time, and is
     replayed on the records of steps that look ahead as far as one call of
     fpanel carries, since a call costs more the fewer nodes it carries: a
-    tail step evaluates the next blocks, at most
-    BLOCKS_AHEAD, which are appended and judged one by one, the rest dropped
-    once the blocks stop; a bisection step evaluates the parts of up to
-    per_call // 32 panels.  So the panels kept, their order and every number
-    read from them are those of one panel per step.
-    Returns (PanelSet, tail_bound, converged_flag).
+    tail step evaluates the next blocks, at most BLOCKS_AHEAD, which are
+    appended and judged one by one, the rest dropped once the blocks stop; a
+    bisection step evaluates the parts of up to per_call // 32 panels.  So
+    the panels kept, their order and every number read from them are those
+    of one panel per step.  Returns (PanelSet, tail_bound, converged_flag).
     """
     _check_tol(tol)
+    k_start, _, branch_point, gap = window
+    graded = branch_point is None
     per_call = NODE_CAP * 41 // orders
 
     def f(x):
         return np.concatenate([fpanel(x[c:c + per_call]) for c in range(0, len(x), per_call)])
 
-    ps = PanelSet(budget, mirror, phase_for_blocks)
-    breaks = _seed_breaks(k_start, pole_hint, branch_point)
+    ps = PanelSet(budget, mirror, phase)
+    breaks = _seed_breaks(window)
     for rec in _evaluate(f, list(zip(breaks[:-1], breaks[1:]))):
         ps.append(rec)
 
     # the tail blocks, each 1.6 times as far out as the one before and at
-    # least min_block wide, to k_end
-    k_end = k_start + (200.0 / tail_scale if tail_scale else 400.0 * k_start)
+    # least min_width wide, to k_end
+    k_end, min_width = k_start + 200.0 / gap, 2.0 / gap if graded else 0.0
     ends = [float(k_start)]
-    while (b := min(max(ends[-1] * 1.6, ends[-1] + min_block), k_end)) > ends[-1] * 1.0000001:
+    while (b := min(max(ends[-1] * 1.6, ends[-1] + min_width), k_end)) > ends[-1] * 1.0000001:
         ends.append(b)
     blocks = list(zip(ends[:-1], ends[1:]))
     ahead = min(BLOCKS_AHEAD, max(1, per_call // _NPTS))
@@ -410,12 +415,12 @@ def build_spectral_panels(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
         if len(block_mags) >= 2:
             q = min(max(block_mags[-1] / max(block_mags[-2], 1e-300), 0.05), 0.9)
             tail_bound = block_mags[-1] * q / (1.0 - q)
-        if tail_scale is not None:
-            tail_bound = min(tail_bound, rec[4] / max(tail_scale, 1e-300))
+        tail_bound = min(tail_bound, rec[4] / gap)
         if ((tail_bound < 0.25 * tol * scale and len(block_mags) >= 2)
                 or ps.nodes_used > 0.8 * ps.budget):
             break
-    ok = ps.refine(f, _relative_target(tol), split, pairs=max(1, per_call // (2 * _NPTS)))
+    ok = ps.refine(f, _relative_target(tol), _graded_split(KZ_GRADE) if graded else None,
+                   pairs=max(1, per_call // (2 * _NPTS)))
     return ps, tail_bound, ok
 
 
@@ -440,6 +445,14 @@ def _check_tol(tol):
         raise DomainError(f"tol must be finite and >= 1e-12, got {tol}")
 
 
+def _checked_frequency(omega_a, tol):
+    """float(omega_a) of a validation integral, once it and ``tol`` pass."""
+    _check_tol(tol)
+    if not 0.0 < omega_a < math.inf:
+        raise DomainError(f"omega_a must be finite and positive, got {omega_a}")
+    return float(omega_a)
+
+
 #: Seed breaks of every t grid: five coarse panels below a cut above 0.9.
 #: The refinement sizes the grid from them and grades it toward the static
 #: end t -> 0, where the medium response is largest (``T_GRADE``).
@@ -448,6 +461,9 @@ T_SEEDS = (0.0, 0.1, 0.35, 0.65, 0.9)
 #: Where a refined t panel that starts at t = 0 is cut, as a fraction of its
 #: width (``_graded_split``).
 T_GRADE = 0.125
+#: Where a kz panel that starts at kz = 0 is cut, as a fraction of its width,
+#: in a window without a branch point (``build_spectral_panels``).
+KZ_GRADE = 0.25
 
 
 def _graded_split(grade):
@@ -462,11 +478,9 @@ def imag_axis_panels(values, tol, t_cut, budget):
     """(PanelSet, converged flag) of an imaginary-axis integral over
     t in [0, t_cut]: the panels between the T_SEEDS below t_cut, the last of
     them dropped when it lies closer to t_cut than a quarter of its gap to
-    the seed before it (so no sliver panel ends the grid), then splits of
-    the worst panel, at T_GRADE of its width if it starts at t = 0 and at
-    its midpoint otherwise (``PanelSet.refine``), until the summed bound
-    meets half of ``tol`` times the largest component of the integral (at
-    least 1), read again after each round of splits while it falls.
+    the seed before it (so no sliver panel ends the grid), then
+    ``PanelSet.refine`` toward the relative target (``_relative_target``),
+    a split of a panel from t = 0 cutting it at T_GRADE of its width.
     values(t) gives the node values at the t nodes, 16 per panel: it is
     called once for the seed panels and once per step of the refinement."""
     seeds = [t for t in T_SEEDS if t < t_cut]
@@ -485,8 +499,7 @@ def imag_axis_integrate(g, omega_a, tol=1e-8) -> QuadratureReport:
     decays at least as fast as 1/kappa^2, so the full interval is
     integrable.  g maps an array of kappa to an array of values.
     """
-    _check_tol(tol)
-    wa = float(omega_a)
+    wa = _checked_frequency(omega_a, tol)
 
     def integrand(t):
         kap, w = t_substitution(t, wa)
@@ -534,8 +547,7 @@ def pv_shift_oracle(imG, omega_a, tol=1e-9, *, omega_max=None,
     substitution u = 1/w, which requires imG to be evaluable at arbitrarily
     large arguments (true for all model functions used in validation).
     """
-    _check_tol(tol)
-    wa = float(omega_a)
+    wa = _checked_frequency(omega_a, tol)
     F = lambda w: w**2 * np.asarray(imG(w), float)
     FA = float(F(np.asarray([wa]))[0])
 
@@ -605,8 +617,7 @@ def kk_check(G_component, omega_a, grid=None, *, arc_limit=0.0, tol=1e-8) -> KKR
     reach 20*omega_a.  A constant (zero-Im) input is flagged degenerate
     instead of producing a meaningless residual.
     """
-    _check_tol(tol)
-    wa = float(omega_a)
+    wa = _checked_frequency(omega_a, tol)
     if grid is not None:
         grid = np.asarray(grid, float)
         if (grid.ndim != 1 or grid.size < 2 or not np.isfinite(grid).all()

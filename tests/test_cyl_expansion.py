@@ -57,11 +57,13 @@ def test_expansion_reproduces_closed_form(s, tol):
     np.testing.assert_array_equal(free_space_spectrum(-nodes, s, rho1, rho2, dphi),
                                   _MIRROR * plus)
 
+    # the tail decays as e^(-(rho1 - rho2) kz); the imaginary axis has no
+    # branch point on the real kz axis
     branch = None if s.is_imaginary else abs(s.omega)
+    window = (4.0 * abs(s.value) + 20.0, None, branch, rho1 - rho2)
     ps, tail_bound, ok = build_spectral_panels(
-        lambda kz: free_space_spectrum(kz, s, rho1, rho2, dphi), tol=1e-9,
-        k_start=4.0 * abs(s.value) + 20.0, mirror=_MIRROR.ravel(), branch_point=branch,
-        tail_scale=rho1 - rho2, budget=60000, phase_for_blocks=dz)
+        lambda kz: free_space_spectrum(kz, s, rho1, rho2, dphi), window, tol=1e-9,
+        mirror=_MIRROR.ravel(), budget=60000, phase=dz)
     value = ps.integral().reshape(3, 3)
     assert ok and ps.err + tail_bound <= 1e-9 * max(1.0, np.abs(value).max())
 

@@ -774,6 +774,17 @@ class TestApproxRates:
         assert abs(ap.gamma12_over_gamma11) < 1e-12
         assert abs(ap.shift12_over_gamma11) == pytest.approx(0.5, rel=1e-15)
 
+    @pytest.mark.parametrize("dz,omega_a", [
+        (1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
+        (math.nan, OMEGA_A), (math.inf, OMEGA_A)])
+    def test_impossible_inputs_raise(self, dz, omega_a):
+        # without the check, omega_a = 0 divides by zero, dz = inf fails
+        # in math.cos, and the others return NaN or negative ratios
+        fit = LorentzianFit(amplitude_a=5.0, width_gamma=0.1, center_kz_pl=2.0,
+                            fit_residual=0.0)
+        with pytest.raises(DomainError):
+            analytic_approximations(fit, dz, omega_a)
+
     def test_shift_lags_coupling_by_quarter_period(self, plasmon_fit):
         # the two signals are in quadrature: the largest |cross-correlation|
         # sits a quarter period away (in anti-phase)

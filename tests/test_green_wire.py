@@ -130,7 +130,7 @@ def test_k_window_seeds_the_plasmon_only_below_the_accumulation(default_geom):
     above = SpectralPoint.real_axis(4.5 * OMEGA_A)
     for s, seed, branch in ((REAL, (kp, max(width, 1e-4 * OMEGA_A)), OMEGA_A),
                             (above, None, 4.5 * OMEGA_A), (IMAG, None, None)):
-        (k_start, pole, bp), gap = _k_window(default_geom, s, 0.015, 0.015)
+        k_start, pole, bp, gap = _k_window(default_geom, s, 0.015, 0.015)
         assert (pole, bp) == (seed, branch) and k_start > 0.0
         assert gap == pytest.approx(0.01)
 
@@ -691,18 +691,23 @@ def test_azimuthal_error_bounds_the_change_at_n_max(rho, metal):
     assert min(margins) >= 1.0
 
 
-def _one_panel_per_step(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
-                        branch_point=None, tail_scale=None, budget=20000,
-                        phase_for_blocks=0.0, orders=41, split=None, min_block=0.0):
+def _one_panel_per_step(fpanel, window, *, tol, mirror=None, budget=20000, phase=0.0,
+                        orders=41):
     """``build_spectral_panels`` by the rule of one panel per step, every
     panel evaluated by a direct call of fpanel on its own nodes: the seed
-    panels, one tail block at a time, each to max(1.6 k, k + min_block),
-    until the blocks stop, then one split of the worst panel at a time, at
-    ``split(a, b)`` or the midpoint, toward half of tol times the integral,
-    read again after each round of splits while it falls."""
+    panels, one tail block at a time until the blocks stop, then one split
+    of the worst panel at a time toward half of tol times the integral,
+    read again after each round of splits while it falls.  The shape comes
+    from the window: without a branch point, a block from k ends at
+    max(1.6 k, k + 2 / gap) and a split of a panel from 0 cuts it at a
+    quarter of its width; with one, a block ends at 1.6 k and a split
+    bisects."""
     import math
     from wireqed.quadrature import PanelSet, _panel_nodes, _records, _seed_breaks
-    ps = PanelSet(budget, mirror, phase_for_blocks)
+    k_start, _, branch_point, gap = window
+    graded = branch_point is None
+    min_width = 2.0 / gap if graded else 0.0
+    ps = PanelSet(budget, mirror, phase)
 
     def add(a, b):
         vals = np.reshape(fpanel(_panel_nodes(a, b)), (1, 16, -1))
@@ -711,13 +716,13 @@ def _one_panel_per_step(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
     def target():
         return 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max()))
 
-    breaks = _seed_breaks(k_start, pole_hint, branch_point)
+    breaks = _seed_breaks(window)
     for a, b in zip(breaks[:-1], breaks[1:]):
         add(a, b)
-    k_end = k_start + (200.0 / tail_scale if tail_scale else 400.0 * k_start)
+    k_end = k_start + 200.0 / gap
     k, mags, tail_bound = float(k_start), [], math.inf
-    while min(max(1.6 * k, k + min_block), k_end) > k * 1.0000001:
-        k2 = min(max(1.6 * k, k + min_block), k_end)
+    while min(max(1.6 * k, k + min_width), k_end) > k * 1.0000001:
+        k2 = min(max(1.6 * k, k + min_width), k_end)
         rec = add(k, k2)
         scale = max(1.0, float(np.abs(ps.integral()).max()))
         mags.append(max(float(np.abs(rec[5]).max()), 1e-300))
@@ -726,8 +731,7 @@ def _one_panel_per_step(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
         if len(mags) >= 2:
             q = min(max(mags[-1] / max(mags[-2], 1e-300), 0.05), 0.9)
             tail_bound = mags[-1] * q / (1.0 - q)
-        if tail_scale is not None:
-            tail_bound = min(tail_bound, rec[4] / max(tail_scale, 1e-300))
+        tail_bound = min(tail_bound, rec[4] / gap)
         if ((tail_bound < 0.25 * tol * scale and len(mags) >= 2)
                 or k >= k_end or ps.nodes_used > 0.8 * budget):
             break
@@ -741,7 +745,7 @@ def _one_panel_per_step(fpanel, *, tol, k_start, mirror=None, pole_hint=None,
         ok = ps.nodes_used + 32 <= budget and b - a >= 1e-14 * max(1.0, abs(a))
         if ok:
             del ps.panels[worst]
-            m = 0.5 * (a + b) if split is None else split(a, b)
+            m = a + (0.25 if a == 0.0 else 0.5) * (b - a) if graded else 0.5 * (a + b)
             add(a, m)
             add(m, b)
     return ps, tail_bound, ok
@@ -793,7 +797,7 @@ class _Captured(Exception):
 def _captured_panel_function(monkeypatch, geom, point, **kwargs):
     """The function of kz nodes that ``WireSpectralTable`` hands
     ``build_spectral_panels``, captured before any panel is built."""
-    def capture(fpanel, **_):
+    def capture(fpanel, *_, **__):
         raise _Captured(fpanel)
 
     monkeypatch.setattr(green_wire, "build_spectral_panels", capture)
@@ -868,20 +872,18 @@ def test_spectrum_anchors_take_few_evaluator_calls(monkeypatch):
 def _direct_table(geom, point, rho1, rho2, dphi, *, tol, nmax=None, budget=60000,
                   phase_ref=0.0):
     """The frozen fields of a one-frequency table built directly on its
-    evaluator, with no weights and no ``which``: the reference that the
-    one-point case of ``_build_table`` must match.  On the imaginary axis
-    its splits from kz = 0 are cut at a quarter of the panel and its tail
-    blocks are at least two decay lengths wide."""
+    evaluator, with no weights and no ``which``, by the rule of one panel
+    per step with the shape it reads from the window itself: the reference
+    that the one-point case of ``_build_table`` must match.  On the
+    imaginary axis its splits from kz = 0 are cut at a quarter of the panel
+    and its tail blocks are at least two decay lengths wide."""
     window = green_wire._k_window(geom, point, rho1, rho2)
     nmax, (tail,), _ = green_wire.settle_azimuthal_order(
         geom, point, rho1, rho2, dphi, tol=tol, nmax=nmax, dz=phase_ref, windows=[window])
-    (k_start, pole_hint, branch), gap = window
+    k_start = window[0]
     evaluator = SpectralEvaluator(geom, point, rho1, rho2, dphi, nmax=nmax)
-    ps, tail_bound, ok = green_wire.build_spectral_panels(
-        evaluator, tol=tol, k_start=k_start, mirror=_MIRROR.ravel(), pole_hint=pole_hint,
-        branch_point=branch, tail_scale=gap, budget=budget, phase_for_blocks=phase_ref,
-        orders=nmax + 1, **({"split": lambda a, b: a + (0.25 if a == 0.0 else 0.5) * (b - a),
-                             "min_block": 2.0 / gap} if point.is_imaginary else {}))
+    ps, tail_bound, ok = _one_panel_per_step(evaluator, window, tol=tol, mirror=_MIRROR.ravel(),
+                                             budget=budget, phase=phase_ref, orders=nmax + 1)
     halves, mids, coefs = ps._freeze()
     return {"halves": halves, "mids": mids, "coefs": coefs, "panel_err": ps.err,
             "tail_bound": float(tail_bound), "panels_ok": bool(ok),

@@ -7,9 +7,10 @@ from scipy import special
 
 from wireqed import (ConvergenceError, DomainError, OMEGA_A, imag_axis_integrate,
                      kk_check, pv_shift_oracle)
-from wireqed.quadrature import (T_SEEDS, PanelSet, _panel_nodes, _plain, _records,
-                                build_spectral_panels, imag_axis_panels, moments_for,
-                                panel_terms, t_substitution)
+from wireqed import quadrature
+from wireqed.quadrature import (KZ_GRADE, T_SEEDS, PanelSet, _panel_nodes, _plain, _records,
+                                _seed_breaks, build_spectral_panels, imag_axis_panels,
+                                moments_for, panel_terms, t_substitution)
 from wireqed.validate import (EQUIVALENCE_MODELS, ResonanceModel, pv_shift,
                               rotated_shift)
 
@@ -268,6 +269,20 @@ def test_tol_checked_before_integrating(integrate, tol):
         integrate(tol)
 
 
+@pytest.mark.parametrize("omega_a", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("integrate", [
+    lambda wa: imag_axis_integrate(_never_called, wa),
+    lambda wa: pv_shift_oracle(_never_called, wa),
+    lambda wa: kk_check(_never_called, wa),
+], ids=["imag_axis", "pv", "kk"])
+def test_omega_a_checked_before_integrating(integrate, omega_a):
+    # without the check, omega_a <= 0 samples the integrand and returns a
+    # number or divides by zero, and NaN spends the pv node budget; the
+    # error names omega_a, not the spectral point made from it
+    with pytest.raises(DomainError, match="omega_a"):
+        integrate(omega_a)
+
+
 @pytest.mark.parametrize("mirror", [None, np.ones(1)], ids=["one_sided", "mirrored"])
 def test_panel_sum_never_mixes_phases(mirror):
     # one set per phase; a set keeps each panel's integral, so a panel added
@@ -284,14 +299,49 @@ def test_panel_sum_never_mixes_phases(mirror):
             assert ps.integral()[0] == pytest.approx(closed, rel=1e-12)
 
 
-def kz_integral(f, *, tol, mirror=None, phase=0.0, **kwargs):
+def kz_integral(f, k_start, *, tol, mirror=None, phase=0.0, pole_hint=None, **kwargs):
     """(value, converged, nodes) of the panels of the +kz spectrum f at the
-    given phase, with the -kz side supplied by ``mirror`` when given."""
-    ps, tail_bound, ok = build_spectral_panels(f, tol=tol, mirror=mirror,
-                                               phase_for_blocks=phase, **kwargs)
+    given phase, with the -kz side supplied by ``mirror`` when given.  The
+    window has no branch point, and its gap 1 / (2 k_start) puts the tail's
+    end at 401 k_start."""
+    window = (k_start, pole_hint, None, 0.5 / k_start)
+    ps, tail_bound, ok = build_spectral_panels(f, window, tol=tol, mirror=mirror, phase=phase,
+                                               **kwargs)
     vec = ps.integral()
     converged = ok and ps.err + tail_bound <= tol * max(1.0, float(np.abs(vec).max()))
     return vec, converged, ps.nodes_used
+
+
+@pytest.mark.parametrize("branch_point", [None, 2.0], ids=["no_branch_point", "branch_point"])
+def test_window_picks_the_shape(monkeypatch, branch_point):
+    # one toy spectrum, sqrt(k) e^-k with its kink at kz = 0, on two windows
+    # that differ only in the branch point.  Without one, the first split of
+    # the first seed panel [0, b] cuts it at KZ_GRADE b and every tail block
+    # but the last is at least 2 / gap wide; with one, the cut is at b / 2
+    # and every block ends at 1.6 times its start
+    k_start, gap = 4.0, 0.5
+    window = (k_start, None, branch_point, gap)
+    calls, evaluate = [], quadrature._evaluate
+
+    def recorded(f, panels):
+        calls.append(list(panels))
+        return evaluate(f, panels)
+
+    monkeypatch.setattr(quadrature, "_evaluate", recorded)
+    ps, tail_bound, ok = build_spectral_panels(lambda k: np.sqrt(k) * np.exp(-k), window,
+                                               tol=1e-6)
+    assert ok and abs(ps.integral()[0] - math.sqrt(math.pi) / 2) <= 1e-6
+    b = _seed_breaks(window)[1]
+    cut = next(m for call in calls[1:] for a, m in call if a == 0.0)
+    assert cut == (KZ_GRADE * b if branch_point is None else 0.5 * b)
+    tail = sorted((p[0], p[1]) for p in ps.panels if p[0] >= k_start)
+    assert len(tail) >= 3 and tail[0][0] == k_start
+    for (a, end), (start, _) in zip(tail[:-1], tail[1:]):
+        assert start == end
+        if branch_point is None:
+            assert end - a >= 2.0 / gap and end == pytest.approx(max(1.6 * a, a + 2.0 / gap))
+        else:
+            assert end == 1.6 * a
 
 
 class TestKzIntegrate:
@@ -300,28 +350,26 @@ class TestKzIntegrate:
         amp, gam, k0, dz = 1.7, 0.23, 3.1, 2.4
         f = lambda k: amp / (1 + (k - k0) ** 2 / gam**2) \
             + amp / (1 + (k + k0) ** 2 / gam**2)
-        val, ok, _ = kz_integral(f, tol=1e-9, mirror=np.ones(1), phase=dz,
-                                 pole_hint=(k0, gam), k_start=30.0)
+        val, ok, _ = kz_integral(f, 30.0, tol=1e-9, mirror=np.ones(1), phase=dz,
+                                 pole_hint=(k0, gam))
         exact = 2 * math.pi * amp * gam * math.exp(-gam * dz) * math.cos(k0 * dz)
         assert ok
         assert abs(val[0] - exact) <= 1e-8 * max(1.0, abs(exact))
 
     def test_zero_integrand(self):
-        val, ok, _ = kz_integral(lambda k: 0.0 * k, tol=1e-10, mirror=np.ones(1),
-                                 k_start=5.0)
+        val, ok, _ = kz_integral(lambda k: 0.0 * k, 5.0, tol=1e-10, mirror=np.ones(1))
         assert ok
         assert val[0] == 0.0
 
     def test_gaussian_half_line(self):
         # no mirror: the integral runs over kz >= 0 only
-        val, ok, _ = kz_integral(lambda k: np.exp(-k * k), tol=1e-12, k_start=8.0)
+        val, ok, _ = kz_integral(lambda k: np.exp(-k * k), 8.0, tol=1e-12)
         assert ok
         assert abs(val[0] - math.sqrt(math.pi) / 2) <= 1e-10
 
     def test_budget_exhaustion_reports_not_converged(self):
         wiggly = lambda k: np.sin(50.0 * k) / (1.0 + k * k)
-        _, ok, nodes = kz_integral(wiggly, tol=1e-12, mirror=np.ones(1), k_start=20.0,
-                                   budget=128)
+        _, ok, nodes = kz_integral(wiggly, 20.0, tol=1e-12, mirror=np.ones(1), budget=128)
         assert not ok
         assert nodes <= 128 + 16
 
