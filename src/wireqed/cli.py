@@ -19,6 +19,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from dataclasses import asdict
 
 import numpy as np
 
@@ -247,8 +248,6 @@ def cmd_point(args) -> int:
         print(f"unconverged point: dz={args.dz:g}", file=sys.stderr)
         print(_failed_checks([result]), file=sys.stderr)
         return EXIT_CONVERGENCE
-    levels = dicke_levels(result)
-    markov = markov_diagnostic(result, args.dz, cfg.gamma0_abs)
     out = {
         "dz": args.dz,
         "gamma11_over_gamma0": result.gamma11,
@@ -261,22 +260,12 @@ def cmd_point(args) -> int:
         "shift11": {"resonant": result.shift11_resonant,
                     "integral": result.shift11_integral,
                     "total": result.shift11_total},
-        "dicke": {"symmetric_decay": levels.symmetric_decay,
-                  "symmetric_shift": levels.symmetric_shift,
-                  "antisymmetric_decay": levels.antisymmetric_decay,
-                  "antisymmetric_shift": levels.antisymmetric_shift,
-                  "superradiance_factor": levels.superradiance_factor},
-        "markov": {"bandwidth": markov.bandwidth, "max_rate": markov.max_rate,
-                   "warn": markov.warn},
+        "dicke": asdict(dicke_levels(result)),
+        "markov": asdict(markov_diagnostic(result, args.dz, cfg.gamma0_abs)),
         "converged": result.converged,
     }
     if fit is not None:
-        ap = analytic_approximations(fit, args.dz)
-        out["approximation"] = {
-            "gamma11_over_gamma0": ap.gamma11_over_gamma0,
-            "gamma12_over_gamma11": ap.gamma12_over_gamma11,
-            "shift12_over_gamma11": ap.shift12_over_gamma11,
-        }
+        out["approximation"] = asdict(analytic_approximations(fit, args.dz))
     _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", cfg.output_path)
     return EXIT_OK
 

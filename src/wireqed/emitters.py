@@ -648,8 +648,9 @@ def markov_diagnostic(result: RateShiftResult, dz: float,
     exceed a tenth of it, the flat-reservoir assumption is strained.
     Exactly at threshold no warning is raised (strict inequality).
     """
-    if dz <= 0:
-        raise DomainError("diagnostic needs dz > 0")
+    if not (0 < dz < math.inf and 0 < gamma0_abs < math.inf):
+        raise DomainError(f"diagnostic needs a finite dz > 0 and gamma0_abs > 0, "
+                          f"got {dz} and {gamma0_abs}")
     bandwidth = 1.0 / dz
     max_rate = max(abs(result.gamma12), abs(result.shift12_total)) * gamma0_abs
     return MarkovDiagnostic(bandwidth=bandwidth, max_rate=max_rate,

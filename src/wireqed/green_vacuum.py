@@ -54,12 +54,6 @@ def tensor_cart_to_cyl(g: np.ndarray, phi1: float, phi2: float) -> np.ndarray:
     return b1.T @ np.asarray(g) @ b2
 
 
-def tensor_cyl_to_cart(g: np.ndarray, phi1: float, phi2: float) -> np.ndarray:
-    b1 = cylindrical_basis(phi1)
-    b2 = cylindrical_basis(phi2)
-    return b1 @ np.asarray(g) @ b2.T
-
-
 def green_vacuum(r1, r2, s) -> DyadicGreen:
     """Free-space tensor between two distinct Cartesian points.
 
@@ -84,6 +78,8 @@ def green_vacuum(r1, r2, s) -> DyadicGreen:
 def _terms(k, r):
     """(pre, t_iso, t_rad) of G = pre (t_iso 1 + t_rad rhat rhat) at
     wavenumber k and distance r."""
+    if k == 0:
+        raise DomainError("the free-space tensor needs a nonzero frequency")
     kr = k * r
     pre = np.exp(1j * kr) / (4.0 * np.pi * r)
     t_iso = 1.0 + 1j / kr - 1.0 / (kr * kr)
@@ -117,10 +113,10 @@ def green_vacuum_cyl(p1, p2, s) -> DyadicGreen:
 
 
 def green_vacuum_im_coincident(omega: float) -> float:
-    """Im G_ii(r, r, omega) = omega / (6 pi) for real omega > 0 (c = 1)."""
+    """Im G_ii(r, r, omega) = omega / (6 pi) for real finite omega > 0 (c = 1)."""
     omega = float(omega)
-    if omega <= 0.0:
-        raise DomainError(f"coincident-point limit needs omega > 0, got {omega}")
+    if not 0.0 < omega < np.inf:
+        raise DomainError(f"coincident-point limit needs a finite omega > 0, got {omega}")
     return omega / (6.0 * np.pi)
 
 

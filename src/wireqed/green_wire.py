@@ -60,8 +60,8 @@ from .errors import ConvergenceError, DomainError, FitError, OverflowGuardError
 from .frequencies import SpectralPoint, as_spectral_point
 from .green_vacuum import DyadicGreen
 from .material import DrudeModel, permittivity
-from .quadrature import (QuadratureReport, _check_tol, _seed_breaks, build_spectral_panels,
-                         panel_terms)
+from .quadrature import (QuadratureReport, _check_budget, _check_tol, _seed_breaks,
+                         build_spectral_panels, panel_terms)
 
 #: Share of ``tol`` times the integral's scale that the azimuthal tail of a
 #: settled order may take.
@@ -115,6 +115,12 @@ def _radial_wavenumber(k2, kz):
     return np.where(flip, -eta, eta)
 
 
+def _check_order(nmax):
+    # a bool is an int to isinstance, and numpy's integers are not
+    if isinstance(nmax, bool) or not isinstance(nmax, (int, np.integer)) or not 1 <= nmax <= N_MAX:
+        raise DomainError(f"azimuthal order must be an integer in 1..{N_MAX}, got {nmax!r}")
+
+
 class SpectralEvaluator:
     """Vectorized scattered-spectrum evaluation at fixed geometry.
 
@@ -147,8 +153,7 @@ class SpectralEvaluator:
     """
 
     def __init__(self, geom: WireGeometry, s, rho1, rho2, dphi, nmax):
-        if not 1 <= nmax <= N_MAX:
-            raise DomainError(f"azimuthal order must be in 1..{N_MAX}, got {nmax}")
+        _check_order(nmax)
         if not np.isfinite([rho1, rho2, dphi]).all():
             raise DomainError(f"coordinates must be finite, got {rho1}, {rho2}, {dphi}")
         if min(rho1, rho2) <= geom.radius:
@@ -376,8 +381,8 @@ def wire_spectral_green(geom: WireGeometry, rho1: float, rho2: float, dphi: floa
     NODE_TAIL_TOL of the largest |G~| there.
     """
     kz_arr = np.atleast_1d(np.asarray(kz, float))
-    if not np.isfinite(kz_arr).all():
-        raise DomainError(f"kz nodes must be finite, got {kz}")
+    if kz_arr.size == 0 or not np.isfinite(kz_arr).all():
+        raise DomainError(f"kz nodes must be finite and at least one, got {kz}")
     vals, terms = SpectralEvaluator(geom, s, rho1, rho2, dphi, nmax=nmax)(
         np.abs(kz_arr), orders=True)
     peak = float(np.abs(vals).max())
@@ -530,6 +535,8 @@ def settle_azimuthal_order(geom, s, rho1, rho2, dphi, *, tol=1e-6, weights=None,
     order, scale).
     """
     _check_tol(tol)
+    if nmax is not None:
+        _check_order(nmax)
     points = [as_spectral_point(p) for p in (s if isinstance(s, list) else [s])]
     if windows is None:
         windows = [_k_window(geom, p, rho1, rho2) for p in points]
@@ -643,6 +650,8 @@ class FrozenSpectralTable:
     def integrate(self, dz: float):
         """(3x3 tensor, abs error ``err``) of the weighted sum over the
         spectra of int_{-inf}^{inf} G~(kz) e^{i kz dz} dkz."""
+        if not math.isfinite(dz):
+            raise DomainError(f"separation dz must be finite, got {dz}")
         mirror = np.tile(_MIRROR.ravel(), self.coefs.shape[-1] // 9)
         vec = panel_terms(self.halves, self.mids, self.coefs, float(dz), mirror)
         return vec.sum(axis=0).reshape(-1, 3, 3).sum(axis=0), self.err
@@ -659,8 +668,13 @@ def _build_table(geom, points, weights, rho1, rho2, dphi, *, tol, budget, nmax, 
     k_start of the points and takes the first point's pole, branch point
     and gap; its tail blocks are judged at ``phase_ref``.  Each kz node is
     evaluated at every point in one evaluator call (``which``).  With one
-    point of weight 1 every value keeps its bits.
+    point of weight 1 every value keeps its bits.  A budget that is not
+    finite and positive, or a phase_ref that is not finite, raises
+    DomainError before any node is evaluated.
     """
+    _check_budget(budget)
+    if not math.isfinite(phase_ref):
+        raise DomainError(f"phase_ref must be finite, got {phase_ref}")
     found = [_k_window(geom, p, rho1, rho2) for p in points]
     nmax, tails, _ = settle_azimuthal_order(geom, points, rho1, rho2, dphi, tol=tol,
                                             weights=weights, nmax=nmax, dz=phase_ref,

@@ -14,14 +14,15 @@ Gauss-Legendre quadrature.
 
 Every panel set is built one way: its seed panels, then ``PanelSet.refine``,
 one rule that splits the worst panel until the summed bound meets a target
-read again after each round of splits while it falls.  Each step of a build
-calls the integrand once, on the nodes of every panel the step adds
-(``_evaluate``).  The kz tables, the t grid of the pair engine's
-imaginary-frequency integral and the validation integrals differ only in
-their seed panels and their node values, and the kz tables add geometric
-tail blocks between their seeds and the refinement, placed with the cuts
-by one kz window.  Their steps look ahead (``build_spectral_panels``), so
-every table is the one that one panel per step builds, bit for bit.
+read again after each round of splits while it falls.  A set holds its
+integrand and calls it in one place, ``PanelSet.take``, on the nodes of the
+panel taken and of the panels asked for ahead, whose records wait for their
+own take.  The kz tables, the t grid of the pair engine's imaginary-frequency
+integral and the validation integrals differ only in their seed panels and
+their node values, and the kz tables add geometric tail blocks between their
+seeds and the refinement, placed with the cuts by one kz window.  Their
+blocks and splits look ahead (``build_spectral_panels``), so every table is
+the one that one panel per step builds, bit for bit.
 
 Public operations:
 
@@ -186,19 +187,12 @@ def _panel_nodes(a, b):
     return 0.5 * (b + a) + 0.5 * (b - a) * _GL_X
 
 
-def _evaluate(f, panels):
-    """``PanelSet`` records of the (a, b) ``panels``, in their order, from
-    one call f(x) on all their nodes."""
-    x = _panel_nodes(*np.array(panels, float).T[:, :, None]).ravel()
-    return _records(panels, np.reshape(f(x), (len(panels), _NPTS, -1)))
-
-
 def _records(panels, vals):
     """``PanelSet`` records of panels [(a, b), ...] from their node values
-    (panels, 16, n_comp), all in one pass with each panel's own numbers; the
-    projection runs on the values viewed as reals, a third of the time."""
+    (panels, 16, n_comp), or a row per node, in one pass with each panel's
+    own numbers; projected as reals, which takes a third of the time."""
     a, b = np.array(panels, float).T
-    vals = np.ascontiguousarray(vals, complex)
+    vals = np.ascontiguousarray(vals, complex).reshape(len(panels), _NPTS, -1)
     coef = np.einsum("ki,pic->pkc", _PROJ, vals.view(float)).view(complex)
     err = legendre_error(0.5 * (b - a), coef)
     fmax = np.abs(vals).max(axis=(1, 2))
@@ -207,11 +201,11 @@ def _records(panels, vals):
 
 
 class PanelSet:
-    """Adaptive Legendre-coefficient panels of a spectrum held at +kz only.
+    """Adaptive Legendre-coefficient panels of a spectrum f held at +kz only.
 
     Each panel's record holds the Legendre coefficients, shape (16, n_comp),
-    of its values at its Gauss nodes; the builders append the records
-    (``_evaluate`` makes them) and ``refine`` splits them.
+    of its values at its Gauss nodes.  ``take`` appends them, and is the one
+    place f is called; ``refine`` splits the panels through it.
     ``integral`` integrates them against exp(+i phase x).  With a
     per-component ``mirror`` sign the -kz side mirror * f(x) is integrated
     against exp(-i phase x) as well; ``None`` makes the integral one-sided.
@@ -220,39 +214,60 @@ class PanelSet:
     valid for every phase at once.
     """
 
-    def __init__(self, budget=20000, mirror=None, phase=0.0):
+    def __init__(self, f, budget=20000, mirror=None, phase=0.0):
+        self.f = f
         self.mirror = mirror
         self.budget = budget
         self.phase = phase
         self.nodes_used = 0
         self.panels = []  # records [a, b, coef(16, comp), err, fmax, integral]
+        self.waiting = {}  # records evaluated ahead, by (a, b)
 
     def append(self, rec):
         self.nodes_used += _NPTS
         self.panels.append(rec)
         return rec
 
+    def take(self, panel, ahead=()):
+        """Append and return the record of ``panel`` = (a, b): the one waiting
+        or, when none is, one from a call of f on its nodes and those of the
+        ``ahead`` panels not waiting, in that order, whose records then wait."""
+        if panel not in self.waiting:
+            want = [panel, *(p for p in ahead if p not in self.waiting)]
+            x = _panel_nodes(*np.array(want, float).T[:, :, None]).ravel()
+            self.waiting.update(zip(want, _records(want, self.f(x))))
+        return self.append(self.waiting.pop(panel))
+
     @property
     def err(self):
         return float(sum(p[3] for p in self.panels))
 
-    def refine(self, f, target, split=None, pairs=1):
+    def refine(self, target, split=None, pairs=1):
         """Split the worst panel until the summed bound meets
         ``target(self)``, read again after each round of splits and met again
-        while it falls: each split drops that panel [a, b] and appends its two
-        parts, cut at ``split(a, b)`` (its midpoint by default), whose nodes
-        f evaluates.  Returns the converged flag, False once the budget or a
-        panel's width leaves no split.
+        while it falls: each split drops that panel [a, b] and takes its two
+        parts, cut at ``split(a, b)`` (its midpoint by default).  Returns the
+        converged flag, False once the budget or a panel's width leaves none.
 
-        A step evaluates the parts of up to ``pairs`` panels in one call of
-        f: the worst one's and, worst first, those of other panels whose
-        bound is at least SPLIT_AHEAD times the worst, as far as the budget
-        has room beside the parts already evaluated.  Evaluated parts are
-        kept by their panel's (a, b), over every round, until a split takes
-        them, and a step comes only when the worst panel's parts are not
-        there; so the splits are those of one split per step.
+        A call of f evaluates the parts of up to ``pairs`` panels: the worst
+        one's and, worst first, those of other panels whose bound is at least
+        SPLIT_AHEAD times the worst, as far as the budget has room beside the
+        parts waiting, which wait over every round until their panel's split
+        takes them; so the splits are those of one split per step.
         """
-        spare = {}
+        cut = split or (lambda a, b: 0.5 * (a + b))
+
+        def ahead(m, b, bound):
+            # the worst one's other part, then those of the other splits, run
+            # only when ``take`` calls f
+            yield m, b
+            room = (self.budget - self.nodes_used - _NPTS * len(self.waiting)) // (2 * _NPTS)
+            others = sorted((p for p in self.panels if p[3] >= bound
+                             and (p[0], cut(p[0], p[1])) not in self.waiting
+                             and not _too_narrow(p[0], p[1])), key=lambda p: -p[3])
+            for pa, pb, *_ in others[:max(min(room, pairs) - 1, 0)]:
+                yield from ((pa, cut(pa, pb)), (cut(pa, pb), pb))
+
         met, goal = math.inf, target(self)
         while goal < met:
             if self.err <= goal:
@@ -261,28 +276,13 @@ class PanelSet:
             if self.nodes_used + 2 * _NPTS > self.budget:
                 return False
             worst = max(range(len(self.panels)), key=lambda i: self.panels[i][3])
-            a, b = self.panels[worst][0], self.panels[worst][1]
+            a, b, _, bound, *_ = self.panels[worst]
             if _too_narrow(a, b):
                 return False
-            if (a, b) not in spare:
-                # other splits the budget has room for beside the worst
-                # one's and those whose parts are in ``spare``
-                room = min((self.budget - self.nodes_used) // (2 * _NPTS) - len(spare),
-                           pairs) - 1
-                want = [(a, b)]
-                if room > 0:
-                    bound = SPLIT_AHEAD * self.panels[worst][3]
-                    others = sorted((p for p in self.panels if p[3] >= bound
-                                     and (p[0], p[1]) not in spare and (p[0], p[1]) != (a, b)
-                                     and not _too_narrow(p[0], p[1])), key=lambda p: -p[3])
-                    want += [(p[0], p[1]) for p in others[:room]]
-                cuts = [0.5 * (pa + pb) if split is None else split(pa, pb) for pa, pb in want]
-                recs = _evaluate(f, [part for (pa, pb), m in zip(want, cuts)
-                                     for part in ((pa, m), (m, pb))])
-                spare.update(zip(want, zip(recs[::2], recs[1::2])))
             del self.panels[worst]
-            for rec in spare.pop((a, b)):
-                self.append(rec)
+            m = cut(a, b)
+            self.take((a, m), ahead(m, b, SPLIT_AHEAD * bound))
+            self.take((m, b))
         return True
 
     def _freeze(self):
@@ -369,12 +369,12 @@ def build_spectral_panels(fpanel, window, *, tol, mirror=None, budget=20000, pha
     sums per node.  The set integrates at ``phase``, the separation its
     tail blocks are judged at.
 
-    The rule adds one tail block, or splits one panel, at a time, and is
-    replayed on the records of steps that look ahead as far as one call of
-    fpanel carries, since a call costs more the fewer nodes it carries: a
-    tail step evaluates the next blocks, at most BLOCKS_AHEAD, which are
-    appended and judged one by one, the rest dropped once the blocks stop; a
-    bisection step evaluates the parts of up to per_call // 32 panels.  So
+    The rule adds one tail block, or splits one panel, at a time, and its
+    takes (``PanelSet.take``) look ahead as far as one call of fpanel
+    carries, since a call costs more the fewer nodes it carries: a block
+    takes the next ones with it, at most BLOCKS_AHEAD in all, which are
+    appended and judged one by one, those still waiting dropped once the
+    blocks stop; a split takes the parts of up to per_call // 32 panels.  So
     the panels kept, their order and every number read from them are those
     of one panel per step.  Returns (PanelSet, tail_bound, converged_flag).
     """
@@ -386,10 +386,7 @@ def build_spectral_panels(fpanel, window, *, tol, mirror=None, budget=20000, pha
     def f(x):
         return np.concatenate([fpanel(x[c:c + per_call]) for c in range(0, len(x), per_call)])
 
-    ps = PanelSet(budget, mirror, phase)
-    breaks = _seed_breaks(window)
-    for rec in _evaluate(f, list(zip(breaks[:-1], breaks[1:]))):
-        ps.append(rec)
+    ps = _seeded(f, _seed_breaks(window), budget, mirror, phase)
 
     # the tail blocks, each 1.6 times as far out as the one before and at
     # least min_width wide, to k_end
@@ -399,13 +396,9 @@ def build_spectral_panels(fpanel, window, *, tol, mirror=None, budget=20000, pha
         ends.append(b)
     blocks = list(zip(ends[:-1], ends[1:]))
     ahead = min(BLOCKS_AHEAD, max(1, per_call // _NPTS))
-    block_mags = []
-    tail_bound = math.inf
-    recs = []
+    block_mags, tail_bound = [], math.inf
     for i in range(len(blocks)):
-        if not recs:
-            recs = _evaluate(f, blocks[i:i + ahead])
-        rec = ps.append(recs.pop(0))
+        rec = ps.take(blocks[i], blocks[i + 1:i + ahead])
         scale = max(1.0, float(np.abs(ps.integral()).max()))
         # the block's phase-aware contribution, which ``integral`` keeps in
         # its record; oscillatory cancellation is real and must be credited
@@ -419,7 +412,8 @@ def build_spectral_panels(fpanel, window, *, tol, mirror=None, budget=20000, pha
         if ((tail_bound < 0.25 * tol * scale and len(block_mags) >= 2)
                 or ps.nodes_used > 0.8 * ps.budget):
             break
-    ok = ps.refine(f, _relative_target(tol), _graded_split(KZ_GRADE) if graded else None,
+    ps.waiting.clear()   # blocks evaluated ahead past the last one kept
+    ok = ps.refine(_relative_target(tol), _graded_split(KZ_GRADE) if graded else None,
                    pairs=max(1, per_call // (2 * _NPTS)))
     return ps, tail_bound, ok
 
@@ -430,19 +424,25 @@ def _relative_target(tol):
     return lambda ps: 0.5 * tol * max(1.0, float(np.abs(ps.integral()).max()))
 
 
-def _one_sided(f, breaks, target, budget, split=None):
-    """(PanelSet, converged flag) of the one-sided integral of ``f``: the
-    panels between ``breaks``, evaluated in one call of f, then
-    ``PanelSet.refine`` with ``split`` toward ``target``."""
-    ps = PanelSet(budget)
-    for rec in _evaluate(f, list(zip(breaks[:-1], breaks[1:]))):
-        ps.append(rec)
-    return ps, ps.refine(f, target, split)
+def _seeded(f, breaks, budget, mirror=None, phase=0.0):
+    """A PanelSet of f holding the panels between ``breaks``, taken in one
+    call of f: each takes those after it as ``ahead``."""
+    ps = PanelSet(f, budget, mirror, phase)
+    seeds = list(zip(breaks[:-1], breaks[1:]))
+    for i, panel in enumerate(seeds):
+        ps.take(panel, seeds[i + 1:])
+    return ps
 
 
 def _check_tol(tol):
     if not (math.isfinite(tol) and tol >= 1e-12):
         raise DomainError(f"tol must be finite and >= 1e-12, got {tol}")
+
+
+def _check_budget(budget):
+    # NaN and inf would turn off every budget check of a build
+    if not 0 < budget < math.inf:
+        raise DomainError(f"node budget must be finite and positive, got {budget}")
 
 
 def _checked_frequency(omega_a, tol):
@@ -486,8 +486,8 @@ def imag_axis_panels(values, tol, t_cut, budget):
     seeds = [t for t in T_SEEDS if t < t_cut]
     if len(seeds) > 1 and t_cut - seeds[-1] < 0.25 * (seeds[-1] - seeds[-2]):
         seeds.pop()
-    breaks = [*seeds, t_cut]
-    return _one_sided(values, breaks, _relative_target(tol), budget, _graded_split(T_GRADE))
+    ps = _seeded(values, [*seeds, t_cut], budget)
+    return ps, ps.refine(_relative_target(tol), _graded_split(T_GRADE))
 
 
 def imag_axis_integrate(g, omega_a, tol=1e-8) -> QuadratureReport:
@@ -513,7 +513,8 @@ def imag_axis_integrate(g, omega_a, tol=1e-8) -> QuadratureReport:
 
 
 def _plain(f, breaks, tol_abs, budget):
-    ps, ok = _one_sided(f, breaks, lambda ps: tol_abs, budget)
+    ps = _seeded(f, breaks, budget)
+    ok = ps.refine(lambda ps: tol_abs)
     return float(np.real(ps.integral()[0])), ps.err, ps.nodes_used, ok
 
 
@@ -545,9 +546,14 @@ def pv_shift_oracle(imG, omega_a, tol=1e-9, *, omega_max=None,
 
     ``omega_max=None`` integrates the far tail exactly through the
     substitution u = 1/w, which requires imG to be evaluable at arbitrarily
-    large arguments (true for all model functions used in validation).
+    large arguments (true for all model functions used in validation).  A
+    given ``omega_max`` ends the integral, and must be finite and at least
+    20*omega_a, where the fixed pieces end.
     """
     wa = _checked_frequency(omega_a, tol)
+    _check_budget(budget)
+    if omega_max is not None and not 20.0 * wa <= omega_max < math.inf:
+        raise DomainError(f"omega_max must be None or finite and >= 20*omega_a, got {omega_max}")
     F = lambda w: w**2 * np.asarray(imG(w), float)
     FA = float(F(np.asarray([wa]))[0])
 

@@ -840,3 +840,12 @@ class TestMarkovDiagnostic:
     def test_requires_positive_separation(self):
         with pytest.raises(DomainError):
             markov_diagnostic(make_result(), dz=0.0, gamma0_abs=1.0)
+
+    @pytest.mark.parametrize("dz, gamma0_abs", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, -1.0), (1.0, 0.0), (1.0, math.nan),
+        (1.0, math.inf)])
+    def test_impossible_inputs_raise(self, dz, gamma0_abs):
+        # each gave a diagnostic: a NaN or zero bandwidth read warn=False, and
+        # a rate scale of -1 turned every rate negative
+        with pytest.raises(DomainError, match="finite dz > 0 and gamma0_abs > 0"):
+            markov_diagnostic(make_result(gamma12=1.0), dz=dz, gamma0_abs=gamma0_abs)

@@ -1,11 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from wireqed import (CoincidenceError, OMEGA_A, SpectralPoint, free_space_rate,
+from wireqed import (CoincidenceError, DomainError, OMEGA_A, SpectralPoint, free_space_rate,
                      green_vacuum, green_vacuum_cyl, green_vacuum_im_coincident)
 from wireqed.frequencies import as_spectral_point
 from wireqed.green_vacuum import (cyl_to_cart_point, cylindrical_basis, green_vacuum_axial,
-                                  tensor_cart_to_cyl, tensor_cyl_to_cart)
+                                  tensor_cart_to_cyl)
+
+
+def _cyl_to_cart(g, phi1, phi2):
+    """The inverse of ``tensor_cart_to_cyl``, from the local bases."""
+    return cylindrical_basis(phi1) @ g @ cylindrical_basis(phi2).T
 
 
 def reference_tensor(r1, r2, k):
@@ -143,7 +150,7 @@ def test_frame_round_trip():
     rng = np.random.default_rng(5)
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     phi1, phi2 = 0.7, -1.1
-    back = tensor_cyl_to_cart(tensor_cart_to_cyl(g, phi1, phi2), phi1, phi2)
+    back = _cyl_to_cart(tensor_cart_to_cyl(g, phi1, phi2), phi1, phi2)
     assert np.max(np.abs(back - g)) < 1e-14
 
     b = cylindrical_basis(0.9)
@@ -155,4 +162,26 @@ def test_cylindrical_wrapper_matches_cartesian():
     p2 = (0.5, -0.9, -0.4)
     g_cyl = green_vacuum_cyl(p1, p2, OMEGA_A).value
     g_cart = green_vacuum(cyl_to_cart_point(*p1), cyl_to_cart_point(*p2), OMEGA_A).value
-    assert np.max(np.abs(tensor_cyl_to_cart(g_cyl, p1[1], p2[1]) - g_cart)) < 1e-14
+    assert np.max(np.abs(_cyl_to_cart(g_cyl, p1[1], p2[1]) - g_cart)) < 1e-14
+
+
+@pytest.mark.parametrize("tensor", [
+    lambda s: green_vacuum((0.8, 0.0, 0.2), (0.5, 0.1, -0.4), s),
+    lambda s: green_vacuum_cyl((0.8, 0.3, 0.2), (0.5, -0.9, -0.4), s),
+    lambda s: green_vacuum_axial(0.6, s, 1.0, 0.0),
+], ids=["cartesian", "cylindrical", "axial"])
+@pytest.mark.parametrize("s", [0.0, 0j, SpectralPoint(0.0)], ids=["float", "complex", "point"])
+def test_zero_frequency_raises_domain_error(tensor, s):
+    # 1 / (k r) has no static limit in the closed form: a ZeroDivisionError
+    # before the check
+    with pytest.raises(DomainError, match="nonzero frequency"):
+        tensor(s)
+
+
+@pytest.mark.parametrize("omega", [math.inf, math.nan])
+@pytest.mark.parametrize("limit", [green_vacuum_im_coincident, free_space_rate],
+                         ids=["im_coincident", "free_space_rate"])
+def test_coincident_limit_needs_a_finite_positive_frequency(limit, omega):
+    # inf returned inf and NaN returned NaN, past the check omega <= 0
+    with pytest.raises(DomainError, match="omega"):
+        limit(omega)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import special
 
-from wireqed import (ConvergenceError, DomainError, DrudeModel, FitError, N_MAX, OMEGA_A,
-                     SpectralPoint, WireGeometry, green_vacuum_im_coincident,
-                     plasmon_wavenumber, wire_green, wire_spectral_green)
+from wireqed import (ConvergenceError, DomainError, DrudeModel, EmitterPair, FitError, N_MAX,
+                     OMEGA_A, PairInteraction, SpectralPoint, WireGeometry,
+                     green_vacuum_im_coincident, plasmon_wavenumber, wire_green,
+                     wire_spectral_green)
 from wireqed import green_wire
 from wireqed.green_wire import SpectralEvaluator
 
@@ -44,6 +45,69 @@ def test_non_finite_coordinates_raise_before_any_evaluation(default_geom, monkey
         else:
             p2 = {"rho2": 0.015, "phi2": 0.0, "z2": 1.0, where: bad}
             wire_green(default_geom, (0.015, 0.0, 0.0), tuple(p2.values()), REAL)
+
+
+def _evaluated(*args, **kwargs):
+    raise AssertionError("a spectrum node was evaluated")
+
+
+@pytest.mark.parametrize("budget", [np.nan, np.inf, 0, -5], ids=["nan", "inf", "0", "-5"])
+@pytest.mark.parametrize("build", [
+    lambda geom, budget: wire_green(geom, (0.015, 0.0, 0.0), (0.015, 0.0, 1.0),
+                                    4.2 * OMEGA_A, budget=budget),
+    lambda geom, budget: green_wire.WireSpectralTable(geom, REAL, 0.015, 0.015, 0.0,
+                                                      tol=1e-6, budget=budget),
+], ids=["wire_green", "table"])
+def test_budget_checked_before_any_evaluation(default_geom, monkeypatch, build, budget):
+    # a build stops on nodes_used > 0.8 budget and nodes_used + 32 > budget,
+    # both False at NaN: the wire_green case at budget NaN ran one set past
+    # 270,000 nodes, and a budget <= 0 samples the spectrum before it fails
+    monkeypatch.setattr(SpectralEvaluator, "_ladders", _evaluated)
+    with pytest.raises(DomainError, match="budget must be finite and positive"):
+        build(default_geom, budget)
+
+
+@pytest.mark.parametrize("build", [
+    lambda geom: SpectralEvaluator(geom, REAL, 0.015, 0.015, 0.0, nmax=2.5),
+    lambda geom: SpectralEvaluator(geom, REAL, 0.015, 0.015, 0.0, nmax=True),
+    lambda geom: wire_spectral_green(geom, 0.015, 0.015, 0.0, REAL, 1.0, nmax=2.5),
+    lambda geom: green_wire.settle_azimuthal_order(geom, REAL, 0.015, 0.015, 0.0, nmax=2.5),
+    lambda geom: green_wire.WireSpectralTable(geom, REAL, 0.015, 0.015, 0.0, tol=1e-6,
+                                              nmax=2.5),
+    lambda geom: PairInteraction(geom, EmitterPair((0.015, 0.0, 0.0), (0.015, 0.0, 0.5)),
+                                 tol=1e-6, nmax=2.5),
+], ids=["evaluator", "evaluator_bool", "spectral_green", "settle", "table", "pair"])
+def test_fractional_order_raises_before_any_evaluation(default_geom, monkeypatch, build):
+    # 2.5 ran at order 2 in the evaluator (True at order 1), was reported as
+    # "n = 2.5" by wire_spectral_green, and failed in numpy indexing in the
+    # order search of the tables
+    monkeypatch.setattr(SpectralEvaluator, "_ladders", _evaluated)
+    with pytest.raises(DomainError, match="must be an integer"):
+        build(default_geom)
+
+
+def test_numpy_integer_order_is_an_order(default_geom):
+    ev = SpectralEvaluator(default_geom, REAL, 0.015, 0.015, 0.0, nmax=np.int64(8))
+    assert ev.nmax == 8 and type(ev.nmax) is int
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_table_separations_must_be_finite(default_geom, monkeypatch, bad):
+    # a NaN phase_ref built a table with tail_bound NaN and panels_ok True, and
+    # integrate returned an all-NaN tensor at NaN and warned at +-inf
+    table = green_wire.WireSpectralTable(default_geom, REAL, 0.015, 0.015, 0.0, tol=1e-6)
+    with pytest.raises(DomainError, match="dz must be finite"):
+        table.integrate(bad)
+    monkeypatch.setattr(SpectralEvaluator, "_ladders", _evaluated)
+    with pytest.raises(DomainError, match="phase_ref must be finite"):
+        green_wire.WireSpectralTable(default_geom, REAL, 0.015, 0.015, 0.0, tol=1e-6,
+                                     phase_ref=bad)
+
+
+def test_spectral_green_needs_a_node(default_geom):
+    # numpy's "zero-size array" ValueError before the check
+    with pytest.raises(DomainError, match="at least one"):
+        wire_spectral_green(default_geom, 0.015, 0.015, 0.0, REAL, [])
 
 
 def test_vanishing_scatterer_limit():
@@ -707,7 +771,7 @@ def _one_panel_per_step(fpanel, window, *, tol, mirror=None, budget=20000, phase
     k_start, _, branch_point, gap = window
     graded = branch_point is None
     min_width = 2.0 / gap if graded else 0.0
-    ps = PanelSet(budget, mirror, phase)
+    ps = PanelSet(fpanel, budget, mirror, phase)
 
     def add(a, b):
         vals = np.reshape(fpanel(_panel_nodes(a, b)), (1, 16, -1))
@@ -867,6 +931,44 @@ def test_spectrum_anchors_take_few_evaluator_calls(monkeypatch):
                           budget=160000).converged
     print(f"evaluator calls at the four anchors: {len(calls)}, nodes {sum(calls)}")
     assert len(calls) <= 45
+
+
+def _coincident(model, f):
+    p = (0.015, 0.0, 0.0)
+    return lambda: wire_green(WireGeometry(radius=0.01, model=model), p, p,
+                              SpectralPoint.real_axis(f * OMEGA_A), tol=1e-6, budget=160000)
+
+
+_PINNED_CALLS = {
+    "kk_0.5": (_coincident(_KK_METAL, 0.5), (5, 368)),
+    "kk_4.2": (_coincident(_KK_METAL, 4.2), (8, 496)),
+    "kk_8.0": (_coincident(_KK_METAL, 8.0), (17, 1088)),
+    "default_1.0": (_coincident(DrudeModel(), 1.0), (10, 704)),
+    "shared_kappa_set": (lambda: green_wire.shared_spectral_table(
+        WireGeometry(radius=0.01, model=DrudeModel()), [0.5 * OMEGA_A, 2.0 * OMEGA_A],
+        [0.5, 0.25], 0.015, 0.015, 0.0, tol=1e-6, budget=30000), (4, 288)),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_CALLS))
+def test_look_ahead_evaluator_calls_are_pinned(monkeypatch, case):
+    # the bits of a table do not show how many evaluator calls built it, and
+    # those calls are what the look-ahead saves: the calls and nodes of each
+    # build, the order probe left out, are pinned; one panel per call makes
+    # many more calls on the same nodes
+    build, want = _PINNED_CALLS[case]
+    calls = []
+    call = SpectralEvaluator.__call__
+
+    def counted(self, kz, which=0, orders=False):
+        if not orders:
+            calls.append(len(kz))
+        return call(self, kz, which, orders)
+
+    monkeypatch.setattr(SpectralEvaluator, "__call__", counted)
+    build()
+    print(f"{case}: {len(calls)} evaluator calls, {sum(calls)} nodes")
+    assert (len(calls), sum(calls)) == want
 
 
 def _direct_table(geom, point, rho1, rho2, dphi, *, tol, nmax=None, budget=60000,

@@ -7,7 +7,6 @@ from scipy import special
 
 from wireqed import (ConvergenceError, DomainError, OMEGA_A, imag_axis_integrate,
                      kk_check, pv_shift_oracle)
-from wireqed import quadrature
 from wireqed.quadrature import (KZ_GRADE, T_SEEDS, PanelSet, _panel_nodes, _plain, _records,
                                 _seed_breaks, build_spectral_panels, imag_axis_panels,
                                 moments_for, panel_terms, t_substitution)
@@ -88,7 +87,7 @@ def _built_by_hand(f, breaks, target, budget, split=None):
     direct calls of f: the seed panels, then one split of the worst panel at
     a time toward ``target``, read again after each round of splits while
     it falls."""
-    ps = PanelSet(budget)
+    ps = PanelSet(f, budget)
     for a, b in zip(breaks[:-1], breaks[1:]):
         ps.append(_record(f, a, b))
     split = split or (lambda a, b: 0.5 * (a + b))
@@ -283,15 +282,30 @@ def test_omega_a_checked_before_integrating(integrate, omega_a):
         integrate(omega_a)
 
 
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 0, -5])
+def test_pv_budget_checked_before_sampling(budget):
+    # at NaN every budget check of a build reads False
+    with pytest.raises(DomainError, match="budget must be finite and positive"):
+        pv_shift_oracle(_never_called, 3.3, budget=budget)
+
+
+@pytest.mark.parametrize("omega_max", [math.nan, math.inf, 10.0 * 3.3, 19.9 * 3.3])
+def test_pv_omega_max_checked_before_sampling(omega_max):
+    # NaN dropped the piece beyond 20 omega_a without a word, and a value
+    # below 20 omega_a was ignored
+    with pytest.raises(DomainError, match="omega_max"):
+        pv_shift_oracle(_never_called, 3.3, omega_max=omega_max)
+
+
 @pytest.mark.parametrize("mirror", [None, np.ones(1)], ids=["one_sided", "mirrored"])
 def test_panel_sum_never_mixes_phases(mirror):
     # one set per phase; a set keeps each panel's integral, so a panel added
     # after a sum must join the next one (on e^-x over (0, 3) the one-sided
     # sum is 0.950 at phase 0 and 0.185+0.384i at phase 2)
     for lam in (0.0, 2.0):
-        ps = PanelSet(mirror=mirror, phase=lam)
+        ps = PanelSet(lambda x: np.exp(-x), mirror=mirror, phase=lam)
         for a, b in ((0.0, 1.0), (1.0, 3.0)):
-            ps.append(_record(lambda x: np.exp(-x), a, b))
+            ps.take((a, b))
             want = panel_terms(*ps._freeze(), lam, mirror).sum(axis=0)
             np.testing.assert_allclose(ps.integral(), want, rtol=1e-15, atol=0.0)
         if mirror is None:
@@ -321,18 +335,19 @@ def test_window_picks_the_shape(monkeypatch, branch_point):
     # and every block ends at 1.6 times its start
     k_start, gap = 4.0, 0.5
     window = (k_start, None, branch_point, gap)
-    calls, evaluate = [], quadrature._evaluate
+    added, append = [], PanelSet.append
 
-    def recorded(f, panels):
-        calls.append(list(panels))
-        return evaluate(f, panels)
+    def record(self, rec):
+        added.append((rec[0], rec[1]))
+        return append(self, rec)
 
-    monkeypatch.setattr(quadrature, "_evaluate", recorded)
+    monkeypatch.setattr(PanelSet, "append", record)
     ps, tail_bound, ok = build_spectral_panels(lambda k: np.sqrt(k) * np.exp(-k), window,
                                                tol=1e-6)
     assert ok and abs(ps.integral()[0] - math.sqrt(math.pi) / 2) <= 1e-6
-    b = _seed_breaks(window)[1]
-    cut = next(m for call in calls[1:] for a, m in call if a == 0.0)
+    breaks = _seed_breaks(window)
+    cut = next(m for a, m in added[len(breaks) - 1:] if a == 0.0)
+    b = breaks[1]
     assert cut == (KZ_GRADE * b if branch_point is None else 0.5 * b)
     tail = sorted((p[0], p[1]) for p in ps.panels if p[0] >= k_start)
     assert len(tail) >= 3 and tail[0][0] == k_start
