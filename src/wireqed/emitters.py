@@ -26,8 +26,7 @@ from .errors import DomainError, FitError
 from .frequencies import OMEGA_A, SpectralPoint
 from .green_vacuum import green_vacuum_axial, green_vacuum_cyl, green_vacuum_im_coincident
 from .green_wire import (_MIRROR, SpectralEvaluator, WireGeometry, WireSpectralTable,
-                         plasmon_wavenumber, settle_azimuthal_order, shared_spectral_table,
-                         wire_green)
+                         plasmon_wavenumber, settle_azimuthal_order, wire_green)
 from .quadrature import _GL_W, _GL_X, _KIDX, _NPTS, _PROJ
 
 _P_EVEN = _MIRROR.ravel() > 0   # components the -kz mirror keeps
@@ -357,9 +356,10 @@ def _kappa_sets(geom, rho, omega_a, dd, *, tol, nmax, dz_refs, parallel):
 
 
 def _kappa_panel_job(job):
-    """The kz panel set that one t panel's 16 kappa nodes share
-    (``shared_spectral_table``), folded with the dipole pairs dd (``_fold``)
-    and over the t panel (``_T_FOLD``), and the nodes' values.
+    """The kz panel set that one t panel's 16 kappa nodes share, a
+    ``WireSpectralTable`` of their imaginary-axis points, folded with the
+    dipole pairs dd (``_fold``) and over the t panel (``_T_FOLD``), and the
+    nodes' values.
 
     Each node's spectrum enters the set times its substitution weight and
     its weight in the t rule (``half`` times the Gauss weight), so the set
@@ -377,8 +377,9 @@ def _kappa_panel_job(job):
     any worker count, which keeps outputs bit-reproducible.
     """
     geom, rho, kappas, weights, half, tol, nmax, dd, dz_refs = job
-    tab = shared_spectral_table(geom, kappas, half * _GL_W * weights, rho, rho, 0.0,
-                                tol=tol, budget=30000, nmax=nmax)
+    tab = WireSpectralTable(geom, [SpectralPoint.imaginary_axis(k) for k in kappas], rho, rho,
+                            0.0, weights=half * _GL_W * weights, tol=tol, budget=30000,
+                            nmax=nmax)
     n, panels = len(kappas), len(tab.halves)
     # one row per kz panel and node, panel-major
     coefs = tab.coefs.reshape(panels, _NPTS, n, 9).transpose(0, 2, 1, 3).reshape(-1, _NPTS, 9)

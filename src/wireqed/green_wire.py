@@ -623,8 +623,8 @@ def wire_green(geom: WireGeometry, p1, p2, s, *, tol: float = 1e-6,
 @dataclass
 class FrozenSpectralTable:
     """The frozen panels of one kz panel set shared by several weighted
-    spectra at one azimuthal order, as ``_build_table`` builds it; a
-    one-frequency table (``WireSpectralTable``) is its one-spectrum case.
+    spectra at one azimuthal order: the fields of every kz table, which its
+    subclass ``WireSpectralTable`` builds.
 
     ``coefs`` holds spectrum s's nine components, times its weight, in
     columns 9 s to 9 s + 8, and every error is of the weighted sum, so in
@@ -657,76 +657,58 @@ class FrozenSpectralTable:
         return vec.sum(axis=0).reshape(-1, 3, 3).sum(axis=0), self.err
 
 
-def _build_table(geom, points, weights, rho1, rho2, dphi, *, tol, budget, nmax, phase_ref):
-    """The one kz-table builder: a FrozenSpectralTable of the spectra at the
-    spectral points ``points`` (one axis), each times its weight in
-    ``weights``, at the order ``nmax`` or, when that is None, the one
-    ``settle_azimuthal_order`` predicts from one probe for the weighted sum
-    at separation ``phase_ref``.  Its components are the weighted spectra
-    side by side, so its steps (``build_spectral_panels``) judge them in the
-    units of that sum.  Its window, which shapes it, starts at the largest
-    k_start of the points and takes the first point's pole, branch point
-    and gap; its tail blocks are judged at ``phase_ref``.  Each kz node is
-    evaluated at every point in one evaluator call (``which``).  With one
-    point of weight 1 every value keeps its bits.  A budget that is not
-    finite and positive, or a phase_ref that is not finite, raises
-    DomainError before any node is evaluated.
-    """
-    _check_budget(budget)
-    if not math.isfinite(phase_ref):
-        raise DomainError(f"phase_ref must be finite, got {phase_ref}")
-    found = [_k_window(geom, p, rho1, rho2) for p in points]
-    nmax, tails, _ = settle_azimuthal_order(geom, points, rho1, rho2, dphi, tol=tol,
-                                            weights=weights, nmax=nmax, dz=phase_ref,
-                                            windows=found)
-    evaluator = SpectralEvaluator(geom, points, rho1, rho2, dphi, nmax=nmax)
-    n = len(points)
-    # on the real and imaginary parts apart: a complex product would turn
-    # some signed zeros, and with weights of 1 the values must keep their bits
-    spread = np.repeat(weights, 18)
-
-    def weighted(x):
-        vals = evaluator(np.repeat(x, n), np.arange(n * x.size) % n)
-        return (vals.reshape(x.size, 9 * n).view(float) * spread).view(complex)
-
-    k_start = max(w[0] for w in found)
-    ps, tail_bound, ok = build_spectral_panels(
-        weighted, (k_start, *found[0][1:]), tol=tol, mirror=np.tile(_MIRROR.ravel(), n),
-        budget=budget, phase=phase_ref, orders=n * (nmax + 1))
-    return FrozenSpectralTable(*ps._freeze(), panel_err=ps.err, tail_bound=float(tail_bound),
-                               panels_ok=bool(ok), nodes_used=ps.nodes_used, nmax=nmax,
-                               azimuthal_err=float(np.abs(weights) @ tails), k_start=k_start)
-
-
 class WireSpectralTable(FrozenSpectralTable):
-    """Frozen kz-panel tabulation of a scattered spectrum at one frequency,
-    the one-point, weight-1 case of ``_build_table``: its order is ``nmax``
-    or the one predicted for it at ``tol``, and its tail blocks are judged
-    at separation ``phase_ref``.  Away from phase_ref = 0 the phase may
-    cancel most of the integral, so there the prediction takes the scale's
-    floor 1 alone.
+    """The one kz-table builder: the frozen panels of the spectra at the
+    spectral point(s) ``points`` (one point or a list, on one axis), each
+    times its weight in ``weights`` (default 1), at the order ``nmax`` or,
+    when that is None, the one ``settle_azimuthal_order`` predicts from one
+    probe for the weighted sum at separation ``phase_ref``.  Away from
+    phase_ref = 0 the phase may cancel most of the integral, so there the
+    prediction takes the scale's floor 1 alone.  Its components are the
+    weighted spectra side by side, so its steps (``build_spectral_panels``)
+    judge them in the units of that sum.  Its window, which shapes it,
+    starts at the largest k_start of the points and takes the first point's
+    pole, branch point and gap; its tail blocks are judged at
+    ``phase_ref``.  Each kz node is evaluated at every point in one
+    evaluator call (``which``).  With one point of weight 1 every value
+    keeps its bits.  A budget that is not finite and positive, or a
+    phase_ref that is not finite, raises DomainError before any node is
+    evaluated.
 
     Build once, then ``integrate(dz)`` for any number of separations: the
     separation only enters through analytic phase moments, so each call
     costs a few matrix-vector products instead of new Bessel evaluations.
     """
 
-    def __init__(self, geom: WireGeometry, point, rho1, rho2, dphi, *,
-                 tol, nmax=None, budget=60000, phase_ref=0.0):
-        super().__init__(**vars(_build_table(
-            geom, [as_spectral_point(point)], np.ones(1), rho1, rho2, dphi, tol=tol,
-            budget=budget, nmax=nmax, phase_ref=phase_ref)))
+    def __init__(self, geom: WireGeometry, points, rho1, rho2, dphi, *, tol, weights=None,
+                 nmax=None, budget=60000, phase_ref=0.0):
+        _check_budget(budget)
+        if not math.isfinite(phase_ref):
+            raise DomainError(f"phase_ref must be finite, got {phase_ref}")
+        points = [as_spectral_point(p) for p in (points if isinstance(points, list) else [points])]
+        weights = np.ones(len(points)) if weights is None else np.asarray(weights, float)
+        found = [_k_window(geom, p, rho1, rho2) for p in points]
+        nmax, tails, _ = settle_azimuthal_order(geom, points, rho1, rho2, dphi, tol=tol,
+                                                weights=weights, nmax=nmax, dz=phase_ref,
+                                                windows=found)
+        evaluator = SpectralEvaluator(geom, points, rho1, rho2, dphi, nmax=nmax)
+        n = len(points)
+        # on the real and imaginary parts apart: a complex product would turn
+        # some signed zeros, and with weights of 1 the values must keep their bits
+        spread = np.repeat(weights, 18)
+
+        def weighted(x):
+            vals = evaluator(np.repeat(x, n), np.arange(n * x.size) % n)
+            return (vals.reshape(x.size, 9 * n).view(float) * spread).view(complex)
+
+        k_start = max(w[0] for w in found)
+        ps, tail_bound, ok = build_spectral_panels(
+            weighted, (k_start, *found[0][1:]), tol=tol, mirror=np.tile(_MIRROR.ravel(), n),
+            budget=budget, phase=phase_ref, orders=n * (nmax + 1))
+        super().__init__(*ps._freeze(), panel_err=ps.err, tail_bound=float(tail_bound),
+                         panels_ok=bool(ok), nodes_used=ps.nodes_used, nmax=nmax,
+                         azimuthal_err=float(np.abs(weights) @ tails), k_start=k_start)
 
     # its own attribute, so that the traced benchmark's hook on this class
-    # (perfbench/spans.py) wraps the calls of one-frequency tables once
+    # (perfbench/spans.py) wraps the calls of its tables once
     integrate = FrozenSpectralTable.integrate
-
-
-def shared_spectral_table(geom: WireGeometry, kappas, weights, rho1, rho2, dphi, *,
-                          tol, budget, nmax=None):
-    """One kz panel set for the spectra at the imaginary frequencies
-    i*kappa, each times its weight in ``weights``, as a FrozenSpectralTable:
-    ``_build_table`` on the imaginary axis at separation 0."""
-    points = [SpectralPoint.imaginary_axis(k) for k in kappas]
-    return _build_table(geom, points, weights, rho1, rho2, dphi, tol=tol, budget=budget,
-                        nmax=nmax, phase_ref=0.0)

@@ -42,17 +42,19 @@ def test_traced_wire_green_yields_layer_metrics():
 
 
 def test_each_table_integral_records_one_span():
-    # both table names are hooked, and a one-frequency table is the shared
-    # type's subclass: each integral must still record one span, not a span
-    # wrapped in another of the same name
+    # both table names are hooked, and every table, of one frequency or of
+    # several weighted ones, is the frozen type's subclass: each integral
+    # must still record one span, not a span wrapped in another of the same
+    # name
     geom = WireGeometry(radius=0.01, model=DrudeModel())
+    points = [SpectralPoint.imaginary_axis(k) for k in (0.5 * OMEGA_A, 2.0 * OMEGA_A)]
     tracer = spans.Tracer()
     with tracer.installed(), tracer.span("root"):
         tables = [green_wire.WireSpectralTable(geom, SpectralPoint.imaginary_axis(OMEGA_A),
                                                0.015, 0.015, 0.0, tol=1e-6),
-                  green_wire.shared_spectral_table(geom, [0.5 * OMEGA_A, 2.0 * OMEGA_A],
-                                                   np.array([0.5, 0.25]), 0.015, 0.015, 0.0,
-                                                   tol=1e-6, budget=30000)]
+                  green_wire.WireSpectralTable(geom, points, 0.015, 0.015, 0.0,
+                                               weights=np.array([0.5, 0.25]), tol=1e-6,
+                                               budget=30000)]
         counts = []
         for tab in tables:
             tab.integrate(0.5)

@@ -11,7 +11,7 @@ from wireqed.emitters import (EmitterPair, PairInteraction, RateShiftResult,
                               dipole_shift, fit_plasmon_lorentzian, fit_two_lorentzian,
                               markov_diagnostic, LorentzianFit)
 from wireqed.green_vacuum import green_vacuum_cyl
-from wireqed.green_wire import _MIRROR, SpectralEvaluator, shared_spectral_table
+from wireqed.green_wire import _MIRROR, SpectralEvaluator, WireSpectralTable
 from wireqed.quadrature import _GL_W, _GL_X, _NPTS, _PROJ, panel_terms
 
 
@@ -149,9 +149,9 @@ def panel_sets(default_geom, split_build):
     tables = {}
     for (a, b), (half, weight, kappas) in zip(interaction.kappa_panels,
                                               _t_panels(interaction)):
-        tables[a, b] = shared_spectral_table(
-            default_geom, kappas, half * _GL_W * weight, 0.03, 0.03, 0.0, nmax=8, tol=2e-8,
-            budget=30000)
+        tables[a, b] = WireSpectralTable(
+            default_geom, [SpectralPoint.imaginary_axis(k) for k in kappas], 0.03, 0.03, 0.0,
+            weights=half * _GL_W * weight, nmax=8, tol=2e-8, budget=30000)
     return tables
 
 
@@ -550,13 +550,15 @@ def test_kappa_set_errors_bound_a_tighter_rebuild(default_geom, monkeypatch, rho
     # by at most its reported kz error (panels and tail), and so by at most
     # its whole error; away from dz = 0 the rows see the panels' Legendre
     # tails, which Gauss exactness hides at dz = 0
-    built, sets = emitters.shared_spectral_table, []
+    built, sets = emitters.WireSpectralTable, []
 
     def capture(*args, **kwargs):
+        if "weights" not in kwargs:   # the real-axis table
+            return built(*args, **kwargs)
         sets.append((args, kwargs, built(*args, **kwargs)))
         return sets[-1][2]
 
-    monkeypatch.setattr(emitters, "shared_spectral_table", capture)
+    monkeypatch.setattr(emitters, "WireSpectralTable", capture)
     pair = EmitterPair((rho, 0.0, 0.0), (rho, 0.0, 0.02))
     interaction = PairInteraction(default_geom, pair, tol=tol, dz_refs=(0.0, 0.02, 2.01, 4.0))
     assert interaction.kappa_ok
@@ -580,14 +582,16 @@ def test_kappa_table_out_of_budget_is_unconverged(default_geom, default_pair,
     # to 192 kz nodes instead of 30,000: the first and last seed panels'
     # sets need 208 and the others at most 176, so those two run out, and
     # their flags must reach the row
-    built, sets = emitters.shared_spectral_table, []
+    built, sets = emitters.WireSpectralTable, []
 
     def short_budget(*args, **kwargs):
+        if "weights" not in kwargs:   # the real-axis table
+            return built(*args, **kwargs)
         assert kwargs["budget"] == 30000
         sets.append(built(*args, **{**kwargs, "budget": 192}))
         return sets[-1]
 
-    monkeypatch.setattr(emitters, "shared_spectral_table", short_budget)
+    monkeypatch.setattr(emitters, "WireSpectralTable", short_budget)
     starved = PairInteraction(default_geom, default_pair, tol=1e-6,
                               dz_refs=(0.0, 0.02, 0.5, 2.0, 4.0))
     assert [tab.panels_ok for tab in sets] == [False, True, True, True, False]

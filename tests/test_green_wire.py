@@ -675,6 +675,10 @@ _GEOMETRIES = pytest.mark.parametrize("rho, metal", [
     ids=["default", "dense", "kk_metal"])
 
 
+def _imaginary(kappas):
+    return [SpectralPoint.imaginary_axis(k) for k in kappas]
+
+
 def _seed_t_panels(rho):
     """(kappas, weights) of the first, a middle and the last seed t panel of
     the pair's shift integral, each node weighted as the pair engine weights
@@ -696,7 +700,7 @@ def test_shared_set_matches_tables_built_alone(monkeypatch, rho, metal):
     # steps evaluate ahead and drop what the set does not keep: at most the
     # BLOCKS_AHEAD - 1 tail blocks past the last one kept, and the two parts
     # of panels never split, each of which is still in the set
-    from wireqed.green_wire import WireSpectralTable, shared_spectral_table
+    from wireqed.green_wire import WireSpectralTable
     from wireqed.quadrature import BLOCKS_AHEAD, NODE_CAP
     geom = WireGeometry(radius=0.01, model=metal)
     calls = []
@@ -710,8 +714,8 @@ def test_shared_set_matches_tables_built_alone(monkeypatch, rho, metal):
     margins = []
     for kappas, weights in _seed_t_panels(rho):
         calls.clear()
-        shared = shared_spectral_table(geom, kappas, weights, rho, rho, 0.0, tol=1e-6,
-                                       budget=30000)
+        shared = WireSpectralTable(geom, _imaginary(kappas), rho, rho, 0.0, weights=weights,
+                                   tol=1e-6, budget=30000)
         built = [size for size, probe in calls if not probe]
         dropped = 16 * (BLOCKS_AHEAD - 1) + 32 * len(shared.halves)
         assert 16 * shared.nodes_used <= sum(built) <= 16 * (shared.nodes_used + dropped)
@@ -737,14 +741,15 @@ def test_azimuthal_error_bounds_the_change_at_n_max(rho, metal):
     # reports.  Real axis: the pair's table at omega_A.  Imaginary axis: the
     # shared kz panel sets of the first, a middle and the last seed t panel
     # of the pair's shift integral, each settled as the pair engine settles it
-    from wireqed.green_wire import WireSpectralTable, shared_spectral_table
+    from wireqed.green_wire import WireSpectralTable
     geom = WireGeometry(radius=0.01, model=metal)
     pairs = [(WireSpectralTable(geom, REAL, rho, rho, 0.0, tol=1e-6),
               WireSpectralTable(geom, REAL, rho, rho, 0.0, tol=1e-6, nmax=N_MAX))]
     for kappas, weights in _seed_t_panels(rho):
-        args = (geom, kappas, weights, rho, rho, 0.0)
-        pairs.append((shared_spectral_table(*args, tol=1e-6, budget=30000),
-                      shared_spectral_table(*args, tol=1e-6, budget=30000, nmax=N_MAX)))
+        args = (geom, _imaginary(kappas), rho, rho, 0.0)
+        pairs.append((WireSpectralTable(*args, weights=weights, tol=1e-6, budget=30000),
+                      WireSpectralTable(*args, weights=weights, tol=1e-6, budget=30000,
+                                        nmax=N_MAX)))
     margins = []
     for low, high in pairs:
         assert low.nmax < N_MAX
@@ -823,9 +828,9 @@ def _kk_table(f, tol, **kwargs):
 
 def _shared_set():
     kappas, weights = list(_seed_t_panels(0.015))[1]
-    return green_wire.shared_spectral_table(WireGeometry(radius=0.01, model=DrudeModel()),
-                                            kappas, weights, 0.015, 0.015, 0.0, tol=1e-6,
-                                            budget=30000)
+    return green_wire.WireSpectralTable(WireGeometry(radius=0.01, model=DrudeModel()),
+                                        _imaginary(kappas), 0.015, 0.015, 0.0, weights=weights,
+                                        tol=1e-6, budget=30000)
 
 
 _LOOK_AHEAD_CASES = {
@@ -944,9 +949,9 @@ _PINNED_CALLS = {
     "kk_4.2": (_coincident(_KK_METAL, 4.2), (8, 496)),
     "kk_8.0": (_coincident(_KK_METAL, 8.0), (17, 1088)),
     "default_1.0": (_coincident(DrudeModel(), 1.0), (10, 704)),
-    "shared_kappa_set": (lambda: green_wire.shared_spectral_table(
-        WireGeometry(radius=0.01, model=DrudeModel()), [0.5 * OMEGA_A, 2.0 * OMEGA_A],
-        [0.5, 0.25], 0.015, 0.015, 0.0, tol=1e-6, budget=30000), (4, 288)),
+    "shared_kappa_set": (lambda: green_wire.WireSpectralTable(
+        WireGeometry(radius=0.01, model=DrudeModel()), _imaginary([0.5 * OMEGA_A, 2.0 * OMEGA_A]),
+        0.015, 0.015, 0.0, weights=[0.5, 0.25], tol=1e-6, budget=30000), (4, 288)),
 }
 
 
@@ -976,7 +981,7 @@ def _direct_table(geom, point, rho1, rho2, dphi, *, tol, nmax=None, budget=60000
     """The frozen fields of a one-frequency table built directly on its
     evaluator, with no weights and no ``which``, by the rule of one panel
     per step with the shape it reads from the window itself: the reference
-    that the one-point case of ``_build_table`` must match.  On the
+    that the one-point case of ``WireSpectralTable`` must match.  On the
     imaginary axis its splits from kz = 0 are cut at a quarter of the panel
     and its tail blocks are at least two decay lengths wide."""
     window = green_wire._k_window(geom, point, rho1, rho2)
