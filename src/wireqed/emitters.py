@@ -156,13 +156,12 @@ def check_pair_geometry(geom: WireGeometry, pair: EmitterPair):
                           "use wire_green directly for general geometry")
 
 
-def _rates(w, g11, g12, gvac_im):
-    """(gamma11, gamma12) per free-space rate: the imaginary part of the full
-    tensor, the vacuum part gvac_im = Im d1 . G0(p1, p2) . d2 plus the
-    scattered parts g11 = d1 . G(p1, p1) . d1 and g12 = d1 . G(p1, p2) . d2."""
-    gamma11 = 1.0 + (6.0 * math.pi / w) * g11.imag
-    gamma12 = (6.0 * math.pi / w) * (gvac_im + g12.imag)
-    return gamma11, gamma12
+def _rates(w, *parts):
+    """(gamma11, gamma12) per free-space rate from the parts (gvac_im, g) of
+    each: gamma_mn = (6 pi / w) (Im d_m . G0 . d_n + Im g_mn), the vacuum
+    part gvac_im = Im d_m . G0(p_m, p_n) . d_n plus the scattered part
+    g_mn = d_m . G(p_m, p_n) . d_n, by one formula for both."""
+    return tuple((6.0 * math.pi / w) * (gvac_im + g.imag) for gvac_im, g in parts)
 
 
 class PairInteraction:
@@ -174,21 +173,22 @@ class PairInteraction:
     one kz-table builder), each built once at the azimuthal order ``nmax``
     or, when that is None, at the order its own prediction gives.  The
     pair's dipoles are folded into both tables as they are built, so each
-    holds one column of d1 . G . d2 instead of nine components, and the
-    coincident d1 . G . d1 parts are taken once.  ``at(dz)`` then produces a full RateShiftResult
-    from one real spherical-Bessel ladder over both tables, which is what
-    makes dense distance sweeps and oscillation-phase measurements
-    affordable.
+    holds two columns, of d1 . G . d2 and of d1 . G . d1, instead of nine
+    components.  ``at(dz)`` then produces a full RateShiftResult from one
+    real spherical-Bessel ladder over the d1 . d2 columns of both tables,
+    which is what makes dense distance sweeps and oscillation-phase
+    measurements affordable.
 
     The t panels' sets (``_kappa_sets``) come back folded over their t
     panel: four column sets per kz panel, the t panel's integral and its
     c_13..c_15.  Building lays every row out here, in one flat table in
-    ascending half-width, each row with one read: Re g12, Im g12, the
-    d1 . T . d2 integral, or one t panel's c_13, c_14 or c_15.  ``reads``
-    (3 + 3 t panels, rows) is that index as a 0/1 matrix, so ``reads``
-    times the rows' values at dz (``_phase_rows``) gives g12, the integral
-    and each t panel's c_13..c_15, whose absolute sum is its Legendre bound.
-    ``kappa_coincident`` is the d1 . T . d1 integral with its bound.  A set
+    ascending half-width, each row with one read: Re g, Im g, the d . T . d
+    integral, or one t panel's c_13, c_14 or c_15.  ``reads`` (3 + 3 t
+    panels, rows) is that index as a 0/1 matrix, and every pair number is
+    its product with the rows' values (``_read``): g, the integral and each
+    t panel's c_13..c_15, whose absolute sum is its Legendre bound.  The
+    d1 . d2 columns at dz (``_phase_rows``) give g12 and i12, the d1 . d1
+    columns at dz = 0 give ``coincident`` (g11, i11, its bound) once.  A set
     out of its node budget, or a t grid stopped short of its target by
     KAPPA_TABLE_BUDGET t panels, clears ``kappa_ok``, which the rows report
     as unconverged.  ``kz_err``, the sum of the sets' error bounds (kz and
@@ -216,7 +216,7 @@ class PairInteraction:
         self._d1 = np.asarray(pair.dipole_1, float)
         self._d2 = np.asarray(pair.dipole_2, float)
         # the dipole products of the vacuum term on the pair's axial line
-        self._d12 = float(self._d1 @ self._d2)
+        self._d11, self._d12 = (float(self._d1 @ d) for d in (self._d1, self._d2))
         self._d12_z = float(self._d1[2] * self._d2[2])
         dd = np.stack([np.outer(self._d1, d).ravel() for d in (self._d2, self._d1)], axis=1)
         self.kappa_panels, self.kappa_nodes, self.kappa_kz_nodes, grid_ok, sets = _kappa_sets(
@@ -224,36 +224,35 @@ class PairInteraction:
         kz_halves, kz_mids, kz_cols, _, kz_errs, self.kappa_orders, oks, _ = zip(*sets)
         self.kz_err = float(sum(kz_errs))
         self.kappa_ok = grid_ok and all(oks)
-        # d1 . G^med(r1, r1, omega_a) . d1 and the table's error, azimuthal
-        # tail included, which every row reads
-        gmed_11, self._res_err = tab.integrate(0.0)
-        self._g11 = _contract(gmed_11, self._d1, self._d1)
-        # the rows: the real-axis rows of C, which sum to Re g12 (read 0), and
-        # of -i C, which sum to Im g12 (1, as in ``_fold``), then four per kz
-        # panel of t panel p: its integral (2) and c_13..c_15 (3p + 3 .. 5)
+        # the rows: the real-axis rows of C, which sum to Re g (read 0), and
+        # of -i C, which sum to Im g (1, as in ``_fold``), then four per kz
+        # panel of t panel p: its integral (2) and c_13..c_15 (3p + 3 .. 5);
+        # each row has a d1 . d2 column (0) and a d1 . d1 column (1)
         n = len(tab.halves)
-        res = _fold(np.concatenate([tab.coefs, -1j * tab.coefs]), np.tile(tab.halves, 2),
-                    dd[:, :1])[..., 0]
-        cols12, cols11 = np.moveaxis(np.concatenate(
-            [c.reshape(2, _NPTS, -1, c.shape[-1]) for c in kz_cols], axis=2), 3, 0)
+        res = _fold(np.concatenate([tab.coefs, -1j * tab.coefs]), np.tile(tab.halves, 2), dd)
         read = np.concatenate([np.repeat([0, 1], n)] + [
             np.tile([2, 3 * p + 3, 3 * p + 4, 3 * p + 5], len(h)) for p, h in enumerate(kz_halves)])
         reads = (read == np.arange(3 + 3 * len(sets))[:, None]).astype(float)
         halves, mids = (np.concatenate([np.tile(x, 2), np.repeat(np.concatenate(y), 4)])
                         for x, y in ((tab.halves, kz_halves), (tab.mids, kz_mids)))
-        # the kappa rows' reads times their values at dz = 0, each row's j_0
-        # cos column (``_phase_rows``)
-        out = reads[2:, 2 * n:] @ cols11[0, 0]
-        self.kappa_coincident = float(out[0]), float(np.abs(out[1:]).sum())
         order = np.argsort(halves, kind="stable")
         self._halves, self._mids = halves[order], mids[order]
-        self._cols = np.ascontiguousarray(np.concatenate([res, cols12], axis=2)[:, :, order])
         self._reads = np.ascontiguousarray(reads[:, order])
+        cols = np.concatenate([res] + [c.reshape(2, _NPTS, -1, 2) for c in kz_cols],
+                              axis=2)[:, :, order]
+        self._cols = np.ascontiguousarray(cols[..., 0])
+        # the d1 . d1 numbers at dz = 0, where each row's value is its j_0
+        # cos column (``_phase_rows``): g11, the d1 . T . d1 integral, its bound
+        self.coincident = self._read(np.ascontiguousarray(cols[0, 0, :, 1]))
+
+    def _read(self, rows):
+        """(g, d . T . d integral, its t bound) from the rows' values."""
+        out = self._reads @ rows
+        return complex(out[0], out[1]), float(out[2]), float(np.abs(out[3:]).sum())
 
     def _pass(self, dz):
         """(d1 . G^med(p1, p2) . d2, d1 . T . d2 integral, its t bound) at dz."""
-        out = self._reads @ _phase_rows(self._halves, self._mids, self._cols, dz)
-        return complex(out[0], out[1]), float(out[2]), float(np.abs(out[3:]).sum())
+        return self._read(_phase_rows(self._halves, self._mids, self._cols, dz))
 
     def at(self, dz: float) -> RateShiftResult:
         """Rates and shifts at separation dz: one ladder pass (``_pass``)
@@ -262,24 +261,24 @@ class PairInteraction:
             raise DomainError(f"separation dz must be finite, got {dz}")
         w = self.omega_a
         g12, i12, e12 = self._pass(float(dz))
-        g11 = self._g11
-        res_err = 2.0 * self._res_err   # g12's and g11's, both from the one table
+        g11, i11, e11 = self.coincident
+        tab = self.table_res
+        res_err = 2.0 * tab.err   # g12's and g11's, both from the one table
 
+        gvac11 = green_vacuum_im_coincident(w) * self._d11
         if abs(dz) < _COINCIDENT:
-            gvac_im = green_vacuum_im_coincident(w) * self._d12
+            gvac12 = green_vacuum_im_coincident(w) * self._d12
         else:
-            gvac_im = green_vacuum_axial(dz, w, self._d12, self._d12_z).imag
-        gamma11, gamma12 = _rates(w, g11, g12, gvac_im)
+            gvac12 = green_vacuum_axial(dz, w, self._d12, self._d12_z).imag
+        gamma11, gamma12 = _rates(w, (gvac11, g11), (gvac12, g12))
 
         shift12_res = (3.0 * math.pi / w) * g12.real
         shift11_res = (3.0 * math.pi / w) * g11.real
 
-        i11, e11 = self.kappa_coincident
         ierr = e12 + e11 + self.kz_err
         shift12_int = (3.0 / w**3) * i12
         shift11_int = (3.0 / w**3) * i11
 
-        tab = self.table_res
         scale = max(1.0, abs(gamma11) * w / (6.0 * math.pi))
         # each check's (value, bound): a flag passes when true, a number when
         # at most its bound
@@ -419,7 +418,8 @@ def decay_rates(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6):
     """(gamma11, gamma12) scaled by the free-space rate.
 
     Uses the full tensor, vacuum plus scattered part, at the transition
-    frequency.  Coincident positions reproduce gamma12 = gamma11 exactly.
+    frequency, both rates by one formula (``_rates``): at coincident
+    positions with d1 = d2, gamma12 = gamma11 exactly.
     """
     w = pair.omega_a
     p1, p2 = pair.position_1, pair.position_2
@@ -430,13 +430,11 @@ def decay_rates(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6):
     same = _same_site(p1, p2)
     g12 = g11 if same else wire_green(geom, p1, p2, point, tol=tol).value
     if same:
-        gvac_im = green_vacuum_im_coincident(w) * float(d1 @ d2)
+        gvac12 = green_vacuum_im_coincident(w) * float(d1 @ d2)
     else:
-        gvac_im = _contract(green_vacuum_cyl(p1, p2, w).value, d1, d2).imag
-    gamma11, gamma12 = _rates(w, _contract(g11, d1, d1), _contract(g12, d1, d2), gvac_im)
-    if same and np.allclose(d1, d2, atol=1e-14):
-        return gamma11, gamma11
-    return gamma11, gamma12
+        gvac12 = _contract(green_vacuum_cyl(p1, p2, w).value, d1, d2).imag
+    gvac11 = green_vacuum_im_coincident(w) * float(d1 @ d1)
+    return _rates(w, (gvac11, _contract(g11, d1, d1)), (gvac12, _contract(g12, d1, d2)))
 
 
 def dipole_shift(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6) -> RateShiftResult:

@@ -141,6 +141,10 @@ class SpectralEvaluator:
     every order's term, shape (n_nodes, nmax + 1), the +-n pair folded as in
     the sum: ``settle_azimuthal_order`` reads the series' decay from it.
 
+    A real-axis point needs omega > 0, where the branch Im eta >= 0 is the
+    retarded one: G(-omega) is conj G(omega), which that branch does not
+    give, so omega <= 0 raises DomainError.
+
     All points share one axis, which selects the ladders: complex J_n and
     H_n^(1) on the real axis, scaled I_n and K_n on the imaginary axis, where
     the wall solve and the sum run in float64 (``_ladders``, ``_solve``).
@@ -164,6 +168,9 @@ class SpectralEvaluator:
         if len(axes) != 1:
             raise DomainError("the spectral points of one evaluator must share one axis")
         self.imaginary = axes.pop()
+        if not self.imaginary and min(p.omega for p in points) <= 0.0:
+            raise DomainError("a real-axis spectral point needs omega > 0; "
+                              "G(-omega) is the complex conjugate of G(omega)")
         self.rho1 = float(rho1)
         self.rho2 = float(rho2)
         self.dphi = float(dphi)

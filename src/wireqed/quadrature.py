@@ -518,20 +518,6 @@ def _plain(f, breaks, tol_abs, budget):
     return float(np.real(ps.integral()[0])), ps.err, ps.nodes_used, ok
 
 
-def _to_infinity(f, breaks, omega_max, tol_abs, budget):
-    """``_plain`` results of f on ``breaks`` and past their end: to infinity
-    through u = 1/w when ``omega_max`` is None, else on to ``omega_max``
-    when it lies beyond them.  Each piece meets ``tol_abs`` on its own."""
-    w1 = breaks[-1]
-    parts = [_plain(f, breaks, tol_abs, budget)]
-    if omega_max is None:
-        parts.append(_plain(lambda u: f(1.0 / u) / u**2,
-                            [1e-9, 0.25 / w1, 0.5 / w1, 1.0 / w1], tol_abs, budget))
-    elif omega_max > w1:
-        parts.append(_plain(f, [w1, omega_max], tol_abs, budget))
-    return parts
-
-
 def pv_shift_oracle(imG, omega_a, tol=1e-9, *, omega_max=None,
                     budget=60000) -> float:
     """Principal value of int_0^inf w^2 imG(w) / (w - omega_a) dw.
@@ -557,19 +543,24 @@ def pv_shift_oracle(imG, omega_a, tol=1e-9, *, omega_max=None,
     F = lambda w: w**2 * np.asarray(imG(w), float)
     FA = float(F(np.asarray([wa]))[0])
 
-    h0 = 0.25 * wa
+    h0, w1 = 0.25 * wa, 20.0 * wa
     nodes = 0
 
     def one_pass(h):
         nonlocal nodes
         tol_abs = 0.2 * tol * max(1.0, abs(FA) * wa)
+        outside = lambda w: F(w) / (w - wa)
         parts = [
-            _plain(lambda w: F(w) / (w - wa), [0.0, 0.5 * (wa - h), wa - h], tol_abs, budget),
+            _plain(outside, [0.0, 0.5 * (wa - h), wa - h], tol_abs, budget),
             _plain(lambda u: (F(wa + u) - FA) / u, [-h, -0.3 * h, 0.0, 0.3 * h, h],
                    tol_abs, budget),
-            *_to_infinity(lambda w: F(w) / (w - wa),
-                          [wa + h, wa + 3 * h, 2 * wa + h, 6 * wa, 20.0 * wa],
-                          omega_max, tol_abs, budget)]
+            _plain(outside, [wa + h, wa + 3 * h, 2 * wa + h, 6 * wa, w1], tol_abs, budget)]
+        # past w1: to infinity through u = 1/w, or on to omega_max
+        if omega_max is None:
+            parts.append(_plain(lambda u: outside(1.0 / u) / u**2,
+                                [1e-9, 0.25 / w1, 0.5 / w1, 1.0 / w1], tol_abs, budget))
+        elif omega_max > w1:
+            parts.append(_plain(outside, [w1, omega_max], tol_abs, budget))
         vals, errs, used, oks = zip(*parts)
         nodes += sum(used)
         if not all(oks):
@@ -612,6 +603,10 @@ def kk_check(G_component, omega_a, grid=None, *, arc_limit=0.0, tol=1e-8) -> KKR
     medium-induced Green's tensor between separated points the plateau is
     zero (the retardation phase kills the large-arc contribution); rational
     few-resonance models have a nonzero plateau that the caller supplies.
+
+    By partial fractions the right-hand side's integral is one principal
+    value, (2/pi) PV int w^2 f(w) / (w - omega_a) dw with
+    f(w) = w Im G(w) / (w + omega_a), which ``pv_shift_oracle`` evaluates.
 
     G_component takes one SpectralPoint.  With ``grid`` given, Im G is
     sampled on that real-frequency grid, a monotone spline (SciPy's PCHIP,
@@ -659,23 +654,13 @@ def kk_check(G_component, omega_a, grid=None, *, arc_limit=0.0, tol=1e-8) -> KKR
         omega_max = None
         tail_estimate = 0.0
 
-    # (2/pi) PV int w^3 ImG/(w^2 - wa^2)
-    #   = (1/(pi wa)) [ PV int w^2 (w ImG)/(w - wa)  -  int w^2 (w ImG)/(w + wa) ]
     # spline-backed integrands have kinks at every knot; refining below the
     # interpolation fidelity would only chase them
     tol_eff = max(tol, 1e-6) if grid is not None else tol
     budget = 200000 if grid is not None else 60000
-    w_im = lambda w: w * imG(w)
-    pv_part = pv_shift_oracle(w_im, wa, tol=tol_eff, omega_max=omega_max,
-                              budget=budget)
-    tol_abs = 0.25 * tol_eff * max(1.0, abs(lhs))
-    vals, _, _, oks = zip(*_to_infinity(lambda w: w**2 * w_im(w) / (w + wa),
-                                        [0.0, wa, 3 * wa, 8 * wa], omega_max, tol_abs, budget))
-    if not all(oks):
-        raise ConvergenceError("regular Kramers-Kronig integral did not converge")
-    reg = sum(vals)
-
-    rhs = (pv_part - reg) / (math.pi * wa) + arc_limit
+    pv_part = pv_shift_oracle(lambda w: w * imG(w) / (w + wa), wa, tol=tol_eff,
+                              omega_max=omega_max, budget=budget)
+    rhs = (2.0 / math.pi) * pv_part + arc_limit
     residual = abs(lhs - rhs) / abs(lhs) if lhs != 0.0 else math.inf
     warn = tail_estimate > abs(lhs - rhs) and tail_estimate > 0
     return KKReport(residual=float(residual), lhs=float(lhs), rhs=float(rhs),

@@ -102,6 +102,39 @@ class TestPairInteraction:
         assert one.gamma11 == pytest.approx(ref.gamma11, rel=1e-8)
         assert one.shift12_total == pytest.approx(ref.shift12_total, rel=1e-4)
 
+    def test_rows_match_the_direct_path(self, default_geom, pair_engine):
+        # decay_rates integrates wire_green tensors at each separation, a
+        # path independent of the rows' ladder pass over the frozen tables
+        tol = pair_engine.tol
+        for dz in (0.3, 1.5, 3.0):
+            row = pair_engine.at(dz)
+            pair = EmitterPair((0.015, 0.0, 0.0), (0.015, 0.0, dz))
+            gamma11, gamma12 = decay_rates(default_geom, pair, tol=tol)
+            margins = [0.1 * tol * row.gamma11 / max(abs(got - want), 1e-300)
+                       for got, want in ((row.gamma12, gamma12), (row.gamma11, gamma11))]
+            print(f"dz {dz}: 0.1 tol gamma11 / |rows - direct| of gamma12 {margins[0]:.3g}, "
+                  f"of gamma11 {margins[1]:.3g}")
+            assert min(margins) >= 1.0
+
+    @pytest.mark.parametrize("dipole", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.6, 0.0, 0.8)],
+                             ids=["radial", "z", "tilted"])
+    def test_coincident_pair_numbers_agree_exactly(self, default_geom, dipole):
+        # for d1 = d2 at one site the rate matrix is singular: gamma12 is
+        # gamma11, so the antisymmetric state is dark, and the shifts' parts
+        # agree too, on the rows (at(0) and dipole_shift) and on the direct
+        # path (decay_rates)
+        site = (0.015, 0.0, 0.0)
+        apart = EmitterPair(site, (0.015, 0.0, 0.5), dipole_1=dipole, dipole_2=dipole)
+        same = EmitterPair(site, site, dipole_1=dipole, dipole_2=dipole)
+        for r in (PairInteraction(default_geom, apart, tol=1e-6).at(0.0),
+                  dipole_shift(default_geom, same, tol=1e-6)):
+            assert r.gamma12 == r.gamma11
+            assert r.shift12_resonant == r.shift11_resonant
+            assert r.shift12_integral == r.shift11_integral
+            assert dicke_levels(r).antisymmetric_decay == 0.0
+        gamma11, gamma12 = decay_rates(default_geom, same, tol=1e-6)
+        assert gamma12 == gamma11
+
     def test_wire_lamb_shift_finite_and_dz_independent(self, pair_engine):
         a = pair_engine.at(0.5)
         b = pair_engine.at(3.0)
@@ -216,7 +249,7 @@ def test_kappa_bisection_matches_per_table_oracle(split_build, panel_sets):
     # radial dipoles: the build holds the rho-rho component of the tensor
     d1, d2 = interaction._d1, interaction._d2
     dd = np.outer(d1, d2).reshape(9, 1)
-    coincident_err = interaction.kappa_coincident[1]
+    coincident_err = interaction.coincident[2]
     for dz in (0.0, 0.5, 8.0):
         row_err = interaction.at(dz).diagnostics["kappa_err"]
         table_part = row_err - interaction._pass(dz)[2] - coincident_err
@@ -329,7 +362,7 @@ def test_kappa_cutoff_leaves_nothing_the_rows_can_see(default_geom, rho):
     vals = emitters._kappa_panel_job(
         (default_geom, rho, kappas, weights, half, tol, None, dd, (dz,)))[3]
     tails = (vals * (half * _GL_W)[:, None]).sum(axis=0)
-    i12, i11 = interaction._pass(dz)[1], interaction.kappa_coincident[0]
+    i12, i11 = interaction._pass(dz)[1], interaction.coincident[1]
     margins = tails / (tol * max(1.0, abs(i12), abs(i11)))
     print(f"rho {rho}: cutoff tails over the target {margins}")
     assert (np.abs(margins) <= 1e-8).all()
@@ -358,7 +391,7 @@ def test_t_grid_stopped_by_the_table_budget_is_unconverged(default_geom, default
     ((grid, grid_ok),) = grids
     assert not grid_ok and len(grid.panels) == 8
     row = interaction.at(0.5)
-    i12, i11 = interaction._pass(0.5)[1], interaction.kappa_coincident[0]
+    i12, i11 = interaction._pass(0.5)[1], interaction.coincident[1]
     assert row.diagnostics["kappa_err"] <= 100.0 * tol * max(1.0, abs(i12), abs(i11))
     assert not interaction.kappa_ok
     assert not row.converged

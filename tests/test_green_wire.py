@@ -6,7 +6,7 @@ from wireqed import (ConvergenceError, DomainError, DrudeModel, EmitterPair, Fit
                      OMEGA_A, PairInteraction, SpectralPoint, WireGeometry,
                      green_vacuum_im_coincident, plasmon_wavenumber, wire_green,
                      wire_spectral_green)
-from wireqed import green_wire
+from wireqed import emitters, green_wire
 from wireqed.green_wire import SpectralEvaluator
 
 from conftest import load_fixture
@@ -83,6 +83,27 @@ def test_fractional_order_raises_before_any_evaluation(default_geom, monkeypatch
     # order search of the tables
     monkeypatch.setattr(SpectralEvaluator, "_ladders", _evaluated)
     with pytest.raises(DomainError, match="must be an integer"):
+        build(default_geom)
+
+
+_NEGATIVE = SpectralPoint.real_axis(-OMEGA_A)
+
+
+@pytest.mark.parametrize("build", [
+    lambda geom: wire_green(geom, (0.015, 0.0, 0.0), (0.015, 0.0, 0.0), _NEGATIVE),
+    lambda geom: green_wire.WireSpectralTable(geom, _NEGATIVE, 0.015, 0.015, 0.0, tol=1e-6),
+    lambda geom: wire_spectral_green(geom, 0.015, 0.015, 0.0, _NEGATIVE, 1.0, nmax=8),
+    lambda geom: green_wire.settle_azimuthal_order(geom, _NEGATIVE, 0.015, 0.015, 0.0),
+    lambda geom: emitters.fit_plasmon_lorentzian(geom, 0.015, -OMEGA_A),
+    lambda geom: emitters.fit_plasmon_lorentzian(geom, 0.015, -OMEGA_A, nmax=8),
+], ids=["wire_green", "table", "spectral_green", "settle", "fit", "fit_nmax"])
+def test_negative_real_frequency_raises_before_any_evaluation(default_geom, monkeypatch,
+                                                              build):
+    # on the default metal at -omega_A, wire_green returned a converged
+    # tensor 2e-4 of its size away from conj G(omega_A): the outgoing branch
+    # Im eta >= 0 is the retarded one only for omega > 0
+    monkeypatch.setattr(SpectralEvaluator, "__call__", _evaluated)
+    with pytest.raises(DomainError, match="needs omega > 0"):
         build(default_geom)
 
 
