@@ -26,7 +26,7 @@ import numpy as np
 from .config import RunConfig, SCHEMA_TAG, load_config
 from .emitters import (PairInteraction, analytic_approximations, dicke_levels,
                        fit_plasmon_lorentzian, fit_two_lorentzian, markov_diagnostic)
-from .errors import ConfigError, ConvergenceError, FitError, WireQEDError
+from .errors import ConfigError, ConvergenceError, DomainError, FitError, WireQEDError
 from .frequencies import OMEGA_A, SpectralPoint
 from .green_wire import AZIMUTHAL_SHARE, SpectralEvaluator, settle_azimuthal_order
 from .validate import run_all
@@ -57,8 +57,8 @@ def _load(args) -> RunConfig:
 def _engine_and_fit(cfg: RunConfig, dz: float, dz_refs, threads: int = 1):
     """The pair tables for ``sweep`` and ``point``, with their kappa tables
     built in a pool of ``threads`` worker processes, at most one per CPU, when
-    threads > 1, and the plasmon fit at the same azimuthal order (None without
-    a bound plasmon)."""
+    threads > 1, and the plasmon fit from its real-axis table (None without a
+    bound plasmon), so that no evaluator call runs outside the tables."""
     geom = cfg.geometry()
     threads = min(threads, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
@@ -68,8 +68,8 @@ def _engine_and_fit(cfg: RunConfig, dz: float, dz_refs, threads: int = 1):
                                  nmax=cfg.azimuthal_order, dz_refs=dz_refs,
                                  parallel=parallel)
     try:
-        fit = fit_plasmon_lorentzian(geom, cfg.rho_1, OMEGA_A, nmax=engine.nmax)
-    except FitError:
+        fit = fit_plasmon_lorentzian(geom, engine.omega_a, engine.table_res.spectrum)
+    except (FitError, DomainError):   # DomainError: a peak beyond the table's panels
         fit = None
     return engine, fit
 
@@ -192,13 +192,13 @@ def cmd_dispersion(args) -> int:
     # its predicted tail is still read
     nmax, (tail,), scale = settle_azimuthal_order(geom, point, cfg.rho_1, cfg.rho_1, 0.0,
                                                   tol=cfg.tol_wire, nmax=cfg.azimuthal_order)
+    ev = SpectralEvaluator(geom, point, cfg.rho_1, cfg.rho_1, 0.0, nmax=nmax)
     try:
-        fit = fit_plasmon_lorentzian(geom, cfg.rho_1, omega, nmax=nmax)
+        fit = fit_plasmon_lorentzian(geom, omega, ev)
     except FitError as exc:
         print(f"fit failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
 
-    ev = SpectralEvaluator(geom, point, cfg.rho_1, cfg.rho_1, 0.0, nmax=nmax)
     lo = 1.0001 * omega
     hi = 4.0 * fit.center_kz_pl
     kz = np.unique(np.concatenate([

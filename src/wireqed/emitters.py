@@ -25,8 +25,9 @@ from . import quadrature
 from .errors import DomainError, FitError
 from .frequencies import OMEGA_A, SpectralPoint
 from .green_vacuum import green_vacuum_axial, green_vacuum_cyl, green_vacuum_im_coincident
-from .green_wire import (_MIRROR, SpectralEvaluator, WireGeometry, WireSpectralTable,
-                         plasmon_wavenumber, settle_azimuthal_order, wire_green)
+# settle_azimuthal_order is unused here; perfbench's traced runs look it up in this module
+from .green_wire import (_MIRROR, WireGeometry, WireSpectralTable, plasmon_wavenumber,
+                         settle_azimuthal_order, wire_green)
 from .quadrature import _GL_W, _GL_X, _KIDX, _NPTS, _PROJ
 
 _P_EVEN = _MIRROR.ravel() > 0   # components the -kz mirror keeps
@@ -521,28 +522,25 @@ def fit_two_lorentzian(kz, values, guess) -> LorentzianFit:
                          fit_residual=float(np.linalg.norm(r) / np.linalg.norm(y)))
 
 
-def fit_plasmon_lorentzian(geom: WireGeometry, rho: float, omega: float, *,
-                           nmax=None) -> LorentzianFit:
-    """Fit the symmetric two-Lorentzian model to Im G~_rr(rho, rho, omega; kz).
-
-    The fit window [omega, 4 * kz_peak] excludes the radiative continuum
-    kz < omega that the model does not describe.  Initial guesses are the
-    sampled peak location, its half width at half maximum, and the peak
-    value.  Raises FitError when the spectrum has no bound-mode maximum
-    beyond the light line.
+def fit_plasmon_lorentzian(geom: WireGeometry, omega: float, spectrum) -> LorentzianFit:
+    """Fit the symmetric two-Lorentzian model to Im G~_rr(kz) of ``spectrum``
+    (kz nodes -> (K, 3, 3): a kz table's ``spectrum`` or an evaluator) at
+    real omega.  The fit window [omega, 4 * kz_peak] excludes the radiative
+    continuum kz < omega that the model does not describe.  Initial guesses
+    are the TM0 pole (``plasmon_wavenumber``), or else the sampled peak
+    location and half width, and the peak value.  Raises DomainError unless
+    0 < omega < inf, and FitError without a bound-mode maximum.
     """
     w = float(omega)
-    point = SpectralPoint.real_axis(w)
-    if nmax is None:
-        nmax = settle_azimuthal_order(geom, point, rho, rho, 0.0)[0]
-    ev = SpectralEvaluator(geom, point, rho, rho, 0.0, nmax=nmax)
+    if not 0.0 < w < math.inf:
+        raise DomainError(f"the plasmon fit needs omega > 0 and finite, got {omega}")
 
     try:
         k_guess, width_guess = plasmon_wavenumber(geom, w)
     except FitError:
         # fall back to a scan with local refinement around the maximum
         scan = w * np.geomspace(1.003, 40.0, 200)
-        im_scan = ev(scan)[:, 0, 0].imag
+        im_scan = spectrum(scan)[:, 0, 0].imag
         ipk = int(np.argmax(im_scan))
         if ipk in (0, len(scan) - 1) or im_scan[ipk] <= 0:
             raise FitError("no interior spectral maximum beyond the light line; "
@@ -552,19 +550,19 @@ def fit_plasmon_lorentzian(geom: WireGeometry, rho: float, omega: float, *,
         for _ in range(4):
             local = k_guess + width_guess * np.linspace(-2.0, 2.0, 41)
             local = local[local > w]
-            im_loc = ev(local)[:, 0, 0].imag
+            im_loc = spectrum(local)[:, 0, 0].imag
             j = int(np.argmax(im_loc))
             k_guess = float(local[j])
             above = local[im_loc > 0.5 * im_loc[j]]
             width_guess = max(0.5 * (above[-1] - above[0]), 1e-4 * w)
-    peak = float(ev(np.asarray([k_guess]))[0, 0, 0].imag)
+    peak = float(spectrum(np.asarray([k_guess]))[0, 0, 0].imag)
     if peak <= 0 or not k_guess > w:
         raise FitError("no bound-mode peak beyond the light line")
 
     window = np.linspace(1.0001 * w, 4.0 * k_guess, 180)
     dense = k_guess + width_guess * np.linspace(-15, 15, 180)
     kz = np.unique(np.concatenate([window, dense[(dense > w) & (dense < 4 * k_guess)]]))
-    vals = ev(kz)[:, 0, 0].imag
+    vals = spectrum(kz)[:, 0, 0].imag
     fit = fit_two_lorentzian(kz, vals, (peak, width_guess, k_guess))
     if not fit.center_kz_pl > w:
         raise FitError(f"fitted center {fit.center_kz_pl} is inside the light cone")

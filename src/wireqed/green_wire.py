@@ -60,7 +60,7 @@ from .errors import ConvergenceError, DomainError, FitError, OverflowGuardError
 from .frequencies import SpectralPoint, as_spectral_point
 from .green_vacuum import DyadicGreen
 from .material import DrudeModel, permittivity
-from .quadrature import (QuadratureReport, _check_budget, _check_tol, _seed_breaks,
+from .quadrature import (_NPTS, QuadratureReport, _check_budget, _check_tol, _seed_breaks,
                          build_spectral_panels, panel_terms)
 
 #: Share of ``tol`` times the integral's scale that the azimuthal tail of a
@@ -119,6 +119,18 @@ def _check_order(nmax):
     # a bool is an int to isinstance, and numpy's integers are not
     if isinstance(nmax, bool) or not isinstance(nmax, (int, np.integer)) or not 1 <= nmax <= N_MAX:
         raise DomainError(f"azimuthal order must be an integer in 1..{N_MAX}, got {nmax!r}")
+
+
+def _wall_matrix(k1, k2k, a, n, kz, e1, e2, uH, uJ):
+    """(A00, A11, c2k, c, wJ, wJk): the order-n wall system at signed kz, of
+    determinant A00 A11 - c2k, from uH, uJ = H_n'/H_n at e1 a, J_n'/J_n at e2 a;
+    at n = 0, A11 = 0 is the TM0 plasmon's dispersion relation."""
+    r = e1**2 / e2**2
+    c = n * kz * (r - 1.0) / a
+    c2k = -(c * c / k1) if np.isrealobj(e1) else c * c / k1
+    wJ = e2 * uJ * r
+    wJk = k2k * wJ
+    return -e1 * uH + wJ, -k1 * e1 * uH + wJk, c2k, c, wJ, wJk
 
 
 class SpectralEvaluator:
@@ -267,13 +279,10 @@ class SpectralEvaluator:
 
         Returns array (K, nmax+1, 2, 2): [[R_MM, R_MN], [R_NM, R_NN]] times
         H_n(eta1 a) / max(|J_n(eta1 a)|, |J_n'(eta1 a)|); ``_ladders`` folds
-        the inverse factor into the rho1-side radial functions.
-
-        Rows E_z and H_z of the tangential-continuity system give the
-        interior amplitudes, which leaves a 2x2 system in the scattered
-        (M, N) amplitudes for E_phi and H_phi, solved here in closed form.
-        The sign of kz enters only through the coupling c, so R(-kz) is R(+kz)
-        with R_MN and R_NM negated, bit for bit.
+        the inverse factor into the rho1-side radial functions.  The 2x2
+        system of the module docstring, with ``_wall_matrix``'s entries, is
+        solved by Cramer's rule.  The sign of kz enters only through the
+        coupling c, so R(-kz) is R(+kz) with R_MN and R_NM negated, bit for bit.
 
         Real inputs are the imaginary-axis forms of ``_ladders``.
         There k1, k2^2/k1 and c^2/k1 are i times real numbers, and the same
@@ -282,23 +291,13 @@ class SpectralEvaluator:
         """
         # (K, n), copied so the arithmetic below runs on contiguous rows
         uH, uJ, q, qp = (np.ascontiguousarray(x.T) for x in wall)
-        a = self.geom.radius
         k1 = self.k1[which][..., None]
         k2k = self.k2[which][..., None] ** 2 / k1
-        nn = np.arange(self.nmax + 1)[None, :]
-        e1 = np.asarray(eta1)[:, None]
-        e2 = np.asarray(eta2)[:, None]
-        r = e1**2 / e2**2
-        c = nn * np.asarray(kz_signed)[:, None] * (r - 1.0) / a
+        e1 = eta1[:, None]
         if np.isrealobj(e1):
             k1, k2k = k1.imag, k2k.imag
-            c2k = -(c * c / k1)
-        else:
-            c2k = c * c / k1
-        wJ = e2 * uJ * r
-        wJk = k2k * wJ
-        A00 = -e1 * uH + wJ
-        A11 = -k1 * e1 * uH + wJk
+        A00, A11, c2k, c, wJ, wJk = _wall_matrix(k1, k2k, self.geom.radius, np.arange(
+            self.nmax + 1), kz_signed[:, None], e1, eta2[:, None], uH, uJ)
         bM0 = e1 * qp - wJ * q
         bN1 = k1 * e1 * qp - wJk * q
         inv_det = 1.0 / (A00 * A11 - c2k)
@@ -408,7 +407,8 @@ def plasmon_wavenumber(geom: WireGeometry, omega: float):
     Returns (kz_pl, width): the real part of the complex pole of the
     reflection coefficients and its imaginary part (the propagation decay
     rate, which doubles as the Lorentzian width of the spectral peak).
-    Raises FitError when no bound mode exists for the given permittivity.
+    It is the zero of the wall solve's n = 0 TM entry (``_wall_matrix``) on
+    order-0 surface ladders.  Raises FitError when there is no bound mode.
     """
     w = float(omega)
     eps2 = permittivity(geom.model, SpectralPoint.real_axis(w))
@@ -419,25 +419,19 @@ def plasmon_wavenumber(geom: WireGeometry, omega: float):
     x_est = 1.0 / max(abs(eps2 + 1.0), 1e-3) + 5.0
     scan_max_ratio = max(60.0, 3.0 * x_est / (w * a))
 
-    def terms(kz):
-        kz = np.atleast_1d(np.asarray(kz, complex))
-        e1 = _radial_wavenumber(k1**2, kz)
-        e2 = _radial_wavenumber(k2**2, kz)
-        j2, j2p = j_orders(0, e2 * a)
-        h1, h1p = h_orders(0, e1 * a)
-        t1 = (e1**2 / k1) * h1[0] * k2 * e2 * j2p[0]
-        t2 = (e2**2 / k2) * j2[0] * k1 * e1 * h1p[0]
-        return t1, t2
+    squares, k2k = np.array([[k1**2], [k2**2]]), k2**2 / k1
 
-    def det(kz):
-        t1, t2 = terms(kz)
-        return t1 - t2
+    def tm0(kz):   # (A11, its interior term wJk)
+        e1, e2 = _radial_wavenumber(squares, kz)
+        (j,), (jp,), (h,), (hp,) = *j_orders(0, e2 * a), *h_orders(0, e1 * a)
+        _, a11, _, _, _, wjk = _wall_matrix(k1, k2k, a, 0, kz, e1, e2, hp / h, jp / j)
+        return a11, wjk
 
     # both terms die exponentially at large kz, so the root search scans the
-    # determinant normalized by their magnitude scale
-    scan = w * np.geomspace(1.002, scan_max_ratio, 300)
-    t1, t2 = terms(scan)
-    mags = np.abs(t1 - t2) / (np.abs(t1) + np.abs(t2))
+    # entry normalized by their magnitude scale
+    scan = 1.002 * w * (scan_max_ratio / 1.002) ** np.linspace(0.0, 1.0, 300)
+    a11, wjk = tm0(scan)
+    mags = np.abs(a11) / (np.abs(a11 - wjk) + np.abs(wjk))
     i0 = int(np.argmin(mags))
     if i0 in (0, len(scan) - 1) or mags[i0] > 0.3:
         raise FitError("no interior minimum of the TM0 dispersion function; "
@@ -445,7 +439,7 @@ def plasmon_wavenumber(geom: WireGeometry, omega: float):
     kz = complex(scan[i0])
     for _ in range(60):
         h = 1e-7 * abs(kz)
-        d, dplus, dminus = det(np.array([kz, kz + h, kz - h]))
+        d, dplus, dminus = tm0(np.array([kz, kz + h, kz - h]))[0]
         dp = (dplus - dminus) / (2 * h)
         if dp == 0:
             break
@@ -663,6 +657,16 @@ class FrozenSpectralTable:
         vec = panel_terms(self.halves, self.mids, self.coefs, float(dz), mirror)
         return vec.sum(axis=0).reshape(-1, 3, 3).sum(axis=0), self.err
 
+    def spectrum(self, kz):
+        """(K, 3, 3): the panels' Legendre series at kz, summed over the
+        spectra as ``integrate`` sums them; kz outside the panels raises."""
+        kz, end = np.atleast_1d(np.asarray(kz, float)), self.mids[-1] + self.halves[-1]
+        if not np.all((kz >= 0.0) & (kz <= end)):
+            raise DomainError(f"kz must lie in the table's panels [0, {end:.6g}]")
+        p = np.searchsorted(self.mids - self.halves, kz, side="right") - 1
+        leg = np.polynomial.legendre.legvander((kz - self.mids[p]) / self.halves[p], _NPTS - 1)
+        return np.einsum("kj,kjc->kc", leg, self.coefs[p]).reshape(kz.size, -1, 3, 3).sum(axis=1)
+
 
 class WireSpectralTable(FrozenSpectralTable):
     """The one kz-table builder: the frozen panels of the spectra at the
@@ -680,7 +684,8 @@ class WireSpectralTable(FrozenSpectralTable):
     evaluator call (``which``).  With one point of weight 1 every value
     keeps its bits.  A budget that is not finite and positive, or a
     phase_ref that is not finite, raises DomainError before any node is
-    evaluated.
+    evaluated; a lossless metal's pole, seeded on the real kz axis, raises
+    ConvergenceError.
 
     Build once, then ``integrate(dz)`` for any number of separations: the
     separation only enters through analytic phase moments, so each call
@@ -695,6 +700,9 @@ class WireSpectralTable(FrozenSpectralTable):
         points = [as_spectral_point(p) for p in (points if isinstance(points, list) else [points])]
         weights = np.ones(len(points)) if weights is None else np.asarray(weights, float)
         found = [_k_window(geom, p, rho1, rho2) for p in points]
+        if geom.model.gamma_p == 0.0 and (poles := [w[1][0] for w in found if w[1]]):
+            raise ConvergenceError(f"the lossless metal puts the plasmon pole on the real kz "
+                                   f"axis at kz = {poles[0]:.6g}", {"kz_pole": poles[0]})
         nmax, tails, _ = settle_azimuthal_order(geom, points, rho1, rho2, dphi, tol=tol,
                                                 weights=weights, nmax=nmax, dz=phase_ref,
                                                 windows=found)

@@ -42,5 +42,6 @@ def pair_engine(default_geom, default_pair):
 
 
 @pytest.fixture(scope="session")
-def plasmon_fit(default_geom):
-    return fit_plasmon_lorentzian(default_geom, 0.015, OMEGA_A)
+def plasmon_fit(default_geom, pair_engine):
+    # the default pair's fit, as sweep and point take it: from its real-axis table
+    return fit_plasmon_lorentzian(default_geom, OMEGA_A, pair_engine.table_res.spectrum)

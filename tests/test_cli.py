@@ -310,8 +310,63 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "fit failure:" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", [["sweep"], ["point", "--dz", "1.5"]],
+                             ids=["sweep", "point"])
+    def test_lossless_metal_pole_on_the_axis_exits_3(self, tmp_path, command):
+        # gamma_p = 0 puts the guided plasmon pole on the real kz axis; the
+        # real-axis table used to split toward it until a node hit it, with
+        # numpy warnings and exit 4
+        cfg = json.loads(DEFAULT_CONFIG.read_text())
+        cfg["gamma_p_over_omega_p"] = 0.0
+        path = tmp_path / "lossless.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_cli(command + ["--config", str(path), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 3
+        assert "plasmon pole on the real kz axis" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestSweep:
+    def test_plasmon_peak_beyond_the_table_leaves_no_fit(self, tmp_path):
+        # near eps = -1 the TM0 pole of this geometry lies at kz = 5,490, where
+        # its field has died out before the emitters, so the real-axis table
+        # does not seed it and ends at kz = 303; the fit's window leaves the
+        # table, and the rows carry no approximation (an exit 4 before, from
+        # the fit's own evaluator past the overflow guard)
+        cfg = json.loads(DEFAULT_CONFIG.read_text())
+        cfg.update(omega_p_over_omega_a=1.42, rho_1=0.05, rho_2=0.05)
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert not any(line.startswith("# fit_") for line in lines)
+        rows = [line.split(",") for line in lines if line[0].isdigit()]
+        assert len(rows) == 100 and all(r[6:] == ["nan", "nan", "true"] for r in rows)
+
+    def test_every_evaluator_call_is_the_pair_build(self, tmp_path, monkeypatch):
+        # the plasmon fit reads the pair's real-axis table, so a default sweep
+        # calls the evaluator only while PairInteraction builds its tables
+        calls, inside = [], []
+        call, init = SpectralEvaluator.__call__, PairInteraction.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(bool(inside))
+            return call(self, *args, **kwargs)
+
+        def build(self, *args, **kwargs):
+            inside.append(True)
+            try:
+                init(self, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(SpectralEvaluator, "__call__", counted)
+        monkeypatch.setattr(PairInteraction, "__init__", build)
+        assert main(["sweep", "--config", str(DEFAULT_CONFIG), "--threads", "1",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert calls and all(calls)
+
     def test_csv_deterministic_across_worker_counts(self, tmp_path):
         path = write_config(tmp_path)
         out1 = tmp_path / "s1.csv"
@@ -432,7 +487,7 @@ class TestDispersion:
                                cfg.rho_1, 0.0, nmax=4)
         want = ev(kz)[:, 0, 0].imag
         assert np.abs(vals - want).max() <= 1e-12 * np.abs(want).max()
-        fit = fit_plasmon_lorentzian(geom, cfg.rho_1, OMEGA_A, nmax=4)
+        fit = fit_plasmon_lorentzian(geom, OMEGA_A, ev)
         assert meta["fit_center_kz_pl"] == pytest.approx(fit.center_kz_pl, rel=1e-12)
 
 

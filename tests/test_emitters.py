@@ -525,22 +525,13 @@ def test_rows_with_mirror_odd_components_match_full_tensor(default_geom, split_b
         assert r.converged is converged
 
 
-def test_one_order_search_across_callers(default_geom, pair_engine, monkeypatch):
-    # wire_green, PairInteraction(nmax=None) and the plasmon fit settle the
-    # azimuthal order through one rule, so on one geometry they agree
+def test_one_order_search_across_callers(default_geom, pair_engine):
+    # wire_green and PairInteraction(nmax=None) settle the azimuthal order
+    # through one rule, so on one geometry they agree; the plasmon fit of
+    # sweep and point reads the pair's real-axis table at that order
     coincident = (0.015, 0.0, 0.0)
     g = wire_green(default_geom, coincident, coincident, SpectralPoint.real_axis(OMEGA_A))
-    fit_orders = []
-
-    class Recording(SpectralEvaluator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            fit_orders.append(self.nmax)
-
-    monkeypatch.setattr(emitters, "SpectralEvaluator", Recording)
-    fit_plasmon_lorentzian(default_geom, 0.015, OMEGA_A)
-    assert fit_orders and set(fit_orders) == {pair_engine.nmax}
-    assert g.report.diagnostics["nmax"] == pair_engine.nmax
+    assert g.report.diagnostics["nmax"] == pair_engine.nmax == pair_engine.table_res.nmax
 
 
 def test_near_wall_azimuthal_tail_is_loud(default_geom):
@@ -722,15 +713,21 @@ class TestLorentzianFit:
             return WireGeometry(radius=radius,
                                 model=DrudeModel.from_relative(1.0, wp, gp))
 
+        def table_fit(g, rho):
+            # as sweep fits, from the real-axis table at rho
+            table = WireSpectralTable(g, SpectralPoint.real_axis(OMEGA_A), rho, rho, 0.0,
+                                      tol=1e-6)
+            return fit_plasmon_lorentzian(g, OMEGA_A, table.spectrum)
+
         broad = geom(0.1, 1.3, 0.05)
         with pytest.raises(FitError):
             plasmon_wavenumber(broad, OMEGA_A)
-        fit = fit_plasmon_lorentzian(broad, 0.15, OMEGA_A)
+        fit = table_fit(broad, 0.15)
         assert fit.center_kz_pl == pytest.approx(6.412, rel=1e-3)
         assert fit.center_kz_pl > OMEGA_A
         assert fit.fit_residual < 5e-3
         with pytest.raises(FitError, match="no interior spectral maximum"):
-            fit_plasmon_lorentzian(geom(0.03, 1.05, 0.002), 0.045, OMEGA_A)
+            table_fit(geom(0.03, 1.05, 0.002), 0.045)
 
     def test_single_rate_approximation_close(self, pair_engine, plasmon_fit):
         # plasmon channel carries most of the near-wire decay
@@ -747,10 +744,12 @@ def _fit_params(fit):
     return np.array([fit.amplitude_a, fit.width_gamma, fit.center_kz_pl])
 
 
-# the spectra fit_plasmon_lorentzian fits: the default pair's radius at the
-# settled order, and the tests/test_cli.py geometry at order 4
+# the spectra fit_plasmon_lorentzian fits: the default pair's real-axis table,
+# as in sweep, and the tests/test_cli.py geometry's spectrum at order 4, as in
+# dispersion with an explicit order
 @pytest.mark.parametrize("rho, nmax", [(0.015, None), (0.03, 4)], ids=["default", "order_4"])
-def test_fit_matches_least_squares_and_is_stable(default_geom, monkeypatch, rho, nmax):
+def test_fit_matches_least_squares_and_is_stable(default_geom, pair_engine, monkeypatch,
+                                                 rho, nmax):
     from scipy.optimize import least_squares
 
     seen = []
@@ -760,7 +759,9 @@ def test_fit_matches_least_squares_and_is_stable(default_geom, monkeypatch, rho,
         return fit_two_lorentzian(kz, values, guess)
 
     monkeypatch.setattr(emitters, "fit_two_lorentzian", capture)
-    fit = _fit_params(fit_plasmon_lorentzian(default_geom, rho, OMEGA_A, nmax=nmax))
+    spectrum = (pair_engine.table_res.spectrum if nmax is None else SpectralEvaluator(
+        default_geom, SpectralPoint.real_axis(OMEGA_A), rho, rho, 0.0, nmax=nmax))
+    fit = _fit_params(fit_plasmon_lorentzian(default_geom, OMEGA_A, spectrum))
     (kz, y, guess), = seen
     ref = least_squares(lambda p: _lorentzians(kz, *p) - y, x0=guess,
                         bounds=([0.0, 1e-12, 0.0], [np.inf] * 3),

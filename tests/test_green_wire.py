@@ -94,9 +94,10 @@ _NEGATIVE = SpectralPoint.real_axis(-OMEGA_A)
     lambda geom: green_wire.WireSpectralTable(geom, _NEGATIVE, 0.015, 0.015, 0.0, tol=1e-6),
     lambda geom: wire_spectral_green(geom, 0.015, 0.015, 0.0, _NEGATIVE, 1.0, nmax=8),
     lambda geom: green_wire.settle_azimuthal_order(geom, _NEGATIVE, 0.015, 0.015, 0.0),
-    lambda geom: emitters.fit_plasmon_lorentzian(geom, 0.015, -OMEGA_A),
-    lambda geom: emitters.fit_plasmon_lorentzian(geom, 0.015, -OMEGA_A, nmax=8),
-], ids=["wire_green", "table", "spectral_green", "settle", "fit", "fit_nmax"])
+    lambda geom: emitters.fit_plasmon_lorentzian(geom, -OMEGA_A, _evaluated),
+    lambda geom: emitters.fit_plasmon_lorentzian(
+        geom, -OMEGA_A, SpectralEvaluator(geom, REAL, 0.015, 0.015, 0.0, nmax=8)),
+], ids=["wire_green", "table", "spectral_green", "settle", "fit", "fit_evaluator"])
 def test_negative_real_frequency_raises_before_any_evaluation(default_geom, monkeypatch,
                                                               build):
     # on the default metal at -omega_A, wire_green returned a converged
@@ -105,6 +106,56 @@ def test_negative_real_frequency_raises_before_any_evaluation(default_geom, monk
     monkeypatch.setattr(SpectralEvaluator, "__call__", _evaluated)
     with pytest.raises(DomainError, match="needs omega > 0"):
         build(default_geom)
+
+
+def _table_nodes(table):
+    from wireqed.quadrature import _GL_X
+    return (table.mids[:, None] + table.halves[:, None] * _GL_X).ravel()
+
+
+def test_table_spectrum_reproduces_its_nodes(default_geom):
+    # the frozen Legendre panels give back the values they were projected from
+    table = green_wire.WireSpectralTable(default_geom, REAL, 0.015, 0.015, 0.0, tol=1e-6)
+    nodes = _table_nodes(table)
+    got = table.spectrum(nodes).reshape(len(table.halves), -1, 9)
+    want = SpectralEvaluator(default_geom, REAL, 0.015, 0.015, 0.0, nmax=table.nmax)(
+        nodes).reshape(got.shape)
+    # per panel, relative to its largest component
+    assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * np.abs(want).max(axis=(1, 2)))
+
+
+def test_table_spectrum_is_within_its_error_on_the_fit_grid(default_geom):
+    # the kz grid of fit_plasmon_lorentzian on the default pair's real-axis
+    # table, and the component it fits, Im G~_rr: in sweep the table stands
+    # in for an evaluator there
+    table = green_wire.WireSpectralTable(default_geom, REAL, 0.015, 0.015, 0.0, tol=1e-6)
+    kp, width = plasmon_wavenumber(default_geom, OMEGA_A)
+    dense = kp + width * np.linspace(-15.0, 15.0, 180)
+    kz = np.unique(np.concatenate([np.linspace(1.0001 * OMEGA_A, 4.0 * kp, 180),
+                                   dense[(dense > OMEGA_A) & (dense < 4.0 * kp)]]))
+    ev = SpectralEvaluator(default_geom, REAL, 0.015, 0.015, 0.0, nmax=table.nmax)
+    seen = np.abs(table.spectrum(kz)[:, 0, 0].imag - ev(kz)[:, 0, 0].imag).max()
+    assert seen <= table.err
+
+
+def test_table_spectrum_outside_its_panels_raises(default_geom):
+    table = green_wire.WireSpectralTable(default_geom, REAL, 0.015, 0.015, 0.0, tol=1e-6)
+    end = table.mids[-1] + table.halves[-1]
+    assert table.spectrum([0.0, end]).shape == (2, 3, 3)
+    for bad in (-1e-9, 1.01 * end, np.nan, np.inf):
+        with pytest.raises(DomainError, match="table's panels"):
+            table.spectrum([1.0, bad])
+
+
+def test_weighted_table_spectrum_is_the_weighted_sum(default_geom):
+    points = [SpectralPoint.imaginary_axis(k * OMEGA_A) for k in (0.5, 2.0)]
+    table = green_wire.WireSpectralTable(default_geom, points, 0.015, 0.015, 0.0, tol=1e-6,
+                                         weights=[0.3, -1.2], nmax=8)
+    nodes = _table_nodes(table)
+    one, two = (SpectralEvaluator(default_geom, p, 0.015, 0.015, 0.0, nmax=8)(nodes)
+                for p in points)
+    want = 0.3 * one - 1.2 * two
+    assert np.abs(table.spectrum(nodes) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_numpy_integer_order_is_an_order(default_geom):
@@ -206,6 +257,75 @@ def test_no_bound_mode_for_transparent_wire():
                         model=DrudeModel(eps_inf=1.0, omega_p=0.1, gamma_p=0.01))
     with pytest.raises(FitError):
         plasmon_wavenumber(geom, OMEGA_A)
+
+
+def _reference_plasmon(geom, omega):
+    """The TM0 pole search on its own determinant, written out as
+    plasmon_wavenumber had it before it read the wall solve's entry:
+    det = (eta1^2/k1) H_0 k2 eta2 J_0' - (eta2^2/k2) J_0 k1 eta1 H_0', with
+    the same scan and Newton step."""
+    from wireqed.bessel import h_orders, j_orders
+    from wireqed.material import permittivity
+
+    w = float(omega)
+    eps2 = permittivity(geom.model, SpectralPoint.real_axis(w))
+    k1, k2 = w, w * np.sqrt(eps2 + 0j)
+    a = geom.radius
+    x_est = 1.0 / max(abs(eps2 + 1.0), 1e-3) + 5.0
+    scan_max_ratio = max(60.0, 3.0 * x_est / (w * a))
+
+    def terms(kz):
+        kz = np.atleast_1d(np.asarray(kz, complex))
+        e1 = np.sqrt(k1**2 - kz**2)
+        e1 = np.where(e1.imag < 0.0, -e1, e1)
+        e2 = np.sqrt(k2**2 - kz**2)
+        e2 = np.where(e2.imag < 0.0, -e2, e2)
+        j2, j2p = j_orders(0, e2 * a)
+        h1, h1p = h_orders(0, e1 * a)
+        return ((e1**2 / k1) * h1[0] * k2 * e2 * j2p[0],
+                (e2**2 / k2) * j2[0] * k1 * e1 * h1p[0])
+
+    scan = w * np.geomspace(1.002, scan_max_ratio, 300)
+    t1, t2 = terms(scan)
+    mags = np.abs(t1 - t2) / (np.abs(t1) + np.abs(t2))
+    i0 = int(np.argmin(mags))
+    if i0 in (0, len(scan) - 1) or mags[i0] > 0.3:
+        raise FitError("no interior minimum of the reference determinant")
+    kz = complex(scan[i0])
+    for _ in range(60):
+        h = 1e-7 * abs(kz)
+        t1, t2 = terms(np.array([kz, kz + h, kz - h]))
+        d, dplus, dminus = t1 - t2
+        step = d / ((dplus - dminus) / (2 * h))
+        if abs(step) > 0.25 * abs(kz):
+            step *= 0.25 * abs(kz) / abs(step)
+        kz = complex(kz - step)
+        if abs(step) < 1e-13 * abs(kz):
+            break
+    if not (kz.real > w and abs(kz.imag) < kz.real):
+        raise FitError(f"reference root search landed at {kz}")
+    return float(kz.real), float(abs(kz.imag))
+
+
+@pytest.mark.parametrize("metal, f", [("default", f) for f in (0.5, 1.0, 2.0, 3.5, 4.0, 4.2)]
+                         + [("kk", f) for f in (0.5, 1.0, 2.5, 4.11)])
+def test_pole_search_matches_an_independent_determinant(metal, f):
+    # plasmon_wavenumber finds the zero of the wall solve's n = 0 TM entry;
+    # the determinant written out on its own has the same zero
+    geom = WireGeometry(radius=0.01, model=DrudeModel() if metal == "default" else _KK_METAL)
+    got, want = plasmon_wavenumber(geom, f * OMEGA_A), _reference_plasmon(geom, f * OMEGA_A)
+    assert np.abs(np.array(got) / np.array(want) - 1.0).max() <= 1e-13
+
+
+@pytest.mark.parametrize("model, radius", [
+    (DrudeModel(eps_inf=1.0, omega_p=0.1, gamma_p=0.01), 0.01),
+    (DrudeModel.from_relative(1.0, 1.3, 0.05), 0.1),
+], ids=["transparent", "scan_fallback"])
+def test_no_bound_mode_on_either_determinant(model, radius):
+    geom = WireGeometry(radius=radius, model=model)
+    for search in (plasmon_wavenumber, _reference_plasmon):
+        with pytest.raises(FitError):
+            search(geom, OMEGA_A)
 
 
 def test_k_window_seeds_the_plasmon_only_below_the_accumulation(default_geom):
