@@ -24,7 +24,7 @@ import numpy as np
 from . import quadrature
 from .errors import DomainError, FitError
 from .frequencies import OMEGA_A, SpectralPoint
-from .green_vacuum import green_vacuum_axial, green_vacuum_cyl, green_vacuum_im_coincident
+from .green_vacuum import cyl_to_cart_point, cylindrical_basis, green_vacuum_im_coincident
 # settle_azimuthal_order is unused here; perfbench's traced runs look it up in this module
 from .green_wire import (_MIRROR, WireGeometry, WireSpectralTable, plasmon_wavenumber,
                          settle_azimuthal_order, wire_green)
@@ -44,6 +44,7 @@ _ROT = np.array([[_C, _S], [-_S, _C]]).transpose(0, 2, 1)
 _T_FOLD = _PROJ[[0, 13, 14, 15]] / _GL_W * [[2.0], [4.0], [4.0], [4.0]]
 
 _COINCIDENT = 1e-12
+_Z = np.array([0.0, 0.0, 1.0])   # the direction between two points on one axial line
 
 KAPPA_TABLE_BUDGET = 420   # most t panels (one kz panel set for 16 kappa each) one integral holds
 FIT_MAX_STEPS = 100        # Levenberg-Marquardt steps, rejected ones included
@@ -134,13 +135,14 @@ class LorentzianFit:
     fit_residual: float
 
 
-def _contract(tensor, d1, d2):
-    return complex(np.asarray(d1, float) @ np.asarray(tensor, complex) @ np.asarray(d2, float))
-
-
-def _same_site(p1, p2):
-    return (abs(p1[0] - p2[0]) < _COINCIDENT and abs(p1[1] - p2[1]) < _COINCIDENT
-            and abs(p1[2] - p2[2]) < _COINCIDENT)
+def _light_cone(w, d1, d2, rhat):
+    """(c_0, c_2), with Im d1 . G0(r rhat) . d2 = j_0(w r) c_0 + j_2(w r) c_2:
+    (w / 6 pi) (d1 . d2, (3 (d1 . rhat)(d2 . rhat) - d1 . d2) / 2).  Im G0
+    is the kz integral over the light cone [-w, w] of a quadratic, so these
+    are the moments of one Legendre panel of half-width w (DLMF 10.54.2)."""
+    d12 = float(d1 @ d2)
+    return green_vacuum_im_coincident(w) * np.array(
+        [d12, 1.5 * float(d1 @ rhat) * float(d2 @ rhat) - 0.5 * d12])
 
 
 def _same_column(p1, p2):
@@ -157,12 +159,10 @@ def check_pair_geometry(geom: WireGeometry, pair: EmitterPair):
                           "use wire_green directly for general geometry")
 
 
-def _rates(w, *parts):
-    """(gamma11, gamma12) per free-space rate from the parts (gvac_im, g) of
-    each: gamma_mn = (6 pi / w) (Im d_m . G0 . d_n + Im g_mn), the vacuum
-    part gvac_im = Im d_m . G0(p_m, p_n) . d_n plus the scattered part
-    g_mn = d_m . G(p_m, p_n) . d_n, by one formula for both."""
-    return tuple((6.0 * math.pi / w) * (gvac_im + g.imag) for gvac_im, g in parts)
+def _rates(w, g11, g12):
+    """(gamma11, gamma12) per free-space rate, gamma_mn = (6 pi / w) Im g_mn
+    from the whole g_mn = d_m . G(p_m, p_n) . d_n, by one formula for both."""
+    return tuple((6.0 * math.pi / w) * g.imag for g in (g11, g12))
 
 
 class PairInteraction:
@@ -187,7 +187,10 @@ class PairInteraction:
     integral, or one t panel's c_13, c_14 or c_15.  ``reads`` (3 + 3 t
     panels, rows) is that index as a 0/1 matrix, and every pair number is
     its product with the rows' values (``_read``): g, the integral and each
-    t panel's c_13..c_15, whose absolute sum is its Legendre bound.  The
+    t panel's c_13..c_15, whose absolute sum is its Legendre bound.  One
+    more row, read with Im g, is the light-cone row of the free-space part
+    (``_light_cone``: half-width w, midpoint 0), so g is the whole
+    d . G . d, vacuum and scattered part, at every dz, 0 included.  The
     d1 . d2 columns at dz (``_phase_rows``) give g12 and i12, the d1 . d1
     columns at dz = 0 give ``coincident`` (g11, i11, its bound) once.  A set
     out of its node budget, or a t grid stopped short of its target by
@@ -214,37 +217,37 @@ class PairInteraction:
                                                  tol=tol)
         self.nmax = tab.nmax
 
-        self._d1 = np.asarray(pair.dipole_1, float)
-        self._d2 = np.asarray(pair.dipole_2, float)
-        # the dipole products of the vacuum term on the pair's axial line
-        self._d11, self._d12 = (float(self._d1 @ d) for d in (self._d1, self._d2))
-        self._d12_z = float(self._d1[2] * self._d2[2])
-        dd = np.stack([np.outer(self._d1, d).ravel() for d in (self._d2, self._d1)], axis=1)
+        d1, d2 = (np.asarray(d, float) for d in (pair.dipole_1, pair.dipole_2))
+        dd = np.stack([np.outer(d1, d).ravel() for d in (d2, d1)], axis=1)
         self.kappa_panels, self.kappa_nodes, self.kappa_kz_nodes, grid_ok, sets = _kappa_sets(
             geom, rho, w, dd, tol=tol, nmax=nmax, dz_refs=tuple(dz_refs), parallel=parallel)
         kz_halves, kz_mids, kz_cols, _, kz_errs, self.kappa_orders, oks, _ = zip(*sets)
+        kz_cols12, kz_cols11 = zip(*kz_cols)
         self.kz_err = float(sum(kz_errs))
         self.kappa_ok = grid_ok and all(oks)
         # the rows: the real-axis rows of C, which sum to Re g (read 0), and
-        # of -i C, which sum to Im g (1, as in ``_fold``), then four per kz
-        # panel of t panel p: its integral (2) and c_13..c_15 (3p + 3 .. 5);
+        # of -i C and the light-cone row, which sum to Im g (1), then four per
+        # kz panel of t panel p: its integral (2) and c_13..c_15 (3p + 3 .. 5);
         # each row has a d1 . d2 column (0) and a d1 . d1 column (1)
         n = len(tab.halves)
-        res = _fold(np.concatenate([tab.coefs, -1j * tab.coefs]), np.tile(tab.halves, 2), dd)
-        read = np.concatenate([np.repeat([0, 1], n)] + [
+        cone = np.zeros((2, _NPTS, 1, 2))
+        cone[0, [0, 2], 0] = np.stack([_light_cone(w, d1, d, _Z) for d in (d2, d1)], axis=1)
+        res = np.concatenate([_fold(np.concatenate([tab.coefs, -1j * tab.coefs]),
+                                    np.tile(tab.halves, 2), dd), cone], axis=2)
+        read = np.concatenate([np.repeat([0, 1], n), [1]] + [
             np.tile([2, 3 * p + 3, 3 * p + 4, 3 * p + 5], len(h)) for p, h in enumerate(kz_halves)])
         reads = (read == np.arange(3 + 3 * len(sets))[:, None]).astype(float)
-        halves, mids = (np.concatenate([np.tile(x, 2), np.repeat(np.concatenate(y), 4)])
-                        for x, y in ((tab.halves, kz_halves), (tab.mids, kz_mids)))
+        halves, mids = (np.concatenate([np.tile(x, 2), [c], np.repeat(np.concatenate(y), 4)])
+                        for x, c, y in ((tab.halves, w, kz_halves), (tab.mids, 0.0, kz_mids)))
         order = np.argsort(halves, kind="stable")
         self._halves, self._mids = halves[order], mids[order]
         self._reads = np.ascontiguousarray(reads[:, order])
-        cols = np.concatenate([res] + [c.reshape(2, _NPTS, -1, 2) for c in kz_cols],
-                              axis=2)[:, :, order]
-        self._cols = np.ascontiguousarray(cols[..., 0])
+        self._cols = np.ascontiguousarray(np.concatenate(
+            [res[..., 0]] + [c.reshape(2, _NPTS, -1) for c in kz_cols12], axis=2)[:, :, order])
         # the d1 . d1 numbers at dz = 0, where each row's value is its j_0
         # cos column (``_phase_rows``): g11, the d1 . T . d1 integral, its bound
-        self.coincident = self._read(np.ascontiguousarray(cols[0, 0, :, 1]))
+        self.coincident = self._read(np.concatenate(
+            [res[0, 0, :, 1]] + [c.ravel() for c in kz_cols11])[order])
 
     def _read(self, rows):
         """(g, d . T . d integral, its t bound) from the rows' values."""
@@ -252,12 +255,12 @@ class PairInteraction:
         return complex(out[0], out[1]), float(out[2]), float(np.abs(out[3:]).sum())
 
     def _pass(self, dz):
-        """(d1 . G^med(p1, p2) . d2, d1 . T . d2 integral, its t bound) at dz."""
+        """(d1 . G(p1, p2) . d2, d1 . T . d2 integral, its t bound) at dz."""
         return self._read(_phase_rows(self._halves, self._mids, self._cols, dz))
 
     def at(self, dz: float) -> RateShiftResult:
         """Rates and shifts at separation dz: one ladder pass (``_pass``)
-        over the real-axis and kappa rows, then closed forms."""
+        over the real-axis, light-cone and kappa rows, then closed forms."""
         if not math.isfinite(dz):
             raise DomainError(f"separation dz must be finite, got {dz}")
         w = self.omega_a
@@ -266,12 +269,7 @@ class PairInteraction:
         tab = self.table_res
         res_err = 2.0 * tab.err   # g12's and g11's, both from the one table
 
-        gvac11 = green_vacuum_im_coincident(w) * self._d11
-        if abs(dz) < _COINCIDENT:
-            gvac12 = green_vacuum_im_coincident(w) * self._d12
-        else:
-            gvac12 = green_vacuum_axial(dz, w, self._d12, self._d12_z).imag
-        gamma11, gamma12 = _rates(w, (gvac11, g11), (gvac12, g12))
+        gamma11, gamma12 = _rates(w, g11, g12)
 
         shift12_res = (3.0 * math.pi / w) * g12.real
         shift11_res = (3.0 * math.pi / w) * g11.real
@@ -368,10 +366,11 @@ def _kappa_panel_job(job):
     its probe predicts for that part.  The budget is 30,000 kz nodes, each
     evaluated at all 16 frequencies.  The nodes' values (16, len(dz_refs) +
     1) are d1 . T . d2 at each of ``dz_refs`` and d1 . T . d1 at 0, over
-    the t-rule weight half * _GL_W.  Returns (halves, mids, columns (cos,
-    sin; 16; kz panels; 4; C): the t panel's integral and its c_13..c_15,
-    the node values, the set's whole error ``err`` (kz and azimuthal), its
-    order, whether it stayed within its budget, its kz nodes).
+    the t-rule weight half * _GL_W.  Returns (halves, mids, the columns the
+    rows read, d1 . d2's (cos, sin; 16; kz panels; 4) and d1 . d1's j_0 cos
+    (kz panels; 4): the t panel's integral and its c_13..c_15; the node
+    values, the set's whole error ``err`` (kz and azimuthal), its order,
+    whether it stayed within its budget, its kz nodes).
     Module-level with picklable arguments and result, so a sweep can run it
     in worker processes; the arithmetic, the order included, is the same for
     any worker count, which keeps outputs bit-reproducible.
@@ -389,7 +388,8 @@ def _kappa_panel_job(job):
     # each reference separation, then d1 . T . d1 (column 1) at 0
     vals = [_phase_rows(halves, mids, cols[..., c].reshape(2, _NPTS, -1), dz)
             .reshape(-1, n).sum(axis=0) for dz, c in [(dz, 0) for dz in dz_refs] + [(0.0, 1)]]
-    return (tab.halves, tab.mids, np.einsum("skpnc,rn->skprc", cols, _T_FOLD),
+    folded = np.einsum("skpnc,rn->skprc", cols, _T_FOLD)
+    return (tab.halves, tab.mids, (folded[..., 0], folded[0, 0, :, :, 1]),
             np.stack(vals, axis=1) / (half * _GL_W)[:, None], tab.err, tab.nmax, tab.panels_ok,
             tab.nodes_used)
 
@@ -420,22 +420,24 @@ def decay_rates(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6):
 
     Uses the full tensor, vacuum plus scattered part, at the transition
     frequency, both rates by one formula (``_rates``): at coincident
-    positions with d1 = d2, gamma12 = gamma11 exactly.
+    positions with d1 = d2, gamma12 = gamma11 exactly.  The vacuum part is
+    the light-cone quadratic (``_light_cone``) in Cartesian axes, exact at
+    every separation, coincidence included.
     """
     w = pair.omega_a
-    p1, p2 = pair.position_1, pair.position_2
-    d1 = np.asarray(pair.dipole_1, float)
-    d2 = np.asarray(pair.dipole_2, float)
     point = SpectralPoint.real_axis(w)
-    g11 = wire_green(geom, p1, p1, point, tol=tol).value
-    same = _same_site(p1, p2)
-    g12 = g11 if same else wire_green(geom, p1, p2, point, tol=tol).value
-    if same:
-        gvac12 = green_vacuum_im_coincident(w) * float(d1 @ d2)
-    else:
-        gvac12 = _contract(green_vacuum_cyl(p1, p2, w).value, d1, d2).imag
-    gvac11 = green_vacuum_im_coincident(w) * float(d1 @ d1)
-    return _rates(w, (gvac11, _contract(g11, d1, d1)), (gvac12, _contract(g12, d1, d2)))
+
+    def contraction(pa, pb, da, db):
+        r = cyl_to_cart_point(*pa) - cyl_to_cart_point(*pb)
+        dist = float(np.linalg.norm(r))
+        ca, cb = (cylindrical_basis(p[1]) @ d for p, d in ((pa, da), (pb, db)))
+        # at dist 0 any rhat will do, since j_2(0) = 0
+        vac = quadrature.jn_ladder(w * dist)[[0, 2], 0] @ _light_cone(w, ca, cb, r / (dist or 1.0))
+        return complex(da @ wire_green(geom, pa, pb, point, tol=tol).value @ db) + 1j * vac
+
+    p1, d1 = pair.position_1, np.asarray(pair.dipole_1, float)
+    return _rates(w, contraction(p1, p1, d1, d1),
+                  contraction(p1, pair.position_2, d1, np.asarray(pair.dipole_2, float)))
 
 
 def dipole_shift(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6) -> RateShiftResult:

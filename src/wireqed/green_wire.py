@@ -228,7 +228,7 @@ class SpectralEvaluator:
             # evanescent side stays on +i, so panels inside the window see a
             # flat function instead of noise.  On the imaginary axis eta1 =
             # i sqrt(kappa^2 + kz^2) has no propagating side.
-            propagating = (np.abs(kz) <= abs_k1) & ~self.imaginary
+            propagating = (np.abs(kz) <= abs_k1) & (not self.imaginary)
             direction = np.where(propagating, 1.0 + 0j, 1j)
             eta1 = np.where(bad, floor * direction, eta1)
         # one J ladder at eta1 a and eta2 a, one H ladder at eta1 a and eta1
@@ -659,7 +659,12 @@ class FrozenSpectralTable:
 
     def spectrum(self, kz):
         """(K, 3, 3): the panels' Legendre series at kz, summed over the
-        spectra as ``integrate`` sums them; kz outside the panels raises."""
+        spectra as ``integrate`` sums them; kz outside the panels raises.
+
+        ``err`` bounds the integral, not these values: on the default pair's
+        real-axis table Re G~_rr at kz = 1.0001 omega is off by 5.7e-3
+        against err 2.2e-3, while Im G~_rr, which the plasmon fit reads,
+        stays within 5.1e-6 on the fit's grid."""
         kz, end = np.atleast_1d(np.asarray(kz, float)), self.mids[-1] + self.halves[-1]
         if not np.all((kz >= 0.0) & (kz <= end)):
             raise DomainError(f"kz must lie in the table's panels [0, {end:.6g}]")

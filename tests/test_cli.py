@@ -436,6 +436,17 @@ class TestSweep:
         scale = np.maximum(np.abs(r1).max(axis=0), 1.0)
         assert np.max(np.abs(r1 - r2) / scale) < 1e-4
 
+    def test_sweep_from_a_near_coincident_separation(self, tmp_path):
+        # the vacuum rate has no coincidence guard: a sweep may start below
+        # the closed-form tensor's 1e-9
+        path = write_config(tmp_path, {"sweep": {"z_min": 1e-10, "z_max": 1.5, "n_points": 3,
+                                                 "log_spacing": True}})
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines() if l[0].isdigit()]
+        assert float(rows[0][0]) == 1e-10
+        assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-8)
+
     def test_json_format(self, tmp_path):
         path = write_config(tmp_path, {"output_format": "json"})
         out = tmp_path / "s.json"
@@ -513,6 +524,16 @@ class TestPoint:
         assert d["symmetric_decay"] == pytest.approx(
             payload["gamma11_over_gamma0"] + payload["gamma12_over_gamma0"], rel=1e-12)
         assert "markov" in payload
+
+
+    def test_near_coincident_separation(self, tmp_path):
+        # default config, dz below the closed-form tensor's coincidence guard
+        out = tmp_path / "p.json"
+        assert main(["point", "--dz", "1e-10", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["converged"]
+        assert payload["gamma12_over_gamma0"] == pytest.approx(payload["gamma11_over_gamma0"],
+                                                                rel=1e-8)
 
 
 def test_main_entry_point_runs_in_process(capsys):

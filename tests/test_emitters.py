@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,8 +10,8 @@ from wireqed.emitters import (EmitterPair, PairInteraction, RateShiftResult,
                               analytic_approximations, check_pair_geometry,
                               decay_rates, dicke_levels,
                               dipole_shift, fit_plasmon_lorentzian, fit_two_lorentzian,
-                              markov_diagnostic, LorentzianFit)
-from wireqed.green_vacuum import green_vacuum_cyl
+                              markov_diagnostic, LorentzianFit, _Z, _light_cone)
+from wireqed.green_vacuum import green_vacuum_cyl, green_vacuum_im_coincident
 from wireqed.green_wire import _MIRROR, SpectralEvaluator, WireSpectralTable
 from wireqed.quadrature import _GL_W, _GL_X, _NPTS, _PROJ, panel_terms
 
@@ -58,6 +59,19 @@ class TestDecayRates:
         g11, g12 = decay_rates(default_geom, pair)
         assert g12 == g11
         assert g11 > 0
+
+    @pytest.mark.parametrize("dipole", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)], ids=["radial", "z"])
+    def test_small_separations_join_the_coincident_rates(self, default_geom, dipole):
+        # the vacuum part is the light-cone quadratic, exact down to
+        # coincidence: the closed-form tensor loses eps / (w r)^2 of itself
+        # and stops at its 1e-9 coincidence guard
+        site, tol = (0.015, 0.0, 0.0), 1e-6
+        gamma11, _ = decay_rates(default_geom, EmitterPair(site, site, dipole, dipole), tol=tol)
+        for dz in (1e-10, 2e-9, 1e-7):
+            pair = EmitterPair(site, (0.015, 0.0, dz), dipole, dipole)
+            got11, got12 = decay_rates(default_geom, pair, tol=tol)
+            assert got11 == gamma11
+            assert abs(got12 - gamma11) <= 0.1 * tol * gamma11
 
     def test_free_space_two_atom_function(self):
         # with the wire removed, gamma12/gamma11 for transverse dipoles is
@@ -148,6 +162,72 @@ class TestPairInteraction:
         ratio_far = abs(far.shift12_integral) / abs(far.shift12_resonant)
         assert ratio_near > 0.1
         assert ratio_far < 0.02
+
+
+_DIPOLE_PAIRS = {
+    "radial": ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    "z": ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0)),
+    "mixed": ((0.6, 0.0, 0.8), (0.0, 0.6, -0.8)),
+    "crossed": ((2**-0.5, 0.0, 2**-0.5), (2**-0.5, 0.0, -2**-0.5)),
+}
+
+
+@pytest.fixture(scope="module")
+def dipole_engine(default_geom):
+    # the default pair's build for each pair of dipoles, built once when first asked for
+    built = {}
+
+    def get(name):
+        if name not in built:
+            d1, d2 = _DIPOLE_PAIRS[name]
+            pair = EmitterPair((0.015, 0.0, 0.0), (0.015, 0.0, 0.5), dipole_1=d1, dipole_2=d2)
+            built[name] = PairInteraction(default_geom, pair, tol=1e-6)
+        return built[name]
+
+    return get
+
+
+def _vacuum_reference(w, dz, d1, d2):
+    """Im d1 . G0 . d2 between two points dz apart on one axial line, from the
+    closed form at 50 digits, which leaves at least 25 of them at dz >= 1e-12."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(w) * abs(mpmath.mpf(dz))
+        pre = mpmath.expj(x) * mpmath.mpf(w) / (4 * mpmath.pi * x)
+        d12 = sum(mpmath.mpf(a) * mpmath.mpf(b) for a, b in zip(d1, d2))
+        d12_z = mpmath.mpf(d1[2]) * mpmath.mpf(d2[2])
+        g = pre * ((1 + 1j / x - 1 / x**2) * d12 + (-1 - 3j / x + 3 / x**2) * d12_z)
+        return float(mpmath.im(g))
+
+
+@pytest.mark.parametrize("name", list(_DIPOLE_PAIRS))
+def test_light_cone_row_is_the_vacuum_rate(dipole_engine, name):
+    # the one row at half-width w and midpoint 0, read with Im g, is
+    # Im d1 . G0 . d2 on the axial line at every separation, down to dz = 0
+    engine = dipole_engine(name)
+    w = engine.omega_a
+    (i,) = np.flatnonzero((engine._halves == w) & (engine._mids == 0.0))
+    assert engine._reads[:, i].tolist() == [0.0, 1.0] + [0.0] * (len(engine._reads) - 2)
+    d1, d2 = (np.array(d) for d in _DIPOLE_PAIRS[name])
+
+    def row(dz):
+        return emitters._phase_rows(engine._halves[[i]], engine._mids[[i]],
+                                    engine._cols[:, :, [i]], dz)[0]
+
+    assert row(0.0) == green_vacuum_im_coincident(w) * float(d1 @ d2)
+    for dz in (1e-12, 2e-9, 1e-8, 1e-6, 1e-3, 0.02, 0.5, 8.0, -2.3):
+        assert abs(row(dz) - _vacuum_reference(w, dz, d1, d2)) <= 1e-15 * w / (6.0 * math.pi)
+
+
+@pytest.mark.parametrize("name", ["radial", "z"])
+def test_rows_at_small_separations_join_the_coincident_row(dipole_engine, name):
+    # gamma12 is smooth in dz through 0: the light-cone row carries none of
+    # the closed form's roundoff, eps / (w dz)^2 of the vacuum part
+    engine = dipole_engine(name)
+    at0 = engine.at(0.0)
+    for dz in (2e-9, 1e-8, 1e-7):
+        r = engine.at(dz)
+        assert r.gamma11 == at0.gamma11
+        assert abs(r.gamma12 - at0.gamma12) <= 1e-8 * at0.gamma11
 
 
 def _split_build(geom, pair, parallel=None):
@@ -247,7 +327,7 @@ def test_kappa_bisection_matches_per_table_oracle(split_build, panel_sets):
     kz_err = _kz_err(tables)
     assert kz_err > 0.0
     # radial dipoles: the build holds the rho-rho component of the tensor
-    d1, d2 = interaction._d1, interaction._d2
+    d1 = d2 = np.array([1.0, 0.0, 0.0])
     dd = np.outer(d1, d2).reshape(9, 1)
     coincident_err = interaction.coincident[2]
     for dz in (0.0, 0.5, 8.0):
@@ -258,6 +338,7 @@ def test_kappa_bisection_matches_per_table_oracle(split_build, panel_sets):
     # exactly on a switch of the moment ladder (series / Miller at 1e-3,
     # Miller / upward at 16)
     at_switch = [_dz_hitting(x, interaction._halves) for x in (1e-3, 16.0)]
+    w = interaction.omega_a
     for dz in (0.0, 0.02, 1.3, 8.0, -1.3, *at_switch):
         # the contracted value node by node, then Legendre coefficients per panel
         total, err = _kappa_oracle(interaction, tables, dz, dd)
@@ -267,8 +348,10 @@ def test_kappa_bisection_matches_per_table_oracle(split_build, panel_sets):
         # the bound sums tail coefficients that sit near the integral's
         # roundoff, so it agrees to the integral's digits, not to its own
         assert abs(got_err - err) <= 1e-12 * scale
-        # the real-axis rows against the full-tensor path
-        want = d1 @ interaction.table_res.integrate(dz)[0] @ d2
+        # the real-axis rows against the full-tensor path, with the
+        # light-cone row's vacuum part
+        vac = quadrature.jn_ladder(w * abs(dz))[[0, 2], 0] @ _light_cone(w, d1, d2, _Z)
+        want = d1 @ interaction.table_res.integrate(dz)[0] @ d2 + 1j * vac
         assert abs(g12 - want) <= 1e-13 * abs(want)
 
 
@@ -326,18 +409,21 @@ def test_kappa_job_node_values_are_what_its_rows_read(default_geom, default_pair
     dd = np.stack([np.outer(d1, d2).ravel(), np.outer(d1, d1).ravel()], axis=1)
     dz_refs = (0.0, 0.02, 0.5, 2.0, 4.0)
     kappas, weights = quadrature.t_substitution(t, OMEGA_A)
-    halves, mids, cols, vals, *_ = emitters._kappa_panel_job(
+    halves, mids, (cols, cols11), vals, *_ = emitters._kappa_panel_job(
         (default_geom, 0.015, kappas, weights, half, 1e-6, None, dd, dz_refs))
-    assert cols.shape == (2, _NPTS, len(halves), 4, 2)
+    # d1 . d2's columns, and of d1 . d1's only the j_0 cos column, the rows'
+    # values at dz = 0
+    assert cols.shape == (2, _NPTS, len(halves), 4)
+    assert cols11.shape == (len(halves), 4)
     assert vals.shape == (_NPTS, len(dz_refs) + 1)
     coefs = 4.0 * half * (_PROJ[-3:] @ vals)
     # the coefficients cancel most of their terms, so they agree to the
     # terms' digits
     sizes = 4.0 * half * (np.abs(_PROJ[-3:]) @ np.abs(vals))
     # d1 . T . d2 at each reference separation, then d1 . T . d1 at 0
-    for j, (dz, c) in enumerate([(dz, 0) for dz in dz_refs] + [(0.0, 1)]):
-        rows = np.array([emitters._phase_rows(halves, mids, cols[:, :, :, r, c], dz).sum()
-                         for r in range(4)])
+    sets = [[emitters._phase_rows(halves, mids, cols[:, :, :, r], dz).sum() for r in range(4)]
+            for dz in dz_refs] + [cols11.sum(axis=0)]
+    for j, rows in enumerate(np.array(sets)):
         total = (vals[:, j] * half * _GL_W).sum()
         assert abs(rows[0] - total) <= 1e-13 * abs(total)
         assert (np.abs(rows[1:] - coefs[:, j]) <= 1e-13 * sizes[:, j]).all()

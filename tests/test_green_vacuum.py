@@ -5,9 +5,9 @@ import pytest
 
 from wireqed import (CoincidenceError, DomainError, OMEGA_A, SpectralPoint, free_space_rate,
                      green_vacuum, green_vacuum_cyl, green_vacuum_im_coincident)
-from wireqed.frequencies import as_spectral_point
-from wireqed.green_vacuum import (cyl_to_cart_point, cylindrical_basis, green_vacuum_axial,
-                                  tensor_cart_to_cyl)
+from wireqed.emitters import _light_cone
+from wireqed.green_vacuum import cyl_to_cart_point, cylindrical_basis, tensor_cart_to_cyl
+from wireqed.quadrature import jn_ladder
 
 
 def _cyl_to_cart(g, phi1, phi2):
@@ -99,25 +99,34 @@ def test_coincidence_guard():
     ((2**-0.5, 0.0, 2**-0.5), (2**-0.5, 0.0, -2**-0.5)),
 ], ids=["radial", "axial", "mixed", "crossed"])
 def test_axial_contraction_matches_the_tensor(d1, d2):
-    # two points on one axial line: the scalar form against the full tensor
-    # in the local cylindrical bases, on both axes and at either sign of dz
+    # two points on one axial line: the light-cone quadratic, j_0 c_0 + j_2
+    # c_2 at w |dz|, against the imaginary part of the full tensor in the
+    # local cylindrical bases, at either sign of dz
     d1, d2 = np.array(d1), np.array(d2)
-    for s in (OMEGA_A, SpectralPoint.imaginary_axis(0.7 * OMEGA_A)):
-        for dz in (-2.3, 0.02, 0.5, 1.5, 8.0):
-            for rho, phi in ((0.015, 0.0), (0.3, 2.1)):
-                p1, p2 = (rho, phi, 0.0), (rho, phi, -dz)
-                want = d1 @ green_vacuum_cyl(p1, p2, s).value @ d2
-                got = green_vacuum_axial(dz, s, float(d1 @ d2), d1[2] * d2[2])
-                # |pre| <= 1 / (4 pi r) on both axes; below k r = 1 the
-                # tensor's entries grow to 1 / (k r)^2 times that
-                kr = abs(as_spectral_point(s).value) * abs(dz)
-                scale = max(1.0, kr**-2) / (4.0 * np.pi * abs(dz))
-                assert abs(got - want) <= 1e-14 * scale
+    w = OMEGA_A
+    for dz in (-2.3, 0.02, 0.5, 1.5, 8.0):
+        for rho, phi in ((0.015, 0.0), (0.3, 2.1)):
+            p1, p2 = (rho, phi, 0.0), (rho, phi, -dz)
+            want = (d1 @ green_vacuum_cyl(p1, p2, w).value @ d2).imag
+            got = jn_ladder(w * abs(dz))[[0, 2], 0] @ _light_cone(w, d1, d2, np.eye(3)[2])
+            # below k r = 1 the tensor's entries grow to 1 / (k r)^2 times
+            # 1 / (4 pi r), and the closed form keeps only their digits
+            kr = w * abs(dz)
+            scale = max(1.0, kr**-2) / (4.0 * np.pi * abs(dz))
+            assert abs(got - want) <= 1e-14 * scale
 
 
-def test_axial_contraction_coincidence_guard():
-    with pytest.raises(CoincidenceError):
-        green_vacuum_axial(1e-10, OMEGA_A, 1.0, 0.0)
+def test_light_cone_quadratic_matches_the_tensor_in_any_direction():
+    # decay_rates' vacuum part between any two points, in Cartesian axes
+    rng = np.random.default_rng(11)
+    w = OMEGA_A
+    for _ in range(40):
+        d1, d2, n = (v / np.linalg.norm(v) for v in rng.normal(size=(3, 3)))
+        r = rng.uniform(0.3, 8.0)
+        want = (d1 @ green_vacuum(r * n, np.zeros(3), w).value @ d2).imag
+        got = jn_ladder(w * r)[[0, 2], 0] @ _light_cone(w, d1, d2, n)
+        kr = w * r
+        assert abs(got - want) <= 1e-14 * max(1.0, kr**-2) / (4.0 * np.pi * r)
 
 
 def test_coincident_imaginary_part_values():
@@ -168,7 +177,7 @@ def test_cylindrical_wrapper_matches_cartesian():
 @pytest.mark.parametrize("tensor", [
     lambda s: green_vacuum((0.8, 0.0, 0.2), (0.5, 0.1, -0.4), s),
     lambda s: green_vacuum_cyl((0.8, 0.3, 0.2), (0.5, -0.9, -0.4), s),
-    lambda s: green_vacuum_axial(0.6, s, 1.0, 0.0),
+    lambda s: green_vacuum_cyl((0.015, 0.0, 0.0), (0.015, 0.0, 0.6), s),
 ], ids=["cartesian", "cylindrical", "axial"])
 @pytest.mark.parametrize("s", [0.0, 0j, SpectralPoint(0.0)], ids=["float", "complex", "point"])
 def test_zero_frequency_raises_domain_error(tensor, s):

@@ -810,7 +810,6 @@ def test_real_imaginary_axis_path_matches_complex_reference(default_geom, rho2, 
         assert np.all(np.where(_MIRROR > 0, got.imag, got.real) == 0.0)
 
 
-_KK_METAL = DrudeModel(eps_inf=1.0, omega_p=6.0 * OMEGA_A, gamma_p=0.12 * OMEGA_A)
 _GEOMETRIES = pytest.mark.parametrize("rho, metal", [
     (0.015, DrudeModel()), (0.03, DrudeModel()), (0.015, _KK_METAL)],
     ids=["default", "dense", "kk_metal"])
