@@ -3,7 +3,7 @@
 Subcommands:
     sweep       distance sweep of rates and decomposed shifts (CSV/JSON)
     dispersion  sampled plasmon spectrum Im G~_rr(kz) with Lorentzian fit
-    validate    built-in closed-form validation suites
+    validate    built-in validation suites, at fixed inputs (no options)
     point       full report for a single separation
 
 Exit codes: 0 success, 2 configuration error, 3 convergence failure,
@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import RunConfig, SCHEMA_TAG, load_config
 from .emitters import (PairInteraction, analytic_approximations, dicke_levels,
-                       fit_plasmon_lorentzian, fit_two_lorentzian, markov_diagnostic)
+                       fit_plasmon_lorentzian, markov_diagnostic)
 from .errors import ConfigError, ConvergenceError, DomainError, FitError, WireQEDError
 from .frequencies import OMEGA_A, SpectralPoint
 from .green_wire import AZIMUTHAL_SHARE, SpectralEvaluator, settle_azimuthal_order
@@ -168,24 +168,6 @@ def cmd_dispersion(args) -> int:
         raise ConfigError(f"dispersion needs --n-points >= 2, got {args.n_points}")
     omega = args.omega_over_omega_a * OMEGA_A
 
-    if args.synthetic:
-        try:
-            amp, width, center = (float(x) for x in args.synthetic.split(","))
-        except ValueError:
-            amp = width = center = math.nan
-        if not all(0.0 < v < math.inf for v in (amp, width, center)):
-            raise ConfigError("--synthetic needs three positive numbers A,GAMMA,KZPL, "
-                              f"got {args.synthetic!r}")
-        kz = np.linspace(0.2, 4.0 * center, 600)
-        vals = (amp / (1 + (kz - center) ** 2 / width**2)
-                + amp / (1 + (kz + center) ** 2 / width**2))
-        fit = fit_two_lorentzian(kz, vals, (0.7 * amp, 2.0 * width, 1.2 * center))
-        out = {"synthetic": {"amplitude": amp, "width": width, "center": center},
-               "fit": {"amplitude": fit.amplitude_a, "width": fit.width_gamma,
-                       "center_kz_pl": fit.center_kz_pl, "residual": fit.fit_residual}}
-        _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", cfg.output_path)
-        return EXIT_OK
-
     geom = cfg.geometry()
     point = SpectralPoint.real_axis(omega)
     # an explicit azimuthal_order is used as given, as in sweep and point;
@@ -226,13 +208,7 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # the suites read gamma_p_over_omega_p alone, so no other value of the
-    # config can be at fault here
-    cfg = load_config(args.config, check=False) if args.config else RunConfig()
-    if not 0.0 <= cfg.gamma_p_over_omega_p < math.inf:
-        raise ConfigError("gamma_p_over_omega_p must be finite and >= 0, "
-                          f"got {cfg.gamma_p_over_omega_p}")
-    suites = run_all(cfg.gamma_p_over_omega_p)
+    suites = run_all()
     for suite in suites:
         print(suite.line())
     return EXIT_OK if all(s.passed for s in suites) else EXIT_VALIDATION
@@ -296,12 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, "out", "format", "tol")
     sp.add_argument("--omega-over-omega-a", type=float, default=1.0)
     sp.add_argument("--n-points", type=int, default=300)
-    sp.add_argument("--synthetic", metavar="A,GAMMA,KZPL",
-                    help="fit a synthetic two-Lorentzian model instead of the wire")
     sp.set_defaults(fn=cmd_dispersion)
 
     sp = sub.add_parser("validate", help="run built-in validation suites")
-    common(sp)
     sp.set_defaults(fn=cmd_validate)
 
     sp = sub.add_parser("point", help="full report at one separation (JSON)")

@@ -110,7 +110,7 @@ class RunConfig:
         return json.dumps(d, indent=2, sort_keys=True)
 
 
-def load_config(path, *, check=True) -> RunConfig:
+def load_config(path) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -119,12 +119,12 @@ def load_config(path, *, check=True) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file cannot be read: {exc}")
-    return config_from_dict(raw, check=check)
+    return config_from_dict(raw)
 
 
-def config_from_dict(raw: dict, *, check=True) -> RunConfig:
-    """The RunConfig of a parsed file: its schema tag, keys and number types
-    checked, and, unless ``check`` is false, its values (``validate``)."""
+def config_from_dict(raw: dict) -> RunConfig:
+    """The RunConfig of a parsed file: its schema tag, keys, number types and
+    values checked (``validate``)."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     tag = raw.get("schema")
@@ -157,7 +157,7 @@ def config_from_dict(raw: dict, *, check=True) -> RunConfig:
     for fld in ("radius", "eps_inf", "omega_p_over_omega_a", "gamma_p_over_omega_p",
                 "rho_1", "rho_2", "gamma0_abs", "tol_wire"):
         setattr(cfg, fld, _number(fld, getattr(cfg, fld)))
-    return cfg.validate() if check else cfg
+    return cfg.validate()
 
 
 def _number(key, val) -> float:

@@ -419,25 +419,28 @@ def decay_rates(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6):
     """(gamma11, gamma12) scaled by the free-space rate.
 
     Uses the full tensor, vacuum plus scattered part, at the transition
-    frequency, both rates by one formula (``_rates``): at coincident
-    positions with d1 = d2, gamma12 = gamma11 exactly.  The vacuum part is
+    frequency, both rates by one formula (``_rates``).  Coincident
+    positions build one ``wire_green`` table and read it for both rates, so
+    with d1 = d2, gamma12 = gamma11 exactly.  The vacuum part is
     the light-cone quadratic (``_light_cone``) in Cartesian axes, exact at
     every separation, coincidence included.
     """
     w = pair.omega_a
     point = SpectralPoint.real_axis(w)
+    p1, p2 = pair.position_1, pair.position_2
+    d1, d2 = np.asarray(pair.dipole_1, float), np.asarray(pair.dipole_2, float)
+    g11 = wire_green(geom, p1, p1, point, tol=tol).value
+    g12 = g11 if np.array_equal(p1, p2) else wire_green(geom, p1, p2, point, tol=tol).value
 
-    def contraction(pa, pb, da, db):
-        r = cyl_to_cart_point(*pa) - cyl_to_cart_point(*pb)
+    def contraction(pb, g, db):
+        r = cyl_to_cart_point(*p1) - cyl_to_cart_point(*pb)
         dist = float(np.linalg.norm(r))
-        ca, cb = (cylindrical_basis(p[1]) @ d for p, d in ((pa, da), (pb, db)))
+        ca, cb = (cylindrical_basis(p[1]) @ d for p, d in ((p1, d1), (pb, db)))
         # at dist 0 any rhat will do, since j_2(0) = 0
         vac = quadrature.jn_ladder(w * dist)[[0, 2], 0] @ _light_cone(w, ca, cb, r / (dist or 1.0))
-        return complex(da @ wire_green(geom, pa, pb, point, tol=tol).value @ db) + 1j * vac
+        return complex(d1 @ g @ db) + 1j * vac
 
-    p1, d1 = pair.position_1, np.asarray(pair.dipole_1, float)
-    return _rates(w, contraction(p1, p1, d1, d1),
-                  contraction(p1, pair.position_2, d1, np.asarray(pair.dipole_2, float)))
+    return _rates(w, contraction(p1, g11, d1), contraction(p2, g12, d2))
 
 
 def dipole_shift(geom: WireGeometry, pair: EmitterPair, *, tol=1e-6) -> RateShiftResult:

@@ -1,7 +1,8 @@
 """Built-in validation suites: the contour-rotation equivalence theorem on
-closed-form causal models, Kramers-Kronig residuals, Wronskian sweeps and
-free-space normalization.  These run in seconds and back the ``validate``
-CLI command; the expensive wire-level closure checks live in the test suite.
+closed-form causal models, Kramers-Kronig residuals, Wronskian sweeps,
+free-space normalization and the two-Lorentzian fit round trip.  They take
+no inputs, run in seconds and back the ``validate`` CLI command; the
+expensive wire-level closure checks live in the test suite.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import bessel_jh
+from .emitters import fit_two_lorentzian
 from .frequencies import OMEGA_A, SpectralPoint
 from .green_vacuum import free_space_rate, green_vacuum, green_vacuum_im_coincident
 from .material import DrudeModel, permittivity
@@ -98,11 +100,10 @@ def equivalence_suite():
     return results
 
 
-def kk_suite(gamma_p_over_omega_p):
+def kk_suite():
     """Weighted Kramers-Kronig closure, to 1e-4 relative, on a causal
-    resonance and on the metal permittivity model.  A lossless metal has
-    Im eps = 0, which ``kk_check`` reports as degenerate; it is a documented
-    skip, not a failure."""
+    resonance and on a Drude permittivity with omega_p = 4 omega_A,
+    eps_inf = 1 and the default loss gamma_p = 0.002 omega_p."""
     tol = 1e-4
     results = []
     w0, g = 2.0, 0.1
@@ -113,21 +114,15 @@ def kk_suite(gamma_p_over_omega_p):
         name="kramers-kronig causal resonance", passed=rep.residual < tol,
         residual=rep.residual, tolerance=tol))
 
-    drude = DrudeModel(eps_inf=1.0, omega_p=4.0 * OMEGA_A,
-                       gamma_p=gamma_p_over_omega_p * 4.0 * OMEGA_A)
+    drude = DrudeModel(eps_inf=1.0, omega_p=4.0 * OMEGA_A, gamma_p=0.008 * OMEGA_A)
 
     def eps_med(s):
         return permittivity(drude, s) - drude.eps_inf
 
     rep2 = kk_check(eps_med, 1.7 * OMEGA_A, arc_limit=-drude.omega_p**2, tol=1e-8)
-    if rep2.degenerate:
-        results.append(SuiteResult(
-            name="kramers-kronig drude permittivity", passed=True, residual=float("nan"),
-            tolerance=tol, detail="skipped: lossless material has Im eps = 0 (degenerate)"))
-    else:
-        results.append(SuiteResult(
-            name="kramers-kronig drude permittivity", passed=rep2.residual < tol,
-            residual=rep2.residual, tolerance=tol))
+    results.append(SuiteResult(
+        name="kramers-kronig drude permittivity", passed=rep2.residual < tol,
+        residual=rep2.residual, tolerance=tol))
     return results
 
 
@@ -174,10 +169,27 @@ def normalization_suite():
     return results
 
 
-def run_all(gamma_p_over_omega_p):
+def fit_suite():
+    """``fit_two_lorentzian`` on 600 samples, over [0.2, 4 kc], of its own
+    model with (A, gamma, kc) = (3, 0.2, 9.42), from the guess (0.7 A,
+    2 gamma, 1.2 kc): each parameter back to 1e-6 relative."""
+    tol = 1e-6
+    amp, width, center = 3.0, 0.2, 9.42
+    kz = np.linspace(0.2, 4.0 * center, 600)
+    vals = sum(amp / (1 + (kz - c) ** 2 / width**2) for c in (center, -center))
+    fit = fit_two_lorentzian(kz, vals, (0.7 * amp, 2.0 * width, 1.2 * center))
+    rel = max(abs(got - want) / want for got, want in
+              ((fit.amplitude_a, amp), (fit.width_gamma, width), (fit.center_kz_pl, center)))
+    return [SuiteResult(name="two-lorentzian fit round trip", passed=rel < tol,
+                        residual=rel, tolerance=tol)]
+
+
+def run_all():
+    """Every suite, in a fixed order, each at its own inputs and tolerance."""
     suites = []
     suites += equivalence_suite()
-    suites += kk_suite(gamma_p_over_omega_p)
+    suites += kk_suite()
     suites += wronskian_suite()
     suites += normalization_suite()
+    suites += fit_suite()
     return suites

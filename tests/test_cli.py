@@ -191,9 +191,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["--omega-over-omega-a", "0"],
                                       ["--omega-over-omega-a", "-1"],
                                       ["--omega-over-omega-a", "inf"],
-                                      ["--n-points", "1"], ["--n-points", "0"],
-                                      ["--synthetic", "3.0,0.2"],
-                                      ["--synthetic", "3.0,-0.2,9.42"]])
+                                      ["--n-points", "1"], ["--n-points", "0"]])
     def test_dispersion_bad_arguments_exit_2(self, monkeypatch, capsys, argv):
         def unreachable(*args, **kwargs):
             raise AssertionError("an evaluator was built")
@@ -214,7 +212,7 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, stage", [
-        (["dispersion", "--synthetic", "3.0,0.2,9.42"], "fit_two_lorentzian"),
+        (["dispersion", "--config", str(DEFAULT_CONFIG)], "settle_azimuthal_order"),
         (["point", "--dz", "1.0"], "PairInteraction"),
     ], ids=["dispersion", "point"])
     @pytest.mark.parametrize("out, reason", [("no/such/x.json", "does not exist"),
@@ -236,15 +234,27 @@ class TestExitCodes:
         assert "PASS" in proc.stdout
         assert "FAIL" not in proc.stdout
 
+    def test_validate_runs_the_fit_round_trip(self, capsys):
+        # fit_two_lorentzian recovers (A, gamma, kc) = (3, 0.2, 9.42) from a
+        # guess off by 30%, 100% and 20%
+        (suite,) = validate.fit_suite()
+        assert suite.passed and suite.residual <= 1e-6 and suite.tolerance == 1e-6
+        assert main(["validate"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == suite.line()
+
     @pytest.mark.parametrize("command", [
         ["validate", "--out", "v.txt"],
         ["validate", "--tol", "1e-8"],
+        ["validate", "--config", "c.json"],
         ["point", "--dz", "1.5", "--format", "csv"],
-    ], ids=["validate_out", "validate_tol", "point_format"])
+        ["dispersion", "--synthetic", "3.0,0.2,9.42"],
+    ], ids=["validate_out", "validate_tol", "validate_config", "point_format",
+            "dispersion_synthetic"])
     def test_option_without_effect_exit_2(self, tmp_path, command):
-        # validate prints its suites at their own tolerances, and point
-        # writes JSON: an option that would change neither is rejected
-        # before anything runs, and no file is written
+        # validate prints its suites at their own inputs and tolerances,
+        # point writes JSON, and dispersion always samples the wire: an
+        # option that would change none of them is rejected before anything
+        # runs, and no file is written
         proc = subprocess.run([sys.executable, "-m", "wireqed.cli", *command],
                               capture_output=True, text=True, env=subprocess_env(),
                               cwd=tmp_path, timeout=60)
@@ -263,33 +273,6 @@ class TestExitCodes:
         monkeypatch.setattr(validate, "rotated_shift", flipped)
         assert main(["validate"]) == 4
         assert "FAIL" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("config, code", [
-        ({"output_path": "no/such/v.txt"}, 0),
-        ({"tol_wire": 1.0}, 0),
-        ({"schema": "wireqed-config/0"}, 2),
-        ({"gamma_p_over_omega_p": -0.5}, 2),
-    ], ids=["output_path_missing_directory", "tol_wire_out_of_range", "schema",
-            "gamma_p_negative"])
-    def test_validate_checks_only_what_it_reads(self, tmp_path, monkeypatch, capsys,
-                                                config, code):
-        # the suites read gamma_p_over_omega_p and nothing else from a config,
-        # so a fault in any other value leaves them to run
-        seen = []
-        monkeypatch.setattr(cli, "run_all", lambda gamma: seen.append(gamma) or [])
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"schema": SCHEMA_TAG, **config}))
-        assert main(["validate", "--config", str(path)]) == code
-        if code == 0:
-            assert seen == [RunConfig().gamma_p_over_omega_p]
-        else:
-            assert seen == [] and "config error" in capsys.readouterr().err
-
-    def test_lossless_material_reported_as_documented_skip(self, tmp_path):
-        path = write_config(tmp_path, {"gamma_p_over_omega_p": 0.0})
-        proc = run_cli(["validate", "--config", path])
-        assert proc.returncode == 0
-        assert "skipped: lossless" in proc.stdout
 
     def test_fit_failure_exit_3(self, tmp_path):
         # transparent wire: no bound plasmon anywhere
@@ -458,17 +441,6 @@ class TestSweep:
 
 
 class TestDispersion:
-    def test_synthetic_round_trip(self, tmp_path):
-        out = tmp_path / "d.json"
-        proc = run_cli(["dispersion", "--synthetic", "3.0,0.2,9.42",
-                        "--out", str(out)])
-        assert proc.returncode == 0
-        payload = json.loads(out.read_text())
-        fit = payload["fit"]
-        assert fit["amplitude"] == pytest.approx(3.0, rel=1e-6)
-        assert fit["width"] == pytest.approx(0.2, rel=1e-6)
-        assert fit["center_kz_pl"] == pytest.approx(9.42, rel=1e-6)
-
     def test_wire_dispersion_reports_bound_mode(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "d.csv"
@@ -543,14 +515,12 @@ def test_main_entry_point_runs_in_process(capsys):
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # the Bessel ladders and the plasmon fit run on numpy, and kk_check
+    # the Bessel ladders and the Lorentzian fits run on numpy, and kk_check
     # imports PCHIP only for a sampled grid, so neither a cold import nor any
     # of these commands loads any scipy module
     commands = [["validate"], ["point", "--dz", "1.5", "--out", str(tmp_path / "p.json")],
                 ["dispersion", "--config", str(DEFAULT_CONFIG),
                  "--out", str(tmp_path / "d.csv")],
-                ["dispersion", "--synthetic", "3.0,0.2,9.42",
-                 "--out", str(tmp_path / "s.json")],
                 ["sweep", "--config", str(DEFAULT_CONFIG), "--threads", "1",
                  "--out", str(tmp_path / "sweep.csv")]]
     script = f"""

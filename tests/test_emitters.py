@@ -60,6 +60,19 @@ class TestDecayRates:
         assert g12 == g11
         assert g11 > 0
 
+    @pytest.mark.parametrize("dz, builds", [(0.0, 1), (0.5, 2)], ids=["coincident", "apart"])
+    def test_one_table_per_distinct_pair_of_sites(self, default_geom, monkeypatch, dz, builds):
+        # a coincident pair reads its one p1-p1 tensor for both rates
+        init, count = WireSpectralTable.__init__, []
+
+        def counting(self, *args, **kwargs):
+            count.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(WireSpectralTable, "__init__", counting)
+        decay_rates(default_geom, EmitterPair((0.015, 0.0, 0.0), (0.015, 0.0, dz)))
+        assert len(count) == builds
+
     @pytest.mark.parametrize("dipole", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)], ids=["radial", "z"])
     def test_small_separations_join_the_coincident_rates(self, default_geom, dipole):
         # the vacuum part is the light-cone quadratic, exact down to

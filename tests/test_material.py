@@ -75,6 +75,19 @@ def test_kramers_kronig_self_consistency():
         assert rep.residual < 1e-4, rep
 
 
+def test_lossless_permittivity_is_kramers_kronig_degenerate():
+    # gamma_p = 0 leaves Im eps = 0 on the real axis: kk_check has nothing to
+    # close and says so instead of reporting a residual
+    model = DrudeModel(eps_inf=1.0, omega_p=4.0 * OMEGA_A, gamma_p=0.0)
+
+    def eps_med(s):
+        return permittivity(model, s) - model.eps_inf
+
+    rep = kk_check(eps_med, 1.7 * OMEGA_A, arc_limit=-model.omega_p**2, tol=1e-8)
+    assert rep.degenerate
+    assert np.isnan(rep.residual)
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(DomainError):
         DrudeModel(eps_inf=0.5)
