@@ -28,7 +28,7 @@ from .emitters import (PairInteraction, analytic_approximations, dicke_levels,
                        fit_plasmon_lorentzian, markov_diagnostic)
 from .errors import ConfigError, ConvergenceError, DomainError, FitError, WireQEDError
 from .frequencies import OMEGA_A, SpectralPoint
-from .green_wire import AZIMUTHAL_SHARE, SpectralEvaluator, settle_azimuthal_order
+from .green_wire import AZIMUTHAL_SHARE, SpectralEvaluator, _k_window, settle_azimuthal_order
 from .validate import run_all
 
 EXIT_OK = 0
@@ -57,8 +57,10 @@ def _load(args) -> RunConfig:
 def _engine_and_fit(cfg: RunConfig, dz: float, dz_refs, threads: int = 1):
     """The pair tables for ``sweep`` and ``point``, with their kappa tables
     built in a pool of ``threads`` worker processes, at most one per CPU, when
-    threads > 1, and the plasmon fit from its real-axis table (None without a
-    bound plasmon), so that no evaluator call runs outside the tables."""
+    threads > 1, and the plasmon fit from its real-axis table and the TM0
+    root that table's window found (None without a bound plasmon, or with a
+    center outside the fit's kz range), so that no evaluator call runs
+    outside the tables and the root is searched once."""
     geom = cfg.geometry()
     threads = min(threads, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
@@ -68,7 +70,8 @@ def _engine_and_fit(cfg: RunConfig, dz: float, dz_refs, threads: int = 1):
                                  nmax=cfg.azimuthal_order, dz_refs=dz_refs,
                                  parallel=parallel)
     try:
-        fit = fit_plasmon_lorentzian(geom, engine.omega_a, engine.table_res.spectrum)
+        fit = fit_plasmon_lorentzian(engine.omega_a, engine.table_res.spectrum,
+                                     engine.table_res.pole)
     except (FitError, DomainError):   # DomainError: a peak beyond the table's panels
         fit = None
     return engine, fit
@@ -170,13 +173,16 @@ def cmd_dispersion(args) -> int:
 
     geom = cfg.geometry()
     point = SpectralPoint.real_axis(omega)
-    # an explicit azimuthal_order is used as given, as in sweep and point;
-    # its predicted tail is still read
+    # one window, whose TM0 root the fit starts from; an explicit
+    # azimuthal_order is used as given, as in sweep and point, and its
+    # predicted tail is still read
+    window, pole = _k_window(geom, point, cfg.rho_1, cfg.rho_1)
     nmax, (tail,), scale = settle_azimuthal_order(geom, point, cfg.rho_1, cfg.rho_1, 0.0,
-                                                  tol=cfg.tol_wire, nmax=cfg.azimuthal_order)
+                                                  windows=[window], tol=cfg.tol_wire,
+                                                  nmax=cfg.azimuthal_order)
     ev = SpectralEvaluator(geom, point, cfg.rho_1, cfg.rho_1, 0.0, nmax=nmax)
     try:
-        fit = fit_plasmon_lorentzian(geom, omega, ev)
+        fit = fit_plasmon_lorentzian(omega, ev, pole)
     except FitError as exc:
         print(f"fit failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

@@ -26,8 +26,8 @@ from .errors import DomainError, FitError
 from .frequencies import OMEGA_A, SpectralPoint
 from .green_vacuum import cyl_to_cart_point, cylindrical_basis, green_vacuum_im_coincident
 # settle_azimuthal_order is unused here; perfbench's traced runs look it up in this module
-from .green_wire import (_MIRROR, WireGeometry, WireSpectralTable, plasmon_wavenumber,
-                         settle_azimuthal_order, wire_green)
+from .green_wire import (_MIRROR, WireGeometry, WireSpectralTable, settle_azimuthal_order,
+                         wire_green)
 from .quadrature import _GL_W, _GL_X, _KIDX, _NPTS, _PROJ
 
 _P_EVEN = _MIRROR.ravel() > 0   # components the -kz mirror keeps
@@ -49,6 +49,7 @@ _Z = np.array([0.0, 0.0, 1.0])   # the direction between two points on one axial
 KAPPA_TABLE_BUDGET = 420   # most t panels (one kz panel set for 16 kappa each) one integral holds
 FIT_MAX_STEPS = 100        # Levenberg-Marquardt steps, rejected ones included
 FIT_POLISH_STEPS = 8       # Gauss-Newton steps after them, at most
+_LOG_MAX = math.log(np.finfo(float).max)   # the largest log g that math.exp takes
 
 
 @dataclass(frozen=True)
@@ -466,9 +467,12 @@ def fit_two_lorentzian(kz, values, guess) -> LorentzianFit:
     zero of the gradient J^T r, which roundoff in the data moves only by
     its condition number (Kaufman's J gives the exact gradient, since r is
     orthogonal to phi).  ``guess`` is (A, g, kc); its A is not
-    used.  Raises FitError for a non-finite guess or one with g < 1e-12,
-    all-zero or non-finite data, a non-positive amplitude, or no stop within
-    FIT_MAX_STEPS.
+    used.  A trial point whose g, amplitude, residual or Jacobian leaves
+    the float range is a rejected step, and a singular Gauss-Newton matrix
+    or such a trial point ends the polish.  Raises FitError, and no other
+    error, for a non-finite guess or one with g < 1e-12, all-zero or
+    non-finite data, a guess outside the float range, a non-positive
+    amplitude, or no stop within FIT_MAX_STEPS.
     """
     kz = np.asarray(kz, float)
     y = np.asarray(values, float)
@@ -480,8 +484,11 @@ def fit_two_lorentzian(kz, values, guess) -> LorentzianFit:
         raise FitError("fit data must be finite and not all zero")
 
     def project(p):
-        """Amplitude, projected residual and Kaufman's Jacobian at p = (log g, kc)."""
-        gam = math.exp(p[0])
+        """Amplitude, projected residual and Kaufman's Jacobian at p = (log g,
+        kc), or None where g or any of them leaves the float range."""
+        gam = math.exp(p[0]) if p[0] < _LOG_MAX else math.inf
+        if not 0.0 < gam < math.inf:
+            return None
         u, v = (kz - p[1]) / gam, (kz + p[1]) / gam
         lu, lv = 1.0 / (1.0 + u * u), 1.0 / (1.0 + v * v)
         phi = lu + lv
@@ -490,36 +497,44 @@ def fit_two_lorentzian(kz, values, guess) -> LorentzianFit:
         dphi = np.stack([2.0 * (lu * (1.0 - lu) + lv * (1.0 - lv)),
                          (2.0 / gam) * (u * lu * lu - v * lv * lv)], axis=1)
         jac = -amp * (dphi - np.outer(phi, phi @ dphi) / (phi @ phi))
-        return amp, y - amp * phi, jac
+        r = y - amp * phi
+        return (amp, r, jac) if np.isfinite(jac).all() and np.isfinite(r @ r) else None
 
-    p = np.array([math.log(guess[1]), guess[2]])
-    amp, r, jac = project(p)
-    cost, lam = r @ r, 1e-3
-    for _ in range(FIT_MAX_STEPS):
-        jtj = jac.T @ jac
-        try:
-            step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -jac.T @ r)
-        except np.linalg.LinAlgError:
-            raise FitError("fit Jacobian is singular") from None
-        t_amp, t_r, t_jac = project(p + step)
-        t_cost = t_r @ t_r
-        if not t_cost <= cost:
-            lam *= 10.0
-            continue
-        done = t_cost == cost or (np.abs(step) <= 4.0 * np.spacing(p)).all()
-        p, amp, r, jac, cost, lam = p + step, t_amp, t_r, t_jac, t_cost, 0.1 * lam
-        if done:
-            break
-    else:
-        raise FitError(f"fit did not stop within {FIT_MAX_STEPS} steps")
-    last = np.inf
-    for _ in range(FIT_POLISH_STEPS):
-        step = np.linalg.solve(jac.T @ jac, -jac.T @ r)
-        size = float(np.abs(step).max())
-        if not size < 0.5 * last:
-            break
-        p, last = p + step, size
-        amp, r, jac = project(p)
+    # an overflow on the way to a non-finite trial point is that point's
+    # rejection, not an error
+    with np.errstate(all="ignore"):
+        p = np.array([math.log(guess[1]), guess[2]])
+        if (trial := project(p)) is None:
+            raise FitError(f"fit guess {tuple(guess.tolist())} leaves the float range")
+        amp, r, jac = trial
+        cost, lam = r @ r, 1e-3
+        for _ in range(FIT_MAX_STEPS):
+            jtj = jac.T @ jac
+            try:
+                step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -jac.T @ r)
+            except np.linalg.LinAlgError:
+                raise FitError("fit Jacobian is singular") from None
+            trial = project(p + step)
+            if trial is None or not (t_cost := trial[1] @ trial[1]) <= cost:
+                lam *= 10.0
+                continue
+            done = t_cost == cost or (np.abs(step) <= 4.0 * np.spacing(p)).all()
+            p, (amp, r, jac), cost, lam = p + step, trial, t_cost, 0.1 * lam
+            if done:
+                break
+        else:
+            raise FitError(f"fit did not stop within {FIT_MAX_STEPS} steps")
+        last = np.inf
+        for _ in range(FIT_POLISH_STEPS):
+            try:
+                step = np.linalg.solve(jac.T @ jac, -jac.T @ r)
+            except np.linalg.LinAlgError:
+                break
+            size = float(np.abs(step).max())
+            if not size < 0.5 * last or (trial := project(p + step)) is None:
+                break
+            p, last = p + step, size
+            amp, r, jac = trial
     if not amp > 0.0:
         raise FitError(f"fitted amplitude {amp} is not positive")
     return LorentzianFit(amplitude_a=float(amp), width_gamma=math.exp(p[0]),
@@ -527,23 +542,26 @@ def fit_two_lorentzian(kz, values, guess) -> LorentzianFit:
                          fit_residual=float(np.linalg.norm(r) / np.linalg.norm(y)))
 
 
-def fit_plasmon_lorentzian(geom: WireGeometry, omega: float, spectrum) -> LorentzianFit:
+def fit_plasmon_lorentzian(omega: float, spectrum, pole) -> LorentzianFit:
     """Fit the symmetric two-Lorentzian model to Im G~_rr(kz) of ``spectrum``
     (kz nodes -> (K, 3, 3): a kz table's ``spectrum`` or an evaluator) at
     real omega.  The fit window [omega, 4 * kz_peak] excludes the radiative
     continuum kz < omega that the model does not describe.  Initial guesses
-    are the TM0 pole (``plasmon_wavenumber``), or else the sampled peak
-    location and half width, and the peak value.  Raises DomainError unless
-    0 < omega < inf, and FitError without a bound-mode maximum.
+    are the TM0 root ``pole`` (kz, width) that the spectrum's ``_k_window``
+    found (a table's ``pole``), or, when it is None, the sampled peak
+    location and half width, and the peak value; no root is searched here.
+    Raises DomainError unless 0 < omega < inf, and FitError without a
+    bound-mode maximum or with a fitted center outside (omega, 4 * kz_peak),
+    the kz range the fit sampled.
     """
     w = float(omega)
     if not 0.0 < w < math.inf:
         raise DomainError(f"the plasmon fit needs omega > 0 and finite, got {omega}")
 
-    try:
-        k_guess, width_guess = plasmon_wavenumber(geom, w)
-    except FitError:
-        # fall back to a scan with local refinement around the maximum
+    if pole is not None:
+        k_guess, width_guess = pole
+    else:
+        # a scan with local refinement around the maximum
         scan = w * np.geomspace(1.003, 40.0, 200)
         im_scan = spectrum(scan)[:, 0, 0].imag
         ipk = int(np.argmax(im_scan))
@@ -569,8 +587,9 @@ def fit_plasmon_lorentzian(geom: WireGeometry, omega: float, spectrum) -> Lorent
     kz = np.unique(np.concatenate([window, dense[(dense > w) & (dense < 4 * k_guess)]]))
     vals = spectrum(kz)[:, 0, 0].imag
     fit = fit_two_lorentzian(kz, vals, (peak, width_guess, k_guess))
-    if not fit.center_kz_pl > w:
-        raise FitError(f"fitted center {fit.center_kz_pl} is inside the light cone")
+    if not w < fit.center_kz_pl < 4.0 * k_guess:
+        raise FitError(f"fitted center {fit.center_kz_pl:.6g} is outside the sampled kz "
+                       f"range ({w:.6g}, {4.0 * k_guess:.6g})")
     return fit
 
 

@@ -455,15 +455,19 @@ def plasmon_wavenumber(geom: WireGeometry, omega: float):
 
 
 def _k_window(geom, point, rho1, rho2):
-    """(k_start, pole_hint, branch_point, gap): the kz window of the
-    spectrum at ``point``, as ``build_spectral_panels`` takes it; gap is the
-    summed emitter-to-surface distance that scales its tail.
+    """((k_start, pole_hint, branch_point, gap), root): the kz window of the
+    spectrum at ``point``, as ``build_spectral_panels`` takes it, and the
+    TM0 plasmon root that it searched; gap is the summed emitter-to-surface
+    distance that scales its tail.
 
-    On the real axis the branch point is |omega| and, where Re eps < -1 and
-    ``plasmon_wavenumber`` finds it, the guided plasmon (width floored at
-    1e-4 omega) seeds the panels; on the imaginary axis there is neither.  A
-    mode whose fields have decayed to nothing at the emitters (huge kz near
-    the mode-index divergence) is not seeded: it only inflates the window
+    On the real axis the branch point is |omega| and, where Re eps < -1, one
+    ``plasmon_wavenumber`` call searches the guided plasmon.  Its (kz,
+    width) is returned as it is, the root the plasmon fit starts from, and
+    None where there is no root (a ``FitError`` or ``OverflowGuardError``
+    of the search) or no search (Re eps >= -1, the imaginary axis).  The
+    root seeds the panels as the pole hint, its width floored at 1e-4
+    omega, unless its fields have decayed to nothing at the emitters (huge
+    kz near the mode-index divergence): such a pole only inflates the window
     and can push nodes past the overflow guard of the special functions.
     On the real axis k_start is also capped so that the window's arguments
     stay inside that guard; the scaled I and K ladders of the imaginary axis
@@ -473,12 +477,12 @@ def _k_window(geom, point, rho1, rho2):
     sabs = abs(point.value)
     eps2 = permittivity(geom.model, point)
     k_start = max(3.0 * sabs + 10.0, 1.3 * abs(np.sqrt(eps2 + 0j)) * sabs)
-    pole_hint = branch_point = None
+    pole_hint = branch_point = root = None
     if not point.is_imaginary:
         branch_point = abs(point.omega)
         try:
             if eps2.real < -1.0:
-                kp, width = plasmon_wavenumber(geom, point.omega)
+                root = kp, width = plasmon_wavenumber(geom, point.omega)
                 if (kp - sabs) * gap <= 30.0:
                     pole_hint = kp, max(width, 1e-4 * point.omega)
                     k_start = max(k_start, 1.2 * (kp + 6.0 * pole_hint[1]))
@@ -486,7 +490,7 @@ def _k_window(geom, point, rho1, rho2):
             pass
         arg_scale = max(rho1, rho2, geom.radius * abs(np.sqrt(eps2 + 0j)))
         k_start = min(k_start, 0.8 * OVERFLOW_GUARD / arg_scale)
-    return k_start, pole_hint, branch_point, gap
+    return (k_start, pole_hint, branch_point, gap), root
 
 
 def _probe_nodes(window):
@@ -509,8 +513,8 @@ def _probe_nodes(window):
             np.concatenate([(half * _PROBE_W).ravel(), cells]))
 
 
-def settle_azimuthal_order(geom, s, rho1, rho2, dphi, *, tol=1e-6, weights=None,
-                           nmax=None, dz=0.0, windows=None):
+def settle_azimuthal_order(geom, s, rho1, rho2, dphi, *, windows, tol=1e-6, weights=None,
+                           nmax=None, dz=0.0):
     """(order, tails, scale): the azimuthal order of the kz integrals of the
     spectra at the spectral point(s) ``s``, predicted from one probe.
 
@@ -531,16 +535,14 @@ def settle_azimuthal_order(geom, s, rho1, rho2, dphi, *, tol=1e-6, weights=None,
     than 0 the phase can cancel most of the integral, where so few nodes
     cannot follow it: the scale is then its floor 1 alone, and the order is
     capped at N_MAX for the caller to judge the tail it reports.  A given
-    ``nmax`` is used as it is.  ``windows``, each point's ``_k_window``, are
-    found here when not given.  Returns (order, each point's tail at that
-    order, scale).
+    ``nmax`` is used as it is.  ``windows`` holds each point's window, the
+    first item of its ``_k_window``.  Returns (order, each point's tail at
+    that order, scale).
     """
     _check_tol(tol)
     if nmax is not None:
         _check_order(nmax)
     points = [as_spectral_point(p) for p in (s if isinstance(s, list) else [s])]
-    if windows is None:
-        windows = [_k_window(geom, p, rho1, rho2) for p in points]
     probe = SpectralEvaluator(geom, points, rho1, rho2, dphi, nmax=N_MAX)
     probes = [_probe_nodes(w) for w in windows]
     counts = [x.size for x, _ in probes]
@@ -630,7 +632,9 @@ class FrozenSpectralTable:
     ``coefs`` holds spectrum s's nine components, times its weight, in
     columns 9 s to 9 s + 8, and every error is of the weighted sum, so in
     the units of the integral that the weights form.  ``err`` is the whole
-    error: the kz panels' and tail's plus the azimuthal tail.
+    error: the kz panels' and tail's plus the azimuthal tail.  ``pole`` is
+    the TM0 plasmon root of the first spectrum's ``_k_window``, None where
+    it has none (always on the imaginary axis): the plasmon fit's guess.
     """
 
     halves: np.ndarray        # (P,)
@@ -643,6 +647,7 @@ class FrozenSpectralTable:
     nmax: int
     azimuthal_err: float      # the spectra's predicted tails, weighted
     k_start: float            # where the geometric tail blocks begin
+    pole: tuple | None        # the first spectrum's TM0 root (kz, width), or None
 
     @property
     def err(self):
@@ -684,7 +689,8 @@ class WireSpectralTable(FrozenSpectralTable):
     weighted spectra side by side, so its steps (``build_spectral_panels``)
     judge them in the units of that sum.  Its window, which shapes it,
     starts at the largest k_start of the points and takes the first point's
-    pole, branch point and gap; its tail blocks are judged at
+    pole, branch point and gap, and its ``pole`` is that point's TM0 root,
+    as the window's one search found it; its tail blocks are judged at
     ``phase_ref``.  Each kz node is evaluated at every point in one
     evaluator call (``which``).  With one point of weight 1 every value
     keeps its bits.  A budget that is not finite and positive, or a
@@ -704,7 +710,7 @@ class WireSpectralTable(FrozenSpectralTable):
             raise DomainError(f"phase_ref must be finite, got {phase_ref}")
         points = [as_spectral_point(p) for p in (points if isinstance(points, list) else [points])]
         weights = np.ones(len(points)) if weights is None else np.asarray(weights, float)
-        found = [_k_window(geom, p, rho1, rho2) for p in points]
+        found, roots = zip(*(_k_window(geom, p, rho1, rho2) for p in points))
         if geom.model.gamma_p == 0.0 and (poles := [w[1][0] for w in found if w[1]]):
             raise ConvergenceError(f"the lossless metal puts the plasmon pole on the real kz "
                                    f"axis at kz = {poles[0]:.6g}", {"kz_pole": poles[0]})
@@ -727,7 +733,8 @@ class WireSpectralTable(FrozenSpectralTable):
             budget=budget, phase=phase_ref, orders=n * (nmax + 1))
         super().__init__(*ps._freeze(), panel_err=ps.err, tail_bound=float(tail_bound),
                          panels_ok=bool(ok), nodes_used=ps.nodes_used, nmax=nmax,
-                         azimuthal_err=float(np.abs(weights) @ tails), k_start=k_start)
+                         azimuthal_err=float(np.abs(weights) @ tails), k_start=k_start,
+                         pole=roots[0])
 
     # its own attribute, so that the traced benchmark's hook on this class
     # (perfbench/spans.py) wraps the calls of its tables once

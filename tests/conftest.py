@@ -42,6 +42,8 @@ def pair_engine(default_geom, default_pair):
 
 
 @pytest.fixture(scope="session")
-def plasmon_fit(default_geom, pair_engine):
-    # the default pair's fit, as sweep and point take it: from its real-axis table
-    return fit_plasmon_lorentzian(default_geom, OMEGA_A, pair_engine.table_res.spectrum)
+def plasmon_fit(pair_engine):
+    # the default pair's fit, as sweep and point take it: from its real-axis
+    # table and the TM0 root that table's window found
+    tab = pair_engine.table_res
+    return fit_plasmon_lorentzian(OMEGA_A, tab.spectrum, tab.pole)

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from wireqed import OMEGA_A, SpectralPoint, fit_plasmon_lorentzian
-from wireqed import cli, validate
+from wireqed import cli, green_wire, validate
 from wireqed.cli import main
 from wireqed.config import RunConfig, SCHEMA_TAG, config_from_dict, load_config
 from wireqed.emitters import PairInteraction
 from wireqed.errors import ConfigError, ConvergenceError
-from wireqed.green_wire import SpectralEvaluator
+from wireqed.green_wire import SpectralEvaluator, _k_window
 
 from conftest import SRC, subprocess_env
 
@@ -440,6 +440,73 @@ class TestSweep:
         assert all(r["converged"] for r in payload["rows"])
 
 
+def default_config_with(tmp_path, **overrides):
+    cfg = json.loads(DEFAULT_CONFIG.read_text())
+    cfg.update(overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+class TestPlasmonRoot:
+    @pytest.mark.parametrize("command", [["sweep", "--threads", "1"], ["point", "--dz", "1.5"],
+                                         ["dispersion"]], ids=["sweep", "point", "dispersion"])
+    def test_one_tm0_search_per_run(self, tmp_path, monkeypatch, command):
+        # the real-axis kz window searches the TM0 root, and the plasmon fit
+        # reads it from there (it searched again before)
+        calls = []
+        search = green_wire.plasmon_wavenumber
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "wireqed" and hasattr(module, "plasmon_wavenumber"):
+                monkeypatch.setattr(module, "plasmon_wavenumber", counted)
+        assert main(command + ["--config", str(DEFAULT_CONFIG),
+                               "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command, code", [(["sweep"], 0), (["point", "--dz", "1.5"], 0),
+                                               (["dispersion"], 3)],
+                             ids=["sweep", "point", "dispersion"])
+    def test_overflowing_root_search_reads_as_no_root(self, tmp_path, capsys, command, code):
+        # the window's TM0 search meets the overflow guard here (|z| = 2.1e3)
+        # and takes it as no root, so the fit scans the spectrum; the fit's
+        # own search met it too and every command exited 4
+        path = default_config_with(tmp_path, omega_p_over_omega_a=1.4142,
+                                   gamma_p_over_omega_p=5e-4)
+        assert main(command + ["--config", path, "--out", str(tmp_path / "out")]) == code
+        if code:
+            assert "fit failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("omega", ["4.2", "4.5"])
+    def test_dispersion_fit_out_of_range_is_a_fit_failure(self, tmp_path, capsys, omega):
+        # at 4.2 the fit's log width ran to 2,060 and math.exp raised
+        # OverflowError (exit 1); at 4.5 its center lay far past its window
+        # and the spectrum sampled out to 4 times it met the overflow guard
+        assert main(["dispersion", "--config", str(DEFAULT_CONFIG), "--omega-over-omega-a",
+                     omega, "--out", str(tmp_path / "d.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "fit failure" in err and "Traceback" not in err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_fit_center_outside_its_window_leaves_no_fit(self, tmp_path):
+        # the fit sampled kz up to 26 here and reported a center at 1.05e8,
+        # with amplitude 4e15; point's approximation read gamma11 2.5e18
+        path = default_config_with(tmp_path, omega_p_over_omega_a=1.4142)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert not any(line.startswith("# fit_") for line in lines)
+        rows = [line.split(",") for line in lines if line[0].isdigit()]
+        assert len(rows) == 100 and all(r[6:8] == ["nan", "nan"] for r in rows)
+        out = tmp_path / "p.json"
+        assert main(["point", "--config", path, "--dz", "1.5", "--out", str(out)]) == 0
+        assert "approximation" not in json.loads(out.read_text())
+
+
 class TestDispersion:
     def test_wire_dispersion_reports_bound_mode(self, tmp_path):
         path = write_config(tmp_path)
@@ -470,7 +537,8 @@ class TestDispersion:
                                cfg.rho_1, 0.0, nmax=4)
         want = ev(kz)[:, 0, 0].imag
         assert np.abs(vals - want).max() <= 1e-12 * np.abs(want).max()
-        fit = fit_plasmon_lorentzian(geom, OMEGA_A, ev)
+        _, pole = _k_window(geom, SpectralPoint.real_axis(OMEGA_A), cfg.rho_1, cfg.rho_1)
+        fit = fit_plasmon_lorentzian(OMEGA_A, ev, pole)
         assert meta["fit_center_kz_pl"] == pytest.approx(fit.center_kz_pl, rel=1e-12)
 
 

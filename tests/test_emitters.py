@@ -12,7 +12,7 @@ from wireqed.emitters import (EmitterPair, PairInteraction, RateShiftResult,
                               dipole_shift, fit_plasmon_lorentzian, fit_two_lorentzian,
                               markov_diagnostic, LorentzianFit, _Z, _light_cone)
 from wireqed.green_vacuum import green_vacuum_cyl, green_vacuum_im_coincident
-from wireqed.green_wire import _MIRROR, SpectralEvaluator, WireSpectralTable
+from wireqed.green_wire import _MIRROR, SpectralEvaluator, WireSpectralTable, _k_window
 from wireqed.quadrature import _GL_W, _GL_X, _NPTS, _PROJ, panel_terms
 
 
@@ -816,7 +816,8 @@ class TestLorentzianFit:
             # as sweep fits, from the real-axis table at rho
             table = WireSpectralTable(g, SpectralPoint.real_axis(OMEGA_A), rho, rho, 0.0,
                                       tol=1e-6)
-            return fit_plasmon_lorentzian(g, OMEGA_A, table.spectrum)
+            assert table.pole is None
+            return fit_plasmon_lorentzian(OMEGA_A, table.spectrum, table.pole)
 
         broad = geom(0.1, 1.3, 0.05)
         with pytest.raises(FitError):
@@ -858,9 +859,12 @@ def test_fit_matches_least_squares_and_is_stable(default_geom, pair_engine, monk
         return fit_two_lorentzian(kz, values, guess)
 
     monkeypatch.setattr(emitters, "fit_two_lorentzian", capture)
-    spectrum = (pair_engine.table_res.spectrum if nmax is None else SpectralEvaluator(
-        default_geom, SpectralPoint.real_axis(OMEGA_A), rho, rho, 0.0, nmax=nmax))
-    fit = _fit_params(fit_plasmon_lorentzian(default_geom, OMEGA_A, spectrum))
+    point = SpectralPoint.real_axis(OMEGA_A)
+    tab = pair_engine.table_res
+    spectrum, pole = ((tab.spectrum, tab.pole) if nmax is None else (
+        SpectralEvaluator(default_geom, point, rho, rho, 0.0, nmax=nmax),
+        _k_window(default_geom, point, rho, rho)[1]))
+    fit = _fit_params(fit_plasmon_lorentzian(OMEGA_A, spectrum, pole))
     (kz, y, guess), = seen
     ref = least_squares(lambda p: _lorentzians(kz, *p) - y, x0=guess,
                         bounds=([0.0, 1e-12, 0.0], [np.inf] * 3),
@@ -888,13 +892,28 @@ _PEAK = _lorentzians(_KZ, 3.0, 0.2, 9.42)
     (np.zeros_like(_KZ), (3.0, 0.2, 9.42), None, "not all zero"),
     (np.where(_KZ < 30.0, _PEAK, math.nan), (3.0, 0.2, 9.42), None, "finite"),
     (-_PEAK, (3.0, 0.2, 9.42), None, "not positive"),
+    # a trial point whose width leaves the float range is a rejected step:
+    # on the spike log g runs past math.exp's range (OverflowError before),
+    # on the ramp g underflows to 0 (ZeroDivisionError before)
+    (np.where(np.arange(_KZ.size) == 150, 1.0, 0.0), (1.0, 0.05, _KZ[150]), None,
+     "did not stop within"),
+    (_KZ, (1.0, 0.2, 9.42), None, "did not stop within"),
 ], ids=["width_below_floor", "negative_width", "nan_width", "inf_amplitude", "nan_center",
-        "zero_center", "step_cap", "all_zero", "non_finite_data", "negative_amplitude"])
+        "zero_center", "step_cap", "all_zero", "non_finite_data", "negative_amplitude",
+        "exp_overflow", "width_underflow"])
 def test_unusable_fit_raises(monkeypatch, values, guess, steps, match):
     if steps is not None:
         monkeypatch.setattr(emitters, "FIT_MAX_STEPS", steps)
     with pytest.raises(FitError, match=match):
         fit_two_lorentzian(_KZ, values, guess)
+
+
+def test_singular_polish_matrix_ends_the_polish():
+    # on a decaying exponential the Gauss-Newton matrix turns singular in the
+    # polish, which raised LinAlgError before; the fit returns where it stopped
+    fit = fit_two_lorentzian(_KZ, np.exp(-_KZ), (1.0, 0.2, 9.42))
+    assert fit.amplitude_a > 0.0
+    assert np.isfinite(_fit_params(fit)).all() and math.isfinite(fit.fit_residual)
 
 
 class TestApproxRates:

@@ -71,7 +71,8 @@ def test_budget_checked_before_any_evaluation(default_geom, monkeypatch, build, 
     lambda geom: SpectralEvaluator(geom, REAL, 0.015, 0.015, 0.0, nmax=2.5),
     lambda geom: SpectralEvaluator(geom, REAL, 0.015, 0.015, 0.0, nmax=True),
     lambda geom: wire_spectral_green(geom, 0.015, 0.015, 0.0, REAL, 1.0, nmax=2.5),
-    lambda geom: green_wire.settle_azimuthal_order(geom, REAL, 0.015, 0.015, 0.0, nmax=2.5),
+    lambda geom: green_wire.settle_azimuthal_order(
+        geom, REAL, 0.015, 0.015, 0.0, windows=[_window(geom, REAL)], nmax=2.5),
     lambda geom: green_wire.WireSpectralTable(geom, REAL, 0.015, 0.015, 0.0, tol=1e-6,
                                               nmax=2.5),
     lambda geom: PairInteraction(geom, EmitterPair((0.015, 0.0, 0.0), (0.015, 0.0, 0.5)),
@@ -89,14 +90,20 @@ def test_fractional_order_raises_before_any_evaluation(default_geom, monkeypatch
 _NEGATIVE = SpectralPoint.real_axis(-OMEGA_A)
 
 
+def _window(geom, s):
+    """The kz window of the spectrum at s with both points at rho 0.015."""
+    return green_wire._k_window(geom, s, 0.015, 0.015)[0]
+
+
 @pytest.mark.parametrize("build", [
     lambda geom: wire_green(geom, (0.015, 0.0, 0.0), (0.015, 0.0, 0.0), _NEGATIVE),
     lambda geom: green_wire.WireSpectralTable(geom, _NEGATIVE, 0.015, 0.015, 0.0, tol=1e-6),
     lambda geom: wire_spectral_green(geom, 0.015, 0.015, 0.0, _NEGATIVE, 1.0, nmax=8),
-    lambda geom: green_wire.settle_azimuthal_order(geom, _NEGATIVE, 0.015, 0.015, 0.0),
-    lambda geom: emitters.fit_plasmon_lorentzian(geom, -OMEGA_A, _evaluated),
+    lambda geom: green_wire.settle_azimuthal_order(geom, _NEGATIVE, 0.015, 0.015, 0.0,
+                                                   windows=[_window(geom, _NEGATIVE)]),
+    lambda geom: emitters.fit_plasmon_lorentzian(-OMEGA_A, _evaluated, None),
     lambda geom: emitters.fit_plasmon_lorentzian(
-        geom, -OMEGA_A, SpectralEvaluator(geom, REAL, 0.015, 0.015, 0.0, nmax=8)),
+        -OMEGA_A, SpectralEvaluator(geom, REAL, 0.015, 0.015, 0.0, nmax=8), None),
 ], ids=["wire_green", "table", "spectral_green", "settle", "fit", "fit_evaluator"])
 def test_negative_real_frequency_raises_before_any_evaluation(default_geom, monkeypatch,
                                                               build):
@@ -333,11 +340,18 @@ def test_k_window_seeds_the_plasmon_only_below_the_accumulation(default_geom):
     kp, width = plasmon_wavenumber(default_geom, OMEGA_A)
     # 4.5 omega_A is above omega_p / sqrt(2): Re eps > -1, no bound mode to seed
     above = SpectralPoint.real_axis(4.5 * OMEGA_A)
-    for s, seed, branch in ((REAL, (kp, max(width, 1e-4 * OMEGA_A)), OMEGA_A),
-                            (above, None, 4.5 * OMEGA_A), (IMAG, None, None)):
-        k_start, pole, bp, gap = _k_window(default_geom, s, 0.015, 0.015)
-        assert (pole, bp) == (seed, branch) and k_start > 0.0
+    # the root is the search's (kz, width) as it is, for the plasmon fit
+    for s, seed, branch, found in ((REAL, (kp, max(width, 1e-4 * OMEGA_A)), OMEGA_A,
+                                    (kp, width)),
+                                   (above, None, 4.5 * OMEGA_A, None), (IMAG, None, None, None)):
+        (k_start, pole, bp, gap), root = _k_window(default_geom, s, 0.015, 0.015)
+        assert (pole, bp, root) == (seed, branch, found) and k_start > 0.0
         assert gap == pytest.approx(0.01)
+    # a pole whose field dies out before the emitters (kz = 5,490 here) seeds
+    # nothing, and its root is still returned
+    far = WireGeometry(radius=0.01, model=DrudeModel.from_relative(1.0, 1.42, 0.002))
+    (_, pole, _, _), root = _k_window(far, REAL, 0.05, 0.05)
+    assert pole is None and root == plasmon_wavenumber(far, OMEGA_A)
 
 
 def test_azimuthal_convergence(default_geom):
@@ -1124,7 +1138,7 @@ def _direct_table(geom, point, rho1, rho2, dphi, *, tol, nmax=None, budget=60000
     that the one-point case of ``WireSpectralTable`` must match.  On the
     imaginary axis its splits from kz = 0 are cut at a quarter of the panel
     and its tail blocks are at least two decay lengths wide."""
-    window = green_wire._k_window(geom, point, rho1, rho2)
+    window, _ = green_wire._k_window(geom, point, rho1, rho2)
     nmax, (tail,), _ = green_wire.settle_azimuthal_order(
         geom, point, rho1, rho2, dphi, tol=tol, nmax=nmax, dz=phase_ref, windows=[window])
     k_start = window[0]
