@@ -49,6 +49,7 @@ _Z = np.array([0.0, 0.0, 1.0])   # the direction between two points on one axial
 KAPPA_TABLE_BUDGET = 420   # most t panels (one kz panel set for 16 kappa each) one integral holds
 FIT_MAX_STEPS = 100        # Levenberg-Marquardt steps, rejected ones included
 FIT_POLISH_STEPS = 8       # Gauss-Newton steps after them, at most
+FIT_MAX_RESIDUAL = 0.1     # largest relative residual of an accepted plasmon fit
 _LOG_MAX = math.log(np.finfo(float).max)   # the largest log g that math.exp takes
 
 
@@ -551,8 +552,9 @@ def fit_plasmon_lorentzian(omega: float, spectrum, pole) -> LorentzianFit:
     found (a table's ``pole``), or, when it is None, the sampled peak
     location and half width, and the peak value; no root is searched here.
     Raises DomainError unless 0 < omega < inf, and FitError without a
-    bound-mode maximum or with a fitted center outside (omega, 4 * kz_peak),
-    the kz range the fit sampled.
+    bound-mode maximum, with a fitted center outside (omega, 4 * kz_peak),
+    the kz range the fit sampled, or with a relative residual above
+    FIT_MAX_RESIDUAL, where one Lorentzian pair does not describe the peak.
     """
     w = float(omega)
     if not 0.0 < w < math.inf:
@@ -590,6 +592,9 @@ def fit_plasmon_lorentzian(omega: float, spectrum, pole) -> LorentzianFit:
     if not w < fit.center_kz_pl < 4.0 * k_guess:
         raise FitError(f"fitted center {fit.center_kz_pl:.6g} is outside the sampled kz "
                        f"range ({w:.6g}, {4.0 * k_guess:.6g})")
+    if not fit.fit_residual <= FIT_MAX_RESIDUAL:
+        raise FitError(f"fit residual {fit.fit_residual:.3g} exceeds {FIT_MAX_RESIDUAL:g}: "
+                       "one Lorentzian pair does not describe the peak")
     return fit
 
 

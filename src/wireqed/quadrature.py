@@ -73,7 +73,7 @@ NODE_CAP = 128
 
 #: The look-ahead of ``build_spectral_panels``: the most tail blocks one step
 #: evaluates, and the share of the worst panel's bound from which a
-#: bisection step evaluates another panel's parts along with the worst one's
+#: split step evaluates another panel's parts along with the worst one's
 #: (``PanelSet.refine``).
 BLOCKS_AHEAD = 3
 SPLIT_AHEAD = 0.1
@@ -357,10 +357,13 @@ def build_spectral_panels(fpanel, window, *, tol, mirror=None, budget=20000, pha
     (``_seed_breaks``); tail blocks to k_start + 200 / gap until they stop
     mattering, each bounded by its largest value over gap (the tail decays
     like e^(-gap kz)); then ``PanelSet.refine`` toward ``_relative_target``.
-    With a branch point on the real kz axis, splits bisect and a block from
-    k ends at 1.6 k; without one (the imaginary axis, whose branch points
-    sit above kz = 0), a split of a panel from 0 cuts it at KZ_GRADE of its
-    width and a block from k ends at max(1.6 k, k + 2 / gap).
+    One shape serves both axes: a block from k ends at max(1.6 k,
+    k + 2 / gap), and a split of a panel that ends at the window's singular
+    point cuts it at a fixed share of its width from there
+    (``_graded_split``), every other split bisecting.  That point is the
+    branch point |omega| on the real kz axis, cut at KZ_BRANCH_GRADE from
+    either side, and kz = 0 without one (the imaginary axis, whose branch
+    points sit above kz = 0), cut at KZ_GRADE.
 
     ``fpanel`` and ``mirror`` are as for ``PanelSet``: the +kz spectrum and,
     optionally, the sign pattern that maps it onto -kz.  Each step's nodes
@@ -380,7 +383,8 @@ def build_spectral_panels(fpanel, window, *, tol, mirror=None, budget=20000, pha
     """
     _check_tol(tol)
     k_start, _, branch_point, gap = window
-    graded = branch_point is None
+    split = (_graded_split(KZ_GRADE) if branch_point is None
+             else _graded_split(KZ_BRANCH_GRADE, float(branch_point)))
     per_call = NODE_CAP * 41 // orders
 
     def f(x):
@@ -389,10 +393,10 @@ def build_spectral_panels(fpanel, window, *, tol, mirror=None, budget=20000, pha
     ps = _seeded(f, _seed_breaks(window), budget, mirror, phase)
 
     # the tail blocks, each 1.6 times as far out as the one before and at
-    # least min_width wide, to k_end
-    k_end, min_width = k_start + 200.0 / gap, 2.0 / gap if graded else 0.0
+    # least two decay lengths, 2 / gap, wide, to k_end
+    k_end = k_start + 200.0 / gap
     ends = [float(k_start)]
-    while (b := min(max(ends[-1] * 1.6, ends[-1] + min_width), k_end)) > ends[-1] * 1.0000001:
+    while (b := min(max(ends[-1] * 1.6, ends[-1] + 2.0 / gap), k_end)) > ends[-1] * 1.0000001:
         ends.append(b)
     blocks = list(zip(ends[:-1], ends[1:]))
     ahead = min(BLOCKS_AHEAD, max(1, per_call // _NPTS))
@@ -413,8 +417,7 @@ def build_spectral_panels(fpanel, window, *, tol, mirror=None, budget=20000, pha
                 or ps.nodes_used > 0.8 * ps.budget):
             break
     ps.waiting.clear()   # blocks evaluated ahead past the last one kept
-    ok = ps.refine(_relative_target(tol), _graded_split(KZ_GRADE) if graded else None,
-                   pairs=max(1, per_call // (2 * _NPTS)))
+    ok = ps.refine(_relative_target(tol), split, pairs=max(1, per_call // (2 * _NPTS)))
     return ps, tail_bound, ok
 
 
@@ -464,14 +467,24 @@ T_GRADE = 0.125
 #: Where a kz panel that starts at kz = 0 is cut, as a fraction of its width,
 #: in a window without a branch point (``build_spectral_panels``).
 KZ_GRADE = 0.25
+#: Where a kz panel that ends at the branch point kz = |omega| of a real-axis
+#: window is cut, as a fraction of its width from that point, on either side.
+KZ_BRANCH_GRADE = 0.125
 
 
-def _graded_split(grade):
-    """The cut of a panel [a, b] at ``grade`` of its width when it starts
-    at 0 and at its midpoint otherwise: a geometric mesh toward an endpoint
-    0 near which the integrand varies fastest, where bisection would spend
-    one parent panel per level (Trefethen, ATAP, ch. 8)."""
-    return lambda a, b: a + (grade if a == 0.0 else 0.5) * (b - a)
+def _graded_split(grade, point=0.0):
+    """The cut of a panel [a, b] at ``grade`` of its width from ``point``
+    when it ends there, on either side, and at its midpoint otherwise: a
+    geometric mesh toward an endpoint singularity near which the integrand
+    varies fastest, where bisection would spend one parent panel per level
+    (Trefethen, ATAP, ch. 8)."""
+    def cut(a, b):
+        if a == point:
+            return a + grade * (b - a)
+        if b == point:
+            return b - grade * (b - a)
+        return a + 0.5 * (b - a)
+    return cut
 
 
 def imag_axis_panels(values, tol, t_cut, budget):

@@ -506,6 +506,29 @@ class TestPlasmonRoot:
         assert main(["point", "--config", path, "--dz", "1.5", "--out", str(out)]) == 0
         assert "approximation" not in json.loads(out.read_text())
 
+    @pytest.mark.parametrize("wp, fit_lines", [(6.0, True), (1.5, False)],
+                             ids=["default", "omega_p_1.5"])
+    def test_fit_above_the_residual_bound_leaves_no_fit(self, tmp_path, capsys, wp, fit_lines):
+        # the default fit reads residual 0.0068 and is reported; with
+        # omega_p 1.5 omega_A it reads 0.633, above FIT_MAX_RESIDUAL, and
+        # sweep printed its approximations from it.  Now sweep and point
+        # take the no-fit path and dispersion exits 3
+        path = default_config_with(tmp_path, omega_p_over_omega_a=wp)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert any(line.startswith("# fit_residual") for line in lines) is fit_lines
+        rows = [line.split(",") for line in lines if line[0].isdigit()]
+        assert len(rows) == 100 and all((r[6:8] == ["nan", "nan"]) is not fit_lines
+                                        for r in rows)
+        out = tmp_path / "p.json"
+        assert main(["point", "--config", path, "--dz", "1.5", "--out", str(out)]) == 0
+        assert ("approximation" in json.loads(out.read_text())) is fit_lines
+        code = main(["dispersion", "--config", path, "--out", str(tmp_path / "d.csv")])
+        assert code == (0 if fit_lines else 3)
+        if not fit_lines:
+            assert "fit failure: fit residual 0.633" in capsys.readouterr().err
+
 
 class TestDispersion:
     def test_wire_dispersion_reports_bound_mode(self, tmp_path):

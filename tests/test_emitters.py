@@ -829,6 +829,22 @@ class TestLorentzianFit:
         with pytest.raises(FitError, match="no interior spectral maximum"):
             table_fit(geom(0.03, 1.05, 0.002), 0.045)
 
+    @pytest.mark.parametrize("wp, residual", [(6.0, 0.0068), (1.5, 0.633)],
+                             ids=["default", "omega_p_1.5"])
+    def test_fit_residual_above_the_bound_raises(self, wp, residual):
+        # as sweep fits, from the real-axis table: the default wire's peak is
+        # one Lorentzian pair to 0.0068; with omega_p 1.5 omega_A the fit
+        # reads 0.633, above FIT_MAX_RESIDUAL, and raises
+        geom = WireGeometry(radius=0.01, model=DrudeModel.from_relative(1.0, wp, 0.002))
+        table = WireSpectralTable(geom, SpectralPoint.real_axis(OMEGA_A), 0.015, 0.015, 0.0,
+                                  tol=1e-6)
+        if residual < emitters.FIT_MAX_RESIDUAL:
+            fit = fit_plasmon_lorentzian(OMEGA_A, table.spectrum, table.pole)
+            assert fit.fit_residual == pytest.approx(residual, abs=1e-4)
+        else:
+            with pytest.raises(FitError, match=f"fit residual {residual:g} exceeds"):
+                fit_plasmon_lorentzian(OMEGA_A, table.spectrum, table.pole)
+
     def test_single_rate_approximation_close(self, pair_engine, plasmon_fit):
         # plasmon channel carries most of the near-wire decay
         appr = analytic_approximations(plasmon_fit, 0.0)

@@ -7,9 +7,9 @@ from scipy import special
 
 from wireqed import (ConvergenceError, DomainError, OMEGA_A, imag_axis_integrate,
                      kk_check, pv_shift_oracle)
-from wireqed.quadrature import (KZ_GRADE, T_SEEDS, PanelSet, _panel_nodes, _plain, _records,
-                                _seed_breaks, build_spectral_panels, imag_axis_panels,
-                                moments_for, panel_terms, t_substitution)
+from wireqed.quadrature import (KZ_BRANCH_GRADE, KZ_GRADE, T_SEEDS, PanelSet, _panel_nodes,
+                                _plain, _records, _seed_breaks, build_spectral_panels,
+                                imag_axis_panels, moments_for, panel_terms, t_substitution)
 from wireqed.validate import (EQUIVALENCE_MODELS, ResonanceModel, pv_shift,
                               rotated_shift)
 
@@ -328,11 +328,12 @@ def kz_integral(f, k_start, *, tol, mirror=None, phase=0.0, pole_hint=None, **kw
 
 @pytest.mark.parametrize("branch_point", [None, 2.0], ids=["no_branch_point", "branch_point"])
 def test_window_picks_the_shape(monkeypatch, branch_point):
-    # one toy spectrum, sqrt(k) e^-k with its kink at kz = 0, on two windows
-    # that differ only in the branch point.  Without one, the first split of
-    # the first seed panel [0, b] cuts it at KZ_GRADE b and every tail block
-    # but the last is at least 2 / gap wide; with one, the cut is at b / 2
-    # and every block ends at 1.6 times its start
+    # one toy spectrum, (sqrt(k) + sqrt|k - 2|) e^-k with kinks at kz = 0 and
+    # kz = 2, on two windows that differ only in the branch point at 2.
+    # Without one, the first split of the first seed panel [0, b] cuts it at
+    # KZ_GRADE b; with one, it bisects, and the first split on each side of
+    # the branch point cuts its panel at KZ_BRANCH_GRADE of its width from
+    # there.  On both, every tail block but the last is at least 2 / gap wide
     k_start, gap = 4.0, 0.5
     window = (k_start, None, branch_point, gap)
     added, append = [], PanelSet.append
@@ -342,21 +343,30 @@ def test_window_picks_the_shape(monkeypatch, branch_point):
         return append(self, rec)
 
     monkeypatch.setattr(PanelSet, "append", record)
-    ps, tail_bound, ok = build_spectral_panels(lambda k: np.sqrt(k) * np.exp(-k), window,
-                                               tol=1e-6)
-    assert ok and abs(ps.integral()[0] - math.sqrt(math.pi) / 2) <= 1e-6
+    f = lambda k: (np.sqrt(k) + np.sqrt(np.abs(k - 2.0))) * np.exp(-k)
+    ps, tail_bound, ok = build_spectral_panels(f, window, tol=1e-6)
+    # int_0^2 sqrt(2 - k) e^-k dk = sqrt(2) - e^-2 (sqrt(pi) / 2) erfi(sqrt(2))
+    root_pi = math.sqrt(math.pi)
+    exact = (0.5 * root_pi * (1.0 + math.exp(-2.0) * (1.0 - special.erfi(math.sqrt(2.0))))
+             + math.sqrt(2.0))
+    assert ok and abs(ps.integral()[0] - exact) <= 1e-6 * exact
     breaks = _seed_breaks(window)
-    cut = next(m for a, m in added[len(breaks) - 1:] if a == 0.0)
+    splits = added[len(breaks) - 1:]
     b = breaks[1]
-    assert cut == (KZ_GRADE * b if branch_point is None else 0.5 * b)
+    grade = KZ_GRADE if branch_point is None else 0.5
+    assert next(m for a, m in splits if a == 0.0) == grade * b
+    if branch_point is not None:
+        i = breaks.index(branch_point)
+        left, right = breaks[i - 1], breaks[i + 1]
+        assert next(a for a, end in splits if end == branch_point) == (
+            branch_point - KZ_BRANCH_GRADE * (branch_point - left))
+        assert next(end for a, end in splits if a == branch_point) == (
+            branch_point + KZ_BRANCH_GRADE * (right - branch_point))
     tail = sorted((p[0], p[1]) for p in ps.panels if p[0] >= k_start)
     assert len(tail) >= 3 and tail[0][0] == k_start
     for (a, end), (start, _) in zip(tail[:-1], tail[1:]):
         assert start == end
-        if branch_point is None:
-            assert end - a >= 2.0 / gap and end == pytest.approx(max(1.6 * a, a + 2.0 / gap))
-        else:
-            assert end == 1.6 * a
+        assert end - a >= 2.0 / gap and end == pytest.approx(max(1.6 * a, a + 2.0 / gap))
 
 
 class TestKzIntegrate:
